@@ -77,7 +77,19 @@ class Discretization:
 
     def R(self, bp: BranchPoint) -> np.ndarray:
         """Full resolvent of the model, (Id + R0 V)^{-1} R0, by dense solve."""
-        return sla.solve(self.M(bp), self.r0(bp))
+        return self._resolve(self.r0(bp))
+
+    def jump(self, lam: float) -> np.ndarray:
+        """Boundary jump R(lam + i0) - R(lam - i0) from one R0 assembly: on
+        the positive axis the -i0 kernel, self-cell rule included, is the
+        entrywise conjugate of the +i0 one.  V is complex, so the two sides
+        still need their own factorization."""
+        r0p = self.r0(BranchPoint.boundary(lam, "+"))
+        return self._resolve(r0p) - self._resolve(np.conj(r0p))
+
+    def _resolve(self, r0: np.ndarray) -> np.ndarray:
+        """(Id + R0 V)^{-1} R0 for an assembled R0."""
+        return sla.solve(np.eye(self.grid.n) + r0 * self.V[None, :], r0)
 
     # --- pairings ---------------------------------------------------------
     def pair(self, u: np.ndarray, v: np.ndarray) -> complex:

@@ -26,6 +26,27 @@ def test_resolvent_identity_small_grid():
     assert np.allclose(lhs, disc.r0(bp), atol=1e-10)
 
 
+@pytest.mark.parametrize("lam", [0.04, 1.0, 40.0])
+def test_r0_minus_side_is_conjugate_bitwise(lam):
+    # the one-assembly jump relies on this identity holding exactly, the
+    # self-cell diagonal included
+    disc = Discretization(free_model(build_grid(3.0, 4)))
+    plus = disc.r0(BranchPoint.boundary(lam, "+"))
+    minus = disc.r0(BranchPoint.boundary(lam, "-"))
+    assert np.array_equal(minus, np.conj(plus))
+
+
+def test_jump_matches_two_sided_resolvents():
+    grid = build_grid(2.5, 5)
+    V = 0.4 * gaussian_template(grid)
+    disc = Discretization(Model(grid=grid, potential=sample_potential(grid, V)))
+    lam = 1.7
+    want = (disc.R(BranchPoint.boundary(lam, "+"))
+            - disc.R(BranchPoint.boundary(lam, "-")))
+    err = np.linalg.norm(disc.jump(lam) - want)
+    assert err <= 1e-14 * np.linalg.norm(want)
+
+
 def test_assemble_K_wraps_discretization():
     grid = build_grid(2.0, 4)
     V = 0.3 * gaussian_template(grid)

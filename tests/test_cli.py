@@ -91,6 +91,16 @@ def test_run_pipeline_regular(regular_config):
     json.dumps(rep.as_dict())
 
 
+def test_run_pipeline_propagate_regular(tmp_path):
+    path = _write(tmp_path, "cfg.json", {
+        "model": {"factory": "regular", "extent": 3.0, "resolution": 4},
+        "stages": ["classify", "threshold_expand", "propagate"]})
+    rep = run_pipeline(load_config(path))
+    assert rep.errors == []
+    assert rep.stages["propagate"]["kind"] == "regular"
+    assert rep.stages["propagate"]["slope_theory"] == -1.5
+
+
 def test_run_pipeline_records_stage_errors(tmp_path):
     path = _write(tmp_path, "cfg.json", {
         "model": {"factory": "free", "resolution": 4},

@@ -7,9 +7,11 @@ import oracles
 from specthresh.birman_schwinger import Discretization
 from specthresh.kernels import BranchPoint
 from specthresh.model import build_grid
-from specthresh.models import free_model, regular_model
-from specthresh.propagator import (audit_contour, build_contour,
-                                   check_high_energy, dunford_propagator,
+from specthresh.grushin import threshold_resolvent_expansion
+from specthresh.models import first_kind_model, free_model, regular_model
+from specthresh.propagator import (CutPropagator, _wnorm, audit_contour,
+                                   build_contour, check_high_energy,
+                                   dunford_propagator,
                                    enumerate_upper_eigenvalues,
                                    free_propagator, generalized_integral,
                                    resolvent_taylor, verify_large_time)
@@ -138,6 +140,51 @@ def test_free_decay_slope():
     rep = verify_large_time(model)
     assert abs(rep.slope_fit + 1.5) < 0.05
     assert rep.r_squared > 0.999
+
+
+# --------------------------------------------------------------------------
+# branch-cut propagator
+
+# ||U(t)|| (s = 3) of the resolution-4 first-kind model over the default
+# ladder, computed with every node jump precomputed and stored; the streamed
+# ladder must reproduce them
+LADDER = np.geomspace(10.0, 1000.0, 7)
+FROZEN_NORMS_FIRST4 = [
+    0.009343516886384856, 0.0063652787287237994, 0.004336561515902878,
+    0.0029545225734302553, 0.0020129144986420363, 0.0013713901926939275,
+    0.0009343188491757032]
+
+
+@pytest.fixture(scope="module")
+def cut_first4():
+    model = first_kind_model(build_grid(3.0, 4))
+    disc = Discretization(model)
+    coeffs = threshold_resolvent_expansion(model, disc=disc)
+    cp = CutPropagator(model, coeffs, disc=disc)
+    return model, cp, cp.propagate_many(LADDER)
+
+
+def test_cut_propagator_frozen_norms(cut_first4):
+    model, cp, Us = cut_first4
+    assert cp.jump == {}
+    norms = [_wnorm(model.grid, Us[t], 3.0) for t in LADDER]
+    np.testing.assert_allclose(norms, FROZEN_NORMS_FIRST4, rtol=1e-10)
+
+
+def test_propagate_matches_ladder(cut_first4):
+    _, cp, Us = cut_first4
+    t = LADDER[3]
+    U = cp.propagate(t)
+    assert np.linalg.norm(U - Us[t]) < 1e-12 * np.linalg.norm(U)
+
+
+def test_propagate_many_rejects_nonpositive_times(cut_first4):
+    _, cp, _ = cut_first4
+    for ts in ([10.0, 0.0], [-1.0], [np.nan]):
+        with pytest.raises(ValueError, match="positive"):
+            cp.propagate_many(ts)
+    with pytest.raises(ValueError, match="positive"):
+        cp.propagate(0.0)
 
 
 def test_resolvent_taylor_matches_finite_difference():
