@@ -18,6 +18,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import zgemm
+from scipy.linalg.lapack import ztrtri
 from scipy.optimize import golden
 
 from .kernels import BranchPoint, assemble_gj, assemble_gj_plus, assemble_r0
@@ -146,6 +148,10 @@ class ZeroClassification:
     eigenvectors: List[np.ndarray]  # marker-free kernel directions
     integral_marker: complex
     marker_tol: float
+    # the -1 cluster of K0 this classification was read from, and the cluster
+    # tol detect_minus_one ran with (None for a regular threshold)
+    detection: Optional[EigenNearMinusOne] = None
+    detection_tol: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -241,21 +247,46 @@ def tune_coupling(grid: QuadratureGrid, template: np.ndarray, target: str,
     return complex(-1.0 / choice)
 
 
+def _contour_projector(T: np.ndarray, Q: np.ndarray, center: complex,
+                       radius: float, n_quad: int) -> np.ndarray:
+    """(1/2 pi i) oint_{|w - center| = radius} (w - A)^{-1} dw for A = Q T Q^H
+    (complex Schur pair, T upper triangular with zeros below the diagonal), by
+    the trapezoidal rule on n_quad nodes at angles 2 pi (q + 1/2) / n_quad.
+    Each node costs one in-place triangular inverse of w_q - T; the weighted
+    sum is rotated back with Q once at the end.  Besides T and Q the whole
+    computation holds two n x n work arrays, the second of which is returned."""
+    n = T.shape[0]
+    shift = np.diag_indices(n)
+    S = np.zeros((n, n), dtype=complex, order="F")
+    A = np.empty((n, n), dtype=complex, order="F")
+    for q in range(n_quad):
+        c = radius * np.exp(2j * np.pi * (q + 0.5) / n_quad)
+        np.negative(T, out=A)
+        A[shift] += center + c
+        _, info = ztrtri(A, overwrite_c=1)
+        if info != 0:
+            raise ValueError("contour node hits the spectrum")
+        A *= c
+        S += A
+    S /= n_quad
+    zgemm(1.0, Q, S, c=A, overwrite_c=1)                  # A = Q S
+    return zgemm(1.0, A, Q, trans_b=2, c=S, overwrite_c=1)  # S = A Q^H
+
+
 def riesz_projection(K0: np.ndarray, eps: float,
                      detection: Optional[EigenNearMinusOne] = None,
                      n_quad: int = 64) -> RieszProjection:
     """Spectral projector onto the -1 cluster of K0 by trapezoidal contour
-    quadrature of the resolvent on the circle |w + 1| = eps."""
+    quadrature of the resolvent on the circle |w + 1| = eps.
+
+    The cost is one complex Schur factorization K0 = Q T Q^H plus one
+    triangular inverse (w_q - T)^{-1} per quadrature node w_q; the n_quad
+    trapezoidal nodes and weights are those of the plain contour rule."""
     if detection is not None and eps > detection.gap / 2.0:
         raise ValueError("contour captures foreign spectrum")
-    n = K0.shape[0]
-    P = np.zeros((n, n), dtype=complex)
-    I = np.eye(n)
-    for q in range(n_quad):
-        th = 2.0 * np.pi * (q + 0.5) / n_quad
-        wq = -1.0 + eps * np.exp(1j * th)
-        P += eps * np.exp(1j * th) * sla.solve(wq * I - K0, I)
-    P /= n_quad
+    T, Q = sla.schur(K0, output="complex")
+    P = _contour_projector(T, Q, -1.0, eps, n_quad)
+    del T, Q
     s = sla.svdvals(P)
     rank = int((s > 1e-8 * max(1.0, s[0])).sum())
     op = OperatorMatrix(entries=P, row_weight=None, col_weight=None, grid_id="")
@@ -285,7 +316,8 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
     if np.linalg.norm(markers) <= mtol:
         return ZeroClassification(kind="second", k=k, resonance_state=None,
                                   eigenvectors=[basis[:, i] for i in range(k)],
-                                  integral_marker=0.0, marker_tol=mtol)
+                                  integral_marker=0.0, marker_tol=mtol,
+                                  detection=det, detection_tol=tol)
     # direction of maximal marker inside the kernel
     c = markers.conj() / np.linalg.norm(markers)
     res = basis @ c
@@ -293,7 +325,8 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
     if k == 1:
         return ZeroClassification(kind="first", k=1, resonance_state=res,
                                   eigenvectors=[], integral_marker=res_marker,
-                                  marker_tol=mtol)
+                                  marker_tol=mtol, detection=det,
+                                  detection_tol=tol)
     # third kind: complement of the resonance direction inside the kernel is
     # marker-free (geometric simplicity of the resonance)
     _, _, Vh = np.linalg.svd(markers.reshape(1, -1))
@@ -304,7 +337,8 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
             raise ValueError("resonance not geometrically simple")
     return ZeroClassification(kind="third", k=k, resonance_state=res,
                               eigenvectors=comp_cols, integral_marker=res_marker,
-                              marker_tol=mtol)
+                              marker_tol=mtol, detection=det,
+                              detection_tol=tol)
 
 
 def _sigma_min_boundary(disc: Discretization, lam: float) -> float:

@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.linalg as sla
 
-from .birman_schwinger import (Discretization, ZeroClassification,
+from .birman_schwinger import (Discretization, EigenNearMinusOne,
+                               RieszProjection, ZeroClassification,
                                classify_zero, detect_minus_one,
                                riesz_projection)
 from .jordan import (JordanBasis, build_jordan_chains,
@@ -282,7 +283,7 @@ def invert_E_minus_plus(red: GrushinReduction,
         F = emp.laurent_inverse(qq)
         ok = True
         for zmag in (test_z, test_z / 4.0):
-            z = -zmag if red.point == "threshold" else -zmag
+            z = -zmag
             bp = red.bp_of(z)
             u = red.var_of(bp)
             direct = np.linalg.inv(red.Emp_at(bp))
@@ -433,6 +434,17 @@ def _sample_remainders(red: GrushinReduction, Rs: ExpansionSeries,
     return out
 
 
+def _checked_projection(K: np.ndarray, eps: float,
+                        det: EigenNearMinusOne) -> RieszProjection:
+    """Riesz projector onto the -1 cluster of K, whose numerical rank must
+    equal the algebraic multiplicity counted by the eigenvalue detection."""
+    P = riesz_projection(K, eps, detection=det)
+    if P.rank != det.algebraic_multiplicity:
+        raise ValueError(f"Riesz projector rank {P.rank} != algebraic "
+                         f"multiplicity {det.algebraic_multiplicity}")
+    return P
+
+
 def threshold_resolvent_expansion(model: Model,
                                   classification: Optional[ZeroClassification] = None,
                                   disc: Optional[Discretization] = None,
@@ -459,9 +471,13 @@ def threshold_resolvent_expansion(model: Model,
                                      R_m1=zero, phi=None, Z=[], P0=None,
                                      scaling=scal, constants={}, basis=None)
 
-    det = detect_minus_one(disc.K0)
+    tol = 1e-6
+    if cls.detection is not None and cls.detection_tol == tol:
+        det = cls.detection
+    else:
+        det = detect_minus_one(disc.K0, tol=tol)
     eps = min(det.gap / 2.5, 0.5)
-    P1 = riesz_projection(disc.K0, eps, detection=det)
+    P1 = _checked_projection(disc.K0, eps, det)
     prefer = (lambda u: abs(disc.marker(u))) if cls.kind == "third" else None
     basis = build_jordan_chains(P1.entries, disc.K0, tau, prefer=prefer)
     gs = build_grushin(basis, tau)
@@ -530,7 +546,7 @@ def resonance_resolvent_expansion(model: Model, lam0: float,
     if det == "absent":
         raise ValueError("no eigenvalue -1 at the requested energy")
     eps = min(det.gap / 2.5, 0.5)
-    P1 = riesz_projection(Kp, eps, detection=det)
+    P1 = _checked_projection(Kp, eps, det)
     basis = build_jordan_chains(P1.entries, Kp, tau)
     gs = build_grushin(basis, tau)
     red = GrushinReduction(disc, gs, point=float(lam0), cap=cap)

@@ -71,15 +71,15 @@ def first_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     return Model(grid=grid, potential=pot, name="first_kind")
 
 
-def _dipole_source_potential(grid: QuadratureGrid, tilt: float,
-                             alpha: complex) -> np.ndarray:
+def _dipole_source_potential(grid: QuadratureGrid, G0: np.ndarray,
+                             tilt: float, alpha: complex) -> np.ndarray:
     """Exact threshold eigenvalue by the source method in the odd (dipole)
     sector: g ~ x_1 h(r), psi = -G0 g, V = g / psi pointwise.  Then
     G0 V psi = -psi on the grid exactly, and the integral marker of psi
     (= sum w g) vanishes exactly by parity, so psi is an eigen direction
-    rather than a resonance.  alpha deforms the radial shape h."""
+    rather than a resonance.  alpha deforms the radial shape h; G0 is the
+    threshold kernel assembled on grid."""
     mask = _support_mask(grid)
-    G0 = assemble_gj(grid, 0)
     r2 = grid.radii() ** 2
     x1 = grid.nodes[:, 0]
     g = (np.exp(-r2) * (1.0 + tilt * 1j * np.exp(-0.5 * r2))
@@ -96,7 +96,8 @@ def _dipole_source_potential(grid: QuadratureGrid, tilt: float,
 def second_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     """Pure threshold eigenvalue (zero integral marker), kernel dimension 1."""
     grid = grid or default_grid()
-    V = _dipole_source_potential(grid, tilt=0.25, alpha=0.0)
+    V = _dipole_source_potential(grid, assemble_gj(grid, 0), tilt=0.25,
+                                 alpha=0.0)
     pot = sample_potential(grid, V)
     return Model(grid=grid, potential=pot, name="second_kind")
 
@@ -114,7 +115,7 @@ def third_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     w = grid.weights
 
     def potential_of(alpha: complex) -> np.ndarray:
-        return _dipole_source_potential(grid, tilt=0.2, alpha=alpha)
+        return _dipole_source_potential(grid, G0, tilt=0.2, alpha=alpha)
 
     def marked_eigenvalue(alpha: complex) -> complex:
         V = potential_of(alpha)

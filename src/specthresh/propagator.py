@@ -28,7 +28,7 @@ from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_laguerre
 
-from .birman_schwinger import Discretization
+from .birman_schwinger import Discretization, _contour_projector
 from .kernels import BranchPoint
 from .model import (Model, OperatorMatrix, assemble_H,
                     weighted_operator_norm)
@@ -168,19 +168,15 @@ def enumerate_upper_eigenvalues(model_or_H, search_region=None,
             clusters.append([z])
     eigs, projs = [], []
     I = np.eye(H.shape[0])
+    # one Schur form H = Q T Q^H serves the contour of every cluster
+    T, Q = sla.schur(H, output="complex") if clusters else (None, None)
     for cl in clusters:
         zc = complex(np.mean(cl))
         others = evals[np.abs(evals - zc) > 1e-7 * max(1.0, abs(zc))]
         gap = float(np.abs(others - zc).min()) if others.size else 1.0
         rad = min(gap / 3.0, 0.25)
-        P = np.zeros_like(H)
-        nq = 32
-        for q in range(nq):
-            th = 2.0 * np.pi * (q + 0.5) / nq
-            z = zc + rad * np.exp(1j * th)
-            # Pi = -(1/2i pi) oint (H - z)^{-1} dz, counterclockwise
-            P -= rad * np.exp(1j * th) * sla.solve(H - z * I, I)
-        P /= nq
+        # Pi = -(1/2i pi) oint (H - z)^{-1} dz, counterclockwise
+        P = _contour_projector(T, Q, zc, rad, 32)
         if cross_check and V is not None:
             H0 = H - np.diag(V)
             K = sla.solve(H0 - zc * I, np.diag(V))

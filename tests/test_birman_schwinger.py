@@ -2,16 +2,20 @@
 threshold classification and resonance scanning."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import oracles
-from specthresh.birman_schwinger import (Discretization, assemble_K, b_form,
+from specthresh.birman_schwinger import (Discretization, _contour_projector,
+                                         assemble_K, b_form,
                                          check_hypotheses, classify_zero,
                                          detect_minus_one, riesz_projection,
                                          scan_positive_resonances,
                                          tune_coupling)
 from specthresh.kernels import BranchPoint
 from specthresh.model import build_grid, sample_potential
-from specthresh.models import free_model, gaussian_template, resonance_model
+from specthresh.models import (first_kind_model, free_model,
+                               gaussian_template, resonance_model,
+                               third_kind_model)
 from specthresh.model import Model
 
 
@@ -114,6 +118,74 @@ def test_riesz_projection_matches_dense_eig():
     assert np.linalg.norm(P @ P - P) < 1e-8
 
 
+def _dense_contour_projection(K, eps, n_quad=64):
+    """The contour quadrature with one dense solve per node, as riesz_projection
+    computed it before the Schur factorization was shared by all nodes."""
+    n = K.shape[0]
+    P = np.zeros((n, n), dtype=complex)
+    I = np.eye(n)
+    for q in range(n_quad):
+        th = 2.0 * np.pi * (q + 0.5) / n_quad
+        wq = -1.0 + eps * np.exp(1j * th)
+        P += eps * np.exp(1j * th) * sla.solve(wq * I - K, I)
+    return P / n_quad
+
+
+def _first4_K0():
+    return Discretization(first_kind_model(build_grid(3.0, 4))).K0, 1e-6
+
+
+def _third5_K0():
+    # the two-eigenvalue tuning of the third kind does not converge at
+    # resolution 4, so this one runs at resolution 5 (n=117)
+    return Discretization(third_kind_model(build_grid(3.0, 5))).K0, 1e-6
+
+
+def _resonance4_Kplus():
+    disc = Discretization(resonance_model(build_grid(3.0, 4), lam0=1.0))
+    return disc.K(BranchPoint.boundary(1.0, "+")), 1e-4
+
+
+@pytest.mark.parametrize("make", [_first4_K0, _third5_K0, _resonance4_Kplus],
+                         ids=["first4", "third5", "resonance4"])
+def test_riesz_projection_matches_dense_solve_contour(make):
+    K, tol = make()
+    det = detect_minus_one(K, tol=tol)
+    eps = min(det.gap / 2.5, 0.5)
+    proj = riesz_projection(K, eps, detection=det)
+    want = _dense_contour_projection(K, eps)
+    assert np.linalg.norm(proj.entries - want) <= 1e-12 * np.linalg.norm(want)
+    assert proj.rank == det.algebraic_multiplicity
+
+
+def test_riesz_projection_defective_cluster():
+    # a 2x2 Jordan block at -1 next to well-separated spectrum, hidden by a
+    # random similarity: the projector has rank 2 although the geometric
+    # multiplicity is 1
+    rng = np.random.default_rng(11)
+    n = 20
+    J = np.diag(np.linspace(0.3, 1.8, n)).astype(complex)
+    J[:2, :2] = [[-1.0, 1.0], [0.0, -1.0]]
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    K = S @ J @ np.linalg.inv(S)
+    proj = riesz_projection(K, eps=0.4)
+    P = proj.entries
+    assert proj.rank == 2
+    assert np.linalg.norm(P @ P - P) <= 1e-10 * np.linalg.norm(P)
+    E = np.zeros(n)
+    E[:2] = 1.0
+    want = S @ np.diag(E) @ np.linalg.inv(S)
+    assert np.linalg.norm(P - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_contour_projector_rejects_node_on_spectrum():
+    center, radius, n_quad = -1.0, 0.25, 8
+    node = center + radius * np.exp(2j * np.pi * 0.5 / n_quad)
+    with pytest.raises(ValueError, match="hits the spectrum"):
+        _contour_projector(np.array([[node]]), np.eye(1), center, radius,
+                           n_quad)
+
+
 def test_classify_free_model_regular():
     model = free_model(build_grid(3.0, 6))
     cls = classify_zero(model)
@@ -128,6 +200,13 @@ def test_classification_kinds(cls_first, cls_second, cls_third):
     assert abs(cls_first.integral_marker) > cls_first.marker_tol
     assert cls_second.k == 1
     assert cls_third.k == 2
+
+
+def test_classification_keeps_its_detection(cls_first, cls_third):
+    for cls in (cls_first, cls_third):
+        assert cls.detection_tol == 1e-6
+        assert cls.detection.geometric_multiplicity == cls.k
+    assert classify_zero(free_model(build_grid(3.0, 4))).detection is None
 
 
 def test_second_kind_marker_vanishes(cls_second):

@@ -1,14 +1,20 @@
 """Grushin reduction, Laurent inversion, determinant scaling and the
 threshold / resonance resolvent expansions."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
+import specthresh.grushin as grushin
+from specthresh.birman_schwinger import Discretization
 from specthresh.grushin import (GrushinReduction, build_grushin,
                                 invert_E_minus_plus, lidskii_determinant,
                                 threshold_resolvent_expansion,
                                 verify_grushin_identity)
 from specthresh.kernels import BranchPoint
+from specthresh.model import build_grid
+from specthresh.models import first_kind_model, resonance_model
 
 
 def _reduction(disc, coeffs, point="threshold", cap=6):
@@ -192,3 +198,24 @@ def test_resonance_states_b_orthonormal(disc_resonance, res_coeffs):
     # the double-sum pairing and the assembled derivative kernel differ in
     # the diagonal self-cell rule, which bounds the agreement here
     assert np.linalg.norm(G - np.eye(k)) < 5e-2
+
+
+# --------------------------------------------------------------------------
+# second check on the multiplicity
+
+def test_expansions_reject_projector_rank_mismatch(monkeypatch):
+    real = grushin.riesz_projection
+
+    def off_by_one(*args, **kwargs):
+        P = real(*args, **kwargs)
+        return dataclasses.replace(P, rank=P.rank + 1)
+
+    monkeypatch.setattr(grushin, "riesz_projection", off_by_one)
+    grid = build_grid(3.0, 4)
+    first = first_kind_model(grid)
+    with pytest.raises(ValueError, match="algebraic multiplicity"):
+        threshold_resolvent_expansion(first, disc=Discretization(first))
+    res = resonance_model(grid, lam0=1.0)
+    with pytest.raises(ValueError, match="algebraic multiplicity"):
+        grushin.resonance_resolvent_expansion(res, 1.0,
+                                              disc=Discretization(res))

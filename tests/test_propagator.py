@@ -2,6 +2,7 @@
 propagator, branch-cut propagation and decay / high-energy fits."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import oracles
 from specthresh.birman_schwinger import Discretization
@@ -89,6 +90,39 @@ def test_enumerate_upper_eigenvalues_synthetic():
     for zj, P in zip(rep.eigenvalues, rep.projectors):
         want = oracles.spectral_projector(H, lambda l: abs(l - zj) < 1e-6)
         assert np.linalg.norm(P - want) < 1e-8
+
+
+def _enumerate_reference_projectors(H):
+    """Per-cluster projectors by the 32-node contour with one dense solve per
+    node, the way enumerate_upper_eigenvalues computed them before the Schur
+    factorization of H was shared by all clusters."""
+    evals = sla.eigvals(H)
+    I = np.eye(H.shape[0])
+    out = {}
+    for zc in evals[evals.imag >= -1e-12]:
+        others = evals[np.abs(evals - zc) > 1e-7 * max(1.0, abs(zc))]
+        rad = min(float(np.abs(others - zc).min()) / 3.0, 0.25)
+        P = np.zeros_like(H)
+        for q in range(32):
+            th = 2.0 * np.pi * (q + 0.5) / 32
+            z = zc + rad * np.exp(1j * th)
+            P -= rad * np.exp(1j * th) * sla.solve(H - z * I, I)
+        out[complex(zc)] = P / 32
+    return out
+
+
+@pytest.mark.parametrize("similar", [False, True])
+def test_enumerate_projectors_match_dense_solve_contour(similar):
+    H = np.diag([0.5 + 0.2j, 1.5 - 0.3j, 3.0 + 0.05j])
+    if similar:
+        S = np.random.default_rng(4).standard_normal((3, 3)) + 2.0 * np.eye(3)
+        H = S @ H @ np.linalg.inv(S)
+    rep = enumerate_upper_eigenvalues(H, cross_check=False)
+    want = _enumerate_reference_projectors(H)
+    assert rep.count == len(want) == 2
+    for zj, P in zip(rep.eigenvalues, rep.projectors):
+        ref = want[min(want, key=lambda z: abs(z - zj))]
+        assert np.linalg.norm(P - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_dunford_small_matrix_against_expm():
