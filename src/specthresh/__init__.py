@@ -4,24 +4,22 @@ threshold classification, resolvent expansions at the zero threshold and at
 embedded positive resonances, and contour representations of the propagator
 with quantitative large-time decay checks.
 """
-from .model import (Model, OperatorMatrix, Potential, QuadratureGrid,
-                    WeightSpec, assemble_H, build_grid, sample_potential,
-                    weighted_operator_norm)
+from .model import (Model, Potential, QuadratureGrid, assemble_H, build_grid,
+                    sample_potential, weighted_operator_norm)
 from .kernels import (BranchPoint, KernelFamily, assemble_gj, assemble_gj_plus,
                       assemble_r0, verify_threshold_expansion)
-from .birman_schwinger import (BSOperator, Discretization, ZeroClassification,
-                               assemble_K, b_form, check_hypotheses,
-                               classify_zero, detect_minus_one,
-                               riesz_projection, scan_positive_resonances,
-                               tune_coupling)
+from .birman_schwinger import (Discretization, ZeroClassification, b_form,
+                               check_hypotheses, classify_zero,
+                               detect_minus_one, riesz_projection,
+                               scan_positive_resonances, tune_coupling)
 from .jordan import (JordanBasis, build_jordan_chains,
                      complex_symmetric_cholesky, dual_basis,
                      projector_from_chains, verify_jordan_form)
 from .series import ExpansionSeries
 from .grushin import (GrushinReduction, GrushinSystem, LidskiiScaling,
                       ResonanceCoefficients, ThresholdCoefficients,
-                      build_grushin, compute_E, compute_E_minus_plus,
-                      invert_E_minus_plus, lidskii_determinant,
+                      build_grushin, invert_E_minus_plus,
+                      lidskii_determinant,
                       resonance_resolvent_expansion,
                       threshold_resolvent_expansion, verify_grushin_identity)
 from .propagator import (Contour, CutPropagator, DecayReport, Segment,

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,16 +23,14 @@ from scipy.linalg.lapack import ztrtri
 from scipy.optimize import golden
 
 from .kernels import BranchPoint, assemble_gj, assemble_gj_plus, assemble_r0
-from .model import Model, OperatorMatrix, QuadratureGrid
+from .model import Model, QuadratureGrid
 
 __all__ = [
-    "BSOperator", "EigenNearMinusOne", "ZeroClassification", "RieszProjection",
-    "Discretization", "assemble_K", "detect_minus_one", "tune_coupling",
+    "EigenNearMinusOne", "ZeroClassification", "RieszProjection",
+    "Discretization", "detect_minus_one", "tune_coupling",
     "riesz_projection", "classify_zero", "scan_positive_resonances",
     "check_hypotheses", "b_form", "marker_tolerance",
 ]
-
-ZLike = Union[BranchPoint, str, Tuple[float, str]]
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +119,6 @@ class Discretization:
 # types
 
 @dataclass(frozen=True)
-class BSOperator:
-    matrix: OperatorMatrix
-    z: ZLike
-    potential_id: str
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.matrix.entries
-
-
-@dataclass(frozen=True)
 class EigenNearMinusOne:
     eigenvalue: complex
     gap: float
@@ -156,46 +143,18 @@ class ZeroClassification:
 
 @dataclass(frozen=True)
 class RieszProjection:
-    matrix: OperatorMatrix
+    entries: np.ndarray
     rank: int
     contour_radius: float
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.matrix.entries
 
 
 # ---------------------------------------------------------------------------
 # operations
 
-def _resolve_bp(z: ZLike) -> BranchPoint:
-    if isinstance(z, BranchPoint):
-        return z
-    if z == "threshold":
-        return BranchPoint(z=0.0, sqrt_z=0.0)
-    if isinstance(z, tuple):
-        lam, side = z
-        return BranchPoint.boundary(lam, "+" if side in ("+", "+i0") else "-")
-    raise ValueError("branch side required")
-
-
-def assemble_K(model: Model, z: ZLike, disc: Optional[Discretization] = None) -> BSOperator:
-    """K(z) = R0(z) V as a dense matrix on the grid (threshold: K0 = G0 V)."""
-    disc = disc or Discretization(model)
-    bp = _resolve_bp(z)
-    if bp.z == 0:
-        mat = disc.K0
-    else:
-        mat = disc.K(bp)
-    op = OperatorMatrix(entries=mat, row_weight=None, col_weight=None,
-                        grid_id=model.grid.grid_id)
-    return BSOperator(matrix=op, z=z, potential_id=model.grid.grid_id)
-
-
-def detect_minus_one(K: Union[BSOperator, np.ndarray], tol: float = 1e-6
+def detect_minus_one(K: np.ndarray, tol: float = 1e-6
                      ) -> Union[EigenNearMinusOne, str]:
     """Dense eigendecomposition; report the eigenvalue cluster near -1."""
-    A = K.entries if isinstance(K, BSOperator) else np.asarray(K)
+    A = np.asarray(K)
     evals = sla.eigvals(A)
     d = np.abs(evals + 1.0)
     in_cluster = d <= tol
@@ -210,7 +169,11 @@ def detect_minus_one(K: Union[BSOperator, np.ndarray], tol: float = 1e-6
     U, s, Vh = sla.svd(np.eye(A.shape[0]) + A)
     null_tol = max(tol, 1e5 * np.finfo(float).eps * s[0])
     k = int((s < null_tol).sum())
-    k = max(k, 1)
+    if k == 0:
+        # sigma_min(Id + K) <= |lambda + 1| <= tol <= null_tol holds for the
+        # cluster eigenvalue, so an empty null space is a roundoff failure
+        raise ValueError(f"eigenvalue within {tol:g} of -1 but sigma_min "
+                         f"{s[-1]:.3e} >= null tolerance {null_tol:.3e}")
     vecs = Vh[-k:, :].conj().T
     eig = complex(evals[in_cluster][np.argmin(d[in_cluster])])
     return EigenNearMinusOne(eigenvalue=eig, gap=gap, geometric_multiplicity=k,
@@ -289,8 +252,7 @@ def riesz_projection(K0: np.ndarray, eps: float,
     del T, Q
     s = sla.svdvals(P)
     rank = int((s > 1e-8 * max(1.0, s[0])).sum())
-    op = OperatorMatrix(entries=P, row_weight=None, col_weight=None, grid_id="")
-    return RieszProjection(matrix=op, rank=rank, contour_radius=eps)
+    return RieszProjection(entries=P, rank=rank, contour_radius=eps)
 
 
 def marker_tolerance(disc: Discretization, psi: np.ndarray) -> float:

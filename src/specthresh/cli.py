@@ -22,7 +22,7 @@ from .birman_schwinger import (Discretization, check_hypotheses, classify_zero,
                                scan_positive_resonances)
 from .grushin import (resonance_resolvent_expansion,
                       threshold_resolvent_expansion)
-from .model import Model, build_grid, sample_potential
+from .model import Model, build_grid
 from .propagator import build_contour, check_high_energy, verify_large_time
 
 __all__ = ["RunConfig", "RunReport", "load_config", "run_pipeline",
@@ -151,7 +151,6 @@ def _build_model(spec: Dict) -> Model:
 
 
 def run_pipeline(config: RunConfig) -> RunReport:
-    np.random.seed(config.seed)
     report = RunReport(config_hash=config.digest(), seed=config.seed)
     model = _build_model(config.model)
     disc = Discretization(model)
@@ -311,7 +310,8 @@ def _finish(report: RunReport, outdir: Path) -> None:
     sys.exit(0 if report.all_passed else 1)
 
 
-def _run(config_path, out, seed, tol, stages: List[str]):
+def _load(config_path, seed, tol) -> RunConfig:
+    """The config with --seed and --tol applied; exit 2 if it does not load."""
     try:
         config = load_config(config_path)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -320,6 +320,11 @@ def _run(config_path, out, seed, tol, stages: List[str]):
     if seed is not None:
         config.seed = seed
     _apply_tols(config, tol)
+    return config
+
+
+def _run(config_path, out, seed, tol, stages: List[str]):
+    config = _load(config_path, seed, tol)
     if stages:
         config.stages = [s for s in stages if s in STAGES] or config.stages
     report = run_pipeline(config)
@@ -381,14 +386,7 @@ def propagate(config_path, out, seed, tol):
               type=click.Choice(["decay", "det_scaling", "contour"]))
 def report(config_path, out, seed, tol, kinds):
     """Run the configured stages and dump plot CSVs."""
-    try:
-        config = load_config(config_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    if seed is not None:
-        config.seed = seed
-    _apply_tols(config, tol)
+    config = _load(config_path, seed, tol)
     rep = run_pipeline(config)
     outdir = _out_dir(out, config)
     outdir.mkdir(parents=True, exist_ok=True)

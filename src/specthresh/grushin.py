@@ -36,8 +36,7 @@ from .series import ExpansionSeries
 __all__ = [
     "GrushinSystem", "GrushinReduction", "LidskiiScaling",
     "ThresholdCoefficients", "ResonanceCoefficients",
-    "build_grushin", "compute_E", "compute_E_minus_plus",
-    "invert_E_minus_plus", "lidskii_determinant",
+    "build_grushin", "invert_E_minus_plus", "lidskii_determinant",
     "threshold_resolvent_expansion", "resonance_resolvent_expansion",
     "verify_grushin_identity",
 ]
@@ -99,6 +98,13 @@ class ResonanceCoefficients:
 # ---------------------------------------------------------------------------
 # reduction
 
+def _m_from_r0(r0: Dict[int, np.ndarray], V: np.ndarray) -> Dict[int, np.ndarray]:
+    """Coefficients M_j = delta_j0 Id + R0_j V of M = Id + R0 V from those of R0."""
+    out = {j: c * V[None, :] for j, c in r0.items()}
+    out[0] = out[0] + np.eye(len(V))
+    return out
+
+
 def build_grushin(basis: JordanBasis, tau: np.ndarray) -> GrushinSystem:
     S = basis.flat_chain()
     W = basis.flat_dual()
@@ -112,8 +118,9 @@ def build_grushin(basis: JordanBasis, tau: np.ndarray) -> GrushinSystem:
 class GrushinReduction:
     """Series and direct evaluations of the Grushin data of M(z).
 
-    point = "threshold": series variable sqrt(z), M_j = i^j G_j V.
-    point = lam0 > 0:    series variable z - lam0, M_j = G_j^+ V / j!.
+    point = "threshold": series variable sqrt(z), R0_j = i^j G_j.
+    point = lam0 > 0:    series variable z - lam0, R0_j = G_j^+ / j!.
+    In both, M_j = delta_j0 Id + R0_j V.
     """
 
     def __init__(self, disc: Discretization, gs: Optional[GrushinSystem],
@@ -122,27 +129,13 @@ class GrushinReduction:
         self.gs = gs
         self.point = point
         self.cap = cap
-        n = disc.grid.n
         self.var = "sqrt_z" if point == "threshold" else "z_minus_lambda0"
-        self._m_coeffs = self._build_m_coeffs()
         self._r0_coeffs = self._build_r0_coeffs()
+        self._m_coeffs = _m_from_r0(self._r0_coeffs, disc.V)
         self._E_series: Optional[ExpansionSeries] = None
         self._cache: Dict[str, ExpansionSeries] = {}
 
     # --- series building --------------------------------------------------
-    def _build_m_coeffs(self) -> Dict[int, np.ndarray]:
-        d = self.disc
-        n = d.grid.n
-        out = {0: np.eye(n) + (d.K0 if self.point == "threshold"
-                               else d.K(BranchPoint.boundary(self.point, "+")))}
-        for j in range(1, self.cap + 1):
-            if self.point == "threshold":
-                out[j] = (1j ** j) * (d.gj(j) * d.V[None, :])
-            else:
-                fj = np.prod(np.arange(1, j + 1), dtype=float)
-                out[j] = (d.gj_plus(j, self.point) * d.V[None, :]) / fj
-        return out
-
     def _build_r0_coeffs(self) -> Dict[int, np.ndarray]:
         d = self.disc
         out = {}
@@ -174,17 +167,8 @@ class GrushinReduction:
         """E(z) order by order from E = E0 - E0 (M - M0) E."""
         if self._E_series is None:
             P1, P1p = self._p1_pair()
-            M0 = self._m_coeffs[0]
-            X0 = P1p @ M0 @ P1p + P1
-            E0 = P1p @ sla.solve(X0, P1p)
-            E: Dict[int, np.ndarray] = {0: E0}
-            for j in range(1, self.cap + 1):
-                acc = np.zeros_like(E0)
-                for r in range(1, j + 1):
-                    if r in self._m_coeffs:
-                        acc = acc + self._m_coeffs[r] @ E[j - r]
-                E[j] = -E0 @ acc
-            self._E_series = ExpansionSeries(self.var, E, self.cap)
+            X0 = P1p @ self._m_coeffs[0] @ P1p + P1
+            self._E_series = self.M_series.inverse(P1p @ sla.solve(X0, P1p))
         return self._E_series
 
     def _corner_series(self, name: str) -> ExpansionSeries:
@@ -242,14 +226,6 @@ class GrushinReduction:
         M = self.M_at(bp)
         E = self.E_at(bp)
         return -gs.T @ M @ gs.S + gs.T @ M @ E @ M @ gs.S
-
-
-def compute_E(red: GrushinReduction) -> ExpansionSeries:
-    return red.E_series
-
-
-def compute_E_minus_plus(red: GrushinReduction) -> ExpansionSeries:
-    return red.Emp_series
 
 
 def verify_grushin_identity(red: GrushinReduction, z: complex,
@@ -406,21 +382,6 @@ def _b_matrix_discrete(disc: Discretization, lam0: float,
 # ---------------------------------------------------------------------------
 # full expansions
 
-def _regular_minv_series(disc: Discretization, cap: int) -> ExpansionSeries:
-    """Neumann series of M^{-1} when Id + K0 is invertible (regular point)."""
-    red = GrushinReduction(disc, None, point="threshold", cap=cap)
-    M0 = red._m_coeffs[0]
-    M0inv = np.linalg.inv(M0)
-    E: Dict[int, np.ndarray] = {0: M0inv}
-    for j in range(1, cap + 1):
-        acc = np.zeros_like(M0inv)
-        for r in range(1, j + 1):
-            if r in red._m_coeffs:
-                acc = acc + red._m_coeffs[r] @ E[j - r]
-        E[j] = -M0inv @ acc
-    return ExpansionSeries("sqrt_z", E, cap)
-
-
 def _sample_remainders(red: GrushinReduction, Rs: ExpansionSeries,
                        upto: int, zs) -> List[Tuple[complex, float]]:
     out = []
@@ -458,9 +419,8 @@ def threshold_resolvent_expansion(model: Model,
     tau = disc.w * disc.V
 
     if cls.kind == "regular":
-        Minvs = _regular_minv_series(disc, cap)
         red = GrushinReduction(disc, None, point="threshold", cap=cap)
-        Rs = Minvs.truncated(4) @ red.R0_series.truncated(4)
+        Rs = red.E_series.truncated(4) @ red.R0_series.truncated(4)
         Rs.remainder_samples = _sample_remainders(
             red, Rs, 2, [-1e-2, -1e-3, 1e-3 + 1e-3j])
         scal = LidskiiScaling(kind="regular", order_structural=0.0,
@@ -515,7 +475,7 @@ def threshold_resolvent_expansion(model: Model,
         # normalize with the source-representation pairing: it evaluates the
         # whole-space L^2 inner products of the threshold states exactly, so
         # the projector built from Z reproduces the z^{-1} Laurent coefficient
-        Q = complex_symmetric_cholesky(L_src).Q
+        Q = complex_symmetric_cholesky(L_src)
         U = np.column_stack([basis.chains[b][0] for b in blocks])
         Zmat = U @ Q.T
         Z = [Zmat[:, i] for i in range(Zmat.shape[1])]
@@ -561,7 +521,7 @@ def resonance_resolvent_expansion(model: Model, lam0: float,
     vecs = [basis.chains[b][0] for b in range(basis.k)]
     B = _b_matrix_discrete(disc, lam0, vecs)
     fac = 1j * 8.0 * np.pi * np.sqrt(lam0)
-    Q = complex_symmetric_cholesky(B / fac).Q
+    Q = complex_symmetric_cholesky(B / fac)
     U = np.column_stack(vecs)
     Psi = U @ Q.T
     psi = [Psi[:, i] for i in range(Psi.shape[1])]

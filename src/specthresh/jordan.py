@@ -11,13 +11,13 @@ and recurse on its Theta-orthogonal complement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 import scipy.linalg as sla
 
 __all__ = [
-    "ThetaForm", "JordanBasis", "TriangularFactor",
+    "JordanBasis",
     "theta", "build_jordan_chains", "dual_basis", "verify_jordan_form",
     "complex_symmetric_cholesky", "projector_from_chains",
 ]
@@ -25,16 +25,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # types
-
-@dataclass(frozen=True)
-class ThetaForm:
-    """Evaluator of Theta(u,v) = sum_i tau_i u_i v_i (tau = weights * V)."""
-    tau: np.ndarray
-    potential_id: str = ""
-
-    def __call__(self, u: np.ndarray, v: np.ndarray) -> complex:
-        return complex(np.sum(self.tau * u * v))
-
 
 def theta(tau: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.sum(tau * u * v))
@@ -58,12 +48,6 @@ class JordanBasis:
 
     def flat_dual(self) -> np.ndarray:
         return np.column_stack([w for ch in self.duals for w in ch])
-
-
-@dataclass(frozen=True)
-class TriangularFactor:
-    Q: np.ndarray                      # upper triangular, Q^T Q = L^{-1}
-    L: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +175,7 @@ def projector_from_chains(basis: JordanBasis, tau: np.ndarray) -> np.ndarray:
     return U @ (W * tau[:, None]).T
 
 
-def complex_symmetric_cholesky(L: np.ndarray) -> TriangularFactor:
+def complex_symmetric_cholesky(L: np.ndarray) -> np.ndarray:
     """Upper-triangular Q with Q^T Q = L^{-1} (transpose, no conjugation),
     via the unpivoted complex-symmetric Cholesky factorization of L^{-1}."""
     L = np.asarray(L, dtype=complex)
@@ -209,5 +193,4 @@ def complex_symmetric_cholesky(L: np.ndarray) -> TriangularFactor:
         Lo[j, j] = piv
         for i in range(j + 1, n):
             Lo[i, j] = (M[i, j] - np.sum(Lo[i, :j] * Lo[j, :j])) / piv
-    Q = Lo.T.copy()
-    return TriangularFactor(Q=Q, L=L)
+    return Lo.T.copy()

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import sympy as sp
 
-from .model import (Model, OperatorMatrix, QuadratureGrid, WeightSpec,
-                    weighted_operator_norm)
+from .model import QuadratureGrid, weighted_operator_norm
 
 __all__ = [
     "BranchPoint", "KernelFamily", "L_MAX",
@@ -168,27 +167,11 @@ def _diag_gj_plus(j: int, lam0: float, rc: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Nystrom assembly
 
-def _weight_requirement(family: KernelFamily) -> float:
-    if family.kind == "Gj":
-        return family.order + 0.5
-    return 0.5
-
-
 def assemble_kernel_operator(grid: QuadratureGrid, family: KernelFamily,
-                             weights: Optional[Tuple[float, float]] = None,
                              z: Optional[BranchPoint] = None,
-                             dist: Optional[np.ndarray] = None) -> OperatorMatrix:
+                             dist: Optional[np.ndarray] = None) -> np.ndarray:
     """Nystrom matrix K[i,j] = kernel(x_i,x_j) w_j with the diagonal replaced
-    by the cell-ball rule. `weights` (s_row, s_col) are recorded and checked
-    against the kernel's minimal admissible weights; None = raw matrix."""
-    if weights is not None:
-        s_row, s_col = weights
-        req = _weight_requirement(family)
-        if s_row <= req or s_col <= req:
-            raise ValueError("weight below kernel requirement")
-        rw, cw = WeightSpec(s_row), WeightSpec(s_col)
-    else:
-        rw = cw = None
+    by the cell-ball rule."""
     if dist is None:
         dist = grid.distance_matrix()
     n = grid.n
@@ -218,24 +201,23 @@ def assemble_kernel_operator(grid: QuadratureGrid, family: KernelFamily,
 
     K *= grid.weights[None, :]
     np.fill_diagonal(K, diag)
-    return OperatorMatrix(entries=K, row_weight=rw, col_weight=cw,
-                          grid_id=grid.grid_id)
+    return K
 
 
 def assemble_r0(grid: QuadratureGrid, z: BranchPoint,
                 dist: Optional[np.ndarray] = None) -> np.ndarray:
-    return assemble_kernel_operator(grid, KernelFamily("R0"), z=z, dist=dist).entries
+    return assemble_kernel_operator(grid, KernelFamily("R0"), z=z, dist=dist)
 
 
 def assemble_gj(grid: QuadratureGrid, j: int,
                 dist: Optional[np.ndarray] = None) -> np.ndarray:
-    return assemble_kernel_operator(grid, KernelFamily("Gj", order=j), dist=dist).entries
+    return assemble_kernel_operator(grid, KernelFamily("Gj", order=j), dist=dist)
 
 
 def assemble_gj_plus(grid: QuadratureGrid, j: int, lam0: float,
                      dist: Optional[np.ndarray] = None) -> np.ndarray:
     return assemble_kernel_operator(grid, KernelFamily("GjPlus", order=j, anchor=lam0),
-                                    dist=dist).entries
+                                    dist=dist)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 __all__ = [
-    "QuadratureGrid", "Potential", "WeightSpec", "OperatorMatrix", "Model",
+    "QuadratureGrid", "Potential", "Model",
     "build_grid", "sample_potential", "assemble_H",
     "bracket_weight", "weight_diag", "weighted_operator_norm", "weighted_vec",
 ]
@@ -39,6 +39,9 @@ class QuadratureGrid:
     grid_id: str = field(default="")
 
     def __post_init__(self):
+        if not (np.all(np.isfinite(self.nodes))
+                and np.all(np.isfinite(self.weights))):
+            raise ValueError("degenerate grid: non-finite node or weight")
         if self.weights.min() <= 0:
             raise ValueError("degenerate grid: nonpositive weight")
         object.__setattr__(self, "grid_id", _grid_hash(self.nodes, self.weights))
@@ -79,40 +82,6 @@ class Potential:
     def __post_init__(self):
         if self.rho <= 2:
             raise ValueError("decay rate rho must exceed 2")
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Exponent s of the weighted space L^{2,s}."""
-    s: float
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("weight exponent must be >= 0")
-
-    def check_against(self, potential: Potential) -> None:
-        if not self.s < potential.rho - 0.5:
-            raise ValueError("weight exponent incompatible with potential decay")
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense matrix of an integral or multiplication operator on the grid.
-
-    row_weight / col_weight record the weighted spaces the matrix is meant to
-    act between (None = plain L^2 with the quadrature measure).
-    """
-    entries: np.ndarray
-    row_weight: Optional[WeightSpec]
-    col_weight: Optional[WeightSpec]
-    grid_id: str
-
-    def __post_init__(self):
-        e = self.entries
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("operator matrix has non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -267,7 +236,7 @@ def weighted_operator_norm(A: np.ndarray, grid: QuadratureGrid,
 # ---------------------------------------------------------------------------
 # finite-difference H (oracle path)
 
-def assemble_H(grid: QuadratureGrid, potential: Potential) -> OperatorMatrix:
+def assemble_H(grid: QuadratureGrid, potential: Potential) -> np.ndarray:
     """Dense finite-difference -Delta + diag(V) on a uniform grid (Dirichlet
     outside the retained nodes). Used only as a ground-truth oracle for
     time-domain checks."""
@@ -294,5 +263,4 @@ def assemble_H(grid: QuadratureGrid, potential: Potential) -> OperatorMatrix:
                 if j is not None:
                     H[i, j] -= inv_h2
     H += np.diag(potential.values)
-    return OperatorMatrix(entries=H, row_weight=None, col_weight=None,
-                          grid_id=grid.grid_id)
+    return H

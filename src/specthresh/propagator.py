@@ -18,9 +18,10 @@ Two evaluation paths coexist:
 """
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,9 +31,9 @@ from scipy.special import roots_laguerre
 
 from .birman_schwinger import Discretization, _contour_projector
 from .kernels import BranchPoint
-from .model import (Model, OperatorMatrix, assemble_H,
-                    weighted_operator_norm)
-from .grushin import ThresholdCoefficients
+from .model import Model, assemble_H, weighted_operator_norm
+from .grushin import ThresholdCoefficients, _m_from_r0
+from .series import ExpansionSeries
 
 __all__ = [
     "Segment", "Contour", "DiscreteSpectrumReport", "DecayReport",
@@ -146,13 +147,15 @@ def enumerate_upper_eigenvalues(model_or_H, search_region=None,
     search region), Riesz projectors by contour quadrature, cross-checked by
     the smallest singular value of Id + (H0 - z)^{-1} V."""
     if isinstance(model_or_H, Model):
-        H = assemble_H(model_or_H.grid, model_or_H.potential).entries
+        H = assemble_H(model_or_H.grid, model_or_H.potential)
         V = model_or_H.V
     else:
-        H = np.asarray(model_or_H.entries if isinstance(model_or_H, OperatorMatrix)
-                       else model_or_H, dtype=complex)
+        H = np.asarray(model_or_H, dtype=complex)
         V = None
-    evals = sla.eigvals(H)
+    # one Schur form H = Q T Q^H gives the eigenvalues and serves the contour
+    # of every cluster
+    T, Q = sla.schur(H, output="complex")
+    evals = np.diag(T)
     keep = evals.imag >= -1e-12
     if search_region is not None:
         re0, re1, im0, im1 = search_region
@@ -168,8 +171,6 @@ def enumerate_upper_eigenvalues(model_or_H, search_region=None,
             clusters.append([z])
     eigs, projs = [], []
     I = np.eye(H.shape[0])
-    # one Schur form H = Q T Q^H serves the contour of every cluster
-    T, Q = sla.schur(H, output="complex") if clusters else (None, None)
     for cl in clusters:
         zc = complex(np.mean(cl))
         others = evals[np.abs(evals - zc) > 1e-7 * max(1.0, abs(zc))]
@@ -300,8 +301,7 @@ def dunford_propagator(H, contour: Contour, t: float,
     contour integral (1/2i pi) int e^{-itz} <(H-z)^{-1} f, g> dz."""
     if t <= 0:
         raise ValueError("t must be positive")
-    H = np.asarray(H.entries if isinstance(H, OperatorMatrix) else H,
-                   dtype=complex)
+    H = np.asarray(H, dtype=complex)
     eig = eig or _EigResolvent(H)
     total = 0.0 + 0.0j
     if include_residues:
@@ -347,23 +347,15 @@ def resolvent_taylor(disc: Discretization, lam: float, order: int,
                      side: str = "+") -> List[np.ndarray]:
     """Taylor coefficients T_p of mu -> R(lam + mu, side) about mu = 0, built
     from the analytic derivative kernels (the -i0 side uses the entrywise
-    conjugate kernels, exact for real distances and energies)."""
-    fact = [1.0]
-    for p in range(1, order + 2):
-        fact.append(fact[-1] * p)
-    B = []
+    conjugate kernels, exact for real distances and energies): the series
+    R = M^{-1} B with B_p = G_p^+ / p! and M = Id + B V."""
+    B = {}
     for p in range(order + 1):
-        Gp = disc.gj_plus(p, lam) / fact[p]
-        B.append(Gp if side == "+" else np.conj(Gp))
-    Mc = [np.eye(disc.grid.n) + B[0] * disc.V[None, :]]
-    for p in range(1, order + 1):
-        Mc.append(B[p] * disc.V[None, :])
-    A = [np.linalg.inv(Mc[0])]
-    for p in range(1, order + 1):
-        S = sum(A[q] @ Mc[p - q] for q in range(p))
-        A.append(-S @ A[0])
-    return [sum(A[q] @ B[p - q] for q in range(p + 1))
-            for p in range(order + 1)]
+        Gp = disc.gj_plus(p, lam) / math.factorial(p)
+        B[p] = Gp if side == "+" else np.conj(Gp)
+    M = ExpansionSeries("z_minus_lambda0", _m_from_r0(B, disc.V), order)
+    R = M.inverse() @ ExpansionSeries("z_minus_lambda0", B, order)
+    return [R.coeff(p) for p in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ retained order so products stay exact up to the cap.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -31,11 +30,6 @@ class ExpansionSeries:
                        for j, c in self.coeffs.items() if j <= self.cap}
 
     @property
-    def lowest_order(self) -> int:
-        live = [j for j, c in self.coeffs.items() if np.any(np.abs(c) > 0)]
-        return min(live) if live else 0
-
-    @property
     def shape(self):
         return next(iter(self.coeffs.values())).shape
 
@@ -43,10 +37,6 @@ class ExpansionSeries:
         if j in self.coeffs:
             return self.coeffs[j]
         return np.zeros(self.shape, dtype=complex)
-
-    def copy(self) -> "ExpansionSeries":
-        return ExpansionSeries(self.variable, {j: c.copy() for j, c in self.coeffs.items()},
-                               self.cap, self.radius, list(self.remainder_samples))
 
     def _check(self, other: "ExpansionSeries"):
         if self.variable != other.variable:
@@ -128,43 +118,35 @@ class ExpansionSeries:
         out = {b - q: sol[b * m:(b + 1) * m, :] for b in range(nb)}
         return ExpansionSeries(self.variable, out, L - q)
 
+    def inverse(self, E0: Optional[np.ndarray] = None) -> "ExpansionSeries":
+        """Order-by-order inverse of a regular series s through the cap:
+        D_0 = E0, D_j = -E0 sum_{r=1..j} s_r D_{j-r}, i.e. D = E0 - E0 (s - s_0) D.
+        E0 defaults to s_0^{-1}, which gives the two-sided inverse; a Grushin
+        reduction passes its own order-0 factor Pi' X_0^{-1} Pi' instead."""
+        if min(self.coeffs) < 0:
+            raise ValueError("inverse expects a regular input series")
+        if E0 is None:
+            E0 = np.linalg.inv(self.coeff(0))
+        D: Dict[int, np.ndarray] = {0: E0}
+        for j in range(1, self.cap + 1):
+            acc = np.zeros_like(E0)
+            for r in range(1, j + 1):
+                if r in self.coeffs:
+                    acc += self.coeffs[r] @ D[j - r]
+            D[j] = -E0 @ acc
+        return ExpansionSeries(self.variable, D, self.cap)
+
     def det_series(self) -> Dict[int, complex]:
-        """Determinant as a scalar series (Leibniz expansion; small m only)."""
+        """Determinant as a scalar series through the cap.  det s(u) is a
+        polynomial of degree <= m cap, so its values at the N > m cap roots
+        of unity fix every coefficient: one batched det and one FFT."""
+        if min(self.coeffs) < 0:
+            raise ValueError("det_series expects a regular input series")
         m = self.shape[0]
-        out: Dict[int, complex] = {}
-        orders = sorted(self.coeffs)
-        for perm in itertools.permutations(range(m)):
-            sign = _perm_sign(perm)
-            # product over rows of scalar series entries (i, perm[i])
-            prod: Dict[int, complex] = {0: 1.0}
-            for i in range(m):
-                nxt: Dict[int, complex] = {}
-                for j1, v in prod.items():
-                    for j2 in orders:
-                        c = self.coeffs[j2][i, perm[i]]
-                        if c == 0:
-                            continue
-                        j = j1 + j2
-                        if j > self.cap:
-                            continue
-                        nxt[j] = nxt.get(j, 0.0) + v * c
-                prod = nxt
-            for j, v in prod.items():
-                out[j] = out.get(j, 0.0) + sign * v
-        return out
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+        N = 1 << (m * self.cap).bit_length()
+        orders = np.arange(self.cap + 1)
+        powers = np.exp(2j * np.pi * np.outer(np.arange(N), orders) / N)
+        C = np.array([self.coeff(j) for j in orders])
+        dets = np.linalg.det(np.einsum("qj,jab->qab", powers, C))
+        c = np.fft.fft(dets) / N
+        return {int(j): complex(c[j]) for j in orders}

@@ -159,7 +159,7 @@ def dissipative_H():
     """Finite-difference H with uniformly dissipative spectrum, augmented by
     a detached 2x2 block above the real axis to exercise the residue path."""
     model = dissipative_model()
-    H = assemble_H(model.grid, model.potential).entries
+    H = assemble_H(model.grid, model.potential)
     extra = np.diag([0.8 + 0.10j, 2.0 + 0.20j])
     n = H.shape[0]
     Hbig = np.zeros((n + 2, n + 2), dtype=complex)

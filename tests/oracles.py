@@ -7,6 +7,8 @@ dense eigendecompositions instead of contour calculus, scipy.integrate
 instead of hand-derived cell rules.  Tests freeze their expectations against
 these oracles.
 """
+import itertools
+
 import numpy as np
 import scipy.integrate
 import scipy.linalg as sla
@@ -123,4 +125,34 @@ def polynomial_matmul(a_coeffs: dict, b_coeffs: dict, cap: int) -> dict:
             if i + j > cap:
                 continue
             out[i + j] = out.get(i + j, 0) + A @ B
+    return out
+
+
+def leibniz_det_series(coeffs: dict, cap: int) -> dict:
+    """Determinant of a matrix series {order: m x m matrix} truncated at
+    `cap`, by the Leibniz expansion over all m! permutations: each product of
+    scalar entry series is multiplied out and truncated order by order."""
+    m = next(iter(coeffs.values())).shape[0]
+    out = {}
+    for perm in itertools.permutations(range(m)):
+        # sign from the cycle decomposition: each even-length cycle flips it
+        sign, seen = 1, [False] * m
+        for i in range(m):
+            j, clen = i, 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                clen += 1
+            if clen and clen % 2 == 0:
+                sign = -sign
+        prod = {0: 1.0}
+        for i in range(m):
+            nxt = {}
+            for j1, v in prod.items():
+                for j2, C in coeffs.items():
+                    if j1 + j2 <= cap and C[i, perm[i]] != 0:
+                        nxt[j1 + j2] = nxt.get(j1 + j2, 0.0) + v * C[i, perm[i]]
+            prod = nxt
+        for j, v in prod.items():
+            out[j] = out.get(j, 0.0) + sign * v
     return out

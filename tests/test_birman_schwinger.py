@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg as sla
 
 import oracles
+from specthresh import birman_schwinger
 from specthresh.birman_schwinger import (Discretization, _contour_projector,
-                                         assemble_K, b_form,
+                                         b_form,
                                          check_hypotheses, classify_zero,
                                          detect_minus_one, riesz_projection,
                                          scan_positive_resonances,
@@ -51,21 +52,6 @@ def test_jump_matches_two_sided_resolvents():
     assert err <= 1e-14 * np.linalg.norm(want)
 
 
-def test_assemble_K_wraps_discretization():
-    grid = build_grid(2.0, 4)
-    V = 0.3 * gaussian_template(grid)
-    model = Model(grid=grid, potential=sample_potential(grid, V))
-    op = assemble_K(model, BranchPoint.from_z(-2.0))
-    disc = Discretization(model)
-    assert np.allclose(op.entries, disc.K(BranchPoint.from_z(-2.0)))
-    k0 = assemble_K(model, "threshold", disc=disc)
-    assert np.allclose(k0.entries, disc.K0)
-    kb = assemble_K(model, (1.5, "+"), disc=disc)
-    assert np.allclose(kb.entries, disc.K(BranchPoint.boundary(1.5, "+")))
-    with pytest.raises(ValueError, match="branch side"):
-        assemble_K(model, -2.0)
-
-
 def test_detect_minus_one_on_synthetic_matrix():
     rng = np.random.default_rng(5)
     n = 30
@@ -85,6 +71,21 @@ def test_detect_minus_one_on_synthetic_matrix():
 def test_detect_minus_one_absent():
     K = np.diag(np.linspace(0.1, 0.9, 10)).astype(complex)
     assert detect_minus_one(K) == "absent"
+
+
+def test_detect_minus_one_raises_on_empty_null_space(monkeypatch):
+    # an eigenvalue in the cluster but no singular value of Id + K under the
+    # null tolerance can only be roundoff; it must raise, not force k = 1
+    lams = np.array([-1.0 + 1e-9, 0.5, 0.7], dtype=complex)
+    real_svd = birman_schwinger.sla.svd
+
+    def svd_without_null(A, *args, **kwargs):
+        U, s, Vh = real_svd(A, *args, **kwargs)
+        return U, np.maximum(s, 1e-3), Vh
+
+    monkeypatch.setattr(birman_schwinger.sla, "svd", svd_without_null)
+    with pytest.raises(ValueError, match="null tolerance"):
+        detect_minus_one(np.diag(lams), tol=1e-6)
 
 
 def test_detect_minus_one_rejects_unresolved_cluster():

@@ -126,5 +126,5 @@ def test_complex_symmetric_cholesky_inverts_gram(seed):
     k = 4
     B = rng.standard_normal((k, k)) + 0.3j * rng.standard_normal((k, k))
     L = B @ B.T + 2.0 * np.eye(k)          # complex symmetric, well separated
-    fac = complex_symmetric_cholesky(L)
-    assert np.linalg.norm(fac.Q @ L @ fac.Q.T - np.eye(k)) < 1e-8
+    Q = complex_symmetric_cholesky(L)
+    assert np.linalg.norm(Q @ L @ Q.T - np.eye(k)) < 1e-8

@@ -9,7 +9,7 @@ import oracles
 from specthresh.kernels import (BranchPoint, KernelFamily, L_MAX,
                                 _diag_gj, _diag_gj_plus, _diag_r0,
                                 assemble_gj, assemble_gj_plus,
-                                assemble_kernel_operator, assemble_r0,
+                                assemble_r0,
                                 gj_kernel, gj_plus_kernel, r0_kernel,
                                 verify_threshold_expansion)
 from specthresh.model import build_grid
@@ -150,16 +150,6 @@ def test_assembled_r0_solves_helmholtz_against_gaussian():
     want, _ = scipy.integrate.quad(integrand, 0.0, 10.0, limit=200)
     assert abs(u[i0].real - want) / abs(want) < 5e-2
     assert abs(u[i0].imag) < 1e-10
-
-
-def test_weight_bookkeeping_on_assembly():
-    grid = build_grid(2.0, 4)
-    op = assemble_kernel_operator(grid, KernelFamily("Gj", order=2),
-                                  weights=(3.0, 3.0))
-    assert op.row_weight.s == 3.0
-    with pytest.raises(ValueError, match="weight below"):
-        assemble_kernel_operator(grid, KernelFamily("Gj", order=3),
-                                 weights=(3.0, 3.0))
 
 
 def test_gj_plus_zero_order_is_boundary_r0():

@@ -60,6 +60,6 @@ def test_resonance_model_minus_one_at_lam0(resonance8, disc_resonance):
 
 def test_dissipative_model_uniform_absorption():
     m = dissipative_model()
-    H = assemble_H(m.grid, m.potential).entries
+    H = assemble_H(m.grid, m.potential)
     ev = np.linalg.eigvals(H)
     assert np.allclose(ev.imag, -0.05, atol=1e-10)

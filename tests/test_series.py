@@ -100,6 +100,39 @@ def test_det_series_matches_pointwise_determinant():
         assert abs(got - want) < 1e-6 * abs(want)
 
 
+@pytest.mark.parametrize("m,lowest", [(1, 0), (2, 0), (3, 0), (2, 1), (3, 1)])
+def test_det_series_fft_matches_leibniz_oracle(m, lowest):
+    # lowest = 1: the determinant starts at order m, like det E_-+, and the
+    # FFT must return roundoff below it
+    rng = np.random.default_rng(10 + m)
+    a = _random_series(rng, n=m, cap=4, lowest=lowest)
+    got = a.det_series()
+    want = oracles.leibniz_det_series(a.coeffs, a.cap)
+    scale = max(abs(v) for v in want.values())
+    assert set(got) == set(range(a.cap + 1))
+    for j in got:
+        assert abs(got[j] - want.get(j, 0.0)) <= 1e-12 * scale
+
+
+def test_det_series_rejects_negative_orders():
+    s = ExpansionSeries("u", {-1: np.eye(2), 0: np.eye(2)}, 2)
+    with pytest.raises(ValueError):
+        s.det_series()
+
+
+def test_inverse_is_two_sided_through_cap():
+    rng = np.random.default_rng(12)
+    a = _random_series(rng, n=4, cap=5)
+    a.coeffs[0] += 4.0 * np.eye(4)     # regular: invertible order-0 term
+    inv = a.inverse()
+    for prod in (a @ inv, inv @ a):
+        assert np.allclose(prod.coeff(0), np.eye(4), atol=1e-12)
+        for j in range(1, a.cap + 1):
+            assert np.allclose(prod.coeff(j), 0.0, atol=1e-10)
+    with pytest.raises(ValueError):
+        ExpansionSeries("u", {-1: np.eye(2), 0: np.eye(2)}, 2).inverse()
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), u_re=st.floats(-0.1, 0.1))
 def test_eval_distributes_over_matmul(seed, u_re):
