@@ -337,8 +337,11 @@ def scan_positive_resonances(model: Model, interval: Tuple[float, float],
                           brack=(lo, lams[i], hi), tol=refine_tol)
         Mstar = disc.M(BranchPoint.boundary(float(lam_star), "+"))
         s = sla.svdvals(Mstar)
-        N = int((s < max(1e-6, 1e3 * s[-1])).sum()) if s[-1] < threshold else 0
-        N = max(N, 1)
+        if s[-1] >= threshold:
+            raise ValueError(
+                f"refined minimum at lambda* = {float(lam_star):.6g} has "
+                f"sigma_min = {s[-1]:.3e} >= threshold {threshold:.3e}")
+        N = int((s < max(1e-6, 1e3 * s[-1])).sum())
         out.append((float(lam_star), N))
     return out
 

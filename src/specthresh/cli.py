@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -241,7 +242,9 @@ def run_pipeline(config: RunConfig) -> RunReport:
                     "claims": [{"name": "high_energy_exponents",
                                 "tolerance": 0.2, "pass": bool(ok)}]})
         except Exception as exc:       # keep other branches alive
-            report.errors.append(f"{stage}: {exc}")
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            report.errors.append(f"{stage}: {type(exc).__name__} at "
+                                 f"{where.filename}:{where.lineno}: {exc}")
         report.timings[stage] = time.perf_counter() - t0
     return report
 

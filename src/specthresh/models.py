@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import root
+from scipy.spatial import cKDTree
 
 from .birman_schwinger import Discretization, tune_coupling
 from .kernels import assemble_gj
@@ -102,30 +103,70 @@ def second_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     return Model(grid=grid, potential=pot, name="second_kind")
 
 
-def third_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
-    """Mixed threshold: an exact eigenvalue plus a tuned resonance.
-
-    An odd (dipole) source g ~ x_1 h(r) gives psi = -G0 g and V = g / psi
-    pointwise, so G0 V psi = -psi exactly and the marker of psi vanishes by
-    parity.  The shape parameter alpha of h is then tuned (complex Newton on
-    the eigenvalue tracked through its nonzero integral marker) so a second,
-    marker-carrying eigenvalue of G0 V also sits at -1."""
-    grid = grid or default_grid()
-    G0 = assemble_gj(grid, 0)
+def _x1_mirror(grid: QuadratureGrid) -> np.ndarray:
+    """Node map m of the reflection x_1 -> -x_1: nodes[m[i]] is the mirror
+    image of nodes[i].  Raises ValueError unless the grid, weights included,
+    is mirror-symmetric in x_1."""
+    mirrored = grid.nodes * np.array([-1.0, 1.0, 1.0])
+    dist, m = cKDTree(grid.nodes).query(mirrored)
     w = grid.weights
+    if not (np.all(m[m] == np.arange(grid.n))
+            and dist.max() <= 1e-12 * grid.extent
+            and np.all(np.abs(w[m] - w) <= 1e-14 * w)):
+        raise ValueError("grid is not mirror-symmetric in x_1 (nodes or "
+                         "weights), so the dipole source has no exact "
+                         "parity zero on it")
+    return m
 
-    def potential_of(alpha: complex) -> np.ndarray:
-        return _dipole_source_potential(grid, G0, tilt=0.2, alpha=alpha)
+
+def _third_kind_potential(grid: QuadratureGrid, G0: np.ndarray,
+                          alpha: complex) -> np.ndarray:
+    return _dipole_source_potential(grid, G0, tilt=0.2, alpha=alpha)
+
+
+def _even_sector_marked_eigenvalue(grid: QuadratureGrid, G0: np.ndarray):
+    """alpha -> the marked eigenvalue of G0 V(alpha) nearest -1, where
+    V(alpha) is the third-kind dipole source potential: among the
+    eigenvectors whose integral marker exceeds 5% of the largest, the
+    eigenvalue closest to -1.
+
+    V is even and G0 commutes with the reflection x_1 -> -x_1, so every odd
+    eigenvector has marker zero and the marked eigenvalues are exactly those
+    of the even sector.  Each call solves only the even block
+    B = U^T (G0 diag V) U, where the orthonormal columns of U are
+    (e_i + e_m(i))/sqrt(2) for mirror pairs and e_i on the plane x_1 = 0."""
+    w = grid.weights
+    m = _x1_mirror(grid)
+    # one column of U per mirror class {p, q = m(p)}; p = q on the plane
+    P = np.flatnonzero(np.arange(grid.n) <= m)
+    Q = m[P]
+    col = np.empty(grid.n, dtype=int)
+    col[P] = col[Q] = np.arange(len(P))
+    lift = np.where(m == np.arange(grid.n), 1.0, np.sqrt(0.5))
+    # summing the four (P|Q, P|Q) blocks counts a plane node twice per index
+    c = np.where(P == Q, 0.5, np.sqrt(0.5))
+    cc = c[:, None] * c[None, :]
+    GP = cc * (G0[np.ix_(P, P)] + G0[np.ix_(Q, P)])
+    GQ = cc * (G0[np.ix_(P, Q)] + G0[np.ix_(Q, Q)])
 
     def marked_eigenvalue(alpha: complex) -> complex:
-        V = potential_of(alpha)
-        ev, vec = sla.eig(G0 * V[None, :])
+        V = _third_kind_potential(grid, G0, alpha)
+        if np.linalg.norm(V - V[m]) > 1e-10 * np.linalg.norm(V):
+            raise ValueError("dipole source potential is not even in x_1")
+        ev, y = sla.eig(GP * V[P][None, :] + GQ * V[Q][None, :])
+        vec = lift[:, None] * y[col]          # x = U y, unit norm like y
         mk = np.abs((w * V) @ vec)
         marked = mk > 0.05 * mk.max()
         evm = ev[marked]
         return complex(evm[np.argmin(np.abs(evm + 1.0))])
 
-    # coarse scan for a basin, then Newton on the marked eigenvalue
+    return marked_eigenvalue
+
+
+def _tune_third_kind_alpha(grid: QuadratureGrid, G0: np.ndarray) -> complex:
+    """Shape parameter alpha of the third-kind dipole source that puts the
+    marked eigenvalue at -1: coarse scan for a basin, then `root(hybr)`."""
+    marked_eigenvalue = _even_sector_marked_eigenvalue(grid, G0)
     best = None
     for ar in np.linspace(-4.0, 4.0, 9):
         for ai in (-1.5, -0.5, 0.5, 1.5):
@@ -138,9 +179,32 @@ def third_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
         return [mu.real + 1.0, mu.imag]
 
     sol = root(residual, [best[1].real, best[1].imag], method="hybr", tol=1e-13)
+    alpha = complex(sol.x[0], sol.x[1])
     if not sol.success or np.linalg.norm(sol.fun) > 1e-9:
-        raise ValueError("two-eigenvalue tuning did not converge")
-    V = potential_of(sol.x[0] + 1j * sol.x[1])
+        raise ValueError(
+            "two-eigenvalue tuning did not converge: |mu + 1| = "
+            f"{np.linalg.norm(sol.fun):.3e} at alpha = {alpha:.6g}")
+    return alpha
+
+
+def third_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
+    """Mixed threshold: an exact eigenvalue plus a tuned resonance.
+
+    An odd (dipole) source g ~ x_1 h(r) gives psi = -G0 g and V = g / psi
+    pointwise, so G0 V psi = -psi exactly and the marker of psi vanishes by
+    parity.  The shape parameter alpha of h is then tuned (coarse scan, then
+    `root(hybr)` on the eigenvalue tracked through its nonzero integral
+    marker) so a second, marker-carrying eigenvalue of G0 V also sits at -1.
+    Every tuning step solves only the even sector of the reflection
+    x_1 -> -x_1, a block of about n/2 (all marked eigenvalues live there);
+    the final V is built with the full G0.
+
+    The grid must be mirror-symmetric in x_1, nodes and weights (ValueError
+    otherwise, e.g. `gauss_radial` with an odd azimuth count): without that
+    the dipole source has no exact parity zero."""
+    grid = grid or default_grid()
+    G0 = assemble_gj(grid, 0)
+    V = _third_kind_potential(grid, G0, _tune_third_kind_alpha(grid, G0))
     pot = sample_potential(grid, V)
     return Model(grid=grid, potential=pot, name="third_kind")
 

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import scipy.integrate
 import scipy.linalg as sla
+from scipy.optimize import root
 from scipy.special import roots_genlaguerre
 
 
@@ -156,3 +157,36 @@ def leibniz_det_series(coeffs: dict, cap: int) -> dict:
         for j, v in prod.items():
             out[j] = out.get(j, 0.0) + sign * v
     return out
+
+
+def full_eig_marked_eigenvalue(grid, G0, V) -> complex:
+    """Marked eigenvalue of G0 V nearest -1 from one dense eigendecomposition
+    of the whole n x n matrix: the eigenvectors whose integral marker
+    sum w V x exceeds 5% of the largest count as marked."""
+    ev, vec = sla.eig(G0 * V[None, :])
+    mk = np.abs((grid.weights * V) @ vec)
+    evm = ev[mk > 0.05 * mk.max()]
+    return complex(evm[np.argmin(np.abs(evm + 1.0))])
+
+
+def full_eig_third_kind_alpha(grid, G0, potential_of) -> complex:
+    """Third-kind shape parameter alpha tuned with full n x n eigen-solves:
+    the same 9 x 4 coarse scan and root(hybr) as the library, with no parity
+    reduction.  potential_of(alpha) gives the dipole source potential."""
+    def mu(alpha):
+        return full_eig_marked_eigenvalue(grid, G0, potential_of(alpha))
+
+    best = None
+    for ar in np.linspace(-4.0, 4.0, 9):
+        for ai in (-1.5, -0.5, 0.5, 1.5):
+            r = abs(mu(ar + 1j * ai) + 1.0)
+            if best is None or r < best[0]:
+                best = (r, ar + 1j * ai)
+
+    def residual(x):
+        m = mu(x[0] + 1j * x[1])
+        return [m.real + 1.0, m.imag]
+
+    sol = root(residual, [best[1].real, best[1].imag], method="hybr", tol=1e-13)
+    assert sol.success and np.linalg.norm(sol.fun) <= 1e-9
+    return complex(sol.x[0], sol.x[1])

@@ -244,6 +244,18 @@ def test_scan_finds_tuned_resonance(resonance8, disc_resonance):
     assert N == 1
 
 
+def test_scan_raises_when_refined_minimum_is_not_singular(monkeypatch):
+    # a sampled dip below threshold whose refined point has sigma_min above
+    # it must raise, not be reported as a resonance with a forced N = 1
+    monkeypatch.setattr(birman_schwinger, "_sigma_min_boundary",
+                        lambda disc, lam: 1e-3 + abs(lam - 1.0))
+    monkeypatch.setattr(birman_schwinger.sla, "svdvals",
+                        lambda A: np.array([1.0, 0.5]))
+    model = free_model(build_grid(2.0, 4))
+    with pytest.raises(ValueError, match=r"lambda\* = 1 .*sigma_min = 5\.000e-01"):
+        scan_positive_resonances(model, (0.5, 1.5), n_samples=11)
+
+
 def test_scan_rejects_bad_interval(resonance8):
     with pytest.raises(ValueError):
         scan_positive_resonances(resonance8, (-1.0, 2.0))

@@ -1,5 +1,6 @@
 """Config parsing, pipeline reports, plot dumps and CLI exit codes."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -107,7 +108,10 @@ def test_run_pipeline_records_stage_errors(tmp_path):
         "stages": ["resonance_scan"],
         "scan_window": [-1.0, 2.0]})
     rep = run_pipeline(load_config(path))
-    assert rep.errors and "resonance_scan" in rep.errors[0]
+    assert len(rep.errors) == 1
+    # stage, exception type and the innermost frame's file:line
+    assert re.match(r"resonance_scan: ValueError at .*birman_schwinger\.py:\d+: "
+                    r"scan interval", rep.errors[0])
     assert not rep.all_passed
 
 
