@@ -6,8 +6,8 @@ with quantitative large-time decay checks.
 """
 from .model import (Model, Potential, QuadratureGrid, assemble_H, build_grid,
                     sample_potential, weighted_operator_norm)
-from .kernels import (BranchPoint, KernelFamily, assemble_gj, assemble_gj_plus,
-                      assemble_r0, verify_threshold_expansion)
+from .kernels import (BranchPoint, assemble_gj, assemble_gj_plus, assemble_r0,
+                      verify_threshold_expansion)
 from .birman_schwinger import (Discretization, ZeroClassification, b_form,
                                check_hypotheses, classify_zero,
                                detect_minus_one, riesz_projection,

@@ -37,8 +37,8 @@ __all__ = [
 # shared discretization cache
 
 class Discretization:
-    """Caches the pairwise-distance matrix and kernel assemblies of a model,
-    and provides the operators every other module consumes."""
+    """Caches the pairwise-distance matrix and the threshold kernels G_j of a
+    model, and provides the operators every other module consumes."""
 
     def __init__(self, model: Model):
         self.model = model
@@ -47,7 +47,6 @@ class Discretization:
         self.w = model.grid.weights
         self.dist = model.grid.distance_matrix()
         self._gj = {}
-        self._gjp = {}
 
     # --- free kernels -----------------------------------------------------
     def r0(self, bp: BranchPoint) -> np.ndarray:
@@ -59,10 +58,7 @@ class Discretization:
         return self._gj[j]
 
     def gj_plus(self, j: int, lam0: float) -> np.ndarray:
-        key = (j, float(lam0))
-        if key not in self._gjp:
-            self._gjp[key] = assemble_gj_plus(self.grid, j, lam0, dist=self.dist)
-        return self._gjp[key]
+        return assemble_gj_plus(self.grid, j, lam0, dist=self.dist)
 
     # --- Birman-Schwinger operators --------------------------------------
     def K(self, bp: BranchPoint) -> np.ndarray:

@@ -56,7 +56,10 @@ class RunConfig:
 
     def digest(self) -> str:
         blob = json.dumps({"model": self.model, "stages": self.stages,
-                           "tolerances": self.tolerances, "seed": self.seed},
+                           "tolerances": self.tolerances, "seed": self.seed,
+                           "scan_window": self.scan_window,
+                           "weight_s": self.weight_s,
+                           "t_ladder": self.t_ladder},
                           sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 

@@ -367,12 +367,12 @@ def _eigen_phi_matrix(disc: Discretization, basis: JordanBasis,
     return -np.diag([1.0 / c for c in cs]) @ L, L
 
 
-def _b_matrix_discrete(disc: Discretization, lam0: float,
+def _b_matrix_discrete(disc: Discretization, G1: np.ndarray, lam0: float,
                        vecs: List[np.ndarray]) -> np.ndarray:
-    """B_{lam0}(u_i, u_j) realized through the assembled derivative kernel:
-    B = (8 pi sqrt(lam0) / i) Theta(G_1^+ V u_j, u_i); exactly the pairing
-    entering the machinery's first-order coefficient."""
-    M1 = disc.gj_plus(1, lam0) * disc.V[None, :]
+    """B_{lam0}(u_i, u_j) realized through the assembled derivative kernel
+    G1 = G_1^+ at lam0: B = (8 pi sqrt(lam0) / i) Theta(G_1^+ V u_j, u_i);
+    exactly the pairing entering the machinery's first-order coefficient."""
+    M1 = G1 * disc.V[None, :]
     fac = 8.0 * np.pi * np.sqrt(lam0) / 1j
     k = len(vecs)
     return np.array([[fac * disc.theta(M1 @ vecs[j], vecs[i])
@@ -519,7 +519,7 @@ def resonance_resolvent_expansion(model: Model, lam0: float,
 
     N0 = basis.k
     vecs = [basis.chains[b][0] for b in range(basis.k)]
-    B = _b_matrix_discrete(disc, lam0, vecs)
+    B = _b_matrix_discrete(disc, red.R0_series.coeff(1), lam0, vecs)
     fac = 1j * 8.0 * np.pi * np.sqrt(lam0)
     Q = complex_symmetric_cholesky(B / fac)
     U = np.column_stack(vecs)

@@ -5,30 +5,34 @@ The free resolvent R0(z) = (-Delta - z)^{-1} on R^3 has kernel
 exp(+i sqrt(z) |x-y|)/(4 pi |x-y|) on the branch Im sqrt(z) > 0, with
 boundary values sqrt(lambda +- i0) = +- sqrt(lambda) on the positive axis.
 Near z = 0 it expands as R0(z) = sum_j (i sqrt z)^j G_j with
-G_j(x,y) = |x-y|^{j-1}/(4 pi j!); near a positive energy lam0 the relevant
-coefficients are the z-derivative kernels of exp(i sqrt(z) r)/(4 pi r)
-evaluated at lam0 + i0.
+G_j(x,y) = |x-y|^{j-1}/(4 pi j!).  Near a positive energy lam0 the
+coefficients are the derivative kernels G_j^+ = d^j/dz^j of
+exp(i sqrt(z) r)/(4 pi r) at lam0 + i0.  With k = sqrt(z) and
+d/dz = (1/2k) d/dk they are closed-form,
+
+    d^j/dz^j e^{ikr} = e^{ikr} k^{-2j} sum_{m=1..j} a_{j,m} (ikr)^m,
+    a_{0,0} = 1,  a_{j+1,m} = ((m - 2j)/2) a_{j,m} + a_{j,m-1}/2,
+
+so every kernel here is plain numpy.
 
 Nystrom matrices carry the quadrature weight on columns; the diagonal
-self-interaction entry is replaced by the analytic integral of the kernel
-over the equal-volume ball of the node's cell.
+self-interaction entry is replaced by the integral of the kernel over the
+equal-volume ball of the node's cell.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
 
 from .model import QuadratureGrid, weighted_operator_norm
 
 __all__ = [
-    "BranchPoint", "KernelFamily", "L_MAX",
+    "BranchPoint", "L_MAX",
     "r0_kernel", "gj_kernel", "gj_plus_kernel",
-    "assemble_kernel_operator", "assemble_r0", "assemble_gj", "assemble_gj_plus",
+    "assemble_r0", "assemble_gj", "assemble_gj_plus",
     "verify_threshold_expansion",
 ]
 
@@ -70,21 +74,15 @@ class BranchPoint:
         return BranchPoint.from_z(lam, side=side)
 
 
-@dataclass(frozen=True)
-class KernelFamily:
-    """Which kernel to assemble: R0 at a BranchPoint, a threshold coefficient
-    G_j, or a derivative kernel G_j^+ anchored at lam0 > 0."""
-    kind: str                       # "R0" | "Gj" | "GjPlus"
-    order: int = 0
-    anchor: float = 0.0             # lam0 for GjPlus
+def _check_order(j: int) -> None:
+    if not 0 <= j <= L_MAX:
+        raise ValueError("kernel order outside supported range")
 
-    def __post_init__(self):
-        if self.kind not in ("R0", "Gj", "GjPlus"):
-            raise ValueError("unknown kernel family")
-        if self.order < 0 or self.order > L_MAX:
-            raise ValueError("kernel order outside supported range")
-        if self.kind == "GjPlus" and self.anchor <= 0:
-            raise ValueError("GjPlus needs a positive anchor energy")
+
+def _check_anchor(j: int, lam0: float) -> None:
+    _check_order(j)
+    if lam0 <= 0:
+        raise ValueError("anchor energy must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -106,29 +104,31 @@ def gj_kernel(j: int, r) -> np.ndarray:
     return r ** (j - 1) / (4.0 * np.pi * math.factorial(j))
 
 
-@lru_cache(maxsize=None)
-def _gj_plus_func(j: int):
-    """Closed form of d^j/dz^j exp(i sqrt(z) r)/(4 pi r), derived once
-    symbolically and compiled for numeric use."""
-    zz, rr = sp.symbols("z r", positive=False)
-    expr = sp.exp(sp.I * sp.sqrt(zz) * rr) / (4 * sp.pi * rr)
-    dexpr = sp.diff(expr, zz, j)
-    dexpr = sp.simplify(dexpr)
-    return sp.lambdify((zz, rr), dexpr, modules="numpy")
+def _derivative_coefficients(jmax: int) -> np.ndarray:
+    """Row j holds a_{j,m}, m = 0..jmax, of the module docstring's recursion."""
+    a = np.zeros((jmax + 1, jmax + 1))
+    a[0, 0] = 1.0
+    m = np.arange(jmax + 1)
+    for j in range(jmax):
+        a[j + 1] = 0.5 * (m - 2 * j) * a[j]
+        a[j + 1, 1:] += 0.5 * a[j, :-1]
+    return a
+
+
+_DERIV_COEFFS = _derivative_coefficients(L_MAX)
 
 
 def gj_plus_kernel(j: int, lam0: float, r) -> np.ndarray:
-    """j-th z-derivative of the R0 kernel at z = lam0 + i0 (outgoing side)."""
-    if lam0 <= 0:
-        raise ValueError("anchor energy must be positive")
-    if j > L_MAX:
-        raise ValueError("kernel order outside supported range")
+    """j-th z-derivative of the R0 kernel at z = lam0 + i0 (outgoing side):
+    e^{ikr} k^{-2j} sum_m a_{j,m} (ikr)^m / (4 pi r) with k = +sqrt(lam0)."""
+    _check_anchor(j, lam0)
     r = np.asarray(r, dtype=float)
+    bp = BranchPoint.boundary(lam0, "+")
     if j == 0:
-        return r0_kernel(BranchPoint.boundary(lam0, "+"), r)
-    # sympy's principal sqrt at positive real z equals +sqrt(lam0), which is
-    # exactly the +i0 boundary branch
-    return np.asarray(_gj_plus_func(j)(complex(lam0), r), dtype=complex)
+        return r0_kernel(bp, r)
+    k = bp.sqrt_z
+    poly = np.polynomial.polynomial.polyval(1j * k * r, _DERIV_COEFFS[j])
+    return r0_kernel(bp, r) * poly / k ** (2 * j)
 
 
 # ---------------------------------------------------------------------------
@@ -152,53 +152,26 @@ _GAUSS_PTS = np.polynomial.legendre.leggauss(24)
 
 
 def _diag_gj_plus(j: int, lam0: float, rc: np.ndarray) -> np.ndarray:
-    """Numerical cell integral 4 pi int_0^rc rho^2 f_j(rho) d rho (f_j is
-    bounded at 0 for j >= 1)."""
+    """Cell integrals 4 pi int_0^rc rho^2 G_j^+(rho) d rho for j >= 1 (G_j^+
+    is bounded at 0), one 24-point Gauss rule per cell, all cells at once."""
     x, w = _GAUSS_PTS
-    out = np.zeros(len(rc), dtype=complex)
-    f = _gj_plus_func(j)
-    for i, R in enumerate(rc):
-        rho = 0.5 * R * (x + 1.0)
-        ww = 0.5 * R * w
-        out[i] = np.sum(ww * 4.0 * np.pi * rho ** 2 * f(complex(lam0), rho))
-    return out
+    half = 0.5 * np.asarray(rc, dtype=float)[:, None]
+    rho = half * (x + 1.0)
+    f = gj_plus_kernel(j, lam0, rho)
+    return np.sum(half * w * 4.0 * np.pi * rho ** 2 * f, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Nystrom assembly
 
-def assemble_kernel_operator(grid: QuadratureGrid, family: KernelFamily,
-                             z: Optional[BranchPoint] = None,
-                             dist: Optional[np.ndarray] = None) -> np.ndarray:
-    """Nystrom matrix K[i,j] = kernel(x_i,x_j) w_j with the diagonal replaced
-    by the cell-ball rule."""
+def _nystrom(grid: QuadratureGrid, kernel: Callable, diag: np.ndarray,
+             dist: Optional[np.ndarray]) -> np.ndarray:
+    """K[i,j] = kernel(|x_i - x_j|) w_j off the diagonal, `diag` on it."""
     if dist is None:
         dist = grid.distance_matrix()
-    n = grid.n
-    rc = grid.cell_radii()
-    off = ~np.eye(n, dtype=bool)
-    K = np.zeros((n, n), dtype=complex)
-
-    if family.kind == "R0":
-        if z is None:
-            raise ValueError("R0 family needs a BranchPoint")
-        K[off] = r0_kernel(z, dist[off])
-        diag = _diag_r0(z.sqrt_z, rc)
-    elif family.kind == "Gj":
-        j = family.order
-        if j == 0:
-            K[off] = gj_kernel(0, dist[off])
-        else:
-            K[off] = gj_kernel(j, dist[off])
-        diag = _diag_gj(j, rc)
-    else:  # GjPlus
-        j, lam0 = family.order, family.anchor
-        K[off] = gj_plus_kernel(j, lam0, dist[off])
-        if j == 0:
-            diag = _diag_r0(BranchPoint.boundary(lam0, "+").sqrt_z, rc)
-        else:
-            diag = _diag_gj_plus(j, lam0, rc)
-
+    off = ~np.eye(grid.n, dtype=bool)
+    K = np.zeros((grid.n, grid.n), dtype=complex)
+    K[off] = kernel(dist[off])
     K *= grid.weights[None, :]
     np.fill_diagonal(K, diag)
     return K
@@ -206,18 +179,25 @@ def assemble_kernel_operator(grid: QuadratureGrid, family: KernelFamily,
 
 def assemble_r0(grid: QuadratureGrid, z: BranchPoint,
                 dist: Optional[np.ndarray] = None) -> np.ndarray:
-    return assemble_kernel_operator(grid, KernelFamily("R0"), z=z, dist=dist)
+    return _nystrom(grid, lambda r: r0_kernel(z, r),
+                    _diag_r0(z.sqrt_z, grid.cell_radii()), dist)
 
 
 def assemble_gj(grid: QuadratureGrid, j: int,
                 dist: Optional[np.ndarray] = None) -> np.ndarray:
-    return assemble_kernel_operator(grid, KernelFamily("Gj", order=j), dist=dist)
+    _check_order(j)
+    return _nystrom(grid, lambda r: gj_kernel(j, r),
+                    _diag_gj(j, grid.cell_radii()), dist)
 
 
 def assemble_gj_plus(grid: QuadratureGrid, j: int, lam0: float,
                      dist: Optional[np.ndarray] = None) -> np.ndarray:
-    return assemble_kernel_operator(grid, KernelFamily("GjPlus", order=j, anchor=lam0),
-                                    dist=dist)
+    """G_j^+ at lam0; order 0 is the boundary R0(lam0 + i0) assembly."""
+    _check_anchor(j, lam0)
+    rc = grid.cell_radii()
+    diag = (_diag_r0(BranchPoint.boundary(lam0, "+").sqrt_z, rc) if j == 0
+            else _diag_gj_plus(j, lam0, rc))
+    return _nystrom(grid, lambda r: gj_plus_kernel(j, lam0, r), diag, dist)
 
 
 # ---------------------------------------------------------------------------

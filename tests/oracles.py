@@ -8,6 +8,7 @@ instead of hand-derived cell rules.  Tests freeze their expectations against
 these oracles.
 """
 import itertools
+import math
 
 import numpy as np
 import scipy.integrate
@@ -80,6 +81,22 @@ def cell_ball_integral(kernel, rc: float) -> complex:
         lambda rho: (4.0 * np.pi * rho ** 2 * kernel(rho)).imag, 0.0, rc,
         limit=200)
     return complex(re, im)
+
+
+def cauchy_r0_kernel_derivative(j: int, lam0: float, r,
+                                n: int = 128) -> np.ndarray:
+    """j-th z-derivative of the R0 kernel exp(i sqrt(z) r)/(4 pi r) at
+    z = lam0 + i0, as the Cauchy integral j!/(2 pi i) oint f(z)/(z-lam0)^{j+1}
+    dz over |z - lam0| = lam0/2 (trapezoidal rule, n nodes).  The circle stays
+    in Re z > 0, where numpy's principal complex sqrt continues +sqrt(lam0)."""
+    r = np.asarray(r, dtype=float)
+    rho = lam0 / 2.0
+    theta = 2.0 * np.pi * np.arange(n) / n
+    z = lam0 + rho * np.exp(1j * theta)
+    f = np.exp(1j * np.sqrt(z)[:, None] * r[None, :]) / (4.0 * np.pi * r)
+    # dz / (z - lam0)^{j+1} = i e^{-i j theta} d theta / rho^j
+    acc = np.sum(f * np.exp(-1j * j * theta)[:, None], axis=0)
+    return math.factorial(j) * acc / (n * rho ** j)
 
 
 def boundary_pairing_double_sum(grid, V, lam: float, u, v) -> complex:

@@ -36,6 +36,15 @@ def test_load_config_roundtrip(regular_config):
     assert len(cfg.digest()) == 12
 
 
+def test_digest_covers_every_run_setting(regular_config):
+    base = load_config(regular_config)
+    for key, value in (("scan_window", [0.5, 2.0]), ("weight_s", 2.5),
+                       ("t_ladder", [10.0, 100.0])):
+        cfg = load_config(regular_config)
+        setattr(cfg, key, value)
+        assert cfg.digest() != base.digest(), key
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = _write(tmp_path, "bad.json", {
         "model": {"factory": "free"}, "stages": ["classify"], "bogus": 1})

@@ -1,12 +1,18 @@
 """Branch bookkeeping, kernel closed forms, diagonal cell rules and the
 half-power expansion of the free resolvent."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from specthresh.kernels import (BranchPoint, KernelFamily, L_MAX,
+import specthresh
+from specthresh.kernels import (BranchPoint, L_MAX,
                                 _diag_gj, _diag_gj_plus, _diag_r0,
                                 assemble_gj, assemble_gj_plus,
                                 assemble_r0,
@@ -46,13 +52,22 @@ def test_branch_sqrt_on_physical_sheet(re, im):
     assert bp.sqrt_z.imag >= 0.0
 
 
-def test_kernel_family_validation():
-    with pytest.raises(ValueError):
-        KernelFamily("bogus")
-    with pytest.raises(ValueError):
-        KernelFamily("Gj", order=L_MAX + 1)
-    with pytest.raises(ValueError):
-        KernelFamily("GjPlus", order=1, anchor=-1.0)
+def test_order_and_anchor_validation():
+    grid = build_grid(2.0, 4)
+    r = np.array([0.5, 1.0])
+    for j in (-1, L_MAX + 1):
+        with pytest.raises(ValueError, match="order"):
+            gj_plus_kernel(j, 1.0, r)
+        with pytest.raises(ValueError, match="order"):
+            assemble_gj(grid, j)
+        with pytest.raises(ValueError, match="order"):
+            assemble_gj_plus(grid, j, 1.0)
+    for lam0 in (-1.0, 0.0):
+        for j in (0, 1):
+            with pytest.raises(ValueError, match="anchor"):
+                gj_plus_kernel(j, lam0, r)
+            with pytest.raises(ValueError, match="anchor"):
+                assemble_gj_plus(grid, j, lam0)
 
 
 # --------------------------------------------------------------------------
@@ -81,6 +96,30 @@ def test_gj_plus_matches_finite_difference_in_z():
         want = oracles.central_derivative(f, lam0, h=1e-4)
         got = gj_plus_kernel(j, lam0, r)
         assert np.linalg.norm(got - want) < 1e-6 * np.linalg.norm(got)
+
+
+def test_gj_plus_matches_cauchy_integral():
+    # relative error in the 2-norm over the radii; the oracle's own floor
+    # grows with j (j!/rho^j amplifies its roundoff)
+    r = np.array([0.1, 0.5, 1.0, 2.5, 6.0])
+    for lam0 in (0.3, 1.0, 1.7, 40.0):
+        for j in range(L_MAX + 1):
+            want = oracles.cauchy_r0_kernel_derivative(j, lam0, r)
+            got = gj_plus_kernel(j, lam0, r)
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= (1e-12 if j <= 4 else 1e-10), (lam0, j, err)
+
+
+def test_import_and_assembly_do_not_load_sympy():
+    src = str(Path(specthresh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, specthresh\n"
+            "from specthresh.kernels import assemble_gj_plus\n"
+            "from specthresh.model import build_grid\n"
+            "assemble_gj_plus(build_grid(2.0, 4), 3, 1.0)\n"
+            "assert 'sympy' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_expansion_kernels_resum_to_r0():
@@ -112,12 +151,14 @@ def test_diag_gj_against_quadrature():
 
 
 def test_diag_gj_plus_against_quadrature():
-    lam0, rc = 1.3, 0.29
-    for j in (1, 2):
-        want = oracles.cell_ball_integral(
-            lambda rho: gj_plus_kernel(j, lam0, np.array([rho]))[0], rc)
-        got = _diag_gj_plus(j, lam0, np.array([rc]))[0]
-        assert abs(got - want) < 1e-10
+    # several distinct radii in one call check the per-cell indexing
+    lam0, rcs = 1.3, np.array([0.29, 0.07, 0.41, 0.18])
+    for j in range(1, L_MAX + 1):
+        got = _diag_gj_plus(j, lam0, rcs)
+        for rc, g in zip(rcs, got):
+            want = oracles.cell_ball_integral(
+                lambda rho: gj_plus_kernel(j, lam0, np.array([rho]))[0], rc)
+            assert abs(g - want) <= 1e-10 * abs(want), (j, rc)
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +197,7 @@ def test_gj_plus_zero_order_is_boundary_r0():
     grid = build_grid(2.0, 4)
     A = assemble_gj_plus(grid, 0, 1.5)
     B = assemble_r0(grid, BranchPoint.boundary(1.5, "+"))
-    assert np.allclose(A, B)
+    assert np.array_equal(A, B)
 
 
 # --------------------------------------------------------------------------
