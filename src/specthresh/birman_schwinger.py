@@ -1,8 +1,9 @@
 """
 Birman-Schwinger machinery: K(z) = R0(z) V, boundary operators K+(lambda),
 threshold operator K0 = G0 V, detection of the eigenvalue -1, Riesz
-projections, classification of the zero threshold, scans for outgoing
-positive resonances, and the checkable Gram-determinant hypotheses.
+projections, classification of the zero threshold, the contour eigensolver
+for the zeros of M(k) = Id + R0(k^2) V (outgoing resonances here, poles off
+the cut in `propagator`), and the checkable Gram-determinant hypotheses.
 
 Conventions used throughout the package:
   - <u, Jv> denotes the *bilinear* pairing sum_i w_i u_i v_i (J = conjugation
@@ -12,7 +13,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -20,7 +20,6 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import zgemm
 from scipy.linalg.lapack import ztrtri
-from scipy.optimize import golden
 
 from .kernels import BranchPoint, assemble_gj, assemble_gj_plus, assemble_r0
 from .model import Model, QuadratureGrid
@@ -299,47 +298,81 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
                               detection_tol=tol)
 
 
-def _sigma_min_boundary(disc: Discretization, lam: float) -> float:
-    M = disc.M(BranchPoint.boundary(lam, "+"))
-    return float(sla.svdvals(M)[-1])
+# contour eigensolver: probe-block width (> zeros per contour), A0 rank
+# tolerance relative to the integrand size, sigma_min(M) / ||M|| at a zero
+_PROBES, _RANK_TOL, _ZERO_TOL = 16, 1e-4, 1e-6
+
+
+def _contour_zeros(disc: Discretization, center: complex, ax: float,
+                   ay: float, n_nodes: int
+                   ) -> Tuple[List[Tuple[complex, np.ndarray]], int]:
+    """Zeros of the entire M(k) = Id + R0(k^2) V, k on both sheets, inside
+    the ellipse center + ax cos th + i ay sin th (Beyn's method): one LU per
+    trapezoidal node gives the moments A_p = (1/2 pi i) oint (k - center)^p
+    M^{-1} P dk (p = 0, 1) of a fixed probe block P and arg det M.  Accepted
+    only if the rank of A0 (against sum |w_q| ||X_q||) equals the winding
+    count, each pencil eigenvalue lies inside and sigma_min(M) is negligible
+    there; else ValueError.  Returns the distinct zeros with the singular
+    values of M at each, and the count."""
+    n = disc.grid.n
+    rng = np.random.default_rng(0)
+    P = rng.standard_normal((n, _PROBES)) + 1j * rng.standard_normal((n, _PROBES))
+    th = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+    dk = ax * np.cos(th) + 1j * ay * np.sin(th)
+    wq = (-ax * np.sin(th) + 1j * ay * np.cos(th)) / (1j * n_nodes)
+    A0, A1 = np.zeros((2, n, _PROBES), dtype=complex)
+    scale, arg_det = 0.0, np.empty(n_nodes)
+    for q in range(n_nodes):
+        k = center + dk[q]
+        lu, piv = sla.lu_factor(disc.M(BranchPoint(z=k * k, sqrt_z=k)))
+        X = sla.lu_solve((lu, piv), P)
+        A0 += wq[q] * X
+        A1 += (wq[q] * dk[q]) * X
+        scale += abs(wq[q]) * np.linalg.norm(X)
+        swaps = np.count_nonzero(piv != np.arange(n))
+        arg_det[q] = np.sum(np.angle(np.diag(lu))) + np.pi * swaps
+    steps = np.angle(np.exp(1j * np.diff(arg_det, append=arg_det[0])))
+    count = int(round(steps.sum() / (2.0 * np.pi)))
+    U, s, Wh = sla.svd(A0, full_matrices=False)
+    rank = int((s > _RANK_TOL * scale).sum())
+    if rank != count or count >= _PROBES:
+        raise ValueError(f"winding count {count} but moment rank {rank} "
+                         f"(probe width {_PROBES})")
+    zeros: List[Tuple[complex, np.ndarray]] = []
+    B = (U[:, :rank].conj().T @ A1 @ Wh[:rank].conj().T) / s[:rank]
+    for e in np.linalg.eigvals(B):
+        k = complex(center + e)
+        if (e.real / ax) ** 2 + (e.imag / ay) ** 2 >= 1.0:
+            raise ValueError(f"pencil eigenvalue k = {k:.6g} lies outside "
+                             f"the contour (winding count {count})")
+        if any(abs(k - k0) < _ZERO_TOL * max(1.0, abs(k)) for k0, _ in zeros):
+            continue
+        sv = sla.svdvals(disc.M(BranchPoint(z=k * k, sqrt_z=k)))
+        if sv[-1] > _ZERO_TOL * sv[0]:
+            z = k * k
+            raise ValueError(f"contour zero at lambda* = {z.real:.6g} "
+                             f"{z.imag:+.3e}i has sigma_min = {sv[-1]:.3e} "
+                             f"(winding count {count})")
+        zeros.append((k, sv))
+    return zeros, count
 
 
 def scan_positive_resonances(model: Model, interval: Tuple[float, float],
-                             n_samples: int = 60, threshold: float = 1e-2,
-                             refine_tol: float = 1e-9,
                              disc: Optional[Discretization] = None
                              ) -> List[Tuple[float, int]]:
-    """Sample sigma_min(Id + K+(lambda)) on a mesh, refine local minima below
-    `threshold` by golden-section, and report (lambda_j, N_j)."""
+    """Outgoing resonances (lambda_j, N_j) in (a, b): the real zeros
+    k_j = sqrt(lambda_j) of M(k) inside a flat ellipse over [sqrt a, sqrt b]
+    (a sixth as high as wide, 32 nodes), with N_j the geometric count.
+    Zeros with |Im k| > 1e-8 |k| are not embedded and are left out."""
     a, b = interval
     if not (0 < a < b):
         raise ValueError("scan interval must satisfy 0 < a < b")
     disc = disc or Discretization(model)
-    lams = np.linspace(a, b, n_samples)
-    vals = np.array([_sigma_min_boundary(disc, l) for l in lams])
-    out = []
-    for i in range(len(lams)):
-        if vals[i] >= threshold:
-            continue
-        is_min = ((i == 0 or vals[i] <= vals[i - 1])
-                  and (i == len(lams) - 1 or vals[i] <= vals[i + 1]))
-        if not is_min:
-            continue
-        if i == 0 or i == len(lams) - 1:
-            warnings.warn("possible resonance outside scan window")
-            continue
-        lo, hi = lams[i - 1], lams[i + 1]
-        lam_star = golden(lambda l: _sigma_min_boundary(disc, l),
-                          brack=(lo, lams[i], hi), tol=refine_tol)
-        Mstar = disc.M(BranchPoint.boundary(float(lam_star), "+"))
-        s = sla.svdvals(Mstar)
-        if s[-1] >= threshold:
-            raise ValueError(
-                f"refined minimum at lambda* = {float(lam_star):.6g} has "
-                f"sigma_min = {s[-1]:.3e} >= threshold {threshold:.3e}")
-        N = int((s < max(1e-6, 1e3 * s[-1])).sum())
-        out.append((float(lam_star), N))
-    return out
+    ka, kb = np.sqrt(a), np.sqrt(b)
+    half = (kb - ka) / 2.0
+    zeros, _ = _contour_zeros(disc, (ka + kb) / 2.0, half, half / 6.0, 32)
+    return sorted((float(k.real ** 2), int((s < max(1e-6, 1e3 * s[-1])).sum()))
+                  for k, s in zeros if abs(k.imag) <= 1e-8 * abs(k))
 
 
 # ---------------------------------------------------------------------------

@@ -232,18 +232,15 @@ def run_pipeline(config: RunConfig) -> RunReport:
                                 "pass": bool(slope_ok)}],
                 })
             elif stage == "high_energy":
-                recs = []
-                ok = True
-                for r in (0, 1):
-                    he = check_high_energy(model, s=config.weight_s, r=r,
-                                           disc=disc)
-                    ok = ok and he["pass"]
-                    recs.append({"r": r, "exponent": he["exponent"],
-                                 "bound": he["bound"], "pass": he["pass"]})
+                fits = check_high_energy(model, s=config.weight_s,
+                                         orders=(0, 1), disc=disc)
                 report.stages[stage] = _jsonable({
-                    "fits": recs,
+                    "fits": [{key: he[key] for key in
+                              ("r", "exponent", "bound", "pass")}
+                             for he in fits],
                     "claims": [{"name": "high_energy_exponents",
-                                "tolerance": 0.2, "pass": bool(ok)}]})
+                                "tolerance": 0.2,
+                                "pass": all(he["pass"] for he in fits)}]})
         except Exception as exc:       # keep other branches alive
             where = traceback.extract_tb(exc.__traceback__)[-1]
             report.errors.append(f"{stage}: {type(exc).__name__} at "

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 import oracles
 from specthresh import birman_schwinger
 from specthresh.birman_schwinger import (Discretization, _contour_projector,
+                                         _contour_zeros,
                                          b_form,
                                          check_hypotheses, classify_zero,
                                          detect_minus_one, riesz_projection,
@@ -244,16 +245,69 @@ def test_scan_finds_tuned_resonance(resonance8, disc_resonance):
     assert N == 1
 
 
+@pytest.mark.parametrize("window", [(0.3, 2.0), (0.3, 3.0)])
+def test_scan_returns_exactly_the_tuned_resonance(resonance8, disc_resonance,
+                                                  window):
+    found = scan_positive_resonances(resonance8, window, disc=disc_resonance)
+    assert len(found) == 1
+    lam, N = found[0]
+    assert abs(lam - 1.0) <= 1e-12
+    assert N == 1
+
+
+@pytest.mark.parametrize("window", [(0.3, 1.0), (0.999, 2.0)])
+def test_scan_raises_on_resonance_at_window_edge(resonance8, disc_resonance,
+                                                 window):
+    # a zero on or just inside the contour breaks the winding count, so the
+    # count and the moment rank disagree instead of a resonance being dropped
+    with pytest.raises(ValueError, match="winding count 0 but moment rank 1"):
+        scan_positive_resonances(resonance8, window, disc=disc_resonance)
+
+
+def test_scan_window_without_resonance_is_empty(resonance8, disc_resonance):
+    assert scan_positive_resonances(resonance8, (1.2, 3.0),
+                                    disc=disc_resonance) == []
+
+
 def test_scan_raises_when_refined_minimum_is_not_singular(monkeypatch):
-    # a sampled dip below threshold whose refined point has sigma_min above
-    # it must raise, not be reported as a resonance with a forced N = 1
-    monkeypatch.setattr(birman_schwinger, "_sigma_min_boundary",
-                        lambda disc, lam: 1e-3 + abs(lam - 1.0))
+    # a contour zero whose M(k) has sigma_min far from 0 must raise, not be
+    # reported as a resonance: M is replaced by diag(k - 1, 1, ...), whose
+    # determinant winds once around k = 1, and svdvals by a non-singular
+    # spectrum
+    def fake_M(self, bp):
+        d = np.ones(self.grid.n, dtype=complex)
+        d[0] = bp.sqrt_z - 1.0
+        return np.diag(d)
+
+    monkeypatch.setattr(birman_schwinger.Discretization, "M", fake_M)
     monkeypatch.setattr(birman_schwinger.sla, "svdvals",
                         lambda A: np.array([1.0, 0.5]))
     model = free_model(build_grid(2.0, 4))
     with pytest.raises(ValueError, match=r"lambda\* = 1 .*sigma_min = 5\.000e-01"):
-        scan_positive_resonances(model, (0.5, 1.5), n_samples=11)
+        scan_positive_resonances(model, (0.5, 1.5))
+
+
+@pytest.fixture(scope="module")
+def disc_third6():
+    return Discretization(third_kind_model(build_grid(3.0, 6)))
+
+
+def test_pole_contour_raises_when_count_is_not_verified(disc_third6):
+    # the third-kind model at resolution 6 has zeros of M(k) next to the
+    # pole contour (k = 0.3104 + 0.1346i lies just below Im k = 0.15); the
+    # quadrature error it causes gives the moments a rank other than the
+    # ten zeros the winding counts
+    with pytest.raises(ValueError, match="winding count 10"):
+        _contour_zeros(disc_third6, 0.975j, 6.0, 0.825, 512)
+
+
+def test_small_contour_finds_third6_eigenvalue(disc_third6):
+    zeros, count = _contour_zeros(disc_third6, 1.3637 + 0.1819j, 0.05, 0.05,
+                                  32)
+    assert count == 1 and len(zeros) == 1
+    k, s = zeros[0]
+    assert abs(k * k - (1.8265 + 0.4961j)) < 1e-4
+    assert s[-1] < 1e-12 * s[0]
 
 
 def test_scan_rejects_bad_interval(resonance8):

@@ -84,7 +84,7 @@ def test_generalized_integral_validation():
 
 def test_enumerate_upper_eigenvalues_synthetic():
     H = np.diag([0.5 + 0.2j, 1.5 - 0.3j, 3.0 + 0.05j])
-    rep = enumerate_upper_eigenvalues(H, cross_check=False)
+    rep = enumerate_upper_eigenvalues(H)
     got = sorted(rep.eigenvalues, key=lambda z: z.real)
     assert np.allclose(got, [0.5 + 0.2j, 3.0 + 0.05j])
     for zj, P in zip(rep.eigenvalues, rep.projectors):
@@ -117,7 +117,7 @@ def test_enumerate_projectors_match_dense_solve_contour(similar):
     if similar:
         S = np.random.default_rng(4).standard_normal((3, 3)) + 2.0 * np.eye(3)
         H = S @ H @ np.linalg.inv(S)
-    rep = enumerate_upper_eigenvalues(H, cross_check=False)
+    rep = enumerate_upper_eigenvalues(H)
     want = _enumerate_reference_projectors(H)
     assert rep.count == len(want) == 2
     for zj, P in zip(rep.eigenvalues, rep.projectors):
@@ -212,6 +212,18 @@ def test_propagate_matches_ladder(cut_first4):
     assert np.linalg.norm(U - Us[t]) < 1e-12 * np.linalg.norm(U)
 
 
+def test_pole_scan_finds_second6_eigenvalue(cut_second6):
+    # a real eigenvalue of H below the old scan box (Re z >= -1.5)
+    assert len(cut_second6.poles) == 1
+    zs, ring = cut_second6.poles[0]
+    assert abs(zs - (-1.77857 - 0.06133j)) < 1e-5
+    assert len(ring) == 24
+
+
+def test_pole_scan_first6_is_empty(cut_first6):
+    assert cut_first6.poles == []
+
+
 def test_propagate_many_rejects_nonpositive_times(cut_first4):
     _, cp, _ = cut_first4
     for ts in ([10.0, 0.0], [-1.0], [np.nan]):
@@ -246,8 +258,9 @@ def test_resolvent_taylor_minus_side_is_conjugate_for_real_V():
 
 def test_high_energy_exponents_free():
     model = free_model(build_grid(3.0, 8))
-    for r in (0, 1):
-        he = check_high_energy(model, r=r)
-        assert he["pass"]
-    with pytest.raises(ValueError):
-        check_high_energy(model, r=3)
+    fits = check_high_energy(model, orders=(0, 1))
+    assert [he["r"] for he in fits] == [0, 1]
+    assert all(he["pass"] for he in fits)
+    for orders in ((3,), (0, 3), ()):
+        with pytest.raises(ValueError):
+            check_high_energy(model, orders=orders)
