@@ -1,9 +1,10 @@
 """
 Birman-Schwinger machinery: K(z) = R0(z) V, boundary operators K+(lambda),
-threshold operator K0 = G0 V, detection of the eigenvalue -1, Riesz
-projections, classification of the zero threshold, the contour eigensolver
-for the zeros of M(k) = Id + R0(k^2) V (outgoing resonances here, poles off
-the cut in `propagator`), and the checkable Gram-determinant hypotheses.
+threshold operator K0 = G0 V, detection of the eigenvalue -1, exact Riesz
+projections from a reordered Schur form, classification of the zero
+threshold, the contour eigensolver for the zeros of M(k) = Id + R0(k^2) V
+(outgoing resonances here, poles off the cut in `propagator`), and the
+checkable Gram-determinant hypotheses.
 
 Conventions used throughout the package:
   - <u, Jv> denotes the *bilinear* pairing sum_i w_i u_i v_i (J = conjugation
@@ -18,8 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import zgemm
-from scipy.linalg.lapack import ztrtri
+from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .kernels import BranchPoint, assemble_gj, assemble_gj_plus, assemble_r0
 from .model import Model, QuadratureGrid
@@ -176,78 +176,67 @@ def detect_minus_one(K: np.ndarray, tol: float = 1e-6
 
 
 def tune_coupling(grid: QuadratureGrid, template: np.ndarray, target: str,
-                  lam0: Optional[float] = None, which: str = "largest",
-                  disc_dist: Optional[np.ndarray] = None) -> complex:
+                  lam0: Optional[float] = None) -> complex:
     """Coupling gamma* such that -1 is an eigenvalue of G0 diag(gamma* W)
-    (threshold) or of R0+(lam0) diag(gamma* W) (positive energy): with mu an
-    eigenvalue of the untuned operator, gamma* = -1/mu."""
+    (threshold) or of R0+(lam0) diag(gamma* W) (positive energy): with mu the
+    eigenvalue of largest modulus of the untuned operator, gamma* = -1/mu."""
     W = np.asarray(template, dtype=complex)
     if np.max(np.abs(W)) == 0:
         raise ValueError("template too weak")
     if target == "threshold_zero":
-        base = assemble_gj(grid, 0, dist=disc_dist) * W[None, :]
+        base = assemble_gj(grid, 0) * W[None, :]
     elif target == "positive":
         if lam0 is None or lam0 <= 0:
             raise ValueError("positive target needs lam0 > 0")
-        base = assemble_r0(grid, BranchPoint.boundary(lam0, "+"),
-                           dist=disc_dist) * W[None, :]
+        base = assemble_r0(grid, BranchPoint.boundary(lam0, "+")) * W[None, :]
     else:
         raise ValueError("unknown tuning target")
     mu = sla.eigvals(base)
     mu = mu[np.abs(mu) > 1e-12]
     if mu.size == 0:
         raise ValueError("template too weak")
-    if which == "largest":
-        choice = mu[np.argmax(np.abs(mu))]
-    else:
-        idx = int(which)
-        choice = mu[np.argsort(-np.abs(mu))[idx]]
-    return complex(-1.0 / choice)
+    return complex(-1.0 / mu[np.argmax(np.abs(mu))])
 
 
-def _contour_projector(T: np.ndarray, Q: np.ndarray, center: complex,
-                       radius: float, n_quad: int) -> np.ndarray:
-    """(1/2 pi i) oint_{|w - center| = radius} (w - A)^{-1} dw for A = Q T Q^H
-    (complex Schur pair, T upper triangular with zeros below the diagonal), by
-    the trapezoidal rule on n_quad nodes at angles 2 pi (q + 1/2) / n_quad.
-    Each node costs one in-place triangular inverse of w_q - T; the weighted
-    sum is rotated back with Q once at the end.  Besides T and Q the whole
-    computation holds two n x n work arrays, the second of which is returned."""
+def _spectral_projector(T: np.ndarray, Q: np.ndarray,
+                        select: np.ndarray) -> np.ndarray:
+    """Spectral projector of A = Q T Q^H (complex Schur pair) onto the
+    eigenvalues T[i, i] with select[i], in closed form (Bartels & Stewart
+    1972; Bai & Demmel 1993): ztrsen moves them into the leading block of
+    T = [[T11, T12], [0, T22]], ztrsyl solves T11 Y - Y T22 = -T12, and
+    P = Q1 (Q1^H - Y Q2^H).  ValueError if either routine fails or the
+    selection is not separated from the rest of the spectrum (scale < 1)."""
     n = T.shape[0]
-    shift = np.diag_indices(n)
-    S = np.zeros((n, n), dtype=complex, order="F")
-    A = np.empty((n, n), dtype=complex, order="F")
-    for q in range(n_quad):
-        c = radius * np.exp(2j * np.pi * (q + 0.5) / n_quad)
-        np.negative(T, out=A)
-        A[shift] += center + c
-        _, info = ztrtri(A, overwrite_c=1)
-        if info != 0:
-            raise ValueError("contour node hits the spectrum")
-        A *= c
-        S += A
-    S /= n_quad
-    zgemm(1.0, Q, S, c=A, overwrite_c=1)                  # A = Q S
-    return zgemm(1.0, A, Q, trans_b=2, c=S, overwrite_c=1)  # S = A Q^H
+    select = np.asarray(select, dtype=bool)
+    if not select.any():
+        return np.zeros((n, n), dtype=complex)
+    if select.all():
+        return np.eye(n, dtype=complex)
+    Ts, Qs, _, m, _, _, info = ztrsen(select, T, Q, job="N")
+    if info != 0:
+        raise ValueError(f"ztrsen failed to reorder (info {info})")
+    Y, scale, info = ztrsyl(Ts[:m, :m], Ts[m:, m:], -Ts[:m, m:], isgn=-1)
+    if info != 0 or scale < 1.0:
+        raise ValueError("selected eigenvalues are not separated from the "
+                         f"rest of the spectrum (ztrsyl info {info}, "
+                         f"scale {scale:.3e})")
+    Q1 = Qs[:, :m]
+    return Q1 @ (Q1.conj().T - Y @ Qs[:, m:].conj().T)
 
 
 def riesz_projection(K0: np.ndarray, eps: float,
-                     detection: Optional[EigenNearMinusOne] = None,
-                     n_quad: int = 64) -> RieszProjection:
-    """Spectral projector onto the -1 cluster of K0 by trapezoidal contour
-    quadrature of the resolvent on the circle |w + 1| = eps.
-
-    The cost is one complex Schur factorization K0 = Q T Q^H plus one
-    triangular inverse (w_q - T)^{-1} per quadrature node w_q; the n_quad
-    trapezoidal nodes and weights are those of the plain contour rule."""
+                     detection: Optional[EigenNearMinusOne] = None
+                     ) -> RieszProjection:
+    """Spectral projector onto the -1 cluster of K0, the eigenvalues inside
+    the circle |w + 1| = eps, exactly from one complex Schur form
+    K0 = Q T Q^H; the rank is the number of those eigenvalues."""
     if detection is not None and eps > detection.gap / 2.0:
         raise ValueError("contour captures foreign spectrum")
     T, Q = sla.schur(K0, output="complex")
-    P = _contour_projector(T, Q, -1.0, eps, n_quad)
-    del T, Q
-    s = sla.svdvals(P)
-    rank = int((s > 1e-8 * max(1.0, s[0])).sum())
-    return RieszProjection(entries=P, rank=rank, contour_radius=eps)
+    select = np.abs(np.diag(T) + 1.0) < eps
+    P = _spectral_projector(T, Q, select)
+    return RieszProjection(entries=P, rank=int(select.sum()),
+                           contour_radius=eps)
 
 
 def marker_tolerance(disc: Discretization, psi: np.ndarray) -> float:
@@ -387,9 +376,12 @@ def b_form(disc: Discretization, lam: float, u: np.ndarray, v: np.ndarray) -> co
     return complex(fu @ E @ fv)
 
 
+# a hypothesis holds when its Gram determinant exceeds this in modulus
+HYPOTHESIS_DET_TOL = 1e-10
+
+
 def check_hypotheses(model: Model, classification: ZeroClassification,
                      resonances: Optional[Sequence[Tuple[float, int]]] = None,
-                     det_tol: float = 1e-10,
                      disc: Optional[Discretization] = None) -> dict:
     """Evaluate the Gram-determinant conditions behind the expansion theorems.
 
@@ -411,14 +403,14 @@ def check_hypotheses(model: Model, classification: ZeroClassification,
                       for i in range(k)])
         d = complex(np.linalg.det(G))
         report["determinants"]["H1"] = d
-        report["H1"] = abs(d) > det_tol
+        report["H1"] = abs(d) > HYPOTHESIS_DET_TOL
         if classification.kind == "third":
             ke = len(classification.eigenvectors)
             Ge = G[1:, 1:] if ke else np.zeros((0, 0))
             de = complex(np.linalg.det(Ge)) if ke else 1.0
             marker_ok = abs(classification.integral_marker) > classification.marker_tol
             report["determinants"]["H2"] = de
-            report["H2"] = bool(marker_ok and abs(de) > det_tol)
+            report["H2"] = bool(marker_ok and abs(de) > HYPOTHESIS_DET_TOL)
     if resonances:
         for lam, _N in resonances:
             det_r = detect_minus_one(disc.K(BranchPoint.boundary(lam, "+")),
@@ -433,5 +425,5 @@ def check_hypotheses(model: Model, classification: ZeroClassification,
                               for l in range(N)] for r in range(N)])
             d = complex(np.linalg.det(Bmat))
             report["determinants"][f"H3@{lam:.6f}"] = d
-            report["H3"] = report["H3"] and abs(d) > det_tol
+            report["H3"] = report["H3"] and abs(d) > HYPOTHESIS_DET_TOL
     return report

@@ -19,7 +19,8 @@ import click
 import numpy as np
 
 from . import models as model_factories
-from .birman_schwinger import (Discretization, check_hypotheses, classify_zero,
+from .birman_schwinger import (HYPOTHESIS_DET_TOL, Discretization,
+                               check_hypotheses, classify_zero,
                                scan_positive_resonances)
 from .grushin import (resonance_resolvent_expansion,
                       threshold_resolvent_expansion)
@@ -102,6 +103,16 @@ def _jsonable(x):
     return x
 
 
+def _tolerance(key: str, value) -> float:
+    """cluster_tol, the only run tolerance, as a finite positive float."""
+    if key != "cluster_tol":
+        raise ValueError(f"unknown tolerance {key!r} (only cluster_tol)")
+    val = float(value)
+    if not (np.isfinite(val) and val > 0):
+        raise ValueError(f"cluster_tol must be finite and positive: {value!r}")
+    return val
+
+
 def load_config(path) -> RunConfig:
     with open(path) as fh:
         raw = json.load(fh)
@@ -124,8 +135,9 @@ def load_config(path) -> RunConfig:
         for dep in STAGE_DEPS.get(st, []):
             if dep not in stages or stages.index(dep) > stages.index(st):
                 raise ValueError(f"stage {st!r} requires {dep!r} first")
-    return RunConfig(model=model, stages=stages,
-                     tolerances=dict(raw.get("tolerances", {})),
+    tols = {key: _tolerance(key, val)
+            for key, val in dict(raw.get("tolerances", {})).items()}
+    return RunConfig(model=model, stages=stages, tolerances=tols,
                      out=raw.get("out"), seed=int(raw.get("seed", 0)),
                      scan_window=list(raw.get("scan_window", [0.3, 3.0])),
                      weight_s=float(raw.get("weight_s", 3.0)),
@@ -174,7 +186,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
                     "marker_tol": cls.marker_tol,
                     "hypotheses": {k: hyp[k] for k in ("H1", "H2", "H3")},
                     "claims": [{"name": "hypotheses_hold",
-                                "tolerance": 1e-10,
+                                "tolerance": HYPOTHESIS_DET_TOL,
                                 "pass": bool(hyp["H1"] and hyp["H2"])}],
                 })
             elif stage == "threshold_expand":
@@ -298,9 +310,10 @@ def _out_dir(out: Optional[str], config: RunConfig) -> Path:
 def _apply_tols(config: RunConfig, tol: tuple) -> None:
     for item in tol:
         key, _, val = item.partition("=")
-        if not val:
-            raise click.UsageError(f"bad --tol {item!r}, expected KEY=VAL")
-        config.tolerances[key] = float(val)
+        try:
+            config.tolerances[key] = _tolerance(key, val)
+        except ValueError as exc:
+            raise click.UsageError(f"--tol {item!r}: {exc}") from exc
 
 
 def _finish(report: RunReport, outdir: Path) -> None:
@@ -317,7 +330,7 @@ def _load(config_path, seed, tol) -> RunConfig:
     """The config with --seed and --tol applied; exit 2 if it does not load."""
     try:
         config = load_config(config_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     if seed is not None:

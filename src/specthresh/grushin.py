@@ -26,7 +26,7 @@ import scipy.linalg as sla
 from .birman_schwinger import (Discretization, EigenNearMinusOne,
                                RieszProjection, ZeroClassification,
                                classify_zero, detect_minus_one,
-                               riesz_projection)
+                               marker_tolerance, riesz_projection)
 from .jordan import (JordanBasis, build_jordan_chains,
                      complex_symmetric_cholesky)
 from .kernels import BranchPoint
@@ -465,6 +465,13 @@ def threshold_resolvent_expansion(model: Model,
     if cls.kind in ("second", "third"):
         blocks = list(range(0, basis.k) if cls.kind == "second"
                       else range(1, basis.k))
+        # the source pairing is exact only for marker-free states; same rule
+        # as classify_zero applies to the complement of the resonance
+        for b in blocks:
+            u1 = basis.chains[b][0]
+            if abs(disc.marker(u1)) > 10 * marker_tolerance(disc, u1):
+                raise ValueError(f"eigen block {b} has integral marker "
+                                 f"{abs(disc.marker(u1)):.2e}")
         Phi_src, L_src = _eigen_phi_matrix(disc, basis, blocks, source=True)
         _, L_grid = _eigen_phi_matrix(disc, basis, blocks, source=False)
         constants["Phi"] = Phi_src

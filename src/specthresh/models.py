@@ -66,8 +66,7 @@ def first_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     eigenfunction has a nonzero integral marker: a threshold resonance."""
     grid = grid or default_grid()
     W = gaussian_template(grid)
-    dist = grid.distance_matrix()
-    gamma = tune_coupling(grid, W, "threshold_zero", disc_dist=dist)
+    gamma = tune_coupling(grid, W, "threshold_zero")
     pot = sample_potential(grid, gamma * W)
     return Model(grid=grid, potential=pot, name="first_kind")
 
@@ -215,8 +214,7 @@ def resonance_model(grid: Optional[QuadratureGrid] = None,
     resonance embedded at the positive energy lam0."""
     grid = grid or default_grid()
     W = gaussian_template(grid, width=1.1, tilt=0.4)
-    dist = grid.distance_matrix()
-    gamma = tune_coupling(grid, W, "positive", lam0=lam0, disc_dist=dist)
+    gamma = tune_coupling(grid, W, "positive", lam0=lam0)
     pot = sample_potential(grid, gamma * W)
     return Model(grid=grid, potential=pot, name="resonance")
 

@@ -28,12 +28,11 @@ import scipy.linalg as sla
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_laguerre
 
-from .birman_schwinger import (Discretization, _contour_projector,
-                               _contour_zeros)
+from .birman_schwinger import (Discretization, _contour_zeros,
+                               _spectral_projector)
 from .kernels import BranchPoint
 from .model import Model, weighted_operator_norm
-from .grushin import ThresholdCoefficients, _m_from_r0
-from .series import ExpansionSeries
+from .grushin import ThresholdCoefficients
 
 __all__ = [
     "Segment", "Contour", "DiscreteSpectrumReport", "DecayReport",
@@ -141,11 +140,10 @@ class DiscreteSpectrumReport:
 
 
 def enumerate_upper_eigenvalues(H: np.ndarray) -> DiscreteSpectrumReport:
-    """Eigenvalues of the dense H in the closed upper half-plane and their
-    Riesz projectors by contour quadrature."""
+    """Eigenvalues of the dense H in the closed upper half-plane, clustered,
+    and the exact spectral projector of each cluster, all from one complex
+    Schur form of H."""
     H = np.asarray(H, dtype=complex)
-    # one Schur form H = Q T Q^H gives the eigenvalues and serves the contour
-    # of every cluster
     T, Q = sla.schur(H, output="complex")
     evals = np.diag(T)
     sel = np.sort_complex(evals[evals.imag >= -1e-12])
@@ -159,13 +157,9 @@ def enumerate_upper_eigenvalues(H: np.ndarray) -> DiscreteSpectrumReport:
     eigs, projs = [], []
     for cl in clusters:
         zc = complex(np.mean(cl))
-        others = evals[np.abs(evals - zc) > 1e-7 * max(1.0, abs(zc))]
-        gap = float(np.abs(others - zc).min()) if others.size else 1.0
-        rad = min(gap / 3.0, 0.25)
-        # Pi = -(1/2i pi) oint (H - z)^{-1} dz, counterclockwise
-        P = _contour_projector(T, Q, zc, rad, 32)
+        members = np.abs(evals - zc) <= 1e-7 * max(1.0, abs(zc))
         eigs.append(zc)
-        projs.append(P)
+        projs.append(_spectral_projector(T, Q, members))
     return DiscreteSpectrumReport(eigenvalues=eigs, projectors=projs,
                                   count=len(eigs))
 
@@ -193,18 +187,18 @@ def generalized_integral(j: Optional[int] = None, t: float = 1.0,
 # quadrature helpers
 
 _GL = {m: np.polynomial.legendre.leggauss(m) for m in (6,)}
+_STRUCTURE_SCALE = 0.02    # panel length resolving the resolvent near spectrum
 
 
-def _panel_nodes(z0: complex, z1: complex, t: float,
-                 structure_scale: float = 0.02,
-                 max_panels: int = 6000) -> Tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(z0: complex, z1: complex,
+                 t: float) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and dz-weights on the straight segment [z0, z1] with panel
     density set by both the oscillation t|dz| and the resolvent's structural
-    scale (distance to nearby spectrum)."""
+    scale, at most 6000 panels."""
     length = abs(z1 - z0)
     n_osc = t * length / (2.0 * np.pi) * 3.0
-    n_str = length / structure_scale
-    panels = int(min(max(4, np.ceil(max(n_osc, n_str))), max_panels))
+    n_str = length / _STRUCTURE_SCALE
+    panels = int(min(max(4, np.ceil(max(n_osc, n_str))), 6000))
     x, w = _GL[6]
     edges = np.linspace(0.0, 1.0, panels + 1)
     mids = (edges[:-1] + edges[1:]) / 2.0
@@ -215,11 +209,10 @@ def _panel_nodes(z0: complex, z1: complex, t: float,
     return z0 + s * dz, ws * dz
 
 
-def _arc_nodes(seg: Segment, t: float,
-               structure_scale: float = 0.02) -> Tuple[np.ndarray, np.ndarray]:
+def _arc_nodes(seg: Segment, t: float) -> Tuple[np.ndarray, np.ndarray]:
     length = abs(seg.th1 - seg.th0) * seg.radius
     panels = int(min(max(8, np.ceil(max(t * length / 2.0,
-                                        length / structure_scale))), 2000))
+                                        length / _STRUCTURE_SCALE))), 2000))
     x, w = _GL[6]
     edges = np.linspace(seg.th0, seg.th1, panels + 1)
     mids = (edges[:-1] + edges[1:]) / 2.0
@@ -272,29 +265,22 @@ class _EigResolvent:
 
 
 def dunford_propagator(H, contour: Contour, t: float,
-                       f: np.ndarray, g: np.ndarray,
-                       spectrum: Optional[DiscreteSpectrumReport] = None,
-                       include_residues: bool = True,
-                       structure_scale: float = 0.02,
-                       eig: Optional[_EigResolvent] = None) -> complex:
+                       f: np.ndarray, g: np.ndarray) -> complex:
     """<e^{-itH} f, g> by residues over the upper discrete spectrum plus the
     contour integral (1/2i pi) int e^{-itz} <(H-z)^{-1} f, g> dz."""
     if t <= 0:
         raise ValueError("t must be positive")
     H = np.asarray(H, dtype=complex)
-    eig = eig or _EigResolvent(H)
+    eig = _EigResolvent(H)
     total = 0.0 + 0.0j
-    if include_residues:
-        if spectrum is None:
-            spectrum = enumerate_upper_eigenvalues(H)
-        for zj, P in zip(spectrum.eigenvalues, spectrum.projectors):
-            # e^{-itH} Pi_j through the compressed invariant block
-            U, s, _ = sla.svd(P)
-            r = int((s > 1e-8).sum())
-            Q = U[:, :r]
-            A = Q.conj().T @ H @ Q
-            term = Q @ sla.expm(-1j * t * A) @ (Q.conj().T @ (P @ f))
-            total += np.sum(term * g.conj())
+    for P in enumerate_upper_eigenvalues(H).projectors:
+        # e^{-itH} Pi_j through the compressed invariant block
+        U, s, _ = sla.svd(P)
+        r = int((s > 1e-8).sum())
+        Q = U[:, :r]
+        A = Q.conj().T @ H @ Q
+        term = Q @ sla.expm(-1j * t * A) @ (Q.conj().T @ (P @ f))
+        total += np.sum(term * g.conj())
 
     c = eig.pair_coeffs(f, g)
     Lam = float(np.max(eig.evals.real)) + 3.0
@@ -302,9 +288,9 @@ def dunford_propagator(H, contour: Contour, t: float,
     pairing = lambda zs: eig.pairing(np.asarray(zs), c)
     for seg in contour.segments:
         if seg.kind == "line":
-            z, dz = _panel_nodes(seg.z0, seg.z1, t, structure_scale)
+            z, dz = _panel_nodes(seg.z0, seg.z1, t)
         elif seg.kind == "arc":
-            z, dz = _arc_nodes(seg, t, structure_scale)
+            z, dz = _arc_nodes(seg, t)
         elif seg.label == "incoming_ray":
             # the quadrature runs outward from the junction point; the contour
             # orientation (from infinity towards the junction) is the reverse
@@ -312,7 +298,7 @@ def dunford_propagator(H, contour: Contour, t: float,
                                  t * np.sin(contour.nu), t, m=96)
             continue
         else:   # outgoing ray: finite part on the axis + vertical descent
-            z, dz = _panel_nodes(seg.z0, Lam + 0j, t, structure_scale)
+            z, dz = _panel_nodes(seg.z0, Lam + 0j, t)
             acc += _ray_integral(pairing, Lam + 0j, -1j, t, t, m=64)
         vals = eig.pairing(z, c)
         acc += np.sum(np.exp(-1j * t * z) * vals * dz)
@@ -327,15 +313,20 @@ def resolvent_taylor(disc: Discretization, lam: float, order: int,
                      side: str = "+") -> List[np.ndarray]:
     """Taylor coefficients T_p of mu -> R(lam + mu, side) about mu = 0, built
     from the analytic derivative kernels (the -i0 side uses the entrywise
-    conjugate kernels, exact for real distances and energies): the series
-    R = M^{-1} B with B_p = G_p^+ / p! and M = Id + B V."""
-    B = {}
+    conjugate kernels, exact for real distances and energies): R = M^{-1} B
+    with B_p = G_p^+ / p! and M = Id + B V, so one LU of M_0 gives every
+    T_p = M_0^{-1} (B_p - sum_{r=1..p} B_r V T_{p-r})."""
+    B = []
     for p in range(order + 1):
         Gp = disc.gj_plus(p, lam) / math.factorial(p)
-        B[p] = Gp if side == "+" else np.conj(Gp)
-    M = ExpansionSeries("z_minus_lambda0", _m_from_r0(B, disc.V), order)
-    R = M.inverse() @ ExpansionSeries("z_minus_lambda0", B, order)
-    return [R.coeff(p) for p in range(order + 1)]
+        B.append(Gp if side == "+" else np.conj(Gp))
+    V = disc.V[None, :]
+    lu = sla.lu_factor(np.eye(disc.grid.n) + B[0] * V)
+    T: List[np.ndarray] = []
+    for p in range(order + 1):
+        rhs = B[p] - sum((B[r] * V) @ T[p - r] for r in range(1, p + 1))
+        T.append(sla.lu_solve(lu, rhs))
+    return T
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ retained order so products stay exact up to the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -118,15 +118,13 @@ class ExpansionSeries:
         out = {b - q: sol[b * m:(b + 1) * m, :] for b in range(nb)}
         return ExpansionSeries(self.variable, out, L - q)
 
-    def inverse(self, E0: Optional[np.ndarray] = None) -> "ExpansionSeries":
+    def inverse(self, E0: np.ndarray) -> "ExpansionSeries":
         """Order-by-order inverse of a regular series s through the cap:
         D_0 = E0, D_j = -E0 sum_{r=1..j} s_r D_{j-r}, i.e. D = E0 - E0 (s - s_0) D.
-        E0 defaults to s_0^{-1}, which gives the two-sided inverse; a Grushin
-        reduction passes its own order-0 factor Pi' X_0^{-1} Pi' instead."""
+        E0 = s_0^{-1} gives the two-sided inverse; a Grushin reduction passes
+        its own order-0 factor Pi' X_0^{-1} Pi' instead."""
         if min(self.coeffs) < 0:
             raise ValueError("inverse expects a regular input series")
-        if E0 is None:
-            E0 = np.linalg.inv(self.coeff(0))
         D: Dict[int, np.ndarray] = {0: E0}
         for j in range(1, self.cap + 1):
             acc = np.zeros_like(E0)

@@ -65,7 +65,7 @@ def test_criterion_01_grushin_identity(capsys, disc_first, coeffs_first,
     dt = time.perf_counter() - t0
     ok = worst < 1e-9 and dt < 60.0
     _report(capsys, 1, ok, f"3 tuned models, 10 points each, max rel residual "
-                   f"{worst:.2e}, {dt:.1f}s")
+                   f"{_against(worst, 1e-9)}, {dt:.1f}s")
 
 
 # --------------------------------------------------------------------------
@@ -138,8 +138,9 @@ def test_criterion_04_threshold_limits(capsys, disc_first, coeffs_first,
     ok = (rel1 < 1e-2 and rel2 < 1e-2 and idem < 1e-8 and recon < 1e-8
           and norm_res < 1e-8)
     _report(capsys, 4, ok, f"sqrt(z)R limit {rel1:.2e}, zR limit {rel2:.2e}, "
-                   f"projector idempotency {idem:.2e} (reconstruction "
-                   f"{recon:.2e}), normalization {norm_res:.2e}")
+                   f"projector idempotency {_against(idem, 1e-8)} "
+                   f"(reconstruction {_against(recon, 1e-8)}), normalization "
+                   f"{_against(norm_res, 1e-8)}")
 
 
 # --------------------------------------------------------------------------

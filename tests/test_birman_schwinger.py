@@ -6,8 +6,8 @@ import scipy.linalg as sla
 
 import oracles
 from specthresh import birman_schwinger
-from specthresh.birman_schwinger import (Discretization, _contour_projector,
-                                         _contour_zeros,
+from specthresh.birman_schwinger import (Discretization, _contour_zeros,
+                                         _spectral_projector,
                                          b_form,
                                          check_hypotheses, classify_zero,
                                          detect_minus_one, riesz_projection,
@@ -121,8 +121,9 @@ def test_riesz_projection_matches_dense_eig():
 
 
 def _dense_contour_projection(K, eps, n_quad=64):
-    """The contour quadrature with one dense solve per node, as riesz_projection
-    computed it before the Schur factorization was shared by all nodes."""
+    """Independent reference for riesz_projection: the trapezoidal contour
+    quadrature on |w + 1| = eps with one dense solve per node.  At the radii
+    used here its quadrature error is far below the 1e-12 gate."""
     n = K.shape[0]
     P = np.zeros((n, n), dtype=complex)
     I = np.eye(n)
@@ -180,12 +181,22 @@ def test_riesz_projection_defective_cluster():
     assert np.linalg.norm(P - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def test_contour_projector_rejects_node_on_spectrum():
-    center, radius, n_quad = -1.0, 0.25, 8
-    node = center + radius * np.exp(2j * np.pi * 0.5 / n_quad)
-    with pytest.raises(ValueError, match="hits the spectrum"):
-        _contour_projector(np.array([[node]]), np.eye(1), center, radius,
-                           n_quad)
+def test_spectral_projector_rejects_unseparated_selection():
+    # one copy of a defective double eigenvalue selected without the other:
+    # T11 and T22 share the eigenvalue, so the Sylvester equation is singular
+    T = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="not separated"):
+        _spectral_projector(T, np.eye(2, dtype=complex), [True, False])
+
+
+def test_spectral_projector_empty_and_full_selection():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    T, Q = sla.schur(A, output="complex")
+    assert np.array_equal(_spectral_projector(T, Q, np.zeros(6, bool)),
+                          np.zeros((6, 6)))
+    assert np.array_equal(_spectral_projector(T, Q, np.ones(6, bool)),
+                          np.eye(6))
 
 
 def test_classify_free_model_regular():

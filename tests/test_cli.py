@@ -170,6 +170,29 @@ def test_cli_bad_tol_usage(tmp_path, regular_config):
     assert res.exit_code != 0
 
 
+def test_config_rejects_unknown_tolerance(tmp_path):
+    path = _write(tmp_path, "cfg.json", {
+        "model": {"factory": "first_kind", "resolution": 5},
+        "stages": ["classify"], "tolerances": {"clustr_tol": 1e-3}})
+    with pytest.raises(ValueError, match="clustr_tol"):
+        load_config(path)
+    res = CliRunner().invoke(main, ["classify", "--config", path,
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tol", ["cluster_tol=-1", "cluster_tol=nan"])
+def test_cli_rejects_non_positive_tolerance(tmp_path, tol):
+    path = _write(tmp_path, "cfg.json", {
+        "model": {"factory": "first_kind", "resolution": 5},
+        "stages": ["classify"]})
+    res = CliRunner().invoke(main, ["classify", "--config", path, "--tol", tol,
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_failing_claim_exit_one(tmp_path):
     # at resolution 6 the r=0 high-energy fit is under-resolved and the
     # claim fails; the run must complete and signal failure via exit code 1

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import specthresh.grushin as grushin
+import specthresh.jordan as jordan
 from specthresh.birman_schwinger import Discretization
 from specthresh.grushin import (GrushinReduction, build_grushin,
                                 invert_E_minus_plus, lidskii_determinant,
@@ -14,7 +15,8 @@ from specthresh.grushin import (GrushinReduction, build_grushin,
                                 verify_grushin_identity)
 from specthresh.kernels import BranchPoint
 from specthresh.model import build_grid
-from specthresh.models import first_kind_model, resonance_model
+from specthresh.models import (first_kind_model, resonance_model,
+                               third_kind_model)
 
 
 def _reduction(disc, coeffs, point="threshold", cap=6):
@@ -219,3 +221,23 @@ def test_expansions_reject_projector_rank_mismatch(monkeypatch):
     with pytest.raises(ValueError, match="algebraic multiplicity"):
         grushin.resonance_resolvent_expansion(res, 1.0,
                                               disc=Discretization(res))
+
+
+def test_threshold_expansion_rejects_marked_eigen_block(monkeypatch):
+    # the chain search relies on a range basis that does not mix the
+    # resonance into the eigen block; a rotated basis does, and the source
+    # pairing of the eigen block would then be wrong
+    real = jordan._range_basis
+    rng = np.random.default_rng(3)
+
+    def rotated(P1):
+        B = real(P1)
+        m = B.shape[1]
+        U, _ = np.linalg.qr(rng.standard_normal((m, m))
+                            + 1j * rng.standard_normal((m, m)))
+        return B @ U
+
+    monkeypatch.setattr(jordan, "_range_basis", rotated)
+    third = third_kind_model(build_grid(3.0, 5))
+    with pytest.raises(ValueError, match="integral marker"):
+        threshold_resolvent_expansion(third, disc=Discretization(third))

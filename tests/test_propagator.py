@@ -93,9 +93,9 @@ def test_enumerate_upper_eigenvalues_synthetic():
 
 
 def _enumerate_reference_projectors(H):
-    """Per-cluster projectors by the 32-node contour with one dense solve per
-    node, the way enumerate_upper_eigenvalues computed them before the Schur
-    factorization of H was shared by all clusters."""
+    """Independent reference for enumerate_upper_eigenvalues: per-cluster
+    projectors by a 32-node trapezoidal contour of radius gap/3 with one
+    dense solve per node, whose quadrature error is far below the gate."""
     evals = sla.eigvals(H)
     I = np.eye(H.shape[0])
     out = {}
