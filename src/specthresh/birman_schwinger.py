@@ -15,11 +15,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import ztrsen, ztrsyl
+from scipy.linalg.lapack import (zgecon, zgetrf, zgetrs, zlange, ztrsen,
+                                 ztrsyl)
 
 from .kernels import BranchPoint, assemble_gj, assemble_gj_plus, assemble_r0
 from .model import Model, QuadratureGrid
@@ -68,7 +69,15 @@ class Discretization:
         return self.gj(0) * self.V[None, :]
 
     def M(self, bp: BranchPoint) -> np.ndarray:
-        return np.eye(self.grid.n) + self.K(bp)
+        return self._m(self.r0(bp))
+
+    def _m(self, r0: np.ndarray, order: str = "C") -> np.ndarray:
+        """Id + R0 V for an assembled R0, built in place; order "F" is the
+        layout LAPACK factors without a copy."""
+        A = np.multiply(r0, self.V[None, :], order=order)
+        i = np.arange(self.grid.n)
+        A[i, i] += 1.0
+        return A
 
     def R(self, bp: BranchPoint) -> np.ndarray:
         """Full resolvent of the model, (Id + R0 V)^{-1} R0, by dense solve."""
@@ -83,8 +92,24 @@ class Discretization:
         return self._resolve(r0p) - self._resolve(np.conj(r0p))
 
     def _resolve(self, r0: np.ndarray) -> np.ndarray:
-        """(Id + R0 V)^{-1} R0 for an assembled R0."""
-        return sla.solve(np.eye(self.grid.n) + r0 * self.V[None, :], r0)
+        """(Id + R0 V)^{-1} R0 for an assembled R0: one LAPACK getrf and one
+        getrs, with the checks of `scipy.linalg.solve`.  ValueError on a
+        non-finite input; LinAlgError on a zero pivot, or when the 1-norm
+        reciprocal condition number (getcon) is below machine epsilon."""
+        A = self._m(r0, "F")
+        if not (np.isfinite(A).all() and np.isfinite(r0).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        anorm = zlange("1", A)
+        lu, piv, info = zgetrf(A, overwrite_a=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"Id + R0 V is singular (zero pivot "
+                                        f"U[{info - 1}, {info - 1}])")
+        rcond, _ = zgecon(lu, anorm, norm="1")
+        if not rcond >= np.finfo(float).eps:
+            raise np.linalg.LinAlgError(f"Id + R0 V is ill-conditioned "
+                                        f"(rcond {rcond:.3e})")
+        x, _ = zgetrs(lu, piv, r0)
+        return x
 
     # --- pairings ---------------------------------------------------------
     def pair(self, u: np.ndarray, v: np.ndarray) -> complex:
@@ -292,6 +317,31 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
 _PROBES, _RANK_TOL, _ZERO_TOL = 16, 1e-4, 1e-6
 
 
+def _contour_matrices(disc: Discretization, center: complex,
+                      dk: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """(q, M(center + dk[q])) over the trapezoidal nodes of `_contour_zeros`.
+    On an ellipse centred on the imaginary axis with an even node count N,
+    node N/2 - 1 - q (mod N) is -conj(k_q), where R0 is the entrywise
+    conjugate of R0(k_q) (self-cell rule included): each mirrored pair is
+    walked back to back from one R0 assembly.  Other ellipses call `disc.M`
+    per node."""
+    N = len(dk)
+    if complex(center).real != 0.0 or N % 2:
+        for q in range(N):
+            k = center + dk[q]
+            yield q, disc.M(BranchPoint(z=k * k, sqrt_z=k))
+        return
+    for q in range(N):
+        p = (N // 2 - 1 - q) % N
+        if p < q:
+            continue                    # walked with its partner
+        k = center + dk[q]
+        r0 = disc.r0(BranchPoint(z=k * k, sqrt_z=k))
+        yield q, disc._m(r0, "F")
+        if p != q:
+            yield p, disc._m(np.conj(r0), "F")
+
+
 def _contour_zeros(disc: Discretization, center: complex, ax: float,
                    ay: float, n_nodes: int
                    ) -> Tuple[List[Tuple[complex, np.ndarray]], int]:
@@ -311,9 +361,8 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
     wq = (-ax * np.sin(th) + 1j * ay * np.cos(th)) / (1j * n_nodes)
     A0, A1 = np.zeros((2, n, _PROBES), dtype=complex)
     scale, arg_det = 0.0, np.empty(n_nodes)
-    for q in range(n_nodes):
-        k = center + dk[q]
-        lu, piv = sla.lu_factor(disc.M(BranchPoint(z=k * k, sqrt_z=k)))
+    for q, M in _contour_matrices(disc, center, dk):
+        lu, piv = sla.lu_factor(M, overwrite_a=True)
         X = sla.lu_solve((lu, piv), P)
         A0 += wq[q] * X
         A1 += (wq[q] * dk[q]) * X

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import zgeru
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_laguerre
 
@@ -390,15 +391,18 @@ class CutPropagator:
 
     # --- pieces -----------------------------------------------------------
     def _circle(self, t: float, rho: float) -> np.ndarray:
+        """(1/2i pi) oint_{|z| = rho, clockwise} e^{-itz} R(z) dz with R the
+        threshold series sum_j R_j u^j (u = sqrt z): a 64-node trapezoidal
+        rule gives one scalar weight per series order."""
         nq = 64
         th = 2.0 * np.pi - 2.0 * np.pi * (np.arange(nq) + 0.5) / nq  # cw
         z = rho * np.exp(1j * th)
         u = np.sqrt(rho) * np.exp(1j * th / 2.0)   # Im sqrt(z) >= 0 branch
+        # e^{-itz} dz at each node (dz = i z dth, dth = -2 pi / nq)
+        wq = np.exp(-1j * t * z) * (1j * z * (-2.0 * np.pi / nq))
         acc = np.zeros((self.disc.grid.n, self.disc.grid.n), dtype=complex)
-        dth = -2.0 * np.pi / nq
-        for zz, uu in zip(z, u):
-            acc += np.exp(-1j * t * zz) * self.coeffs.series.eval(uu) \
-                * (1j * zz * dth)
+        for j, c in sorted(self.coeffs.series.coeffs.items()):
+            acc += np.sum(wq * u ** j) * c
         return acc / (2.0j * np.pi)
 
     def _series_band(self, t: float, a: float, b: float) -> np.ndarray:
@@ -420,24 +424,16 @@ class CutPropagator:
 
     def _filon_bands(self, ts: np.ndarray) -> np.ndarray:
         """Oscillation-exact panel quadrature of the jump for every t of the
-        ladder in one walk over the panels.  Each node jump is computed once
-        (a panel's right end is the next panel's left end), and the
-        t-independent interpolation coefficients once per panel."""
+        ladder in one walk over the mesh nodes: each node jump is computed
+        once and folded into the (n^2, |ladder|) accumulator by one rank-1
+        update with its weights from `_filon_weights`."""
         n = self.disc.grid.n
-        acc = np.zeros((len(ts), n * n), dtype=complex)
-        fb = self.disc.jump(float(self.edges[0])).ravel()
-        for a, b in zip(self.edges[:-1], self.edges[1:]):
-            mid = (a + b) / 2.0
-            h = b - a
-            fa = fb
-            fm = self.disc.jump(float(mid)).ravel()
-            fb = self.disc.jump(float(b)).ravel()
-            c = np.stack([fm, (fb - fa) / 2.0, (fa - 2.0 * fm + fb) / 2.0])
-            wts = np.array([(h / 2.0) * np.exp(-1j * t * mid)
-                            * np.array(_filon_moments(t * h / 2.0))
-                            for t in ts])
-            acc += wts @ c
-        return acc.reshape(len(ts), n, n) / (2.0j * np.pi)
+        lams, W = _filon_weights(self.edges, ts)
+        acc = np.zeros((n * n, len(ts)), dtype=complex, order="F")
+        for lam, w in zip(lams, W):
+            acc = zgeru(1.0, self.disc.jump(float(lam)).ravel(), w, a=acc,
+                        overwrite_a=1)
+        return acc.T.reshape(len(ts), n, n) / (2.0j * np.pi)
 
     def _tail(self, t: float) -> np.ndarray:
         """int_Lam^infty e^{-it lam} J dlam by repeated integration by parts:
@@ -477,18 +473,58 @@ class CutPropagator:
         return self.propagate_many([t])[float(t)]
 
 
-def _filon_moments(th: float) -> Tuple[complex, complex, complex]:
-    """int_{-1}^{1} xi^p e^{-i th xi} d xi for p = 0, 1, 2."""
-    if abs(th) < 1e-4:
-        M0 = 2.0 - th ** 2 / 3.0
-        M1 = -1j * (2.0 * th / 3.0 - th ** 3 / 15.0)
-        M2 = 2.0 / 3.0 - th ** 2 / 5.0
-        return M0, M1, M2
-    s, c = np.sin(th), np.cos(th)
-    M0 = 2.0 * s / th
-    M1 = 2.0j * (th * c - s) / th ** 2
-    M2 = 2.0 * ((th ** 2 - 2.0) * s + 2.0 * th * c) / th ** 3
-    return M0, M1, M2
+def _filon_weights(edges: np.ndarray,
+                   ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the quadratic Filon rule on the panels
+    [edges[p], edges[p+1]]: sum_i W[i, l] f(lams[i]) is
+    int e^{-i ts[l] lam} f(lam) dlam over the panels, with f interpolated
+    at both ends and the midpoint of each panel.  The nodes run
+    edge, mid, edge, ..., edge; a shared panel end sums both panels'
+    weights.  On a panel with midpoint m and half-width d the rule is
+    d e^{-itm} (M0 f_m + M1 (f_b - f_a)/2 + M2 (f_a - 2 f_m + f_b)/2)."""
+    a, b = edges[:-1], edges[1:]
+    mid, d = (a + b) / 2.0, (b - a) / 2.0
+    M0, M1, M2 = _filon_moments(np.outer(d, ts))         # (panels, |ts|)
+    scale = d[:, None] * np.exp(-1j * np.outer(mid, ts))
+    P = len(mid)
+    W = np.zeros((2 * P + 1, len(ts)), dtype=complex)
+    W[0:-1:2] += scale * (M2 - M1) / 2.0
+    W[1::2] = scale * (M0 - M2)
+    W[2::2] += scale * (M2 + M1) / 2.0
+    lams = np.empty(2 * P + 1)
+    lams[0::2], lams[1::2] = edges, mid
+    return lams, W
+
+
+# Taylor coefficients of the Filon moments in th^2 (M1 carries a factor
+# -i th): M0 = sum (-1)^m th^2m 2 / ((2m)! (2m+1)),
+# M1 = -i th sum (-1)^m th^2m 2 / ((2m+1)! (2m+3)),
+# M2 = sum (-1)^m th^2m 2 / ((2m)! (2m+3)); 13 terms reach roundoff on
+# |th| <= 1, where the closed forms lose digits to cancellation
+_FILON_SERIES = np.array([
+    [2.0 * (-1) ** m / (math.factorial(2 * m + s) * (2 * m + 1 + 2 * p))
+     for m in range(13)]
+    for s, p in ((0, 0), (1, 1), (0, 1))])
+
+
+def _filon_moments(th) -> np.ndarray:
+    """int_{-1}^{1} xi^p e^{-i th xi} d xi for p = 0, 1, 2, stacked on a
+    leading axis of length 3: the Taylor series for |th| <= 1, the closed
+    forms above."""
+    th = np.asarray(th, dtype=float)
+    flat = th.ravel()
+    M = np.empty((3, flat.size), dtype=complex)
+    small = np.abs(flat) <= 1.0
+    x = flat[small]
+    poly = np.polynomial.polynomial.polyval(x * x, _FILON_SERIES.T)
+    M[:, small] = poly
+    M[1, small] *= -1j * x
+    x = flat[~small]
+    s, c = np.sin(x), np.cos(x)
+    M[0, ~small] = 2.0 * s / x
+    M[1, ~small] = 2.0j * (x * c - s) / x ** 2
+    M[2, ~small] = 2.0 * ((x ** 2 - 2.0) * s + 2.0 * x * c) / x ** 3
+    return M.reshape((3,) + th.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +584,18 @@ def verify_large_time(model: Model,
     kernel and regular threshold via the cut propagator (slope -3/2); tuned
     first kind: slope -1/2 with coefficient (i pi)^{-1/2} <., J phi> phi;
     tuned second/third kind: the large-time limit is the threshold
-    projection (constant term), the remainder decays with slope -1/2."""
+    projection (constant term), the remainder decays with slope -1/2.
+    A non-zero potential without coefficients is a ValueError."""
     grid = model.grid
     ts = np.asarray(t_ladder if t_ladder is not None
                     else np.geomspace(10.0, 1000.0, 7), dtype=float)
-    kind = coefficients.kind if coefficients is not None else "free"
     if np.max(np.abs(model.V)) == 0:
         kind = "free"
+    elif coefficients is None:
+        raise ValueError("no threshold coefficients for a non-zero "
+                         "potential")
+    else:
+        kind = coefficients.kind
 
     if kind == "free":
         Us = {t: free_propagator(grid, t) for t in ts}

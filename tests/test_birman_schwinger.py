@@ -53,6 +53,90 @@ def test_jump_matches_two_sided_resolvents():
     assert err <= 1e-14 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("lam", [0.04, 1.0, 39.0])
+def test_jump_equals_sla_solve_bitwise(first6, lam):
+    # the checked getrf/getrs path factors and solves exactly as
+    # scipy.linalg.solve does
+    disc = Discretization(first6)
+    assert np.array_equal(disc.jump(lam), oracles.sla_solve_jump(disc, lam))
+
+
+def _disc_with_r0(monkeypatch):
+    """Discretization whose R0 assembly returns one zero matrix that the
+    test then fills in, with the constant potential 0.5 + 0.5i (exact
+    products with R0) and a node i where V is not cut off."""
+    grid = build_grid(2.0, 4)
+    disc = Discretization(Model(grid=grid,
+                                potential=sample_potential(grid, 0.5 + 0.5j)))
+    r0 = np.zeros((grid.n, grid.n), dtype=complex)
+    monkeypatch.setattr(Discretization, "r0", lambda self, bp: r0)
+    return disc, r0, int(np.flatnonzero(disc.V)[0])
+
+
+def test_resolve_raises_on_singular_matrix(monkeypatch):
+    # (-1 + i)(0.5 + 0.5i) = -1 exactly, so Id + R0 V has a zero pivot
+    disc, r0, i = _disc_with_r0(monkeypatch)
+    r0[i, i] = -1.0 + 1.0j
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        disc.R(BranchPoint.from_z(-1.0))
+
+
+def test_resolve_raises_where_solve_warns_ill_conditioned(monkeypatch):
+    # Id + R0 V = Id with 2^-53 at (i, i): rcond 2^-53 < eps, which
+    # scipy.linalg.solve only warns about
+    disc, r0, i = _disc_with_r0(monkeypatch)
+    r0[i, i] = (-1.0 + 2.0 ** -53) * (1.0 - 1.0j)
+    A = np.eye(disc.grid.n) + r0 * disc.V[None, :]
+    assert A[i, i] == 2.0 ** -53
+    with pytest.warns(sla.LinAlgWarning):
+        sla.solve(A, r0)
+    with pytest.raises(np.linalg.LinAlgError, match="rcond 1.110e-16"):
+        disc.R(BranchPoint.from_z(-1.0))
+
+
+def test_resolve_rejects_non_finite_input(monkeypatch):
+    disc, r0, _ = _disc_with_r0(monkeypatch)
+    r0[3, 5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        disc.R(BranchPoint.from_z(-1.0))
+
+
+@pytest.mark.parametrize("k", [0.3 + 1.2j, -2.5 + 0.15j, 4.0 - 0.6j])
+def test_r0_at_mirrored_k_is_conjugate(k):
+    # R0(-conj k) = conj R0(k), self-cell diagonal included: the pole
+    # contour assembles one R0 per mirrored pair of nodes
+    disc = Discretization(free_model(build_grid(3.0, 4)))
+    a = disc.r0(BranchPoint(z=k * k, sqrt_z=k))
+    km = -np.conj(k)
+    b = disc.r0(BranchPoint(z=km * km, sqrt_z=km))
+    assert np.linalg.norm(b - np.conj(a)) <= 1e-15 * np.linalg.norm(a)
+    da, db = np.diag(a), np.diag(b)
+    assert np.max(np.abs(db - np.conj(da))) <= 1e-15 * np.max(np.abs(da))
+
+
+def test_contour_walk_shares_r0_across_mirrored_nodes(monkeypatch):
+    disc = Discretization(free_model(build_grid(3.0, 4)))
+    calls = {"r0": 0, "M": 0}
+
+    def counting(name):
+        method = getattr(Discretization, name)
+
+        def wrapped(self, bp):
+            calls[name] += 1
+            return method(self, bp)
+        return wrapped
+
+    monkeypatch.setattr(Discretization, "r0", counting("r0"))
+    monkeypatch.setattr(Discretization, "M", counting("M"))
+    # imaginary-axis centre: one R0 per mirrored pair, no M(k) assembly
+    assert _contour_zeros(disc, 0.975j, 6.0, 0.825, 512) == ([], 0)
+    assert calls == {"r0": 256, "M": 0}
+    # real centre (the resonance scan's ellipse): M(k) at every node
+    calls.update(r0=0, M=0)
+    assert _contour_zeros(disc, 1.5, 0.5, 0.5 / 6.0, 32) == ([], 0)
+    assert calls == {"r0": 32, "M": 32}
+
+
 def test_detect_minus_one_on_synthetic_matrix():
     rng = np.random.default_rng(5)
     n = 30

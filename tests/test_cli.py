@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from specthresh import cli
 from specthresh.cli import (RunConfig, emit_plot_data, load_config, main,
                             run_pipeline)
 
@@ -121,6 +122,25 @@ def test_run_pipeline_records_stage_errors(tmp_path):
     # stage, exception type and the innermost frame's file:line
     assert re.match(r"resonance_scan: ValueError at .*birman_schwinger\.py:\d+: "
                     r"scan interval", rep.errors[0])
+    assert not rep.all_passed
+
+
+def test_propagate_stage_needs_threshold_coefficients(tmp_path, monkeypatch):
+    # with the threshold expansion failing, propagate must record an error,
+    # not fit the free kernel's t^-3/2 decay to a non-zero potential
+    def fail(*args, **kwargs):
+        raise RuntimeError("expansion failed")
+
+    monkeypatch.setattr(cli, "threshold_resolvent_expansion", fail)
+    path = _write(tmp_path, "cfg.json", {
+        "model": {"factory": "first_kind", "extent": 3.0, "resolution": 4},
+        "stages": ["classify", "threshold_expand", "propagate"]})
+    rep = run_pipeline(load_config(path))
+    assert [e.split(":")[0] for e in rep.errors] == ["threshold_expand",
+                                                     "propagate"]
+    assert re.match(r"propagate: ValueError at .*propagator\.py:\d+: "
+                    r"no threshold coefficients", rep.errors[1])
+    assert "propagate" not in rep.stages
     assert not rep.all_passed
 
 

@@ -1,5 +1,7 @@
 """Contours, generalized oscillatory integrals, the matrix Dunford
 propagator, branch-cut propagation and decay / high-energy fits."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,9 +12,9 @@ from specthresh.kernels import BranchPoint
 from specthresh.model import build_grid
 from specthresh.grushin import threshold_resolvent_expansion
 from specthresh.models import first_kind_model, free_model, regular_model
-from specthresh.propagator import (CutPropagator, _wnorm, audit_contour,
-                                   build_contour, check_high_energy,
-                                   dunford_propagator,
+from specthresh.propagator import (CutPropagator, _filon_moments, _wnorm,
+                                   audit_contour, build_contour,
+                                   check_high_energy, dunford_propagator,
                                    enumerate_upper_eigenvalues,
                                    free_propagator, generalized_integral,
                                    resolvent_taylor, verify_large_time)
@@ -231,6 +233,35 @@ def test_propagate_many_rejects_nonpositive_times(cut_first4):
             cp.propagate_many(ts)
     with pytest.raises(ValueError, match="positive"):
         cp.propagate(0.0)
+
+
+@pytest.mark.parametrize("th", [0.0, 1e-6, 9.9e-5, 1.01e-4, 1e-3, 1e-2, 0.5,
+                                1.0, 30.0])
+def test_filon_moments_against_series_and_quadrature(th):
+    got = _filon_moments(th)
+    for p in range(3):
+        want = (oracles.filon_moment_series(th, p) if th <= 1.0
+                else oracles.filon_moment_quad(th, p))
+        assert abs(got[p] - want) <= 1e-14, p
+
+
+def test_filon_node_walk_matches_panel_loop():
+    # the rank-1 walk over node weights against the per-panel quadratic
+    # Filon rule, on a cheap synthetic 3 x 3 jump over the propagator's mesh
+    rng = np.random.default_rng(11)
+    A, B = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+
+    def jump(lam):
+        return A * np.sqrt(lam) / (1.0 + lam) + B * np.cos(3.0 * lam)
+
+    edges = np.geomspace(0.04, 40.0, 381)
+    ts = np.concatenate([[0.1], LADDER])
+    stub = SimpleNamespace(edges=edges, disc=SimpleNamespace(
+        jump=jump, grid=SimpleNamespace(n=3)))
+    got = CutPropagator._filon_bands(stub, ts)
+    want = oracles.filon_panel_walk(edges, jump, ts) / (2.0j * np.pi)
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
 
 
 def test_resolvent_taylor_matches_finite_difference():
