@@ -155,10 +155,9 @@ class ZeroClassification:
     eigenvectors: List[np.ndarray]  # marker-free kernel directions
     integral_marker: complex
     marker_tol: float
-    # the -1 cluster of K0 this classification was read from, and the cluster
-    # tol detect_minus_one ran with (None for a regular threshold)
+    # the -1 cluster of K0 this classification was read from (None for a
+    # regular threshold); the threshold expansion projects onto it
     detection: Optional[EigenNearMinusOne] = None
-    detection_tol: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -288,7 +287,7 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
         return ZeroClassification(kind="second", k=k, resonance_state=None,
                                   eigenvectors=[basis[:, i] for i in range(k)],
                                   integral_marker=0.0, marker_tol=mtol,
-                                  detection=det, detection_tol=tol)
+                                  detection=det)
     # direction of maximal marker inside the kernel
     c = markers.conj() / np.linalg.norm(markers)
     res = basis @ c
@@ -296,8 +295,7 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
     if k == 1:
         return ZeroClassification(kind="first", k=1, resonance_state=res,
                                   eigenvectors=[], integral_marker=res_marker,
-                                  marker_tol=mtol, detection=det,
-                                  detection_tol=tol)
+                                  marker_tol=mtol, detection=det)
     # third kind: complement of the resonance direction inside the kernel is
     # marker-free (geometric simplicity of the resonance)
     _, _, Vh = np.linalg.svd(markers.reshape(1, -1))
@@ -308,8 +306,7 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
             raise ValueError("resonance not geometrically simple")
     return ZeroClassification(kind="third", k=k, resonance_state=res,
                               eigenvectors=comp_cols, integral_marker=res_marker,
-                              marker_tol=mtol, detection=det,
-                              detection_tol=tol)
+                              marker_tol=mtol, detection=det)
 
 
 # contour eigensolver: probe-block width (> zeros per contour), A0 rank

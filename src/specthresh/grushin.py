@@ -4,16 +4,19 @@ operator E_-+(z), Lidskii scaling of det E_-+, and the resulting resolvent
 expansions at the zero threshold and at embedded outgoing resonances.
 
 The reduction uses the Jordan chains U = (u_r^(i)) and duals W = (w_r^(j)) of
-(Id + K0) on Ran Pi_1: S maps coordinates to chain vectors, T = Theta-pairing
-against the duals, and
+(Id + K0) on Ran Pi_1: S maps coordinates to chain vectors and T is the
+Theta-pairing against the duals, so T S = Id.  The bordered operator and its
+inverse hold all four Grushin operators (Sjostrand & Zworski 2007):
 
-    E(z)    = Pi_1' (Pi_1' M(z) Pi_1' + Pi_1)^{-1} Pi_1',
-    E_+     = S - E M S,     E_-  = T - T M E,
-    E_-+    = -T M S + T M E M S,
+    P(z) = [[M(z), S], [T, 0]],    P(z)^{-1} = [[E, E_+], [E_-, E_-+]],
     M(z)^{-1} = E - E_+ E_-+^{-1} E_-.
 
-Everything is computed twice: as a truncated series in sqrt(z) (or z - lam0)
-and by direct evaluation at sample points, and the two are cross-validated.
+Because T S = Id these are the projected forms E = Pi' (Pi' M Pi' + Pi)^{-1}
+Pi' (Pi = S T, Pi' = Id - Pi), E_+ = S - E M S, E_- = T - T M E and
+E_-+ = -T M S + T M E M S, which `verify_grushin_identity` evaluates as its
+independent reference.  Everything is computed twice: as one truncated
+series inverse of P in sqrt(z) (or z - lam0) and by factoring P at sample
+points, and the two are cross-validated.
 """
 from __future__ import annotations
 
@@ -49,7 +52,6 @@ __all__ = [
 class GrushinSystem:
     S: np.ndarray          # (n, m) chain vectors
     T: np.ndarray          # (m, n) rows Theta(., w_r^(j))
-    P1: np.ndarray         # (n, n) spectral projection rebuilt from the chains
     basis: JordanBasis
 
     @property
@@ -98,13 +100,6 @@ class ResonanceCoefficients:
 # ---------------------------------------------------------------------------
 # reduction
 
-def _m_from_r0(r0: Dict[int, np.ndarray], V: np.ndarray) -> Dict[int, np.ndarray]:
-    """Coefficients M_j = delta_j0 Id + R0_j V of M = Id + R0 V from those of R0."""
-    out = {j: c * V[None, :] for j, c in r0.items()}
-    out[0] = out[0] + np.eye(len(V))
-    return out
-
-
 def build_grushin(basis: JordanBasis, tau: np.ndarray) -> GrushinSystem:
     S = basis.flat_chain()
     W = basis.flat_dual()
@@ -112,15 +107,17 @@ def build_grushin(basis: JordanBasis, tau: np.ndarray) -> GrushinSystem:
     TS = T @ S
     if not np.allclose(TS, np.eye(S.shape[1]), atol=1e-7):
         raise ValueError("Grushin corner is not a left inverse of the chains")
-    return GrushinSystem(S=S, T=T, P1=S @ T, basis=basis)
+    return GrushinSystem(S=S, T=T, basis=basis)
 
 
 class GrushinReduction:
-    """Series and direct evaluations of the Grushin data of M(z).
+    """Series and direct evaluations of the Grushin data of M(z), as blocks
+    of the inverse of the bordered operator P(z) = [[M(z), S], [T, 0]].
 
     point = "threshold": series variable sqrt(z), R0_j = i^j G_j.
     point = lam0 > 0:    series variable z - lam0, R0_j = G_j^+ / j!.
-    In both, M_j = delta_j0 Id + R0_j V.
+    In both, M_j = delta_j0 Id + R0_j V.  gs = None is the regular case
+    m = 0, where P = M and E = M^{-1}.
     """
 
     def __init__(self, disc: Discretization, gs: Optional[GrushinSystem],
@@ -130,10 +127,12 @@ class GrushinReduction:
         self.point = point
         self.cap = cap
         self.var = "sqrt_z" if point == "threshold" else "z_minus_lambda0"
+        n = disc.grid.n
+        self._S = gs.S if gs is not None else np.zeros((n, 0))
+        self._T = gs.T if gs is not None else np.zeros((0, n))
+        self._top, self._bottom = slice(None, n), slice(n, None)
         self._r0_coeffs = self._build_r0_coeffs()
-        self._m_coeffs = _m_from_r0(self._r0_coeffs, disc.V)
-        self._E_series: Optional[ExpansionSeries] = None
-        self._cache: Dict[str, ExpansionSeries] = {}
+        self._inverse: Optional[ExpansionSeries] = None
 
     # --- series building --------------------------------------------------
     def _build_r0_coeffs(self) -> Dict[int, np.ndarray]:
@@ -148,54 +147,47 @@ class GrushinReduction:
         return out
 
     @property
-    def M_series(self) -> ExpansionSeries:
-        return ExpansionSeries(self.var, self._m_coeffs, self.cap)
-
-    @property
     def R0_series(self) -> ExpansionSeries:
         return ExpansionSeries(self.var, self._r0_coeffs, self.cap)
 
-    def _p1_pair(self) -> Tuple[np.ndarray, np.ndarray]:
-        n = self.disc.grid.n
-        if self.gs is None:
-            return np.zeros((n, n)), np.eye(n)
-        P1 = self.gs.P1
-        return P1, np.eye(n) - P1
+    def _bordered(self, M: np.ndarray) -> np.ndarray:
+        """[[M, S], [T, 0]] for an n x n M."""
+        n, m = self._S.shape
+        P = np.zeros((n + m, n + m), dtype=complex)
+        P[:n, :n] = M
+        P[:n, n:] = self._S
+        P[n:, :n] = self._T
+        return P
+
+    def _block(self, rows: slice, cols: slice) -> ExpansionSeries:
+        """One block of the series of P(u)^{-1}.  P(u) = P_0 + sum_{r>=1}
+        [[M_r, 0], [0, 0]]: its orders r >= 1 are passed as the n x n M_r,
+        the leading block that `ExpansionSeries.inverse` accepts."""
+        if self._inverse is None:
+            V = self.disc.V[None, :]
+            coeffs = {j: c * V for j, c in self._r0_coeffs.items()}
+            coeffs[0] = self._bordered(coeffs[0] + np.eye(len(self.disc.V)))
+            self._inverse = ExpansionSeries(self.var, coeffs,
+                                            self.cap).inverse()
+        return ExpansionSeries(self.var, {j: D[rows, cols] for j, D
+                                          in self._inverse.coeffs.items()},
+                               self.cap)
 
     @property
     def E_series(self) -> ExpansionSeries:
-        """E(z) order by order from E = E0 - E0 (M - M0) E."""
-        if self._E_series is None:
-            P1, P1p = self._p1_pair()
-            X0 = P1p @ self._m_coeffs[0] @ P1p + P1
-            self._E_series = self.M_series.inverse(P1p @ sla.solve(X0, P1p))
-        return self._E_series
-
-    def _corner_series(self, name: str) -> ExpansionSeries:
-        if name in self._cache:
-            return self._cache[name]
-        gs = self.gs
-        Ss = ExpansionSeries.constant(gs.S, self.var, self.cap)
-        Ts = ExpansionSeries.constant(gs.T, self.var, self.cap)
-        Ms, Es = self.M_series, self.E_series
-        TM = Ts @ Ms
-        MS = Ms @ Ss
-        self._cache["E_plus"] = Ss - Es @ MS
-        self._cache["E_minus"] = Ts - TM @ Es
-        self._cache["E_minus_plus"] = (-1.0) * (Ts @ MS) + (TM @ Es) @ MS
-        return self._cache[name]
+        return self._block(self._top, self._top)
 
     @property
     def Eplus_series(self) -> ExpansionSeries:
-        return self._corner_series("E_plus")
+        return self._block(self._top, self._bottom)
 
     @property
     def Eminus_series(self) -> ExpansionSeries:
-        return self._corner_series("E_minus")
+        return self._block(self._bottom, self._top)
 
     @property
     def Emp_series(self) -> ExpansionSeries:
-        return self._corner_series("E_minus_plus")
+        return self._block(self._bottom, self._bottom)
 
     # --- direct evaluation ------------------------------------------------
     def bp_of(self, z: complex, side: str = "+") -> BranchPoint:
@@ -212,33 +204,35 @@ class GrushinReduction:
             return bp.sqrt_z
         return bp.z - self.point
 
-    def M_at(self, bp: BranchPoint) -> np.ndarray:
-        return self.disc.M(bp)
+    def _solve_at(self, bp: BranchPoint, part: slice) -> np.ndarray:
+        """The diagonal block `part` of P(z)^{-1}: one factorization of P(z)
+        solved against the matching columns of the identity."""
+        P = self._bordered(self.disc.M(bp))
+        return sla.solve(P, np.eye(len(P))[:, part])[part]
 
     def E_at(self, bp: BranchPoint) -> np.ndarray:
-        P1, P1p = self._p1_pair()
-        M = self.M_at(bp)
-        X = P1p @ M @ P1p + P1
-        return P1p @ sla.solve(X, P1p)
+        return self._solve_at(bp, self._top)
 
     def Emp_at(self, bp: BranchPoint) -> np.ndarray:
-        gs = self.gs
-        M = self.M_at(bp)
-        E = self.E_at(bp)
-        return -gs.T @ M @ gs.S + gs.T @ M @ E @ M @ gs.S
+        return self._solve_at(bp, self._bottom)
 
 
 def verify_grushin_identity(red: GrushinReduction, z: complex,
                             side: str = "+") -> float:
-    """Relative residual of M^{-1} = E - E_+ E_-+^{-1} E_- at one point."""
+    """Relative residual of M^{-1} = E - E_+ E_-+^{-1} E_- at one point, with
+    the Grushin data formed independently of the bordered inverse:
+    E = Pi' (Pi' M Pi' + Pi)^{-1} Pi' with Pi = S T, Pi' = Id - Pi,
+    E_+ = S - E M S, E_- = T - T M E and E_-+ = -T M S + T M E M S."""
     bp = red.bp_of(z, side=side)
-    M = red.M_at(bp)
+    M = red.disc.M(bp)
     Minv = np.linalg.inv(M)
-    E = red.E_at(bp)
-    gs = red.gs
-    Ep = gs.S - E @ M @ gs.S
-    Em = gs.T - gs.T @ M @ E
-    Emp = red.Emp_at(bp)
+    S, T = red.gs.S, red.gs.T
+    P1 = S @ T
+    P1p = np.eye(len(P1)) - P1
+    E = P1p @ sla.solve(P1p @ M @ P1p + P1, P1p)
+    Ep = S - E @ M @ S
+    Em = T - T @ M @ E
+    Emp = -T @ M @ S + T @ M @ E @ M @ S
     rec = E - Ep @ np.linalg.solve(Emp, Em)
     return float(np.linalg.norm(rec - Minv) / np.linalg.norm(Minv))
 
@@ -251,28 +245,22 @@ def invert_E_minus_plus(red: GrushinReduction,
                         test_z: float = 1e-3,
                         rtol: float = 1e-5) -> Tuple[ExpansionSeries, int]:
     """Laurent inverse of E_-+ with lowest order -q; q is validated pointwise
-    against a direct inverse at small |z| and incremented on failure."""
+    against a direct inverse at z = -test_z, -test_z / 4 and, off the
+    negative axis, i test_z (for a resonance anchor these are offsets, the
+    last one in the upper half-plane), and incremented on failure."""
+    def err(F: ExpansionSeries, z: complex) -> float:
+        bp = red.bp_of(z)
+        direct = np.linalg.inv(red.Emp_at(bp))
+        return (np.linalg.norm(F.eval(red.var_of(bp)) - direct)
+                / np.linalg.norm(direct))
+
     emp = red.Emp_series
-    qs = [q] if q is not None else list(range(0, min(red.cap, 5)))
-    best = None
-    for qq in qs:
+    for qq in ([q] if q is not None else range(0, min(red.cap, 5))):
         F = emp.laurent_inverse(qq)
-        ok = True
-        for zmag in (test_z, test_z / 4.0):
-            z = -zmag
-            bp = red.bp_of(z)
-            u = red.var_of(bp)
-            direct = np.linalg.inv(red.Emp_at(bp))
-            err = np.linalg.norm(F.eval(u) - direct) / np.linalg.norm(direct)
-            if err > rtol:
-                ok = False
-                break
-        if ok:
-            best = (F, qq)
-            break
-    if best is None:
-        raise ValueError("no Laurent order reproduces the inverse of E_-+")
-    return best
+        if all(err(F, z) <= rtol for z in (-test_z, -test_z / 4.0,
+                                           1j * test_z)):
+            return F, qq
+    raise ValueError("no Laurent order reproduces the inverse of E_-+")
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +400,8 @@ def threshold_resolvent_expansion(model: Model,
                                   cap: int = 8) -> ThresholdCoefficients:
     """Laurent expansion of (Id + K(z))^{-1} R0(z) V-free form around z = 0:
     R(z) = R_-2 / z + R_-1 / sqrt(z) + R_0 + ... with the singular parts
-    expressed through normalized threshold states."""
+    expressed through normalized threshold states.  The Riesz projector is
+    taken onto the -1 cluster the classification detected."""
     disc = disc or Discretization(model)
     cls = classification or classify_zero(model, disc=disc)
     n = disc.grid.n
@@ -431,11 +420,7 @@ def threshold_resolvent_expansion(model: Model,
                                      R_m1=zero, phi=None, Z=[], P0=None,
                                      scaling=scal, constants={}, basis=None)
 
-    tol = 1e-6
-    if cls.detection is not None and cls.detection_tol == tol:
-        det = cls.detection
-    else:
-        det = detect_minus_one(disc.K0, tol=tol)
+    det = cls.detection
     eps = min(det.gap / 2.5, 0.5)
     P1 = _checked_projection(disc.K0, eps, det)
     prefer = (lambda u: abs(disc.marker(u))) if cls.kind == "third" else None

@@ -118,20 +118,23 @@ class ExpansionSeries:
         out = {b - q: sol[b * m:(b + 1) * m, :] for b in range(nb)}
         return ExpansionSeries(self.variable, out, L - q)
 
-    def inverse(self, E0: np.ndarray) -> "ExpansionSeries":
-        """Order-by-order inverse of a regular series s through the cap:
-        D_0 = E0, D_j = -E0 sum_{r=1..j} s_r D_{j-r}, i.e. D = E0 - E0 (s - s_0) D.
-        E0 = s_0^{-1} gives the two-sided inverse; a Grushin reduction passes
-        its own order-0 factor Pi' X_0^{-1} Pi' instead."""
+    def inverse(self) -> "ExpansionSeries":
+        """Two-sided inverse of a regular series s through the cap, order by
+        order: D_0 = s_0^{-1}, D_j = -D_0 sum_{r=1..j} s_r D_{j-r}.  An order
+        r >= 1 may be stored as a leading k x k block of s_r, zero elsewhere:
+        a bordered (Grushin) series [[M(u), S], [T, 0]] passes its M_r, and
+        no zero-padded copy of them is formed."""
         if min(self.coeffs) < 0:
             raise ValueError("inverse expects a regular input series")
-        D: Dict[int, np.ndarray] = {0: E0}
+        D0 = np.linalg.inv(self.coeff(0))
+        D: Dict[int, np.ndarray] = {0: D0}
         for j in range(1, self.cap + 1):
-            acc = np.zeros_like(E0)
+            acc = np.zeros_like(D0)
             for r in range(1, j + 1):
                 if r in self.coeffs:
-                    acc += self.coeffs[r] @ D[j - r]
-            D[j] = -E0 @ acc
+                    k = self.coeffs[r].shape[0]
+                    acc[:k] += self.coeffs[r] @ D[j - r][:k]
+            D[j] = -D0 @ acc
         return ExpansionSeries(self.variable, D, self.cap)
 
     def det_series(self) -> Dict[int, complex]:

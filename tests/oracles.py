@@ -269,3 +269,27 @@ def filon_panel_walk(edges, jump, ts) -> np.ndarray:
                 M0 * fm + M1 * (fb - fa) / 2.0
                 + M2 * (fa - 2.0 * fm + fb) / 2.0)
     return np.array(acc)
+
+
+def projected_grushin_series(m_coeffs: dict, S: np.ndarray, T: np.ndarray,
+                             cap: int) -> dict:
+    """The Grushin series E, E_+, E_- and E_-+ of M(u) = sum_j M_j u^j
+    (T S = Id) by the projected route: E_0 = Pi' (Pi' M_0 Pi' + Pi)^{-1} Pi'
+    with Pi = S T and Pi' = Id - Pi, E_j = -E_0 sum_{r>=1} M_r E_{j-r}, then
+    the corner products E_+ = S - E M S, E_- = T - T M E and
+    E_-+ = -T M S + T M E M S, each truncated at `cap`."""
+    P = S @ T
+    Pp = np.eye(len(P)) - P
+    E0 = Pp @ sla.solve(Pp @ m_coeffs[0] @ Pp + P, Pp)
+    E = {0: E0}
+    for j in range(1, cap + 1):
+        E[j] = -E0 @ sum(m_coeffs[r] @ E[j - r] for r in range(1, j + 1))
+    MS = {j: M @ S for j, M in m_coeffs.items()}
+    TM = {j: T @ M for j, M in m_coeffs.items()}
+    EMS = polynomial_matmul(E, MS, cap)
+    TME = polynomial_matmul(TM, E, cap)
+    TMEMS = polynomial_matmul(TME, MS, cap)
+    return {"E": E,
+            "E_plus": {j: (S if j == 0 else 0.0) - EMS[j] for j in EMS},
+            "E_minus": {j: (T if j == 0 else 0.0) - TME[j] for j in TME},
+            "E_minus_plus": {j: -T @ MS[j] + TMEMS[j] for j in TMEMS}}

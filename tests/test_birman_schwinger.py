@@ -301,7 +301,6 @@ def test_classification_kinds(cls_first, cls_second, cls_third):
 
 def test_classification_keeps_its_detection(cls_first, cls_third):
     for cls in (cls_first, cls_third):
-        assert cls.detection_tol == 1e-6
         assert cls.detection.geometric_multiplicity == cls.k
     assert classify_zero(free_model(build_grid(3.0, 4))).detection is None
 

@@ -8,7 +8,7 @@ import pytest
 import oracles
 import specthresh.grushin as grushin
 import specthresh.jordan as jordan
-from specthresh.birman_schwinger import Discretization
+from specthresh.birman_schwinger import Discretization, classify_zero
 from specthresh.grushin import (GrushinReduction, build_grushin,
                                 invert_E_minus_plus, lidskii_determinant,
                                 threshold_resolvent_expansion,
@@ -41,6 +41,66 @@ def test_grushin_identity_on_boundary_sides(disc_first, coeffs_first):
 
 
 # --------------------------------------------------------------------------
+# bordered operator P = [[M, S], [T, 0]]: point values and series blocks
+
+# criterion 01's points: z for the threshold models, offsets from lam0 = 1
+_Z_THRESHOLD = ([-10.0 ** (-p) for p in (1, 1.5, 2, 2.5, 3)]
+                + [10.0 ** (-p) * (1 + 1j) for p in (2, 3)]
+                + [-1e-2 + 1e-2j, 1e-3 - 1e-3j, -3e-3, 2e-3])
+_XI_RESONANCE = [-1e-3, -1e-4, 1e-4 + 1e-4j, -2e-4 + 3e-4j, 5e-4j,
+                 -5e-4 - 2e-4j, 1e-3j, 3e-4, -7e-4, 2e-4 - 2e-4j]
+
+
+@pytest.fixture(scope="module", params=["first", "third", "resonance"])
+def bordered(request):
+    """(reduction at the cap of its expansion, criterion 01's points)."""
+    if request.param == "resonance":
+        red = _reduction(request.getfixturevalue("disc_resonance"),
+                         request.getfixturevalue("res_coeffs"), point=1.0,
+                         cap=6)
+        return red, _XI_RESONANCE
+    red = _reduction(request.getfixturevalue(f"disc_{request.param}"),
+                     request.getfixturevalue(f"coeffs_{request.param}"),
+                     cap=8)
+    return red, _Z_THRESHOLD
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_bordered_point_values_match_schur_complement(bordered):
+    # E_-+ = -(T M^{-1} S)^{-1} and E = M^{-1} - M^{-1} S (T M^{-1} S)^{-1}
+    # T M^{-1}: the Schur-complement forms of the bordered inverse
+    red, zs = bordered
+    S, T = red.gs.S, red.gs.T
+    for z in zs:
+        bp = red.bp_of(z)
+        Minv = np.linalg.inv(red.disc.M(bp))
+        C = np.linalg.inv(T @ Minv @ S)
+        assert _rel(red.Emp_at(bp), -C) <= 1e-9
+        assert _rel(red.E_at(bp), Minv - Minv @ S @ C @ T @ Minv) <= 1e-9
+
+
+def test_bordered_series_blocks_match_projected_oracle(bordered):
+    red, _ = bordered
+    V = red.disc.V[None, :]
+    m_coeffs = {j: c * V for j, c in red.R0_series.coeffs.items()}
+    m_coeffs[0] = m_coeffs[0] + np.eye(red.disc.grid.n)
+    want = oracles.projected_grushin_series(m_coeffs, red.gs.S, red.gs.T,
+                                            red.cap)
+    for name, got in (("E", red.E_series), ("E_plus", red.Eplus_series),
+                      ("E_minus", red.Eminus_series),
+                      ("E_minus_plus", red.Emp_series)):
+        ref = want[name]
+        scale = max(np.linalg.norm(c) for c in ref.values())
+        for j in range(red.cap + 1):
+            # E_-+ at order 0 is a roundoff zero
+            if np.linalg.norm(ref[j]) >= 1e-12 * scale:
+                assert _rel(got.coeff(j), ref[j]) <= 1e-9, (name, j)
+
+
+# --------------------------------------------------------------------------
 # Laurent inversion of E_-+
 
 def test_laurent_pole_orders_by_kind(disc_first, coeffs_first,
@@ -51,6 +111,21 @@ def test_laurent_pole_orders_by_kind(disc_first, coeffs_first,
     reds = _reduction(disc_second, coeffs_second)
     _, qs = invert_E_minus_plus(reds)
     assert qs == 2                      # eigenvalue: det ~ z
+
+
+def test_laurent_order_is_checked_off_the_negative_axis(
+        monkeypatch, disc_first, coeffs_first):
+    # E_-+ exact on the negative axis, 1% off elsewhere: no order may pass
+    red = _reduction(disc_first, coeffs_first)
+    exact = GrushinReduction.Emp_at
+
+    def skewed(self, bp):
+        Emp = exact(self, bp)
+        return Emp if bp.z.imag == 0.0 else 1.01 * Emp
+
+    monkeypatch.setattr(GrushinReduction, "Emp_at", skewed)
+    with pytest.raises(ValueError, match="no Laurent order"):
+        invert_E_minus_plus(red)
 
 
 def test_laurent_inverse_agrees_pointwise(disc_first, coeffs_first):
@@ -221,6 +296,25 @@ def test_expansions_reject_projector_rank_mismatch(monkeypatch):
     with pytest.raises(ValueError, match="algebraic multiplicity"):
         grushin.resonance_resolvent_expansion(res, 1.0,
                                               disc=Discretization(res))
+
+
+def test_threshold_expansion_reuses_the_classification_cluster(
+        monkeypatch, first6):
+    # the kind and the multiplicity come from one -1 cluster, whatever
+    # tolerance the classification ran with
+    disc = Discretization(first6)
+    cls = classify_zero(first6, disc=disc, tol=1e-5)
+    calls = []
+    real = grushin.detect_minus_one
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grushin, "detect_minus_one", counted)
+    coeffs = threshold_resolvent_expansion(first6, cls, disc=disc)
+    assert calls == []
+    assert coeffs.basis.k == cls.detection.geometric_multiplicity
 
 
 def test_threshold_expansion_rejects_marked_eigen_block(monkeypatch):

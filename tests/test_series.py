@@ -124,14 +124,34 @@ def test_inverse_is_two_sided_through_cap():
     rng = np.random.default_rng(12)
     a = _random_series(rng, n=4, cap=5)
     a.coeffs[0] += 4.0 * np.eye(4)     # regular: invertible order-0 term
-    inv = a.inverse(np.linalg.inv(a.coeff(0)))
+    inv = a.inverse()
     for prod in (a @ inv, inv @ a):
         assert np.allclose(prod.coeff(0), np.eye(4), atol=1e-12)
         for j in range(1, a.cap + 1):
             assert np.allclose(prod.coeff(j), 0.0, atol=1e-10)
     with pytest.raises(ValueError):
-        ExpansionSeries("u", {-1: np.eye(2), 0: np.eye(2)}, 2).inverse(
-            np.eye(2))
+        ExpansionSeries("u", {-1: np.eye(2), 0: np.eye(2)}, 2).inverse()
+
+
+def test_inverse_of_bordered_series_from_leading_blocks():
+    # orders >= 1 given as their leading 3 x 3 block invert like the same
+    # series with those blocks zero-padded to 5 x 5
+    rng = np.random.default_rng(13)
+    a = _random_series(rng, n=3, cap=4)
+    S = rng.standard_normal((3, 2))
+    T = rng.standard_normal((2, 3))
+    P0 = np.block([[a.coeff(0) + 4.0 * np.eye(3), S], [T, np.zeros((2, 2))]])
+    padded = {j: np.pad(c, ((0, 2), (0, 2))) for j, c in a.coeffs.items()}
+    padded[0] = P0
+    blocks = {**a.coeffs, 0: P0}
+    got = ExpansionSeries("u", blocks, a.cap).inverse()
+    want = ExpansionSeries("u", padded, a.cap)
+    for j in range(a.cap + 1):
+        assert got.coeff(j).shape == (5, 5)
+    prod = want @ got
+    assert np.allclose(prod.coeff(0), np.eye(5), atol=1e-12)
+    for j in range(1, a.cap + 1):
+        assert np.allclose(prod.coeff(j), 0.0, atol=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
