@@ -83,14 +83,6 @@ class Discretization:
         """Full resolvent of the model, (Id + R0 V)^{-1} R0, by dense solve."""
         return self._resolve(self.r0(bp))
 
-    def jump(self, lam: float) -> np.ndarray:
-        """Boundary jump R(lam + i0) - R(lam - i0) from one R0 assembly: on
-        the positive axis the -i0 kernel, self-cell rule included, is the
-        entrywise conjugate of the +i0 one.  V is complex, so the two sides
-        still need their own factorization."""
-        r0p = self.r0(BranchPoint.boundary(lam, "+"))
-        return self._resolve(r0p) - self._resolve(np.conj(r0p))
-
     def _resolve(self, r0: np.ndarray) -> np.ndarray:
         """(Id + R0 V)^{-1} R0 for an assembled R0: one LAPACK getrf and one
         getrs, with the checks of `scipy.linalg.solve`.  ValueError on a
@@ -340,7 +332,7 @@ def _contour_matrices(disc: Discretization, center: complex,
 
 
 def _contour_zeros(disc: Discretization, center: complex, ax: float,
-                   ay: float, n_nodes: int
+                   ay: float, n_nodes: int, count_only: bool = False
                    ) -> Tuple[List[Tuple[complex, np.ndarray]], int]:
     """Zeros of the entire M(k) = Id + R0(k^2) V, k on both sheets, inside
     the ellipse center + ax cos th + i ay sin th (Beyn's method): one LU per
@@ -349,7 +341,7 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
     only if the rank of A0 (against sum |w_q| ||X_q||) equals the winding
     count, each pencil eigenvalue lies inside and sigma_min(M) is negligible
     there; else ValueError.  Returns the distinct zeros with the singular
-    values of M at each, and the count."""
+    values of M at each, and the count (`count_only`: the count alone)."""
     n = disc.grid.n
     rng = np.random.default_rng(0)
     P = rng.standard_normal((n, _PROBES)) + 1j * rng.standard_normal((n, _PROBES))
@@ -368,6 +360,8 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
         arg_det[q] = np.sum(np.angle(np.diag(lu))) + np.pi * swaps
     steps = np.angle(np.exp(1j * np.diff(arg_det, append=arg_det[0])))
     count = int(round(steps.sum() / (2.0 * np.pi)))
+    if count_only:
+        return [], count
     U, s, Wh = sla.svd(A0, full_matrices=False)
     rank = int((s > _RANK_TOL * scale).sum())
     if rank != count or count >= _PROBES:

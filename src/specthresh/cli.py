@@ -240,6 +240,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
                     "limit_rel_err": rep.limit_rel_err,
                     "rows": rep.rows(),
                     "note": rep.note,
+                    "census": rep.census,
                     "claims": [{"name": "decay_slope", "tolerance": 0.2,
                                 "pass": bool(slope_ok)}],
                 })

@@ -72,18 +72,22 @@ def first_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
 
 
 def _dipole_source_potential(grid: QuadratureGrid, G0: np.ndarray,
-                             tilt: float, alpha: complex) -> np.ndarray:
+                             tilt: float, alpha: complex,
+                             _width: float = 1.0) -> np.ndarray:
     """Exact threshold eigenvalue by the source method in the odd (dipole)
-    sector: g ~ x_1 h(r), psi = -G0 g, V = g / psi pointwise.  Then
-    G0 V psi = -psi on the grid exactly, and the integral marker of psi
-    (= sum w g) vanishes exactly by parity, so psi is an eigen direction
-    rather than a resonance.  alpha deforms the radial shape h; G0 is the
-    threshold kernel assembled on grid."""
+    sector: g ~ x_1 h(q), q = x_1^2 / c^2 + x_2^2 + x_3^2 (c = `_width`),
+    psi = -G0 g, V = g / psi pointwise.  Then G0 V psi = -psi on the grid
+    exactly, and the integral marker of psi (= sum w g) vanishes exactly by
+    parity, so psi is an eigen direction rather than a resonance.  alpha
+    deforms the shape h; G0 is the threshold kernel assembled on grid.  With
+    c = 1 the continuum V is radial and x_2, x_3 partners of psi put extra
+    zeros of M(k) near k = 0."""
     mask = _support_mask(grid)
-    r2 = grid.radii() ** 2
     x1 = grid.nodes[:, 0]
-    g = (np.exp(-r2) * (1.0 + tilt * 1j * np.exp(-0.5 * r2))
-         + alpha * r2 * np.exp(-1.3 * r2)) * x1 * mask
+    # + 0.0 exactly when c = 1, so that q is bitwise r^2
+    q = grid.radii() ** 2 + x1 ** 2 * (_width ** -2 - 1.0)
+    g = (np.exp(-q) * (1.0 + tilt * 1j * np.exp(-0.5 * q))
+         + alpha * q * np.exp(-1.3 * q)) * x1 * mask
     psi = -G0 @ g
     V = np.where(mask > 0, g / psi, 0.0)
     # an interior zero of psi where g is supported would blow V up
@@ -94,10 +98,11 @@ def _dipole_source_potential(grid: QuadratureGrid, G0: np.ndarray,
 
 
 def second_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
-    """Pure threshold eigenvalue (zero integral marker), kernel dimension 1."""
+    """Pure threshold eigenvalue (zero integral marker), kernel dimension 1;
+    c = 1.5 keeps det M(k) of order 2 at k = 0 out to |k| = 0.5."""
     grid = grid or default_grid()
     V = _dipole_source_potential(grid, assemble_gj(grid, 0), tilt=0.25,
-                                 alpha=0.0)
+                                 alpha=0.0, _width=1.5)
     pot = sample_potential(grid, V)
     return Model(grid=grid, potential=pot, name="second_kind")
 

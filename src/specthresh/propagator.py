@@ -11,11 +11,13 @@ Two evaluation paths coexist:
     resonance detours, outgoing ray}, and the outgoing tail is pushed
     vertically into the lower half-plane past the spectrum (Cauchy).
   * integral path: the Nystrom model, whose resolvent has a genuine branch
-    cut on [0, infinity).  The same contour is analytically collapsed onto
-    the cut: a small circle around 0 (threshold series), the jump
-    R(lam+i0) - R(lam-i0) integrated with oscillation-exact panel rules on a
-    fixed mesh, and a twice-integrated-by-parts asymptotic tail; eigenvalues
-    off the cut come from the contour eigensolver, as residue rings.
+    cut on [0, infinity).  In k = sqrt z the cut integral is an integral of
+    the meromorphic R(k) = M(k)^{-1} R0(k) along the real k-axis; it is
+    rotated onto the steepest-descent line k = s e^{-i pi/4}, where
+    e^{-itk^2} = e^{-ts^2} (Gauss-Hermite), plus -R_{-2} for the indentation
+    at k = 0 and the residues of the zeros of M(k) the rotation crosses,
+    found by a census of verified contour tiles; eigenvalues off the cut
+    come from the contour eigensolver, as residue rings.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import zgeru
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_laguerre
 
@@ -331,200 +332,192 @@ def resolvent_taylor(disc: Discretization, lam: float, order: int,
 
 
 # ---------------------------------------------------------------------------
-# branch-cut propagator (integral path)
+# propagator of the grid resolvent on the steepest-descent k-line
+
+# Gauss-Hermite nodes in s sqrt(t) on the line k = s e^{-i pi/4}, per time;
+# the winding count of det M on |k| = _R0 must be the structural order
+_LINE_X, _LINE_W = np.polynomial.hermite.hermgauss(32)
+_R0 = 0.3
+# census: residues where the weight e^{2 t_min Re k Im k} >= _WEIGHT_CUT, out
+# to Re k = sqrt(40); _TILES columns of _TILE_NODES-node ellipses; rings of
+# _RING_NODES nodes, radius <= _RING_MAX,
+# ||A_{-3}|| <= _ORDER3_TOL (rho^2 ||A_{-1}|| + rho ||A_{-2}||)
+_WEIGHT_CUT, _K_MAX, _TILES, _TILE_NODES, _TILE_SPLITS = \
+    1e-7, math.sqrt(40.0), 8, 64, 4
+_RING_NODES, _RING_MAX, _ORDER3_TOL = 32, 0.05, 1e-6
+
+
+def _residue(k: complex, A1: np.ndarray, A2: np.ndarray,
+             t: float) -> np.ndarray:
+    """Res_k [2k e^{-itk^2} R] from the ring moments A_{-1}, A_{-2}: t enters
+    only through e^{-itk^2}, of modulus e^{t Im z} < 1 at a crossed zero or
+    a decaying eigenvalue, so a large t cannot overflow."""
+    e = np.exp(-1j * t * k * k)
+    return (2.0 * k * e) * A1 + ((2.0 - 4j * t * k * k) * e) * A2
+
 
 class CutPropagator:
-    """e^{-itH} for a Nystrom model with threshold structure, through the
-    contour collapsed onto the branch cut:
+    """e^{-itH} for a Nystrom model with threshold structure.  With k = sqrt z
+    the cut integral is (1/2 pi i) int 2k e^{-itk^2} R(k) dk along the real
+    k-axis, passing above k = 0, where R(k) = M(k)^{-1} R0(k) is
+    meromorphic.  Rotated onto k = s e^{-i pi/4}, where e^{-itk^2} = e^{-ts^2}
+    (Dyatlov & Zworski, Mathematical Theory of Scattering Resonances,
+    ch. 2-3):
 
-        U(t) = residues at off-axis poles
-             + (1/2i pi) oint_{|z| = delta(t), clockwise} e^{-itz} R(z) dz
-             + (1/2i pi) int_{delta(t)}^{Lam} e^{-it lam} J(lam) dlam
-             + asymptotic tail beyond Lam (double integration by parts),
+        U(t) = (1/2 pi i) PV int 2k e^{-itk^2} R(k) dk on the line
+             - R_{-2}                          (the indentation at k = 0)
+             - sum_j Res_{k_j} [2k e^{-itk^2} R(k)]
 
-    with J = R(lam+i0) - R(lam-i0).  The jump is sampled on a fixed graded
-    mesh and each panel integrates e^{-it lam} times the quadratic
-    interpolant exactly, so the cost is independent of t.  The node jumps are
-    streamed, not stored: `propagate_many` walks the mesh once for a whole
-    time ladder, in O(n^2 |ladder|) memory."""
+    over the eigenvalues off the cut (Im k_j > 0) and the zeros k_j the
+    rotation crosses: those in -pi/4 < arg k < 0 whose weight at the
+    smallest time is at least _WEIGHT_CUT.  An eigenvalue in
+    3 pi/4 < arg k < pi is crossed by the other half-line: the terms cancel.
+    The line is Gauss-Hermite in s sqrt(t) on symmetric nodes (the principal
+    value at k = 0), each R(k) streamed into U(t)."""
 
     def __init__(self, model: Model, coeffs: ThresholdCoefficients,
-                 disc: Optional[Discretization] = None,
-                 delta0: float = 0.04, lam_max: float = 40.0,
-                 n_panels: int = 380, tail_terms: int = 4):
+                 disc: Optional[Discretization] = None):
         self.disc = disc or Discretization(model)
         self.coeffs = coeffs
-        self.delta0 = delta0
-        self.lam_max = lam_max
-        d = self.disc
-
-        # graded panel mesh on [delta0, lam_max] with 3 nodes per panel
-        self.edges = np.geomspace(delta0, lam_max, n_panels + 1)
-        # node jumps held by the object: none, they are streamed per ladder
+        # node jumps held by the object: none (bench/tracing.py reads this)
         self.jump: Dict[float, np.ndarray] = {}
-
-        # tail: Taylor coefficients of the jump at lam_max
-        Tp = resolvent_taylor(d, lam_max, tail_terms, side="+")
-        Tm = resolvent_taylor(d, lam_max, tail_terms, side="-")
-        self.tail_coeffs = [tp - tm for tp, tm in zip(Tp, Tm)]
-
-        self.poles: List[Tuple[complex, List[np.ndarray]]] = []
+        self.census: Optional[dict] = None
+        # (k, A_{-1}, A_{-2}) of the crossed zeros and of the eigenvalues
+        self._crossed: List[Tuple[complex, np.ndarray, np.ndarray]] = []
+        self.poles: List[Tuple[complex, np.ndarray, np.ndarray]] = []
         self._scan_poles()
 
-    # --- poles off the cut ------------------------------------------------
     def _scan_poles(self):
-        """Eigenvalues z = k^2 off the cut, each with a 24-node residue ring:
-        the zeros of M(k) inside the ellipse 0.975i + 6 cos th + 0.825i sin th
-        (|Re k| <= 6, 0.15 <= Im k <= 1.8; 512 nodes).  Not searched: z near
-        0, and a band along the cut that widens with Re z (|Im z| < 0.3 at
-        Re z = 1, 1.7 at 10, 3.8 at 20)."""
+        """Eigenvalues z = k^2 off the cut: the zeros of M(k) inside the
+        ellipse 0.975i + 6 cos th + 0.825i sin th (|Re k| <= 6,
+        0.15 <= Im k <= 1.8; 512 nodes).  Not searched: z near 0, and a band
+        along the cut that widens with Re z (|Im z| < 0.3 at Re z = 1, 1.7
+        at 10, 3.8 at 20)."""
         zeros, _ = _contour_zeros(self.disc, 0.975j, 6.0, 0.825, 512)
-        ring_nodes = np.exp(2j * np.pi * (np.arange(24) + 0.5) / 24)
-        for k, _ in zeros:
-            zs = k * k
-            rad = max(abs(zs.imag) / 3.0, 1e-3)
-            # clockwise weight: -(i rad e^{i th}) * (2 pi / 24) / (2 i pi)
-            ring = [(zs + rad * e, -rad * e / 24,
-                     self.disc.R(BranchPoint.from_z(zs + rad * e)))
-                    for e in ring_nodes]
-            self.poles.append((zs, ring))
+        ks = [k for k, _ in zeros]
+        self.poles = [(k,) + self._ring_moments(k, ks) for k in ks]
 
-    # --- pieces -----------------------------------------------------------
-    def _circle(self, t: float, rho: float) -> np.ndarray:
-        """(1/2i pi) oint_{|z| = rho, clockwise} e^{-itz} R(z) dz with R the
-        threshold series sum_j R_j u^j (u = sqrt z): a 64-node trapezoidal
-        rule gives one scalar weight per series order."""
-        nq = 64
-        th = 2.0 * np.pi - 2.0 * np.pi * (np.arange(nq) + 0.5) / nq  # cw
-        z = rho * np.exp(1j * th)
-        u = np.sqrt(rho) * np.exp(1j * th / 2.0)   # Im sqrt(z) >= 0 branch
-        # e^{-itz} dz at each node (dz = i z dth, dth = -2 pi / nq)
-        wq = np.exp(-1j * t * z) * (1j * z * (-2.0 * np.pi / nq))
-        acc = np.zeros((self.disc.grid.n, self.disc.grid.n), dtype=complex)
-        for j, c in sorted(self.coeffs.series.coeffs.items()):
-            acc += np.sum(wq * u ** j) * c
-        return acc / (2.0j * np.pi)
-
-    def _series_band(self, t: float, a: float, b: float) -> np.ndarray:
-        """(1/2i pi) int_a^b e^{-it lam} J_series(lam) dlam with the jump
-        series J = 2 sum_{j odd} R_j lam^{j/2} (even orders cancel)."""
-        if b <= a:
-            return np.zeros((self.disc.grid.n, self.disc.grid.n), complex)
-        m = int(min(max(16, np.ceil(t * (b - a) / 2.0)), 400))
-        x, w = np.polynomial.legendre.leggauss(m)
-        lam = (a + b) / 2.0 + (b - a) / 2.0 * x
-        ww = (b - a) / 2.0 * w
-        acc = np.zeros((self.disc.grid.n, self.disc.grid.n), dtype=complex)
-        for j, c in self.coeffs.series.coeffs.items():
-            if j % 2 == 0:
+    def _take_census(self, t_min: float):
+        """The zeros the rotation crosses for times >= t_min, into `census`:
+        the r0 winding count, each crossed zero (k, z, weight, Frobenius norm
+        of its residue at t_min) and the zeros left out.  ValueError if the
+        count is not the structural order, or for a zero on the real axis
+        (an embedded resonance) or above it (an eigenvalue with Im z > 0)."""
+        # det E_-+ ~ z^{order_structural}, so det M(k) ~ k^{2 order_structural}
+        d, order = self.disc, round(2 * self.coeffs.scaling.order_structural)
+        winding = _contour_zeros(d, 0.0, _R0, _R0, 64, count_only=True)[1]
+        if winding != order:
+            raise ValueError(f"winding count {winding} of det M on |k| = "
+                             f"{_R0} but the {self.coeffs.kind} threshold "
+                             f"has structural order {order}")
+        zeros, tiles = _tile_zeros(d, t_min)
+        terms, crossed, left_out = [], [], []
+        for k in zeros:
+            z = k * k
+            if abs(k.imag) <= 1e-8 * abs(k):
+                raise ValueError(f"real zero of M(k) on the path: an embedded "
+                                 f"resonance at lambda0 = {z.real:.6g}")
+            if k.imag > 0:
+                raise ValueError(f"zero of M(k) at z = {z:.6g} is an "
+                                 "eigenvalue with Im z > 0 (a growing mode)")
+            rec = {"k": k, "z": z, "weight": math.exp(t_min * z.imag)}
+            if -k.imag >= k.real or rec["weight"] < _WEIGHT_CUT:
+                left_out.append(rec)
                 continue
-            s = np.sum(ww * np.exp(-1j * t * lam) * lam ** (j / 2.0))
-            acc += (2.0 * s) * c
-        return acc / (2.0j * np.pi)
+            terms.append((k,) + self._ring_moments(k, zeros))
+            rec["residue_norm"] = float(np.linalg.norm(
+                _residue(*terms[-1], t_min)))
+            crossed.append(rec)
+        self._crossed = terms
+        self.census = {"r0": _R0, "winding": winding,
+                       "structural_order": order, "t_min": t_min,
+                       "weight_cut": _WEIGHT_CUT, "tiles": tiles,
+                       "crossed": crossed, "left_out": left_out}
 
-    def _filon_bands(self, ts: np.ndarray) -> np.ndarray:
-        """Oscillation-exact panel quadrature of the jump for every t of the
-        ladder in one walk over the mesh nodes: each node jump is computed
-        once and folded into the (n^2, |ladder|) accumulator by one rank-1
-        update with its weights from `_filon_weights`."""
-        n = self.disc.grid.n
-        lams, W = _filon_weights(self.edges, ts)
-        acc = np.zeros((n * n, len(ts)), dtype=complex, order="F")
-        for lam, w in zip(lams, W):
-            acc = zgeru(1.0, self.disc.jump(float(lam)).ravel(), w, a=acc,
-                        overwrite_a=1)
-        return acc.T.reshape(len(ts), n, n) / (2.0j * np.pi)
+    def _ring_moments(self, k: complex, zeros: Sequence[complex]):
+        """A_{-p} = (1/2 pi i) oint (k' - k)^{p-1} R dk', p = 1, 2, on a ring
+        around the zero k, at most _RING_MAX and a third of the way to 0 and
+        to the other `zeros`, each node's R streamed into them.  ValueError
+        if A_{-3} shows a pole of order 3 or more."""
+        rho = min([_RING_MAX, abs(k) / 3.0]
+                  + [abs(k - k2) / 3.0 for k2 in zeros if k2 != k])
+        A = np.zeros((3, self.disc.grid.n, self.disc.grid.n), dtype=complex)
+        for q in range(_RING_NODES):
+            u = rho * np.exp(2j * np.pi * (q + 0.5) / _RING_NODES)
+            Rq = self.disc.R(BranchPoint(z=(k + u) ** 2, sqrt_z=k + u))
+            for p in range(3):
+                A[p] += (u ** (p + 1) / _RING_NODES) * Rq
+        norms = np.linalg.norm(A, axis=(1, 2))
+        if norms[2] > _ORDER3_TOL * (rho ** 2 * norms[0] + rho * norms[1]):
+            raise ValueError(f"zero of M(k) at z = {k * k:.6g} is a pole of R "
+                             f"of order 3 or more (||A_-3|| = {norms[2]:.3e})")
+        return A[0], A[1]
 
-    def _tail(self, t: float) -> np.ndarray:
-        """int_Lam^infty e^{-it lam} J dlam by repeated integration by parts:
-        e^{-it Lam} sum_k k! J_k / (it)^{k+1} (J_k = Taylor coefficients)."""
-        acc = np.zeros_like(self.tail_coeffs[0])
-        fact = 1.0
-        for k, Jk in enumerate(self.tail_coeffs):
-            if k > 0:
-                fact *= k
-            acc += fact * Jk / (1j * t) ** (k + 1)
-        return np.exp(-1j * t * self.lam_max) * acc / (2.0j * np.pi)
-
-    # --- public -----------------------------------------------------------
     def propagate_many(self, ts: Sequence[float]) -> Dict[float, np.ndarray]:
-        """{t: U(t)} for a time ladder from a single walk over the mesh (one
-        R0 assembly and two solves per node, shared by every t)."""
+        """{t: U(t)}: per t the line -(1/(pi t)) sum_m w_m x_m R(k_m) with
+        k_m = x_m e^{-i pi/4} / sqrt t, and the residues of one census."""
         ts = np.asarray(ts, dtype=float).ravel()
         if not np.all(ts > 0):
             raise ValueError("t must be positive")
-        out = {}
-        for t, band in zip(ts, self._filon_bands(ts)):
-            t = float(t)
-            rho = min(self.delta0, 1.0 / t)
-            U = self._circle(t, rho)
-            U += self._series_band(t, rho, self.delta0)
-            U += band
-            U += self._tail(t)
-            for zs, ring in self.poles:
-                for z, wq, Rz in ring:
-                    U += np.exp(-1j * t * z) * wq * Rz
-            out[t] = U
+        n = self.disc.grid.n
+        out = {float(t): np.zeros((n, n), dtype=complex) for t in ts}
+        if self.census is None or ts.min() < self.census["t_min"]:
+            self._take_census(float(ts.min()))
+        for t, U in out.items():
+            for x, w in zip(_LINE_X, _LINE_W):
+                k = x * np.exp(-0.25j * np.pi) / math.sqrt(t)
+                U += (w * x) * self.disc.R(BranchPoint(z=k * k, sqrt_z=k))
+            U *= -1.0 / (np.pi * t)
+            U -= self.coeffs.R_m2
+            for k, A1, A2 in self.poles + self._crossed:
+                if not 0 < k.imag < -k.real:    # 3 pi/4 < arg k < pi cancels
+                    U -= _residue(k, A1, A2, t)
         return out
 
     def propagate(self, t: float) -> np.ndarray:
-        """U(t) at a single time.  Each call costs one full mesh walk; use
-        `propagate_many` for several times."""
+        """U(t) at a single time."""
         return self.propagate_many([t])[float(t)]
 
 
-def _filon_weights(edges: np.ndarray,
-                   ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the quadratic Filon rule on the panels
-    [edges[p], edges[p+1]]: sum_i W[i, l] f(lams[i]) is
-    int e^{-i ts[l] lam} f(lam) dlam over the panels, with f interpolated
-    at both ends and the midpoint of each panel.  The nodes run
-    edge, mid, edge, ..., edge; a shared panel end sums both panels'
-    weights.  On a panel with midpoint m and half-width d the rule is
-    d e^{-itm} (M0 f_m + M1 (f_b - f_a)/2 + M2 (f_a - 2 f_m + f_b)/2)."""
-    a, b = edges[:-1], edges[1:]
-    mid, d = (a + b) / 2.0, (b - a) / 2.0
-    M0, M1, M2 = _filon_moments(np.outer(d, ts))         # (panels, |ts|)
-    scale = d[:, None] * np.exp(-1j * np.outer(mid, ts))
-    P = len(mid)
-    W = np.zeros((2 * P + 1, len(ts)), dtype=complex)
-    W[0:-1:2] += scale * (M2 - M1) / 2.0
-    W[1::2] = scale * (M0 - M2)
-    W[2::2] += scale * (M2 + M1) / 2.0
-    lams = np.empty(2 * P + 1)
-    lams[0::2], lams[1::2] = edges, mid
-    return lams, W
-
-
-# Taylor coefficients of the Filon moments in th^2 (M1 carries a factor
-# -i th): M0 = sum (-1)^m th^2m 2 / ((2m)! (2m+1)),
-# M1 = -i th sum (-1)^m th^2m 2 / ((2m+1)! (2m+3)),
-# M2 = sum (-1)^m th^2m 2 / ((2m)! (2m+3)); 13 terms reach roundoff on
-# |th| <= 1, where the closed forms lose digits to cancellation
-_FILON_SERIES = np.array([
-    [2.0 * (-1) ** m / (math.factorial(2 * m + s) * (2 * m + 1 + 2 * p))
-     for m in range(13)]
-    for s, p in ((0, 0), (1, 1), (0, 1))])
-
-
-def _filon_moments(th) -> np.ndarray:
-    """int_{-1}^{1} xi^p e^{-i th xi} d xi for p = 0, 1, 2, stacked on a
-    leading axis of length 3: the Taylor series for |th| <= 1, the closed
-    forms above."""
-    th = np.asarray(th, dtype=float)
-    flat = th.ravel()
-    M = np.empty((3, flat.size), dtype=complex)
-    small = np.abs(flat) <= 1.0
-    x = flat[small]
-    poly = np.polynomial.polynomial.polyval(x * x, _FILON_SERIES.T)
-    M[:, small] = poly
-    M[1, small] *= -1j * x
-    x = flat[~small]
-    s, c = np.sin(x), np.cos(x)
-    M[0, ~small] = 2.0 * s / x
-    M[1, ~small] = 2.0j * (x * c - s) / x ** 2
-    M[2, ~small] = 2.0 * ((x ** 2 - 2.0) * s + 2.0 * x * c) / x ** 3
-    return M.reshape((3,) + th.shape)
+def _tile_zeros(disc: Discretization,
+                t_min: float) -> Tuple[List[complex], int]:
+    """Distinct zeros of M(k), and the tile count, in verified tiles (the
+    ellipse through the corners of a rectangle) covering, outside |k| < r0,
+    the part of -pi/4 < arg k < 0 with Re k <= _K_MAX and weight at least
+    _WEIGHT_CUT, and a strip 0 <= Im k <= 0.05.  A failing tile is retried
+    with 2 and 4 times the nodes (a zero near its boundary), then split in
+    two overlapping parts across its longer side, at most _TILE_SPLITS
+    times; then ValueError."""
+    c = -math.log(_WEIGHT_CUT) / (2.0 * t_min)     # Re k |Im k| <= c
+    edges = np.geomspace(0.9 * _R0 / math.sqrt(2.0), _K_MAX, _TILES + 1)
+    stack = [((x0, x1, -1.05 * min(x1, c / x0, math.sqrt(c)), 0.05), 0,
+              _TILE_NODES) for x0, x1 in zip(edges[:-1], edges[1:])]
+    zeros: List[complex] = []
+    tiles = 0
+    while stack:
+        (x0, x1, y0, y1), splits, nodes = stack.pop()
+        try:
+            found, _ = _contour_zeros(
+                disc, complex(x0 + x1, y0 + y1) / 2.0,
+                (x1 - x0) / math.sqrt(2.0), (y1 - y0) / math.sqrt(2.0), nodes)
+        except ValueError as exc:
+            if nodes < 4 * _TILE_NODES:
+                stack.append(((x0, x1, y0, y1), splits, 2 * nodes))
+            elif splits == _TILE_SPLITS:
+                raise ValueError(f"census tile Re k in [{x0:.3g}, {x1:.3g}], "
+                                 f"Im k in [{y0:.3g}, {y1:.3g}] failed "
+                                 f"verification: {exc}") from exc
+            else:
+                wide = x1 - x0 >= y1 - y0
+                a, b = (x0, x1) if wide else (y0, y1)
+                for lo, hi in ((a, a + 0.6 * (b - a)), (b - 0.6 * (b - a), b)):
+                    half = (lo, hi, y0, y1) if wide else (x0, x1, lo, hi)
+                    stack.append((half, splits + 1, _TILE_NODES))
+            continue
+        tiles += 1
+        zeros += [k for k, _ in found
+                  if all(abs(k - k0) > 1e-4 * abs(k) for k0 in zeros)]
+    return zeros, tiles
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +544,7 @@ class DecayReport:
     coeff_rel_err: Optional[float] = None
     limit_rel_err: Optional[float] = None
     note: str = ""
+    census: Optional[dict] = None      # CutPropagator.census of the run
 
     def rows(self) -> List[Tuple[float, float, float, float]]:
         return [(float(t), float(n), float(p), float(n - p))
@@ -609,7 +603,8 @@ def verify_large_time(model: Model,
     rep = DecayReport(kind=kind, times=ts, norms=norms,
                       predicted=amp * ts ** slope, slope_fit=slope,
                       slope_theory=-1.5 if kind in ("free", "regular")
-                      else -0.5, r_squared=r2)
+                      else -0.5, r_squared=r2,
+                      census=None if kind == "free" else cp.census)
     tmax = float(ts[-1])
     if kind == "first":
         phi = coefficients.phi

@@ -113,9 +113,9 @@ def res_coeffs(resonance8, disc_resonance):
 
 
 # --------------------------------------------------------------------------
-# coarse-grid models and propagators: the propagator walks its 761-node
-# energy mesh with two dense solves per node, so large-time runs stay on the
-# coarse grid to keep the suite fast (memory is O(n^2 |ladder|))
+# coarse-grid models and propagators: each propagator takes one dense solve
+# per line node (32 per time) and per census node, so large-time runs stay
+# on the coarse grid to keep the suite fast
 
 @pytest.fixture(scope="session")
 def first6(grid6):

@@ -209,8 +209,9 @@ def test_criterion_07_contour_representation(capsys, dissipative_H):
     b = dunford_propagator(H, half, 10.0, f, g)
     inv = abs(a - b) / abs(a)
     ok = worst < 1e-6 and inv < 1e-6
-    _report(capsys, 7, ok, f"vs expm over t in {{1,10,100}}: max rel err {worst:.2e}, "
-                   f"eta-halving invariance {inv:.2e}")
+    _report(capsys, 7, ok, f"vs expm over t in {{1,10,100}}: max rel err "
+                   f"{_against(worst, 1e-6)}, eta-halving invariance "
+                   f"{_against(inv, 1e-6)}")
 
 
 # --------------------------------------------------------------------------

@@ -34,8 +34,8 @@ def test_resolvent_identity_small_grid():
 
 @pytest.mark.parametrize("lam", [0.04, 1.0, 40.0])
 def test_r0_minus_side_is_conjugate_bitwise(lam):
-    # the one-assembly jump relies on this identity holding exactly, the
-    # self-cell diagonal included
+    # the branch-cut oracle's one-assembly jump relies on this identity
+    # holding exactly, the self-cell diagonal included
     disc = Discretization(free_model(build_grid(3.0, 4)))
     plus = disc.r0(BranchPoint.boundary(lam, "+"))
     minus = disc.r0(BranchPoint.boundary(lam, "-"))
@@ -43,22 +43,26 @@ def test_r0_minus_side_is_conjugate_bitwise(lam):
 
 
 def test_jump_matches_two_sided_resolvents():
+    # the branch-cut oracle's jump (one R0 assembly, its conjugate for the
+    # -i0 side) against the two boundary resolvents of the package
     grid = build_grid(2.5, 5)
     V = 0.4 * gaussian_template(grid)
     disc = Discretization(Model(grid=grid, potential=sample_potential(grid, V)))
     lam = 1.7
     want = (disc.R(BranchPoint.boundary(lam, "+"))
             - disc.R(BranchPoint.boundary(lam, "-")))
-    err = np.linalg.norm(disc.jump(lam) - want)
+    err = np.linalg.norm(oracles.sla_solve_jump(disc, lam) - want)
     assert err <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("lam", [0.04, 1.0, 39.0])
 def test_jump_equals_sla_solve_bitwise(first6, lam):
-    # the checked getrf/getrs path factors and solves exactly as
-    # scipy.linalg.solve does
+    # the checked getrf/getrs path of Discretization._resolve factors and
+    # solves exactly as scipy.linalg.solve does, on both boundary sides
     disc = Discretization(first6)
-    assert np.array_equal(disc.jump(lam), oracles.sla_solve_jump(disc, lam))
+    r0 = disc.r0(BranchPoint.boundary(lam, "+"))
+    got = disc._resolve(r0) - disc._resolve(np.conj(r0))
+    assert np.array_equal(got, oracles.sla_solve_jump(disc, lam))
 
 
 def _disc_with_r0(monkeypatch):

@@ -112,6 +112,36 @@ def test_run_pipeline_propagate_regular(tmp_path):
     assert rep.stages["propagate"]["slope_theory"] == -1.5
 
 
+def test_propagate_stage_records_census(tmp_path):
+    # first_kind at resolution 4 crosses one zero of M(k) (weight e^-13.9
+    # at t = 10) and leaves one out below the weight cut
+    path = _write(tmp_path, "cfg.json", {
+        "model": {"factory": "first_kind", "extent": 3.0, "resolution": 4},
+        "stages": ["classify", "threshold_expand", "propagate"]})
+    rep = run_pipeline(load_config(path))
+    assert rep.errors == []
+    census = json.loads(json.dumps(rep.as_dict()))["stages"]["propagate"][
+        "census"]
+    assert census["winding"] == census["structural_order"] == 1
+    assert census["t_min"] == 10.0 and census["tiles"] >= 8
+    (crossed,) = census["crossed"]
+    assert set(crossed) == {"k", "z", "weight", "residue_norm"}
+    assert crossed["weight"] >= census["weight_cut"] > 0
+    assert all(z["weight"] < census["weight_cut"]
+               for z in census["left_out"])
+
+
+def test_propagate_stage_names_embedded_resonance(tmp_path):
+    path = _write(tmp_path, "cfg.json", {
+        "model": {"factory": "resonance", "extent": 3.0, "resolution": 4},
+        "stages": ["classify", "threshold_expand", "propagate"]})
+    rep = run_pipeline(load_config(path))
+    assert len(rep.errors) == 1
+    assert re.match(r"propagate: ValueError at .*propagator\.py:\d+: real "
+                    r"zero of M\(k\) on the path: an embedded resonance at "
+                    r"lambda0 = 1$", rep.errors[0])
+
+
 def test_run_pipeline_records_stage_errors(tmp_path):
     path = _write(tmp_path, "cfg.json", {
         "model": {"factory": "free", "resolution": 4},

@@ -193,6 +193,29 @@ def test_assembled_r0_solves_helmholtz_against_gaussian():
     assert abs(u[i0].imag) < 1e-10
 
 
+@pytest.mark.parametrize("scheme", ["uniform", "gauss_radial"])
+def test_assembly_equals_masked_nystrom_bitwise(scheme):
+    # the kernel runs on the whole distance matrix (unit diagonal, then
+    # overwritten); every entry must equal the off-diagonal gather/scatter
+    grid = build_grid(3.0, 5, scheme=scheme)
+    dist = grid.distance_matrix()
+    rc = grid.cell_radii()
+    for k in (0.7, 0.5 - 0.2j, -0.7 + 0.4j, 2.3 - 0.9j, 0.1j):
+        bp = BranchPoint(z=k * k, sqrt_z=k)
+        want = oracles.masked_nystrom(grid, lambda r: r0_kernel(bp, r),
+                                      _diag_r0(k, rc), dist)
+        assert np.array_equal(assemble_r0(grid, bp, dist=dist), want)
+    for j in range(3):
+        want = oracles.masked_nystrom(grid, lambda r: gj_kernel(j, r),
+                                      _diag_gj(j, rc), dist)
+        assert np.array_equal(assemble_gj(grid, j, dist=dist), want)
+        want = oracles.masked_nystrom(
+            grid, lambda r: gj_plus_kernel(j, 1.3, r),
+            _diag_r0(np.sqrt(1.3), rc) if j == 0
+            else _diag_gj_plus(j, 1.3, rc), dist)
+        assert np.array_equal(assemble_gj_plus(grid, j, 1.3, dist=dist), want)
+
+
 def test_gj_plus_zero_order_is_boundary_r0():
     grid = build_grid(2.0, 4)
     A = assemble_gj_plus(grid, 0, 1.5)

@@ -1,5 +1,7 @@
 """Contours, generalized oscillatory integrals, the matrix Dunford
-propagator, branch-cut propagation and decay / high-energy fits."""
+propagator, the propagator on the steepest-descent k-line and decay /
+high-energy fits."""
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,9 +13,10 @@ from specthresh.birman_schwinger import Discretization
 from specthresh.kernels import BranchPoint
 from specthresh.model import build_grid
 from specthresh.grushin import threshold_resolvent_expansion
-from specthresh.models import first_kind_model, free_model, regular_model
-from specthresh.propagator import (CutPropagator, _filon_moments, _wnorm,
-                                   audit_contour, build_contour,
+from specthresh.models import (first_kind_model, free_model, regular_model,
+                               resonance_model)
+from specthresh.propagator import (_WEIGHT_CUT, CutPropagator, _residue,
+                                   _wnorm, audit_contour, build_contour,
                                    check_high_energy, dunford_propagator,
                                    enumerate_upper_eigenvalues,
                                    free_propagator, generalized_integral,
@@ -179,13 +182,18 @@ def test_free_decay_slope():
 
 
 # --------------------------------------------------------------------------
-# branch-cut propagator
+# propagator on the steepest-descent k-line
 
 # ||U(t)|| (s = 3) of the resolution-4 first-kind model over the default
-# ladder, computed with every node jump precomputed and stored; the streamed
-# ladder must reproduce them
+# ladder: the line, -R_{-2} and the residue of the one crossed zero
 LADDER = np.geomspace(10.0, 1000.0, 7)
 FROZEN_NORMS_FIRST4 = [
+    0.009342714552577038, 0.006364715902652505, 0.004336303704390443,
+    0.002954341795460961, 0.0020127905234502592, 0.0013713054559337013,
+    0.000934261911974254]
+# the same norms from the 761-node branch-cut walk this propagator replaced,
+# which is first order in its mesh (about 2.5e-4 relative)
+WALK_NORMS_FIRST4 = [
     0.009343516886384856, 0.0063652787287237994, 0.004336561515902878,
     0.0029545225734302553, 0.0020129144986420363, 0.0013713901926939275,
     0.0009343188491757032]
@@ -205,6 +213,8 @@ def test_cut_propagator_frozen_norms(cut_first4):
     assert cp.jump == {}
     norms = [_wnorm(model.grid, Us[t], 3.0) for t in LADDER]
     np.testing.assert_allclose(norms, FROZEN_NORMS_FIRST4, rtol=1e-10)
+    np.testing.assert_allclose(WALK_NORMS_FIRST4, FROZEN_NORMS_FIRST4,
+                               rtol=5e-4)
 
 
 def test_propagate_matches_ladder(cut_first4):
@@ -214,12 +224,137 @@ def test_propagate_matches_ladder(cut_first4):
     assert np.linalg.norm(U - Us[t]) < 1e-12 * np.linalg.norm(U)
 
 
+def test_rotation_angle_invariance_first4(cut_first4):
+    # U(t) does not depend on the angle of the line once the residues of the
+    # zeros between the angles are added: the package's Gauss-Hermite line
+    # at pi/4 against half-ray Gauss-Laguerre (alpha = -1/2) lines at pi/4
+    # and pi/6.  first4 has one crossed zero, between the two angles.
+    model, cp, Us = cut_first4
+    disc, R_m2 = cp.disc, cp.coeffs.R_m2
+    assert cp.poles == []
+    (zero,) = cp._crossed
+    assert -np.pi / 4 < np.angle(zero[0]) < -np.pi / 6
+    for t in LADDER:
+        U = Us[t]
+        shallow = oracles.rotated_line(disc, t, np.pi / 6) - R_m2
+        steep = oracles.rotated_line(disc, t, np.pi / 4) - R_m2
+        assert np.linalg.norm(shallow - U) <= 1e-6 * np.linalg.norm(U), t
+        err = np.linalg.norm(steep - _residue(*zero, t) - U)
+        assert err <= 1e-6 * np.linalg.norm(U), t
+    # at t = 10 the crossed residue is well above that tolerance
+    assert np.linalg.norm(_residue(*zero, LADDER[0])) \
+        > 1e-5 * np.linalg.norm(Us[LADDER[0]])
+
+
+def test_line_plus_residues_match_branch_cut_walk_second6(cut_second6,
+                                                         coeffs_second6):
+    # the census of second6 crosses resonances (k = 0.5206 - 0.2056i, double,
+    # weight e^-2.1 at t = 10, and three more); line plus residues must match
+    # the oracle branch-cut walk, which never leaves the real axis
+    cp = cut_second6
+    coeffs, disc = coeffs_second6
+    Us = cp.propagate_many(LADDER)
+    census = cp.census
+    assert census["winding"] == census["structural_order"] == 2
+    ks = [c["k"] for c in census["crossed"]]
+    assert min(abs(k - (0.5206 - 0.2056j)) for k in ks) < 1e-4
+    assert all(c["weight"] >= _WEIGHT_CUT for c in census["crossed"])
+    assert all(c["weight"] < _WEIGHT_CUT or -c["k"].imag >= c["k"].real
+               for c in census["left_out"])
+    eigenvalues = [k * k for k, _, _ in cp.poles]
+    walk = oracles.branch_cut_walk(disc, coeffs, eigenvalues, LADDER)
+    grid = disc.grid
+    for t in LADDER:
+        err = _wnorm(grid, Us[t] - walk[t], 3.0) / _wnorm(grid, walk[t], 3.0)
+        assert err <= 5e-4, t
+    t = LADDER[0]
+    bare = Us[t] + sum(_residue(*c, t) for c in cp._crossed)
+    assert _wnorm(grid, bare - walk[t], 3.0) \
+        > 1e-2 * _wnorm(grid, walk[t], 3.0)
+
+
+def test_census_winding_must_match_structural_order(cut_first4):
+    # first4 has a simple zero at k = 0; with a regular threshold's Lidskii
+    # order the winding count on |k| = r0 (1) contradicts it (0)
+    model, cp, _ = cut_first4
+    assert cp.census["winding"] == cp.census["structural_order"] == 1
+    coeffs = dataclasses.replace(cp.coeffs, scaling=dataclasses.replace(
+        cp.coeffs.scaling, order_structural=0.0))
+    with pytest.raises(ValueError, match="winding count 1 .* order 0"):
+        CutPropagator(model, coeffs, disc=cp.disc).propagate(10.0)
+
+
+def test_real_zero_on_path_raises():
+    # an embedded resonance at lambda0 = 1 is a real zero of M(k): the cut
+    # integral has a pole there, so no U(t) is returned
+    model = resonance_model(build_grid(3.0, 4), lam0=1.0)
+    disc = Discretization(model)
+    coeffs = threshold_resolvent_expansion(model, disc=disc)
+    assert coeffs.kind == "regular"
+    with pytest.raises(ValueError, match="resonance at lambda0 = 1"):
+        CutPropagator(model, coeffs, disc=disc).propagate_many(LADDER)
+
+
+def _ring_stub(R):
+    cp = CutPropagator.__new__(CutPropagator)
+    cp.disc = SimpleNamespace(R=lambda bp: R(bp.sqrt_z),
+                              grid=SimpleNamespace(n=2))
+    return cp
+
+
+def test_ring_moments_and_residue_of_a_double_pole():
+    # R = C2/(k - k0)^2 + C1/(k - k0) + analytic: the ring moments are C1
+    # and C2, and the residue of 2k e^{-itk^2} R matches a fine contour sum;
+    # at t = 1e4 it stays finite (|e^{-itk0^2}| < 1 in the swept sector)
+    rng = np.random.default_rng(5)
+    C2, C1, C0 = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal(
+        (3, 2, 2))
+    k0 = 0.6 - 0.2j
+    cp = _ring_stub(lambda k: C2 / (k - k0) ** 2 + C1 / (k - k0)
+                    + C0 * np.exp(k))
+    A1, A2 = cp._ring_moments(k0, [k0 + 0.15])
+    assert np.linalg.norm(A1 - C1) <= 1e-12 * np.linalg.norm(C1)
+    assert np.linalg.norm(A2 - C2) <= 1e-12 * np.linalg.norm(C2)
+    th = 2.0 * np.pi * np.arange(512) / 512
+    k = k0 + 0.1 * np.exp(1j * th)
+    for t in (1.0, 10.0):
+        f = [2.0 * kq * np.exp(-1j * t * kq * kq)
+             * (C2 / (kq - k0) ** 2 + C1 / (kq - k0) + C0 * np.exp(kq))
+             * (kq - k0) / 512 for kq in k]
+        want = sum(f)
+        assert np.linalg.norm(_residue(k0, A1, A2, t) - want) \
+            <= 1e-10 * np.linalg.norm(want)
+    assert np.all(np.isfinite(_residue(k0, A1, A2, 1e4)))
+
+
+def test_eigenvalue_crossed_by_the_other_half_line_cancels():
+    # an eigenvalue with 3 pi/4 < arg k < pi (Re z > 0 > Im z) is swept by
+    # the rotation of the negative half-line: its pole term and its crossing
+    # term cancel, so only the eigenvalue at k = -0.02 + 0.98i contributes
+    cp = _ring_stub(lambda k: np.zeros((2, 2)))
+    cp.coeffs = SimpleNamespace(R_m2=np.zeros((2, 2)))
+    cp.census = {"t_min": 1.0}
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((4, 2, 2)) + 0j
+    swept, kept = -0.9 + 0.3j, -0.02 + 0.98j
+    cp.poles, cp._crossed = [(swept, A[0], A[1]), (kept, A[2], A[3])], []
+    U = cp.propagate(2.0)
+    assert np.array_equal(U, -_residue(kept, A[2], A[3], 2.0))
+
+
+def test_ring_moments_reject_a_triple_pole():
+    cp = _ring_stub(lambda k: np.eye(2) / (k - 0.6 + 0.2j) ** 3)
+    with pytest.raises(ValueError, match="order 3"):
+        cp._ring_moments(0.6 - 0.2j, [])
+
+
 def test_pole_scan_finds_second6_eigenvalue(cut_second6):
-    # a real eigenvalue of H below the old scan box (Re z >= -1.5)
+    # the one eigenvalue of H off the cut, left of the positive axis
     assert len(cut_second6.poles) == 1
-    zs, ring = cut_second6.poles[0]
-    assert abs(zs - (-1.77857 - 0.06133j)) < 1e-5
-    assert len(ring) == 24
+    k, A1, A2 = cut_second6.poles[0]
+    assert abs(k * k - (-0.960231 - 0.048039j)) < 1e-5
+    # a simple pole of R: no A_{-2}
+    assert np.linalg.norm(A2) <= 1e-8 * np.linalg.norm(A1)
 
 
 def test_pole_scan_first6_is_empty(cut_first6):
@@ -238,30 +373,11 @@ def test_propagate_many_rejects_nonpositive_times(cut_first4):
 @pytest.mark.parametrize("th", [0.0, 1e-6, 9.9e-5, 1.01e-4, 1e-3, 1e-2, 0.5,
                                 1.0, 30.0])
 def test_filon_moments_against_series_and_quadrature(th):
-    got = _filon_moments(th)
+    # the Filon moments of the branch-cut oracle (series for |th| <= 1,
+    # closed forms above) against QAWO quadrature
+    got = oracles.filon_moments(th)
     for p in range(3):
-        want = (oracles.filon_moment_series(th, p) if th <= 1.0
-                else oracles.filon_moment_quad(th, p))
-        assert abs(got[p] - want) <= 1e-14, p
-
-
-def test_filon_node_walk_matches_panel_loop():
-    # the rank-1 walk over node weights against the per-panel quadratic
-    # Filon rule, on a cheap synthetic 3 x 3 jump over the propagator's mesh
-    rng = np.random.default_rng(11)
-    A, B = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-
-    def jump(lam):
-        return A * np.sqrt(lam) / (1.0 + lam) + B * np.cos(3.0 * lam)
-
-    edges = np.geomspace(0.04, 40.0, 381)
-    ts = np.concatenate([[0.1], LADDER])
-    stub = SimpleNamespace(edges=edges, disc=SimpleNamespace(
-        jump=jump, grid=SimpleNamespace(n=3)))
-    got = CutPropagator._filon_bands(stub, ts)
-    want = oracles.filon_panel_walk(edges, jump, ts) / (2.0j * np.pi)
-    for g, w in zip(got, want):
-        assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+        assert abs(got[p] - oracles.filon_moment_quad(th, p)) <= 1e-14, p
 
 
 def test_resolvent_taylor_matches_finite_difference():
