@@ -37,28 +37,28 @@ __all__ = [
 # shared discretization cache
 
 class Discretization:
-    """Caches the pairwise-distance matrix and the threshold kernels G_j of a
-    model, and provides the operators every other module consumes."""
+    """Caches the threshold kernels G_j of a model, and provides the
+    operators every other module consumes (the kernels gather from the
+    grid's own distance-class table)."""
 
     def __init__(self, model: Model):
         self.model = model
         self.grid = model.grid
         self.V = model.V
         self.w = model.grid.weights
-        self.dist = model.grid.distance_matrix()
         self._gj = {}
 
     # --- free kernels -----------------------------------------------------
     def r0(self, bp: BranchPoint) -> np.ndarray:
-        return assemble_r0(self.grid, bp, dist=self.dist)
+        return assemble_r0(self.grid, bp)
 
     def gj(self, j: int) -> np.ndarray:
         if j not in self._gj:
-            self._gj[j] = assemble_gj(self.grid, j, dist=self.dist)
+            self._gj[j] = assemble_gj(self.grid, j)
         return self._gj[j]
 
     def gj_plus(self, j: int, lam0: float) -> np.ndarray:
-        return assemble_gj_plus(self.grid, j, lam0, dist=self.dist)
+        return assemble_gj_plus(self.grid, j, lam0)
 
     # --- Birman-Schwinger operators --------------------------------------
     def K(self, bp: BranchPoint) -> np.ndarray:
@@ -407,10 +407,19 @@ def scan_positive_resonances(model: Model, interval: Tuple[float, float],
 # ---------------------------------------------------------------------------
 # hypotheses
 
+def _outgoing_phase(grid: QuadratureGrid, lam: float) -> np.ndarray:
+    """e^{i sqrt(lam) |x_i - x_j|}: one exponential per distinct distance,
+    gathered, with e^0 = 1 on the diagonal."""
+    values, index = grid.distance_classes
+    E = np.exp(1j * np.sqrt(lam) * values).take(index)
+    np.fill_diagonal(E, 1.0)
+    return E
+
+
 def b_form(disc: Discretization, lam: float, u: np.ndarray, v: np.ndarray) -> complex:
     """B_lambda(u, v) = double integral of e^{i sqrt(lam)|x-y|} u V (x)
     v V (y) over the support, by the double quadrature sum."""
-    E = np.exp(1j * np.sqrt(lam) * disc.dist)
+    E = _outgoing_phase(disc.grid, lam)
     fu = disc.w * disc.V * u
     fv = disc.w * disc.V * v
     return complex(fu @ E @ fv)

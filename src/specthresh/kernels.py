@@ -164,44 +164,42 @@ def _diag_gj_plus(j: int, lam0: float, rc: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Nystrom assembly
 
-def _nystrom(grid: QuadratureGrid, kernel: Callable, diag: np.ndarray,
-             dist: Optional[np.ndarray]) -> np.ndarray:
-    """K[i,j] = kernel(|x_i - x_j|) w_j off the diagonal, `diag` on it (the
-    kernel runs on the whole matrix, at unit distance on the diagonal)."""
-    if dist is None:
-        dist = grid.distance_matrix()
-    r = dist.copy()
-    np.fill_diagonal(r, 1.0)
-    # K is allocated before the kernel's temporaries: taking over their
-    # output instead raised peak RSS by 2.7 MB at n = 408
+def _nystrom(grid: QuadratureGrid, kernel: Callable,
+             diag: np.ndarray) -> np.ndarray:
+    """K[i,j] = kernel(|x_i - x_j|) w_j off the diagonal, `diag` on it.  The
+    kernel runs once per distinct distance (`grid.distance_classes`, unit
+    distance for the diagonal) and the table is gathered into K: the same
+    float64 values through the same ufuncs as a run on the whole matrix."""
+    values, index = grid.distance_classes
     K = np.empty((grid.n, grid.n), dtype=complex)
-    K[...] = kernel(r)
+    # "clip" never clips (index < len(values)) but, unlike "raise", writes
+    # into K without a buffer
+    np.take(np.asarray(kernel(values), dtype=complex), index, out=K,
+            mode="clip")
     K *= grid.weights[None, :]
     np.fill_diagonal(K, diag)
     return K
 
 
-def assemble_r0(grid: QuadratureGrid, z: BranchPoint,
-                dist: Optional[np.ndarray] = None) -> np.ndarray:
+def assemble_r0(grid: QuadratureGrid, z: BranchPoint) -> np.ndarray:
     return _nystrom(grid, lambda r: r0_kernel(z, r),
-                    _diag_r0(z.sqrt_z, grid.cell_radii()), dist)
+                    _diag_r0(z.sqrt_z, grid.cell_radii()))
 
 
-def assemble_gj(grid: QuadratureGrid, j: int,
-                dist: Optional[np.ndarray] = None) -> np.ndarray:
+def assemble_gj(grid: QuadratureGrid, j: int) -> np.ndarray:
     _check_order(j)
     return _nystrom(grid, lambda r: gj_kernel(j, r),
-                    _diag_gj(j, grid.cell_radii()), dist)
+                    _diag_gj(j, grid.cell_radii()))
 
 
-def assemble_gj_plus(grid: QuadratureGrid, j: int, lam0: float,
-                     dist: Optional[np.ndarray] = None) -> np.ndarray:
+def assemble_gj_plus(grid: QuadratureGrid, j: int,
+                     lam0: float) -> np.ndarray:
     """G_j^+ at lam0; order 0 is the boundary R0(lam0 + i0) assembly."""
     _check_anchor(j, lam0)
     rc = grid.cell_radii()
     diag = (_diag_r0(BranchPoint.boundary(lam0, "+").sqrt_z, rc) if j == 0
             else _diag_gj_plus(j, lam0, rc))
-    return _nystrom(grid, lambda r: gj_plus_kernel(j, lam0, r), diag, dist)
+    return _nystrom(grid, lambda r: gj_plus_kernel(j, lam0, r), diag)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +215,8 @@ def verify_threshold_expansion(grid: QuadratureGrid, z: complex, ell: int,
     if ell > L_MAX:
         raise ValueError("expansion order above configured maximum")
     bp = BranchPoint.from_z(z)
-    dist = grid.distance_matrix()
-    R = assemble_r0(grid, bp, dist=dist)
+    R = assemble_r0(grid, bp)
     acc = np.zeros_like(R)
     for j in range(ell + 1):
-        acc += (1j * bp.sqrt_z) ** j * assemble_gj(grid, j, dist=dist)
+        acc += (1j * bp.sqrt_z) ** j * assemble_gj(grid, j)
     return weighted_operator_norm(R - acc, grid, s_in=s, s_out=-s)

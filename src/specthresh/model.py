@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from functools import cached_property
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +57,23 @@ class QuadratureGrid:
     def distance_matrix(self) -> np.ndarray:
         d = self.nodes[:, None, :] - self.nodes[None, :, :]
         return np.sqrt((d * d).sum(axis=2))
+
+    @cached_property
+    def distance_classes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(values, index): the distinct entries of the distance matrix with
+        a unit diagonal, sorted, and the (n, n) index of each entry into
+        them, in the smallest unsigned type that holds the class count.  A
+        uniform grid has a few hundred classes at most against n^2 entries
+        (gauss_radial about n^2 / 25), so a distance kernel runs on `values`
+        and is gathered through `index`.  Computed once per grid; both
+        arrays are read-only."""
+        r = self.distance_matrix()
+        np.fill_diagonal(r, 1.0)
+        values, index = np.unique(r, return_inverse=True)
+        index = index.reshape(self.n, self.n).astype(
+            np.min_scalar_type(len(values) - 1))
+        values.flags.writeable = index.flags.writeable = False
+        return values, index
 
     def cell_radii(self) -> np.ndarray:
         """Radius of the equal-volume ball of each quadrature cell."""

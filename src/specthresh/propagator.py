@@ -392,9 +392,14 @@ class CutPropagator:
         ellipse 0.975i + 6 cos th + 0.825i sin th (|Re k| <= 6,
         0.15 <= Im k <= 1.8; 512 nodes).  Not searched: z near 0, and a band
         along the cut that widens with Re z (|Im z| < 0.3 at Re z = 1, 1.7
-        at 10, 3.8 at 20)."""
+        at 10, 3.8 at 20).  ValueError for a zero with Re k > 0: an
+        eigenvalue with Im z = 2 Re k Im k > 0, whose e^{-itz} grows."""
         zeros, _ = _contour_zeros(self.disc, 0.975j, 6.0, 0.825, 512)
         ks = [k for k, _ in zeros]
+        for k in ks:
+            if k.real > 0:
+                raise ValueError(f"zero of M(k) at z = {k * k:.6g} is an "
+                                 "eigenvalue with Im z > 0 (a growing mode)")
         self.poles = [(k,) + self._ring_moments(k, ks) for k in ks]
 
     def _take_census(self, t_min: float):

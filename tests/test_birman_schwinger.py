@@ -7,6 +7,7 @@ import scipy.linalg as sla
 import oracles
 from specthresh import birman_schwinger
 from specthresh.birman_schwinger import (Discretization, _contour_zeros,
+                                         _outgoing_phase,
                                          _spectral_projector,
                                          b_form,
                                          check_hypotheses, classify_zero,
@@ -332,6 +333,16 @@ def test_b_form_matches_double_sum(disc_resonance):
     want = oracles.boundary_pairing_double_sum(
         disc_resonance.grid, disc_resonance.V, 1.0, u, v)
     assert abs(got - want) < 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("extent", [3.0, 2.93, 3.07])
+@pytest.mark.parametrize("lam", [0.04, 1.0, 1.1])
+def test_outgoing_phase_gather_is_bitwise(extent, lam):
+    # b_form's e^{i sqrt(lam)|x-y|}, gathered from the distance classes,
+    # against the exponential of the whole distance matrix
+    grid = build_grid(extent, 6)
+    want = np.exp(1j * np.sqrt(lam) * grid.distance_matrix())
+    assert np.array_equal(_outgoing_phase(grid, lam), want)
 
 
 def test_scan_finds_tuned_resonance(resonance8, disc_resonance):

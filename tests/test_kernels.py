@@ -7,18 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import specthresh
+from specthresh import kernels
+from specthresh.birman_schwinger import Discretization
 from specthresh.kernels import (BranchPoint, L_MAX,
                                 _diag_gj, _diag_gj_plus, _diag_r0,
                                 assemble_gj, assemble_gj_plus,
                                 assemble_r0,
                                 gj_kernel, gj_plus_kernel, r0_kernel,
                                 verify_threshold_expansion)
-from specthresh.model import build_grid
+from specthresh.model import QuadratureGrid, build_grid
 
 
 # --------------------------------------------------------------------------
@@ -195,25 +197,63 @@ def test_assembled_r0_solves_helmholtz_against_gaussian():
 
 @pytest.mark.parametrize("scheme", ["uniform", "gauss_radial"])
 def test_assembly_equals_masked_nystrom_bitwise(scheme):
-    # the kernel runs on the whole distance matrix (unit diagonal, then
-    # overwritten); every entry must equal the off-diagonal gather/scatter
-    grid = build_grid(3.0, 5, scheme=scheme)
-    dist = grid.distance_matrix()
-    rc = grid.cell_radii()
-    for k in (0.7, 0.5 - 0.2j, -0.7 + 0.4j, 2.3 - 0.9j, 0.1j):
-        bp = BranchPoint(z=k * k, sqrt_z=k)
-        want = oracles.masked_nystrom(grid, lambda r: r0_kernel(bp, r),
-                                      _diag_r0(k, rc), dist)
-        assert np.array_equal(assemble_r0(grid, bp, dist=dist), want)
-    for j in range(3):
-        want = oracles.masked_nystrom(grid, lambda r: gj_kernel(j, r),
-                                      _diag_gj(j, rc), dist)
-        assert np.array_equal(assemble_gj(grid, j, dist=dist), want)
-        want = oracles.masked_nystrom(
-            grid, lambda r: gj_plus_kernel(j, 1.3, r),
-            _diag_r0(np.sqrt(1.3), rc) if j == 0
-            else _diag_gj_plus(j, 1.3, rc), dist)
-        assert np.array_equal(assemble_gj_plus(grid, j, 1.3, dist=dist), want)
+    # the kernel runs on the distance classes (unit diagonal, then
+    # overwritten) and is gathered; every entry must equal the off-diagonal
+    # gather/scatter of the kernel over the distance matrix.  At extents
+    # 2.93 and 3.07 rounding splits the lattice distances into more classes
+    for extent in (3.0, 2.93, 3.07):
+        grid = build_grid(extent, 6, scheme=scheme)
+        dist = grid.distance_matrix()
+        rc = grid.cell_radii()
+        for k in (0.7, 0.5 - 0.2j, -0.7 + 0.4j, 2.3 - 0.9j, 0.1j):
+            bp = BranchPoint(z=k * k, sqrt_z=k)
+            want = oracles.masked_nystrom(grid, lambda r: r0_kernel(bp, r),
+                                          _diag_r0(k, rc), dist)
+            assert np.array_equal(assemble_r0(grid, bp), want)
+        for j in range(3):
+            want = oracles.masked_nystrom(grid, lambda r: gj_kernel(j, r),
+                                          _diag_gj(j, rc), dist)
+            assert np.array_equal(assemble_gj(grid, j), want)
+            want = oracles.masked_nystrom(
+                grid, lambda r: gj_plus_kernel(j, 1.3, r),
+                _diag_r0(np.sqrt(1.3), rc) if j == 0
+                else _diag_gj_plus(j, 1.3, rc), dist)
+            assert np.array_equal(assemble_gj_plus(grid, j, 1.3), want)
+
+
+def test_r0_kernel_runs_once_per_distance_class(first6, monkeypatch):
+    grid = first6.grid
+    values, index = grid.distance_classes
+    assert len(values) <= 100 and index.shape == (grid.n, grid.n)
+    sizes = []
+
+    def counted(bp, r):
+        sizes.append(np.size(r))
+        return r0_kernel(bp, r)
+
+    monkeypatch.setattr(kernels, "r0_kernel", counted)
+    Discretization(first6).r0(BranchPoint.from_z(0.3 - 0.1j))
+    assert sizes == [len(values)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), re=st.floats(-3.0, 3.0),
+       im=st.floats(-1.0, 2.0), lam0=st.floats(0.1, 4.0),
+       j=st.integers(0, 3))
+def test_node_order_permutes_assemblies_bitwise(seed, re, im, lam0, j):
+    # relabelling the nodes relabels the rows and columns, entry for entry;
+    # |k| >= 0.05 keeps the self-cell rule of R0 off its small-|k| cancellation
+    assume(abs(complex(re, im)) >= 0.05)
+    g = build_grid(2.93, 5)
+    p = np.random.default_rng(seed).permutation(g.n)
+    gp = QuadratureGrid(nodes=g.nodes[p], weights=g.weights[p],
+                        extent=g.extent, scheme=g.scheme, spacing=g.spacing)
+    k = complex(re, im)
+    bp = BranchPoint(z=k * k, sqrt_z=k)
+    pp = np.ix_(p, p)
+    assert np.array_equal(assemble_r0(gp, bp), assemble_r0(g, bp)[pp])
+    assert np.array_equal(assemble_gj_plus(gp, j, lam0),
+                          assemble_gj_plus(g, j, lam0)[pp])
 
 
 def test_gj_plus_zero_order_is_boundary_r0():

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 import oracles
+from specthresh import propagator
 from specthresh.birman_schwinger import Discretization
 from specthresh.kernels import BranchPoint
 from specthresh.model import build_grid
@@ -355,6 +356,18 @@ def test_pole_scan_finds_second6_eigenvalue(cut_second6):
     assert abs(k * k - (-0.960231 - 0.048039j)) < 1e-5
     # a simple pole of R: no A_{-2}
     assert np.linalg.norm(A2) <= 1e-8 * np.linalg.norm(A1)
+
+
+def test_pole_scan_rejects_a_growing_mode(cut_first4, monkeypatch):
+    # third6's eigenvalue k = 1.36 + 0.18i has Im z = 2 Re k Im k > 0:
+    # e^{-itz} grows, so no residue of it may enter U(t)
+    model, cp, _ = cut_first4
+    k = 1.36 + 0.18j
+    monkeypatch.setattr(propagator, "_contour_zeros",
+                        lambda *a, **kw: ([(k, np.array([1.0, 0.0]))], 1))
+    with pytest.raises(ValueError, match=r"eigenvalue with Im z > 0 \(a "
+                                         r"growing mode\)"):
+        CutPropagator(model, cp.coeffs, disc=cp.disc)
 
 
 def test_pole_scan_first6_is_empty(cut_first6):
