@@ -16,10 +16,9 @@ from .jordan import (JordanBasis, build_jordan_chains,
                      complex_symmetric_cholesky, dual_basis,
                      projector_from_chains, verify_jordan_form)
 from .series import ExpansionSeries
-from .grushin import (GrushinReduction, GrushinSystem, LidskiiScaling,
+from .grushin import (GrushinReduction, LidskiiScaling,
                       ResonanceCoefficients, ThresholdCoefficients,
-                      build_grushin, invert_E_minus_plus,
-                      lidskii_determinant,
+                      invert_E_minus_plus, lidskii_determinant,
                       resonance_resolvent_expansion,
                       threshold_resolvent_expansion, verify_grushin_identity)
 from .propagator import (Contour, CutPropagator, DecayReport, Segment,

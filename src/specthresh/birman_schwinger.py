@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -163,14 +163,15 @@ class RieszProjection:
 # operations
 
 def detect_minus_one(K: np.ndarray, tol: float = 1e-6
-                     ) -> Union[EigenNearMinusOne, str]:
-    """Dense eigendecomposition; report the eigenvalue cluster near -1."""
+                     ) -> Optional[EigenNearMinusOne]:
+    """Dense eigendecomposition; report the eigenvalue cluster near -1, or
+    None when no eigenvalue lies within tol of it."""
     A = np.asarray(K)
     evals = sla.eigvals(A)
     d = np.abs(evals + 1.0)
     in_cluster = d <= tol
     if not in_cluster.any():
-        return "absent"
+        return None
     rest = d[~in_cluster]
     gap = float(rest.min()) if rest.size else np.inf
     if rest.size and gap <= 2.0 * tol:
@@ -267,7 +268,7 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
     the kernel directions of Id + K0 (zero marker <=> L^2 direction)."""
     disc = disc or Discretization(model)
     det = detect_minus_one(disc.K0, tol=tol)
-    if det == "absent":
+    if det is None:
         return ZeroClassification(kind="regular", k=0, resonance_state=None,
                                   eigenvectors=[], integral_marker=0.0,
                                   marker_tol=0.0)
@@ -437,10 +438,12 @@ def check_hypotheses(model: Model, classification: ZeroClassification,
     H1: det(<phi_j, J phi_i>) != 0 over the threshold kernel directions.
     H2: marker separation of resonance/eigen directions plus the H1-type
         condition on the eigen block (third kind).
-    H3: det(B_lambda_j(psi_r, psi_l)) != 0 at each outgoing resonance.
+    H3: det(B_lambda_j(psi_r, psi_l)) != 0 at each outgoing resonance;
+        None (not checked) when no resonance list is given.
     """
     disc = disc or Discretization(model)
-    report = {"H1": True, "H2": True, "H3": True, "determinants": {}}
+    report = {"H1": True, "H2": True,
+              "H3": None if resonances is None else True, "determinants": {}}
 
     vecs: List[np.ndarray] = []
     if classification.resonance_state is not None:
@@ -460,19 +463,18 @@ def check_hypotheses(model: Model, classification: ZeroClassification,
             marker_ok = abs(classification.integral_marker) > classification.marker_tol
             report["determinants"]["H2"] = de
             report["H2"] = bool(marker_ok and abs(de) > HYPOTHESIS_DET_TOL)
-    if resonances:
-        for lam, _N in resonances:
-            det_r = detect_minus_one(disc.K(BranchPoint.boundary(lam, "+")),
-                                     tol=1e-4)
-            if det_r == "absent":
-                report["H3"] = False
-                report["determinants"][f"H3@{lam:.6f}"] = 0.0
-                continue
-            B = det_r.eigenvectors
-            N = B.shape[1]
-            Bmat = np.array([[b_form(disc, lam, B[:, r], B[:, l])
-                              for l in range(N)] for r in range(N)])
-            d = complex(np.linalg.det(Bmat))
-            report["determinants"][f"H3@{lam:.6f}"] = d
-            report["H3"] = report["H3"] and abs(d) > HYPOTHESIS_DET_TOL
+    for lam, _N in resonances or []:
+        det_r = detect_minus_one(disc.K(BranchPoint.boundary(lam, "+")),
+                                 tol=1e-4)
+        if det_r is None:
+            report["H3"] = False
+            report["determinants"][f"H3@{lam:.6f}"] = 0.0
+            continue
+        B = det_r.eigenvectors
+        N = B.shape[1]
+        Bmat = np.array([[b_form(disc, lam, B[:, r], B[:, l])
+                          for l in range(N)] for r in range(N)])
+        d = complex(np.linalg.det(Bmat))
+        report["determinants"][f"H3@{lam:.6f}"] = d
+        report["H3"] = report["H3"] and abs(d) > HYPOTHESIS_DET_TOL
     return report

@@ -39,8 +39,9 @@ STAGE_DEPS = {
 }
 _CONFIG_KEYS = {"model", "stages", "tolerances", "out", "seed",
                 "scan_window", "weight_s", "t_ladder"}
-_MODEL_KEYS = {"factory", "extent", "resolution", "strength", "lam0",
-               "formula", "rho"}
+_MODEL_KEYS = {"factory", "extent", "resolution"}
+# keys that only one factory reads
+_FACTORY_KEYS = {"regular": {"strength"}, "resonance": {"lam0"}}
 OUTPUT_ROOT_ENV = "SPECTHRESH_OUT"
 
 
@@ -125,9 +126,13 @@ def load_config(path) -> RunConfig:
     if isinstance(model, str):
         with open(model) as fh:
             model = json.load(fh)
-    unknown = set(model) - _MODEL_KEYS
+    if not isinstance(model, dict):
+        raise ValueError("model must be a JSON object or a path to one")
+    factory = model.get("factory", "free")
+    unknown = set(model) - _MODEL_KEYS - _FACTORY_KEYS.get(factory, set())
     if unknown:
-        raise ValueError(f"unknown model keys: {sorted(unknown)}")
+        raise ValueError(f"unknown model keys for factory {factory!r}: "
+                         f"{sorted(unknown)}")
     stages = list(raw["stages"])
     for st in stages:
         if st not in STAGES:
@@ -204,7 +209,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
                                 "constant_fit": sc.constant_fit,
                                 "constant_formula": sc.constant_formula},
                     "det_samples": sc.samples,
-                    "remainder_samples": coeffs.series.remainder_samples,
+                    "remainder_samples": coeffs.remainder_samples,
                     "claims": [{"name": "lidskii_order", "tolerance": 0.1,
                                 "pass": bool(order_ok)}],
                 })

@@ -20,6 +20,7 @@ points, and the two are cross-validated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -27,9 +28,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .birman_schwinger import (Discretization, EigenNearMinusOne,
-                               RieszProjection, ZeroClassification,
-                               classify_zero, detect_minus_one,
-                               marker_tolerance, riesz_projection)
+                               ZeroClassification, classify_zero,
+                               detect_minus_one, marker_tolerance,
+                               riesz_projection)
 from .jordan import (JordanBasis, build_jordan_chains,
                      complex_symmetric_cholesky)
 from .kernels import BranchPoint
@@ -37,9 +38,9 @@ from .model import Model
 from .series import ExpansionSeries
 
 __all__ = [
-    "GrushinSystem", "GrushinReduction", "LidskiiScaling",
+    "GrushinReduction", "LidskiiScaling",
     "ThresholdCoefficients", "ResonanceCoefficients",
-    "build_grushin", "invert_E_minus_plus", "lidskii_determinant",
+    "invert_E_minus_plus", "lidskii_determinant",
     "threshold_resolvent_expansion", "resonance_resolvent_expansion",
     "verify_grushin_identity",
 ]
@@ -47,17 +48,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # types
-
-@dataclass
-class GrushinSystem:
-    S: np.ndarray          # (n, m) chain vectors
-    T: np.ndarray          # (m, n) rows Theta(., w_r^(j))
-    basis: JordanBasis
-
-    @property
-    def m(self) -> int:
-        return self.S.shape[1]
-
 
 @dataclass
 class LidskiiScaling:
@@ -74,6 +64,7 @@ class LidskiiScaling:
 class ThresholdCoefficients:
     kind: str
     series: ExpansionSeries        # resolvent series in powers of sqrt(z)
+    remainder_samples: List[Tuple[complex, float]]  # (z, rel err vs R(z))
     R_m2: np.ndarray               # coefficient of z^{-1}
     R_m1: np.ndarray               # coefficient of z^{-1/2}
     phi: Optional[np.ndarray]      # normalized resonance state (first/third)
@@ -89,6 +80,7 @@ class ResonanceCoefficients:
     lam0: float
     N0: int
     series: ExpansionSeries        # resolvent series in powers of z - lam0
+    remainder_samples: List[Tuple[complex, float]]  # (offset, rel err vs R)
     R_m1: np.ndarray               # residue coefficient
     psi: List[np.ndarray]          # B-normalized outgoing states
     P_res: np.ndarray              # sum of <., J psi_l> psi_l
@@ -100,63 +92,68 @@ class ResonanceCoefficients:
 # ---------------------------------------------------------------------------
 # reduction
 
-def build_grushin(basis: JordanBasis, tau: np.ndarray) -> GrushinSystem:
-    S = basis.flat_chain()
-    W = basis.flat_dual()
-    T = (W * tau[:, None]).T
-    TS = T @ S
-    if not np.allclose(TS, np.eye(S.shape[1]), atol=1e-7):
-        raise ValueError("Grushin corner is not a left inverse of the chains")
-    return GrushinSystem(S=S, T=T, basis=basis)
-
-
 class GrushinReduction:
     """Series and direct evaluations of the Grushin data of M(z), as blocks
-    of the inverse of the bordered operator P(z) = [[M(z), S], [T, 0]].
+    of the inverse of the bordered operator P(z) = [[M(z), S], [T, 0]], with
+    S the chain vectors of `basis` and T the rows Theta(., w_r^(j)).
 
     point = "threshold": series variable sqrt(z), R0_j = i^j G_j.
     point = lam0 > 0:    series variable z - lam0, R0_j = G_j^+ / j!.
-    In both, M_j = delta_j0 Id + R0_j V.  gs = None is the regular case
+    In both, M_j = delta_j0 Id + R0_j V.  basis = None is the regular case
     m = 0, where P = M and E = M^{-1}.
+
+    Every other per-anchor constant is fixed here (points near lam0 are
+    offsets): the series cap (default), the point q_test at which the
+    Laurent order is checked, the remainder_points of the resolvent series,
+    its truncation order in M^{-1}, and the Lidskii ladder's first rung
+    lidskii_z0, the rung_ratio of the series variable as z shrinks by 4 and
+    z_power, the power of z per order of the series variable.
     """
 
-    def __init__(self, disc: Discretization, gs: Optional[GrushinSystem],
-                 point="threshold", cap: int = 8):
+    def __init__(self, disc: Discretization, basis: Optional[JordanBasis],
+                 point="threshold", cap: Optional[int] = None):
         self.disc = disc
-        self.gs = gs
+        self.basis = basis
         self.point = point
-        self.cap = cap
-        self.var = "sqrt_z" if point == "threshold" else "z_minus_lambda0"
+        if point == "threshold":
+            self.var, self.cap = "sqrt_z", 8 if cap is None else cap
+            self._r0_coeffs = {j: (1j ** j) * disc.gj(j)
+                               for j in range(self.cap + 1)}
+            self.q_test, self.truncation = 1e-3, 3
+            self.remainder_points = (-1e-2, -1e-3, 1e-3 + 1e-3j)
+            self.lidskii_z0, self.rung_ratio, self.z_power = -4e-2, 2.0, 0.5
+        else:
+            self.var, self.cap = "z_minus_lambda0", 6 if cap is None else cap
+            self._r0_coeffs = {j: disc.gj_plus(j, point) / math.factorial(j)
+                               for j in range(self.cap + 1)}
+            self.q_test, self.truncation = 1e-4, 2
+            self.remainder_points = (-1e-3, -1e-4, 1e-4 + 1e-4j)
+            self.lidskii_z0, self.rung_ratio, self.z_power = -4e-3, 4.0, 1.0
         n = disc.grid.n
-        self._S = gs.S if gs is not None else np.zeros((n, 0))
-        self._T = gs.T if gs is not None else np.zeros((0, n))
+        if basis is None:
+            self.S, self.T = np.zeros((n, 0)), np.zeros((0, n))
+        else:
+            self.S = basis.flat_chain()
+            self.T = (basis.flat_dual() * (disc.w * disc.V)[:, None]).T
+            if not np.allclose(self.T @ self.S, np.eye(self.S.shape[1]),
+                               atol=1e-7):
+                raise ValueError("Grushin corner is not a left inverse of "
+                                 "the chains")
         self._top, self._bottom = slice(None, n), slice(n, None)
-        self._r0_coeffs = self._build_r0_coeffs()
         self._inverse: Optional[ExpansionSeries] = None
 
     # --- series building --------------------------------------------------
-    def _build_r0_coeffs(self) -> Dict[int, np.ndarray]:
-        d = self.disc
-        out = {}
-        for j in range(0, self.cap + 1):
-            if self.point == "threshold":
-                out[j] = (1j ** j) * d.gj(j)
-            else:
-                fj = np.prod(np.arange(1, j + 1), dtype=float)
-                out[j] = d.gj_plus(j, self.point) / fj
-        return out
-
     @property
     def R0_series(self) -> ExpansionSeries:
         return ExpansionSeries(self.var, self._r0_coeffs, self.cap)
 
     def _bordered(self, M: np.ndarray) -> np.ndarray:
         """[[M, S], [T, 0]] for an n x n M."""
-        n, m = self._S.shape
+        n, m = self.S.shape
         P = np.zeros((n + m, n + m), dtype=complex)
         P[:n, :n] = M
-        P[:n, n:] = self._S
-        P[n:, :n] = self._T
+        P[:n, n:] = self.S
+        P[n:, :n] = self.T
         return P
 
     def _block(self, rows: slice, cols: slice) -> ExpansionSeries:
@@ -191,7 +188,7 @@ class GrushinReduction:
 
     # --- direct evaluation ------------------------------------------------
     def bp_of(self, z: complex, side: str = "+") -> BranchPoint:
-        if self.point == "threshold":
+        if self.var == "sqrt_z":
             return BranchPoint.from_z(z, side=side if np.real(z) > 0
                                       and np.imag(z) == 0 else None)
         zz = complex(self.point) + complex(z)     # z is the offset xi
@@ -200,7 +197,7 @@ class GrushinReduction:
         return BranchPoint.from_z(zz)
 
     def var_of(self, bp: BranchPoint) -> complex:
-        if self.point == "threshold":
+        if self.var == "sqrt_z":
             return bp.sqrt_z
         return bp.z - self.point
 
@@ -226,7 +223,7 @@ def verify_grushin_identity(red: GrushinReduction, z: complex,
     bp = red.bp_of(z, side=side)
     M = red.disc.M(bp)
     Minv = np.linalg.inv(M)
-    S, T = red.gs.S, red.gs.T
+    S, T = red.S, red.T
     P1 = S @ T
     P1p = np.eye(len(P1)) - P1
     E = P1p @ sla.solve(P1p @ M @ P1p + P1, P1p)
@@ -240,14 +237,11 @@ def verify_grushin_identity(red: GrushinReduction, z: complex,
 # ---------------------------------------------------------------------------
 # Laurent inversion
 
-def invert_E_minus_plus(red: GrushinReduction,
-                        q: Optional[int] = None,
-                        test_z: float = 1e-3,
-                        rtol: float = 1e-5) -> Tuple[ExpansionSeries, int]:
-    """Laurent inverse of E_-+ with lowest order -q; q is validated pointwise
-    against a direct inverse at z = -test_z, -test_z / 4 and, off the
-    negative axis, i test_z (for a resonance anchor these are offsets, the
-    last one in the upper half-plane), and incremented on failure."""
+def invert_E_minus_plus(red: GrushinReduction
+                        ) -> Tuple[ExpansionSeries, int]:
+    """Laurent inverse of E_-+ with lowest order -q, the smallest q whose
+    inverse matches a direct one to 1e-5 relative at the anchor's -q_test,
+    -q_test / 4 and, off the negative axis, i q_test."""
     def err(F: ExpansionSeries, z: complex) -> float:
         bp = red.bp_of(z)
         direct = np.linalg.inv(red.Emp_at(bp))
@@ -255,79 +249,66 @@ def invert_E_minus_plus(red: GrushinReduction,
                 / np.linalg.norm(direct))
 
     emp = red.Emp_series
-    for qq in ([q] if q is not None else range(0, min(red.cap, 5))):
-        F = emp.laurent_inverse(qq)
-        if all(err(F, z) <= rtol for z in (-test_z, -test_z / 4.0,
-                                           1j * test_z)):
-            return F, qq
+    zt = red.q_test
+    for q in range(0, min(red.cap, 5)):
+        F = emp.laurent_inverse(q)
+        if all(err(F, z) <= 1e-5 for z in (-zt, -zt / 4.0, 1j * zt)):
+            return F, q
     raise ValueError("no Laurent order reproduces the inverse of E_-+")
 
 
 # ---------------------------------------------------------------------------
 # Lidskii scaling of det E_-+
 
-def _structural_order(kind: str, k: int, N0: int = 0) -> Tuple[float, int]:
-    """(power of z, power of the series variable) of det E_-+ at the origin."""
-    if kind == "first":
-        return 0.5, 1
-    if kind == "second":
-        return float(k), 2 * k
-    if kind == "third":
-        return k - 0.5, 2 * k - 1
-    if kind == "resonance":
-        return float(N0), N0
-    raise ValueError("unknown kind for Lidskii scaling")
+def _structural_order(kind: str, k: int) -> Tuple[float, int]:
+    """(power of z, power of the series variable) of det E_-+ at the anchor
+    for k Jordan blocks."""
+    orders = {"first": (0.5, 1), "second": (float(k), 2 * k),
+              "third": (k - 0.5, 2 * k - 1), "resonance": (float(k), k)}
+    if kind not in orders:
+        raise ValueError("unknown kind for Lidskii scaling")
+    return orders[kind]
 
 
 def lidskii_determinant(red: GrushinReduction, kind: str,
-                        constant_formula: Optional[complex] = None,
-                        z0: float = -4e-2, n_ladder: int = 7,
-                        N0: int = 0) -> LidskiiScaling:
-    """Ladder fit of det E_-+ along z_n = z0 4^{-n} (offsets for a resonance
-    anchor), Richardson-extrapolated, against the structural prediction and
-    the exact leading coefficient of the determinant series."""
-    k = red.gs.basis.k
-    order_z, order_p = _structural_order(kind, k, N0=N0)
+                        constant_formula: Optional[complex] = None
+                        ) -> LidskiiScaling:
+    """Ladder fit of det E_-+ along z_n = z0 4^{-n}, n = 0..6 (z0 and the
+    offsets of a resonance anchor from `red`), Richardson-extrapolated,
+    against the structural prediction and the exact leading coefficient of
+    the determinant series.  A coefficient below the structural order raises:
+    the anchor is then not of the given kind."""
+    order_z, order_p = _structural_order(kind, red.basis.k)
 
     det_c = ExpansionSeries(red.var, red.Emp_series.coeffs,
                             min(red.cap, order_p + 2)).det_series()
-    live = {j: v for j, v in det_c.items() if abs(v) > 0}
     const_mach = det_c.get(order_p, 0.0)
-    if live:
-        lead = min(live)
-        if lead < order_p and abs(live[lead]) > 1e-8 * max(abs(const_mach), 1e-30):
-            const_mach = live[lead]   # structural prediction missed; report it
+    floor = 1e-8 * max(abs(const_mach), 1e-30)
+    for j in sorted(det_c):
+        if j < order_p and abs(det_c[j]) > floor:
+            raise ValueError(f"det E_-+ has coefficient {det_c[j]:.3e} at "
+                             f"order {j}, below the structural order "
+                             f"{order_p} of a {kind} anchor")
 
-    samples = []
-    dets, us = [], []
-    for nn in range(n_ladder):
-        z = z0 * 4.0 ** (-nn)
-        bp = red.bp_of(z)
-        d = complex(np.linalg.det(red.Emp_at(bp)))
-        samples.append((complex(z), d))
-        dets.append(d)
-        us.append(red.var_of(bp))
+    zs = [red.lidskii_z0 * 4.0 ** (-n) for n in range(7)]
+    bps = [red.bp_of(z) for z in zs]
+    dets = [complex(np.linalg.det(red.Emp_at(bp))) for bp in bps]
+    us = [red.var_of(bp) for bp in bps]
     slopes = [(np.log(abs(dets[i])) - np.log(abs(dets[i + 1])))
               / (np.log(abs(us[i])) - np.log(abs(us[i + 1])))
-              for i in range(n_ladder - 1)]
+              for i in range(len(dets) - 1)]
     # the series variable shrinks by ratio rr per rung; one Richardson step
-    # cancels the leading error term
-    rr = 2.0 if red.point == "threshold" else 4.0
-    rich = [(rr * slopes[i + 1] - slopes[i]) / (rr - 1.0)
-            for i in range(len(slopes) - 1)]
-    order_fit_p = float(rich[len(rich) // 2]) if rich else float(slopes[-1])
-    # leading-constant estimates d_n / u_n^{order_p}, Richardson in u
-    consts = [dets[i] / us[i] ** order_p for i in range(n_ladder)]
-    cr = [(rr * consts[i + 1] - consts[i]) / (rr - 1.0)
-          for i in range(n_ladder - 1)]
-    const_fit = complex(cr[-1]) if cr else complex(consts[-1])
-    scale = 2.0 if red.point == "threshold" else 1.0
+    # cancels the leading error term, of the slope mid-ladder and of the
+    # leading-constant estimate d_n / u_n^{order_p} on the last two rungs
+    rr, mid = red.rung_ratio, (len(slopes) - 1) // 2
+    order_fit_p = float((rr * slopes[mid + 1] - slopes[mid]) / (rr - 1.0))
+    c = [d / u ** order_p for d, u in zip(dets[-2:], us[-2:])]
     return LidskiiScaling(kind=kind, order_structural=order_z,
-                          order_fit=order_fit_p / scale,
+                          order_fit=order_fit_p * red.z_power,
                           constant_machinery=complex(const_mach),
-                          constant_fit=const_fit,
+                          constant_fit=complex((rr * c[1] - c[0]) / (rr - 1.0)),
                           constant_formula=constant_formula,
-                          samples=samples)
+                          samples=[(complex(z), d) for z, d in zip(zs, dets)])
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +324,15 @@ def _first_kind_constant(disc: Discretization, basis: JordanBasis) -> complex:
 
 
 def _eigen_phi_matrix(disc: Discretization, basis: JordanBasis,
-                      blocks: List[int], source: bool = True) -> np.ndarray:
+                      blocks: List[int]) -> np.ndarray:
     """Phi[i,j] = -c_i^{-1} <u_1^(i), J u_1^(j)>_{R^3} over the given blocks,
-    with the pairing taken in the source representation (exact for marker-free
-    threshold states) or on the grid."""
-    pair = disc.l2_pair_source if source else disc.pair
+    and the pairing matrix L, taken in the source representation (exact for
+    marker-free threshold states)."""
     us = [basis.chains[b][0] for b in blocks]
     cs = [basis.constants[b] for b in blocks]
     k = len(us)
-    L = np.array([[pair(us[i], us[j]) for j in range(k)] for i in range(k)])
+    L = np.array([[disc.l2_pair_source(us[i], us[j]) for j in range(k)]
+                  for i in range(k)])
     return -np.diag([1.0 / c for c in cs]) @ L, L
 
 
@@ -371,10 +352,12 @@ def _b_matrix_discrete(disc: Discretization, G1: np.ndarray, lam0: float,
 # full expansions
 
 def _sample_remainders(red: GrushinReduction, Rs: ExpansionSeries,
-                       upto: int, zs) -> List[Tuple[complex, float]]:
+                       upto: int) -> List[Tuple[complex, float]]:
+    """Relative error of Rs truncated at order `upto` against R(z) at the
+    anchor's remainder points."""
     out = []
     part = Rs.truncated(upto)
-    for z in zs:
+    for z in red.remainder_points:
         bp = red.bp_of(z)
         u = red.var_of(bp)
         direct = red.disc.R(bp)
@@ -383,56 +366,57 @@ def _sample_remainders(red: GrushinReduction, Rs: ExpansionSeries,
     return out
 
 
-def _checked_projection(K: np.ndarray, eps: float,
-                        det: EigenNearMinusOne) -> RieszProjection:
-    """Riesz projector onto the -1 cluster of K, whose numerical rank must
-    equal the algebraic multiplicity counted by the eigenvalue detection."""
-    P = riesz_projection(K, eps, detection=det)
-    if P.rank != det.algebraic_multiplicity:
-        raise ValueError(f"Riesz projector rank {P.rank} != algebraic "
+def _singular_expansion(disc: Discretization, K: np.ndarray,
+                        det: EigenNearMinusOne, point, prefer=None) -> tuple:
+    """The construction behind both expansions at an anchor where K has the
+    -1 cluster `det`: Riesz projector onto the cluster (its rank checked
+    against the algebraic multiplicity the detection counted), Jordan chains
+    on its range, the Grushin reduction, the Laurent inverse F of E_-+ with
+    pole order q, M^{-1} = E - E_+ F E_- and the resolvent series
+    M^{-1} R0.  Returns (reduction, q, series, remainder samples)."""
+    P1 = riesz_projection(K, min(det.gap / 2.5, 0.5), detection=det)
+    if P1.rank != det.algebraic_multiplicity:
+        raise ValueError(f"Riesz projector rank {P1.rank} != algebraic "
                          f"multiplicity {det.algebraic_multiplicity}")
-    return P
+    basis = build_jordan_chains(P1.entries, K, disc.w * disc.V,
+                                prefer=prefer)
+    del P1, K     # n x n arrays that the series work below does not need
+    red = GrushinReduction(disc, basis, point)
+    F, q = invert_E_minus_plus(red)
+    Minvs = red.E_series - (red.Eplus_series @ F) @ red.Eminus_series
+    L = red.truncation
+    Rs = Minvs.truncated(L) @ red.R0_series.truncated(L + q)
+    return red, q, Rs, _sample_remainders(red, Rs, 1)
 
 
 def threshold_resolvent_expansion(model: Model,
                                   classification: Optional[ZeroClassification] = None,
-                                  disc: Optional[Discretization] = None,
-                                  cap: int = 8) -> ThresholdCoefficients:
+                                  disc: Optional[Discretization] = None
+                                  ) -> ThresholdCoefficients:
     """Laurent expansion of (Id + K(z))^{-1} R0(z) V-free form around z = 0:
     R(z) = R_-2 / z + R_-1 / sqrt(z) + R_0 + ... with the singular parts
     expressed through normalized threshold states.  The Riesz projector is
     taken onto the -1 cluster the classification detected."""
     disc = disc or Discretization(model)
     cls = classification or classify_zero(model, disc=disc)
-    n = disc.grid.n
-    tau = disc.w * disc.V
 
     if cls.kind == "regular":
-        red = GrushinReduction(disc, None, point="threshold", cap=cap)
+        red = GrushinReduction(disc, None)
         Rs = red.E_series.truncated(4) @ red.R0_series.truncated(4)
-        Rs.remainder_samples = _sample_remainders(
-            red, Rs, 2, [-1e-2, -1e-3, 1e-3 + 1e-3j])
         scal = LidskiiScaling(kind="regular", order_structural=0.0,
                               order_fit=0.0, constant_machinery=0.0,
                               constant_fit=0.0, constant_formula=None)
-        zero = np.zeros((n, n), dtype=complex)
-        return ThresholdCoefficients(kind="regular", series=Rs, R_m2=zero,
-                                     R_m1=zero, phi=None, Z=[], P0=None,
-                                     scaling=scal, constants={}, basis=None)
+        zero = np.zeros((disc.grid.n, disc.grid.n), dtype=complex)
+        return ThresholdCoefficients(
+            kind="regular", series=Rs,
+            remainder_samples=_sample_remainders(red, Rs, 2), R_m2=zero,
+            R_m1=zero, phi=None, Z=[], P0=None, scaling=scal, constants={},
+            basis=None)
 
-    det = cls.detection
-    eps = min(det.gap / 2.5, 0.5)
-    P1 = _checked_projection(disc.K0, eps, det)
     prefer = (lambda u: abs(disc.marker(u))) if cls.kind == "third" else None
-    basis = build_jordan_chains(P1.entries, disc.K0, tau, prefer=prefer)
-    gs = build_grushin(basis, tau)
-    red = GrushinReduction(disc, gs, point="threshold", cap=cap)
-
-    F, q = invert_E_minus_plus(red)
-    Minvs = red.E_series - (red.Eplus_series @ F) @ red.Eminus_series
-    Rs = Minvs.truncated(3) @ red.R0_series.truncated(3 + q)
-    Rs.remainder_samples = _sample_remainders(
-        red, Rs, 1, [-1e-2, -1e-3, 1e-3 + 1e-3j])
+    red, q, Rs, samples = _singular_expansion(disc, disc.K0, cls.detection,
+                                              "threshold", prefer=prefer)
+    basis = red.basis
 
     constants: Dict[str, object] = {
         "c": list(basis.constants), "sizes": list(basis.sizes), "q": q}
@@ -457,11 +441,9 @@ def threshold_resolvent_expansion(model: Model,
             if abs(disc.marker(u1)) > 10 * marker_tolerance(disc, u1):
                 raise ValueError(f"eigen block {b} has integral marker "
                                  f"{abs(disc.marker(u1)):.2e}")
-        Phi_src, L_src = _eigen_phi_matrix(disc, basis, blocks, source=True)
-        _, L_grid = _eigen_phi_matrix(disc, basis, blocks, source=False)
+        Phi_src, L_src = _eigen_phi_matrix(disc, basis, blocks)
         constants["Phi"] = Phi_src
         constants["L_source"] = L_src
-        constants["L_grid"] = L_grid
         fac = complex(np.linalg.det(Phi_src))
         formula = fac if cls.kind == "second" else constants["a11"] * fac
         # normalize with the source-representation pairing: it evaluates the
@@ -478,38 +460,26 @@ def threshold_resolvent_expansion(model: Model,
               for j in range(kz)] for i in range(kz)])
 
     scal = lidskii_determinant(red, cls.kind, constant_formula=formula)
-    R_m2 = Rs.coeff(-2)
-    R_m1 = Rs.coeff(-1)
-    return ThresholdCoefficients(kind=cls.kind, series=Rs, R_m2=R_m2,
-                                 R_m1=R_m1, phi=phi, Z=Z, P0=P0,
-                                 scaling=scal, constants=constants,
-                                 basis=basis)
+    return ThresholdCoefficients(kind=cls.kind, series=Rs,
+                                 remainder_samples=samples,
+                                 R_m2=Rs.coeff(-2), R_m1=Rs.coeff(-1),
+                                 phi=phi, Z=Z, P0=P0, scaling=scal,
+                                 constants=constants, basis=basis)
 
 
 def resonance_resolvent_expansion(model: Model, lam0: float,
-                                  disc: Optional[Discretization] = None,
-                                  cap: int = 6) -> ResonanceCoefficients:
+                                  disc: Optional[Discretization] = None
+                                  ) -> ResonanceCoefficients:
     """Laurent expansion of (Id + K(z))^{-1} R0(z) around an outgoing
     resonance energy lam0 > 0 (boundary value from the upper side)."""
     disc = disc or Discretization(model)
-    tau = disc.w * disc.V
     Kp = disc.K(BranchPoint.boundary(lam0, "+"))
     det = detect_minus_one(Kp, tol=1e-4)
-    if det == "absent":
+    if det is None:
         raise ValueError("no eigenvalue -1 at the requested energy")
-    eps = min(det.gap / 2.5, 0.5)
-    P1 = _checked_projection(Kp, eps, det)
-    basis = build_jordan_chains(P1.entries, Kp, tau)
-    gs = build_grushin(basis, tau)
-    red = GrushinReduction(disc, gs, point=float(lam0), cap=cap)
+    red, q, Rs, samples = _singular_expansion(disc, Kp, det, float(lam0))
+    basis = red.basis
 
-    F, q = invert_E_minus_plus(red, test_z=1e-4)
-    Minvs = red.E_series - (red.Eplus_series @ F) @ red.Eminus_series
-    Rs = Minvs.truncated(2) @ red.R0_series.truncated(2 + q)
-    Rs.remainder_samples = _sample_remainders(
-        red, Rs, 1, [-1e-3, -1e-4, 1e-4 + 1e-4j])
-
-    N0 = basis.k
     vecs = [basis.chains[b][0] for b in range(basis.k)]
     B = _b_matrix_discrete(disc, red.R0_series.coeff(1), lam0, vecs)
     fac = 1j * 8.0 * np.pi * np.sqrt(lam0)
@@ -522,10 +492,10 @@ def resonance_resolvent_expansion(model: Model, lam0: float,
     # E_-+ leading block: A = -diag(1/c) Theta(M_1^+ u_j, u_i) = -diag(1/c) B (i / 8 pi sqrt(lam0))
     A = -np.diag([1.0 / c for c in basis.constants]) @ (B * (1j / (8.0 * np.pi * np.sqrt(lam0))))
     formula = complex(np.linalg.det(A))
-    scal = lidskii_determinant(red, "resonance", constant_formula=formula,
-                               z0=-4e-3, N0=N0)
+    scal = lidskii_determinant(red, "resonance", constant_formula=formula)
     constants = {"c": list(basis.constants), "B": B, "A": A, "q": q}
-    return ResonanceCoefficients(lam0=float(lam0), N0=N0, series=Rs,
+    return ResonanceCoefficients(lam0=float(lam0), N0=basis.k, series=Rs,
+                                 remainder_samples=samples,
                                  R_m1=Rs.coeff(-1), psi=psi, P_res=P_res,
                                  scaling=scal, constants=constants,
                                  basis=basis)

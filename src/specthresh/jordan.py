@@ -70,19 +70,22 @@ def _nilpotency_index(Ac: np.ndarray, tol: float = 1e-8) -> int:
     raise ValueError("operator not nilpotent on the candidate subspace")
 
 
+# a block is Theta-degenerate when its pairing is below this times |Theta|
+_DEGENERACY_TOL = 1e-10
+
+
 def build_jordan_chains(P1: np.ndarray, K0: np.ndarray, tau: np.ndarray,
-                        degeneracy_tol: float = 1e-10,
-                        rng: Optional[np.random.Generator] = None,
                         prefer: Optional[Callable[[np.ndarray], float]] = None
                         ) -> JordanBasis:
     """Constructive Jordan decomposition of (Id + K0) restricted to Ran P1
-    with Theta-orthogonal blocks.
+    with Theta-orthogonal blocks.  The random candidate chain tops come from
+    a fixed seed, so the basis is reproducible.
 
     `prefer` optionally scores the bottom vector u_1 of each block; blocks are
     emitted in decreasing score order (used to put the resonance direction
     first for mixed thresholds). Default order: decreasing block size.
     """
-    rng = rng or np.random.default_rng(7)
+    rng = np.random.default_rng(7)
     B = _range_basis(P1)               # (n, m), orthonormal columns
     m = B.shape[1]
     A = B.conj().T @ (B + K0 @ B)      # coords of (Id+K0)|_E
@@ -108,7 +111,7 @@ def build_jordan_chains(P1: np.ndarray, K0: np.ndarray, tau: np.ndarray,
             val = abs((Q @ u) @ Th @ u)
             if val > best_val:
                 best, best_val = u, val
-        if best_val < degeneracy_tol * th_scale:
+        if best_val < _DEGENERACY_TOL * th_scale:
             raise ValueError("Theta-degenerate block")
         chain = [np.linalg.matrix_power(A, p - r) @ best for r in range(1, p + 1)]
         blocks.append(np.column_stack(chain))
@@ -131,7 +134,7 @@ def build_jordan_chains(P1: np.ndarray, K0: np.ndarray, tau: np.ndarray,
     consts = []
     for ch in chains_full:
         c = theta(tau, ch[0], ch[-1])
-        if abs(c) <= degeneracy_tol * th_scale:
+        if abs(c) <= _DEGENERACY_TOL * th_scale:
             raise ValueError("Theta-degenerate block")
         consts.append(c)
     basis = JordanBasis(k=len(sizes), sizes=sizes, chains=chains_full,

@@ -8,8 +8,8 @@ retained order so products stay exact up to the cap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
@@ -21,8 +21,6 @@ class ExpansionSeries:
     variable: str                       # "sqrt_z" | "z_minus_lambda0"
     coeffs: Dict[int, np.ndarray]
     cap: int                            # highest retained order
-    radius: float = np.inf
-    remainder_samples: List[Tuple[complex, float]] = field(default_factory=list)
 
     # --- bookkeeping ------------------------------------------------------
     def __post_init__(self):

@@ -86,6 +86,16 @@ def cell_ball_integral(kernel, rc: float) -> complex:
     return complex(re, im)
 
 
+def cell_r0_series(sqrt_z: complex, rc: float, terms: int = 40) -> complex:
+    """int_0^rc rho e^{i a rho} d rho (a = sqrt_z) as the power series
+    rc^2 sum_n x^n / (n! (n + 2)), x = i a rc, over its first `terms` terms,
+    real and imaginary parts summed exactly-rounded by math.fsum."""
+    x = 1j * sqrt_z * rc
+    ts = [x ** n / (math.factorial(n) * (n + 2)) for n in range(terms)]
+    return rc ** 2 * complex(math.fsum(t.real for t in ts),
+                             math.fsum(t.imag for t in ts))
+
+
 def cauchy_r0_kernel_derivative(j: int, lam0: float, r,
                                 n: int = 128) -> np.ndarray:
     """j-th z-derivative of the R0 kernel exp(i sqrt(z) r)/(4 pi r) at

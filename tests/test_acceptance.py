@@ -11,8 +11,7 @@ import pytest
 import oracles
 from test_jordan import _theta_symmetric_case
 from specthresh.birman_schwinger import scan_positive_resonances
-from specthresh.grushin import GrushinReduction, build_grushin, \
-    verify_grushin_identity
+from specthresh.grushin import GrushinReduction, verify_grushin_identity
 from specthresh.jordan import build_jordan_chains, projector_from_chains, \
     verify_jordan_form
 from specthresh.kernels import BranchPoint, verify_threshold_expansion
@@ -36,9 +35,7 @@ def _against(value, gate, floor=1e-12):
 
 
 def _reduction(disc, basis, point="threshold", cap=6):
-    tau = disc.w * disc.V
-    gs = build_grushin(basis, tau)
-    return GrushinReduction(disc, gs, point=point, cap=cap)
+    return GrushinReduction(disc, basis, point=point, cap=cap)
 
 
 # --------------------------------------------------------------------------

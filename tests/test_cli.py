@@ -61,6 +61,38 @@ def test_unknown_model_key_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("model", [
+    {"factory": "first_kind", "formula": "x"},
+    {"factory": "first_kind", "rho": 1.0},
+    {"factory": "first_kind", "strength": [0.6, 0.25]},
+    {"factory": "regular", "lam0": 1.0},
+], ids=["formula", "rho", "strength_outside_regular",
+        "lam0_outside_resonance"])
+def test_model_key_no_factory_reads_exits_two(tmp_path, model):
+    path = _write(tmp_path, "bad.json", {"model": model,
+                                         "stages": ["classify"]})
+    res = CliRunner().invoke(main, ["classify", "--config", path,
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "unknown model keys" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_that_is_not_an_object_exits_two(tmp_path):
+    path = _write(tmp_path, "bad.json", {"model": [], "stages": ["classify"]})
+    res = CliRunner().invoke(main, ["classify", "--config", path])
+    assert res.exit_code == 2, res.output
+    assert "JSON object" in res.output
+
+
+def test_factory_keys_accepted_where_read(tmp_path):
+    for model in ({"factory": "regular", "strength": [0.6, 0.25]},
+                  {"factory": "resonance", "lam0": 1.2}):
+        path = _write(tmp_path, "cfg.json", {"model": model,
+                                             "stages": ["classify"]})
+        assert load_config(path).model == model
+
+
 def test_unknown_stage_rejected(tmp_path):
     path = _write(tmp_path, "bad.json", {
         "model": {"factory": "free"}, "stages": ["transmogrify"]})
@@ -172,6 +204,21 @@ def test_propagate_stage_needs_threshold_coefficients(tmp_path, monkeypatch):
                     r"no threshold coefficients", rep.errors[1])
     assert "propagate" not in rep.stages
     assert not rep.all_passed
+
+
+def test_unchecked_h3_is_reported_as_null(tmp_path):
+    # the classify stage gives check_hypotheses no resonance list, so H3 is
+    # not evaluated and the report must not claim it holds
+    path = _write(tmp_path, "cfg.json", {
+        "model": {"factory": "first_kind", "resolution": 4},
+        "stages": ["classify"]})
+    res = CliRunner().invoke(main, ["classify", "--config", path,
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    text = (tmp_path / "out" / "report.json").read_text()
+    hyp = json.loads(text)["stages"]["classify"]["hypotheses"]
+    assert hyp["H3"] is None and '"H3": null' in text
+    assert hyp["H1"] is True and hyp["H2"] is True
 
 
 def test_emit_plot_data_contour(tmp_path, regular_config):

@@ -9,20 +9,19 @@ import oracles
 import specthresh.grushin as grushin
 import specthresh.jordan as jordan
 from specthresh.birman_schwinger import Discretization, classify_zero
-from specthresh.grushin import (GrushinReduction, build_grushin,
-                                invert_E_minus_plus, lidskii_determinant,
+from specthresh.grushin import (GrushinReduction, invert_E_minus_plus,
+                                lidskii_determinant,
                                 threshold_resolvent_expansion,
                                 verify_grushin_identity)
 from specthresh.kernels import BranchPoint
 from specthresh.model import build_grid
 from specthresh.models import (first_kind_model, resonance_model,
                                third_kind_model)
+from specthresh.series import ExpansionSeries
 
 
 def _reduction(disc, coeffs, point="threshold", cap=6):
-    tau = disc.w * disc.V
-    gs = build_grushin(coeffs.basis, tau)
-    return GrushinReduction(disc, gs, point=point, cap=cap)
+    return GrushinReduction(disc, coeffs.basis, point=point, cap=cap)
 
 
 # --------------------------------------------------------------------------
@@ -73,7 +72,7 @@ def test_bordered_point_values_match_schur_complement(bordered):
     # E_-+ = -(T M^{-1} S)^{-1} and E = M^{-1} - M^{-1} S (T M^{-1} S)^{-1}
     # T M^{-1}: the Schur-complement forms of the bordered inverse
     red, zs = bordered
-    S, T = red.gs.S, red.gs.T
+    S, T = red.S, red.T
     for z in zs:
         bp = red.bp_of(z)
         Minv = np.linalg.inv(red.disc.M(bp))
@@ -87,7 +86,7 @@ def test_bordered_series_blocks_match_projected_oracle(bordered):
     V = red.disc.V[None, :]
     m_coeffs = {j: c * V for j, c in red.R0_series.coeffs.items()}
     m_coeffs[0] = m_coeffs[0] + np.eye(red.disc.grid.n)
-    want = oracles.projected_grushin_series(m_coeffs, red.gs.S, red.gs.T,
+    want = oracles.projected_grushin_series(m_coeffs, red.S, red.T,
                                             red.cap)
     for name, got in (("E", red.E_series), ("E_plus", red.Eplus_series),
                       ("E_minus", red.Eminus_series),
@@ -175,6 +174,25 @@ def test_lidskii_resonance(res_coeffs):
         < 1e-10 * abs(sc.constant_formula)
 
 
+def test_lidskii_raises_below_the_structural_order(monkeypatch, disc_first,
+                                                   coeffs_first):
+    # a first-kind det E_-+ starts at order 1 in sqrt(z); a live order-0
+    # coefficient means the structural prediction is wrong, which must raise
+    # rather than be reported as the leading constant
+    red = _reduction(disc_first, coeffs_first)
+    real = ExpansionSeries.det_series
+
+    def with_order_zero(self):
+        c = real(self)
+        c[0] = 1e-3 * c[1]
+        return c
+
+    monkeypatch.setattr(ExpansionSeries, "det_series", with_order_zero)
+    with pytest.raises(ValueError, match=r"at order 0, below the structural "
+                                         r"order 1"):
+        lidskii_determinant(red, "first")
+
+
 def test_richardson_ladder_beats_raw_slope(disc_first, coeffs_first):
     red = _reduction(disc_first, coeffs_first)
     sc = lidskii_determinant(red, "first")
@@ -196,7 +214,7 @@ def test_regular_expansion_has_no_singular_part(regular8, disc_regular):
     coeffs = threshold_resolvent_expansion(regular8, disc=disc_regular)
     assert coeffs.kind == "regular"
     assert np.all(coeffs.R_m2 == 0) and np.all(coeffs.R_m1 == 0)
-    errs = dict(coeffs.series.remainder_samples)
+    errs = dict(coeffs.remainder_samples)
     assert all(e < 0.05 for e in errs.values())
     # the truncation error shrinks with |z|
     assert errs[complex(-1e-3)] < errs[complex(-1e-2)]
@@ -234,7 +252,7 @@ def test_third_kind_combines_both_parts(coeffs_third):
 
 
 def test_threshold_series_approximates_resolvent(disc_first, coeffs_first):
-    errs = dict(coeffs_first.series.remainder_samples)
+    errs = dict(coeffs_first.remainder_samples)
     assert all(e < 0.05 for e in errs.values())
     assert errs[complex(-1e-3)] < errs[complex(-1e-2)]
 

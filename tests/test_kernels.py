@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -144,6 +144,32 @@ def test_diag_r0_against_quadrature():
     assert abs(got - want) < 1e-10
 
 
+def test_diag_r0_matches_series_at_small_k():
+    # |a rc| from 1e-12 to 2 in every direction of a, on both sheets (the
+    # closed form alone loses ~eps / |a rc|^2 here); no NaN or warning even
+    # where (i a)^2 underflows
+    rc = np.array([0.3, 0.62, 1.0])
+    worst = 0.0
+    for mag in np.logspace(-12, np.log10(2.0), 60):
+        for th in np.linspace(-np.pi, np.pi, 16, endpoint=False):
+            a = mag * np.exp(1j * th) / rc
+            for ai, r in zip(a, rc):
+                got = _diag_r0(ai, np.array([r]))[0]
+                want = oracles.cell_r0_series(ai, r)
+                worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 1e-13
+    # one call over cells on both sides of the switch to the Taylor branch
+    rcs = np.geomspace(1e-3, 1.0, 7)
+    assert np.array_equal(_diag_r0(0.5 - 0.2j, rcs),
+                          [_diag_r0(0.5 - 0.2j, np.array([r]))[0]
+                           for r in rcs])
+    tiny = _diag_r0(2.1e-163j, rc)
+    assert np.all(np.isfinite(tiny))
+    assert np.array_equal(tiny, rc ** 2 / 2.0)
+    K = assemble_r0(build_grid(3.0, 4), BranchPoint(z=0.0, sqrt_z=2.1e-163j))
+    assert np.all(np.isfinite(K))
+
+
 def test_diag_gj_against_quadrature():
     rc = 0.41
     for j in range(0, 5):
@@ -238,17 +264,18 @@ def test_r0_kernel_runs_once_per_distance_class(first6, monkeypatch):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), re=st.floats(-3.0, 3.0),
-       im=st.floats(-1.0, 2.0), lam0=st.floats(0.1, 4.0),
-       j=st.integers(0, 3))
-def test_node_order_permutes_assemblies_bitwise(seed, re, im, lam0, j):
+       im=st.floats(-1.0, 2.0), shrink=st.integers(0, 200),
+       lam0=st.floats(0.1, 4.0), j=st.integers(0, 3))
+def test_node_order_permutes_assemblies_bitwise(seed, re, im, shrink, lam0,
+                                                j):
     # relabelling the nodes relabels the rows and columns, entry for entry;
-    # |k| >= 0.05 keeps the self-cell rule of R0 off its small-|k| cancellation
-    assume(abs(complex(re, im)) >= 0.05)
+    # shrink scales k down to |k| ~ 1e-200, deep into the Taylor branch of
+    # the self-cell rule
     g = build_grid(2.93, 5)
     p = np.random.default_rng(seed).permutation(g.n)
     gp = QuadratureGrid(nodes=g.nodes[p], weights=g.weights[p],
                         extent=g.extent, scheme=g.scheme, spacing=g.spacing)
-    k = complex(re, im)
+    k = complex(re, im) * 10.0 ** -shrink
     bp = BranchPoint(z=k * k, sqrt_z=k)
     pp = np.ix_(p, p)
     assert np.array_equal(assemble_r0(gp, bp), assemble_r0(g, bp)[pp])
