@@ -9,7 +9,8 @@ than only in the continuum limit.
 """
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -81,15 +82,20 @@ def _dipole_source_potential(grid: QuadratureGrid, G0: np.ndarray,
     parity, so psi is an eigen direction rather than a resonance.  alpha
     deforms the shape h; G0 is the threshold kernel assembled on grid.  With
     c = 1 the continuum V is radial and x_2, x_3 partners of psi put extra
-    zeros of M(k) near k = 0."""
+    zeros of M(k) near k = 0.
+
+    Nodes within 1e-12 extent of the plane x_1 = 0 count as on it: g is
+    exactly 0 there and so is V (psi is a roundoff value there, and the
+    ratio of two would be noise)."""
     mask = _support_mask(grid)
     x1 = grid.nodes[:, 0]
+    x1 = np.where(np.abs(x1) <= 1e-12 * grid.extent, 0.0, x1)
     # + 0.0 exactly when c = 1, so that q is bitwise r^2
     q = grid.radii() ** 2 + x1 ** 2 * (_width ** -2 - 1.0)
     g = (np.exp(-q) * (1.0 + tilt * 1j * np.exp(-0.5 * q))
          + alpha * q * np.exp(-1.3 * q)) * x1 * mask
     psi = -G0 @ g
-    V = np.where(mask > 0, g / psi, 0.0)
+    V = np.divide(g, psi, out=np.zeros_like(g), where=g != 0)
     # an interior zero of psi where g is supported would blow V up
     scale = np.abs(V[np.argmax(np.abs(g))])
     if not np.abs(V).max() < 1e4 * max(scale, 1e-300):
@@ -107,20 +113,66 @@ def second_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     return Model(grid=grid, potential=pot, name="second_kind")
 
 
+def _node_map(grid: QuadratureGrid, tree: cKDTree, perm,
+              signs) -> Optional[np.ndarray]:
+    """Node map m of x -> signs * x[perm]: nodes[m[i]] is the image of
+    nodes[i].  None unless the map takes nodes onto nodes and weights onto
+    weights (1e-12 extent in position, 1e-14 relative in weight)."""
+    dist, m = tree.query(grid.nodes[:, perm] * signs)
+    w = grid.weights
+    if (np.array_equal(np.sort(m), np.arange(grid.n))
+            and dist.max() <= 1e-12 * grid.extent
+            and np.all(np.abs(w[m] - w) <= 1e-14 * w)):
+        return m
+    return None
+
+
 def _x1_mirror(grid: QuadratureGrid) -> np.ndarray:
     """Node map m of the reflection x_1 -> -x_1: nodes[m[i]] is the mirror
     image of nodes[i].  Raises ValueError unless the grid, weights included,
     is mirror-symmetric in x_1."""
-    mirrored = grid.nodes * np.array([-1.0, 1.0, 1.0])
-    dist, m = cKDTree(grid.nodes).query(mirrored)
-    w = grid.weights
-    if not (np.all(m[m] == np.arange(grid.n))
-            and dist.max() <= 1e-12 * grid.extent
-            and np.all(np.abs(w[m] - w) <= 1e-14 * w)):
+    m = _node_map(grid, cKDTree(grid.nodes), [0, 1, 2], [-1.0, 1.0, 1.0])
+    if m is None:
         raise ValueError("grid is not mirror-symmetric in x_1 (nodes or "
                          "weights), so the dipole source has no exact "
                          "parity zero on it")
     return m
+
+
+def _x1_axis_symmetries(grid: QuadratureGrid) -> List[np.ndarray]:
+    """Node maps of the grid symmetries that fix the x_1 axis: of the 16
+    signed permutations x_1 -> +-x_1, x_2 -> +-x_2, x_3 -> +-x_3, x_2 <-> x_3,
+    each one that takes the grid onto itself (identity first).  The x_1
+    mirror must be among them (ValueError otherwise)."""
+    _x1_mirror(grid)
+    tree = cKDTree(grid.nodes)
+    maps = []
+    for perm in ([0, 1, 2], [0, 2, 1]):
+        for signs in itertools.product([1.0, -1.0], repeat=3):
+            m = _node_map(grid, tree, perm, signs)
+            if m is not None:
+                maps.append(m)
+    return maps
+
+
+def _symmetric_sector_basis(grid: QuadratureGrid,
+                            maps: List[np.ndarray]) -> np.ndarray:
+    """Orthonormal basis U (n x K) of the vectors that every node map in
+    `maps` leaves fixed: one column per orbit of nodes, the orbit's
+    indicator divided by sqrt(|orbit|), columns ordered by the orbit's
+    smallest node index."""
+    label = np.arange(grid.n)
+    while True:
+        # each map is a permutation, so min-propagation along i -> m[i]
+        # settles on the smallest index of i's orbit
+        new = np.minimum.reduce([label[m] for m in maps] + [label])
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, col, size = np.unique(label, return_inverse=True, return_counts=True)
+    U = np.zeros((grid.n, len(size)))
+    U[np.arange(grid.n), col] = 1.0 / np.sqrt(size[col])
+    return U
 
 
 def _third_kind_potential(grid: QuadratureGrid, G0: np.ndarray,
@@ -128,58 +180,72 @@ def _third_kind_potential(grid: QuadratureGrid, G0: np.ndarray,
     return _dipole_source_potential(grid, G0, tilt=0.2, alpha=alpha)
 
 
-def _even_sector_marked_eigenvalue(grid: QuadratureGrid, G0: np.ndarray):
-    """alpha -> the marked eigenvalue of G0 V(alpha) nearest -1, where
-    V(alpha) is the third-kind dipole source potential: among the
-    eigenvectors whose integral marker exceeds 5% of the largest, the
-    eigenvalue closest to -1.
+def _symmetric_sector_marked_eigenpair(grid: QuadratureGrid, G0: np.ndarray):
+    """alpha -> (mu, x): the marked eigenvalue mu of G0 V(alpha) nearest -1
+    and its unit eigenvector x on all n nodes, where V(alpha) is the
+    third-kind dipole source potential and an eigenvector counts as marked
+    when its integral marker exceeds 5% of the largest.
 
-    V is even and G0 commutes with the reflection x_1 -> -x_1, so every odd
-    eigenvector has marker zero and the marked eigenvalues are exactly those
-    of the even sector.  Each call solves only the even block
-    B = U^T (G0 diag V) U, where the orthonormal columns of U are
-    (e_i + e_m(i))/sqrt(2) for mirror pairs and e_i on the plane x_1 = 0."""
+    V, the weights and G0 are invariant under every grid symmetry that
+    fixes the x_1 axis (`_x1_axis_symmetries`), and so is the marker
+    functional w V.  An eigenvector outside the fully symmetric sector of
+    that group therefore has marker zero, and the marked eigenvalues are
+    exactly those of the sector block B = U^T (G0 diag V) U, U from
+    `_symmetric_sector_basis`: on the uniform grid K = 31 columns for
+    n = 408, about n / 13.  V is constant on each orbit, so
+    B = (U^T G0 U) diag(v) with v the orbit means of V."""
     w = grid.weights
-    m = _x1_mirror(grid)
-    # one column of U per mirror class {p, q = m(p)}; p = q on the plane
-    P = np.flatnonzero(np.arange(grid.n) <= m)
-    Q = m[P]
-    col = np.empty(grid.n, dtype=int)
-    col[P] = col[Q] = np.arange(len(P))
-    lift = np.where(m == np.arange(grid.n), 1.0, np.sqrt(0.5))
-    # summing the four (P|Q, P|Q) blocks counts a plane node twice per index
-    c = np.where(P == Q, 0.5, np.sqrt(0.5))
-    cc = c[:, None] * c[None, :]
-    GP = cc * (G0[np.ix_(P, P)] + G0[np.ix_(Q, P)])
-    GQ = cc * (G0[np.ix_(P, Q)] + G0[np.ix_(Q, Q)])
+    maps = _x1_axis_symmetries(grid)
+    U = _symmetric_sector_basis(grid, maps)
+    G_sector = U.T @ G0 @ U
+    orbit_size = (U > 0).sum(axis=0)
 
-    def marked_eigenvalue(alpha: complex) -> complex:
+    def marked_eigenpair(alpha: complex):
         V = _third_kind_potential(grid, G0, alpha)
-        if np.linalg.norm(V - V[m]) > 1e-10 * np.linalg.norm(V):
-            raise ValueError("dipole source potential is not even in x_1")
-        ev, y = sla.eig(GP * V[P][None, :] + GQ * V[Q][None, :])
-        vec = lift[:, None] * y[col]          # x = U y, unit norm like y
-        mk = np.abs((w * V) @ vec)
-        marked = mk > 0.05 * mk.max()
-        evm = ev[marked]
-        return complex(evm[np.argmin(np.abs(evm + 1.0))])
+        if max(np.linalg.norm(V - V[m]) for m in maps) \
+                > 1e-10 * np.linalg.norm(V):
+            raise ValueError("dipole source potential is not invariant under "
+                             "the grid symmetries that fix the x_1 axis")
+        v = (U.T @ V) / np.sqrt(orbit_size)
+        ev, y = sla.eig(G_sector * v[None, :])
+        mk = np.abs((U.T @ (w * V)) @ y)     # marker of x = U y, unit norm
+        marked = np.flatnonzero(mk > 0.05 * mk.max())
+        i = marked[np.argmin(np.abs(ev[marked] + 1.0))]
+        return complex(ev[i]), U @ y[:, i]
 
-    return marked_eigenvalue
+    return marked_eigenpair
+
+
+def _check_full_space(grid: QuadratureGrid, G0: np.ndarray, V: np.ndarray,
+                      x: np.ndarray) -> None:
+    """Second check of a sector eigenvector lifted to all n nodes, with the
+    full G0: ||(I + G0 V) x|| <= 1e-9 ||x|| and an integral marker above
+    1e-8 ||w V|| ||x|| (ValueError otherwise)."""
+    residual = np.linalg.norm(x + G0 @ (V * x)) / np.linalg.norm(x)
+    marker = abs((grid.weights * V) @ x) / (
+        np.linalg.norm(grid.weights * V) * np.linalg.norm(x))
+    if not (residual <= 1e-9 and marker > 1e-8):
+        raise ValueError(
+            "symmetric-sector eigenvector fails the full-space check: "
+            f"||(I + G0 V) x|| / ||x|| = {residual:.3e} (gate 1e-09), "
+            f"relative marker {marker:.3e} (gate 1e-08)")
 
 
 def _tune_third_kind_alpha(grid: QuadratureGrid, G0: np.ndarray) -> complex:
     """Shape parameter alpha of the third-kind dipole source that puts the
-    marked eigenvalue at -1: coarse scan for a basin, then `root(hybr)`."""
-    marked_eigenvalue = _even_sector_marked_eigenvalue(grid, G0)
+    marked eigenvalue at -1: coarse scan for a basin, then `root(hybr)`, all
+    in the fully symmetric sector; the tuned eigenvector then passes
+    `_check_full_space` on all n nodes."""
+    marked_eigenpair = _symmetric_sector_marked_eigenpair(grid, G0)
     best = None
     for ar in np.linspace(-4.0, 4.0, 9):
         for ai in (-1.5, -0.5, 0.5, 1.5):
-            mu = marked_eigenvalue(ar + 1j * ai)
+            mu, _ = marked_eigenpair(ar + 1j * ai)
             if best is None or abs(mu + 1.0) < best[0]:
                 best = (abs(mu + 1.0), ar + 1j * ai)
 
     def residual(x):
-        mu = marked_eigenvalue(x[0] + 1j * x[1])
+        mu, _ = marked_eigenpair(x[0] + 1j * x[1])
         return [mu.real + 1.0, mu.imag]
 
     sol = root(residual, [best[1].real, best[1].imag], method="hybr", tol=1e-13)
@@ -188,6 +254,8 @@ def _tune_third_kind_alpha(grid: QuadratureGrid, G0: np.ndarray) -> complex:
         raise ValueError(
             "two-eigenvalue tuning did not converge: |mu + 1| = "
             f"{np.linalg.norm(sol.fun):.3e} at alpha = {alpha:.6g}")
+    _, x = marked_eigenpair(alpha)
+    _check_full_space(grid, G0, _third_kind_potential(grid, G0, alpha), x)
     return alpha
 
 
@@ -199,9 +267,11 @@ def third_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     parity.  The shape parameter alpha of h is then tuned (coarse scan, then
     `root(hybr)` on the eigenvalue tracked through its nonzero integral
     marker) so a second, marker-carrying eigenvalue of G0 V also sits at -1.
-    Every tuning step solves only the even sector of the reflection
-    x_1 -> -x_1, a block of about n/2 (all marked eigenvalues live there);
-    the final V is built with the full G0.
+    Every tuning step solves only the fully symmetric sector of the grid
+    symmetries that fix the x_1 axis (all marked eigenvalues live there): a
+    block of one row per node orbit, 31 for n = 408 on the uniform grid.
+    The final V is built with the full G0, and the tuned eigenvector is
+    checked on all n nodes.
 
     The grid must be mirror-symmetric in x_1, nodes and weights (ValueError
     otherwise, e.g. `gauss_radial` with an odd azimuth count): without that

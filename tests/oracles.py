@@ -201,7 +201,7 @@ def full_eig_marked_eigenvalue(grid, G0, V) -> complex:
 
 def full_eig_third_kind_alpha(grid, G0, potential_of) -> complex:
     """Third-kind shape parameter alpha tuned with full n x n eigen-solves:
-    the same 9 x 4 coarse scan and root(hybr) as the library, with no parity
+    the same 9 x 4 coarse scan and root(hybr) as the library, with no symmetry
     reduction.  potential_of(alpha) gives the dipole source potential."""
     def mu(alpha):
         return full_eig_marked_eigenvalue(grid, G0, potential_of(alpha))

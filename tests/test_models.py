@@ -1,4 +1,5 @@
 """Reference model factories: tuned spectral structure and guard rails."""
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,16 +58,132 @@ def test_third_kind_double_eigenvalue(third8, disc_third):
     assert close[1] < 1e-8
 
 
-@pytest.mark.parametrize("resolution", [5, 6])
-def test_third_kind_even_sector_matches_full_eig(resolution):
+# (extent, resolution, scheme)
+SECTOR_GRIDS = [
     # resolution 5 has nodes on the plane x_1 = 0, resolution 6 has none
-    grid = build_grid(3.0, resolution)
+    pytest.param((3.0, 5, "uniform"), id="5"),
+    pytest.param((3.0, 6, "uniform"), id="6"),
+    pytest.param((2.93, 8, "uniform"), id="uniform-2.93-8"),
+    pytest.param((3.07, 8, "uniform"), id="uniform-3.07-8"),
+    # azimuth count 6 puts nodes on the plane x_1 = 0 up to roundoff
+    pytest.param((2.0, 6, "gauss_radial"), id="gauss_radial-2.0-6"),
+    pytest.param((2.0, 8, "gauss_radial"), id="gauss_radial-2.0-8"),
+]
+
+
+@pytest.mark.parametrize("grid_args", SECTOR_GRIDS)
+def test_third_kind_even_sector_matches_full_eig(grid_args):
+    grid = build_grid(*grid_args)
     G0 = assemble_gj(grid, 0)
-    marked = models._even_sector_marked_eigenvalue(grid, G0)
+    marked = models._symmetric_sector_marked_eigenpair(grid, G0)
     for alpha in (0.3 + 0.2j, -1.0 + 0.5j, 2.0 - 1.5j, -3.5 - 0.5j):
         V = models._third_kind_potential(grid, G0, alpha)
         want = oracles.full_eig_marked_eigenvalue(grid, G0, V)
-        assert abs(marked(alpha) - want) <= 1e-12 * abs(want)
+        mu, x = marked(alpha)
+        assert abs(mu - want) <= 1e-12 * abs(want)
+        assert np.linalg.norm(G0 @ (V * x) - mu * x) <= 1e-12
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("grid_args, order, K", [
+    pytest.param((3.0, 8, "uniform"), 16, 31, id="uniform-3.0-8"),
+    pytest.param((3.0, 10, "uniform"), 16, 52, id="uniform-3.0-10"),
+    # nodes 4e-16 off the plane x_1 = 0
+    pytest.param((2.93, 5, "uniform"), 16, 17, id="uniform-2.93-5"),
+    # no x_2 <-> x_3 swap: x_3 carries the Gauss-Legendre polar nodes
+    pytest.param((2.0, 6, "gauss_radial"), 8, 24, id="gauss_radial-2.0-6"),
+    pytest.param((2.0, 8, "gauss_radial"), 8, 32, id="gauss_radial-2.0-8"),
+])
+def test_x1_axis_symmetry_group_and_sector_basis(grid_args, order, K):
+    grid = build_grid(*grid_args)
+    maps = models._x1_axis_symmetries(grid)
+    assert len(maps) == order
+    assert np.array_equal(maps[0], np.arange(grid.n))
+    tol = 1e-12 * grid.extent
+    images = []
+    for m in maps:
+        assert np.array_equal(np.sort(m), np.arange(grid.n))
+        assert np.allclose(grid.weights[m], grid.weights, rtol=1e-14, atol=0)
+        # the map is one of the 16 signed permutations fixing the x_1 axis
+        assert any(np.allclose(grid.nodes[m], grid.nodes[:, perm] * signs,
+                               rtol=0.0, atol=tol)
+                   for perm in ([0, 1, 2], [0, 2, 1])
+                   for signs in itertools.product([1.0, -1.0], repeat=3))
+        images.append(m.tobytes())
+    assert len(set(images)) == order
+    U = models._symmetric_sector_basis(grid, maps)
+    assert U.shape == (grid.n, K)
+    assert np.allclose(U.T @ U, np.eye(K), rtol=0.0, atol=1e-15)
+    for m in maps:
+        assert np.array_equal(U[m], U)
+
+
+@pytest.mark.parametrize("grid_args", [
+    pytest.param((2.93, 5, "uniform"), id="uniform-2.93-5"),
+    pytest.param((2.0, 6, "gauss_radial"), id="gauss_radial-2.0-6"),
+])
+def test_third_kind_tunes_with_nodes_on_the_mirror_plane(grid_args):
+    # nodes on x_1 = 0 up to roundoff: V is 0 there, not a ratio of two
+    # roundoff values that breaks the x_2 / x_3 symmetry
+    grid = build_grid(*grid_args)
+    on_plane = np.abs(grid.nodes[:, 0]) <= 1e-12 * grid.extent
+    assert on_plane.any() and np.any(grid.nodes[on_plane, 0] != 0.0)
+    G0 = assemble_gj(grid, 0)
+    alpha = models._tune_third_kind_alpha(grid, G0)
+    V = models._third_kind_potential(grid, G0, alpha)
+    assert np.all(V[on_plane] == 0)
+    mu, x = models._symmetric_sector_marked_eigenpair(grid, G0)(alpha)
+    assert abs(mu + 1.0) <= 1e-9
+    assert np.linalg.norm(x + G0 @ (V * x)) <= 1e-9 * np.linalg.norm(x)
+    assert abs((grid.weights * V) @ x) > 1e-8 * np.linalg.norm(x) \
+        * np.linalg.norm(grid.weights * V)
+    ev = np.linalg.eigvals(Discretization(third_kind_model(grid)).K0)
+    assert np.sort(np.abs(ev + 1.0))[1] < 1e-8
+
+
+def test_full_space_check_rejects_a_wrong_or_unmarked_vector():
+    grid = build_grid(3.0, 6)
+    G0 = assemble_gj(grid, 0)
+    alpha = models._tune_third_kind_alpha(grid, G0)
+    V = models._third_kind_potential(grid, G0, alpha)
+    _, x = models._symmetric_sector_marked_eigenpair(grid, G0)(alpha)
+    with pytest.raises(ValueError, match="full-space check"):
+        models._check_full_space(grid, G0, V, x + 1e-6)
+    # off the tuned alpha, -1 is simple: the dipole state psi = -G0 g, whose
+    # marker vanishes by parity
+    V = models._third_kind_potential(grid, G0, 0.3 + 0.2j)
+    ev, vec = np.linalg.eig(G0 * V[None, :])
+    with pytest.raises(ValueError, match="relative marker"):
+        models._check_full_space(grid, G0, V,
+                                 vec[:, np.argmin(np.abs(ev + 1.0))])
+
+
+def test_sector_eigenpair_rejects_a_potential_off_the_symmetric_sector(
+        monkeypatch):
+    grid = build_grid(3.0, 6)
+    G0 = assemble_gj(grid, 0)
+    marked = models._symmetric_sector_marked_eigenpair(grid, G0)
+    monkeypatch.setattr(models, "_third_kind_potential",
+                        lambda grid, G0, alpha: gaussian_template(grid)
+                        * (1.0 + 0.5 * grid.nodes[:, 2]))
+    with pytest.raises(ValueError, match="not invariant"):
+        marked(0.3 + 0.2j)
+
+
+def test_third_kind_tuning_eig_calls_stay_in_the_symmetric_sector(monkeypatch):
+    grid = build_grid(3.0, 8)
+    G0 = assemble_gj(grid, 0)
+    shapes = []
+    eig = models.sla.eig
+
+    def recording_eig(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(models.sla, "eig", recording_eig)
+    models._tune_third_kind_alpha(grid, G0)
+    assert len(shapes) >= 36
+    assert all(r == c and r <= grid.n // 8 for r, c in shapes)
 
 
 def test_third_kind_alpha_matches_full_eig_tuning():
