@@ -15,15 +15,17 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import (zgecon, zgetrf, zgetrs, zlange, ztrsen,
-                                 ztrsyl)
+from scipy.linalg.lapack import ztrsen, ztrsyl
 
-from .kernels import BranchPoint, assemble_gj, assemble_gj_plus, assemble_r0
+from .kernels import (BranchPoint, assemble_gj, assemble_gj_plus,
+                      assemble_r0, assemble_r0_entries, r0_entry_plan)
 from .model import Model, QuadratureGrid
+from .symmetry import ReflectionGroup, SectorLU, reflection_axes
 
 __all__ = [
     "EigenNearMinusOne", "ZeroClassification", "RieszProjection",
@@ -36,10 +38,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # shared discretization cache
 
+# a grid reflection g is a symmetry of V when |V o g - V| <= this * max |V|
+_V_SYMMETRY_TOL = 1e-13
+
 class Discretization:
     """Caches the threshold kernels G_j of a model, and provides the
     operators every other module consumes (the kernels gather from the
-    grid's own distance-class table)."""
+    grid's own distance-class table).
+
+    Every factorization of M(k) = Id + R0(k) V runs in the parity sectors
+    of `sectors`: the reflections x_i -> +-x_i that map the grid (nodes and
+    weights, `QuadratureGrid.reflections`) and V onto themselves, found on
+    the first factorization.  M(k) is one block per character of that
+    group, eight blocks of about n / 8 on the reference models; a model
+    without symmetry is one n x n block.  `symmetry` records the group."""
 
     def __init__(self, model: Model):
         self.model = model
@@ -47,6 +59,31 @@ class Discretization:
         self.V = model.V
         self.w = model.grid.weights
         self._gj = {}
+        # the sector group's record, set with `sectors`
+        self.symmetry: Optional[dict] = None
+
+    @cached_property
+    def sectors(self) -> ReflectionGroup:
+        """The grid reflections that leave V invariant (to
+        _V_SYMMETRY_TOL max |V|), with their sector basis; sets `symmetry`:
+        the group order, the sector sizes, the largest |V o g - V| / max |V|
+        among the kept reflections and the grid reflections V breaks (the
+        axes each flips)."""
+        grid_group = self.grid.reflections
+        vmax = float(np.max(np.abs(self.V)))
+        dev = [float(np.max(np.abs(self.V[m] - self.V))) / vmax if vmax
+               else 0.0 for m in grid_group.maps]
+        keep = [int(g) for g, d in zip(grid_group.elements, dev)
+                if d <= _V_SYMMETRY_TOL]
+        group = grid_group.subgroup(keep)
+        self.symmetry = {
+            "order": group.order, "grid_order": grid_group.order,
+            "sector_sizes": [len(c) for c in group.sector_orbits],
+            "max_v_deviation": max(d for d in dev
+                                   if d <= _V_SYMMETRY_TOL),
+            "broken_by_v": [reflection_axes(int(g)) for g in
+                            grid_group.elements if int(g) not in keep]}
+        return group
 
     # --- free kernels -----------------------------------------------------
     def r0(self, bp: BranchPoint) -> np.ndarray:
@@ -69,39 +106,56 @@ class Discretization:
         return self.gj(0) * self.V[None, :]
 
     def M(self, bp: BranchPoint) -> np.ndarray:
-        return self._m(self.r0(bp))
-
-    def _m(self, r0: np.ndarray, order: str = "C") -> np.ndarray:
-        """Id + R0 V for an assembled R0, built in place; order "F" is the
-        layout LAPACK factors without a copy."""
-        A = np.multiply(r0, self.V[None, :], order=order)
-        i = np.arange(self.grid.n)
-        A[i, i] += 1.0
+        """Id + R0 V, dense (the sector path factors its blocks)."""
+        A = self.r0(bp) * self.V[None, :]
+        A[np.diag_indices(self.grid.n)] += 1.0
         return A
 
+    def r0_sectors(self, bp: BranchPoint) -> np.ndarray:
+        """The flat sector blocks of R0 (`ReflectionGroup.transform`) from
+        its entries at the representative rows alone, n^2 / |G| kernel
+        gathers."""
+        return self.sectors.transform(assemble_r0_entries(self.grid, bp,
+                                                          self._r0_plan))
+
+    @cached_property
+    def _r0_plan(self):
+        return r0_entry_plan(self.grid, *self.sectors.rep_pairs)
+
+    def M_sectors(self, bp: BranchPoint) -> np.ndarray:
+        """The flat sector blocks of M = Id + R0 V."""
+        return self.m_blocks(self.r0_sectors(bp))
+
+    def m_blocks(self, r0_blocks: np.ndarray) -> np.ndarray:
+        """The flat sector blocks Id + R0_s V_s of M from those of R0
+        (`ReflectionGroup.transform`; V_s: V at the representatives of the
+        sector's orbits)."""
+        A = r0_blocks * self._v_blocks
+        A[self.sectors.flat_diagonal] += 1.0
+        return A
+
+    @cached_property
+    def _v_blocks(self) -> np.ndarray:
+        """V at the column orbit of each flat block entry."""
+        return self.V[self.sectors.reps][self.sectors.flat_columns]
+
     def R(self, bp: BranchPoint) -> np.ndarray:
-        """Full resolvent of the model, (Id + R0 V)^{-1} R0, by dense solve."""
+        """Full resolvent of the model, (Id + R0 V)^{-1} R0, sector by
+        sector."""
         return self._resolve(self.r0(bp))
 
     def _resolve(self, r0: np.ndarray) -> np.ndarray:
-        """(Id + R0 V)^{-1} R0 for an assembled R0: one LAPACK getrf and one
-        getrs, with the checks of `scipy.linalg.solve`.  ValueError on a
-        non-finite input; LinAlgError on a zero pivot, or when the 1-norm
-        reciprocal condition number (getcon) is below machine epsilon."""
-        A = self._m(r0, "F")
-        if not (np.isfinite(A).all() and np.isfinite(r0).all()):
+        """(Id + R0 V)^{-1} R0 for an assembled R0: its sector blocks
+        R0_s, one checked getrf (`SectorLU`) and getrs per block, expanded
+        to n x n.  ValueError on a non-finite input; LinAlgError on a zero
+        pivot in a block, or when the 1-norm reciprocal condition number
+        over the blocks is below machine epsilon."""
+        if not np.isfinite(r0).all():
             raise ValueError("array must not contain infs or NaNs")
-        anorm = zlange("1", A)
-        lu, piv, info = zgetrf(A, overwrite_a=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"Id + R0 V is singular (zero pivot "
-                                        f"U[{info - 1}, {info - 1}])")
-        rcond, _ = zgecon(lu, anorm, norm="1")
-        if not rcond >= np.finfo(float).eps:
-            raise np.linalg.LinAlgError(f"Id + R0 V is ill-conditioned "
-                                        f"(rcond {rcond:.3e})")
-        x, _ = zgetrs(lu, piv, r0)
-        return x
+        group = self.sectors
+        R0s = group.blocks(r0)
+        lu = SectorLU(group, self.m_blocks(R0s))
+        return group.expand(lu.solve(group.split(R0s)))
 
     # --- pairings ---------------------------------------------------------
     def pair(self, u: np.ndarray, v: np.ndarray) -> complex:
@@ -309,56 +363,61 @@ _PROBES, _RANK_TOL, _ZERO_TOL = 16, 1e-4, 1e-6
 
 def _contour_matrices(disc: Discretization, center: complex,
                       dk: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """(q, M(center + dk[q])) over the trapezoidal nodes of `_contour_zeros`.
-    On an ellipse centred on the imaginary axis with an even node count N,
-    node N/2 - 1 - q (mod N) is -conj(k_q), where R0 is the entrywise
-    conjugate of R0(k_q) (self-cell rule included): each mirrored pair is
-    walked back to back from one R0 assembly.  Other ellipses call `disc.M`
-    per node."""
+    """(q, flat sector blocks of M(center + dk[q])) over the trapezoidal
+    nodes of `_contour_zeros`.  On an ellipse centred on the imaginary axis
+    with an even node count N, node N/2 - 1 - q (mod N) is -conj(k_q),
+    where R0 is the entrywise conjugate of R0(k_q) (self-cell rule
+    included), and so are its sector blocks (the sector basis is real):
+    each mirrored pair is walked back to back from one `disc.r0_sectors`.
+    Other ellipses call `disc.M_sectors` per node."""
     N = len(dk)
     if complex(center).real != 0.0 or N % 2:
         for q in range(N):
             k = center + dk[q]
-            yield q, disc.M(BranchPoint(z=k * k, sqrt_z=k))
+            yield q, disc.M_sectors(BranchPoint(z=k * k, sqrt_z=k))
         return
     for q in range(N):
         p = (N // 2 - 1 - q) % N
         if p < q:
             continue                    # walked with its partner
         k = center + dk[q]
-        r0 = disc.r0(BranchPoint(z=k * k, sqrt_z=k))
-        yield q, disc._m(r0, "F")
+        R0s = disc.r0_sectors(BranchPoint(z=k * k, sqrt_z=k))
+        yield q, disc.m_blocks(R0s)
         if p != q:
-            yield p, disc._m(np.conj(r0), "F")
+            yield p, disc.m_blocks(np.conj(R0s))
 
 
 def _contour_zeros(disc: Discretization, center: complex, ax: float,
                    ay: float, n_nodes: int, count_only: bool = False
                    ) -> Tuple[List[Tuple[complex, np.ndarray]], int]:
     """Zeros of the entire M(k) = Id + R0(k^2) V, k on both sheets, inside
-    the ellipse center + ax cos th + i ay sin th (Beyn's method): one LU per
-    trapezoidal node gives the moments A_p = (1/2 pi i) oint (k - center)^p
-    M^{-1} P dk (p = 0, 1) of a fixed probe block P and arg det M.  Accepted
-    only if the rank of A0 (against sum |w_q| ||X_q||) equals the winding
-    count, each pencil eigenvalue lies inside and sigma_min(M) is negligible
-    there; else ValueError.  Returns the distinct zeros with the singular
-    values of M at each, and the count (`count_only`: the count alone)."""
+    the ellipse center + ax cos th + i ay sin th (Beyn's method): one
+    checked LU of each sector block of M per trapezoidal node
+    (`SectorLU`) gives the moments A_p = (1/2 pi i) oint
+    (k - center)^p M^{-1} P dk (p = 0, 1) of a fixed probe block P, held in
+    sector coordinates Q^T A_p (Q orthogonal: same singular values and
+    pencil), and arg det M = sum of the blocks' arg det.  Accepted only if
+    the rank of A0 (against sum |w_q| ||X_q||) equals the winding count,
+    each pencil eigenvalue lies inside and sigma_min of the dense M is
+    negligible there; else ValueError.  Returns the distinct zeros with the
+    singular values of M at each, and the count (`count_only`: the count
+    alone)."""
     n = disc.grid.n
     rng = np.random.default_rng(0)
     P = rng.standard_normal((n, _PROBES)) + 1j * rng.standard_normal((n, _PROBES))
+    Ps = disc.sectors.to_sectors(P)
     th = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
     dk = ax * np.cos(th) + 1j * ay * np.sin(th)
     wq = (-ax * np.sin(th) + 1j * ay * np.cos(th)) / (1j * n_nodes)
     A0, A1 = np.zeros((2, n, _PROBES), dtype=complex)
     scale, arg_det = 0.0, np.empty(n_nodes)
-    for q, M in _contour_matrices(disc, center, dk):
-        lu, piv = sla.lu_factor(M, overwrite_a=True)
-        X = sla.lu_solve((lu, piv), P)
+    for q, blocks in _contour_matrices(disc, center, dk):
+        lu = SectorLU(disc.sectors, blocks)
+        X = np.concatenate(lu.solve(Ps))
         A0 += wq[q] * X
         A1 += (wq[q] * dk[q]) * X
         scale += abs(wq[q]) * np.linalg.norm(X)
-        swaps = np.count_nonzero(piv != np.arange(n))
-        arg_det[q] = np.sum(np.angle(np.diag(lu))) + np.pi * swaps
+        arg_det[q] = lu.arg_det()
     steps = np.angle(np.exp(1j * np.diff(arg_det, append=arg_det[0])))
     count = int(round(steps.sum() / (2.0 * np.pi)))
     if count_only:

@@ -73,11 +73,14 @@ class RunReport:
     stages: Dict[str, Dict] = field(default_factory=dict)
     errors: List[str] = field(default_factory=list)
     timings: Dict[str, float] = field(default_factory=dict)
+    # the reflection group M(k) was factored in (Discretization.symmetry);
+    # None when no stage factored M(k)
+    symmetry: Optional[Dict] = None
 
     def as_dict(self) -> Dict:
         return {"config_hash": self.config_hash, "seed": self.seed,
                 "stages": self.stages, "errors": self.errors,
-                "timings": self.timings}
+                "timings": self.timings, "symmetry": self.symmetry}
 
     @property
     def all_passed(self) -> bool:
@@ -264,6 +267,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
             report.errors.append(f"{stage}: {type(exc).__name__} at "
                                  f"{where.filename}:{where.lineno}: {exc}")
         report.timings[stage] = time.perf_counter() - t0
+    report.symmetry = _jsonable(disc.symmetry)
     return report
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .model import QuadratureGrid, weighted_operator_norm
 __all__ = [
     "BranchPoint", "L_MAX",
     "r0_kernel", "gj_kernel", "gj_plus_kernel",
-    "assemble_r0", "assemble_gj", "assemble_gj_plus",
+    "assemble_r0", "r0_entry_plan", "assemble_r0_entries", "assemble_gj",
+    "assemble_gj_plus",
     "verify_threshold_expansion",
 ]
 
@@ -204,6 +205,36 @@ def _nystrom(grid: QuadratureGrid, kernel: Callable,
 def assemble_r0(grid: QuadratureGrid, z: BranchPoint) -> np.ndarray:
     return _nystrom(grid, lambda r: r0_kernel(z, r),
                     _diag_r0(z.sqrt_z, grid.cell_radii()))
+
+
+def r0_entry_plan(grid: QuadratureGrid, rows: np.ndarray,
+                  cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """The gather behind `assemble_r0_entries` for the pairs (rows, cols)
+    (index arrays of one shape): each pair's distance class, with the
+    self-cell pairs numbered after the classes (one number per distinct
+    row), the column weight (1 on a self-cell pair) and the radii of the
+    self-cell rows' cells."""
+    values, index = grid.distance_classes
+    cls = index[rows, cols].astype(np.intp)
+    w = np.array(grid.weights[cols], dtype=float)
+    on = rows == cols
+    cells, slot = np.unique(rows[on], return_inverse=True)
+    cls[on] = len(values) + slot
+    w[on] = 1.0
+    return cls, w, grid.cell_radii()[cells]
+
+
+def assemble_r0_entries(grid: QuadratureGrid, z: BranchPoint,
+                        plan: Tuple[np.ndarray, np.ndarray, np.ndarray]
+                        ) -> np.ndarray:
+    """The entries R0[rows, cols] of `assemble_r0` without the n x n
+    matrix, for the pairs of `r0_entry_plan`: the same kernel table, and
+    the self-cell rule, gathered at the pairs alone."""
+    cls, w, rc = plan
+    table = np.concatenate([r0_kernel(z, grid.distance_classes[0]),
+                            _diag_r0(z.sqrt_z, rc)])
+    return np.take(table, cls) * w
 
 
 def assemble_gj(grid: QuadratureGrid, j: int) -> np.ndarray:

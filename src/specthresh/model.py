@@ -15,6 +15,9 @@ from functools import cached_property
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
+from scipy.spatial import cKDTree
+
+from .symmetry import ReflectionGroup
 
 __all__ = [
     "QuadratureGrid", "Potential", "Model",
@@ -74,6 +77,37 @@ class QuadratureGrid:
             np.min_scalar_type(len(values) - 1))
         values.flags.writeable = index.flags.writeable = False
         return values, index
+
+    @cached_property
+    def _node_tree(self) -> cKDTree:
+        return cKDTree(self.nodes)
+
+    def node_map(self, perm, signs) -> Optional[np.ndarray]:
+        """Node map m of the signed permutation x -> signs * x[perm]:
+        nodes[m[i]] is the image of nodes[i].  None unless the map takes
+        nodes onto nodes and weights onto weights (1e-12 extent in
+        position, 1e-14 relative in weight)."""
+        dist, m = self._node_tree.query(self.nodes[:, perm] * signs)
+        w = self.weights
+        if (np.array_equal(np.sort(m), np.arange(self.n))
+                and dist.max() <= 1e-12 * self.extent
+                and np.all(np.abs(w[m] - w) <= 1e-14 * w)):
+            return m
+        return None
+
+    @cached_property
+    def reflections(self) -> ReflectionGroup:
+        """The subgroup of the eight reflections x_i -> +-x_i that take the
+        grid onto itself (`node_map`), with its node orbits; element g is
+        the bit mask of the flipped axes.  Computed once per grid, on first
+        use."""
+        maps = {}
+        for g in range(8):
+            m = self.node_map([0, 1, 2],
+                              [-1.0 if g >> i & 1 else 1.0 for i in range(3)])
+            if m is not None:
+                maps[g] = m
+        return ReflectionGroup(maps)
 
     def cell_radii(self) -> np.ndarray:
         """Radius of the equal-volume ball of each quadrature cell."""

@@ -15,7 +15,6 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import root
-from scipy.spatial import cKDTree
 
 from .birman_schwinger import Discretization, tune_coupling
 from .kernels import assemble_gj
@@ -113,25 +112,11 @@ def second_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     return Model(grid=grid, potential=pot, name="second_kind")
 
 
-def _node_map(grid: QuadratureGrid, tree: cKDTree, perm,
-              signs) -> Optional[np.ndarray]:
-    """Node map m of x -> signs * x[perm]: nodes[m[i]] is the image of
-    nodes[i].  None unless the map takes nodes onto nodes and weights onto
-    weights (1e-12 extent in position, 1e-14 relative in weight)."""
-    dist, m = tree.query(grid.nodes[:, perm] * signs)
-    w = grid.weights
-    if (np.array_equal(np.sort(m), np.arange(grid.n))
-            and dist.max() <= 1e-12 * grid.extent
-            and np.all(np.abs(w[m] - w) <= 1e-14 * w)):
-        return m
-    return None
-
-
 def _x1_mirror(grid: QuadratureGrid) -> np.ndarray:
     """Node map m of the reflection x_1 -> -x_1: nodes[m[i]] is the mirror
     image of nodes[i].  Raises ValueError unless the grid, weights included,
     is mirror-symmetric in x_1."""
-    m = _node_map(grid, cKDTree(grid.nodes), [0, 1, 2], [-1.0, 1.0, 1.0])
+    m = grid.node_map([0, 1, 2], [-1.0, 1.0, 1.0])
     if m is None:
         raise ValueError("grid is not mirror-symmetric in x_1 (nodes or "
                          "weights), so the dipole source has no exact "
@@ -142,14 +127,14 @@ def _x1_mirror(grid: QuadratureGrid) -> np.ndarray:
 def _x1_axis_symmetries(grid: QuadratureGrid) -> List[np.ndarray]:
     """Node maps of the grid symmetries that fix the x_1 axis: of the 16
     signed permutations x_1 -> +-x_1, x_2 -> +-x_2, x_3 -> +-x_3, x_2 <-> x_3,
-    each one that takes the grid onto itself (identity first).  The x_1
-    mirror must be among them (ValueError otherwise)."""
+    each one that takes the grid onto itself (`QuadratureGrid.node_map`,
+    identity first).  The x_1 mirror must be among them (ValueError
+    otherwise)."""
     _x1_mirror(grid)
-    tree = cKDTree(grid.nodes)
     maps = []
     for perm in ([0, 1, 2], [0, 2, 1]):
         for signs in itertools.product([1.0, -1.0], repeat=3):
-            m = _node_map(grid, tree, perm, signs)
+            m = grid.node_map(perm, signs)
             if m is not None:
                 maps.append(m)
     return maps

@@ -373,7 +373,9 @@ class CutPropagator:
     smallest time is at least _WEIGHT_CUT.  An eigenvalue in
     3 pi/4 < arg k < pi is crossed by the other half-line: the terms cancel.
     The line is Gauss-Hermite in s sqrt(t) on symmetric nodes (the principal
-    value at k = 0), each R(k) streamed into U(t)."""
+    value at k = 0), each R(k) streamed into U(t).  Every M(k) the
+    propagator factors (line, rings, census, band and pole contours) is
+    factored block by block in the parity sectors of `Discretization`."""
 
     def __init__(self, model: Model, coeffs: ThresholdCoefficients,
                  disc: Optional[Discretization] = None):
@@ -390,10 +392,11 @@ class CutPropagator:
     def _scan_poles(self):
         """Eigenvalues z = k^2 off the cut: the zeros of M(k) inside the
         ellipse 0.975i + 6 cos th + 0.825i sin th (|Re k| <= 6,
-        0.15 <= Im k <= 1.8; 512 nodes).  Not searched: z near 0, and a band
-        along the cut that widens with Re z (|Im z| < 0.3 at Re z = 1, 1.7
-        at 10, 3.8 at 20).  ValueError for a zero with Re k > 0: an
-        eigenvalue with Im z = 2 Re k Im k > 0, whose e^{-itz} grows."""
+        0.15 <= Im k <= 1.8; 512 nodes).  Not searched here: z near 0, and a
+        band along the cut that widens with Re z (|Im z| < 0.3 at Re z = 1,
+        1.7 at 10, 3.8 at 20); the census's band tiles search its Re k > 0
+        half.  ValueError for a zero with Re k > 0: an eigenvalue with
+        Im z = 2 Re k Im k > 0, whose e^{-itz} grows."""
         zeros, _ = _contour_zeros(self.disc, 0.975j, 6.0, 0.825, 512)
         ks = [k for k, _ in zeros]
         for k in ks:
@@ -404,10 +407,12 @@ class CutPropagator:
 
     def _take_census(self, t_min: float):
         """The zeros the rotation crosses for times >= t_min, into `census`:
-        the r0 winding count, each crossed zero (k, z, weight, Frobenius norm
-        of its residue at t_min) and the zeros left out.  ValueError if the
-        count is not the structural order, or for a zero on the real axis
-        (an embedded resonance) or above it (an eigenvalue with Im z > 0)."""
+        the r0 winding count, the tile counts of the census and of the band
+        (`_band_rects`: growing modes between the census strip and the pole
+        ellipse), each crossed zero (k, z, weight, Frobenius norm of its
+        residue at t_min) and the zeros left out.  ValueError if the count is
+        not the structural order, or for a zero on the real axis (an
+        embedded resonance) or above it (an eigenvalue with Im z > 0)."""
         # det E_-+ ~ z^{order_structural}, so det M(k) ~ k^{2 order_structural}
         d, order = self.disc, round(2 * self.coeffs.scaling.order_structural)
         winding = _contour_zeros(d, 0.0, _R0, _R0, 64, count_only=True)[1]
@@ -415,7 +420,10 @@ class CutPropagator:
             raise ValueError(f"winding count {winding} of det M on |k| = "
                              f"{_R0} but the {self.coeffs.kind} threshold "
                              f"has structural order {order}")
-        zeros, tiles = _tile_zeros(d, t_min)
+        zeros, tiles = _tile_zeros(d, _census_rects(t_min))
+        band, band_tiles = _tile_zeros(d, _band_rects())
+        zeros += [k for k in band
+                  if all(abs(k - k0) > 1e-4 * abs(k) for k0 in zeros)]
         terms, crossed, left_out = [], [], []
         for k in zeros:
             z = k * k
@@ -437,6 +445,7 @@ class CutPropagator:
         self.census = {"r0": _R0, "winding": winding,
                        "structural_order": order, "t_min": t_min,
                        "weight_cut": _WEIGHT_CUT, "tiles": tiles,
+                       "band_tiles": band_tiles,
                        "crossed": crossed, "left_out": left_out}
 
     def _ring_moments(self, k: complex, zeros: Sequence[complex]):
@@ -484,19 +493,43 @@ class CutPropagator:
         return self.propagate_many([t])[float(t)]
 
 
-def _tile_zeros(disc: Discretization,
-                t_min: float) -> Tuple[List[complex], int]:
-    """Distinct zeros of M(k), and the tile count, in verified tiles (the
-    ellipse through the corners of a rectangle) covering, outside |k| < r0,
-    the part of -pi/4 < arg k < 0 with Re k <= _K_MAX and weight at least
-    _WEIGHT_CUT, and a strip 0 <= Im k <= 0.05.  A failing tile is retried
-    with 2 and 4 times the nodes (a zero near its boundary), then split in
-    two overlapping parts across its longer side, at most _TILE_SPLITS
-    times; then ValueError."""
-    c = -math.log(_WEIGHT_CUT) / (2.0 * t_min)     # Re k |Im k| <= c
+def _columns() -> List[Tuple[float, float]]:
+    """The _TILES geometric columns of Re k from inside |k| = r0 out to
+    _K_MAX that the census and the band share."""
     edges = np.geomspace(0.9 * _R0 / math.sqrt(2.0), _K_MAX, _TILES + 1)
-    stack = [((x0, x1, -1.05 * min(x1, c / x0, math.sqrt(c)), 0.05), 0,
-              _TILE_NODES) for x0, x1 in zip(edges[:-1], edges[1:])]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _census_rects(t_min: float) -> List[Tuple[float, float, float, float]]:
+    """(Re k, Im k) rectangles of the census: the part of -pi/4 < arg k < 0
+    with weight at least _WEIGHT_CUT at t_min, and a strip 0 <= Im k <=
+    0.05 above it."""
+    c = -math.log(_WEIGHT_CUT) / (2.0 * t_min)     # Re k |Im k| <= c
+    return [(x0, x1, -1.05 * min(x1, c / x0, math.sqrt(c)), 0.05)
+            for x0, x1 in _columns()]
+
+
+def _band_rects() -> List[Tuple[float, float, float, float]]:
+    """(Re k, Im k) rectangles from the census strip (Im k = 0.05) up to
+    the lower edge of the pole scan's ellipse, 0.975 - 0.825 sqrt(1 -
+    (Re k / 6)^2), at each column's right end (0.975 beyond Re k = 6, where
+    the ellipse ends).  With |k| < r0 and the ellipse they leave no part of
+    Re k > 0, Im k >= 0 unsearched below Im k = 0.975 out to _K_MAX."""
+    def floor(x):
+        return 0.975 - 0.825 * math.sqrt(max(0.0, 1.0 - (x / 6.0) ** 2))
+    return [(x0, x1, 0.05, floor(x1)) for x0, x1 in _columns()]
+
+
+def _tile_zeros(disc: Discretization,
+                rects: Sequence[Tuple[float, float, float, float]]
+                ) -> Tuple[List[complex], int]:
+    """Distinct zeros of M(k), and the tile count, in verified tiles (the
+    ellipse through the corners of each rectangle (Re k from x0 to x1,
+    Im k from y0 to y1) of `rects`).  A failing tile is retried with 2
+    and 4 times the nodes (a zero near its boundary), then split in two
+    overlapping parts across its longer side, at most _TILE_SPLITS times;
+    then ValueError."""
+    stack = [(rect, 0, _TILE_NODES) for rect in rects]
     zeros: List[complex] = []
     tiles = 0
     while stack:

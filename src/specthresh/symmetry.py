@@ -1,0 +1,264 @@
+"""
+Reflection symmetry of a Nystrom discretization, and the checked
+factorization of the block-diagonal matrices it gives.
+
+The eight reflections x_i -> +-x_i form the group Z_2^3; an element is a
+bit mask g (bit i set: x_{i+1} -> -x_{i+1}), and the product is XOR.  A
+subgroup G that maps the grid onto itself (nodes and weights) splits the
+nodes into G-orbits O_a, each with its smallest node index r_a as
+representative.  When G also leaves the potential invariant, every Nystrom
+matrix A of the model (R0, M = Id + R0 V, their inverses) commutes with the
+node permutations, A[g i, g j] = A[i, j], and is block diagonal in the
+orthonormal parity-sector basis, one block per character sigma of G
+(Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992):
+
+    q_{sigma,a}[g r_a] = chi_sigma(g) / sqrt|O_a|  for each orbit a on whose
+                                                   stabilizer chi_sigma is 1,
+    A_sigma[a, b] = (sqrt(|O_a| |O_b|) / |G|) sum_g chi_sigma(g) A[r_a, g r_b].
+
+A block needs only the rows of A at the representatives and a |G|-point
++-1 transform; the sector sizes add up to n.  G = {e} is one sector with
+the identity basis.
+"""
+from __future__ import annotations
+
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
+
+__all__ = ["ReflectionGroup", "SectorLU", "reflection_axes"]
+
+
+def reflection_axes(g: int) -> List[int]:
+    """The axes (1-based) that the reflection with bit mask g flips."""
+    return [i + 1 for i in range(3) if g >> i & 1]
+
+
+class ReflectionGroup:
+    """A subgroup G of the reflections x_i -> +-x_i acting on the nodes of a
+    grid, from the node map of each element: nodes[maps[g][i]] is the image
+    of nodes[i].  Holds the orbits (`orbit`, representatives `reps`, sizes
+    `sizes`) and, for each node i, the index `elem[i]` into `elements` of an
+    element taking the representative of i's orbit to i.  ValueError unless
+    the maps hold the identity and are closed under composition."""
+
+    def __init__(self, maps: Dict[int, np.ndarray]):
+        self.elements = np.array(sorted(maps), dtype=np.intp)
+        self.maps = np.array([maps[g] for g in self.elements], dtype=np.intp)
+        n = self.maps.shape[1]
+        index = {int(g): e for e, g in enumerate(self.elements)}
+        if self.elements[0] != 0 or not np.array_equal(self.maps[0],
+                                                      np.arange(n)):
+            raise ValueError("reflection maps must hold the identity")
+        for g in self.elements:
+            for h in self.elements:
+                gh = index.get(int(g ^ h))
+                if gh is None or not np.array_equal(
+                        maps[g][maps[h]], self.maps[gh]):
+                    raise ValueError("reflection maps are not closed under "
+                                     "composition")
+        # the orbit of i is maps[:, i]; its smallest index represents it
+        self.reps, self.orbit = np.unique(self.maps.min(axis=0),
+                                          return_inverse=True)
+        self.sizes = np.bincount(self.orbit)
+        self.elem = np.argmax(self.maps[:, self.reps[self.orbit]]
+                              == np.arange(n), axis=0)
+        # products as element indices: elements[prod[e, f]] = e XOR f
+        self._prod = np.array([[index[int(g ^ h)] for h in self.elements]
+                               for g in self.elements], dtype=np.intp)
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    def subgroup(self, keep: Sequence[int]) -> "ReflectionGroup":
+        """The subgroup of the elements (bit masks) in `keep`."""
+        keep = set(keep)
+        return ReflectionGroup({int(g): m for g, m in
+                                zip(self.elements, self.maps)
+                                if int(g) in keep})
+
+    # --- the parity-sector basis ------------------------------------------
+    @cached_property
+    def _sectors(self) -> "_SectorTables":
+        m, K = self.order, len(self.reps)
+        bits = np.array([[bin(s & int(g)).count("1") % 2
+                          for g in self.elements] for s in range(8)])
+        _, first = np.unique(bits, axis=0, return_index=True)
+        chars = 1.0 - 2.0 * bits[np.sort(first)]
+        # orbit a is in sector s iff chi_s is 1 on the stabilizer of r_a
+        stab = self.maps[:, self.reps].T == self.reps[:, None]    # (K, m)
+        member = np.all((chars[:, None, :] == 1.0) | ~stab[None], axis=2)
+        chars = chars[member.any(axis=1)]
+        cols = [np.flatnonzero(row) for row in member if row.any()]
+        pick, scale, diag, colstart, start = [], [], [], [], 0
+        for s, c in enumerate(cols):
+            k = len(c)
+            a, b = np.meshgrid(c, c, indexing="ij")
+            pick.append(((s * K + a) * K + b).ravel(order="F"))
+            # sqrt of the product: exactly 1 on free orbits
+            scale.append(np.sqrt(self.sizes[a] * self.sizes[b]).ravel(
+                order="F") / m)
+            diag.append(start + np.arange(k) * (k + 1))
+            colstart.append(start + np.arange(k) * k)
+            start += k * k
+        sizes = np.array([len(c) for c in cols])
+        return _SectorTables(
+            chars, cols, np.concatenate(pick), np.concatenate(scale),
+            np.concatenate(diag), np.concatenate(colstart),
+            np.concatenate([[0], np.cumsum(sizes)[:-1]]),
+            np.concatenate([np.arange(k) for k in sizes]))
+
+    @property
+    def sector_orbits(self) -> List[np.ndarray]:
+        """For each sector, the orbits (indices into `reps`) it holds."""
+        return self._sectors.cols
+
+    @property
+    def flat_columns(self) -> np.ndarray:
+        """The orbit (index into `reps`) of each flat block entry's column."""
+        return self._sectors.pick % len(self.reps)
+
+    @property
+    def flat_diagonal(self) -> np.ndarray:
+        """The positions of the blocks' diagonals in a flat block buffer."""
+        return self._sectors.diag
+
+    def split(self, flat: np.ndarray) -> List[np.ndarray]:
+        """The blocks of a flat block buffer (`transform`), as
+        Fortran-ordered views (getrf factors them in place)."""
+        out, start = [], 0
+        for c in self._sectors.cols:
+            k = len(c)
+            out.append(flat[start:start + k * k].reshape(k, k, order="F"))
+            start += k * k
+        return out
+
+    @cached_property
+    def rep_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, cols), each (|G|, K, K): the entry (r_a, g r_b) of a
+        matrix that its sector blocks need, at (g, a, b); n^2 / |G| pairs
+        when every orbit is free."""
+        K = len(self.reps)
+        rows = np.broadcast_to(self.reps[None, :, None], (self.order, K, K))
+        cols = np.broadcast_to(self.maps[:, self.reps][:, None, :],
+                               (self.order, K, K))
+        return rows, cols
+
+    def transform(self, T: np.ndarray) -> np.ndarray:
+        """The sector blocks Q_s^T A Q_s of a G-invariant matrix A from its
+        entries T = A[rep_pairs]: one +-1 transform over g; each block
+        column-major, one after the other in one flat buffer (`split` gives
+        the blocks)."""
+        t = self._sectors
+        return np.take(t.chars @ T.reshape(self.order, -1), t.pick) * t.scale
+
+    def blocks(self, A: np.ndarray) -> np.ndarray:
+        """The flat sector blocks of a G-invariant n x n matrix A, from its
+        rows at the representatives (`transform`)."""
+        rows, cols = self.rep_pairs
+        return self.transform(A[rows, cols])
+
+    def to_sectors(self, X: np.ndarray) -> List[np.ndarray]:
+        """Q_s^T X for each sector s of an n x p matrix X."""
+        chars, cols = self._sectors.chars, self._sectors.cols
+        K, p = len(self.reps), X.shape[1]
+        Y = X[self.maps[:, self.reps]].reshape(self.order, K * p)
+        Z = (chars @ Y).reshape(len(cols), K, p)
+        root = np.sqrt(self.sizes)
+        return [np.asfortranarray(Z[s][c] * (root[c] / self.order)[:, None])
+                for s, c in enumerate(cols)]
+
+    @cached_property
+    def _expand_index(self) -> np.ndarray:
+        """(n, n) index of entry (i, j) into the back-transformed blocks:
+        B[i, j] = B~[elem_i XOR elem_j, orbit_i, orbit_j], in the smallest
+        unsigned type that holds |G| K^2."""
+        K = len(self.reps)
+        t = np.min_scalar_type(self.order * K * K - 1)
+        orbit = self.orbit.astype(t)
+        # built in that type: no n x n intermediate wider than the result
+        out = self._prod.astype(t)[self.elem[:, None], self.elem]
+        out *= K
+        out += orbit[:, None]
+        out *= K
+        out += orbit
+        out.flags.writeable = False
+        return out
+
+    def expand(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """sum_s Q_s B_s Q_s^T as an n x n matrix: one +-1 transform over
+        the sectors and one gather through `_expand_index`."""
+        t, K = self._sectors, len(self.reps)
+        Bh = np.zeros(len(t.cols) * K * K, dtype=complex)
+        Bh[t.pick] = np.concatenate([B.ravel(order="F") for B in blocks]) \
+            / (t.scale * self.order)
+        Bt = t.chars.T @ Bh.reshape(len(t.cols), K * K)
+        return np.take(Bt, self._expand_index)
+
+
+class _SectorTables(NamedTuple):
+    """The parity-sector basis of a `ReflectionGroup` (K orbits), for flat
+    block buffers: every block column-major, one after the other."""
+    # (sectors, |G|), +-1: the distinct restrictions of the characters of
+    # Z_2^3 to G that hold an orbit, trivial first
+    chars: np.ndarray
+    cols: List[np.ndarray]  # each sector's orbits
+    pick: np.ndarray        # entry (a, b) of sector s: (s K + a) K + b
+    scale: np.ndarray       # its factor sqrt(|O_a| |O_b|) / |G|
+    diag: np.ndarray        # positions of the block diagonals
+    colstart: np.ndarray    # start of every block column
+    first: np.ndarray       # index of each block's first column in colstart
+    unpivoted: np.ndarray   # 0-based pivots of every block without swaps
+
+
+# ---------------------------------------------------------------------------
+# checked block factorization
+
+class SectorLU:
+    """LAPACK getrf of every sector block of Id + R0 V, in place in the flat
+    block buffer, with the checks of `scipy.linalg.solve`.  ValueError on a
+    non-finite entry; LinAlgError on a zero pivot in any block, or when the
+    1-norm reciprocal condition number 1 / (max_s ||M_s||_1
+    max_s ||M_s^{-1}||_1), each inverse norm from the block's gecon, is
+    below machine epsilon."""
+
+    def __init__(self, group: ReflectionGroup, flat: np.ndarray):
+        # contiguous complex: getrf overwrites the blocks' views in place,
+        # which `arg_det` reads
+        flat = np.ascontiguousarray(flat, dtype=complex)
+        if not np.isfinite(flat).all():
+            raise ValueError("array must not contain infs or NaNs")
+        t = group._sectors
+        # ||M_s||_1: the largest column sum of |M_s|, for all blocks at once
+        anorm = np.maximum.reduceat(np.add.reduceat(np.abs(flat), t.colstart),
+                                    t.first)
+        self._flat, self._diag, self._unpivoted = flat, t.diag, t.unpivoted
+        self._factors, inorm = [], 0.0
+        for B, a in zip(group.split(flat), anorm):
+            lu, piv, info = zgetrf(B, overwrite_a=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(
+                    f"Id + R0 V is singular (zero pivot U[{info - 1}, "
+                    f"{info - 1}] of a {len(B)} x {len(B)} sector block)")
+            rc, _ = zgecon(lu, a, norm="1")
+            inorm = max(inorm, np.inf if rc == 0.0 else 1.0 / (rc * a))
+            self._factors.append((lu, piv))
+        rcond = 1.0 / (anorm.max() * inorm)
+        if not rcond >= np.finfo(float).eps:
+            raise np.linalg.LinAlgError(f"Id + R0 V is ill-conditioned "
+                                        f"(rcond {rcond:.3e})")
+
+    def solve(self, rhs: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """M_s^{-1} B_s for each sector block B_s."""
+        return [zgetrs(lu, piv, B)[0] for (lu, piv), B in
+                zip(self._factors, rhs)]
+
+    def arg_det(self) -> float:
+        """arg det M (mod 2 pi) = sum_s arg det M_s, since det Q = +-1."""
+        piv = np.concatenate([piv for _, piv in self._factors])
+        swaps = np.count_nonzero(piv != self._unpivoted)
+        return float(np.sum(np.angle(self._flat[self._diag]))
+                     + np.pi * swaps)

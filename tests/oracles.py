@@ -410,3 +410,44 @@ def rotated_line(disc, t: float, angle: float, n: int = 40) -> np.ndarray:
         acc = acc + wm * np.exp(-1j * vm / np.tan(2.0 * angle)) \
             * np.sqrt(vm) * F
     return d * d / tau * acc / (2.0j * np.pi)
+
+
+def dense_resolvent(disc, bp) -> np.ndarray:
+    """(Id + R0 V)^{-1} R0 by `scipy.linalg.solve` on the dense n x n
+    matrix, with no use of the grid's symmetry."""
+    r0 = disc.r0(bp)
+    return sla.solve(np.eye(disc.grid.n) + r0 * disc.V[None, :], r0)
+
+
+def dense_contour_zeros(disc, center: complex, ax: float, ay: float,
+                        n_nodes: int, probes: int = 16):
+    """(zeros, count) of M(k) = Id + R0(k^2) V inside the ellipse
+    center + ax cos th + i ay sin th, from dense n x n solves only: the
+    winding count of det M from `numpy.linalg.slogdet` at each trapezoidal
+    node, and Beyn's pencil from the moments of M^{-1} P for a probe block
+    P (its own generator), truncated at the count.  No acceptance test."""
+    n = disc.grid.n
+    rng = np.random.default_rng(7)
+    P = (rng.standard_normal((n, probes))
+         + 1j * rng.standard_normal((n, probes)))
+    th = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+    dk = ax * np.cos(th) + 1j * ay * np.sin(th)
+    wq = (-ax * np.sin(th) + 1j * ay * np.cos(th)) / (1j * n_nodes)
+    A0 = np.zeros((n, probes), dtype=complex)
+    A1 = np.zeros((n, probes), dtype=complex)
+    phase = np.empty(n_nodes)
+    for q in range(n_nodes):
+        k = center + dk[q]
+        M = disc.M(BranchPoint(z=k * k, sqrt_z=k))
+        X = np.linalg.solve(M, P)
+        A0 += wq[q] * X
+        A1 += wq[q] * dk[q] * X
+        phase[q] = np.angle(np.linalg.slogdet(M)[0])
+    steps = np.angle(np.exp(1j * np.diff(phase, append=phase[0])))
+    count = int(round(steps.sum() / (2.0 * np.pi)))
+    if count == 0:
+        return [], 0
+    U, s, Wh = np.linalg.svd(A0, full_matrices=False)
+    B = (U[:, :count].conj().T @ A1 @ Wh[:count].conj().T) / s[:count]
+    return sorted(center + np.linalg.eigvals(B), key=lambda k: (k.real,
+                                                               k.imag)), count

@@ -57,13 +57,14 @@ def test_jump_matches_two_sided_resolvents():
 
 
 @pytest.mark.parametrize("lam", [0.04, 1.0, 39.0])
-def test_jump_equals_sla_solve_bitwise(first6, lam):
-    # the checked getrf/getrs path of Discretization._resolve factors and
-    # solves exactly as scipy.linalg.solve does, on both boundary sides
+def test_jump_matches_sla_solve(first6, lam):
+    # the sector-block path of Discretization._resolve against
+    # scipy.linalg.solve on the dense n x n matrix, on both boundary sides
     disc = Discretization(first6)
     r0 = disc.r0(BranchPoint.boundary(lam, "+"))
     got = disc._resolve(r0) - disc._resolve(np.conj(r0))
-    assert np.array_equal(got, oracles.sla_solve_jump(disc, lam))
+    want = oracles.sla_solve_jump(disc, lam)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def _disc_with_r0(monkeypatch):
@@ -121,7 +122,7 @@ def test_r0_at_mirrored_k_is_conjugate(k):
 
 def test_contour_walk_shares_r0_across_mirrored_nodes(monkeypatch):
     disc = Discretization(free_model(build_grid(3.0, 4)))
-    calls = {"r0": 0, "M": 0}
+    calls = {"r0_sectors": 0, "M_sectors": 0}
 
     def counting(name):
         method = getattr(Discretization, name)
@@ -131,15 +132,16 @@ def test_contour_walk_shares_r0_across_mirrored_nodes(monkeypatch):
             return method(self, bp)
         return wrapped
 
-    monkeypatch.setattr(Discretization, "r0", counting("r0"))
-    monkeypatch.setattr(Discretization, "M", counting("M"))
+    monkeypatch.setattr(Discretization, "r0_sectors",
+                        counting("r0_sectors"))
+    monkeypatch.setattr(Discretization, "M_sectors", counting("M_sectors"))
     # imaginary-axis centre: one R0 per mirrored pair, no M(k) assembly
     assert _contour_zeros(disc, 0.975j, 6.0, 0.825, 512) == ([], 0)
-    assert calls == {"r0": 256, "M": 0}
+    assert calls == {"r0_sectors": 256, "M_sectors": 0}
     # real centre (the resonance scan's ellipse): M(k) at every node
-    calls.update(r0=0, M=0)
+    calls.update(r0_sectors=0, M_sectors=0)
     assert _contour_zeros(disc, 1.5, 0.5, 0.5 / 6.0, 32) == ([], 0)
-    assert calls == {"r0": 32, "M": 32}
+    assert calls == {"r0_sectors": 32, "M_sectors": 32}
 
 
 def test_detect_minus_one_on_synthetic_matrix():
@@ -380,15 +382,18 @@ def test_scan_window_without_resonance_is_empty(resonance8, disc_resonance):
 
 def test_scan_raises_when_refined_minimum_is_not_singular(monkeypatch):
     # a contour zero whose M(k) has sigma_min far from 0 must raise, not be
-    # reported as a resonance: M is replaced by diag(k - 1, 1, ...), whose
-    # determinant winds once around k = 1, and svdvals by a non-singular
-    # spectrum
+    # reported as a resonance: M is replaced by Id + (k - 2) q q^T, q the
+    # unit indicator of node 0's orbit (invariant under the grid's
+    # reflections, as every M(k) is), whose determinant k - 1 winds once
+    # around k = 1, and svdvals by a non-singular spectrum
     def fake_M(self, bp):
-        d = np.ones(self.grid.n, dtype=complex)
-        d[0] = bp.sqrt_z - 1.0
-        return np.diag(d)
+        orbit = self.grid.reflections.orbit
+        q = (orbit == orbit[0]) / np.sqrt(np.count_nonzero(orbit == orbit[0]))
+        return np.eye(self.grid.n) + (bp.sqrt_z - 2.0) * np.outer(q, q)
 
     monkeypatch.setattr(birman_schwinger.Discretization, "M", fake_M)
+    monkeypatch.setattr(birman_schwinger.Discretization, "M_sectors",
+                        lambda self, bp: self.sectors.blocks(self.M(bp)))
     monkeypatch.setattr(birman_schwinger.sla, "svdvals",
                         lambda A: np.array([1.0, 0.5]))
     model = free_model(build_grid(2.0, 4))

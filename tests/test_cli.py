@@ -152,10 +152,15 @@ def test_propagate_stage_records_census(tmp_path):
         "stages": ["classify", "threshold_expand", "propagate"]})
     rep = run_pipeline(load_config(path))
     assert rep.errors == []
-    census = json.loads(json.dumps(rep.as_dict()))["stages"]["propagate"][
-        "census"]
+    report = json.loads(json.dumps(rep.as_dict()))
+    census = report["stages"]["propagate"]["census"]
     assert census["winding"] == census["structural_order"] == 1
     assert census["t_min"] == 10.0 and census["tiles"] >= 8
+    assert census["band_tiles"] >= 8
+    # M(k) factored in the eight parity sectors of the 64-node grid
+    assert report["symmetry"] == {"order": 8, "grid_order": 8,
+                                  "sector_sizes": [8] * 8,
+                                  "max_v_deviation": 0.0, "broken_by_v": []}
     (crossed,) = census["crossed"]
     assert set(crossed) == {"k", "z", "weight", "residue_norm"}
     assert crossed["weight"] >= census["weight_cut"] > 0

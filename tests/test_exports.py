@@ -7,8 +7,8 @@ import pytest
 
 import specthresh
 
-MODULES = ["model", "kernels", "birman_schwinger", "jordan", "series",
-           "grushin", "propagator", "models", "cli"]
+MODULES = ["model", "symmetry", "kernels", "birman_schwinger", "jordan",
+           "series", "grushin", "propagator", "models", "cli"]
 
 
 @pytest.mark.parametrize("name", MODULES)

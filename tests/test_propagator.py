@@ -15,7 +15,7 @@ from specthresh.kernels import BranchPoint
 from specthresh.model import build_grid
 from specthresh.grushin import threshold_resolvent_expansion
 from specthresh.models import (first_kind_model, free_model, regular_model,
-                               resonance_model)
+                               resonance_model, third_kind_model)
 from specthresh.propagator import (_WEIGHT_CUT, CutPropagator, _residue,
                                    _wnorm, audit_contour, build_contour,
                                    check_high_energy, dunford_propagator,
@@ -368,6 +368,33 @@ def test_pole_scan_rejects_a_growing_mode(cut_first4, monkeypatch):
     with pytest.raises(ValueError, match=r"eigenvalue with Im z > 0 \(a "
                                          r"growing mode\)"):
         CutPropagator(model, cp.coeffs, disc=cp.disc)
+
+
+def test_band_search_finds_third6_growing_mode():
+    # third6's zero k = 0.3104 + 0.1346i (Im z > 0) lies above the census
+    # strip and below the pole ellipse: the band tiles cover it
+    disc = Discretization(third_kind_model(build_grid(3.0, 6)))
+    zeros, tiles = propagator._tile_zeros(disc, propagator._band_rects())
+    assert tiles >= len(propagator._band_rects())
+    assert min(abs(k - (0.3104 + 0.1346j)) for k in zeros) < 1e-4
+
+
+def test_census_raises_on_a_growing_mode_in_the_band(cut_first4,
+                                                    monkeypatch):
+    model, cp, _ = cut_first4
+    assert cp.census["band_tiles"] >= len(propagator._band_rects())
+    tile_zeros = propagator._tile_zeros
+
+    def with_band_zero(disc, rects):
+        zeros, tiles = tile_zeros(disc, rects)
+        if rects == propagator._band_rects():
+            zeros = zeros + [0.3104 + 0.1346j]
+        return zeros, tiles
+
+    monkeypatch.setattr(propagator, "_tile_zeros", with_band_zero)
+    with pytest.raises(ValueError, match=r"eigenvalue with Im z > 0 \(a "
+                                         r"growing mode\)"):
+        CutPropagator(model, cp.coeffs, disc=cp.disc).propagate(10.0)
 
 
 def test_pole_scan_first6_is_empty(cut_first6):

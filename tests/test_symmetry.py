@@ -1,0 +1,206 @@
+"""The parity-sector layer: the reflection groups of grids and potentials,
+the sector blocks of M(k) that every factorization runs on, and their
+agreement with dense n x n references (`oracles.dense_resolvent`,
+`oracles.dense_contour_zeros`)."""
+import numpy as np
+import pytest
+import scipy.linalg
+
+import oracles
+from specthresh import symmetry
+from specthresh.birman_schwinger import Discretization, _contour_zeros
+from specthresh.grushin import threshold_resolvent_expansion
+from specthresh.kernels import BranchPoint
+from specthresh.model import (Model, QuadratureGrid, build_grid,
+                              sample_potential)
+from specthresh.models import first_kind_model, regular_model
+from specthresh.propagator import CutPropagator
+
+# points of the k-plane on both sheets, near the threshold and on the axis
+KS = [0.3 - 0.2j, 1.7 + 0.4j, 0.05 * np.exp(-0.25j * np.pi), 2.5 + 0.0j]
+# (model fixture, contours (center, ax, ay) that hold zeros of M(k))
+CASES = {
+    "first6": [(0.0, 0.3, 0.3)],
+    # a double zero the census crosses
+    "second6": [(0.5206 - 0.2056j, 0.05, 0.05)],
+    # the physical-sheet double zero next to the threshold
+    "third8": [(0.15226 + 0.10275j, 0.02, 0.02)],
+    # the embedded resonance k0 = 1 in the scan's flat ellipse
+    "resonance8": [((0.3 ** 0.5 + 3.0 ** 0.5) / 2.0,
+                    (3.0 ** 0.5 - 0.3 ** 0.5) / 2.0,
+                    (3.0 ** 0.5 - 0.3 ** 0.5) / 12.0)],
+    # orbits of sizes 1, 2, 4 and 8: sectors of unequal size
+    "first5": [(0.0, 0.3, 0.3)],
+    "first_gauss_radial6": [(0.0, 0.3, 0.3)],
+}
+
+
+@pytest.fixture(scope="module")
+def first5():
+    return first_kind_model(build_grid(3.0, 5))
+
+
+@pytest.fixture(scope="module")
+def first_gauss_radial6():
+    return first_kind_model(build_grid(2.0, 6, scheme="gauss_radial"))
+
+
+def _asymmetric(grid, shape):
+    V = regular_model(grid).V * shape(grid.nodes)
+    return Model(grid=grid, potential=sample_potential(grid, V))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_sector_resolvent_and_contours_match_dense_oracles(name, request):
+    model = request.getfixturevalue(name)
+    disc = Discretization(model)
+    for k in KS:
+        bp = BranchPoint(z=k * k, sqrt_z=k)
+        # the representative rows alone give the blocks of the assembled R0
+        assert np.array_equal(disc.r0_sectors(bp),
+                              disc.sectors.blocks(disc.r0(bp)))
+        want = oracles.dense_resolvent(disc, bp)
+        assert np.linalg.norm(disc.R(bp) - want) \
+            <= 1e-12 * np.linalg.norm(want), k
+    assert disc.symmetry["order"] == 8
+    assert sum(disc.symmetry["sector_sizes"]) == model.grid.n
+    for center, ax, ay in CASES[name]:
+        zeros, count = _contour_zeros(disc, center, ax, ay, 64)
+        want, want_count = oracles.dense_contour_zeros(disc, center, ax, ay,
+                                                       64)
+        assert count == want_count >= 1
+        for k, _ in zeros:
+            assert min(abs(k - kd) for kd in want) <= 1e-8 * max(1.0, abs(k))
+        for kd in want:
+            assert min(abs(k - kd) for k, _ in zeros) <= 1e-8 * max(1.0,
+                                                                    abs(kd))
+
+
+def test_grid_reflections_and_sector_sizes():
+    grid = build_grid(3.0, 5)
+    group = grid.reflections
+    assert group.order == 8 and sorted(set(group.sizes)) == [1, 2, 4, 8]
+    for g, m in zip(group.elements, group.maps):
+        signs = [-1.0 if g >> i & 1 else 1.0 for i in range(3)]
+        assert np.allclose(grid.nodes[m], grid.nodes * signs, rtol=0.0,
+                           atol=1e-12 * grid.extent)
+    n = np.arange(grid.n)
+    assert np.array_equal(
+        group.maps[group.elem, group.reps[group.orbit]], n)
+    # Q^T A Q of a G-invariant A has the blocks, and expand inverts blocks
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((grid.n, grid.n)) + 0j
+    A = sum(A[np.ix_(m, m)] for m in group.maps)     # invariant
+    flat = group.blocks(A)
+    assert np.allclose(group.expand(group.split(flat)), A, rtol=0.0,
+                       atol=1e-12 * np.abs(A).max())
+    X = rng.standard_normal((grid.n, 3))
+    Y = group.to_sectors(X)
+    assert sum(len(y) for y in Y) == grid.n
+    assert np.isclose(sum(np.linalg.norm(y) ** 2 for y in Y),
+                      np.linalg.norm(X) ** 2)
+
+
+@pytest.mark.parametrize("shape, order, broken", [
+    # x_2 x_3 is even under flipping both x_2 and x_3: that reflection
+    # stays
+    (lambda x: 1.0 + 0.1 * x[:, 0] + 0.05 * x[:, 1] * x[:, 2], 2, 6),
+    (lambda x: 1.0 + 0.1 * x[:, 0] + 0.05 * x[:, 1] + 0.03 * x[:, 2], 1, 7),
+])
+def test_potential_breaks_reflections(shape, order, broken):
+    grid = build_grid(3.0, 4)
+    disc = Discretization(_asymmetric(grid, shape))
+    assert disc.symmetry is None          # lazy: no factorization yet
+    k = 0.7 - 0.3j
+    bp = BranchPoint(z=k * k, sqrt_z=k)
+    want = oracles.dense_resolvent(disc, bp)
+    assert np.linalg.norm(disc.R(bp) - want) <= 1e-12 * np.linalg.norm(want)
+    rec = disc.symmetry
+    assert rec["order"] == order and rec["grid_order"] == 8
+    assert len(rec["broken_by_v"]) == broken
+    assert sum(rec["sector_sizes"]) == grid.n
+    assert len(rec["sector_sizes"]) == order
+    if order == 2:
+        assert [2, 3] not in rec["broken_by_v"]
+    assert _contour_zeros(disc, 0.0, 0.3, 0.3, 64, count_only=True)[1] \
+        == oracles.dense_contour_zeros(disc, 0.0, 0.3, 0.3, 64)[1]
+
+
+def test_node_permutation_permutes_resolvent_and_keeps_census():
+    grid = build_grid(3.0, 4)
+    model = first_kind_model(grid)
+    perm = np.random.default_rng(3).permutation(grid.n)
+    pgrid = QuadratureGrid(nodes=grid.nodes[perm], weights=grid.weights[perm],
+                           extent=grid.extent, scheme=grid.scheme,
+                           spacing=grid.spacing)
+    pmodel = Model(grid=pgrid, potential=sample_potential(pgrid,
+                                                          model.V[perm]))
+    censuses = []
+    for m in (model, pmodel):
+        disc = Discretization(m)
+        coeffs = threshold_resolvent_expansion(m, disc=disc)
+        cp = CutPropagator(m, coeffs, disc=disc)
+        cp.propagate_many([10.0])
+        censuses.append((disc, cp.census))
+    (disc, c), (pdisc, pc) = censuses
+    k = 0.9 - 0.4j
+    R = disc.R(BranchPoint(z=k * k, sqrt_z=k))
+    pR = pdisc.R(BranchPoint(z=k * k, sqrt_z=k))
+    assert np.linalg.norm(pR - R[np.ix_(perm, perm)]) \
+        <= 1e-12 * np.linalg.norm(R)
+    for key in ("winding", "structural_order", "tiles", "band_tiles"):
+        assert c[key] == pc[key], key
+    for key in ("crossed", "left_out"):
+        assert len(c[key]) == len(pc[key]), key
+        for a, b in zip(c[key], pc[key]):
+            assert abs(a["k"] - b["k"]) <= 1e-9 * abs(a["k"]), key
+
+
+def test_resolvent_raises_at_the_embedded_resonance(resonance8):
+    # M(k0) is singular at k0 = sqrt(lam0) = 1 up to the tuning residual:
+    # the sector rcond guard raises, as the dense one did
+    disc = Discretization(resonance8)
+    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+        disc.R(BranchPoint.boundary(1.0, "+"))
+
+
+def _record_lu_shapes(monkeypatch):
+    """Shapes of every LU factorization: the sector layer's getrf, and any
+    dense solve, LU or inverse from scipy or numpy."""
+    shapes = []
+
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(symmetry, "zgetrf", recording(symmetry.zgetrf))
+    for mod, name in ((scipy.linalg, "lu_factor"), (scipy.linalg, "solve"),
+                      (scipy.linalg, "inv"), (np.linalg, "solve"),
+                      (np.linalg, "inv")):
+        monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
+    return shapes
+
+
+def test_propagate_factors_only_sector_blocks(first6, coeffs_first6,
+                                              monkeypatch):
+    # a silent fallback to n x n factorizations fails this count
+    coeffs, _ = coeffs_first6
+    shapes = _record_lu_shapes(monkeypatch)
+    cp = CutPropagator(first6, coeffs, disc=Discretization(first6))
+    cp.propagate_many(np.geomspace(10.0, 1000.0, 7))
+    n = first6.grid.n
+    assert len(shapes) >= 8 * 1000
+    assert all(s == (n // 8, n // 8) for s in shapes), set(shapes)
+
+
+def test_asymmetric_model_factors_one_full_block(monkeypatch):
+    grid = build_grid(3.0, 4)
+    disc = Discretization(_asymmetric(
+        grid, lambda x: 1.0 + 0.1 * x[:, 0] + 0.05 * x[:, 1] + 0.03 * x[:, 2]))
+    shapes = _record_lu_shapes(monkeypatch)
+    k = 0.7 - 0.3j
+    disc.R(BranchPoint(z=k * k, sqrt_z=k))
+    _contour_zeros(disc, 0.0, 0.3, 0.3, 16, count_only=True)
+    assert shapes == [(grid.n, grid.n)] * 17
