@@ -1,7 +1,8 @@
 """
 Birman-Schwinger machinery: K(z) = R0(z) V, boundary operators K+(lambda),
-threshold operator K0 = G0 V, detection of the eigenvalue -1, exact Riesz
-projections from a reordered Schur form, classification of the zero
+threshold operator K0 = G0 V, detection of the eigenvalue -1 and exact Riesz
+projections from a reordered Schur form, both on the parity-sector blocks
+of K, classification of the zero
 threshold, the contour eigensolver for the zeros of M(k) = Id + R0(k^2) V
 (outgoing resonances here, poles off the cut in `propagator`), and the
 checkable Gram-determinant hypotheses.
@@ -49,9 +50,12 @@ class Discretization:
     Every factorization of M(k) = Id + R0(k) V runs in the parity sectors
     of `sectors`: the reflections x_i -> +-x_i that map the grid (nodes and
     weights, `QuadratureGrid.reflections`) and V onto themselves, found on
-    the first factorization.  M(k) is one block per character of that
-    group, eight blocks of about n / 8 on the reference models; a model
-    without symmetry is one n x n block.  `symmetry` records the group."""
+    first use.  M(k) is one block per character of that group, eight
+    blocks of about n / 8 on the reference models; a model without
+    symmetry is one n x n block.  The analysis of K0 and K+(lam)
+    (`detect_minus_one`, `riesz_projection`) and the resolvent Taylor
+    coefficients (`propagator.resolvent_taylor`) run on the same blocks.
+    `symmetry` records the group."""
 
     def __init__(self, model: Model):
         self.model = model
@@ -128,11 +132,15 @@ class Discretization:
 
     def m_blocks(self, r0_blocks: np.ndarray) -> np.ndarray:
         """The flat sector blocks Id + R0_s V_s of M from those of R0
-        (`ReflectionGroup.transform`; V_s: V at the representatives of the
-        sector's orbits)."""
-        A = r0_blocks * self._v_blocks
+        (`ReflectionGroup.transform`)."""
+        A = self.times_v(r0_blocks)
         A[self.sectors.flat_diagonal] += 1.0
         return A
+
+    def times_v(self, blocks: np.ndarray) -> np.ndarray:
+        """The flat sector blocks A_s V_s of A V from those of A (V_s: V at
+        the representatives of the sector's orbits)."""
+        return blocks * self._v_blocks
 
     @cached_property
     def _v_blocks(self) -> np.ndarray:
@@ -191,6 +199,15 @@ class EigenNearMinusOne:
     geometric_multiplicity: int
     algebraic_multiplicity: int
     eigenvectors: np.ndarray        # (n, k) null-space basis of Id + K
+    # cluster eigenvalues in each parity sector of the operator's group, in
+    # its sector order (trivial character first)
+    sector_counts: Tuple[int, ...]
+
+    def __post_init__(self):
+        if sum(self.sector_counts) != self.algebraic_multiplicity:
+            raise ValueError(f"sector counts {list(self.sector_counts)} do "
+                             f"not add up to the algebraic multiplicity "
+                             f"{self.algebraic_multiplicity}")
 
 
 @dataclass(frozen=True)
@@ -216,34 +233,54 @@ class RieszProjection:
 # ---------------------------------------------------------------------------
 # operations
 
-def detect_minus_one(K: np.ndarray, tol: float = 1e-6
-                     ) -> Optional[EigenNearMinusOne]:
-    """Dense eigendecomposition; report the eigenvalue cluster near -1, or
-    None when no eigenvalue lies within tol of it."""
-    A = np.asarray(K)
-    evals = sla.eigvals(A)
-    d = np.abs(evals + 1.0)
-    in_cluster = d <= tol
-    if not in_cluster.any():
+def detect_minus_one(K: np.ndarray, group: ReflectionGroup,
+                     tol: float = 1e-6) -> Optional[EigenNearMinusOne]:
+    """The eigenvalue cluster of K near -1, or None when no eigenvalue lies
+    within tol of it, from the sector blocks K_s of the G-invariant K
+    (`ReflectionGroup.blocks`; the one-block group of the identity for a
+    matrix without symmetry): the eigenvalues of every block, the cluster
+    gap over all of them, and the null space of Id + K from the SVD of each
+    Id + K_s against one tolerance from the largest singular value over
+    the blocks, lifted to the nodes (`ReflectionGroup.from_sectors`).
+    ValueError when the cluster is not separated from the rest, or when it
+    is not empty but no singular value falls under the tolerance."""
+    blocks = group.split(group.blocks(np.asarray(K)))
+    evals = [sla.eigvals(B) for B in blocks]
+    d = [np.abs(e + 1.0) for e in evals]
+    counts = tuple(int((ds <= tol).sum()) for ds in d)
+    if not any(counts):
         return None
-    rest = d[~in_cluster]
+    d_all = np.concatenate(d)
+    in_cluster = d_all <= tol
+    rest = d_all[~in_cluster]
     gap = float(rest.min()) if rest.size else np.inf
     if rest.size and gap <= 2.0 * tol:
         raise ValueError("ill-separated cluster")
-    m = int(in_cluster.sum())
-    # geometric multiplicity and kernel basis from the SVD of Id + K
-    U, s, Vh = sla.svd(np.eye(A.shape[0]) + A)
-    null_tol = max(tol, 1e5 * np.finfo(float).eps * s[0])
-    k = int((s < null_tol).sum())
+    # geometric multiplicity and kernel basis from the SVD of each Id + K_s
+    svds = [sla.svd(np.eye(len(B)) + B) for B in blocks]
+    null_tol = max(tol, 1e5 * np.finfo(float).eps
+                   * max(sv[0] for _, sv, _ in svds))
+    null = [Vh[len(sv) - int((sv < null_tol).sum()):].conj().T
+            for _, sv, Vh in svds]
+    k = sum(v.shape[1] for v in null)
     if k == 0:
         # sigma_min(Id + K) <= |lambda + 1| <= tol <= null_tol holds for the
         # cluster eigenvalue, so an empty null space is a roundoff failure
+        smin = min(sv[-1] for _, sv, _ in svds)
         raise ValueError(f"eigenvalue within {tol:g} of -1 but sigma_min "
-                         f"{s[-1]:.3e} >= null tolerance {null_tol:.3e}")
-    vecs = Vh[-k:, :].conj().T
-    eig = complex(evals[in_cluster][np.argmin(d[in_cluster])])
+                         f"{smin:.3e} >= null tolerance {null_tol:.3e}")
+    # each sector's null vectors as their own columns, sector by sector
+    Y, first = [], 0
+    for v in null:
+        Y.append(np.zeros((len(v), k), dtype=complex))
+        Y[-1][:, first:first + v.shape[1]] = v
+        first += v.shape[1]
+    vecs = group.from_sectors(Y)
+    e_all = np.concatenate(evals)[in_cluster]
+    eig = complex(e_all[np.argmin(d_all[in_cluster])])
     return EigenNearMinusOne(eigenvalue=eig, gap=gap, geometric_multiplicity=k,
-                             algebraic_multiplicity=m, eigenvectors=vecs)
+                             algebraic_multiplicity=int(in_cluster.sum()),
+                             eigenvectors=vecs, sector_counts=counts)
 
 
 def tune_coupling(grid: QuadratureGrid, template: np.ndarray, target: str,
@@ -295,18 +332,23 @@ def _spectral_projector(T: np.ndarray, Q: np.ndarray,
     return Q1 @ (Q1.conj().T - Y @ Qs[:, m:].conj().T)
 
 
-def riesz_projection(K0: np.ndarray, eps: float,
+def riesz_projection(K: np.ndarray, group: ReflectionGroup, eps: float,
                      detection: Optional[EigenNearMinusOne] = None
                      ) -> RieszProjection:
-    """Spectral projector onto the -1 cluster of K0, the eigenvalues inside
-    the circle |w + 1| = eps, exactly from one complex Schur form
-    K0 = Q T Q^H; the rank is the number of those eigenvalues."""
+    """Spectral projector onto the -1 cluster of the G-invariant K, the
+    eigenvalues inside the circle |w + 1| = eps, exactly from one complex
+    Schur form K_s = Q T Q^H of each sector block (`ReflectionGroup.blocks`)
+    and expanded to n x n once; the rank is the number of those eigenvalues
+    over all blocks."""
     if detection is not None and eps > detection.gap / 2.0:
         raise ValueError("contour captures foreign spectrum")
-    T, Q = sla.schur(K0, output="complex")
-    select = np.abs(np.diag(T) + 1.0) < eps
-    P = _spectral_projector(T, Q, select)
-    return RieszProjection(entries=P, rank=int(select.sum()),
+    projs, rank = [], 0
+    for B in group.split(group.blocks(np.asarray(K))):
+        T, Q = sla.schur(B, output="complex")
+        select = np.abs(np.diag(T) + 1.0) < eps
+        projs.append(_spectral_projector(T, Q, select))
+        rank += int(select.sum())
+    return RieszProjection(entries=group.expand(projs), rank=rank,
                            contour_radius=eps)
 
 
@@ -321,7 +363,7 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
     """Classify the zero threshold through the integral marker int V psi of
     the kernel directions of Id + K0 (zero marker <=> L^2 direction)."""
     disc = disc or Discretization(model)
-    det = detect_minus_one(disc.K0, tol=tol)
+    det = detect_minus_one(disc.K0, disc.sectors, tol=tol)
     if det is None:
         return ZeroClassification(kind="regular", k=0, resonance_state=None,
                                   eigenvectors=[], integral_marker=0.0,
@@ -524,7 +566,7 @@ def check_hypotheses(model: Model, classification: ZeroClassification,
             report["H2"] = bool(marker_ok and abs(de) > HYPOTHESIS_DET_TOL)
     for lam, _N in resonances or []:
         det_r = detect_minus_one(disc.K(BranchPoint.boundary(lam, "+")),
-                                 tol=1e-4)
+                                 disc.sectors, tol=1e-4)
         if det_r is None:
             report["H3"] = False
             report["determinants"][f"H3@{lam:.6f}"] = 0.0

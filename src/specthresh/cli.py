@@ -190,6 +190,8 @@ def run_pipeline(config: RunConfig) -> RunReport:
                 hyp = check_hypotheses(model, cls, disc=disc)
                 report.stages[stage] = _jsonable({
                     "kind": cls.kind, "k": cls.k,
+                    "sector_counts": (None if cls.detection is None else
+                                      cls.detection.sector_counts),
                     "integral_marker": cls.integral_marker,
                     "marker_tol": cls.marker_tol,
                     "hypotheses": {k: hyp[k] for k in ("H1", "H2", "H3")},
@@ -228,6 +230,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
                 for lam, _N in ctx.get("resonances", []):
                     rc = resonance_resolvent_expansion(model, lam, disc=disc)
                     recs.append({"lam0": lam, "N0": rc.N0,
+                                 "sector_counts": rc.detection.sector_counts,
                                  "sigma_machinery": rc.scaling.constant_machinery,
                                  "sigma_formula": rc.scaling.constant_formula})
                 report.stages[stage] = _jsonable({"expansions": recs,

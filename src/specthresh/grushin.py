@@ -87,6 +87,7 @@ class ResonanceCoefficients:
     scaling: LidskiiScaling
     constants: Dict[str, object]
     basis: Optional[JordanBasis]
+    detection: EigenNearMinusOne   # the -1 cluster of K+(lam0) projected on
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +375,8 @@ def _singular_expansion(disc: Discretization, K: np.ndarray,
     on its range, the Grushin reduction, the Laurent inverse F of E_-+ with
     pole order q, M^{-1} = E - E_+ F E_- and the resolvent series
     M^{-1} R0.  Returns (reduction, q, series, remainder samples)."""
-    P1 = riesz_projection(K, min(det.gap / 2.5, 0.5), detection=det)
+    P1 = riesz_projection(K, disc.sectors, min(det.gap / 2.5, 0.5),
+                          detection=det)
     if P1.rank != det.algebraic_multiplicity:
         raise ValueError(f"Riesz projector rank {P1.rank} != algebraic "
                          f"multiplicity {det.algebraic_multiplicity}")
@@ -473,11 +475,14 @@ def resonance_resolvent_expansion(model: Model, lam0: float,
     """Laurent expansion of (Id + K(z))^{-1} R0(z) around an outgoing
     resonance energy lam0 > 0 (boundary value from the upper side)."""
     disc = disc or Discretization(model)
-    Kp = disc.K(BranchPoint.boundary(lam0, "+"))
-    det = detect_minus_one(Kp, tol=1e-4)
+    bp = BranchPoint.boundary(lam0, "+")
+    det = detect_minus_one(disc.K(bp), disc.sectors, tol=1e-4)
     if det is None:
         raise ValueError("no eigenvalue -1 at the requested energy")
-    red, q, Rs, samples = _singular_expansion(disc, Kp, det, float(lam0))
+    # K+ assembled afresh (one R0 gather), so that no reference here keeps
+    # it alive through the series work, as for the threshold's K0
+    red, q, Rs, samples = _singular_expansion(disc, disc.K(bp), det,
+                                              float(lam0))
     basis = red.basis
 
     vecs = [basis.chains[b][0] for b in range(basis.k)]
@@ -498,4 +503,4 @@ def resonance_resolvent_expansion(model: Model, lam0: float,
                                  remainder_samples=samples,
                                  R_m1=Rs.coeff(-1), psi=psi, P_res=P_res,
                                  scaling=scal, constants=constants,
-                                 basis=basis)
+                                 basis=basis, detection=det)

@@ -22,7 +22,8 @@ from .symmetry import ReflectionGroup
 __all__ = [
     "QuadratureGrid", "Potential", "Model",
     "build_grid", "sample_potential", "assemble_H",
-    "bracket_weight", "weight_diag", "weighted_operator_norm", "weighted_vec",
+    "bracket_weight", "weight_diag", "weighted_operator_norm",
+    "weighted_sector_norm", "weighted_vec",
 ]
 
 
@@ -277,12 +278,31 @@ def weighted_vec(grid: QuadratureGrid, u: np.ndarray, s: float) -> float:
     return float(np.linalg.norm(weight_diag(grid, s) * u))
 
 
+def _scaled_2norm(A: np.ndarray, d_out: np.ndarray,
+                  d_in: np.ndarray) -> float:
+    """||diag(d_out) A diag(1/d_in)||_2."""
+    return float(np.linalg.norm((d_out[:, None] * A) / d_in[None, :], 2))
+
+
 def weighted_operator_norm(A: np.ndarray, grid: QuadratureGrid,
                            s_in: float = 0.0, s_out: float = 0.0) -> float:
     """Operator norm of A from L^{2,s_in} to L^{2,s_out}."""
-    d_out = weight_diag(grid, s_out)
-    d_in = weight_diag(grid, s_in)
-    return float(np.linalg.norm((d_out[:, None] * A) / d_in[None, :], 2))
+    return _scaled_2norm(A, weight_diag(grid, s_out), weight_diag(grid, s_in))
+
+
+def weighted_sector_norm(group: ReflectionGroup, flat: np.ndarray,
+                         grid: QuadratureGrid, s_in: float = 0.0,
+                         s_out: float = 0.0) -> float:
+    """`weighted_operator_norm` of the G-invariant matrix with the flat
+    sector blocks `flat` (`ReflectionGroup.transform`), from the blocks
+    alone: the weight sqrt(w) <x>^s is constant on node orbits, so it
+    commutes with the sector basis and the norm is the largest of the
+    blocks' weighted norms, each with the weight at the representatives of
+    the block's orbits."""
+    d_out = weight_diag(grid, s_out)[group.reps]
+    d_in = weight_diag(grid, s_in)[group.reps]
+    return max(_scaled_2norm(B, d_out[c], d_in[c]) for B, c in
+               zip(group.split(flat), group.sector_orbits))
 
 
 # ---------------------------------------------------------------------------

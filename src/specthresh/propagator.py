@@ -32,8 +32,9 @@ from scipy.special import roots_laguerre
 
 from .birman_schwinger import (Discretization, _contour_zeros,
                                _spectral_projector)
+from .symmetry import SectorLU
 from .kernels import BranchPoint
-from .model import Model, weighted_operator_norm
+from .model import Model, weighted_operator_norm, weighted_sector_norm
 from .grushin import ThresholdCoefficients
 
 __all__ = [
@@ -313,21 +314,30 @@ def dunford_propagator(H, contour: Contour, t: float,
 
 def resolvent_taylor(disc: Discretization, lam: float, order: int,
                      side: str = "+") -> List[np.ndarray]:
-    """Taylor coefficients T_p of mu -> R(lam + mu, side) about mu = 0, built
-    from the analytic derivative kernels (the -i0 side uses the entrywise
-    conjugate kernels, exact for real distances and energies): R = M^{-1} B
-    with B_p = G_p^+ / p! and M = Id + B V, so one LU of M_0 gives every
-    T_p = M_0^{-1} (B_p - sum_{r=1..p} B_r V T_{p-r})."""
+    """Taylor coefficients T_p of mu -> R(lam + mu, side) about mu = 0, as
+    flat sector blocks of `disc.sectors` (`ReflectionGroup.transform`;
+    `expand(split(T_p))` gives the n x n matrix), built from the analytic
+    derivative kernels (the -i0 side uses the entrywise conjugate kernels,
+    exact for real distances and energies, and so are its blocks): R =
+    M^{-1} B with B_p = G_p^+ / p! and M = Id + B V, so one checked LU of
+    each block of M_0 (`SectorLU`) gives every T_p = M_0^{-1} (B_p -
+    sum_{r=1..p} B_r V T_{p-r}) block by block.  ValueError on a
+    non-finite block; LinAlgError when M_0 is singular or ill-conditioned
+    (rcond below machine epsilon)."""
+    group = disc.sectors
     B = []
     for p in range(order + 1):
-        Gp = disc.gj_plus(p, lam) / math.factorial(p)
-        B.append(Gp if side == "+" else np.conj(Gp))
-    V = disc.V[None, :]
-    lu = sla.lu_factor(np.eye(disc.grid.n) + B[0] * V)
+        Bp = group.blocks(disc.gj_plus(p, lam)) / math.factorial(p)
+        B.append(Bp if side == "+" else np.conj(Bp))
+    lu = SectorLU(group, disc.m_blocks(B[0]))
+    BV = [group.split(disc.times_v(Bp)) for Bp in B[1:]]
     T: List[np.ndarray] = []
     for p in range(order + 1):
-        rhs = B[p] - sum((B[r] * V) @ T[p - r] for r in range(1, p + 1))
-        T.append(sla.lu_solve(lu, rhs))
+        rhs = group.split(B[p].copy())
+        for r in range(1, p + 1):
+            for R, A, X in zip(rhs, BV[r - 1], group.split(T[p - r])):
+                R -= A @ X
+        T.append(group.join(lu.solve(rhs)))
     return T
 
 
@@ -662,29 +672,36 @@ def verify_large_time(model: Model,
 # ---------------------------------------------------------------------------
 # high-energy estimates
 
+# the energy window and sample count of the high-energy fits, and the slack
+# by which a fitted exponent may exceed its bound -(r+1)/2
+_HE_WINDOW, _HE_SAMPLES, _HE_SLACK = (4.0, 25.0), 9, 0.2
+
+
 def check_high_energy(model: Model, s: float = 3.0,
-                      lam_window: Tuple[float, float] = (4.0, 25.0),
                       orders: Sequence[int] = (0, 1),
-                      disc: Optional[Discretization] = None,
-                      n_samples: int = 9) -> List[dict]:
+                      disc: Optional[Discretization] = None) -> List[dict]:
     """Fits of the weighted boundary-resolvent derivative norms
-    ||<x>^{-s} d^r/d lam^r R(lam + i0) <x>^{-s}|| ~ lam^e over the window, one
-    per order r, from one Taylor expansion per energy; each exponent must not
-    exceed -(r+1)/2 by more than the fit slack."""
+    ||<x>^{-s} d^r/d lam^r R(lam + i0) <x>^{-s}|| ~ lam^e over _HE_WINDOW,
+    one per order r, from one Taylor expansion per energy; each exponent
+    must not exceed -(r+1)/2 by more than _HE_SLACK.  Each norm is taken on
+    the sector blocks of the Taylor coefficient (`weighted_sector_norm`):
+    no n x n matrix is formed."""
     if not orders or any(r not in (0, 1, 2) for r in orders):
         raise ValueError("derivative orders r must be 0, 1 or 2")
     disc = disc or Discretization(model)
-    lams = np.geomspace(lam_window[0], lam_window[1], n_samples)
-    norms = np.empty((len(orders), n_samples))
+    lams = np.geomspace(*_HE_WINDOW, _HE_SAMPLES)
+    norms = np.empty((len(orders), _HE_SAMPLES))
     for i, lam in enumerate(lams):
         T = resolvent_taylor(disc, float(lam), max(orders), side="+")
         for j, r in enumerate(orders):
-            norms[j, i] = _wnorm(model.grid, math.factorial(r) * T[r], s)
+            norms[j, i] = weighted_sector_norm(
+                disc.sectors, math.factorial(r) * T[r], model.grid,
+                s_in=s, s_out=-s)
     fits = []
     for r, nr in zip(orders, norms):
         slope, amp, r2 = _loglog_fit(lams, nr)
         fits.append({"r": r, "s": s, "lams": lams, "norms": nr,
                      "exponent": slope, "bound": -(r + 1) / 2.0,
                      "constant": amp, "r_squared": r2,
-                     "pass": slope <= -(r + 1) / 2.0 + 0.2})
+                     "pass": slope <= -(r + 1) / 2.0 + _HE_SLACK})
     return fits

@@ -17,8 +17,10 @@ orthonormal parity-sector basis, one block per character sigma of G
     A_sigma[a, b] = (sqrt(|O_a| |O_b|) / |G|) sum_g chi_sigma(g) A[r_a, g r_b].
 
 A block needs only the rows of A at the representatives and a |G|-point
-+-1 transform; the sector sizes add up to n.  G = {e} is one sector with
-the identity basis.
++-1 transform; the sector sizes add up to n.  Vectors go into the sectors
+(`to_sectors`, Q_s^T X) and back (`from_sectors`, sum_s Q_s Y_s), and
+blocks back to an n x n matrix (`expand`).  G = {e} is one sector with the
+identity basis.
 """
 from __future__ import annotations
 
@@ -171,6 +173,25 @@ class ReflectionGroup:
         return [np.asfortranarray(Z[s][c] * (root[c] / self.order)[:, None])
                 for s, c in enumerate(cols)]
 
+    def from_sectors(self, Y: Sequence[np.ndarray]) -> np.ndarray:
+        """sum_s Q_s Y_s as an n x p matrix, the inverse of `to_sectors`:
+        node i of orbit a gets chi_s(g_i) Y_s[a] / sqrt|O_a| from each
+        sector s holding a."""
+        chars, cols = self._sectors.chars, self._sectors.cols
+        K, p = len(self.reps), Y[0].shape[1]
+        Z = np.zeros((len(cols), K, p), dtype=np.result_type(*Y))
+        for s, c in enumerate(cols):
+            Z[s, c] = Y[s]
+        W = (chars.T @ Z.reshape(len(cols), K * p)).reshape(self.order, K, p)
+        return W[self.elem, self.orbit] / np.sqrt(self.sizes)[self.orbit,
+                                                              None]
+
+    @staticmethod
+    def join(blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """The flat block buffer of a list of blocks, the inverse of
+        `split`."""
+        return np.concatenate([B.ravel(order="F") for B in blocks])
+
     @cached_property
     def _expand_index(self) -> np.ndarray:
         """(n, n) index of entry (i, j) into the back-transformed blocks:
@@ -193,8 +214,7 @@ class ReflectionGroup:
         the sectors and one gather through `_expand_index`."""
         t, K = self._sectors, len(self.reps)
         Bh = np.zeros(len(t.cols) * K * K, dtype=complex)
-        Bh[t.pick] = np.concatenate([B.ravel(order="F") for B in blocks]) \
-            / (t.scale * self.order)
+        Bh[t.pick] = self.join(blocks) / (t.scale * self.order)
         Bt = t.chars.T @ Bh.reshape(len(t.cols), K * K)
         return np.take(Bt, self._expand_index)
 

@@ -358,8 +358,9 @@ def branch_cut_walk(disc, coeffs, eigenvalues, ts, delta0: float = 0.04,
 
     bands = filon_panel_walk(edges, jump, ts)
     memo.clear()
-    Tp = resolvent_taylor(disc, lam_max, tail_terms, side="+")
-    Tm = resolvent_taylor(disc, lam_max, tail_terms, side="-")
+    Tp, Tm = ([disc.sectors.expand(disc.sectors.split(T)) for T in
+               resolvent_taylor(disc, lam_max, tail_terms, side=side)]
+              for side in "+-")
     series = coeffs.series.coeffs
     rings = []
     for zs in eigenvalues:
@@ -451,3 +452,57 @@ def dense_contour_zeros(disc, center: complex, ax: float, ay: float,
     B = (U[:, :count].conj().T @ A1 @ Wh[:count].conj().T) / s[:count]
     return sorted(center + np.linalg.eigvals(B), key=lambda k: (k.real,
                                                                k.imag)), count
+
+
+def dense_resolvent_taylor(disc, lam: float, order: int, side: str = "+"):
+    """Taylor coefficients T_p of mu -> R(lam + mu, side) as n x n matrices,
+    by the recursion T_p = M_0^{-1} (B_p - sum_{r=1..p} B_r V T_{p-r}) with
+    B_p = G_p^+ / p! (entrywise conjugate on the -i0 side) and one dense
+    `scipy.linalg.lu_factor` of M_0 = Id + B_0 V, with no use of the grid's
+    symmetry and no conditioning check."""
+    B = []
+    for p in range(order + 1):
+        Gp = disc.gj_plus(p, lam) / math.factorial(p)
+        B.append(Gp if side == "+" else np.conj(Gp))
+    V = disc.V[None, :]
+    lu = sla.lu_factor(np.eye(disc.grid.n) + B[0] * V)
+    T = []
+    for p in range(order + 1):
+        rhs = B[p] - sum((B[r] * V) @ T[p - r] for r in range(1, p + 1))
+        T.append(sla.lu_solve(lu, rhs))
+    return T
+
+
+def dense_weighted_norm(A, grid, s_in: float, s_out: float) -> float:
+    """||<x>^{s_out} A <x>^{-s_in}|| in the w-weighted l^2 of the nodes: the
+    largest singular value of the n x n matrix
+    diag(sqrt(w) <x>^{s_out}) A diag(1 / (sqrt(w) <x>^{s_in}))."""
+    br = np.sqrt(1.0 + np.sum(grid.nodes ** 2, axis=1))
+    d_out = np.sqrt(grid.weights) * br ** s_out
+    d_in = np.sqrt(grid.weights) * br ** s_in
+    return float(sla.svdvals(d_out[:, None] * A / d_in[None, :])[0])
+
+
+def dense_detect_minus_one(K, tol: float):
+    """(cluster eigenvalues sorted by distance to -1, gap, geometric
+    multiplicity, null-space basis) of the dense n x n K: the eigenvalues
+    within tol of -1 from `scipy.linalg.eigvals`, the gap to the rest, and
+    the null space of Id + K from its SVD against
+    max(tol, 1e5 eps sigma_max)."""
+    evals = sla.eigvals(K)
+    d = np.abs(evals + 1.0)
+    cluster = evals[d <= tol][np.argsort(d[d <= tol])]
+    gap = float(d[d > tol].min())
+    _, s, Vh = sla.svd(np.eye(len(K)) + K)
+    k = int((s < max(tol, 1e5 * np.finfo(float).eps * s[0])).sum())
+    return cluster, gap, k, Vh[len(s) - k:].conj().T
+
+
+def dense_riesz_projection(K, eps: float):
+    """(projector, rank) onto the eigenvalues of the dense n x n K inside
+    |w + 1| = eps, from one complex Schur form of all of K reordered by the
+    library's `_spectral_projector` (ztrsen + ztrsyl)."""
+    from specthresh.birman_schwinger import _spectral_projector
+    T, Q = sla.schur(K, output="complex")
+    select = np.abs(np.diag(T) + 1.0) < eps
+    return _spectral_projector(T, Q, select), int(select.sum())

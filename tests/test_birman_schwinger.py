@@ -20,6 +20,7 @@ from specthresh.models import (first_kind_model, free_model,
                                gaussian_template, resonance_model,
                                third_kind_model)
 from specthresh.model import Model
+from specthresh.symmetry import ReflectionGroup
 
 
 def test_resolvent_identity_small_grid():
@@ -144,6 +145,11 @@ def test_contour_walk_shares_r0_across_mirrored_nodes(monkeypatch):
     assert calls == {"r0_sectors": 32, "M_sectors": 32}
 
 
+def _one_block(n):
+    """The group of the identity alone: one n x n sector block."""
+    return ReflectionGroup({0: np.arange(n)})
+
+
 def test_detect_minus_one_on_synthetic_matrix():
     rng = np.random.default_rng(5)
     n = 30
@@ -151,7 +157,7 @@ def test_detect_minus_one_on_synthetic_matrix():
     lams = np.linspace(0.2, 2.0, n).astype(complex)
     lams[7] = -1.0 + 1e-9
     K = Q @ np.diag(lams) @ np.linalg.inv(Q)
-    det = detect_minus_one(K)
+    det = detect_minus_one(K, _one_block(n))
     assert det is not None
     assert abs(det.eigenvalue + 1.0) < 1e-8
     assert det.geometric_multiplicity == 1
@@ -162,7 +168,7 @@ def test_detect_minus_one_on_synthetic_matrix():
 
 def test_detect_minus_one_absent():
     K = np.diag(np.linspace(0.1, 0.9, 10)).astype(complex)
-    assert detect_minus_one(K) is None
+    assert detect_minus_one(K, _one_block(10)) is None
 
 
 def test_detect_minus_one_raises_on_empty_null_space(monkeypatch):
@@ -177,13 +183,13 @@ def test_detect_minus_one_raises_on_empty_null_space(monkeypatch):
 
     monkeypatch.setattr(birman_schwinger.sla, "svd", svd_without_null)
     with pytest.raises(ValueError, match="null tolerance"):
-        detect_minus_one(np.diag(lams), tol=1e-6)
+        detect_minus_one(np.diag(lams), _one_block(3), tol=1e-6)
 
 
 def test_detect_minus_one_rejects_unresolved_cluster():
     lams = np.array([-1.0 + 5e-7, -1.0 + 1.5e-6, 0.5], dtype=complex)
     with pytest.raises(ValueError, match="ill-separated"):
-        detect_minus_one(np.diag(lams), tol=1e-6)
+        detect_minus_one(np.diag(lams), _one_block(3), tol=1e-6)
 
 
 def test_tune_coupling_places_eigenvalue_at_minus_one():
@@ -204,8 +210,9 @@ def test_riesz_projection_matches_dense_eig():
     lams[3] = -1.0
     lams[11] = -1.0 + 1e-11          # same cluster
     K = Q @ np.diag(lams) @ np.linalg.inv(Q)
-    det = detect_minus_one(K)
-    P = riesz_projection(K, eps=det.gap / 3.0, detection=det).entries
+    det = detect_minus_one(K, _one_block(n))
+    P = riesz_projection(K, _one_block(n), eps=det.gap / 3.0,
+                         detection=det).entries
     want = oracles.spectral_projector(K, lambda l: abs(l + 1.0) < 1e-6)
     assert np.linalg.norm(P - want) < 1e-8
     assert np.linalg.norm(P @ P - P) < 1e-8
@@ -226,27 +233,29 @@ def _dense_contour_projection(K, eps, n_quad=64):
 
 
 def _first4_K0():
-    return Discretization(first_kind_model(build_grid(3.0, 4))).K0, 1e-6
+    disc = Discretization(first_kind_model(build_grid(3.0, 4)))
+    return disc.K0, disc.sectors, 1e-6
 
 
 def _third5_K0():
     # the two-eigenvalue tuning of the third kind does not converge at
     # resolution 4, so this one runs at resolution 5 (n=117)
-    return Discretization(third_kind_model(build_grid(3.0, 5))).K0, 1e-6
+    disc = Discretization(third_kind_model(build_grid(3.0, 5)))
+    return disc.K0, disc.sectors, 1e-6
 
 
 def _resonance4_Kplus():
     disc = Discretization(resonance_model(build_grid(3.0, 4), lam0=1.0))
-    return disc.K(BranchPoint.boundary(1.0, "+")), 1e-4
+    return disc.K(BranchPoint.boundary(1.0, "+")), disc.sectors, 1e-4
 
 
 @pytest.mark.parametrize("make", [_first4_K0, _third5_K0, _resonance4_Kplus],
                          ids=["first4", "third5", "resonance4"])
 def test_riesz_projection_matches_dense_solve_contour(make):
-    K, tol = make()
-    det = detect_minus_one(K, tol=tol)
+    K, group, tol = make()
+    det = detect_minus_one(K, group, tol=tol)
     eps = min(det.gap / 2.5, 0.5)
-    proj = riesz_projection(K, eps, detection=det)
+    proj = riesz_projection(K, group, eps, detection=det)
     want = _dense_contour_projection(K, eps)
     assert np.linalg.norm(proj.entries - want) <= 1e-12 * np.linalg.norm(want)
     assert proj.rank == det.algebraic_multiplicity
@@ -262,7 +271,7 @@ def test_riesz_projection_defective_cluster():
     J[:2, :2] = [[-1.0, 1.0], [0.0, -1.0]]
     S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     K = S @ J @ np.linalg.inv(S)
-    proj = riesz_projection(K, eps=0.4)
+    proj = riesz_projection(K, _one_block(n), eps=0.4)
     P = proj.entries
     assert proj.rank == 2
     assert np.linalg.norm(P @ P - P) <= 1e-10 * np.linalg.norm(P)

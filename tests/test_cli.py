@@ -161,6 +161,8 @@ def test_propagate_stage_records_census(tmp_path):
     assert report["symmetry"] == {"order": 8, "grid_order": 8,
                                   "sector_sizes": [8] * 8,
                                   "max_v_deviation": 0.0, "broken_by_v": []}
+    # the -1 cluster of K0 lies in the trivial character
+    assert report["stages"]["classify"]["sector_counts"] == [1] + [0] * 7
     (crossed,) = census["crossed"]
     assert set(crossed) == {"k", "z", "weight", "residue_norm"}
     assert crossed["weight"] >= census["weight_cut"] > 0
@@ -316,3 +318,13 @@ def test_cli_env_var_output(tmp_path, regular_config, monkeypatch):
     res = runner.invoke(main, ["classify", "--config", regular_config])
     assert res.exit_code == 0
     assert (tmp_path / "envout" / "report.json").exists()
+
+
+def test_resonance_expand_records_sector_counts(tmp_path):
+    path = _write(tmp_path, "cfg.json", {
+        "model": {"factory": "resonance", "extent": 3.0, "resolution": 4},
+        "stages": ["resonance_scan", "resonance_expand"]})
+    rep = run_pipeline(load_config(path))
+    assert rep.errors == []
+    (rec,) = rep.stages["resonance_expand"]["expansions"]
+    assert rec["N0"] == 1 and rec["sector_counts"] == [1] + [0] * 7

@@ -425,10 +425,22 @@ def test_resolvent_taylor_matches_finite_difference():
     model = regular_model(grid, strength=0.4 + 0.2j)
     disc = Discretization(model)
     lam = 2.0
-    T = resolvent_taylor(disc, lam, 1, side="+")
+    T1 = resolvent_taylor(disc, lam, 1, side="+")[1]
+    T1 = disc.sectors.expand(disc.sectors.split(T1))
     want = oracles.central_derivative(
         lambda l: disc.R(BranchPoint.boundary(l, "+")), lam, h=1e-4)
-    assert np.linalg.norm(T[1] - want) < 1e-6 * np.linalg.norm(want)
+    assert np.linalg.norm(T1 - want) < 1e-6 * np.linalg.norm(want)
+
+
+def test_resolvent_taylor_raises_at_a_singular_m0():
+    # M_0 = Id + G_0^+ V is singular at the tuned resonance lam0 = 1 (rcond
+    # about 1e-16 at n = 64): the checked block LU raises, as R does there,
+    # instead of returning T_0 entries of order 1e14
+    disc = Discretization(resonance_model(build_grid(3.0, 4), lam0=1.0))
+    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+        resolvent_taylor(disc, 1.0, 0)
+    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+        disc.R(BranchPoint.boundary(1.0, "+"))
 
 
 def test_resolvent_taylor_minus_side_is_conjugate_for_real_V():
@@ -438,9 +450,9 @@ def test_resolvent_taylor_minus_side_is_conjugate_for_real_V():
     V = 0.5 * np.exp(-grid.radii() ** 2)
     model = Model(grid=grid, potential=sample_potential(grid, V.astype(complex)))
     disc = Discretization(model)
-    Tp = resolvent_taylor(disc, 1.5, 0, side="+")
-    Tm = resolvent_taylor(disc, 1.5, 0, side="-")
-    assert np.allclose(Tm[0], np.conj(Tp[0]))
+    Tp, Tm = (disc.sectors.expand(disc.sectors.split(
+        resolvent_taylor(disc, 1.5, 0, side=side)[0])) for side in "+-")
+    assert np.allclose(Tm, np.conj(Tp))
 
 
 def test_high_energy_exponents_free():

@@ -1,20 +1,28 @@
 """The parity-sector layer: the reflection groups of grids and potentials,
-the sector blocks of M(k) that every factorization runs on, and their
-agreement with dense n x n references (`oracles.dense_resolvent`,
-`oracles.dense_contour_zeros`)."""
+the sector blocks of M(k) that every factorization runs on, the analysis
+routines that run on the blocks (resolvent Taylor coefficients, weighted
+norms, the -1 detection and the Riesz projector), and their agreement with
+dense n x n references (`oracles.dense_resolvent`,
+`oracles.dense_contour_zeros`, `oracles.dense_resolvent_taylor`,
+`oracles.dense_weighted_norm`, `oracles.dense_detect_minus_one`,
+`oracles.dense_riesz_projection`)."""
 import numpy as np
 import pytest
 import scipy.linalg
 
 import oracles
 from specthresh import symmetry
-from specthresh.birman_schwinger import Discretization, _contour_zeros
+from specthresh.birman_schwinger import (Discretization, _contour_zeros,
+                                         detect_minus_one, riesz_projection,
+                                         tune_coupling)
 from specthresh.grushin import threshold_resolvent_expansion
 from specthresh.kernels import BranchPoint
 from specthresh.model import (Model, QuadratureGrid, build_grid,
-                              sample_potential)
+                              sample_potential, weighted_operator_norm,
+                              weighted_sector_norm)
 from specthresh.models import first_kind_model, regular_model
-from specthresh.propagator import CutPropagator
+from specthresh.propagator import (CutPropagator, check_high_energy,
+                                   resolvent_taylor)
 
 # points of the k-plane on both sheets, near the threshold and on the axis
 KS = [0.3 - 0.2j, 1.7 + 0.4j, 0.05 * np.exp(-0.25j * np.pi), 2.5 + 0.0j]
@@ -99,6 +107,9 @@ def test_grid_reflections_and_sector_sizes():
     assert sum(len(y) for y in Y) == grid.n
     assert np.isclose(sum(np.linalg.norm(y) ** 2 for y in Y),
                       np.linalg.norm(X) ** 2)
+    # from_sectors inverts to_sectors, and join inverts split
+    assert np.allclose(group.from_sectors(Y), X, rtol=0.0, atol=1e-14)
+    assert np.array_equal(group.join(group.split(flat)), flat)
 
 
 @pytest.mark.parametrize("shape, order, broken", [
@@ -164,9 +175,9 @@ def test_resolvent_raises_at_the_embedded_resonance(resonance8):
         disc.R(BranchPoint.boundary(1.0, "+"))
 
 
-def _record_lu_shapes(monkeypatch):
-    """Shapes of every LU factorization: the sector layer's getrf, and any
-    dense solve, LU or inverse from scipy or numpy."""
+def _record_shapes(monkeypatch, targets):
+    """Shapes of the matrix argument of every call of the sector layer's
+    getrf and of the scipy/numpy functions (module, name) in `targets`."""
     shapes = []
 
     def recording(fn):
@@ -176,11 +187,17 @@ def _record_lu_shapes(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(symmetry, "zgetrf", recording(symmetry.zgetrf))
-    for mod, name in ((scipy.linalg, "lu_factor"), (scipy.linalg, "solve"),
-                      (scipy.linalg, "inv"), (np.linalg, "solve"),
-                      (np.linalg, "inv")):
+    for mod, name in targets:
         monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
     return shapes
+
+
+def _record_lu_shapes(monkeypatch):
+    """Shapes of every LU factorization: the sector layer's getrf, and any
+    dense solve, LU or inverse from scipy or numpy."""
+    return _record_shapes(monkeypatch, (
+        (scipy.linalg, "lu_factor"), (scipy.linalg, "solve"),
+        (scipy.linalg, "inv"), (np.linalg, "solve"), (np.linalg, "inv")))
 
 
 def test_propagate_factors_only_sector_blocks(first6, coeffs_first6,
@@ -204,3 +221,159 @@ def test_asymmetric_model_factors_one_full_block(monkeypatch):
     disc.R(BranchPoint(z=k * k, sqrt_z=k))
     _contour_zeros(disc, 0.0, 0.3, 0.3, 16, count_only=True)
     assert shapes == [(grid.n, grid.n)] * 17
+
+
+# --------------------------------------------------------------------------
+# the analysis half on the sector blocks: resolvent Taylor coefficients, the
+# weighted norm, the -1 detection and the Riesz projector
+
+def _tuned_asymmetric():
+    # G = {e}: the first-kind potential times a shape no reflection keeps,
+    # retuned so that K0 has the eigenvalue -1
+    grid = build_grid(3.0, 4)
+    W = first_kind_model(grid).V * (1.0 + 0.1 * grid.nodes[:, 0]
+                                    + 0.05 * grid.nodes[:, 1]
+                                    + 0.03 * grid.nodes[:, 2])
+    gamma = tune_coupling(grid, W, "threshold_zero")
+    return Model(grid=grid, potential=sample_potential(grid, gamma * W))
+
+
+def _relerr(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _check_taylor_against_dense(disc, lams):
+    group = disc.sectors
+    for lam in lams:
+        for side in "+-":
+            T = resolvent_taylor(disc, lam, 2, side=side)
+            want = oracles.dense_resolvent_taylor(disc, lam, 2, side=side)
+            assert len(T) == 3
+            for p, (Tp, Wp) in enumerate(zip(T, want)):
+                assert _relerr(group.expand(group.split(Tp)), Wp) <= 1e-12, \
+                    (lam, side, p)
+                got = weighted_sector_norm(group, Tp, disc.grid, 3.0, -3.0)
+                ref = oracles.dense_weighted_norm(Wp, disc.grid, 3.0, -3.0)
+                assert abs(got - ref) <= 1e-12 * ref, (lam, side, p)
+                # the dense norm of the expanded blocks is the same number
+                assert abs(weighted_operator_norm(group.expand(group.split(
+                    Tp)), disc.grid, 3.0, -3.0) - ref) <= 1e-12 * ref
+
+
+def _check_detection_against_dense(disc, K, tol, counts):
+    group = disc.sectors
+    det = detect_minus_one(K, group, tol=tol)
+    cluster, gap, k, null = oracles.dense_detect_minus_one(K, tol)
+    assert list(det.sector_counts) == counts
+    assert det.algebraic_multiplicity == len(cluster) == sum(counts)
+    assert det.geometric_multiplicity == k
+    assert abs(det.eigenvalue - cluster[0]) <= 1e-12 * abs(cluster[0])
+    assert abs(det.gap - gap) <= 1e-12 * gap
+    # an orthonormal basis of the same null space, in another basis
+    E = det.eigenvectors
+    assert np.allclose(E.conj().T @ E, np.eye(k), rtol=0.0, atol=1e-12)
+    assert np.linalg.norm(null - E @ (E.conj().T @ null)) <= 1e-12 * k
+    eps = min(det.gap / 2.5, 0.5)
+    proj = riesz_projection(K, group, eps, detection=det)
+    P, rank = oracles.dense_riesz_projection(K, eps)
+    assert proj.rank == rank == det.algebraic_multiplicity
+    assert _relerr(proj.entries, P) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["resonance8", "first6"])
+def test_resolvent_taylor_matches_dense_oracle(name, request):
+    _check_taylor_against_dense(
+        Discretization(request.getfixturevalue(name)), (4.0, 25.0))
+
+
+def test_high_energy_norms_match_dense_oracle(resonance8):
+    disc = Discretization(resonance8)
+    fits = check_high_energy(resonance8, orders=(0, 1), disc=disc)
+    for i, lam in enumerate(fits[0]["lams"]):
+        T = oracles.dense_resolvent_taylor(disc, float(lam), 1)
+        for fit, Tr in zip(fits, T):
+            want = oracles.dense_weighted_norm(Tr, resonance8.grid, 3.0, -3.0)
+            assert abs(fit["norms"][i] - want) <= 1e-12 * want, (fit["r"], lam)
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("first6", [1, 0, 0, 0, 0, 0, 0, 0]),
+    # the resonance state is even, the eigenstate odd in x_1
+    ("third8", [1, 1, 0, 0, 0, 0, 0, 0]),
+    ("resonance8", [1, 0, 0, 0, 0, 0, 0, 0]),
+])
+def test_minus_one_detection_matches_dense_oracle(name, counts, request):
+    model = request.getfixturevalue(name)
+    disc = Discretization(model)
+    if name == "resonance8":
+        K, tol = disc.K(BranchPoint.boundary(1.0, "+")), 1e-4
+    else:
+        K, tol = disc.K0, 1e-6
+    _check_detection_against_dense(disc, K, tol, counts)
+
+
+@pytest.mark.parametrize("name, counts", [
+    # orbits of sizes 1, 2, 4 and 8
+    ("first5", [1, 0, 0, 0, 0, 0, 0, 0]),
+    ("first_gauss_radial6", [1, 0, 0, 0, 0, 0, 0, 0]),
+    ("asymmetric4", [1]),
+])
+def test_analysis_matches_dense_oracles_off_the_reference_grids(
+        name, counts, request):
+    model = (_tuned_asymmetric() if name == "asymmetric4"
+             else request.getfixturevalue(name))
+    disc = Discretization(model)
+    _check_taylor_against_dense(disc, (4.0,))
+    _check_detection_against_dense(disc, disc.K0, 1e-6, counts)
+    assert disc.symmetry["order"] == (1 if name == "asymmetric4" else 8)
+
+
+_DECOMPOSITIONS = ((scipy.linalg, "eig"), (scipy.linalg, "eigvals"),
+                   (scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
+                   (scipy.linalg, "schur"), (scipy.linalg, "lu_factor"),
+                   (np.linalg, "eig"), (np.linalg, "eigvals"),
+                   (np.linalg, "svd"))
+
+
+def _record_decomposition_shapes(monkeypatch):
+    """Shapes of every eigen, singular value, Schur and LU decomposition,
+    the sector layer's getrf and every matrix 2-norm."""
+    shapes = _record_shapes(monkeypatch, _DECOMPOSITIONS)
+    norm = np.linalg.norm
+
+    def recording_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            shapes.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    return shapes
+
+
+def test_analysis_decomposes_only_sector_blocks(first6, monkeypatch):
+    # a silent fallback to n x n decompositions fails this count
+    disc = Discretization(first6)
+    K0 = disc.K0
+    shapes = _record_decomposition_shapes(monkeypatch)
+    check_high_energy(first6, orders=(0, 1), disc=disc)
+    det = detect_minus_one(K0, disc.sectors, tol=1e-6)
+    riesz_projection(K0, disc.sectors, min(det.gap / 2.5, 0.5),
+                     detection=det)
+    block = first6.grid.n // 8
+    # 9 energies: one getrf and two norms per block; then eigvals, svd and
+    # schur per block
+    assert len(shapes) == 9 * 3 * 8 + 3 * 8
+    assert all(s == (block, block) for s in shapes), set(shapes)
+
+
+def test_asymmetric_analysis_takes_one_full_block(monkeypatch):
+    model = _tuned_asymmetric()
+    disc = Discretization(model)
+    K0 = disc.K0
+    shapes = _record_decomposition_shapes(monkeypatch)
+    check_high_energy(model, orders=(0, 1), disc=disc)
+    det = detect_minus_one(K0, disc.sectors, tol=1e-6)
+    riesz_projection(K0, disc.sectors, min(det.gap / 2.5, 0.5),
+                     detection=det)
+    n = model.grid.n
+    assert shapes == [(n, n)] * (9 * 3 + 3)
