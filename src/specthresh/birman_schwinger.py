@@ -202,6 +202,8 @@ class EigenNearMinusOne:
     # cluster eigenvalues in each parity sector of the operator's group, in
     # its sector order (trivial character first)
     sector_counts: Tuple[int, ...]
+    # the sector of each eigenvector column
+    eigenvector_sectors: Tuple[int, ...]
 
     def __post_init__(self):
         if sum(self.sector_counts) != self.algebraic_multiplicity:
@@ -225,9 +227,17 @@ class ZeroClassification:
 
 @dataclass(frozen=True)
 class RieszProjection:
-    entries: np.ndarray
+    group: ReflectionGroup
+    blocks: List[np.ndarray]        # the projector's sector blocks
+    sector_ranks: Tuple[int, ...]   # cluster eigenvalues in each block
     rank: int
     contour_radius: float
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The projector as an n x n matrix (the pipeline keeps the
+        blocks)."""
+        return self.group.expand(self.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +290,10 @@ def detect_minus_one(K: np.ndarray, group: ReflectionGroup,
     eig = complex(e_all[np.argmin(d_all[in_cluster])])
     return EigenNearMinusOne(eigenvalue=eig, gap=gap, geometric_multiplicity=k,
                              algebraic_multiplicity=int(in_cluster.sum()),
-                             eigenvectors=vecs, sector_counts=counts)
+                             eigenvectors=vecs, sector_counts=counts,
+                             eigenvector_sectors=tuple(
+                                 s for s, v in enumerate(null)
+                                 for _ in range(v.shape[1])))
 
 
 def tune_coupling(grid: QuadratureGrid, template: np.ndarray, target: str,
@@ -337,31 +350,42 @@ def riesz_projection(K: np.ndarray, group: ReflectionGroup, eps: float,
                      ) -> RieszProjection:
     """Spectral projector onto the -1 cluster of the G-invariant K, the
     eigenvalues inside the circle |w + 1| = eps, exactly from one complex
-    Schur form K_s = Q T Q^H of each sector block (`ReflectionGroup.blocks`)
-    and expanded to n x n once; the rank is the number of those eigenvalues
-    over all blocks."""
+    Schur form K_s = Q T Q^H of each sector block (`ReflectionGroup.blocks`).
+    It is kept as those blocks, with the number of selected eigenvalues in
+    each (`sector_ranks`); the rank is their sum.  A block with none is
+    exactly zero."""
     if detection is not None and eps > detection.gap / 2.0:
         raise ValueError("contour captures foreign spectrum")
-    projs, rank = [], 0
+    projs, ranks = [], []
     for B in group.split(group.blocks(np.asarray(K))):
         T, Q = sla.schur(B, output="complex")
         select = np.abs(np.diag(T) + 1.0) < eps
         projs.append(_spectral_projector(T, Q, select))
-        rank += int(select.sum())
-    return RieszProjection(entries=group.expand(projs), rank=rank,
+        ranks.append(int(select.sum()))
+    return RieszProjection(group=group, blocks=projs,
+                           sector_ranks=tuple(ranks), rank=sum(ranks),
                            contour_radius=eps)
 
 
 def marker_tolerance(disc: Discretization, psi: np.ndarray) -> float:
-    """Scale-invariant threshold for the integral marker: 1e-6 |V|_1 |psi|_inf."""
+    """Scale-invariant threshold for the integral marker of a vector psi, or
+    of the span of the orthonormal columns of an n x k psi:
+    1e-6 |V|_1 max_i |psi_i|, with |psi_i| the 2-norm of row i.  For one
+    vector that is its largest modulus; for a basis it does not depend on
+    which orthonormal basis of the span is given."""
     v_l1 = float(np.sum(disc.w * np.abs(disc.V)))
-    return 1e-6 * v_l1 * float(np.max(np.abs(psi)))
+    rows = np.asarray(psi).reshape(len(psi), -1)
+    return 1e-6 * v_l1 * float(np.max(np.linalg.norm(rows, axis=1)))
 
 
 def classify_zero(model: Model, disc: Optional[Discretization] = None,
                   tol: float = 1e-6) -> ZeroClassification:
     """Classify the zero threshold through the integral marker int V psi of
-    the kernel directions of Id + K0 (zero marker <=> L^2 direction)."""
+    the kernel directions of Id + K0 (zero marker <=> L^2 direction).
+
+    w V is invariant under the symmetry group of the model, so a kernel
+    vector outside the trivial character has marker zero: ValueError when
+    one has a marker above the tolerance."""
     disc = disc or Discretization(model)
     det = detect_minus_one(disc.K0, disc.sectors, tol=tol)
     if det is None:
@@ -371,7 +395,12 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
     k = det.geometric_multiplicity
     basis = det.eigenvectors        # orthonormal columns
     markers = np.array([disc.marker(basis[:, i]) for i in range(k)])
-    mtol = max(marker_tolerance(disc, basis[:, i]) for i in range(k))
+    mtol = marker_tolerance(disc, basis)
+    for mk, s in zip(markers, det.eigenvector_sectors):
+        if s != 0 and abs(mk) > mtol:
+            raise ValueError(f"null vector of sector {s} has integral marker "
+                             f"{abs(mk):.3e} > {mtol:.3e}, but only the "
+                             f"trivial character carries one")
     if np.linalg.norm(markers) <= mtol:
         return ZeroClassification(kind="second", k=k, resonance_state=None,
                                   eigenvectors=[basis[:, i] for i in range(k)],

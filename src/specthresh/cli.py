@@ -208,6 +208,8 @@ def run_pipeline(config: RunConfig) -> RunReport:
                             or abs(sc.order_fit - sc.order_structural) < 0.1)
                 report.stages[stage] = _jsonable({
                     "kind": coeffs.kind,
+                    "chain_sectors": (None if coeffs.basis is None else
+                                      coeffs.basis.sectors),
                     "lidskii": {"order_structural": sc.order_structural,
                                 "order_fit": sc.order_fit,
                                 "constant_machinery": sc.constant_machinery,
@@ -231,6 +233,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
                     rc = resonance_resolvent_expansion(model, lam, disc=disc)
                     recs.append({"lam0": lam, "N0": rc.N0,
                                  "sector_counts": rc.detection.sector_counts,
+                                 "chain_sectors": rc.basis.sectors,
                                  "sigma_machinery": rc.scaling.constant_machinery,
                                  "sigma_formula": rc.scaling.constant_formula})
                 report.stages[stage] = _jsonable({"expansions": recs,

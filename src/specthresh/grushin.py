@@ -16,12 +16,20 @@ Pi' (Pi = S T, Pi' = Id - Pi), E_+ = S - E M S, E_- = T - T M E and
 E_-+ = -T M S + T M E M S, which `verify_grushin_identity` evaluates as its
 independent reference.  Everything is computed twice: as one truncated
 series inverse of P in sqrt(z) (or z - lam0) and by factoring P at sample
-points, and the two are cross-validated.
+points, and the two are cross-validated.  Both run on the parity-sector
+blocks of P, one block of size n_s + m_s per character of the model's
+reflection group (`GrushinReduction`).
+
+A change of chain basis S -> S A, T -> A^{-1} T sends E_-+ to A^{-1} E_-+ A
+and leaves E, M^{-1} and det E_-+ as they are: the pole order, the Lidskii
+constants and the resolvent coefficients do not depend on which basis of
+each sector's chains is used.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -103,6 +111,18 @@ class GrushinReduction:
     In both, M_j = delta_j0 Id + R0_j V.  basis = None is the regular case
     m = 0, where P = M and E = M^{-1}.
 
+    Everything runs on the sector blocks of `disc.sectors`: M_j commutes
+    with the group, and each chain lies in one sector (`JordanBasis.sectors`),
+    so P is block diagonal with one block [[M_s, S_s], [T_s, 0]] of size
+    n_s + m_s per sector (just M_s when the sector holds no chain).  The
+    reduction keeps R0_j as flat sector blocks, and one series of
+    P_s(u)^{-1} per sector (`inverse_blocks`); `columns` gives each
+    sector's chain columns in the flat chain order of `basis`.  E_-+ is
+    assembled m x m in that order, block diagonal by sector, and
+    M^{-1} R0 = (E - E_+ E_-+^{-1} E_-) R0 is formed block by block and
+    expanded to n x n once per coefficient (`resolvent_series`).  S (n x m)
+    and T (m x n) stay on the nodes for `verify_grushin_identity`.
+
     Every other per-anchor constant is fixed here (points near lam0 are
     offsets): the series cap (default), the point q_test at which the
     Laurent order is checked, the remainder_points of the resolvent series,
@@ -116,23 +136,25 @@ class GrushinReduction:
         self.disc = disc
         self.basis = basis
         self.point = point
+        group = self.group = disc.sectors
         if point == "threshold":
             self.var, self.cap = "sqrt_z", 8 if cap is None else cap
-            self._r0_coeffs = {j: (1j ** j) * disc.gj(j)
-                               for j in range(self.cap + 1)}
+            self._r0 = {j: (1j ** j) * group.blocks(disc.gj(j))
+                        for j in range(self.cap + 1)}
             self.q_test, self.truncation = 1e-3, 3
             self.remainder_points = (-1e-2, -1e-3, 1e-3 + 1e-3j)
             self.lidskii_z0, self.rung_ratio, self.z_power = -4e-2, 2.0, 0.5
         else:
             self.var, self.cap = "z_minus_lambda0", 6 if cap is None else cap
-            self._r0_coeffs = {j: disc.gj_plus(j, point) / math.factorial(j)
-                               for j in range(self.cap + 1)}
+            self._r0 = {j: group.blocks(disc.gj_plus(j, point))
+                        / math.factorial(j) for j in range(self.cap + 1)}
             self.q_test, self.truncation = 1e-4, 2
             self.remainder_points = (-1e-3, -1e-4, 1e-4 + 1e-4j)
             self.lidskii_z0, self.rung_ratio, self.z_power = -4e-3, 4.0, 1.0
         n = disc.grid.n
         if basis is None:
             self.S, self.T = np.zeros((n, 0)), np.zeros((0, n))
+            col_sector = np.zeros(0, dtype=np.intp)
         else:
             self.S = basis.flat_chain()
             self.T = (basis.flat_dual() * (disc.w * disc.V)[:, None]).T
@@ -140,52 +162,89 @@ class GrushinReduction:
                                atol=1e-7):
                 raise ValueError("Grushin corner is not a left inverse of "
                                  "the chains")
-        self._top, self._bottom = slice(None, n), slice(n, None)
-        self._inverse: Optional[ExpansionSeries] = None
+            col_sector = np.repeat(basis.sectors, basis.sizes)
+        self.columns = [np.flatnonzero(col_sector == s)
+                        for s in range(len(group.sector_orbits))]
+        # Q_s^T S and Q_s^T T^T: each chain lies in its own sector
+        Ss, Ts = group.to_sectors(self.S), group.to_sectors(self.T.T)
+        self._S = [X[:, c] for X, c in zip(Ss, self.columns)]
+        self._T = [X[:, c].T for X, c in zip(Ts, self.columns)]
 
     # --- series building --------------------------------------------------
-    @property
-    def R0_series(self) -> ExpansionSeries:
-        return ExpansionSeries(self.var, self._r0_coeffs, self.cap)
+    def r0_coeff(self, j: int) -> np.ndarray:
+        """R0_j as an n x n matrix, expanded from its blocks."""
+        return self.group.expand(self.group.split(self._r0[j]))
 
-    def _bordered(self, M: np.ndarray) -> np.ndarray:
-        """[[M, S], [T, 0]] for an n x n M."""
-        n, m = self.S.shape
+    @staticmethod
+    def _bordered(M: np.ndarray, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """[[M, S], [T, 0]]."""
+        n, m = S.shape
         P = np.zeros((n + m, n + m), dtype=complex)
         P[:n, :n] = M
-        P[:n, n:] = self.S
-        P[n:, :n] = self.T
+        P[:n, n:] = S
+        P[n:, :n] = T
         return P
 
-    def _block(self, rows: slice, cols: slice) -> ExpansionSeries:
-        """One block of the series of P(u)^{-1}.  P(u) = P_0 + sum_{r>=1}
-        [[M_r, 0], [0, 0]]: its orders r >= 1 are passed as the n x n M_r,
-        the leading block that `ExpansionSeries.inverse` accepts."""
-        if self._inverse is None:
-            V = self.disc.V[None, :]
-            coeffs = {j: c * V for j, c in self._r0_coeffs.items()}
-            coeffs[0] = self._bordered(coeffs[0] + np.eye(len(self.disc.V)))
-            self._inverse = ExpansionSeries(self.var, coeffs,
-                                            self.cap).inverse()
-        return ExpansionSeries(self.var, {j: D[rows, cols] for j, D
-                                          in self._inverse.coeffs.items()},
-                               self.cap)
+    @cached_property
+    def inverse_blocks(self) -> List[ExpansionSeries]:
+        """For each sector, the series of P_s(u)^{-1} through the cap.
+        P_s(u) = P_s0 + sum_{r>=1} [[M_rs, 0], [0, 0]]: its orders r >= 1
+        are passed as the n_s x n_s M_rs, the leading block that
+        `ExpansionSeries.inverse` accepts."""
+        group = self.group
+        M = {j: group.split(self.disc.times_v(b)) for j, b in self._r0.items()}
+        out = []
+        for s, (S, T) in enumerate(zip(self._S, self._T)):
+            coeffs = {j: blocks[s] for j, blocks in M.items()}
+            coeffs[0] = self._bordered(coeffs[0] + np.eye(len(S)), S, T)
+            out.append(ExpansionSeries(self.var, coeffs, self.cap).inverse())
+        return out
 
-    @property
-    def E_series(self) -> ExpansionSeries:
-        return self._block(self._top, self._top)
-
-    @property
-    def Eplus_series(self) -> ExpansionSeries:
-        return self._block(self._top, self._bottom)
-
-    @property
-    def Eminus_series(self) -> ExpansionSeries:
-        return self._block(self._bottom, self._top)
+    def _part(self, s: int, rows: str, cols: str) -> ExpansionSeries:
+        """One block of sector s's series of P_s^{-1}: "top" rows or
+        columns are the n_s of M_s, "bottom" the m_s of the chains."""
+        k = len(self._S[s])
+        cut = {"top": slice(None, k), "bottom": slice(k, None)}
+        D = self.inverse_blocks[s]
+        return ExpansionSeries(self.var, {j: c[cut[rows], cut[cols]]
+                                          for j, c in D.coeffs.items()},
+                               D.cap)
 
     @property
     def Emp_series(self) -> ExpansionSeries:
-        return self._block(self._bottom, self._bottom)
+        """E_-+ as an m x m series in the flat chain order, block diagonal
+        by sector."""
+        m = self.S.shape[1]
+        out = {j: np.zeros((m, m), dtype=complex)
+               for j in range(self.cap + 1)}
+        for s, c in enumerate(self.columns):
+            if len(c):
+                for j, C in self._part(s, "bottom", "bottom").coeffs.items():
+                    out[j][np.ix_(c, c)] = C
+        return ExpansionSeries(self.var, out, self.cap)
+
+    def resolvent_series(self, L: int, F: Optional[ExpansionSeries] = None,
+                         q: int = 0) -> ExpansionSeries:
+        """M^{-1} R0 through order L, with M^{-1} = E - E_+ F E_- for F the
+        Laurent inverse of E_-+ (lowest order -q; None when m = 0), formed
+        on each sector's blocks and expanded to n x n per coefficient."""
+        group = self.group
+        r0 = {j: group.split(b) for j, b in self._r0.items() if j <= L + q}
+        blocks = []
+        for s, c in enumerate(self.columns):
+            Minv = self._part(s, "top", "top").truncated(L)
+            if len(c):
+                Fs = ExpansionSeries(self.var, {j: X[np.ix_(c, c)] for j, X
+                                                in F.coeffs.items()}, F.cap)
+                Minv = Minv - ((self._part(s, "top", "bottom").truncated(L + q)
+                                @ Fs.truncated(L))
+                               @ self._part(s, "bottom", "top").truncated(L + q))
+            R0s = ExpansionSeries(self.var, {j: b[s] for j, b in r0.items()},
+                                  L + q)
+            blocks.append(Minv @ R0s)
+        return ExpansionSeries(self.var, {
+            j: group.expand([B.coeff(j) for B in blocks])
+            for j in range(-q, L + 1)}, L)
 
     # --- direct evaluation ------------------------------------------------
     def bp_of(self, z: complex, side: str = "+") -> BranchPoint:
@@ -202,17 +261,31 @@ class GrushinReduction:
             return bp.sqrt_z
         return bp.z - self.point
 
-    def _solve_at(self, bp: BranchPoint, part: slice) -> np.ndarray:
-        """The diagonal block `part` of P(z)^{-1}: one factorization of P(z)
-        solved against the matching columns of the identity."""
-        P = self._bordered(self.disc.M(bp))
-        return sla.solve(P, np.eye(len(P))[:, part])[part]
+    def _bordered_at(self, bp: BranchPoint) -> List[np.ndarray]:
+        """The bordered blocks [[M_s(z), S_s], [T_s, 0]], M_s from the
+        representative rows of R0 (`Discretization.M_sectors`)."""
+        return [self._bordered(M, S, T) for M, S, T in
+                zip(self.group.split(self.disc.M_sectors(bp)), self._S,
+                    self._T)]
 
-    def E_at(self, bp: BranchPoint) -> np.ndarray:
-        return self._solve_at(bp, self._top)
+    def E_at(self, bp: BranchPoint) -> List[np.ndarray]:
+        """The sector blocks of E(z) (`ReflectionGroup.expand` gives the
+        n x n matrix): one solve of each bordered block against the first
+        n_s columns of the identity."""
+        return [sla.solve(P, np.eye(len(P))[:, :len(S)])[:len(S)]
+                for P, S in zip(self._bordered_at(bp), self._S)]
 
     def Emp_at(self, bp: BranchPoint) -> np.ndarray:
-        return self._solve_at(bp, self._bottom)
+        """E_-+(z), m x m in the flat chain order: one solve of the bordered
+        block of each sector that holds chains against the last m_s columns
+        of the identity."""
+        m = self.S.shape[1]
+        out = np.zeros((m, m), dtype=complex)
+        for P, S, c in zip(self._bordered_at(bp), self._S, self.columns):
+            if len(c):
+                k = len(S)
+                out[np.ix_(c, c)] = sla.solve(P, np.eye(len(P))[:, k:])[k:]
+        return out
 
 
 def verify_grushin_identity(red: GrushinReduction, z: complex,
@@ -380,14 +453,12 @@ def _singular_expansion(disc: Discretization, K: np.ndarray,
     if P1.rank != det.algebraic_multiplicity:
         raise ValueError(f"Riesz projector rank {P1.rank} != algebraic "
                          f"multiplicity {det.algebraic_multiplicity}")
-    basis = build_jordan_chains(P1.entries, K, disc.w * disc.V,
+    basis = build_jordan_chains(P1.blocks, K, disc.w * disc.V, disc.sectors,
                                 prefer=prefer)
-    del P1, K     # n x n arrays that the series work below does not need
+    del P1, K     # arrays that the series work below does not need
     red = GrushinReduction(disc, basis, point)
     F, q = invert_E_minus_plus(red)
-    Minvs = red.E_series - (red.Eplus_series @ F) @ red.Eminus_series
-    L = red.truncation
-    Rs = Minvs.truncated(L) @ red.R0_series.truncated(L + q)
+    Rs = red.resolvent_series(red.truncation, F, q)
     return red, q, Rs, _sample_remainders(red, Rs, 1)
 
 
@@ -404,7 +475,7 @@ def threshold_resolvent_expansion(model: Model,
 
     if cls.kind == "regular":
         red = GrushinReduction(disc, None)
-        Rs = red.E_series.truncated(4) @ red.R0_series.truncated(4)
+        Rs = red.resolvent_series(4)
         scal = LidskiiScaling(kind="regular", order_structural=0.0,
                               order_fit=0.0, constant_machinery=0.0,
                               constant_fit=0.0, constant_formula=None)
@@ -486,7 +557,7 @@ def resonance_resolvent_expansion(model: Model, lam0: float,
     basis = red.basis
 
     vecs = [basis.chains[b][0] for b in range(basis.k)]
-    B = _b_matrix_discrete(disc, red.R0_series.coeff(1), lam0, vecs)
+    B = _b_matrix_discrete(disc, red.r0_coeff(1), lam0, vecs)
     fac = 1j * 8.0 * np.pi * np.sqrt(lam0)
     Q = complex_symmetric_cholesky(B / fac)
     U = np.column_stack(vecs)

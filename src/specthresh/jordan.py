@@ -6,15 +6,18 @@ Theta(u, v) = sum_i tau_i u_i v_i with tau = w * V is a symmetric bilinear
 Theta-symmetric for Id + K0.  The constructive decomposition below follows
 the staircase recursion: find the nilpotency index of (Id+K0)|_E, pick a
 chain top maximizing |Theta((Id+K0)^{m-1} u, u)|, split off the chain's span
-and recurse on its Theta-orthogonal complement.
+and recurse on its Theta-orthogonal complement.  It runs once per parity
+sector of the model's reflection group (`build_jordan_chains`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+
+from .symmetry import ReflectionGroup
 
 __all__ = [
     "JordanBasis",
@@ -37,6 +40,7 @@ class JordanBasis:
     chains: List[List[np.ndarray]]     # chains[i][r-1] = u_r^{(i)}
     duals: List[List[np.ndarray]]      # duals[j][r-1] = w_r^{(j)}
     constants: List[complex]           # c_i = Theta(u_1^{(i)}, u_{m_i}^{(i)})
+    sectors: List[int]                 # the sector of each chain
 
     @property
     def m(self) -> int:
@@ -74,27 +78,13 @@ def _nilpotency_index(Ac: np.ndarray, tol: float = 1e-8) -> int:
 _DEGENERACY_TOL = 1e-10
 
 
-def build_jordan_chains(P1: np.ndarray, K0: np.ndarray, tau: np.ndarray,
-                        prefer: Optional[Callable[[np.ndarray], float]] = None
-                        ) -> JordanBasis:
-    """Constructive Jordan decomposition of (Id + K0) restricted to Ran P1
-    with Theta-orthogonal blocks.  The random candidate chain tops come from
-    a fixed seed, so the basis is reproducible.
-
-    `prefer` optionally scores the bottom vector u_1 of each block; blocks are
-    emitted in decreasing score order (used to put the resonance direction
-    first for mixed thresholds). Default order: decreasing block size.
-    """
-    rng = np.random.default_rng(7)
-    B = _range_basis(P1)               # (n, m), orthonormal columns
-    m = B.shape[1]
-    A = B.conj().T @ (B + K0 @ B)      # coords of (Id+K0)|_E
-    Th = (B * tau[:, None]).T @ B      # coords of Theta (complex symmetric)
-    Th = (Th + Th.T) / 2.0
-    th_scale = max(np.linalg.norm(Th, 2), 1e-300)
-
-    blocks: List[np.ndarray] = []      # each: (m, m_i) chain coords, r = 1..m_i
-    C = np.eye(m)                      # current subspace basis (coords)
+def _staircase(A: np.ndarray, Th: np.ndarray, th_scale: float,
+               rng: np.random.Generator) -> List[np.ndarray]:
+    """Theta-orthogonal Jordan blocks of the nilpotent A (coordinates of
+    (Id + K)|_E) under the complex-symmetric form Th: each an (m, m_i)
+    matrix of chain coordinates, r = 1..m_i."""
+    blocks: List[np.ndarray] = []
+    C = np.eye(A.shape[0])             # current subspace basis (coords)
     while C.shape[1] > 0:
         d = C.shape[1]
         Ac = np.linalg.pinv(C) @ A @ C
@@ -121,26 +111,85 @@ def build_jordan_chains(P1: np.ndarray, K0: np.ndarray, tau: np.ndarray,
         if Z.shape[1] != d - p:
             raise ValueError("Theta-degenerate block")
         C = C @ Z
+    return blocks
 
-    # order blocks and lift to the full space
-    chains_full = [[B @ blk[:, r] for r in range(blk.shape[1])] for blk in blocks]
+
+def build_jordan_chains(P_blocks: Sequence[np.ndarray], K: np.ndarray,
+                        tau: np.ndarray, group: ReflectionGroup,
+                        prefer: Optional[Callable[[np.ndarray], float]] = None
+                        ) -> JordanBasis:
+    """Constructive Jordan decomposition of (Id + K) restricted to Ran P
+    with Theta-orthogonal blocks, one character of `group` at a time.
+
+    K and tau = w V are invariant under the group, so P (given by its sector
+    blocks, `RieszProjection.blocks`), K and the chains split by sector.  In
+    sector coordinates Theta is diagonal: tau_s = tau at the representative
+    of each of the sector's orbits (the sector basis is real and each of its
+    vectors lives on one orbit, where tau is constant), and chains of
+    different sectors are Theta-orthogonal.  The staircase runs on each
+    sector whose projector block is not zero, on the range basis from the
+    SVD of that block and on the block K_s; chains and duals are lifted to
+    the nodes (`ReflectionGroup.from_sectors`) and `JordanBasis.sectors`
+    records the sector of each chain.  The one-block group of the identity
+    takes a matrix without symmetry.  The random candidate chain tops come
+    from one fixed seed, so the basis is reproducible.
+
+    `prefer` optionally scores the bottom vector u_1 of each block; blocks are
+    emitted in decreasing score order (used to put the resonance direction
+    first for mixed thresholds). Default order: decreasing block size.
+    """
+    rng = np.random.default_rng(7)
+    K_blocks = group.split(group.blocks(np.asarray(K)))
+    tau_reps = np.asarray(tau)[group.reps]
+    sectors = []                       # (s, B, A, Th, tau_s)
+    for s, P in enumerate(P_blocks):
+        if not P.any():
+            continue
+        B = _range_basis(P)            # (n_s, m_s), orthonormal columns
+        tau_s = tau_reps[group.sector_orbits[s]]
+        Th = (B * tau_s[:, None]).T @ B  # coords of Theta (complex symmetric)
+        sectors.append((s, B, B.conj().T @ (B + K_blocks[s] @ B),
+                        (Th + Th.T) / 2.0, tau_s))
+    # Theta is block diagonal by sector: its norm is the largest block's
+    th_scale = max([np.linalg.norm(Th, 2) for *_, Th, _ in sectors]
+                   + [1e-300])
+
+    found = []                         # (sector, chain coords, c)
+    for s, B, A, Th, tau_s in sectors:
+        for blk in _staircase(A, Th, th_scale, rng):
+            U = np.column_stack([B @ blk[:, r] for r in range(blk.shape[1])])
+            c = theta(tau_s, U[:, 0], U[:, -1])
+            if abs(c) <= _DEGENERACY_TOL * th_scale:
+                raise ValueError("Theta-degenerate block")
+            found.append((s, U, c))
+
+    def lift(s: int, X: np.ndarray) -> List[np.ndarray]:
+        Y = [np.zeros((len(c), X.shape[1]), dtype=complex)
+             for c in group.sector_orbits]
+        Y[s] = X
+        return list(group.from_sectors(Y).T)
+
+    chains = [lift(s, U) for s, U, _ in found]
     if prefer is not None:
-        order = sorted(range(len(blocks)),
-                       key=lambda i: -prefer(chains_full[i][0]))
+        order = sorted(range(len(found)), key=lambda i: -prefer(chains[i][0]))
     else:
-        order = sorted(range(len(blocks)), key=lambda i: -blocks[i].shape[1])
-    chains_full = [chains_full[i] for i in order]
-    sizes = [len(ch) for ch in chains_full]
-    consts = []
-    for ch in chains_full:
-        c = theta(tau, ch[0], ch[-1])
-        if abs(c) <= _DEGENERACY_TOL * th_scale:
-            raise ValueError("Theta-degenerate block")
-        consts.append(c)
-    basis = JordanBasis(k=len(sizes), sizes=sizes, chains=chains_full,
-                        duals=[], constants=consts)
-    basis.duals = dual_basis(basis, tau)
-    return basis
+        order = sorted(range(len(found)), key=lambda i: -len(chains[i]))
+    found = [found[i] for i in order]
+    # duals sector by sector, against each sector's Gram matrix
+    duals: List[List[np.ndarray]] = [[] for _ in found]
+    for s, *_, tau_s in sectors:
+        mine = [i for i, f in enumerate(found) if f[0] == s]
+        part = JordanBasis(k=len(mine), sizes=[found[i][1].shape[1]
+                                               for i in mine],
+                           chains=[list(found[i][1].T) for i in mine],
+                           duals=[], constants=[found[i][2] for i in mine],
+                           sectors=[s] * len(mine))
+        for i, w in zip(mine, dual_basis(part, tau_s)):
+            duals[i] = lift(s, np.column_stack(w))
+    return JordanBasis(k=len(found), sizes=[f[1].shape[1] for f in found],
+                       chains=[chains[i] for i in order], duals=duals,
+                       constants=[f[2] for f in found],
+                       sectors=[f[0] for f in found])
 
 
 def dual_basis(basis: JordanBasis, tau: np.ndarray) -> List[List[np.ndarray]]:

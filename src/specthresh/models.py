@@ -216,6 +216,12 @@ def _check_full_space(grid: QuadratureGrid, G0: np.ndarray, V: np.ndarray,
             f"relative marker {marker:.3e} (gate 1e-08)")
 
 
+def _marked_residual(x, marked_eigenpair) -> list:
+    """mu + 1 as two reals, at alpha = x[0] + i x[1]."""
+    mu, _ = marked_eigenpair(x[0] + 1j * x[1])
+    return [mu.real + 1.0, mu.imag]
+
+
 def _tune_third_kind_alpha(grid: QuadratureGrid, G0: np.ndarray) -> complex:
     """Shape parameter alpha of the third-kind dipole source that puts the
     marked eigenvalue at -1: coarse scan for a basin, then `root(hybr)`, all
@@ -229,11 +235,11 @@ def _tune_third_kind_alpha(grid: QuadratureGrid, G0: np.ndarray) -> complex:
             if best is None or abs(mu + 1.0) < best[0]:
                 best = (abs(mu + 1.0), ar + 1j * ai)
 
-    def residual(x):
-        mu, _ = marked_eigenpair(x[0] + 1j * x[1])
-        return [mu.real + 1.0, mu.imag]
-
-    sol = root(residual, [best[1].real, best[1].imag], method="hybr", tol=1e-13)
+    # the eigenpair goes in through `args`: root's wrapper of the residual
+    # refers to itself, and a closure over G0 would keep G0 alive in that
+    # reference cycle until the cyclic collector runs
+    sol = root(_marked_residual, [best[1].real, best[1].imag],
+               args=(marked_eigenpair,), method="hybr", tol=1e-13)
     alpha = complex(sol.x[0], sol.x[1])
     if not sol.success or np.linalg.norm(sol.fun) > 1e-9:
         raise ValueError(

@@ -120,8 +120,9 @@ class ExpansionSeries:
         """Two-sided inverse of a regular series s through the cap, order by
         order: D_0 = s_0^{-1}, D_j = -D_0 sum_{r=1..j} s_r D_{j-r}.  An order
         r >= 1 may be stored as a leading k x k block of s_r, zero elsewhere:
-        a bordered (Grushin) series [[M(u), S], [T, 0]] passes its M_r, and
-        no zero-padded copy of them is formed."""
+        the bordered (Grushin) series [[M_s(u), S_s], [T_s, 0]] of one
+        parity sector passes its n_s x n_s M_rs, and no zero-padded copy of
+        them is formed."""
         if min(self.coeffs) < 0:
             raise ValueError("inverse expects a regular input series")
         D0 = np.linalg.inv(self.coeff(0))

@@ -506,3 +506,96 @@ def dense_riesz_projection(K, eps: float):
     T, Q = sla.schur(K, output="complex")
     select = np.abs(np.diag(T) + 1.0) < eps
     return _spectral_projector(T, Q, select), int(select.sum())
+
+
+def _anchor_point(point, z):
+    """The branch point of z at a threshold anchor ("threshold"), or of the
+    offset z from a resonance anchor lam0 (a boundary value from above on
+    the real axis)."""
+    if point == "threshold":
+        return BranchPoint.from_z(z, side="+" if np.real(z) > 0
+                                  and np.imag(z) == 0 else None)
+    zz = complex(point) + complex(z)
+    if zz.imag == 0.0:
+        return BranchPoint.boundary(zz.real, "+")
+    return BranchPoint.from_z(zz)
+
+
+def dense_grushin_expansion(disc, point, tol: float, prefer=None) -> dict:
+    """The resolvent expansion at an anchor by the full-size route, with no
+    use of the grid's symmetry.  K (K0, or K+(lam0) for point = lam0), the
+    -1 detection (`dense_detect_minus_one`) and the Riesz projector
+    (`dense_riesz_projection`) are n x n; the Jordan chains come from the
+    n x n range basis of P (the library's staircase with the one-block
+    group of the identity); the bordered series [[M(u), S], [T, 0]] is
+    inverted at size (n + m) by `ExpansionSeries.inverse`; q is the
+    smallest order whose Laurent inverse of E_-+ matches dense solves of
+    the bordered matrix at -q_test, -q_test / 4 and i q_test to 1e-5; and
+    R = (E - E_+ F E_-) R0 through the anchor's truncation order.  Returns
+    q, the coefficients "R" {order: n x n}, the series "Emp" of E_-+, the
+    chain basis, and "E_at" / "Emp_at": z -> the dense blocks of the
+    bordered inverse."""
+    from specthresh.jordan import build_jordan_chains
+    from specthresh.series import ExpansionSeries
+    from specthresh.symmetry import ReflectionGroup
+    n = disc.grid.n
+    if point == "threshold":
+        var, cap, L, zt = "sqrt_z", 8, 3, 1e-3
+        K = disc.K0
+        r0 = {j: (1j ** j) * disc.gj(j) for j in range(cap + 1)}
+    else:
+        var, cap, L, zt = "z_minus_lambda0", 6, 2, 1e-4
+        K = disc.K(BranchPoint.boundary(point, "+"))
+        r0 = {j: disc.gj_plus(j, point) / math.factorial(j)
+              for j in range(cap + 1)}
+    cluster, gap, _, _ = dense_detect_minus_one(K, tol)
+    P, rank = dense_riesz_projection(K, min(gap / 2.5, 0.5))
+    assert rank == len(cluster)
+    tau = disc.w * disc.V
+    basis = build_jordan_chains([P], K, tau, ReflectionGroup({0: np.arange(n)}),
+                                prefer=prefer)
+    S = basis.flat_chain()
+    T = (basis.flat_dual() * tau[:, None]).T
+    m = S.shape[1]
+
+    def bordered(M):
+        B = np.zeros((n + m, n + m), dtype=complex)
+        B[:n, :n], B[:n, n:], B[n:, :n] = M, S, T
+        return B
+
+    coeffs = {j: c * disc.V[None, :] for j, c in r0.items()}
+    coeffs[0] = bordered(coeffs[0] + np.eye(n))
+    D = ExpansionSeries(var, coeffs, cap).inverse()
+
+    def part(rows, cols):
+        return ExpansionSeries(var, {j: c[rows, cols] for j, c
+                                     in D.coeffs.items()}, cap)
+
+    top, bottom = slice(None, n), slice(n, None)
+    Emp = part(bottom, bottom)
+
+    def at(z, rows):
+        bp = _anchor_point(point, z)
+        B = bordered(disc.M(bp))
+        return sla.solve(B, np.eye(n + m)[:, rows])[rows]
+
+    def var_of(z):
+        bp = _anchor_point(point, z)
+        return bp.sqrt_z if point == "threshold" else bp.z - point
+
+    for q in range(min(cap, 5)):
+        F = Emp.laurent_inverse(q)
+        errs = []
+        for z in (-zt, -zt / 4.0, 1j * zt):
+            direct = np.linalg.inv(at(z, bottom))
+            errs.append(np.linalg.norm(F.eval(var_of(z)) - direct)
+                        / np.linalg.norm(direct))
+        if max(errs) <= 1e-5:
+            break
+    else:
+        raise AssertionError("no Laurent order reproduces E_-+^{-1}")
+    Minv = part(top, top) - (part(top, bottom) @ F) @ part(bottom, top)
+    R = Minv.truncated(L) @ ExpansionSeries(var, r0, cap).truncated(L + q)
+    return {"q": q, "R": {j: R.coeff(j) for j in range(-q, L + 1)},
+            "Emp": Emp, "basis": basis,
+            "E_at": lambda z: at(z, top), "Emp_at": lambda z: at(z, bottom)}

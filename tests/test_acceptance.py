@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 import oracles
-from test_jordan import _theta_symmetric_case
+from test_jordan import _chains, _theta_symmetric_case
 from specthresh.birman_schwinger import scan_positive_resonances
 from specthresh.grushin import GrushinReduction, verify_grushin_identity
-from specthresh.jordan import build_jordan_chains, projector_from_chains, \
-    verify_jordan_form
+from specthresh.jordan import projector_from_chains, verify_jordan_form
 from specthresh.kernels import BranchPoint, verify_threshold_expansion
 from specthresh.model import build_grid
 from specthresh.models import free_model, regular_model
@@ -70,7 +69,7 @@ def test_criterion_01_grushin_identity(capsys, disc_first, coeffs_first,
 
 def test_criterion_02_jordan_structure(capsys):
     K0, tau, P1 = _theta_symmetric_case([2, 1])
-    jb = build_jordan_chains(P1, K0, tau)
+    jb = _chains(P1, K0, tau)
     U, W = jb.flat_chain(), jb.flat_dual()
     dual = np.linalg.norm((U * tau[:, None]).T @ W - np.eye(3))
     proj = (np.linalg.norm(projector_from_chains(jb, tau) - P1)

@@ -321,6 +321,44 @@ def test_classification_keeps_its_detection(cls_first, cls_third):
     assert classify_zero(free_model(build_grid(3.0, 4))).detection is None
 
 
+def test_marker_tolerance_does_not_depend_on_the_null_basis(disc_third,
+                                                            cls_third):
+    # the largest row norm of an orthonormal basis is the same for every
+    # orthonormal basis of the span; for one vector it is |psi|_inf
+    E = cls_third.detection.eigenvectors
+    rng = np.random.default_rng(5)
+    U, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                        + 1j * rng.standard_normal((2, 2)))
+    tol = birman_schwinger.marker_tolerance(disc_third, E)
+    assert cls_third.marker_tol == tol
+    assert abs(birman_schwinger.marker_tolerance(disc_third, E @ U) - tol) \
+        <= 1e-15 * tol
+    v_l1 = np.sum(disc_third.w * np.abs(disc_third.V))
+    assert birman_schwinger.marker_tolerance(disc_third, E[:, 0]) \
+        == 1e-6 * v_l1 * np.max(np.abs(E[:, 0]))
+
+
+def test_marker_split_is_a_character_label(monkeypatch, third8, disc_third,
+                                           cls_third):
+    # w V is invariant under the group: the resonance state is in the
+    # trivial character, the marker-free eigenstate in the x_1-odd one
+    det = cls_third.detection
+    assert det.eigenvector_sectors == (0, 1)
+    markers = [abs(disc_third.marker(v)) for v in det.eigenvectors.T]
+    assert markers[0] > cls_third.marker_tol >= markers[1]
+    # a marker outside the trivial character cannot be a roundoff value
+    odd = det.eigenvectors[:, 1]
+    real = Discretization.marker
+
+    def marked(self, psi):
+        return 1.0 if np.array_equal(psi, odd) else real(self, psi)
+
+    monkeypatch.setattr(Discretization, "marker", marked)
+    with pytest.raises(ValueError, match="null vector of sector 1 has "
+                                         "integral marker 1.000e"):
+        classify_zero(third8, disc=disc_third)
+
+
 def test_second_kind_marker_vanishes(cls_second):
     assert abs(cls_second.integral_marker) <= cls_second.marker_tol
 

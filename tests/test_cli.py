@@ -163,6 +163,7 @@ def test_propagate_stage_records_census(tmp_path):
                                   "max_v_deviation": 0.0, "broken_by_v": []}
     # the -1 cluster of K0 lies in the trivial character
     assert report["stages"]["classify"]["sector_counts"] == [1] + [0] * 7
+    assert report["stages"]["threshold_expand"]["chain_sectors"] == [0]
     (crossed,) = census["crossed"]
     assert set(crossed) == {"k", "z", "weight", "residue_norm"}
     assert crossed["weight"] >= census["weight_cut"] > 0
@@ -328,3 +329,4 @@ def test_resonance_expand_records_sector_counts(tmp_path):
     assert rep.errors == []
     (rec,) = rep.stages["resonance_expand"]["expansions"]
     assert rec["N0"] == 1 and rec["sector_counts"] == [1] + [0] * 7
+    assert rec["chain_sectors"] == [0]

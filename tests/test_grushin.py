@@ -18,6 +18,7 @@ from specthresh.model import build_grid
 from specthresh.models import (first_kind_model, resonance_model,
                                third_kind_model)
 from specthresh.series import ExpansionSeries
+from specthresh.symmetry import ReflectionGroup
 
 
 def _reduction(disc, coeffs, point="threshold", cap=6):
@@ -78,25 +79,45 @@ def test_bordered_point_values_match_schur_complement(bordered):
         Minv = np.linalg.inv(red.disc.M(bp))
         C = np.linalg.inv(T @ Minv @ S)
         assert _rel(red.Emp_at(bp), -C) <= 1e-9
-        assert _rel(red.E_at(bp), Minv - Minv @ S @ C @ T @ Minv) <= 1e-9
+        assert _rel(red.group.expand(red.E_at(bp)),
+                    Minv - Minv @ S @ C @ T @ Minv) <= 1e-9
+
+
+def _lifted_grushin_series(red):
+    """{order: matrix} of E (n x n), E_+ (n x m), E_- (m x n) and E_-+
+    (m x m), lifted to the nodes from the reduction's sector blocks."""
+    group, m = red.group, red.S.shape[1]
+    out = {"E": {}, "E_plus": {}, "E_minus": {},
+           "E_minus_plus": red.Emp_series.coeffs}
+    for j in range(red.cap + 1):
+        E, Ep, Em = [], [], []
+        for D, c in zip(red.inverse_blocks, red.columns):
+            C, k = D.coeffs[j], D.shape[0] - len(c)
+            E.append(C[:k, :k])
+            Ep.append(np.zeros((k, m), dtype=complex))
+            Ep[-1][:, c] = C[:k, k:]
+            Em.append(np.zeros((k, m), dtype=complex))
+            Em[-1][:, c] = C[k:, :k].T
+        out["E"][j] = group.expand(E)
+        out["E_plus"][j] = group.from_sectors(Ep)
+        out["E_minus"][j] = group.from_sectors(Em).T
+    return out
 
 
 def test_bordered_series_blocks_match_projected_oracle(bordered):
     red, _ = bordered
     V = red.disc.V[None, :]
-    m_coeffs = {j: c * V for j, c in red.R0_series.coeffs.items()}
+    m_coeffs = {j: red.r0_coeff(j) * V for j in range(red.cap + 1)}
     m_coeffs[0] = m_coeffs[0] + np.eye(red.disc.grid.n)
     want = oracles.projected_grushin_series(m_coeffs, red.S, red.T,
                                             red.cap)
-    for name, got in (("E", red.E_series), ("E_plus", red.Eplus_series),
-                      ("E_minus", red.Eminus_series),
-                      ("E_minus_plus", red.Emp_series)):
-        ref = want[name]
+    got = _lifted_grushin_series(red)
+    for name, ref in want.items():
         scale = max(np.linalg.norm(c) for c in ref.values())
         for j in range(red.cap + 1):
             # E_-+ at order 0 is a roundoff zero
             if np.linalg.norm(ref[j]) >= 1e-12 * scale:
-                assert _rel(got.coeff(j), ref[j]) <= 1e-9, (name, j)
+                assert _rel(got[name][j], ref[j]) <= 1e-9, (name, j)
 
 
 # --------------------------------------------------------------------------
@@ -245,6 +266,8 @@ def test_second_kind_states_are_source_orthonormal(coeffs_second):
 
 def test_third_kind_combines_both_parts(coeffs_third):
     assert coeffs_third.kind == "third"
+    # the resonance chain in the trivial character, the eigen chain x_1-odd
+    assert coeffs_third.basis.sectors == [0, 1]
     assert coeffs_third.phi is not None
     assert len(coeffs_third.Z) == 1
     assert np.linalg.norm(coeffs_third.P0 + coeffs_third.R_m2) \
@@ -336,9 +359,11 @@ def test_threshold_expansion_reuses_the_classification_cluster(
 
 
 def test_threshold_expansion_rejects_marked_eigen_block(monkeypatch):
-    # the chain search relies on a range basis that does not mix the
-    # resonance into the eigen block; a rotated basis does, and the source
-    # pairing of the eigen block would then be wrong
+    # without symmetry the chain search relies on a range basis that does
+    # not mix the resonance into the eigen block; a rotated basis does, and
+    # the source pairing of the eigen block would then be wrong.  In the
+    # parity sectors each state has a range of its own, which no rotation
+    # mixes.
     real = jordan._range_basis
     rng = np.random.default_rng(3)
 
@@ -351,5 +376,9 @@ def test_threshold_expansion_rejects_marked_eigen_block(monkeypatch):
 
     monkeypatch.setattr(jordan, "_range_basis", rotated)
     third = third_kind_model(build_grid(3.0, 5))
+    disc = Discretization(third)
+    disc.sectors = ReflectionGroup({0: np.arange(third.grid.n)})
     with pytest.raises(ValueError, match="integral marker"):
-        threshold_resolvent_expansion(third, disc=Discretization(third))
+        threshold_resolvent_expansion(third, disc=disc)
+    coeffs = threshold_resolvent_expansion(third, disc=Discretization(third))
+    assert coeffs.basis.sectors == [0, 1]

@@ -9,6 +9,14 @@ from specthresh.jordan import (build_jordan_chains,
                                complex_symmetric_cholesky, dual_basis,
                                projector_from_chains, theta,
                                verify_jordan_form)
+from specthresh.symmetry import ReflectionGroup
+
+
+def _chains(P1, K0, tau):
+    """The chains of a matrix without symmetry: one block, the identity's
+    group."""
+    return build_jordan_chains([P1], K0, tau,
+                               ReflectionGroup({0: np.arange(len(K0))}))
 
 
 def _theta_symmetric_case(sizes, n=12, seed=11, shift=3.0):
@@ -53,7 +61,7 @@ def _theta_symmetric_case(sizes, n=12, seed=11, shift=3.0):
 
 def test_chain_sizes_and_block_pattern_21():
     K0, tau, P1 = _theta_symmetric_case([2, 1])
-    jb = build_jordan_chains(P1, K0, tau)
+    jb = _chains(P1, K0, tau)
     assert jb.sizes == [2, 1]
     N = verify_jordan_form(jb, K0, tau)
     expected = np.zeros((3, 3), dtype=complex)
@@ -63,7 +71,7 @@ def test_chain_sizes_and_block_pattern_21():
 
 def test_duality_and_projector_reconstruction_21():
     K0, tau, P1 = _theta_symmetric_case([2, 1])
-    jb = build_jordan_chains(P1, K0, tau)
+    jb = _chains(P1, K0, tau)
     U = jb.flat_chain()
     W = jb.flat_dual()
     gram = (U * tau[:, None]).T @ W
@@ -74,7 +82,7 @@ def test_duality_and_projector_reconstruction_21():
 
 def test_semisimple_kernel_gives_unit_chains():
     K0, tau, P1 = _theta_symmetric_case([1, 1, 1], seed=4)
-    jb = build_jordan_chains(P1, K0, tau)
+    jb = _chains(P1, K0, tau)
     assert jb.sizes == [1, 1, 1]
     N = verify_jordan_form(jb, K0, tau)
     assert np.linalg.norm(N) < 1e-10
@@ -82,7 +90,7 @@ def test_semisimple_kernel_gives_unit_chains():
 
 def test_single_long_chain():
     K0, tau, P1 = _theta_symmetric_case([3], seed=9)
-    jb = build_jordan_chains(P1, K0, tau)
+    jb = _chains(P1, K0, tau)
     assert jb.sizes == [3]
     N = verify_jordan_form(jb, K0, tau)
     expected = np.diag(np.ones(2, dtype=complex), k=1)
@@ -97,12 +105,12 @@ def test_non_nilpotent_subspace_is_rejected():
     P1 = np.eye(n)     # full space: A certainly not nilpotent on it
     tau = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     with pytest.raises(ValueError, match="nilpotent"):
-        build_jordan_chains(P1, K0, tau)
+        _chains(P1, K0, tau)
 
 
 def test_dual_basis_pins_top_elements():
     K0, tau, P1 = _theta_symmetric_case([2, 1], seed=13)
-    jb = build_jordan_chains(P1, K0, tau)
+    jb = _chains(P1, K0, tau)
     duals = dual_basis(jb, tau)
     for j, chain in enumerate(jb.chains):
         c = jb.constants[j]

@@ -1,5 +1,7 @@
 """Reference model factories: tuned spectral structure and guard rails."""
+import gc
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -192,6 +194,26 @@ def test_third_kind_alpha_matches_full_eig_tuning():
     want = oracles.full_eig_third_kind_alpha(
         grid, G0, lambda a: models._third_kind_potential(grid, G0, a))
     assert abs(models._tune_third_kind_alpha(grid, G0) - want) <= 1e-13
+
+
+def test_third_kind_model_frees_its_G0_on_return(monkeypatch):
+    # with the cyclic collector off, G0 must die with the last reference
+    # the factory holds: no reference cycle may keep it alive
+    refs = []
+
+    def recording(grid, j):
+        G = assemble_gj(grid, j)
+        refs.append(weakref.ref(G))
+        return G
+
+    monkeypatch.setattr(models, "assemble_gj", recording)
+    gc.disable()
+    try:
+        third_kind_model(build_grid(3.0, 5))
+        alive = [r() is not None for r in refs]
+    finally:
+        gc.enable()
+    assert alive == [False]
 
 
 def test_x1_mirror_is_an_involution():

@@ -1,11 +1,12 @@
 """The parity-sector layer: the reflection groups of grids and potentials,
 the sector blocks of M(k) that every factorization runs on, the analysis
 routines that run on the blocks (resolvent Taylor coefficients, weighted
-norms, the -1 detection and the Riesz projector), and their agreement with
-dense n x n references (`oracles.dense_resolvent`,
-`oracles.dense_contour_zeros`, `oracles.dense_resolvent_taylor`,
-`oracles.dense_weighted_norm`, `oracles.dense_detect_minus_one`,
-`oracles.dense_riesz_projection`)."""
+norms, the -1 detection, the Riesz projector, the Jordan chains and the
+Grushin series), and their agreement with dense n x n references
+(`oracles.dense_resolvent`, `oracles.dense_contour_zeros`,
+`oracles.dense_resolvent_taylor`, `oracles.dense_weighted_norm`,
+`oracles.dense_detect_minus_one`, `oracles.dense_riesz_projection`,
+`oracles.dense_grushin_expansion`)."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +16,9 @@ from specthresh import symmetry
 from specthresh.birman_schwinger import (Discretization, _contour_zeros,
                                          detect_minus_one, riesz_projection,
                                          tune_coupling)
-from specthresh.grushin import threshold_resolvent_expansion
+from specthresh.grushin import (GrushinReduction, _structural_order,
+                                resonance_resolvent_expansion,
+                                threshold_resolvent_expansion)
 from specthresh.kernels import BranchPoint
 from specthresh.model import (Model, QuadratureGrid, build_grid,
                               sample_potential, weighted_operator_norm,
@@ -23,6 +26,7 @@ from specthresh.model import (Model, QuadratureGrid, build_grid,
 from specthresh.models import first_kind_model, regular_model
 from specthresh.propagator import (CutPropagator, check_high_energy,
                                    resolvent_taylor)
+from specthresh.series import ExpansionSeries
 
 # points of the k-plane on both sheets, near the threshold and on the axis
 KS = [0.3 - 0.2j, 1.7 + 0.4j, 0.05 * np.exp(-0.25j * np.pi), 2.5 + 0.0j]
@@ -377,3 +381,113 @@ def test_asymmetric_analysis_takes_one_full_block(monkeypatch):
                      detection=det)
     n = model.grid.n
     assert shapes == [(n, n)] * (9 * 3 + 3)
+
+
+# --------------------------------------------------------------------------
+# the Jordan chains and the Grushin series on the sector blocks
+
+def _expansion(name, request):
+    """(disc, expansion, point, detection tol, chain order) of a case."""
+    if name == "first6":
+        coeffs, disc = request.getfixturevalue("coeffs_first6")
+        return disc, coeffs, "threshold", 1e-6, None
+    if name == "third8":
+        disc = request.getfixturevalue("disc_third")
+        return (disc, request.getfixturevalue("coeffs_third"), "threshold",
+                1e-6, lambda u: abs(disc.marker(u)))
+    if name == "resonance8":
+        return (request.getfixturevalue("disc_resonance"),
+                request.getfixturevalue("res_coeffs"), 1.0, 1e-4, None)
+    model = (_tuned_asymmetric() if name == "asymmetric4"
+             else request.getfixturevalue(name))
+    disc = Discretization(model)
+    return (disc, threshold_resolvent_expansion(model, disc=disc),
+            "threshold", 1e-6, None)
+
+
+@pytest.mark.parametrize("name", ["first6", "third8", "resonance8", "first5",
+                                  "first_gauss_radial6", "asymmetric4"])
+def test_expansion_matches_dense_grushin_oracle(name, request):
+    # the chain bases differ (S -> S A, T -> A^{-1} T), which leaves the
+    # resolvent coefficients, q, E, det E_-+ and its series untouched
+    disc, coeffs, point, tol, prefer = _expansion(name, request)
+    want = oracles.dense_grushin_expansion(disc, point, tol, prefer=prefer)
+    basis = coeffs.basis
+    assert coeffs.constants["q"] == want["q"]
+    assert basis.sizes == want["basis"].sizes
+    for j, R in want["R"].items():
+        assert _relerr(coeffs.series.coeff(j), R) <= 1e-11, j
+    kind = "resonance" if point != "threshold" else coeffs.kind
+    order_p = _structural_order(kind, basis.k)[1]
+    red = GrushinReduction(disc, basis, point)
+    det = ExpansionSeries(red.var, want["Emp"].coeffs,
+                          min(red.cap, order_p + 2)).det_series()[order_p]
+    assert abs(coeffs.scaling.constant_machinery - det) <= 1e-11 * abs(det)
+    for z in (-red.q_test, 1j * red.q_test):
+        bp = red.bp_of(z)
+        assert _relerr(red.group.expand(red.E_at(bp)),
+                       want["E_at"](z)) <= 1e-11, z
+        d, dw = (np.linalg.det(red.Emp_at(bp)),
+                 np.linalg.det(want["Emp_at"](z)))
+        assert abs(d - dw) <= 1e-11 * abs(dw), z
+
+
+_EXPANSION_OPS = _DECOMPOSITIONS + (
+    (scipy.linalg, "solve"), (scipy.linalg, "inv"), (np.linalg, "solve"),
+    (np.linalg, "inv"), (np.linalg, "lstsq"), (np.linalg, "det"))
+
+
+def _record_expansion_shapes(monkeypatch):
+    """(shapes, inverses): the matrix shape of every decomposition, solve,
+    inverse, least-squares solve and determinant (the last two axes), the
+    sector layer's getrf and both operands of every series product; and
+    the coefficient shape of every series inversion."""
+    shapes = _record_shapes(monkeypatch, _EXPANSION_OPS)
+    inverses = []
+    inverse, matmul = ExpansionSeries.inverse, ExpansionSeries.__matmul__
+
+    def recording_inverse(self):
+        inverses.append(self.shape)
+        return inverse(self)
+
+    def recording_matmul(self, other):
+        shapes.extend((self.shape, other.shape))
+        return matmul(self, other)
+
+    monkeypatch.setattr(ExpansionSeries, "inverse", recording_inverse)
+    monkeypatch.setattr(ExpansionSeries, "__matmul__", recording_matmul)
+    return shapes, inverses
+
+
+@pytest.mark.parametrize("name, chain_sectors", [("third8", [0, 1]),
+                                                 ("resonance8", [0])])
+def test_expansions_decompose_only_sector_blocks(name, chain_sectors,
+                                                 request, monkeypatch):
+    # a silent fallback to an n x n Jordan range basis or an (n + m) x
+    # (n + m) bordered series or solve fails this count
+    model = request.getfixturevalue(name)
+    disc = Discretization(model)
+    shapes, inverses = _record_expansion_shapes(monkeypatch)
+    if name == "third8":
+        coeffs = threshold_resolvent_expansion(model, disc=disc)
+    else:
+        coeffs = resonance_resolvent_expansion(model, 1.0, disc=disc)
+    bound = model.grid.n // 8 + coeffs.basis.m
+    assert max(max(s[-2:]) for s in shapes) <= bound, bound
+    assert len(shapes) >= 100
+    assert coeffs.basis.sectors == chain_sectors
+    sizes = disc.symmetry["sector_sizes"]
+    m_s = [chain_sectors.count(s) for s in range(len(sizes))]
+    # one bordered series per sector, of size n_s + m_s
+    assert inverses == [(k + m, k + m) for k, m in zip(sizes, m_s)]
+
+
+def test_asymmetric_expansion_takes_one_bordered_block(monkeypatch):
+    model = _tuned_asymmetric()
+    disc = Discretization(model)
+    shapes, inverses = _record_expansion_shapes(monkeypatch)
+    coeffs = threshold_resolvent_expansion(model, disc=disc)
+    n, m = model.grid.n, coeffs.basis.m
+    assert coeffs.basis.sectors == [0]
+    assert inverses == [(n + m, n + m)]
+    assert max(max(s[-2:]) for s in shapes) == n + m
