@@ -32,7 +32,7 @@ __all__ = [
     "EigenNearMinusOne", "ZeroClassification", "RieszProjection",
     "Discretization", "detect_minus_one", "tune_coupling",
     "riesz_projection", "classify_zero", "scan_positive_resonances",
-    "check_hypotheses", "b_form", "marker_tolerance",
+    "check_hypotheses", "b_form", "marker_tolerance", "invariant_subgroup",
 ]
 
 
@@ -41,9 +41,25 @@ __all__ = [
 
 # a grid reflection g is a symmetry of V when |V o g - V| <= this * max |V|
 _V_SYMMETRY_TOL = 1e-13
+# the G_j a Discretization keeps once assembled
+_CACHED_GJ = (0, 2)
+
+
+def invariant_subgroup(grid_group: ReflectionGroup, V: np.ndarray
+                       ) -> Tuple[ReflectionGroup, List[float]]:
+    """The subgroup of the grid reflections g with |V o g - V| <=
+    _V_SYMMETRY_TOL max |V|, and |V o g - V| / max |V| for every element of
+    `grid_group` (0 when V vanishes)."""
+    vmax = float(np.max(np.abs(V)))
+    dev = [float(np.max(np.abs(V[m] - V))) / vmax if vmax else 0.0
+           for m in grid_group.maps]
+    return grid_group.subgroup([int(g) for g, d in
+                                zip(grid_group.elements, dev)
+                                if d <= _V_SYMMETRY_TOL]), dev
+
 
 class Discretization:
-    """Caches the threshold kernels G_j of a model, and provides the
+    """Caches the threshold kernels G_0 and G_2 of a model, and provides the
     operators every other module consumes (the kernels gather from the
     grid's own distance-class table).
 
@@ -68,23 +84,19 @@ class Discretization:
 
     @cached_property
     def sectors(self) -> ReflectionGroup:
-        """The grid reflections that leave V invariant (to
-        _V_SYMMETRY_TOL max |V|), with their sector basis; sets `symmetry`:
+        """The grid reflections that leave V invariant
+        (`invariant_subgroup`), with their sector basis; sets `symmetry`:
         the group order, the sector sizes, the largest |V o g - V| / max |V|
         among the kept reflections and the grid reflections V breaks (the
         axes each flips)."""
         grid_group = self.grid.reflections
-        vmax = float(np.max(np.abs(self.V)))
-        dev = [float(np.max(np.abs(self.V[m] - self.V))) / vmax if vmax
-               else 0.0 for m in grid_group.maps]
-        keep = [int(g) for g, d in zip(grid_group.elements, dev)
-                if d <= _V_SYMMETRY_TOL]
-        group = grid_group.subgroup(keep)
+        group, dev = invariant_subgroup(grid_group, self.V)
+        keep = set(int(g) for g in group.elements)
         self.symmetry = {
             "order": group.order, "grid_order": grid_group.order,
             "sector_sizes": [len(c) for c in group.sector_orbits],
-            "max_v_deviation": max(d for d in dev
-                                   if d <= _V_SYMMETRY_TOL),
+            "max_v_deviation": max(d for g, d in zip(grid_group.elements, dev)
+                                   if int(g) in keep),
             "broken_by_v": [reflection_axes(int(g)) for g in
                             grid_group.elements if int(g) not in keep]}
         return group
@@ -94,6 +106,11 @@ class Discretization:
         return assemble_r0(self.grid, bp)
 
     def gj(self, j: int) -> np.ndarray:
+        """G_j, assembled per call except G_0 (`K0`) and G_2
+        (`l2_pair_source`), which are read again after the Grushin
+        reduction has taken its sector blocks and are cached."""
+        if j not in _CACHED_GJ:
+            return assemble_gj(self.grid, j)
         if j not in self._gj:
             self._gj[j] = assemble_gj(self.grid, j)
         return self._gj[j]
@@ -300,19 +317,24 @@ def tune_coupling(grid: QuadratureGrid, template: np.ndarray, target: str,
                   lam0: Optional[float] = None) -> complex:
     """Coupling gamma* such that -1 is an eigenvalue of G0 diag(gamma* W)
     (threshold) or of R0+(lam0) diag(gamma* W) (positive energy): with mu the
-    eigenvalue of largest modulus of the untuned operator, gamma* = -1/mu."""
+    eigenvalue of largest modulus of the untuned operator, gamma* = -1/mu.
+    The eigenvalues come from the sector blocks of the grid reflections
+    that leave W invariant (`invariant_subgroup`, the rule of
+    `Discretization.sectors`), one eigvals per block."""
     W = np.asarray(template, dtype=complex)
     if np.max(np.abs(W)) == 0:
         raise ValueError("template too weak")
     if target == "threshold_zero":
-        base = assemble_gj(grid, 0) * W[None, :]
+        kernel = assemble_gj(grid, 0)
     elif target == "positive":
         if lam0 is None or lam0 <= 0:
             raise ValueError("positive target needs lam0 > 0")
-        base = assemble_r0(grid, BranchPoint.boundary(lam0, "+")) * W[None, :]
+        kernel = assemble_r0(grid, BranchPoint.boundary(lam0, "+"))
     else:
         raise ValueError("unknown tuning target")
-    mu = sla.eigvals(base)
+    group, _ = invariant_subgroup(grid.reflections, W)
+    flat = group.blocks(kernel) * W[group.reps][group.flat_columns]
+    mu = np.concatenate([sla.eigvals(B) for B in group.split(flat)])
     mu = mu[np.abs(mu) > 1e-12]
     if mu.size == 0:
         raise ValueError("template too weak")

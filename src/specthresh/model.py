@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .symmetry import ReflectionGroup
 
@@ -80,21 +79,34 @@ class QuadratureGrid:
         return values, index
 
     @cached_property
-    def _node_tree(self) -> cKDTree:
-        return cKDTree(self.nodes)
+    def _node_maps(self) -> dict:
+        return {}
 
     def node_map(self, perm, signs) -> Optional[np.ndarray]:
         """Node map m of the signed permutation x -> signs * x[perm]:
         nodes[m[i]] is the image of nodes[i].  None unless the map takes
         nodes onto nodes and weights onto weights (1e-12 extent in
-        position, 1e-14 relative in weight)."""
-        dist, m = self._node_tree.query(self.nodes[:, perm] * signs)
-        w = self.weights
+        position, 1e-14 relative in weight).  The image y's nearest node is
+        the argmin over j of |x_j|^2 - 2 x_j . y, all n x n pairs in one
+        product [y, 1] [-2 x, |x|^2]^T; the position check uses the exact
+        distance of each chosen pair.  Memoized per signed permutation;
+        the map is read-only."""
+        key = (tuple(int(p) for p in perm), tuple(float(s) for s in signs))
+        if key in self._node_maps:
+            return self._node_maps[key]
+        x, w = self.nodes, self.weights
+        y = x[:, list(key[0])] * np.array(key[1])
+        m = np.argmin(np.column_stack([y, np.ones(self.n)])
+                      @ np.vstack([-2.0 * x.T, (x * x).sum(axis=1)]), axis=1)
+        dist = np.sqrt(((x[m] - y) ** 2).sum(axis=1))
         if (np.array_equal(np.sort(m), np.arange(self.n))
                 and dist.max() <= 1e-12 * self.extent
                 and np.all(np.abs(w[m] - w) <= 1e-14 * w)):
-            return m
-        return None
+            m.flags.writeable = False
+        else:
+            m = None
+        self._node_maps[key] = m
+        return m
 
     @cached_property
     def reflections(self) -> ReflectionGroup:

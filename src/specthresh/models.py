@@ -14,7 +14,6 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import root
 
 from .birman_schwinger import Discretization, tune_coupling
 from .kernels import assemble_gj
@@ -226,7 +225,10 @@ def _tune_third_kind_alpha(grid: QuadratureGrid, G0: np.ndarray) -> complex:
     """Shape parameter alpha of the third-kind dipole source that puts the
     marked eigenvalue at -1: coarse scan for a basin, then `root(hybr)`, all
     in the fully symmetric sector; the tuned eigenvector then passes
-    `_check_full_space` on all n nodes."""
+    `_check_full_space` on all n nodes.  scipy.optimize is imported here,
+    on the one path that uses it, so that no other model pays its import."""
+    from scipy.optimize import root
+
     marked_eigenpair = _symmetric_sector_marked_eigenpair(grid, G0)
     best = None
     for ar in np.linspace(-4.0, 4.0, 9):

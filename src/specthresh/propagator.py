@@ -27,8 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import gamma as gamma_fn
-from scipy.special import roots_laguerre
 
 from .birman_schwinger import (Discretization, _contour_zeros,
                                _spectral_projector)
@@ -183,7 +181,7 @@ def generalized_integral(j: Optional[int] = None, t: float = 1.0,
     if j is None or j < -1:
         raise ValueError("order must satisfy j >= -1")
     b = -(j / 2.0 + 1.0)
-    return complex(gamma_fn(j / 2.0 + 1.0) * t ** b * np.exp(1j * np.pi * b / 2.0))
+    return complex(math.gamma(j / 2.0 + 1.0) * t ** b * np.exp(1j * np.pi * b / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +231,7 @@ def _ray_integral(values_fn, z0: complex, direction: complex, rate: float,
     oscillatory factor decays like e^{-rate s}: Gauss-Laguerre with the
     exponentials fused in one exponent (|e^{-itz}| e^{x} stays bounded, so no
     overflow even for many nodes)."""
-    x, w = roots_laguerre(m)
+    x, w = np.polynomial.laguerre.laggauss(m)
     s = x / rate
     z = z0 + s * direction
     vals = values_fn(z)

@@ -222,6 +222,33 @@ def full_eig_third_kind_alpha(grid, G0, potential_of) -> complex:
     return complex(sol.x[0], sol.x[1])
 
 
+def brute_force_node_map(grid, perm, signs):
+    """Node map of the signed permutation x -> signs * x[perm] from the full
+    table of distances between every image and every node: each image's
+    nearest node, kept when the map is a permutation, every image lies
+    within 1e-12 extent of its node and every weight matches within 1e-14
+    relative; None otherwise."""
+    img = grid.nodes[:, perm] * np.asarray(signs, dtype=float)
+    dist = np.linalg.norm(img[:, None, :] - grid.nodes[None, :, :], axis=2)
+    m = dist.argmin(axis=1)
+    w = grid.weights
+    if (len(set(m.tolist())) == grid.n
+            and dist[np.arange(grid.n), m].max() <= 1e-12 * grid.extent
+            and np.all(np.abs(w[m] - w) <= 1e-14 * w)):
+        return m
+    return None
+
+
+def dense_tune_coupling(grid, template, target: str, lam0=None) -> complex:
+    """gamma* = -1 / mu, mu the eigenvalue of largest modulus of the dense
+    n x n G0 diag(W) (threshold) or R0+(lam0) diag(W) (positive), from
+    `scipy.linalg.eigvals` of the whole matrix."""
+    from specthresh.kernels import assemble_gj, assemble_r0
+    kernel = (assemble_gj(grid, 0) if target == "threshold_zero" else
+              assemble_r0(grid, BranchPoint.boundary(lam0, "+")))
+    mu = sla.eigvals(kernel * np.asarray(template)[None, :])
+    return complex(-1.0 / mu[np.argmax(np.abs(mu))])
+
 
 def masked_nystrom(grid, kernel, diag, dist) -> np.ndarray:
     """Nystrom matrix kernel(|x_i - x_j|) w_j with `diag` on the diagonal,

@@ -202,6 +202,13 @@ def test_tune_coupling_places_eigenvalue_at_minus_one():
     assert np.min(np.abs(ev + 1.0)) < 1e-10
 
 
+def test_discretization_keeps_only_g0_and_g2(disc_third, coeffs_third):
+    # after the threshold expansion (G_0 ... G_8 taken into sector blocks)
+    # the discretization holds the two kernels it reads again
+    assert sorted(disc_third._gj) == [0, 2]
+    assert disc_third.gj(0) is disc_third.gj(0)
+
+
 def test_riesz_projection_matches_dense_eig():
     rng = np.random.default_rng(7)
     n = 24

@@ -1,6 +1,11 @@
-"""Config parsing, pipeline reports, plot dumps and CLI exit codes."""
+"""Config parsing, pipeline reports, plot dumps, CLI exit codes and the
+modules a pipeline loads."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,3 +335,26 @@ def test_resonance_expand_records_sector_counts(tmp_path):
     (rec,) = rep.stages["resonance_expand"]["expansions"]
     assert rec["N0"] == 1 and rec["sector_counts"] == [1] + [0] * 7
     assert rec["chain_sectors"] == [0]
+
+
+def test_pipeline_set_up_imports_only_the_linalg_floor():
+    # a fresh interpreter imports the CLI and builds a first-kind model with
+    # no stages: scipy's optimize, spatial, special and sparse stay unloaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = (
+        "import json, sys\n"
+        "from specthresh.cli import RunConfig, run_pipeline\n"
+        "report = run_pipeline(RunConfig(model={'factory': 'first_kind', "
+        "'resolution': 4}, stages=[]))\n"
+        "assert not report.errors, report.errors\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = json.loads(out.splitlines()[-1])
+    heavy = [m for m in loaded if ".".join(m.split(".")[:2]) in
+             ("scipy.optimize", "scipy.spatial", "scipy.special",
+              "scipy.sparse")]
+    assert "scipy.linalg" in loaded and not heavy

@@ -1,9 +1,13 @@
-"""Grid construction, potential certification, weighted norms and the dense
-finite-difference Hamiltonian."""
+"""Grid construction, the grid's node maps, potential certification,
+weighted norms and the dense finite-difference Hamiltonian."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from specthresh.model import (Model, Potential, QuadratureGrid, assemble_H,
                               bracket_weight, build_grid, sample_potential,
@@ -43,6 +47,68 @@ def test_cell_radii_reproduce_weights():
     grid = build_grid(3.0, 6)
     rc = grid.cell_radii()
     assert np.allclose(4.0 / 3.0 * np.pi * rc ** 3, grid.weights)
+
+
+# the 16 signed permutations that fix the x_1 axis (the node maps the
+# reflection group and the third-kind tuning ask for)
+SIGNED_PERMS = [(perm, signs) for perm in ([0, 1, 2], [0, 2, 1])
+                for signs in itertools.product([1.0, -1.0], repeat=3)]
+
+
+@pytest.mark.parametrize("extent, resolution, scheme", [
+    (3.0, 5, "uniform"), (2.93, 5, "uniform"),
+    (2.0, 5, "gauss_radial"), (2.0, 6, "gauss_radial")])
+def test_node_map_matches_brute_force_oracle(extent, resolution, scheme):
+    grid = build_grid(extent, resolution, scheme=scheme)
+    found = 0
+    for perm, signs in SIGNED_PERMS:
+        got = grid.node_map(perm, signs)
+        want = oracles.brute_force_node_map(grid, perm, signs)
+        if want is None:
+            assert got is None, (perm, signs)
+        else:
+            found += 1
+            assert got is not None and np.array_equal(got, want), (perm,
+                                                                   signs)
+    # the identity is always a map; the uniform grid has all 16
+    assert found == 16 if scheme == "uniform" else 1 <= found < 16
+
+
+def test_node_map_rejects_a_map_that_moves_a_perturbed_weight():
+    grid = build_grid(3.0, 5)
+    # a node on the plane x_3 = 0, off the other two: the maps that flip
+    # x_3 alone keep it, the others move it
+    i = int(np.flatnonzero((np.abs(grid.nodes[:, 2]) < 1e-12)
+                           & (np.abs(grid.nodes[:, 0]) > 0.5)
+                           & (np.abs(grid.nodes[:, 1]) > 0.5)
+                           & (np.abs(grid.nodes[:, 0])
+                              != np.abs(grid.nodes[:, 1])))[0])
+    w = grid.weights.copy()
+    w[i] *= 1.0 + 1e-10
+    bent = QuadratureGrid(nodes=grid.nodes, weights=w, extent=grid.extent,
+                          scheme=grid.scheme, spacing=grid.spacing)
+    moved = 0
+    for perm, signs in SIGNED_PERMS:
+        m = grid.node_map(perm, signs)
+        got = bent.node_map(perm, signs)
+        if m[i] != i:
+            moved += 1
+            assert got is None, (perm, signs)
+        else:
+            assert np.array_equal(got, m), (perm, signs)
+    assert moved == 14
+
+
+def test_third_kind_build_searches_sixteen_node_maps():
+    # the third-kind tuning asks for the 16 maps that fix the x_1 axis, and
+    # the sector group for the 8 reflections among them: one search each
+    from specthresh.birman_schwinger import Discretization
+    from specthresh.models import third_kind_model
+    model = third_kind_model(build_grid(3.0, 5))
+    assert Discretization(model).sectors.order == 8
+    assert len(model.grid._node_maps) == 16
+    # the memoized maps are shared, so they are read-only
+    assert not any(m.flags.writeable for m in model.grid._node_maps.values())
 
 
 def test_potential_requires_supercritical_decay():

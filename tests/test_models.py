@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import oracles
 from specthresh import models
@@ -231,8 +232,11 @@ def test_third_kind_rejects_grid_without_mirror_symmetry():
 
 
 def test_third_kind_tuning_failure_reports_residual_and_alpha(monkeypatch):
-    monkeypatch.setattr(models, "root", lambda *a, **k: SimpleNamespace(
-        success=False, x=np.array([0.5, -0.25]), fun=np.array([3e-3, 4e-3])))
+    # the tuning imports root from scipy.optimize when it runs
+    monkeypatch.setattr(scipy.optimize, "root",
+                        lambda *a, **k: SimpleNamespace(
+                            success=False, x=np.array([0.5, -0.25]),
+                            fun=np.array([3e-3, 4e-3])))
     with pytest.raises(ValueError, match=r"\|mu \+ 1\| = 5\.000e-03 at "
                                          r"alpha = 0\.5-0\.25j"):
         third_kind_model(build_grid(3.0, 5))

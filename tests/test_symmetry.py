@@ -6,7 +6,7 @@ Grushin series), and their agreement with dense n x n references
 (`oracles.dense_resolvent`, `oracles.dense_contour_zeros`,
 `oracles.dense_resolvent_taylor`, `oracles.dense_weighted_norm`,
 `oracles.dense_detect_minus_one`, `oracles.dense_riesz_projection`,
-`oracles.dense_grushin_expansion`)."""
+`oracles.dense_grushin_expansion`, `oracles.dense_tune_coupling`)."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +14,8 @@ import scipy.linalg
 import oracles
 from specthresh import symmetry
 from specthresh.birman_schwinger import (Discretization, _contour_zeros,
-                                         detect_minus_one, riesz_projection,
+                                         detect_minus_one,
+                                         invariant_subgroup, riesz_projection,
                                          tune_coupling)
 from specthresh.grushin import (GrushinReduction, _structural_order,
                                 resonance_resolvent_expansion,
@@ -23,7 +24,8 @@ from specthresh.kernels import BranchPoint
 from specthresh.model import (Model, QuadratureGrid, build_grid,
                               sample_potential, weighted_operator_norm,
                               weighted_sector_norm)
-from specthresh.models import first_kind_model, regular_model
+from specthresh.models import (first_kind_model, gaussian_template,
+                               regular_model)
 from specthresh.propagator import (CutPropagator, check_high_energy,
                                    resolvent_taylor)
 from specthresh.series import ExpansionSeries
@@ -381,6 +383,35 @@ def test_asymmetric_analysis_takes_one_full_block(monkeypatch):
                      detection=det)
     n = model.grid.n
     assert shapes == [(n, n)] * (9 * 3 + 3)
+
+
+@pytest.mark.parametrize("resolution", [6, 8])
+@pytest.mark.parametrize("target", ["threshold_zero", "positive"])
+def test_tune_coupling_matches_dense_eigvals(resolution, target,
+                                             monkeypatch):
+    grid = build_grid(3.0, resolution)
+    # the first-kind and resonance factories' templates
+    W = (gaussian_template(grid) if target == "threshold_zero" else
+         gaussian_template(grid, width=1.1, tilt=0.4))
+    lam0 = None if target == "threshold_zero" else 1.0
+    want = oracles.dense_tune_coupling(grid, W, target, lam0=lam0)
+    shapes = _record_shapes(monkeypatch, ((scipy.linalg, "eigvals"),))
+    gamma = tune_coupling(grid, W, target, lam0=lam0)
+    assert abs(gamma - want) <= 1e-12 * abs(want)
+    # one eigvals per sector block of the full reflection group
+    assert shapes == [(len(c), len(c))
+                      for c in grid.reflections.sector_orbits]
+
+
+def test_tune_coupling_keeps_the_reflections_of_the_template():
+    # 1 + 0.1 x_1 breaks the four reflections that flip x_1
+    grid = build_grid(3.0, 6)
+    W = gaussian_template(grid) * (1.0 + 0.1 * grid.nodes[:, 0])
+    group, _ = invariant_subgroup(grid.reflections, W)
+    assert group.order == 4 and sorted(group.elements) == [0, 2, 4, 6]
+    gamma = tune_coupling(grid, W, "threshold_zero")
+    want = oracles.dense_tune_coupling(grid, W, "threshold_zero")
+    assert abs(gamma - want) <= 1e-12 * abs(want)
 
 
 # --------------------------------------------------------------------------
