@@ -4,7 +4,7 @@ threshold classification, resolvent expansions at the zero threshold and at
 embedded positive resonances, and contour representations of the propagator
 with quantitative large-time decay checks.
 """
-from .model import (Model, Potential, QuadratureGrid, assemble_H, build_grid,
+from .model import (Model, Potential, QuadratureGrid, build_grid,
                     sample_potential, weighted_operator_norm)
 from .kernels import (BranchPoint, assemble_gj, assemble_gj_plus, assemble_r0,
                       verify_threshold_expansion)
@@ -21,14 +21,12 @@ from .grushin import (GrushinReduction, LidskiiScaling,
                       invert_E_minus_plus, lidskii_determinant,
                       resonance_resolvent_expansion,
                       threshold_resolvent_expansion, verify_grushin_identity)
-from .propagator import (Contour, CutPropagator, DecayReport, Segment,
-                         audit_contour, build_contour, check_high_energy,
-                         dunford_propagator, enumerate_upper_eigenvalues,
+from .propagator import (CutPropagator, DecayReport, check_high_energy,
                          free_propagator, generalized_integral,
                          resolvent_taylor, verify_large_time)
-from .models import (default_grid, dissipative_model, first_kind_model,
-                     free_model, regular_model, resonance_model,
-                     second_kind_model, third_kind_model)
+from .models import (default_grid, first_kind_model, free_model,
+                     regular_model, resonance_model, second_kind_model,
+                     third_kind_model)
 from .cli import RunConfig, RunReport, emit_plot_data, load_config, run_pipeline
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .birman_schwinger import (HYPOTHESIS_DET_TOL, Discretization,
 from .grushin import (resonance_resolvent_expansion,
                       threshold_resolvent_expansion)
 from .model import Model, build_grid
-from .propagator import build_contour, check_high_energy, verify_large_time
+from .propagator import census_geometry, check_high_energy, verify_large_time
 
 __all__ = ["RunConfig", "RunReport", "load_config", "run_pipeline",
            "emit_plot_data", "main"]
@@ -43,6 +43,10 @@ _MODEL_KEYS = {"factory", "extent", "resolution"}
 # keys that only one factory reads
 _FACTORY_KEYS = {"regular": {"strength"}, "resonance": {"lam0"}}
 OUTPUT_ROOT_ENV = "SPECTHRESH_OUT"
+# plot kind -> (stage, field of its record) the plot is drawn from
+PLOT_SOURCES = {"decay": ("propagate", "rows"),
+                "det_scaling": ("threshold_expand", "det_samples"),
+                "contour": ("propagate", "census")}
 
 
 @dataclass
@@ -278,40 +282,39 @@ def run_pipeline(config: RunConfig) -> RunReport:
 
 
 def emit_plot_data(report: RunReport, kind: str, outdir) -> Path:
+    """Write `kind`.csv under outdir from the report record that
+    PLOT_SOURCES names; ValueError for an unknown kind, a missing stage, or
+    a stage that recorded no such field (the free model has no census)."""
+    if kind not in PLOT_SOURCES:
+        raise ValueError(f"unknown plot kind {kind!r}")
+    stage, key = PLOT_SOURCES[kind]
+    rec = report.stages.get(stage)
+    if rec is None:
+        raise ValueError(f"report has no {stage} stage")
+    if rec.get(key) is None:
+        raise ValueError(f"the {stage} stage recorded no {key}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{kind}.csv"
-    if kind == "decay":
-        rec = report.stages.get("propagate")
-        if rec is None:
-            raise ValueError("report has no propagate stage")
-        with open(path, "w", newline="") as fh:
-            wcsv = csv.writer(fh)
+    with open(path, "w", newline="") as fh:
+        wcsv = csv.writer(fh)
+        if kind == "decay":
             wcsv.writerow(["t", "norm", "predicted", "residual"])
-            for row in rec["rows"]:
-                wcsv.writerow(row)
-    elif kind == "det_scaling":
-        rec = report.stages.get("threshold_expand")
-        if rec is None:
-            raise ValueError("report has no threshold_expand stage")
-        with open(path, "w", newline="") as fh:
-            wcsv = csv.writer(fh)
+            wcsv.writerows(rec["rows"])
+        elif kind == "det_scaling":
             wcsv.writerow(["z_abs", "det_abs", "fitted_order"])
             order = rec["lidskii"]["order_fit"]
             for z, d in rec["det_samples"]:
-                za = abs(complex(z["re"], z["im"]))
-                da = abs(complex(d["re"], d["im"]))
-                wcsv.writerow([za, da, order])
-    elif kind == "contour":
-        contour = build_contour(0.1, np.pi / 4)
-        with open(path, "w", newline="") as fh:
-            wcsv = csv.writer(fh)
+                wcsv.writerow([abs(complex(z["re"], z["im"])),
+                               abs(complex(d["re"], d["im"])), order])
+        else:       # the k-plane geometry of the run's census
+            census = rec["census"]
             wcsv.writerow(["re", "im", "segment"])
-            for seg in contour.segments:
-                for z in seg.sample(40):
-                    wcsv.writerow([z.real, z.imag, seg.label])
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
+            for label, ks in census_geometry(census["r0"], census["t_min"]):
+                wcsv.writerows([k.real, k.imag, label] for k in ks)
+            for label in ("crossed", "left_out"):
+                wcsv.writerows([z["k"]["re"], z["k"]["im"], f"{label}_zero"]
+                               for z in census[label])
     return path
 
 
@@ -415,14 +418,16 @@ def propagate(config_path, out, seed, tol):
 @main.command()
 @_with_common
 @click.option("--kind", "kinds", multiple=True,
-              type=click.Choice(["decay", "det_scaling", "contour"]))
+              type=click.Choice(list(PLOT_SOURCES)))
 def report(config_path, out, seed, tol, kinds):
-    """Run the configured stages and dump plot CSVs."""
+    """Run the configured stages and dump plot CSVs: by default every kind
+    whose PLOT_SOURCES field the run recorded."""
     config = _load(config_path, seed, tol)
     rep = run_pipeline(config)
     outdir = _out_dir(out, config)
     outdir.mkdir(parents=True, exist_ok=True)
-    for kind in kinds or ("contour",):
+    for kind in kinds or [kind for kind, (stage, key) in PLOT_SOURCES.items()
+                          if rep.stages.get(stage, {}).get(key) is not None]:
         try:
             emit_plot_data(rep, kind, outdir)
         except ValueError as exc:

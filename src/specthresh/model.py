@@ -1,7 +1,6 @@
 """
-Physical model: quadrature grid over a ball in R^3, complex potential samples,
-weighted-norm conventions, and the dense finite-difference realization of
-H = -Delta + V used on oracle paths.
+Physical model: quadrature grid over a ball in R^3, complex potential samples
+and weighted-norm conventions.
 
 All integral operators elsewhere in the package are Nystrom matrices living on
 a QuadratureGrid; weighted L^2 norms are realized as diagonal scalings by
@@ -20,7 +19,7 @@ from .symmetry import ReflectionGroup
 
 __all__ = [
     "QuadratureGrid", "Potential", "Model",
-    "build_grid", "sample_potential", "assemble_H",
+    "build_grid", "sample_potential",
     "bracket_weight", "weight_diag", "weighted_operator_norm",
     "weighted_sector_norm", "weighted_vec",
 ]
@@ -315,36 +314,3 @@ def weighted_sector_norm(group: ReflectionGroup, flat: np.ndarray,
     d_in = weight_diag(grid, s_in)[group.reps]
     return max(_scaled_2norm(B, d_out[c], d_in[c]) for B, c in
                zip(group.split(flat), group.sector_orbits))
-
-
-# ---------------------------------------------------------------------------
-# finite-difference H (oracle path)
-
-def assemble_H(grid: QuadratureGrid, potential: Potential) -> np.ndarray:
-    """Dense finite-difference -Delta + diag(V) on a uniform grid (Dirichlet
-    outside the retained nodes). Used only as a ground-truth oracle for
-    time-domain checks."""
-    if grid.grid_id != potential.grid_id:
-        raise ValueError("grid/potential mismatch")
-    if grid.scheme != "uniform":
-        raise ValueError("finite differences need the uniform scheme")
-    h = grid.spacing
-    n = grid.n
-    index = {}
-    # cell centers sit at -extent + h (k + 1/2); recover the integer k
-    key = np.round((grid.nodes + grid.extent) / h - 0.5).astype(int)
-    for i, k in enumerate(map(tuple, key)):
-        index[k] = i
-    H = np.zeros((n, n), dtype=complex)
-    inv_h2 = 1.0 / h ** 2
-    for i, k in enumerate(map(tuple, key)):
-        H[i, i] += 6.0 * inv_h2
-        for dim in range(3):
-            for sgn in (-1, 1):
-                kk = list(k)
-                kk[dim] += sgn
-                j = index.get(tuple(kk))
-                if j is not None:
-                    H[i, j] -= inv_h2
-    H += np.diag(potential.values)
-    return H

@@ -22,7 +22,7 @@ from .model import Model, QuadratureGrid, build_grid, sample_potential
 __all__ = [
     "default_grid", "gaussian_template", "free_model", "regular_model",
     "first_kind_model", "second_kind_model", "third_kind_model",
-    "resonance_model", "dissipative_model",
+    "resonance_model",
 ]
 
 
@@ -285,19 +285,3 @@ def resonance_model(grid: Optional[QuadratureGrid] = None,
     gamma = tune_coupling(grid, W, "positive", lam0=lam0)
     pot = sample_potential(grid, gamma * W)
     return Model(grid=grid, potential=pot, name="resonance")
-
-
-def dissipative_model(extent: float = 2.2, resolution: int = 7,
-                      strength: float = 1.5,
-                      absorption: float = 0.05) -> Model:
-    """Uniform-grid model with a uniformly dissipative potential
-    V = strength e^{-r^2} - i absorption: every eigenvalue of the dense
-    finite-difference H sits exactly absorption below the real axis, which
-    keeps contours cleanly separated from the spectrum."""
-    grid = build_grid(extent, resolution, scheme="uniform")
-    r2 = grid.radii() ** 2
-    V = strength * np.exp(-r2) - 1j * absorption
-    # keep the constant absorption on every node (including boundary-cell
-    # centers slightly outside the ball) so Im spec(H) = -absorption exactly
-    pot = sample_potential(grid, V, support_radius=2.0 * extent)
-    return Model(grid=grid, potential=pot, name="dissipative")

@@ -1,23 +1,16 @@
 """
-Time evolution from resolvents: contour construction, the Dunford
-representation e^{-itH} = sum of residues over upper discrete eigenvalues
-plus (1/2i pi) int_Gamma e^{-itz} (H-z)^{-1} dz, generalized oscillatory
-integrals, large-time decay verification, and high-energy resolvent bounds.
+Time evolution from resolvents: the propagator e^{-itH} of the Nystrom
+model, generalized oscillatory integrals, large-time decay verification, and
+high-energy resolvent bounds.
 
-Two evaluation paths coexist:
-  * matrix path: a dense H (finite-difference realization); resolvents are
-    evaluated through a validated eigendecomposition, the contour is the
-    literal curve {ray at angle nu, short segment, circle around 0, optional
-    resonance detours, outgoing ray}, and the outgoing tail is pushed
-    vertically into the lower half-plane past the spectrum (Cauchy).
-  * integral path: the Nystrom model, whose resolvent has a genuine branch
-    cut on [0, infinity).  In k = sqrt z the cut integral is an integral of
-    the meromorphic R(k) = M(k)^{-1} R0(k) along the real k-axis; it is
-    rotated onto the steepest-descent line k = s e^{-i pi/4}, where
-    e^{-itk^2} = e^{-ts^2} (Gauss-Hermite), plus -R_{-2} for the indentation
-    at k = 0 and the residues of the zeros of M(k) the rotation crosses,
-    found by a census of verified contour tiles; eigenvalues off the cut
-    come from the contour eigensolver, as residue rings.
+The resolvent has a genuine branch cut on [0, infinity).  In k = sqrt z the
+cut integral is an integral of the meromorphic R(k) = M(k)^{-1} R0(k) along
+the real k-axis.  `CutPropagator` rotates it onto the steepest-descent line
+k = s e^{-i pi/4}, where e^{-itk^2} = e^{-ts^2} (Gauss-Hermite), and adds
+-R_{-2} for the indentation at k = 0 and the residues of the zeros of M(k)
+the rotation crosses, found by a census of verified contour tiles;
+eigenvalues off the cut come from the contour eigensolver, as residue rings.
+`census_geometry` gives the k-plane curves one census searches.
 """
 from __future__ import annotations
 
@@ -26,143 +19,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
-from .birman_schwinger import (Discretization, _contour_zeros,
-                               _spectral_projector)
+from .birman_schwinger import Discretization, _contour_zeros
 from .symmetry import SectorLU
 from .kernels import BranchPoint
 from .model import Model, weighted_operator_norm, weighted_sector_norm
 from .grushin import ThresholdCoefficients
 
 __all__ = [
-    "Segment", "Contour", "DiscreteSpectrumReport", "DecayReport",
-    "build_contour", "audit_contour", "enumerate_upper_eigenvalues",
-    "generalized_integral", "dunford_propagator", "free_propagator",
-    "CutPropagator", "verify_large_time", "check_high_energy",
-    "resolvent_taylor",
+    "DecayReport", "generalized_integral", "free_propagator",
+    "CutPropagator", "census_geometry", "verify_large_time",
+    "check_high_energy", "resolvent_taylor",
 ]
-
-
-# ---------------------------------------------------------------------------
-# contour geometry
-
-@dataclass(frozen=True)
-class Segment:
-    label: str
-    kind: str                   # "ray" | "line" | "arc"
-    z0: complex = 0.0           # line: start; ray: start
-    z1: complex = 0.0           # line: end
-    direction: complex = 0.0    # ray: unit direction
-    center: complex = 0.0       # arc
-    radius: float = 0.0
-    th0: float = 0.0            # arc: start angle (traversal th0 -> th1)
-    th1: float = 0.0
-
-    def sample(self, m: int = 64) -> np.ndarray:
-        s = np.linspace(0.0, 1.0, m)
-        if self.kind == "line":
-            return self.z0 + s * (self.z1 - self.z0)
-        if self.kind == "arc":
-            th = self.th0 + s * (self.th1 - self.th0)
-            return self.center + self.radius * np.exp(1j * th)
-        return self.z0 + 3.0 * s * self.direction     # representative piece
-
-
-@dataclass(frozen=True)
-class Contour:
-    segments: List[Segment]
-    eta: float
-    nu: float
-    resonances: List[float]
-
-
-def build_contour(eta: float, nu: float,
-                  resonances: Sequence[float] = (),
-                  eigenvalues: Sequence[complex] = ()) -> Contour:
-    """Curve oriented from -infinity to +infinity: incoming ray at angle nu
-    ending at a = 2 eta - i eta sin(eta), a short segment down to the circle
-    of radius eta around 0 (traversed through the lower half-plane), then
-    along the upper side of the positive axis with a semicircular detour of
-    radius eta over each resonance, and the outgoing ray."""
-    if not (0.0 < nu < np.pi / 2):
-        raise ValueError("angle nu must lie in (0, pi/2)")
-    lams = sorted(float(l) for l in resonances)
-    marks = [0.0] + lams + [float(np.real(z)) for z in eigenvalues
-                            if abs(np.imag(z)) < eta and np.real(z) > 0]
-    marks = sorted(set(marks))
-    gaps = [b - a for a, b in zip(marks, marks[1:])]
-    if gaps and eta >= min(gaps) / 2.0:
-        raise ValueError("eta too large")
-    if eta <= 0:
-        raise ValueError("eta too large")
-
-    a = 2.0 * eta - 1j * eta * np.sin(eta)
-    segs = [Segment("incoming_ray", "ray", z0=a,
-                    direction=-np.exp(1j * nu)),
-            Segment("pre_circle", "line", z0=a,
-                    z1=eta * np.exp(-1j * eta)),
-            Segment("origin_circle", "arc", center=0.0, radius=eta,
-                    th0=2.0 * np.pi - eta, th1=0.0)]
-    prev = eta
-    for j, lam in enumerate(lams):
-        segs.append(Segment(f"axis_{j}", "line", z0=prev + 0j,
-                            z1=lam - eta + 0j))
-        segs.append(Segment(f"detour_{j}", "arc", center=lam, radius=eta,
-                            th0=np.pi, th1=0.0))
-        prev = lam + eta
-    segs.append(Segment("outgoing_ray", "ray", z0=prev + 0j,
-                        direction=1.0 + 0j))
-    return Contour(segments=segs, eta=eta, nu=nu, resonances=lams)
-
-
-def audit_contour(contour: Contour, singular_points: Sequence[complex],
-                  m: int = 200) -> float:
-    """Minimum distance between sampled contour points and the singular set
-    {0} + resonances + eigenvalues; must exceed eta/2."""
-    sing = np.array([0.0] + list(contour.resonances) + list(singular_points),
-                    dtype=complex)
-    dmin = np.inf
-    for seg in contour.segments:
-        pts = seg.sample(m)
-        d = np.abs(pts[:, None] - sing[None, :]).min()
-        dmin = min(dmin, float(d))
-    return dmin
-
-
-# ---------------------------------------------------------------------------
-# discrete spectrum
-
-@dataclass
-class DiscreteSpectrumReport:
-    eigenvalues: List[complex]
-    projectors: List[np.ndarray]
-    count: int
-
-
-def enumerate_upper_eigenvalues(H: np.ndarray) -> DiscreteSpectrumReport:
-    """Eigenvalues of the dense H in the closed upper half-plane, clustered,
-    and the exact spectral projector of each cluster, all from one complex
-    Schur form of H."""
-    H = np.asarray(H, dtype=complex)
-    T, Q = sla.schur(H, output="complex")
-    evals = np.diag(T)
-    sel = np.sort_complex(evals[evals.imag >= -1e-12])
-    # cluster nearby eigenvalues
-    clusters: List[List[complex]] = []
-    for z in sel:
-        if clusters and abs(z - clusters[-1][-1]) < 1e-8 * max(1.0, abs(z)):
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    eigs, projs = [], []
-    for cl in clusters:
-        zc = complex(np.mean(cl))
-        members = np.abs(evals - zc) <= 1e-7 * max(1.0, abs(zc))
-        eigs.append(zc)
-        projs.append(_spectral_projector(T, Q, members))
-    return DiscreteSpectrumReport(eigenvalues=eigs, projectors=projs,
-                                  count=len(eigs))
 
 
 # ---------------------------------------------------------------------------
@@ -182,129 +50,6 @@ def generalized_integral(j: Optional[int] = None, t: float = 1.0,
         raise ValueError("order must satisfy j >= -1")
     b = -(j / 2.0 + 1.0)
     return complex(math.gamma(j / 2.0 + 1.0) * t ** b * np.exp(1j * np.pi * b / 2.0))
-
-
-# ---------------------------------------------------------------------------
-# quadrature helpers
-
-_GL = {m: np.polynomial.legendre.leggauss(m) for m in (6,)}
-_STRUCTURE_SCALE = 0.02    # panel length resolving the resolvent near spectrum
-
-
-def _panel_nodes(z0: complex, z1: complex,
-                 t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and dz-weights on the straight segment [z0, z1] with panel
-    density set by both the oscillation t|dz| and the resolvent's structural
-    scale, at most 6000 panels."""
-    length = abs(z1 - z0)
-    n_osc = t * length / (2.0 * np.pi) * 3.0
-    n_str = length / _STRUCTURE_SCALE
-    panels = int(min(max(4, np.ceil(max(n_osc, n_str))), 6000))
-    x, w = _GL[6]
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    s = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
-    dz = z1 - z0
-    return z0 + s * dz, ws * dz
-
-
-def _arc_nodes(seg: Segment, t: float) -> Tuple[np.ndarray, np.ndarray]:
-    length = abs(seg.th1 - seg.th0) * seg.radius
-    panels = int(min(max(8, np.ceil(max(t * length / 2.0,
-                                        length / _STRUCTURE_SCALE))), 2000))
-    x, w = _GL[6]
-    edges = np.linspace(seg.th0, seg.th1, panels + 1)
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    th = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-    wth = (half[:, None] * w[None, :]).ravel()
-    z = seg.center + seg.radius * np.exp(1j * th)
-    dz = 1j * seg.radius * np.exp(1j * th) * wth
-    return z, dz
-
-
-def _ray_integral(values_fn, z0: complex, direction: complex, rate: float,
-                  t: float, m: int = 64) -> complex:
-    """int_0^infty e^{-itz} F(z) dz along z = z0 + s * direction, where the
-    oscillatory factor decays like e^{-rate s}: Gauss-Laguerre with the
-    exponentials fused in one exponent (|e^{-itz}| e^{x} stays bounded, so no
-    overflow even for many nodes)."""
-    x, w = np.polynomial.laguerre.laggauss(m)
-    s = x / rate
-    z = z0 + s * direction
-    vals = values_fn(z)
-    expo = np.exp(-1j * t * z + x)
-    return complex(np.sum(w * expo * vals) * direction / rate)
-
-
-# ---------------------------------------------------------------------------
-# Dunford propagator (matrix path)
-
-class _EigResolvent:
-    """Fast <(H - z)^{-1} f, g> through a validated eigendecomposition."""
-
-    def __init__(self, H: np.ndarray):
-        self.H = H
-        self.evals, self.vecs = sla.eig(H)
-        self.vinv = np.linalg.inv(self.vecs)
-        # validation against a direct dense solve at one test point
-        z = complex(np.max(np.abs(self.evals)) * 1.7 + 1.0, -0.37)
-        direct = sla.solve(H - z * np.eye(H.shape[0]),
-                           np.ones(H.shape[0], dtype=complex))
-        via = self.vecs @ ((self.vinv @ np.ones(H.shape[0])) / (self.evals - z))
-        if np.linalg.norm(direct - via) > 1e-8 * np.linalg.norm(direct):
-            raise ValueError("eigendecomposition resolvent failed validation")
-
-    def pair_coeffs(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """c_k with <(H-z)^{-1} f, g> = sum_k c_k / (lam_k - z)."""
-        return (self.vinv @ f) * (g.conj() @ self.vecs)
-
-    def pairing(self, zs: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return np.array([np.sum(c / (self.evals - z)) for z in zs])
-
-
-def dunford_propagator(H, contour: Contour, t: float,
-                       f: np.ndarray, g: np.ndarray) -> complex:
-    """<e^{-itH} f, g> by residues over the upper discrete spectrum plus the
-    contour integral (1/2i pi) int e^{-itz} <(H-z)^{-1} f, g> dz."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    H = np.asarray(H, dtype=complex)
-    eig = _EigResolvent(H)
-    total = 0.0 + 0.0j
-    for P in enumerate_upper_eigenvalues(H).projectors:
-        # e^{-itH} Pi_j through the compressed invariant block
-        U, s, _ = sla.svd(P)
-        r = int((s > 1e-8).sum())
-        Q = U[:, :r]
-        A = Q.conj().T @ H @ Q
-        term = Q @ sla.expm(-1j * t * A) @ (Q.conj().T @ (P @ f))
-        total += np.sum(term * g.conj())
-
-    c = eig.pair_coeffs(f, g)
-    Lam = float(np.max(eig.evals.real)) + 3.0
-    acc = 0.0 + 0.0j
-    pairing = lambda zs: eig.pairing(np.asarray(zs), c)
-    for seg in contour.segments:
-        if seg.kind == "line":
-            z, dz = _panel_nodes(seg.z0, seg.z1, t)
-        elif seg.kind == "arc":
-            z, dz = _arc_nodes(seg, t)
-        elif seg.label == "incoming_ray":
-            # the quadrature runs outward from the junction point; the contour
-            # orientation (from infinity towards the junction) is the reverse
-            acc -= _ray_integral(pairing, seg.z0, seg.direction,
-                                 t * np.sin(contour.nu), t, m=96)
-            continue
-        else:   # outgoing ray: finite part on the axis + vertical descent
-            z, dz = _panel_nodes(seg.z0, Lam + 0j, t)
-            acc += _ray_integral(pairing, Lam + 0j, -1j, t, t, m=64)
-        vals = eig.pairing(z, c)
-        acc += np.sum(np.exp(-1j * t * z) * vals * dz)
-    total += acc / (2.0j * np.pi)
-    return complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +309,31 @@ def _tile_zeros(disc: Discretization,
         zeros += [k for k, _ in found
                   if all(abs(k - k0) > 1e-4 * abs(k) for k0 in zeros)]
     return zeros, tiles
+
+
+def census_geometry(r0: float, t_min: float) -> List[Tuple[str, np.ndarray]]:
+    """(label, k points) of the curves a census at t_min works on: the
+    |k| = r0 winding circle, the pole scan's ellipse (`_scan_poles`), the
+    ellipse of each census and band tile (the retries and splits of a
+    failing tile are not drawn), 65 points around each closed curve, and
+    the line nodes at t_min."""
+    ring = np.exp(2j * np.pi * np.arange(65) / 64)
+
+    def ellipse(center, ax, ay):
+        return center + ax * ring.real + 1j * ay * ring.imag
+
+    curves = [("winding_circle", r0 * ring),
+              ("pole_ellipse", ellipse(0.975j, 6.0, 0.825))]
+    for name, rects in (("census_tile", _census_rects(t_min)),
+                        ("band_tile", _band_rects())):
+        curves += [(f"{name}_{j}",     # the ellipse of `_tile_zeros`
+                    ellipse(complex(x0 + x1, y0 + y1) / 2.0,
+                            (x1 - x0) / math.sqrt(2.0),
+                            (y1 - y0) / math.sqrt(2.0)))
+                   for j, (x0, x1, y0, y1) in enumerate(rects)]
+    curves.append(("line_nodes",
+                   _LINE_X * np.exp(-0.25j * np.pi) / math.sqrt(t_min)))
+    return curves
 
 
 # ---------------------------------------------------------------------------

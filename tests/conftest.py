@@ -1,19 +1,19 @@
 """
-Shared fixtures.  Heavy objects (tuned models, expansions, propagators,
-the dissipative Hamiltonian) are session-scoped: they are built once and
-reused across the unit and acceptance tests.
+Shared fixtures.  Heavy objects (tuned models, expansions, propagators, the
+oracle branch-cut walk) are session-scoped: they are built once and reused
+across the unit and acceptance tests.
 """
 import numpy as np
 import pytest
 
+import oracles
 from specthresh import (Discretization, classify_zero,
                         threshold_resolvent_expansion,
                         resonance_resolvent_expansion)
-from specthresh.model import assemble_H, build_grid
-from specthresh.models import (default_grid, dissipative_model,
-                               first_kind_model, free_model, regular_model,
-                               resonance_model, second_kind_model,
-                               third_kind_model)
+from specthresh.model import build_grid
+from specthresh.models import (default_grid, first_kind_model, free_model,
+                               regular_model, resonance_model,
+                               second_kind_model, third_kind_model)
 from specthresh.propagator import CutPropagator
 
 
@@ -151,21 +151,12 @@ def cut_second6(second6, coeffs_second6):
     return CutPropagator(second6, coeffs, disc=disc)
 
 
-# --------------------------------------------------------------------------
-# dense dissipative Hamiltonian for the contour-representation checks
-
 @pytest.fixture(scope="session")
-def dissipative_H():
-    """Finite-difference H with uniformly dissipative spectrum, augmented by
-    a detached 2x2 block above the real axis to exercise the residue path."""
-    model = dissipative_model()
-    H = assemble_H(model.grid, model.potential)
-    extra = np.diag([0.8 + 0.10j, 2.0 + 0.20j])
-    n = H.shape[0]
-    Hbig = np.zeros((n + 2, n + 2), dtype=complex)
-    Hbig[:n, :n] = H
-    Hbig[n:, n:] = extra
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal(n + 2) + 1j * rng.standard_normal(n + 2)
-    g = rng.standard_normal(n + 2) + 1j * rng.standard_normal(n + 2)
-    return Hbig, f, g
+def walk_second6(cut_second6, coeffs_second6):
+    """{t: U(t)} of second6 on the ladder geomspace(10, 1000, 7) by the
+    oracle branch-cut walk (`oracles.branch_cut_walk`, about 8 s), with the
+    eigenvalues of the propagator's pole scan as its residue rings."""
+    coeffs, disc = coeffs_second6
+    eigenvalues = [k * k for k, _, _ in cut_second6.poles]
+    return oracles.branch_cut_walk(disc, coeffs, eigenvalues,
+                                   np.geomspace(10.0, 1000.0, 7))

@@ -50,11 +50,6 @@ def pv_plus_i0_integral(t: float) -> complex:
     return complex(-2j * val - 1j * np.pi)
 
 
-def matrix_exponential(H: np.ndarray, t: float) -> np.ndarray:
-    """e^{-i t H} by scipy's expm."""
-    return sla.expm(-1j * t * H)
-
-
 def spectral_projector(H: np.ndarray, select) -> np.ndarray:
     """Sum of oblique eigenprojectors v w^T / (w^T v) over the eigenvalues
     picked by `select`, from a dense two-sided eigendecomposition."""
@@ -65,13 +60,6 @@ def spectral_projector(H: np.ndarray, select) -> np.ndarray:
         if select(lam[i]):
             P += np.outer(VR[:, i], WL[i, :])
     return P
-
-
-def upper_half_eigenvalues(H: np.ndarray, tol: float = 1e-9):
-    """Eigenvalues of H with nonnegative imaginary part, sorted."""
-    lam = np.linalg.eig(H)[0]
-    sel = lam[lam.imag >= -tol]
-    return np.sort_complex(sel)
 
 
 def cell_ball_integral(kernel, rc: float) -> complex:

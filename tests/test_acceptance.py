@@ -16,8 +16,8 @@ from specthresh.jordan import projector_from_chains, verify_jordan_form
 from specthresh.kernels import BranchPoint, verify_threshold_expansion
 from specthresh.model import build_grid
 from specthresh.models import free_model, regular_model
-from specthresh.propagator import build_contour, check_high_energy, \
-    dunford_propagator, generalized_integral, verify_large_time
+from specthresh.propagator import _residue, _wnorm, check_high_energy, \
+    generalized_integral, verify_large_time
 
 
 def _report(capsys, num, ok, detail):
@@ -189,25 +189,53 @@ def test_criterion_06_generalized_integrals(capsys):
 
 
 # --------------------------------------------------------------------------
-# 7. Contour + residue representation of the propagator
+# 7. Line + residue representation of the pipeline's propagator
 
-def test_criterion_07_contour_representation(capsys, dissipative_H):
-    H, f, g = dissipative_H
-    assert H.shape[0] <= 500
-    worst = 0.0
-    contour = build_contour(0.02, np.pi / 4)
-    for t in (1.0, 10.0, 100.0):
-        got = dunford_propagator(H, contour, t, f, g)
-        want = complex(g.conj() @ oracles.matrix_exponential(H, t) @ f)
-        worst = max(worst, abs(got - want) / abs(want))
-    half = build_contour(0.01, np.pi / 4)
-    a = dunford_propagator(H, contour, 10.0, f, g)
-    b = dunford_propagator(H, half, 10.0, f, g)
-    inv = abs(a - b) / abs(a)
-    ok = worst < 1e-6 and inv < 1e-6
-    _report(capsys, 7, ok, f"vs expm over t in {{1,10,100}}: max rel err "
-                   f"{_against(worst, 1e-6)}, eta-halving invariance "
-                   f"{_against(inv, 1e-6)}")
+def test_criterion_07_contour_representation(capsys, cut_first6, cut_second6,
+                                             walk_second6):
+    # U(t) = (steepest line at pi/4) - R_{-2} - (residues of the crossed
+    # zeros).  (a) against the oracle's half-ray line at pi/4; (b) against
+    # its line at pi/6 plus the residue of every zero between the two lines,
+    # the one the weight cut leaves out included; (c) second6 against the
+    # branch-cut walk, which never leaves the real axis
+    ts = sorted(walk_second6)[::3]                    # 10, 100, 1000
+    cp = cut_first6
+    disc, R_m2 = cp.disc, cp.coeffs.R_m2
+    assert cp.poles == []
+    Us = cp.propagate_many(ts)
+    census = cp.census
+    zeros = [z["k"] for z in census["crossed"] + census["left_out"]]
+    crossed = [z["k"] for z in census["crossed"]]
+    between = [k for k in zeros if -np.pi / 4 < np.angle(k) < -np.pi / 6]
+    left_out = [k for k in between if k not in crossed]
+    rings = {k: (k,) + cp._ring_moments(k, zeros) for k in zeros}
+
+    def residues(ks, t):
+        return sum((_residue(*rings[k], t) for k in ks), np.zeros_like(R_m2))
+
+    steep = shallow = truncation = 0.0
+    for t in ts:
+        U = Us[t]
+        norm = np.linalg.norm(U)
+        line = oracles.rotated_line(disc, t, np.pi / 4, n=64)
+        steep = max(steep, np.linalg.norm(
+            line - R_m2 - residues(crossed, t) - U) / norm)
+        line = oracles.rotated_line(disc, t, np.pi / 6, n=64)
+        shallow = max(shallow, np.linalg.norm(
+            line - R_m2 + residues(between, t) - residues(crossed, t) - U)
+            / norm)
+        truncation = max(truncation,
+                         np.linalg.norm(residues(left_out, t)) / norm)
+    Us = cut_second6.propagate_many(ts)
+    grid = cut_second6.disc.grid
+    walk = max(_wnorm(grid, Us[t] - walk_second6[t], 3.0)
+               / _wnorm(grid, walk_second6[t], 3.0) for t in ts)
+    ok = steep <= 1e-6 and shallow <= 1e-6 and walk <= 5e-4
+    _report(capsys, 7, ok, f"CutPropagator over t in {{10,100,1000}}: first6 "
+                   f"vs pi/4 line {_against(steep, 1e-6)}, vs pi/6 line plus "
+                   f"residues between {_against(shallow, 1e-6)} (left-out "
+                   f"residue {truncation:.2e}), second6 vs branch-cut walk (s=3) "
+                   f"{_against(walk, 5e-4)}")
 
 
 # --------------------------------------------------------------------------

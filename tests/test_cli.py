@@ -149,13 +149,19 @@ def test_run_pipeline_propagate_regular(tmp_path):
     assert rep.stages["propagate"]["slope_theory"] == -1.5
 
 
-def test_propagate_stage_records_census(tmp_path):
-    # first_kind at resolution 4 crosses one zero of M(k) (weight e^-13.9
-    # at t = 10) and leaves one out below the weight cut
-    path = _write(tmp_path, "cfg.json", {
+@pytest.fixture(scope="module")
+def first4_report(tmp_path_factory):
+    """The pipeline through propagate on first_kind at resolution 4."""
+    path = _write(tmp_path_factory.mktemp("first4"), "cfg.json", {
         "model": {"factory": "first_kind", "extent": 3.0, "resolution": 4},
         "stages": ["classify", "threshold_expand", "propagate"]})
-    rep = run_pipeline(load_config(path))
+    return run_pipeline(load_config(path))
+
+
+def test_propagate_stage_records_census(first4_report):
+    # first_kind at resolution 4 crosses one zero of M(k) (weight e^-13.9
+    # at t = 10) and leaves one out below the weight cut
+    rep = first4_report
     assert rep.errors == []
     report = json.loads(json.dumps(rep.as_dict()))
     census = report["stages"]["propagate"]["census"]
@@ -234,22 +240,57 @@ def test_unchecked_h3_is_reported_as_null(tmp_path):
     assert hyp["H1"] is True and hyp["H2"] is True
 
 
-def test_emit_plot_data_contour(tmp_path, regular_config):
-    rep = run_pipeline(load_config(regular_config))
-    path = emit_plot_data(rep, "contour", tmp_path / "plots")
+def test_emit_plot_data_contour(tmp_path, first4_report):
+    # the k-plane geometry of the run's census: the winding circle, the pole
+    # ellipse, the census and band tiles and the line nodes at t_min = 10,
+    # and the crossed and left-out zeros
+    path = emit_plot_data(first4_report, "contour", tmp_path / "plots")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "re,im,segment"
-    assert len(lines) > 100
+    rows = [line.split(",") for line in lines[1:]]
+    labels = {seg for _, _, seg in rows}
+    assert {"winding_circle", "pole_ellipse", "census_tile_0", "band_tile_7",
+            "line_nodes", "crossed_zero", "left_out_zero"} <= labels
+    census = first4_report.stages["propagate"]["census"]
+    (crossed,) = census["crossed"]
+    (row,) = [r for r in rows if r[2] == "crossed_zero"]
+    assert complex(float(row[0]), float(row[1])) == complex(
+        crossed["k"]["re"], crossed["k"]["im"])
+    nodes = [complex(float(re), float(im)) for re, im, seg in rows
+             if seg == "line_nodes"]
+    assert len(nodes) == 32          # on the line k = s e^{-i pi/4}
+    assert max(abs(k.real + k.imag) for k in nodes) <= 1e-12
 
 
 def test_emit_plot_data_requires_stage(tmp_path, regular_config):
     cfg = load_config(regular_config)
     cfg.stages = ["classify"]
     rep = run_pipeline(cfg)
-    with pytest.raises(ValueError, match="propagate"):
-        emit_plot_data(rep, "decay", tmp_path)
+    for kind in ("decay", "contour"):
+        with pytest.raises(ValueError, match="no propagate stage"):
+            emit_plot_data(rep, kind, tmp_path)
     with pytest.raises(ValueError, match="unknown plot kind"):
         emit_plot_data(rep, "sparkline", tmp_path)
+    # the free model's propagate stage uses the free kernel: no census
+    free = run_pipeline(RunConfig(model={"factory": "free", "resolution": 4},
+                                  stages=["propagate"]))
+    assert free.errors == []
+    with pytest.raises(ValueError, match="propagate stage recorded no census"):
+        emit_plot_data(free, "contour", tmp_path)
+    assert emit_plot_data(free, "decay", tmp_path).exists()
+
+
+def test_cli_report_default_kinds_follow_the_recorded_stages(tmp_path,
+                                                             regular_config):
+    # no --kind: every plot whose stage ran, and no plot error for the
+    # contour of a run without propagate
+    res = CliRunner().invoke(
+        main, ["report", "--config", regular_config,
+               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    assert "plot error" not in res.output
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == [
+        "det_scaling.csv"]
 
 
 # --------------------------------------------------------------------------

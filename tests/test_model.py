@@ -1,5 +1,5 @@
 """Grid construction, the grid's node maps, potential certification,
-weighted norms and the dense finite-difference Hamiltonian."""
+and weighted norms."""
 import itertools
 
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 
-from specthresh.model import (Model, Potential, QuadratureGrid, assemble_H,
+from specthresh.model import (Model, Potential, QuadratureGrid,
                               bracket_weight, build_grid, sample_potential,
                               weight_diag, weighted_operator_norm,
                               weighted_vec)
@@ -184,28 +184,3 @@ def test_weight_diag_isometry():
     u = np.exp(-grid.radii())
     assert np.isclose(weighted_vec(grid, u, 1.5),
                       np.linalg.norm(weight_diag(grid, 1.5) * u))
-
-
-def test_assemble_H_matches_laplacian_on_quadratic():
-    grid = build_grid(3.0, 10)
-    pot = sample_potential(grid, 0.0)
-    H = assemble_H(grid, pot)
-    # -Delta |x|^2 = -6 exactly for the centered stencil, away from the edge
-    u = grid.radii() ** 2
-    interior = grid.radii() < 1.0
-    err = np.abs((H @ u)[interior] + 6.0)
-    assert err.max() < 1e-9
-
-
-def test_assemble_H_symmetric_for_real_potential():
-    grid = build_grid(2.0, 6)
-    pot = sample_potential(grid, lambda x: np.exp(-(x ** 2).sum(axis=1)))
-    H = assemble_H(grid, pot)
-    assert np.allclose(H, H.T)
-
-
-def test_assemble_H_requires_uniform_scheme():
-    grid = build_grid(2.0, 6, scheme="gauss_radial")
-    pot = sample_potential(grid, 0.0)
-    with pytest.raises(ValueError):
-        assemble_H(grid, pot)

@@ -13,10 +13,8 @@ from specthresh import models
 from specthresh.birman_schwinger import Discretization
 from specthresh.kernels import assemble_gj
 from specthresh.model import build_grid
-from specthresh.models import (dissipative_model, free_model,
-                               gaussian_template, regular_model,
+from specthresh.models import (free_model, gaussian_template, regular_model,
                                third_kind_model)
-from specthresh.model import assemble_H
 
 
 def test_free_model_has_zero_potential():
@@ -257,10 +255,3 @@ def test_resonance_model_minus_one_at_lam0(resonance8, disc_resonance):
     Kp = disc_resonance.K(BranchPoint.boundary(1.0, "+"))
     ev = np.linalg.eigvals(Kp)
     assert np.min(np.abs(ev + 1.0)) < 1e-9
-
-
-def test_dissipative_model_uniform_absorption():
-    m = dissipative_model()
-    H = assemble_H(m.grid, m.potential)
-    ev = np.linalg.eigvals(H)
-    assert np.allclose(ev.imag, -0.05, atol=1e-10)

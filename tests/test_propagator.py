@@ -1,12 +1,10 @@
-"""Contours, generalized oscillatory integrals, the matrix Dunford
-propagator, the propagator on the steepest-descent k-line and decay /
-high-energy fits."""
+"""Generalized oscillatory integrals, the propagator on the steepest-descent
+k-line and decay / high-energy fits."""
 import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 import oracles
 from specthresh import propagator
@@ -17,39 +15,9 @@ from specthresh.grushin import threshold_resolvent_expansion
 from specthresh.models import (first_kind_model, free_model, regular_model,
                                resonance_model, third_kind_model)
 from specthresh.propagator import (_WEIGHT_CUT, CutPropagator, _residue,
-                                   _wnorm, audit_contour, build_contour,
-                                   check_high_energy, dunford_propagator,
-                                   enumerate_upper_eigenvalues,
-                                   free_propagator, generalized_integral,
-                                   resolvent_taylor, verify_large_time)
-
-
-# --------------------------------------------------------------------------
-# contours
-
-def test_contour_segments_and_orientation():
-    c = build_contour(0.1, np.pi / 4, resonances=[1.0])
-    labels = [s.label for s in c.segments]
-    assert labels[0] == "incoming_ray"
-    assert "origin_circle" in labels
-    assert "detour_0" in labels
-    assert labels[-1] == "outgoing_ray"
-    # incoming ray heads into the lower-left half-plane
-    d = c.segments[0].direction
-    assert d.real < 0 and d.imag < 0
-
-
-def test_contour_eta_guard():
-    with pytest.raises(ValueError, match="eta too large"):
-        build_contour(0.6, np.pi / 4, resonances=[1.0])
-    with pytest.raises(ValueError):
-        build_contour(0.1, 2.0)        # nu outside (0, pi/2)
-
-
-def test_audit_contour_clearance():
-    c = build_contour(0.1, np.pi / 4, resonances=[1.0])
-    d = audit_contour(c, [2.5 + 1.0j])
-    assert d > 0.05
+                                   _wnorm, check_high_energy, free_propagator,
+                                   generalized_integral, resolvent_taylor,
+                                   verify_large_time)
 
 
 # --------------------------------------------------------------------------
@@ -83,82 +51,6 @@ def test_generalized_integral_validation():
         generalized_integral(0, -1.0)
     with pytest.raises(ValueError):
         generalized_integral(-2, 1.0)
-
-
-# --------------------------------------------------------------------------
-# discrete spectrum and the Dunford propagator
-
-def test_enumerate_upper_eigenvalues_synthetic():
-    H = np.diag([0.5 + 0.2j, 1.5 - 0.3j, 3.0 + 0.05j])
-    rep = enumerate_upper_eigenvalues(H)
-    got = sorted(rep.eigenvalues, key=lambda z: z.real)
-    assert np.allclose(got, [0.5 + 0.2j, 3.0 + 0.05j])
-    for zj, P in zip(rep.eigenvalues, rep.projectors):
-        want = oracles.spectral_projector(H, lambda l: abs(l - zj) < 1e-6)
-        assert np.linalg.norm(P - want) < 1e-8
-
-
-def _enumerate_reference_projectors(H):
-    """Independent reference for enumerate_upper_eigenvalues: per-cluster
-    projectors by a 32-node trapezoidal contour of radius gap/3 with one
-    dense solve per node, whose quadrature error is far below the gate."""
-    evals = sla.eigvals(H)
-    I = np.eye(H.shape[0])
-    out = {}
-    for zc in evals[evals.imag >= -1e-12]:
-        others = evals[np.abs(evals - zc) > 1e-7 * max(1.0, abs(zc))]
-        rad = min(float(np.abs(others - zc).min()) / 3.0, 0.25)
-        P = np.zeros_like(H)
-        for q in range(32):
-            th = 2.0 * np.pi * (q + 0.5) / 32
-            z = zc + rad * np.exp(1j * th)
-            P -= rad * np.exp(1j * th) * sla.solve(H - z * I, I)
-        out[complex(zc)] = P / 32
-    return out
-
-
-@pytest.mark.parametrize("similar", [False, True])
-def test_enumerate_projectors_match_dense_solve_contour(similar):
-    H = np.diag([0.5 + 0.2j, 1.5 - 0.3j, 3.0 + 0.05j])
-    if similar:
-        S = np.random.default_rng(4).standard_normal((3, 3)) + 2.0 * np.eye(3)
-        H = S @ H @ np.linalg.inv(S)
-    rep = enumerate_upper_eigenvalues(H)
-    want = _enumerate_reference_projectors(H)
-    assert rep.count == len(want) == 2
-    for zj, P in zip(rep.eigenvalues, rep.projectors):
-        ref = want[min(want, key=lambda z: abs(z - zj))]
-        assert np.linalg.norm(P - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_dunford_small_matrix_against_expm():
-    rng = np.random.default_rng(8)
-    n = 40
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    H = A @ A.conj().T / n + np.diag(2.0 + np.arange(n) * 0.2 - 0.15j)
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    contour = build_contour(0.08, np.pi / 4)
-    for t in (1.0, 5.0):
-        got = dunford_propagator(H, contour, t, f, g)
-        want = complex(g.conj() @ oracles.matrix_exponential(H, t) @ f)
-        assert abs(got - want) < 1e-8 * max(abs(want), 1e-6)
-
-
-def test_dunford_dissipative_with_upper_block(dissipative_H):
-    H, f, g = dissipative_H
-    contour = build_contour(0.02, np.pi / 4)
-    for t in (1.0, 10.0):
-        got = dunford_propagator(H, contour, t, f, g)
-        want = complex(g.conj() @ oracles.matrix_exponential(H, t) @ f)
-        assert abs(got - want) < 1e-8 * abs(want)
-
-
-def test_dunford_rejects_nonpositive_time(dissipative_H):
-    H, f, g = dissipative_H
-    contour = build_contour(0.02, np.pi / 4)
-    with pytest.raises(ValueError):
-        dunford_propagator(H, contour, -1.0, f, g)
 
 
 # --------------------------------------------------------------------------
@@ -248,12 +140,11 @@ def test_rotation_angle_invariance_first4(cut_first4):
 
 
 def test_line_plus_residues_match_branch_cut_walk_second6(cut_second6,
-                                                         coeffs_second6):
+                                                         walk_second6):
     # the census of second6 crosses resonances (k = 0.5206 - 0.2056i, double,
     # weight e^-2.1 at t = 10, and three more); line plus residues must match
     # the oracle branch-cut walk, which never leaves the real axis
     cp = cut_second6
-    coeffs, disc = coeffs_second6
     Us = cp.propagate_many(LADDER)
     census = cp.census
     assert census["winding"] == census["structural_order"] == 2
@@ -262,9 +153,9 @@ def test_line_plus_residues_match_branch_cut_walk_second6(cut_second6,
     assert all(c["weight"] >= _WEIGHT_CUT for c in census["crossed"])
     assert all(c["weight"] < _WEIGHT_CUT or -c["k"].imag >= c["k"].real
                for c in census["left_out"])
-    eigenvalues = [k * k for k, _, _ in cp.poles]
-    walk = oracles.branch_cut_walk(disc, coeffs, eigenvalues, LADDER)
-    grid = disc.grid
+    walk = walk_second6
+    assert sorted(walk) == list(LADDER)
+    grid = cp.disc.grid
     for t in LADDER:
         err = _wnorm(grid, Us[t] - walk[t], 3.0) / _wnorm(grid, walk[t], 3.0)
         assert err <= 5e-4, t
