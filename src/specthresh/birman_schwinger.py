@@ -400,7 +400,7 @@ def marker_tolerance(disc: Discretization, psi: np.ndarray) -> float:
     return 1e-6 * v_l1 * float(np.max(np.linalg.norm(rows, axis=1)))
 
 
-def classify_zero(model: Model, disc: Optional[Discretization] = None,
+def classify_zero(disc: Discretization,
                   tol: float = 1e-6) -> ZeroClassification:
     """Classify the zero threshold through the integral marker int V psi of
     the kernel directions of Id + K0 (zero marker <=> L^2 direction).
@@ -408,7 +408,6 @@ def classify_zero(model: Model, disc: Optional[Discretization] = None,
     w V is invariant under the symmetry group of the model, so a kernel
     vector outside the trivial character has marker zero: ValueError when
     one has a marker above the tolerance."""
-    disc = disc or Discretization(model)
     det = detect_minus_one(disc.K0, disc.sectors, tol=tol)
     if det is None:
         return ZeroClassification(kind="regular", k=0, resonance_state=None,
@@ -539,8 +538,8 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
     return zeros, count
 
 
-def scan_positive_resonances(model: Model, interval: Tuple[float, float],
-                             disc: Optional[Discretization] = None
+def scan_positive_resonances(disc: Discretization,
+                             interval: Tuple[float, float]
                              ) -> List[Tuple[float, int]]:
     """Outgoing resonances (lambda_j, N_j) in (a, b): the real zeros
     k_j = sqrt(lambda_j) of M(k) inside a flat ellipse over [sqrt a, sqrt b]
@@ -549,7 +548,6 @@ def scan_positive_resonances(model: Model, interval: Tuple[float, float],
     a, b = interval
     if not (0 < a < b):
         raise ValueError("scan interval must satisfy 0 < a < b")
-    disc = disc or Discretization(model)
     ka, kb = np.sqrt(a), np.sqrt(b)
     half = (kb - ka) / 2.0
     zeros, _ = _contour_zeros(disc, (ka + kb) / 2.0, half, half / 6.0, 32)
@@ -582,9 +580,10 @@ def b_form(disc: Discretization, lam: float, u: np.ndarray, v: np.ndarray) -> co
 HYPOTHESIS_DET_TOL = 1e-10
 
 
-def check_hypotheses(model: Model, classification: ZeroClassification,
-                     resonances: Optional[Sequence[Tuple[float, int]]] = None,
-                     disc: Optional[Discretization] = None) -> dict:
+def check_hypotheses(disc: Discretization,
+                     classification: ZeroClassification,
+                     resonances: Optional[Sequence[Tuple[float, int]]] = None
+                     ) -> dict:
     """Evaluate the Gram-determinant conditions behind the expansion theorems.
 
     H1: det(<phi_j, J phi_i>) != 0 over the threshold kernel directions.
@@ -593,7 +592,6 @@ def check_hypotheses(model: Model, classification: ZeroClassification,
     H3: det(B_lambda_j(psi_r, psi_l)) != 0 at each outgoing resonance;
         None (not checked) when no resonance list is given.
     """
-    disc = disc or Discretization(model)
     report = {"H1": True, "H2": True,
               "H3": None if resonances is None else True, "determinants": {}}
 

@@ -40,8 +40,15 @@ STAGE_DEPS = {
 _CONFIG_KEYS = {"model", "stages", "tolerances", "out", "seed",
                 "scan_window", "weight_s", "t_ladder"}
 _MODEL_KEYS = {"factory", "extent", "resolution"}
-# keys that only one factory reads
-_FACTORY_KEYS = {"regular": {"strength"}, "resonance": {"lam0"}}
+# factory -> (its function in `models`, looked up when called, and the keys
+# only it reads: key -> (default, parse))
+_FACTORIES = {
+    "free": ("free_model", {}), "first_kind": ("first_kind_model", {}),
+    "second_kind": ("second_kind_model", {}),
+    "third_kind": ("third_kind_model", {}),
+    "regular": ("regular_model", {"strength": (
+        [0.6, 0.25], lambda st: complex(st[0], st[1]))}),
+    "resonance": ("resonance_model", {"lam0": (1.0, float)})}
 OUTPUT_ROOT_ENV = "SPECTHRESH_OUT"
 # plot kind -> (stage, field of its record) the plot is drawn from
 PLOT_SOURCES = {"decay": ("propagate", "rows"),
@@ -136,7 +143,8 @@ def load_config(path) -> RunConfig:
     if not isinstance(model, dict):
         raise ValueError("model must be a JSON object or a path to one")
     factory = model.get("factory", "free")
-    unknown = set(model) - _MODEL_KEYS - _FACTORY_KEYS.get(factory, set())
+    extra = _FACTORIES[factory][1] if factory in _FACTORIES else {}
+    unknown = set(model) - _MODEL_KEYS - set(extra)
     if unknown:
         raise ValueError(f"unknown model keys for factory {factory!r}: "
                          f"{sorted(unknown)}")
@@ -158,30 +166,19 @@ def load_config(path) -> RunConfig:
 
 def _build_model(spec: Dict) -> Model:
     factory = spec.get("factory", "free")
-    extent = float(spec.get("extent", 3.0))
-    resolution = int(spec.get("resolution", 8))
-    grid = build_grid(extent, resolution)
-    if factory == "free":
-        return model_factories.free_model(grid)
-    if factory == "regular":
-        st = spec.get("strength", [0.6, 0.25])
-        return model_factories.regular_model(grid, complex(st[0], st[1]))
-    if factory == "first_kind":
-        return model_factories.first_kind_model(grid)
-    if factory == "second_kind":
-        return model_factories.second_kind_model(grid)
-    if factory == "third_kind":
-        return model_factories.third_kind_model(grid)
-    if factory == "resonance":
-        return model_factories.resonance_model(grid,
-                                               float(spec.get("lam0", 1.0)))
-    raise ValueError(f"unknown model factory {factory!r}")
+    if factory not in _FACTORIES:
+        raise ValueError(f"unknown model factory {factory!r}")
+    name, keys = _FACTORIES[factory]
+    grid = build_grid(float(spec.get("extent", 3.0)),
+                      int(spec.get("resolution", 8)))
+    return getattr(model_factories, name)(grid, **{
+        key: parse(spec.get(key, default))
+        for key, (default, parse) in keys.items()})
 
 
 def run_pipeline(config: RunConfig) -> RunReport:
     report = RunReport(config_hash=config.digest(), seed=config.seed)
-    model = _build_model(config.model)
-    disc = Discretization(model)
+    disc = Discretization(_build_model(config.model))
     cluster_tol = float(config.tolerances.get("cluster_tol", 1e-6))
     ctx: Dict = {}
 
@@ -189,9 +186,9 @@ def run_pipeline(config: RunConfig) -> RunReport:
         t0 = time.perf_counter()
         try:
             if stage == "classify":
-                cls = classify_zero(model, disc=disc, tol=cluster_tol)
+                cls = classify_zero(disc, tol=cluster_tol)
                 ctx["classification"] = cls
-                hyp = check_hypotheses(model, cls, disc=disc)
+                hyp = check_hypotheses(disc, cls)
                 report.stages[stage] = _jsonable({
                     "kind": cls.kind, "k": cls.k,
                     "sector_counts": (None if cls.detection is None else
@@ -205,7 +202,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
                 })
             elif stage == "threshold_expand":
                 coeffs = threshold_resolvent_expansion(
-                    model, ctx.get("classification"), disc=disc)
+                    disc, ctx.get("classification"))
                 ctx["threshold_coeffs"] = coeffs
                 sc = coeffs.scaling
                 order_ok = (sc.kind == "regular"
@@ -225,8 +222,8 @@ def run_pipeline(config: RunConfig) -> RunReport:
                                 "pass": bool(order_ok)}],
                 })
             elif stage == "resonance_scan":
-                found = scan_positive_resonances(
-                    model, tuple(config.scan_window), disc=disc)
+                found = scan_positive_resonances(disc,
+                                                 tuple(config.scan_window))
                 ctx["resonances"] = found
                 report.stages[stage] = _jsonable({
                     "window": config.scan_window, "found": found,
@@ -234,7 +231,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
             elif stage == "resonance_expand":
                 recs = []
                 for lam, _N in ctx.get("resonances", []):
-                    rc = resonance_resolvent_expansion(model, lam, disc=disc)
+                    rc = resonance_resolvent_expansion(disc, lam)
                     recs.append({"lam0": lam, "N0": rc.N0,
                                  "sector_counts": rc.detection.sector_counts,
                                  "chain_sectors": rc.basis.sectors,
@@ -245,9 +242,8 @@ def run_pipeline(config: RunConfig) -> RunReport:
             elif stage == "propagate":
                 ladder = (np.asarray(config.t_ladder, dtype=float)
                           if config.t_ladder else None)
-                rep = verify_large_time(model, ctx.get("threshold_coeffs"),
+                rep = verify_large_time(disc, ctx.get("threshold_coeffs"),
                                         s=config.weight_s, t_ladder=ladder)
-                ctx["decay"] = rep
                 slope_ok = abs(rep.slope_fit - rep.slope_theory) < 0.2
                 report.stages[stage] = _jsonable({
                     "kind": rep.kind,
@@ -263,8 +259,8 @@ def run_pipeline(config: RunConfig) -> RunReport:
                                 "pass": bool(slope_ok)}],
                 })
             elif stage == "high_energy":
-                fits = check_high_energy(model, s=config.weight_s,
-                                         orders=(0, 1), disc=disc)
+                fits = check_high_energy(disc, s=config.weight_s,
+                                         orders=(0, 1))
                 report.stages[stage] = _jsonable({
                     "fits": [{key: he[key] for key in
                               ("r", "exponent", "bound", "pass")}

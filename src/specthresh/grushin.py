@@ -42,7 +42,6 @@ from .birman_schwinger import (Discretization, EigenNearMinusOne,
 from .jordan import (JordanBasis, build_jordan_chains,
                      complex_symmetric_cholesky)
 from .kernels import BranchPoint
-from .model import Model
 from .series import ExpansionSeries
 
 __all__ = [
@@ -462,16 +461,15 @@ def _singular_expansion(disc: Discretization, K: np.ndarray,
     return red, q, Rs, _sample_remainders(red, Rs, 1)
 
 
-def threshold_resolvent_expansion(model: Model,
-                                  classification: Optional[ZeroClassification] = None,
-                                  disc: Optional[Discretization] = None
+def threshold_resolvent_expansion(disc: Discretization,
+                                  classification: Optional[ZeroClassification] = None
                                   ) -> ThresholdCoefficients:
     """Laurent expansion of (Id + K(z))^{-1} R0(z) V-free form around z = 0:
     R(z) = R_-2 / z + R_-1 / sqrt(z) + R_0 + ... with the singular parts
     expressed through normalized threshold states.  The Riesz projector is
-    taken onto the -1 cluster the classification detected."""
-    disc = disc or Discretization(model)
-    cls = classification or classify_zero(model, disc=disc)
+    taken onto the -1 cluster the classification detected (by default
+    `classify_zero(disc)`)."""
+    cls = classification or classify_zero(disc)
 
     if cls.kind == "regular":
         red = GrushinReduction(disc, None)
@@ -540,12 +538,10 @@ def threshold_resolvent_expansion(model: Model,
                                  constants=constants, basis=basis)
 
 
-def resonance_resolvent_expansion(model: Model, lam0: float,
-                                  disc: Optional[Discretization] = None
+def resonance_resolvent_expansion(disc: Discretization, lam0: float
                                   ) -> ResonanceCoefficients:
     """Laurent expansion of (Id + K(z))^{-1} R0(z) around an outgoing
     resonance energy lam0 > 0 (boundary value from the upper side)."""
-    disc = disc or Discretization(model)
     bp = BranchPoint.boundary(lam0, "+")
     det = detect_minus_one(disc.K(bp), disc.sectors, tol=1e-4)
     if det is None:

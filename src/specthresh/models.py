@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .birman_schwinger import Discretization, tune_coupling
+from .birman_schwinger import tune_coupling
 from .kernels import assemble_gj
 from .model import Model, QuadratureGrid, build_grid, sample_potential
 

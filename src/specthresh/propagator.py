@@ -23,7 +23,7 @@ import numpy as np
 from .birman_schwinger import Discretization, _contour_zeros
 from .symmetry import SectorLU
 from .kernels import BranchPoint
-from .model import Model, weighted_operator_norm, weighted_sector_norm
+from .model import weighted_operator_norm, weighted_sector_norm
 from .grushin import ThresholdCoefficients
 
 __all__ = [
@@ -98,6 +98,8 @@ _R0 = 0.3
 _WEIGHT_CUT, _K_MAX, _TILES, _TILE_NODES, _TILE_SPLITS = \
     1e-7, math.sqrt(40.0), 8, 64, 4
 _RING_NODES, _RING_MAX, _ORDER3_TOL = 32, 0.05, 1e-6
+# the pole scan's ellipse (centre, semi-axes): |Re k| <= 6, 0.15 <= Im k <= 1.8
+_POLE_ELLIPSE = (0.975j, 6.0, 0.825)
 
 
 def _residue(k: complex, A1: np.ndarray, A2: np.ndarray,
@@ -128,11 +130,10 @@ class CutPropagator:
     The line is Gauss-Hermite in s sqrt(t) on symmetric nodes (the principal
     value at k = 0), each R(k) streamed into U(t).  Every M(k) the
     propagator factors (line, rings, census, band and pole contours) is
-    factored block by block in the parity sectors of `Discretization`."""
+    factored block by block in the parity sectors of `disc`."""
 
-    def __init__(self, model: Model, coeffs: ThresholdCoefficients,
-                 disc: Optional[Discretization] = None):
-        self.disc = disc or Discretization(model)
+    def __init__(self, disc: Discretization, coeffs: ThresholdCoefficients):
+        self.disc = disc
         self.coeffs = coeffs
         # node jumps held by the object: none (bench/tracing.py reads this)
         self.jump: Dict[float, np.ndarray] = {}
@@ -143,14 +144,13 @@ class CutPropagator:
         self._scan_poles()
 
     def _scan_poles(self):
-        """Eigenvalues z = k^2 off the cut: the zeros of M(k) inside the
-        ellipse 0.975i + 6 cos th + 0.825i sin th (|Re k| <= 6,
-        0.15 <= Im k <= 1.8; 512 nodes).  Not searched here: z near 0, and a
+        """Eigenvalues z = k^2 off the cut: the zeros of M(k) inside
+        `_POLE_ELLIPSE` (512 nodes).  Not searched here: z near 0, and a
         band along the cut that widens with Re z (|Im z| < 0.3 at Re z = 1,
         1.7 at 10, 3.8 at 20); the census's band tiles search its Re k > 0
         half.  ValueError for a zero with Re k > 0: an eigenvalue with
         Im z = 2 Re k Im k > 0, whose e^{-itz} grows."""
-        zeros, _ = _contour_zeros(self.disc, 0.975j, 6.0, 0.825, 512)
+        zeros, _ = _contour_zeros(self.disc, *_POLE_ELLIPSE, 512)
         ks = [k for k, _ in zeros]
         for k in ks:
             if k.real > 0:
@@ -264,24 +264,31 @@ def _census_rects(t_min: float) -> List[Tuple[float, float, float, float]]:
 
 def _band_rects() -> List[Tuple[float, float, float, float]]:
     """(Re k, Im k) rectangles from the census strip (Im k = 0.05) up to
-    the lower edge of the pole scan's ellipse, 0.975 - 0.825 sqrt(1 -
-    (Re k / 6)^2), at each column's right end (0.975 beyond Re k = 6, where
-    the ellipse ends).  With |k| < r0 and the ellipse they leave no part of
-    Re k > 0, Im k >= 0 unsearched below Im k = 0.975 out to _K_MAX."""
+    the lower edge of the pole scan's ellipse (`_POLE_ELLIPSE`) at each
+    column's right end (the height of its centre beyond its right end).
+    With |k| < r0 and the ellipse they leave no part of Re k > 0, Im k >= 0
+    unsearched below the centre's height out to _K_MAX."""
     def floor(x):
-        return 0.975 - 0.825 * math.sqrt(max(0.0, 1.0 - (x / 6.0) ** 2))
+        center, ax, ay = _POLE_ELLIPSE
+        return center.imag - ay * math.sqrt(max(0.0, 1.0 - (x / ax) ** 2))
     return [(x0, x1, 0.05, floor(x1)) for x0, x1 in _columns()]
+
+
+def _tile_ellipse(x0: float, x1: float, y0: float, y1: float):
+    """(centre, semi-axes) of the ellipse through the corners of the
+    rectangle Re k in [x0, x1], Im k in [y0, y1]."""
+    return (complex(x0 + x1, y0 + y1) / 2.0, (x1 - x0) / math.sqrt(2.0),
+            (y1 - y0) / math.sqrt(2.0))
 
 
 def _tile_zeros(disc: Discretization,
                 rects: Sequence[Tuple[float, float, float, float]]
                 ) -> Tuple[List[complex], int]:
     """Distinct zeros of M(k), and the tile count, in verified tiles (the
-    ellipse through the corners of each rectangle (Re k from x0 to x1,
-    Im k from y0 to y1) of `rects`).  A failing tile is retried with 2
-    and 4 times the nodes (a zero near its boundary), then split in two
-    overlapping parts across its longer side, at most _TILE_SPLITS times;
-    then ValueError."""
+    `_tile_ellipse` of each rectangle (x0, x1, y0, y1) of `rects`).  A
+    failing tile is retried with 2 and 4 times the nodes (a zero near its
+    boundary), then split in two overlapping parts across its longer side,
+    at most _TILE_SPLITS times; then ValueError."""
     stack = [(rect, 0, _TILE_NODES) for rect in rects]
     zeros: List[complex] = []
     tiles = 0
@@ -289,8 +296,7 @@ def _tile_zeros(disc: Discretization,
         (x0, x1, y0, y1), splits, nodes = stack.pop()
         try:
             found, _ = _contour_zeros(
-                disc, complex(x0 + x1, y0 + y1) / 2.0,
-                (x1 - x0) / math.sqrt(2.0), (y1 - y0) / math.sqrt(2.0), nodes)
+                disc, *_tile_ellipse(x0, x1, y0, y1), nodes)
         except ValueError as exc:
             if nodes < 4 * _TILE_NODES:
                 stack.append(((x0, x1, y0, y1), splits, 2 * nodes))
@@ -323,14 +329,11 @@ def census_geometry(r0: float, t_min: float) -> List[Tuple[str, np.ndarray]]:
         return center + ax * ring.real + 1j * ay * ring.imag
 
     curves = [("winding_circle", r0 * ring),
-              ("pole_ellipse", ellipse(0.975j, 6.0, 0.825))]
+              ("pole_ellipse", ellipse(*_POLE_ELLIPSE))]
     for name, rects in (("census_tile", _census_rects(t_min)),
                         ("band_tile", _band_rects())):
-        curves += [(f"{name}_{j}",     # the ellipse of `_tile_zeros`
-                    ellipse(complex(x0 + x1, y0 + y1) / 2.0,
-                            (x1 - x0) / math.sqrt(2.0),
-                            (y1 - y0) / math.sqrt(2.0)))
-                   for j, (x0, x1, y0, y1) in enumerate(rects)]
+        curves += [(f"{name}_{j}", ellipse(*_tile_ellipse(*rect)))
+                   for j, rect in enumerate(rects)]
     curves.append(("line_nodes",
                    _LINE_X * np.exp(-0.25j * np.pi) / math.sqrt(t_min)))
     return curves
@@ -385,7 +388,7 @@ def _wnorm(grid, A: np.ndarray, s: float) -> float:
     return weighted_operator_norm(A, grid, s_in=s, s_out=-s)
 
 
-def verify_large_time(model: Model,
+def verify_large_time(disc: Discretization,
                       coefficients: Optional[ThresholdCoefficients] = None,
                       s: float = 3.0,
                       t_ladder: Optional[np.ndarray] = None,
@@ -395,11 +398,16 @@ def verify_large_time(model: Model,
     first kind: slope -1/2 with coefficient (i pi)^{-1/2} <., J phi> phi;
     tuned second/third kind: the large-time limit is the threshold
     projection (constant term), the remainder decays with slope -1/2.
-    A non-zero potential without coefficients is a ValueError."""
-    grid = model.grid
+    A non-zero potential without coefficients is a ValueError; so is a
+    `propagator` built on another discretization or other coefficients."""
+    grid = disc.grid
     ts = np.asarray(t_ladder if t_ladder is not None
                     else np.geomspace(10.0, 1000.0, 7), dtype=float)
-    if np.max(np.abs(model.V)) == 0:
+    if propagator is not None and (propagator.disc is not disc or
+                                   propagator.coeffs is not coefficients):
+        raise ValueError("the propagator was built on another "
+                         "discretization or other coefficients")
+    if np.max(np.abs(disc.V)) == 0:
         kind = "free"
     elif coefficients is None:
         raise ValueError("no threshold coefficients for a non-zero "
@@ -410,7 +418,7 @@ def verify_large_time(model: Model,
     if kind == "free":
         Us = {t: free_propagator(grid, t) for t in ts}
     else:
-        cp = propagator or CutPropagator(model, coefficients)
+        cp = propagator or CutPropagator(disc, coefficients)
         Us = cp.propagate_many(ts)
     # second / third kind: constant term -R_{-2} plus a decaying remainder
     limit = -coefficients.R_m2 if kind in ("second", "third") else 0.0
@@ -445,9 +453,8 @@ def verify_large_time(model: Model,
 _HE_WINDOW, _HE_SAMPLES, _HE_SLACK = (4.0, 25.0), 9, 0.2
 
 
-def check_high_energy(model: Model, s: float = 3.0,
-                      orders: Sequence[int] = (0, 1),
-                      disc: Optional[Discretization] = None) -> List[dict]:
+def check_high_energy(disc: Discretization, s: float = 3.0,
+                      orders: Sequence[int] = (0, 1)) -> List[dict]:
     """Fits of the weighted boundary-resolvent derivative norms
     ||<x>^{-s} d^r/d lam^r R(lam + i0) <x>^{-s}|| ~ lam^e over _HE_WINDOW,
     one per order r, from one Taylor expansion per energy; each exponent
@@ -456,14 +463,13 @@ def check_high_energy(model: Model, s: float = 3.0,
     no n x n matrix is formed."""
     if not orders or any(r not in (0, 1, 2) for r in orders):
         raise ValueError("derivative orders r must be 0, 1 or 2")
-    disc = disc or Discretization(model)
     lams = np.geomspace(*_HE_WINDOW, _HE_SAMPLES)
     norms = np.empty((len(orders), _HE_SAMPLES))
     for i, lam in enumerate(lams):
         T = resolvent_taylor(disc, float(lam), max(orders), side="+")
         for j, r in enumerate(orders):
             norms[j, i] = weighted_sector_norm(
-                disc.sectors, math.factorial(r) * T[r], model.grid,
+                disc.sectors, math.factorial(r) * T[r], disc.grid,
                 s_in=s, s_out=-s)
     fits = []
     for r, nr in zip(orders, norms):

@@ -78,38 +78,38 @@ disc_resonance = _disc_fixture("resonance")
 
 
 @pytest.fixture(scope="session")
-def cls_first(first8, disc_first):
-    return classify_zero(first8, disc=disc_first)
+def cls_first(disc_first):
+    return classify_zero(disc_first)
 
 
 @pytest.fixture(scope="session")
-def cls_second(second8, disc_second):
-    return classify_zero(second8, disc=disc_second)
+def cls_second(disc_second):
+    return classify_zero(disc_second)
 
 
 @pytest.fixture(scope="session")
-def cls_third(third8, disc_third):
-    return classify_zero(third8, disc=disc_third)
+def cls_third(disc_third):
+    return classify_zero(disc_third)
 
 
 @pytest.fixture(scope="session")
-def coeffs_first(first8, cls_first, disc_first):
-    return threshold_resolvent_expansion(first8, cls_first, disc=disc_first)
+def coeffs_first(cls_first, disc_first):
+    return threshold_resolvent_expansion(disc_first, cls_first)
 
 
 @pytest.fixture(scope="session")
-def coeffs_second(second8, cls_second, disc_second):
-    return threshold_resolvent_expansion(second8, cls_second, disc=disc_second)
+def coeffs_second(cls_second, disc_second):
+    return threshold_resolvent_expansion(disc_second, cls_second)
 
 
 @pytest.fixture(scope="session")
-def coeffs_third(third8, cls_third, disc_third):
-    return threshold_resolvent_expansion(third8, cls_third, disc=disc_third)
+def coeffs_third(cls_third, disc_third):
+    return threshold_resolvent_expansion(disc_third, cls_third)
 
 
 @pytest.fixture(scope="session")
-def res_coeffs(resonance8, disc_resonance):
-    return resonance_resolvent_expansion(resonance8, 1.0, disc=disc_resonance)
+def res_coeffs(disc_resonance):
+    return resonance_resolvent_expansion(disc_resonance, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -130,25 +130,25 @@ def second6(grid6):
 @pytest.fixture(scope="session")
 def coeffs_first6(first6):
     disc = Discretization(first6)
-    return threshold_resolvent_expansion(first6, disc=disc), disc
+    return threshold_resolvent_expansion(disc), disc
 
 
 @pytest.fixture(scope="session")
 def coeffs_second6(second6):
     disc = Discretization(second6)
-    return threshold_resolvent_expansion(second6, disc=disc), disc
+    return threshold_resolvent_expansion(disc), disc
 
 
 @pytest.fixture(scope="session")
-def cut_first6(first6, coeffs_first6):
+def cut_first6(coeffs_first6):
     coeffs, disc = coeffs_first6
-    return CutPropagator(first6, coeffs, disc=disc)
+    return CutPropagator(disc, coeffs)
 
 
 @pytest.fixture(scope="session")
-def cut_second6(second6, coeffs_second6):
+def cut_second6(coeffs_second6):
     coeffs, disc = coeffs_second6
-    return CutPropagator(second6, coeffs, disc=disc)
+    return CutPropagator(disc, coeffs)
 
 
 @pytest.fixture(scope="session")

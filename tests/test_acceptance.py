@@ -10,12 +10,13 @@ import pytest
 
 import oracles
 from test_jordan import _chains, _theta_symmetric_case
-from specthresh.birman_schwinger import scan_positive_resonances
+from specthresh.birman_schwinger import Discretization, \
+    scan_positive_resonances
 from specthresh.grushin import GrushinReduction, verify_grushin_identity
 from specthresh.jordan import projector_from_chains, verify_jordan_form
 from specthresh.kernels import BranchPoint, verify_threshold_expansion
 from specthresh.model import build_grid
-from specthresh.models import free_model, regular_model
+from specthresh.models import free_model
 from specthresh.propagator import _residue, _wnorm, check_high_energy, \
     generalized_integral, verify_large_time
 
@@ -142,8 +143,7 @@ def test_criterion_04_threshold_limits(capsys, disc_first, coeffs_first,
 # --------------------------------------------------------------------------
 # 5. Resonance residue, B-orthonormality, energy recovery
 
-def test_criterion_05_resonance_expansion(capsys, resonance8, disc_resonance,
-                                          res_coeffs):
+def test_criterion_05_resonance_expansion(capsys, disc_resonance, res_coeffs):
     lam0 = res_coeffs.lam0
     vals = []
     for xi in (4e-4j, 2e-4j, 1e-4j):
@@ -163,8 +163,7 @@ def test_criterion_05_resonance_expansion(capsys, resonance8, disc_resonance,
                    for j in range(k)] for i in range(k)])
     gram = np.linalg.norm(G - np.eye(k))
 
-    found = scan_positive_resonances(resonance8, (0.3, 2.0),
-                                     disc=disc_resonance)
+    found = scan_positive_resonances(disc_resonance, (0.3, 2.0))
     lam_err = min(abs(l - 1.0) for l, _ in found) if found else np.inf
     ok = rel < 1e-2 and gram < 1e-8 and lam_err < 1e-6
     _report(capsys, 5, ok, f"residue limit {rel:.2e}, B-orthonormality "
@@ -241,13 +240,14 @@ def test_criterion_07_contour_representation(capsys, cut_first6, cut_second6,
 # --------------------------------------------------------------------------
 # 8. Large-time decay laws
 
-def test_criterion_08_large_time_decay(capsys, first6, coeffs_first6, cut_first6,
-                                       second6, coeffs_second6, cut_second6):
-    free_rep = verify_large_time(free_model(build_grid(3.0, 6)))
-    cf, _ = coeffs_first6
-    rep1 = verify_large_time(first6, cf, propagator=cut_first6)
-    cs, _ = coeffs_second6
-    rep2 = verify_large_time(second6, cs, propagator=cut_second6)
+def test_criterion_08_large_time_decay(capsys, coeffs_first6, cut_first6,
+                                       coeffs_second6, cut_second6):
+    free_rep = verify_large_time(
+        Discretization(free_model(build_grid(3.0, 6))))
+    cf, disc_f = coeffs_first6
+    rep1 = verify_large_time(disc_f, cf, propagator=cut_first6)
+    cs, disc_s = coeffs_second6
+    rep2 = verify_large_time(disc_s, cs, propagator=cut_second6)
     ok = (abs(free_rep.slope_fit + 1.5) < 0.15
           and abs(rep1.slope_fit + 0.5) < 0.1
           and rep1.coeff_rel_err < 0.1
@@ -260,11 +260,11 @@ def test_criterion_08_large_time_decay(capsys, first6, coeffs_first6, cut_first6
 # --------------------------------------------------------------------------
 # 9. High-energy boundary estimates
 
-def test_criterion_09_high_energy(capsys, regular8):
+def test_criterion_09_high_energy(capsys, disc_regular):
     worst = -np.inf
     details = []
-    for model in (free_model(build_grid(3.0, 8)), regular8):
-        for he in check_high_energy(model, orders=(0, 1)):
+    for disc in (Discretization(free_model(build_grid(3.0, 8))), disc_regular):
+        for he in check_high_energy(disc, orders=(0, 1)):
             excess = he["exponent"] - he["bound"]
             worst = max(worst, excess)
             details.append(f"r={he['r']}:{he['exponent']:.2f}")

@@ -15,6 +15,7 @@ from specthresh.birman_schwinger import (Discretization, _contour_zeros,
                                          scan_positive_resonances,
                                          tune_coupling)
 from specthresh.kernels import BranchPoint
+from specthresh.propagator import _POLE_ELLIPSE
 from specthresh.model import build_grid, sample_potential
 from specthresh.models import (first_kind_model, free_model,
                                gaussian_template, resonance_model,
@@ -137,7 +138,7 @@ def test_contour_walk_shares_r0_across_mirrored_nodes(monkeypatch):
                         counting("r0_sectors"))
     monkeypatch.setattr(Discretization, "M_sectors", counting("M_sectors"))
     # imaginary-axis centre: one R0 per mirrored pair, no M(k) assembly
-    assert _contour_zeros(disc, 0.975j, 6.0, 0.825, 512) == ([], 0)
+    assert _contour_zeros(disc, *_POLE_ELLIPSE, 512) == ([], 0)
     assert calls == {"r0_sectors": 256, "M_sectors": 0}
     # real centre (the resonance scan's ellipse): M(k) at every node
     calls.update(r0_sectors=0, M_sectors=0)
@@ -307,8 +308,7 @@ def test_spectral_projector_empty_and_full_selection():
 
 
 def test_classify_free_model_regular():
-    model = free_model(build_grid(3.0, 6))
-    cls = classify_zero(model)
+    cls = classify_zero(Discretization(free_model(build_grid(3.0, 6))))
     assert cls.kind == "regular"
     assert cls.k == 0
 
@@ -325,7 +325,8 @@ def test_classification_kinds(cls_first, cls_second, cls_third):
 def test_classification_keeps_its_detection(cls_first, cls_third):
     for cls in (cls_first, cls_third):
         assert cls.detection.geometric_multiplicity == cls.k
-    assert classify_zero(free_model(build_grid(3.0, 4))).detection is None
+    assert classify_zero(Discretization(
+        free_model(build_grid(3.0, 4)))).detection is None
 
 
 def test_marker_tolerance_does_not_depend_on_the_null_basis(disc_third,
@@ -345,7 +346,7 @@ def test_marker_tolerance_does_not_depend_on_the_null_basis(disc_third,
         == 1e-6 * v_l1 * np.max(np.abs(E[:, 0]))
 
 
-def test_marker_split_is_a_character_label(monkeypatch, third8, disc_third,
+def test_marker_split_is_a_character_label(monkeypatch, disc_third,
                                            cls_third):
     # w V is invariant under the group: the resonance state is in the
     # trivial character, the marker-free eigenstate in the x_1-odd one
@@ -363,7 +364,7 @@ def test_marker_split_is_a_character_label(monkeypatch, third8, disc_third,
     monkeypatch.setattr(Discretization, "marker", marked)
     with pytest.raises(ValueError, match="null vector of sector 1 has "
                                          "integral marker 1.000e"):
-        classify_zero(third8, disc=disc_third)
+        classify_zero(disc_third)
 
 
 def test_second_kind_marker_vanishes(cls_second):
@@ -401,9 +402,8 @@ def test_outgoing_phase_gather_is_bitwise(extent, lam):
     assert np.array_equal(_outgoing_phase(grid, lam), want)
 
 
-def test_scan_finds_tuned_resonance(resonance8, disc_resonance):
-    found = scan_positive_resonances(resonance8, (0.3, 2.0),
-                                     disc=disc_resonance)
+def test_scan_finds_tuned_resonance(disc_resonance):
+    found = scan_positive_resonances(disc_resonance, (0.3, 2.0))
     assert len(found) >= 1
     lam, N = min(found, key=lambda p: abs(p[0] - 1.0))
     assert abs(lam - 1.0) < 1e-6
@@ -411,9 +411,8 @@ def test_scan_finds_tuned_resonance(resonance8, disc_resonance):
 
 
 @pytest.mark.parametrize("window", [(0.3, 2.0), (0.3, 3.0)])
-def test_scan_returns_exactly_the_tuned_resonance(resonance8, disc_resonance,
-                                                  window):
-    found = scan_positive_resonances(resonance8, window, disc=disc_resonance)
+def test_scan_returns_exactly_the_tuned_resonance(disc_resonance, window):
+    found = scan_positive_resonances(disc_resonance, window)
     assert len(found) == 1
     lam, N = found[0]
     assert abs(lam - 1.0) <= 1e-12
@@ -421,17 +420,15 @@ def test_scan_returns_exactly_the_tuned_resonance(resonance8, disc_resonance,
 
 
 @pytest.mark.parametrize("window", [(0.3, 1.0), (0.999, 2.0)])
-def test_scan_raises_on_resonance_at_window_edge(resonance8, disc_resonance,
-                                                 window):
+def test_scan_raises_on_resonance_at_window_edge(disc_resonance, window):
     # a zero on or just inside the contour breaks the winding count, so the
     # count and the moment rank disagree instead of a resonance being dropped
     with pytest.raises(ValueError, match="winding count 0 but moment rank 1"):
-        scan_positive_resonances(resonance8, window, disc=disc_resonance)
+        scan_positive_resonances(disc_resonance, window)
 
 
-def test_scan_window_without_resonance_is_empty(resonance8, disc_resonance):
-    assert scan_positive_resonances(resonance8, (1.2, 3.0),
-                                    disc=disc_resonance) == []
+def test_scan_window_without_resonance_is_empty(disc_resonance):
+    assert scan_positive_resonances(disc_resonance, (1.2, 3.0)) == []
 
 
 def test_scan_raises_when_refined_minimum_is_not_singular(monkeypatch):
@@ -450,9 +447,9 @@ def test_scan_raises_when_refined_minimum_is_not_singular(monkeypatch):
                         lambda self, bp: self.sectors.blocks(self.M(bp)))
     monkeypatch.setattr(birman_schwinger.sla, "svdvals",
                         lambda A: np.array([1.0, 0.5]))
-    model = free_model(build_grid(2.0, 4))
+    disc = Discretization(free_model(build_grid(2.0, 4)))
     with pytest.raises(ValueError, match=r"lambda\* = 1 .*sigma_min = 5\.000e-01"):
-        scan_positive_resonances(model, (0.5, 1.5))
+        scan_positive_resonances(disc, (0.5, 1.5))
 
 
 @pytest.fixture(scope="module")
@@ -466,7 +463,7 @@ def test_pole_contour_raises_when_count_is_not_verified(disc_third6):
     # quadrature error it causes gives the moments a rank other than the
     # ten zeros the winding counts
     with pytest.raises(ValueError, match="winding count 10"):
-        _contour_zeros(disc_third6, 0.975j, 6.0, 0.825, 512)
+        _contour_zeros(disc_third6, *_POLE_ELLIPSE, 512)
 
 
 def test_small_contour_finds_third6_eigenvalue(disc_third6):
@@ -478,21 +475,20 @@ def test_small_contour_finds_third6_eigenvalue(disc_third6):
     assert s[-1] < 1e-12 * s[0]
 
 
-def test_scan_rejects_bad_interval(resonance8):
+def test_scan_rejects_bad_interval(disc_resonance):
     with pytest.raises(ValueError):
-        scan_positive_resonances(resonance8, (-1.0, 2.0))
+        scan_positive_resonances(disc_resonance, (-1.0, 2.0))
 
 
-def test_hypotheses_hold_on_tuned_models(first8, cls_first, disc_first,
-                                         third8, cls_third, disc_third):
-    h1 = check_hypotheses(first8, cls_first, disc=disc_first)
+def test_hypotheses_hold_on_tuned_models(cls_first, disc_first,
+                                         cls_third, disc_third):
+    h1 = check_hypotheses(disc_first, cls_first)
     assert h1["H1"] and h1["H2"]
-    h3 = check_hypotheses(third8, cls_third, disc=disc_third)
+    h3 = check_hypotheses(disc_third, cls_third)
     assert h3["H1"] and h3["H2"]
 
 
-def test_hypothesis_h3_at_resonance(resonance8, disc_resonance):
-    cls = classify_zero(resonance8, disc=disc_resonance)
-    rep = check_hypotheses(resonance8, cls, resonances=[(1.0, 1)],
-                           disc=disc_resonance)
+def test_hypothesis_h3_at_resonance(disc_resonance):
+    cls = classify_zero(disc_resonance)
+    rep = check_hypotheses(disc_resonance, cls, resonances=[(1.0, 1)])
     assert rep["H3"]

@@ -158,6 +158,22 @@ def first4_report(tmp_path_factory):
     return run_pipeline(load_config(path))
 
 
+def test_pipeline_builds_one_discretization(monkeypatch):
+    builds = []
+    init = cli.Discretization.__init__
+
+    def counted(self, model):
+        builds.append(model)
+        init(self, model)
+
+    monkeypatch.setattr(cli.Discretization, "__init__", counted)
+    rep = run_pipeline(RunConfig(
+        model={"factory": "first_kind", "extent": 3.0, "resolution": 4},
+        stages=["classify", "threshold_expand", "propagate"]))
+    assert rep.errors == []
+    assert len(builds) == 1
+
+
 def test_propagate_stage_records_census(first4_report):
     # first_kind at resolution 4 crosses one zero of M(k) (weight e^-13.9
     # at t = 10) and leaves one out below the weight cut

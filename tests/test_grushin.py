@@ -231,8 +231,8 @@ def test_richardson_ladder_beats_raw_slope(disc_first, coeffs_first):
 # --------------------------------------------------------------------------
 # threshold expansions
 
-def test_regular_expansion_has_no_singular_part(regular8, disc_regular):
-    coeffs = threshold_resolvent_expansion(regular8, disc=disc_regular)
+def test_regular_expansion_has_no_singular_part(disc_regular):
+    coeffs = threshold_resolvent_expansion(disc_regular)
     assert coeffs.kind == "regular"
     assert np.all(coeffs.R_m2 == 0) and np.all(coeffs.R_m1 == 0)
     errs = dict(coeffs.remainder_samples)
@@ -330,13 +330,11 @@ def test_expansions_reject_projector_rank_mismatch(monkeypatch):
 
     monkeypatch.setattr(grushin, "riesz_projection", off_by_one)
     grid = build_grid(3.0, 4)
-    first = first_kind_model(grid)
     with pytest.raises(ValueError, match="algebraic multiplicity"):
-        threshold_resolvent_expansion(first, disc=Discretization(first))
-    res = resonance_model(grid, lam0=1.0)
+        threshold_resolvent_expansion(Discretization(first_kind_model(grid)))
+    res = Discretization(resonance_model(grid, lam0=1.0))
     with pytest.raises(ValueError, match="algebraic multiplicity"):
-        grushin.resonance_resolvent_expansion(res, 1.0,
-                                              disc=Discretization(res))
+        grushin.resonance_resolvent_expansion(res, 1.0)
 
 
 def test_threshold_expansion_reuses_the_classification_cluster(
@@ -344,7 +342,7 @@ def test_threshold_expansion_reuses_the_classification_cluster(
     # the kind and the multiplicity come from one -1 cluster, whatever
     # tolerance the classification ran with
     disc = Discretization(first6)
-    cls = classify_zero(first6, disc=disc, tol=1e-5)
+    cls = classify_zero(disc, tol=1e-5)
     calls = []
     real = grushin.detect_minus_one
 
@@ -353,7 +351,7 @@ def test_threshold_expansion_reuses_the_classification_cluster(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(grushin, "detect_minus_one", counted)
-    coeffs = threshold_resolvent_expansion(first6, cls, disc=disc)
+    coeffs = threshold_resolvent_expansion(disc, cls)
     assert calls == []
     assert coeffs.basis.k == cls.detection.geometric_multiplicity
 
@@ -379,6 +377,6 @@ def test_threshold_expansion_rejects_marked_eigen_block(monkeypatch):
     disc = Discretization(third)
     disc.sectors = ReflectionGroup({0: np.arange(third.grid.n)})
     with pytest.raises(ValueError, match="integral marker"):
-        threshold_resolvent_expansion(third, disc=disc)
-    coeffs = threshold_resolvent_expansion(third, disc=Discretization(third))
+        threshold_resolvent_expansion(disc)
+    coeffs = threshold_resolvent_expansion(Discretization(third))
     assert coeffs.basis.sectors == [0, 1]

@@ -68,8 +68,7 @@ def test_free_propagator_is_unitary_group_kernel():
 
 def test_free_decay_slope():
     grid = build_grid(3.0, 6)
-    model = free_model(grid)
-    rep = verify_large_time(model)
+    rep = verify_large_time(Discretization(free_model(grid)))
     assert abs(rep.slope_fit + 1.5) < 0.05
     assert rep.r_squared > 0.999
 
@@ -96,8 +95,7 @@ WALK_NORMS_FIRST4 = [
 def cut_first4():
     model = first_kind_model(build_grid(3.0, 4))
     disc = Discretization(model)
-    coeffs = threshold_resolvent_expansion(model, disc=disc)
-    cp = CutPropagator(model, coeffs, disc=disc)
+    cp = CutPropagator(disc, threshold_resolvent_expansion(disc))
     return model, cp, cp.propagate_many(LADDER)
 
 
@@ -168,23 +166,22 @@ def test_line_plus_residues_match_branch_cut_walk_second6(cut_second6,
 def test_census_winding_must_match_structural_order(cut_first4):
     # first4 has a simple zero at k = 0; with a regular threshold's Lidskii
     # order the winding count on |k| = r0 (1) contradicts it (0)
-    model, cp, _ = cut_first4
+    _, cp, _ = cut_first4
     assert cp.census["winding"] == cp.census["structural_order"] == 1
     coeffs = dataclasses.replace(cp.coeffs, scaling=dataclasses.replace(
         cp.coeffs.scaling, order_structural=0.0))
     with pytest.raises(ValueError, match="winding count 1 .* order 0"):
-        CutPropagator(model, coeffs, disc=cp.disc).propagate(10.0)
+        CutPropagator(cp.disc, coeffs).propagate(10.0)
 
 
 def test_real_zero_on_path_raises():
     # an embedded resonance at lambda0 = 1 is a real zero of M(k): the cut
     # integral has a pole there, so no U(t) is returned
-    model = resonance_model(build_grid(3.0, 4), lam0=1.0)
-    disc = Discretization(model)
-    coeffs = threshold_resolvent_expansion(model, disc=disc)
+    disc = Discretization(resonance_model(build_grid(3.0, 4), lam0=1.0))
+    coeffs = threshold_resolvent_expansion(disc)
     assert coeffs.kind == "regular"
     with pytest.raises(ValueError, match="resonance at lambda0 = 1"):
-        CutPropagator(model, coeffs, disc=disc).propagate_many(LADDER)
+        CutPropagator(disc, coeffs).propagate_many(LADDER)
 
 
 def _ring_stub(R):
@@ -252,13 +249,13 @@ def test_pole_scan_finds_second6_eigenvalue(cut_second6):
 def test_pole_scan_rejects_a_growing_mode(cut_first4, monkeypatch):
     # third6's eigenvalue k = 1.36 + 0.18i has Im z = 2 Re k Im k > 0:
     # e^{-itz} grows, so no residue of it may enter U(t)
-    model, cp, _ = cut_first4
+    _, cp, _ = cut_first4
     k = 1.36 + 0.18j
     monkeypatch.setattr(propagator, "_contour_zeros",
                         lambda *a, **kw: ([(k, np.array([1.0, 0.0]))], 1))
     with pytest.raises(ValueError, match=r"eigenvalue with Im z > 0 \(a "
                                          r"growing mode\)"):
-        CutPropagator(model, cp.coeffs, disc=cp.disc)
+        CutPropagator(cp.disc, cp.coeffs)
 
 
 def test_band_search_finds_third6_growing_mode():
@@ -272,7 +269,7 @@ def test_band_search_finds_third6_growing_mode():
 
 def test_census_raises_on_a_growing_mode_in_the_band(cut_first4,
                                                     monkeypatch):
-    model, cp, _ = cut_first4
+    _, cp, _ = cut_first4
     assert cp.census["band_tiles"] >= len(propagator._band_rects())
     tile_zeros = propagator._tile_zeros
 
@@ -285,7 +282,45 @@ def test_census_raises_on_a_growing_mode_in_the_band(cut_first4,
     monkeypatch.setattr(propagator, "_tile_zeros", with_band_zero)
     with pytest.raises(ValueError, match=r"eigenvalue with Im z > 0 \(a "
                                          r"growing mode\)"):
-        CutPropagator(model, cp.coeffs, disc=cp.disc).propagate(10.0)
+        CutPropagator(cp.disc, cp.coeffs).propagate(10.0)
+
+
+def test_census_geometry_draws_the_searched_ellipses(cut_first4,
+                                                    monkeypatch):
+    # every closed curve of the contour plot is an ellipse (centre,
+    # semi-axes) that the pole scan or the census handed to _contour_zeros
+    _, cp, _ = cut_first4
+    searched = []
+    contour_zeros = propagator._contour_zeros
+
+    def recording(disc, center, ax, ay, n_nodes, count_only=False):
+        searched.append((complex(center), ax, ay))
+        return contour_zeros(disc, center, ax, ay, n_nodes, count_only)
+
+    monkeypatch.setattr(propagator, "_contour_zeros", recording)
+    scanned = CutPropagator(cp.disc, cp.coeffs)
+    scanned.propagate(LADDER[0])
+    census = scanned.census
+    curves = propagator.census_geometry(census["r0"], census["t_min"])
+    closed = [(label, ks) for label, ks in curves if label != "line_nodes"]
+    labels = [label for label, _ in closed]
+    assert labels[:2] == ["winding_circle", "pole_ellipse"]
+    assert len(labels) == 2 + 2 * propagator._TILES
+    for label, ks in closed:
+        # nodes 0, 16, 32, 48 of the 64 lie on the axes of the ellipse
+        center = (ks[0] + ks[32]) / 2.0
+        ax, ay = (ks[0] - ks[32]).real / 2.0, (ks[16] - ks[48]).imag / 2.0
+        assert any(abs(center - c) <= 1e-12 and abs(ax - a) <= 1e-12 * a
+                   and abs(ay - b) <= 1e-12 * b for c, a, b in searched), label
+
+
+def test_verify_large_time_rejects_a_propagator_of_another_run(cut_first4):
+    model, cp, _ = cut_first4
+    with pytest.raises(ValueError, match="another discretization"):
+        verify_large_time(Discretization(model), cp.coeffs, propagator=cp)
+    with pytest.raises(ValueError, match="other coefficients"):
+        verify_large_time(cp.disc, dataclasses.replace(cp.coeffs),
+                          propagator=cp)
 
 
 def test_pole_scan_first6_is_empty(cut_first6):
@@ -347,10 +382,10 @@ def test_resolvent_taylor_minus_side_is_conjugate_for_real_V():
 
 
 def test_high_energy_exponents_free():
-    model = free_model(build_grid(3.0, 8))
-    fits = check_high_energy(model, orders=(0, 1))
+    disc = Discretization(free_model(build_grid(3.0, 8)))
+    fits = check_high_energy(disc, orders=(0, 1))
     assert [he["r"] for he in fits] == [0, 1]
     assert all(he["pass"] for he in fits)
     for orders in ((3,), (0, 3), ()):
         with pytest.raises(ValueError):
-            check_high_energy(model, orders=orders)
+            check_high_energy(disc, orders=orders)

@@ -155,8 +155,7 @@ def test_node_permutation_permutes_resolvent_and_keeps_census():
     censuses = []
     for m in (model, pmodel):
         disc = Discretization(m)
-        coeffs = threshold_resolvent_expansion(m, disc=disc)
-        cp = CutPropagator(m, coeffs, disc=disc)
+        cp = CutPropagator(disc, threshold_resolvent_expansion(disc))
         cp.propagate_many([10.0])
         censuses.append((disc, cp.census))
     (disc, c), (pdisc, pc) = censuses
@@ -211,7 +210,7 @@ def test_propagate_factors_only_sector_blocks(first6, coeffs_first6,
     # a silent fallback to n x n factorizations fails this count
     coeffs, _ = coeffs_first6
     shapes = _record_lu_shapes(monkeypatch)
-    cp = CutPropagator(first6, coeffs, disc=Discretization(first6))
+    cp = CutPropagator(Discretization(first6), coeffs)
     cp.propagate_many(np.geomspace(10.0, 1000.0, 7))
     n = first6.grid.n
     assert len(shapes) >= 8 * 1000
@@ -294,7 +293,7 @@ def test_resolvent_taylor_matches_dense_oracle(name, request):
 
 def test_high_energy_norms_match_dense_oracle(resonance8):
     disc = Discretization(resonance8)
-    fits = check_high_energy(resonance8, orders=(0, 1), disc=disc)
+    fits = check_high_energy(disc, orders=(0, 1))
     for i, lam in enumerate(fits[0]["lams"]):
         T = oracles.dense_resolvent_taylor(disc, float(lam), 1)
         for fit, Tr in zip(fits, T):
@@ -361,7 +360,7 @@ def test_analysis_decomposes_only_sector_blocks(first6, monkeypatch):
     disc = Discretization(first6)
     K0 = disc.K0
     shapes = _record_decomposition_shapes(monkeypatch)
-    check_high_energy(first6, orders=(0, 1), disc=disc)
+    check_high_energy(disc, orders=(0, 1))
     det = detect_minus_one(K0, disc.sectors, tol=1e-6)
     riesz_projection(K0, disc.sectors, min(det.gap / 2.5, 0.5),
                      detection=det)
@@ -377,7 +376,7 @@ def test_asymmetric_analysis_takes_one_full_block(monkeypatch):
     disc = Discretization(model)
     K0 = disc.K0
     shapes = _record_decomposition_shapes(monkeypatch)
-    check_high_energy(model, orders=(0, 1), disc=disc)
+    check_high_energy(disc, orders=(0, 1))
     det = detect_minus_one(K0, disc.sectors, tol=1e-6)
     riesz_projection(K0, disc.sectors, min(det.gap / 2.5, 0.5),
                      detection=det)
@@ -432,7 +431,7 @@ def _expansion(name, request):
     model = (_tuned_asymmetric() if name == "asymmetric4"
              else request.getfixturevalue(name))
     disc = Discretization(model)
-    return (disc, threshold_resolvent_expansion(model, disc=disc),
+    return (disc, threshold_resolvent_expansion(disc),
             "threshold", 1e-6, None)
 
 
@@ -500,9 +499,9 @@ def test_expansions_decompose_only_sector_blocks(name, chain_sectors,
     disc = Discretization(model)
     shapes, inverses = _record_expansion_shapes(monkeypatch)
     if name == "third8":
-        coeffs = threshold_resolvent_expansion(model, disc=disc)
+        coeffs = threshold_resolvent_expansion(disc)
     else:
-        coeffs = resonance_resolvent_expansion(model, 1.0, disc=disc)
+        coeffs = resonance_resolvent_expansion(disc, 1.0)
     bound = model.grid.n // 8 + coeffs.basis.m
     assert max(max(s[-2:]) for s in shapes) <= bound, bound
     assert len(shapes) >= 100
@@ -517,7 +516,7 @@ def test_asymmetric_expansion_takes_one_bordered_block(monkeypatch):
     model = _tuned_asymmetric()
     disc = Discretization(model)
     shapes, inverses = _record_expansion_shapes(monkeypatch)
-    coeffs = threshold_resolvent_expansion(model, disc=disc)
+    coeffs = threshold_resolvent_expansion(disc)
     n, m = model.grid.n, coeffs.basis.m
     assert coeffs.basis.sectors == [0]
     assert inverses == [(n + m, n + m)]
