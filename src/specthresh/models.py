@@ -215,39 +215,57 @@ def _check_full_space(grid: QuadratureGrid, G0: np.ndarray, V: np.ndarray,
             f"relative marker {marker:.3e} (gate 1e-08)")
 
 
-def _marked_residual(x, marked_eigenpair) -> list:
-    """mu + 1 as two reals, at alpha = x[0] + i x[1]."""
-    mu, _ = marked_eigenpair(x[0] + 1j * x[1])
-    return [mu.real + 1.0, mu.imag]
-
-
 def _tune_third_kind_alpha(grid: QuadratureGrid, G0: np.ndarray) -> complex:
     """Shape parameter alpha of the third-kind dipole source that puts the
-    marked eigenvalue at -1: coarse scan for a basin, then `root(hybr)`, all
-    in the fully symmetric sector; the tuned eigenvector then passes
-    `_check_full_space` on all n nodes.  scipy.optimize is imported here,
-    on the one path that uses it, so that no other model pays its import."""
-    from scipy.optimize import root
-
+    marked eigenvalue at -1, all in the fully symmetric sector: a coarse
+    9 x 4 scan picks the start, then a damped Newton drives f = mu + 1 to
+    |f| <= 1e-13.  mu(alpha) is holomorphic where it is simple (V(alpha) is
+    a ratio of two affine functions of alpha), so its derivative is the
+    forward difference along the real increment h = 1e-7 max(1, |alpha|).
+    The Newton step is halved while |f| does not fall; a trial alpha whose
+    source has a near-vanishing state (ValueError) or whose mu is not finite
+    does not fall either.  ValueError unless |f| <= 1e-9 when Newton stops
+    (zero or non-finite difference quotient, no step that moves alpha and
+    lowers |f|, or 40 steps); the tuned eigenvector then passes
+    `_check_full_space` on all n nodes."""
     marked_eigenpair = _symmetric_sector_marked_eigenpair(grid, G0)
+
+    def offset(alpha: complex):
+        try:
+            mu, x = marked_eigenpair(alpha)
+        except ValueError:
+            return complex(np.nan, np.nan), None
+        return mu + 1.0, x
+
     best = None
     for ar in np.linspace(-4.0, 4.0, 9):
         for ai in (-1.5, -0.5, 0.5, 1.5):
-            mu, _ = marked_eigenpair(ar + 1j * ai)
-            if best is None or abs(mu + 1.0) < best[0]:
-                best = (abs(mu + 1.0), ar + 1j * ai)
+            alpha = complex(ar, ai)
+            mu, x = marked_eigenpair(alpha)
+            if best is None or abs(mu + 1.0) < abs(best[1]):
+                best = (alpha, mu + 1.0, x)
 
-    # the eigenpair goes in through `args`: root's wrapper of the residual
-    # refers to itself, and a closure over G0 would keep G0 alive in that
-    # reference cycle until the cyclic collector runs
-    sol = root(_marked_residual, [best[1].real, best[1].imag],
-               args=(marked_eigenpair,), method="hybr", tol=1e-13)
-    alpha = complex(sol.x[0], sol.x[1])
-    if not sol.success or np.linalg.norm(sol.fun) > 1e-9:
+    alpha, f, x = best
+    for _ in range(40):
+        if abs(f) <= 1e-13:
+            break
+        h = 1e-7 * max(1.0, abs(alpha))
+        slope = (offset(alpha + h)[0] - f) / h
+        if slope == 0 or not np.isfinite(slope):
+            break
+        step = f / slope
+        while np.isfinite(step) and alpha - step != alpha:
+            f_trial, x_trial = offset(alpha - step)
+            if abs(f_trial) < abs(f):
+                break
+            step /= 2
+        else:
+            break
+        alpha, f, x = alpha - step, f_trial, x_trial
+    if not abs(f) <= 1e-9:
         raise ValueError(
             "two-eigenvalue tuning did not converge: |mu + 1| = "
-            f"{np.linalg.norm(sol.fun):.3e} at alpha = {alpha:.6g}")
-    _, x = marked_eigenpair(alpha)
+            f"{abs(f):.3e} at alpha = {alpha:.6g}")
     _check_full_space(grid, G0, _third_kind_potential(grid, G0, alpha), x)
     return alpha
 
@@ -258,8 +276,9 @@ def third_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     An odd (dipole) source g ~ x_1 h(r) gives psi = -G0 g and V = g / psi
     pointwise, so G0 V psi = -psi exactly and the marker of psi vanishes by
     parity.  The shape parameter alpha of h is then tuned (coarse scan, then
-    `root(hybr)` on the eigenvalue tracked through its nonzero integral
-    marker) so a second, marker-carrying eigenvalue of G0 V also sits at -1.
+    a damped complex Newton on the eigenvalue tracked through its nonzero
+    integral marker, numpy only) so a second, marker-carrying eigenvalue of
+    G0 V also sits at -1.
     Every tuning step solves only the fully symmetric sector of the grid
     symmetries that fix the x_1 axis (all marked eigenvalues live there): a
     block of one row per node orbit, 31 for n = 408 on the uniform grid.

@@ -246,8 +246,6 @@ def _first4_K0():
 
 
 def _third5_K0():
-    # the two-eigenvalue tuning of the third kind does not converge at
-    # resolution 4, so this one runs at resolution 5 (n=117)
     disc = Discretization(third_kind_model(build_grid(3.0, 5)))
     return disc.K0, disc.sectors, 1e-6
 

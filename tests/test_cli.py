@@ -394,9 +394,9 @@ def test_resonance_expand_records_sector_counts(tmp_path):
     assert rec["chain_sectors"] == [0]
 
 
-def test_pipeline_set_up_imports_only_the_linalg_floor():
-    # a fresh interpreter imports the CLI and builds a first-kind model with
-    # no stages: scipy's optimize, spatial, special and sparse stay unloaded
+def _modules_loaded_by(model, stages):
+    """sys.modules of a fresh interpreter that runs `model` through
+    `stages`."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -404,14 +404,25 @@ def test_pipeline_set_up_imports_only_the_linalg_floor():
     code = (
         "import json, sys\n"
         "from specthresh.cli import RunConfig, run_pipeline\n"
-        "report = run_pipeline(RunConfig(model={'factory': 'first_kind', "
-        "'resolution': 4}, stages=[]))\n"
+        f"report = run_pipeline(RunConfig(model={model!r}, "
+        f"stages={stages!r}))\n"
         "assert not report.errors, report.errors\n"
         "print(json.dumps(sorted(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    loaded = json.loads(out.splitlines()[-1])
-    heavy = [m for m in loaded if ".".join(m.split(".")[:2]) in
-             ("scipy.optimize", "scipy.spatial", "scipy.special",
-              "scipy.sparse")]
-    assert "scipy.linalg" in loaded and not heavy
+    return json.loads(out.splitlines()[-1])
+
+
+def test_pipeline_set_up_imports_only_the_linalg_floor():
+    # a fresh interpreter imports the CLI and builds a first-kind model with
+    # no stages, or tunes a third-kind model and expands its threshold:
+    # scipy's optimize, spatial, special and sparse stay unloaded
+    for model, stages in [
+            ({"factory": "first_kind", "resolution": 4}, []),
+            ({"factory": "third_kind", "resolution": 5},
+             ["classify", "threshold_expand"])]:
+        loaded = _modules_loaded_by(model, stages)
+        heavy = [m for m in loaded if ".".join(m.split(".")[:2]) in
+                 ("scipy.optimize", "scipy.spatial", "scipy.special",
+                  "scipy.sparse")]
+        assert "scipy.linalg" in loaded and not heavy, (model, heavy)

@@ -1,6 +1,7 @@
 """Every exported name resolves: each module's __all__ names only objects
 that exist, and every public name of the package is listed in the __all__ of
-a module that defines it; no module imports a name it never reads."""
+a module that defines it; no module imports a name it never reads, and none
+imports scipy beyond scipy.linalg."""
 import ast
 import importlib
 from pathlib import Path
@@ -54,3 +55,45 @@ def _unused_imports(path):
     if p.name != "__init__.py"), ids=lambda p: p.stem)
 def test_module_imports_are_read(path):
     assert not _unused_imports(path)
+
+
+_HEAVY_SCIPY = ("scipy.optimize", "scipy.spatial", "scipy.special",
+                "scipy.sparse")
+
+
+def _heavy_scipy_imports(path):
+    """(line, module) of each import anywhere in `path`, function bodies
+    included, of scipy.optimize, spatial, special or sparse (or a module
+    under them), whether as `import scipy.x`, `from scipy.x import ...` or
+    `from scipy import x`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names
+                  if ".".join(n.split(".")[:2]) in _HEAVY_SCIPY]
+    return found
+
+
+def test_heavy_scipy_guard_sees_every_import_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import scipy.linalg as sla\n"
+                    "from scipy import linalg\n"
+                    "def f():\n"
+                    "    from scipy.optimize import root\n"
+                    "    import scipy.sparse.linalg\n"
+                    "    from scipy import special\n")
+    assert _heavy_scipy_imports(path) == [
+        (4, "scipy.optimize.root"), (5, "scipy.sparse.linalg"),
+        (6, "scipy.special")]
+
+
+@pytest.mark.parametrize("path", sorted(
+    Path(specthresh.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_module_imports_no_scipy_beyond_linalg(path):
+    # the pipeline's import floor is numpy, scipy.linalg and click
+    assert not _heavy_scipy_imports(path)

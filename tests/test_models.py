@@ -2,15 +2,13 @@
 import gc
 import itertools
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 import oracles
 from specthresh import models
-from specthresh.birman_schwinger import Discretization
+from specthresh.birman_schwinger import Discretization, classify_zero
 from specthresh.kernels import assemble_gj
 from specthresh.model import build_grid
 from specthresh.models import (free_model, gaussian_template, regular_model,
@@ -187,8 +185,12 @@ def test_third_kind_tuning_eig_calls_stay_in_the_symmetric_sector(monkeypatch):
     assert all(r == c and r <= grid.n // 8 for r, c in shapes)
 
 
-def test_third_kind_alpha_matches_full_eig_tuning():
-    grid = build_grid(3.0, 6)
+@pytest.mark.parametrize("extent", [2.9, 3.0, 3.1])
+def test_third_kind_alpha_matches_full_eig_tuning(extent):
+    # the oracle tunes with root(hybr) on full n x n eigen-solves; the
+    # library's Newton must land on the same root over the benchmark's
+    # extent range
+    grid = build_grid(extent, 6)
     G0 = assemble_gj(grid, 0)
     want = oracles.full_eig_third_kind_alpha(
         grid, G0, lambda a: models._third_kind_potential(grid, G0, a))
@@ -229,25 +231,95 @@ def test_third_kind_rejects_grid_without_mirror_symmetry():
         third_kind_model(build_grid(2.0, 5, scheme="gauss_radial"))
 
 
+def _fake_marked_eigenpair(mu_of):
+    """Stand-in for `_symmetric_sector_marked_eigenpair`: alpha -> (mu, x)
+    with mu = mu_of(alpha) and a fixed unit x."""
+    def factory(grid, G0):
+        x = np.zeros(grid.n, dtype=complex)
+        x[0] = 1.0
+        return lambda alpha: (complex(mu_of(alpha)), x)
+    return factory
+
+
+_NOT_CONVERGED = r"two-eigenvalue tuning did not converge: \|mu \+ 1\| = "
+
+
 def test_third_kind_tuning_failure_reports_residual_and_alpha(monkeypatch):
-    # the tuning imports root from scipy.optimize when it runs
-    monkeypatch.setattr(scipy.optimize, "root",
-                        lambda *a, **k: SimpleNamespace(
-                            success=False, x=np.array([0.5, -0.25]),
-                            fun=np.array([3e-3, 4e-3])))
-    with pytest.raises(ValueError, match=r"\|mu \+ 1\| = 5\.000e-03 at "
-                                         r"alpha = 0\.5-0\.25j"):
+    # a constant mu has no root and a zero difference quotient: Newton stops
+    # at the coarse scan's first point
+    monkeypatch.setattr(models, "_symmetric_sector_marked_eigenpair",
+                        _fake_marked_eigenpair(lambda a: -1 + 3e-3 + 4e-3j))
+    with pytest.raises(ValueError, match=_NOT_CONVERGED +
+                       r"5\.000e-03 at alpha = -4-1\.5j"):
         third_kind_model(build_grid(3.0, 5))
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="known defect: at resolution 4 (n = 64) the marked "
-                          "eigenvalue stays near -3.9 over the whole 9 x 4 "
-                          "alpha scan, so root(hybr) has no basin")
+def test_third_kind_tuning_stops_on_a_non_finite_difference_quotient(
+        monkeypatch):
+    # mu is finite on the coarse grid and NaN off it: the derivative is NaN
+    def mu(alpha):
+        on_grid = alpha.real == round(alpha.real) and alpha.imag % 1 == 0.5
+        return -1 + 5e-3 if on_grid else complex(np.nan, np.nan)
+
+    monkeypatch.setattr(models, "_symmetric_sector_marked_eigenpair",
+                        _fake_marked_eigenpair(mu))
+    with pytest.raises(ValueError, match=_NOT_CONVERGED +
+                       r"5\.000e-03 at alpha = -4-1\.5j"):
+        models._tune_third_kind_alpha(build_grid(3.0, 4), None)
+
+
+def test_third_kind_tuning_gives_up_after_forty_newton_steps(monkeypatch):
+    # f = 5e-3 alpha^(-1/100) has no root: each full Newton step multiplies
+    # alpha by 101 and |f| by 101^(-1/100), about 0.955, so from the scan's
+    # 5e-3 at alpha = -4 - 1.5i it still reads 5e-3 101^(-2/5) after 40 steps
+    calls = []
+
+    def mu(alpha):
+        calls.append(alpha)
+        return -1 + 5e-3 * (alpha / (-4 - 1.5j)) ** -0.01
+
+    monkeypatch.setattr(models, "_symmetric_sector_marked_eigenpair",
+                        _fake_marked_eigenpair(mu))
+    with pytest.raises(ValueError, match=_NOT_CONVERGED + r"7\.893e-04"):
+        models._tune_third_kind_alpha(build_grid(3.0, 4), None)
+    assert len(calls) == 36 + 2 * 40
+
+
+def test_third_kind_tuning_halves_a_step_onto_a_near_vanishing_state(
+        monkeypatch):
+    # the first Newton trial (call 38: 36 coarse points, then the difference
+    # quotient) raises as a near-vanishing source would; the tuning halves
+    # that step and still reaches the root it reaches without the fault
+    grid = build_grid(3.0, 5)
+    G0 = assemble_gj(grid, 0)
+    want = models._tune_third_kind_alpha(grid, G0)
+    potential = models._third_kind_potential
+    alphas = []
+
+    def faulty(grid, G0, alpha):
+        alphas.append(alpha)
+        if len(alphas) == 38:
+            raise ValueError("source construction produced a near-vanishing "
+                             "state")
+        return potential(grid, G0, alpha)
+
+    monkeypatch.setattr(models, "_third_kind_potential", faulty)
+    got = models._tune_third_kind_alpha(grid, G0)
+    start = min(alphas[:36], key=lambda a: abs(alphas[36] - a))
+    assert alphas[38] - start == pytest.approx((alphas[37] - start) / 2,
+                                               rel=1e-9)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_third_kind_tunes_at_resolution_4():
-    model = third_kind_model(build_grid(3.0, 4))
-    ev = np.linalg.eigvals(Discretization(model).K0)
-    assert np.sort(np.abs(ev + 1.0))[1] < 1e-8
+    # n = 64: from the coarse scan's best start (mu = -3.88 at extent 3.0,
+    # -0.41 at 2.5) root(hybr) found no root; the damped Newton finds one
+    for extent in (3.0, 2.5):
+        disc = Discretization(third_kind_model(build_grid(extent, 4)))
+        ev = np.linalg.eigvals(disc.K0)
+        assert np.sort(np.abs(ev + 1.0))[1] < 1e-8
+        cls = classify_zero(disc)
+        assert (cls.kind, cls.k) == ("third", 2)
 
 
 def test_resonance_model_minus_one_at_lam0(resonance8, disc_resonance):
