@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,7 +32,7 @@ __all__ = [
     "EigenNearMinusOne", "ZeroClassification", "RieszProjection",
     "Discretization", "detect_minus_one", "tune_coupling",
     "riesz_projection", "classify_zero", "scan_positive_resonances",
-    "check_hypotheses", "b_form", "marker_tolerance", "invariant_subgroup",
+    "check_hypotheses", "marker_tolerance", "invariant_subgroup",
 ]
 
 
@@ -490,10 +490,10 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
     sector coordinates Q^T A_p (Q orthogonal: same singular values and
     pencil), and arg det M = sum of the blocks' arg det.  Accepted only if
     the rank of A0 (against sum |w_q| ||X_q||) equals the winding count,
-    each pencil eigenvalue lies inside and sigma_min of the dense M is
-    negligible there; else ValueError.  Returns the distinct zeros with the
-    singular values of M at each, and the count (`count_only`: the count
-    alone)."""
+    each pencil eigenvalue lies inside and sigma_min of M, from its sector
+    blocks, is negligible there; else ValueError.  Returns the distinct
+    zeros with the singular values of M at each (descending), and the count
+    (`count_only`: the count alone)."""
     n = disc.grid.n
     rng = np.random.default_rng(0)
     P = rng.standard_normal((n, _PROBES)) + 1j * rng.standard_normal((n, _PROBES))
@@ -528,7 +528,11 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
                              f"the contour (winding count {count})")
         if any(abs(k - k0) < _ZERO_TOL * max(1.0, abs(k)) for k0, _ in zeros):
             continue
-        sv = sla.svdvals(disc.M(BranchPoint(z=k * k, sqrt_z=k)))
+        # the sector basis is orthogonal: sigma(M) is the union of the
+        # blocks' singular values
+        sv = np.sort(np.concatenate([
+            sla.svdvals(B) for B in disc.sectors.split(
+                disc.M_sectors(BranchPoint(z=k * k, sqrt_z=k)))]))[::-1]
         if sv[-1] > _ZERO_TOL * sv[0]:
             z = k * k
             raise ValueError(f"contour zero at lambda* = {z.real:.6g} "
@@ -558,42 +562,22 @@ def scan_positive_resonances(disc: Discretization,
 # ---------------------------------------------------------------------------
 # hypotheses
 
-def _outgoing_phase(grid: QuadratureGrid, lam: float) -> np.ndarray:
-    """e^{i sqrt(lam) |x_i - x_j|}: one exponential per distinct distance,
-    gathered, with e^0 = 1 on the diagonal."""
-    values, index = grid.distance_classes
-    E = np.exp(1j * np.sqrt(lam) * values).take(index)
-    np.fill_diagonal(E, 1.0)
-    return E
-
-
-def b_form(disc: Discretization, lam: float, u: np.ndarray, v: np.ndarray) -> complex:
-    """B_lambda(u, v) = double integral of e^{i sqrt(lam)|x-y|} u V (x)
-    v V (y) over the support, by the double quadrature sum."""
-    E = _outgoing_phase(disc.grid, lam)
-    fu = disc.w * disc.V * u
-    fv = disc.w * disc.V * v
-    return complex(fu @ E @ fv)
-
-
 # a hypothesis holds when its Gram determinant exceeds this in modulus
 HYPOTHESIS_DET_TOL = 1e-10
 
 
 def check_hypotheses(disc: Discretization,
-                     classification: ZeroClassification,
-                     resonances: Optional[Sequence[Tuple[float, int]]] = None
-                     ) -> dict:
-    """Evaluate the Gram-determinant conditions behind the expansion theorems.
+                     classification: ZeroClassification) -> dict:
+    """Evaluate the Gram-determinant conditions behind the threshold
+    expansion theorems.
 
     H1: det(<phi_j, J phi_i>) != 0 over the threshold kernel directions.
     H2: marker separation of resonance/eigen directions plus the H1-type
         condition on the eigen block (third kind).
-    H3: det(B_lambda_j(psi_r, psi_l)) != 0 at each outgoing resonance;
-        None (not checked) when no resonance list is given.
+    H3, the condition at an outgoing resonance, is read off the B matrix
+    of each resonance expansion (`cli.run_pipeline`).
     """
-    report = {"H1": True, "H2": True,
-              "H3": None if resonances is None else True, "determinants": {}}
+    report = {"H1": True, "H2": True, "determinants": {}}
 
     vecs: List[np.ndarray] = []
     if classification.resonance_state is not None:
@@ -613,18 +597,4 @@ def check_hypotheses(disc: Discretization,
             marker_ok = abs(classification.integral_marker) > classification.marker_tol
             report["determinants"]["H2"] = de
             report["H2"] = bool(marker_ok and abs(de) > HYPOTHESIS_DET_TOL)
-    for lam, _N in resonances or []:
-        det_r = detect_minus_one(disc.K(BranchPoint.boundary(lam, "+")),
-                                 disc.sectors, tol=1e-4)
-        if det_r is None:
-            report["H3"] = False
-            report["determinants"][f"H3@{lam:.6f}"] = 0.0
-            continue
-        B = det_r.eigenvectors
-        N = B.shape[1]
-        Bmat = np.array([[b_form(disc, lam, B[:, r], B[:, l])
-                          for l in range(N)] for r in range(N)])
-        d = complex(np.linalg.det(Bmat))
-        report["determinants"][f"H3@{lam:.6f}"] = d
-        report["H3"] = report["H3"] and abs(d) > HYPOTHESIS_DET_TOL
     return report

@@ -195,7 +195,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
                                       cls.detection.sector_counts),
                     "integral_marker": cls.integral_marker,
                     "marker_tol": cls.marker_tol,
-                    "hypotheses": {k: hyp[k] for k in ("H1", "H2", "H3")},
+                    "hypotheses": {k: hyp[k] for k in ("H1", "H2")},
                     "claims": [{"name": "hypotheses_hold",
                                 "tolerance": HYPOTHESIS_DET_TOL,
                                 "pass": bool(hyp["H1"] and hyp["H2"])}],
@@ -232,13 +232,20 @@ def run_pipeline(config: RunConfig) -> RunReport:
                 recs = []
                 for lam, _N in ctx.get("resonances", []):
                     rc = resonance_resolvent_expansion(disc, lam)
+                    # H3: det(B_lam0(u_i, u_j)) != 0 over the resonance states
+                    det_b = complex(np.linalg.det(rc.constants["B"]))
                     recs.append({"lam0": lam, "N0": rc.N0,
                                  "sector_counts": rc.detection.sector_counts,
                                  "chain_sectors": rc.basis.sectors,
                                  "sigma_machinery": rc.scaling.constant_machinery,
-                                 "sigma_formula": rc.scaling.constant_formula})
-                report.stages[stage] = _jsonable({"expansions": recs,
-                                                  "claims": []})
+                                 "sigma_formula": rc.scaling.constant_formula,
+                                 "det_B": det_b,
+                                 "H3": abs(det_b) > HYPOTHESIS_DET_TOL})
+                report.stages[stage] = _jsonable({
+                    "expansions": recs,
+                    "claims": [{"name": "hypothesis_H3",
+                                "tolerance": HYPOTHESIS_DET_TOL,
+                                "pass": all(r["H3"] for r in recs)}]})
             elif stage == "propagate":
                 ladder = (np.asarray(config.t_ladder, dtype=float)
                           if config.t_ladder else None)

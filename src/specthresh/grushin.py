@@ -14,11 +14,12 @@ inverse hold all four Grushin operators (Sjostrand & Zworski 2007):
 Because T S = Id these are the projected forms E = Pi' (Pi' M Pi' + Pi)^{-1}
 Pi' (Pi = S T, Pi' = Id - Pi), E_+ = S - E M S, E_- = T - T M E and
 E_-+ = -T M S + T M E M S, which `verify_grushin_identity` evaluates as its
-independent reference.  Everything is computed twice: as one truncated
-series inverse of P in sqrt(z) (or z - lam0) and by factoring P at sample
-points, and the two are cross-validated.  Both run on the parity-sector
-blocks of P, one block of size n_s + m_s per character of the model's
-reflection group (`GrushinReduction`).
+independent reference.  Everything is computed twice: as truncated series
+solves against P in sqrt(z) (or z - lam0), from one factorization of P at
+the anchor, and by factoring P at sample points, and the two are
+cross-validated.  Both run on the parity-sector blocks of P, one block of
+size n_s + m_s per character of the model's reflection group
+(`GrushinReduction`).
 
 A change of chain basis S -> S A, T -> A^{-1} T sends E_-+ to A^{-1} E_-+ A
 and leaves E, M^{-1} and det E_-+ as they are: the pole order, the Lidskii
@@ -42,7 +43,8 @@ from .birman_schwinger import (Discretization, EigenNearMinusOne,
 from .jordan import (JordanBasis, build_jordan_chains,
                      complex_symmetric_cholesky)
 from .kernels import BranchPoint
-from .series import ExpansionSeries
+from .series import ExpansionSeries, series_solve
+from .symmetry import BlockLU
 
 __all__ = [
     "GrushinReduction", "LidskiiScaling",
@@ -90,7 +92,6 @@ class ResonanceCoefficients:
     remainder_samples: List[Tuple[complex, float]]  # (offset, rel err vs R)
     R_m1: np.ndarray               # residue coefficient
     psi: List[np.ndarray]          # B-normalized outgoing states
-    P_res: np.ndarray              # sum of <., J psi_l> psi_l
     scaling: LidskiiScaling
     constants: Dict[str, object]
     basis: Optional[JordanBasis]
@@ -114,13 +115,16 @@ class GrushinReduction:
     with the group, and each chain lies in one sector (`JordanBasis.sectors`),
     so P is block diagonal with one block [[M_s, S_s], [T_s, 0]] of size
     n_s + m_s per sector (just M_s when the sector holds no chain).  The
-    reduction keeps R0_j as flat sector blocks, and one series of
-    P_s(u)^{-1} per sector (`inverse_blocks`); `columns` gives each
-    sector's chain columns in the flat chain order of `basis`.  E_-+ is
-    assembled m x m in that order, block diagonal by sector, and
-    M^{-1} R0 = (E - E_+ E_-+^{-1} E_-) R0 is formed block by block and
-    expanded to n x n once per coefficient (`resolvent_series`).  S (n x m)
-    and T (m x n) stay on the nodes for `verify_grushin_identity`.
+    reduction keeps R0_j as flat sector blocks and factors each P_s(0) once
+    (`BlockLU`); every series is a `series_solve` against P_s(u): the
+    columns P_s^{-1} [0; I] (`corner_blocks`: E_+ over E_-+) through the
+    cap, and P_s^{-1} [R0_s; 0] (`r0_blocks`: E R0 over E_- R0) as far as
+    the resolvent needs.  `columns` gives each sector's chain columns in
+    the flat chain order of `basis`.  E_-+ is assembled m x m in that
+    order, block diagonal by sector, and M^{-1} R0 = E R0 - E_+ E_-+^{-1}
+    (E_- R0) is formed block by block and expanded to n x n once per
+    coefficient (`resolvent_series`).  S (n x m) and T (m x n) stay on the
+    nodes for `verify_grushin_identity`.
 
     Every other per-anchor constant is fixed here (points near lam0 are
     offsets): the series cap (default), the point q_test at which the
@@ -185,29 +189,40 @@ class GrushinReduction:
         return P
 
     @cached_property
-    def inverse_blocks(self) -> List[ExpansionSeries]:
-        """For each sector, the series of P_s(u)^{-1} through the cap.
-        P_s(u) = P_s0 + sum_{r>=1} [[M_rs, 0], [0, 0]]: its orders r >= 1
-        are passed as the n_s x n_s M_rs, the leading block that
-        `ExpansionSeries.inverse` accepts."""
-        group = self.group
-        M = {j: group.split(self.disc.times_v(b)) for j, b in self._r0.items()}
-        out = []
-        for s, (S, T) in enumerate(zip(self._S, self._T)):
-            coeffs = {j: blocks[s] for j, blocks in M.items()}
-            coeffs[0] = self._bordered(coeffs[0] + np.eye(len(S)), S, T)
-            out.append(ExpansionSeries(self.var, coeffs, self.cap).inverse())
-        return out
+    def _lu(self) -> BlockLU:
+        """The checked LU of each sector's bordered P_s(0)."""
+        return BlockLU([self._bordered(M, S, T) for M, S, T in
+                        zip(self.group.split(self.disc.m_blocks(self._r0[0])),
+                            self._S, self._T)],
+                       "the bordered Grushin operator P(0)")
 
-    def _part(self, s: int, rows: str, cols: str) -> ExpansionSeries:
-        """One block of sector s's series of P_s^{-1}: "top" rows or
-        columns are the n_s of M_s, "bottom" the m_s of the chains."""
-        k = len(self._S[s])
-        cut = {"top": slice(None, k), "bottom": slice(k, None)}
-        D = self.inverse_blocks[s]
-        return ExpansionSeries(self.var, {j: c[cut[rows], cut[cols]]
-                                          for j, c in D.coeffs.items()},
-                               D.cap)
+    def _solve(self, rhs: Dict[int, List[np.ndarray]], order: int
+               ) -> List[List[np.ndarray]]:
+        """`series_solve` of P_s(u) X = rhs through `order` for every
+        sector, with M_r (r >= 1) passed as the leading n_s x n_s block of
+        the order-r coefficient of P_s(u), zero elsewhere."""
+        M = {r: self.group.split(self.disc.times_v(self._r0[r]))
+             for r in range(1, order + 1)}
+        return series_solve(self._lu.solve, M, rhs, order)
+
+    @cached_property
+    def corner_blocks(self) -> List[List[np.ndarray]]:
+        """P_s(u)^{-1} [0; I_{m_s}] through the cap: per order, a list of
+        sector blocks of n_s + m_s rows whose top n_s rows are E_+ and
+        bottom m_s rows E_-+ (`series_solve`)."""
+        rhs = [np.eye(len(S) + len(c))[:, len(S):]
+               for S, c in zip(self._S, self.columns)]
+        return self._solve({0: rhs}, self.cap)
+
+    def r0_blocks(self, order: int) -> List[List[np.ndarray]]:
+        """P_s(u)^{-1} [R0_s(u); 0] through `order`: per order, a list of
+        sector blocks whose top n_s rows are E R0 and bottom m_s rows
+        E_- R0 (`series_solve`)."""
+        group = self.group
+        rhs = {j: [np.vstack([B, np.zeros((len(c), len(B)))]) for B, c in
+                   zip(group.split(self._r0[j]), self.columns)]
+               for j in range(order + 1)}
+        return self._solve(rhs, order)
 
     @property
     def Emp_series(self) -> ExpansionSeries:
@@ -216,33 +231,36 @@ class GrushinReduction:
         m = self.S.shape[1]
         out = {j: np.zeros((m, m), dtype=complex)
                for j in range(self.cap + 1)}
-        for s, c in enumerate(self.columns):
-            if len(c):
-                for j, C in self._part(s, "bottom", "bottom").coeffs.items():
-                    out[j][np.ix_(c, c)] = C
+        for j, blocks in enumerate(self.corner_blocks):
+            for X, S, c in zip(blocks, self._S, self.columns):
+                out[j][np.ix_(c, c)] = X[len(S):]
         return ExpansionSeries(self.var, out, self.cap)
 
     def resolvent_series(self, L: int, F: Optional[ExpansionSeries] = None,
                          q: int = 0) -> ExpansionSeries:
         """M^{-1} R0 through order L, with M^{-1} = E - E_+ F E_- for F the
-        Laurent inverse of E_-+ (lowest order -q; None when m = 0), formed
-        on each sector's blocks and expanded to n x n per coefficient."""
-        group = self.group
-        r0 = {j: group.split(b) for j, b in self._r0.items() if j <= L + q}
+        Laurent inverse of E_-+ (lowest order -q; None when m = 0): on each
+        sector's blocks, E R0 - E_+ F (E_- R0) from one `r0_blocks` solve
+        through order L + q, expanded to n x n per coefficient."""
+        X = self.r0_blocks(L + q)
+
+        def part(s, rows, coeffs, cap):
+            return ExpansionSeries(self.var, {j: C[s][rows] for j, C
+                                              in enumerate(coeffs[:cap + 1])},
+                                   cap)
+
         blocks = []
-        for s, c in enumerate(self.columns):
-            Minv = self._part(s, "top", "top").truncated(L)
+        for s, (S, c) in enumerate(zip(self._S, self.columns)):
+            top, bottom = slice(None, len(S)), slice(len(S), None)
+            Rs = part(s, top, X, L)
             if len(c):
-                Fs = ExpansionSeries(self.var, {j: X[np.ix_(c, c)] for j, X
+                Fs = ExpansionSeries(self.var, {j: C[np.ix_(c, c)] for j, C
                                                 in F.coeffs.items()}, F.cap)
-                Minv = Minv - ((self._part(s, "top", "bottom").truncated(L + q)
-                                @ Fs.truncated(L))
-                               @ self._part(s, "bottom", "top").truncated(L + q))
-            R0s = ExpansionSeries(self.var, {j: b[s] for j, b in r0.items()},
-                                  L + q)
-            blocks.append(Minv @ R0s)
+                Rs = Rs - ((part(s, top, self.corner_blocks, L + q)
+                            @ Fs.truncated(L)) @ part(s, bottom, X, L + q))
+            blocks.append(Rs)
         return ExpansionSeries(self.var, {
-            j: group.expand([B.coeff(j) for B in blocks])
+            j: self.group.expand([B.coeff(j) for B in blocks])
             for j in range(-q, L + 1)}, L)
 
     # --- direct evaluation ------------------------------------------------
@@ -513,8 +531,6 @@ def threshold_resolvent_expansion(disc: Discretization,
                 raise ValueError(f"eigen block {b} has integral marker "
                                  f"{abs(disc.marker(u1)):.2e}")
         Phi_src, L_src = _eigen_phi_matrix(disc, basis, blocks)
-        constants["Phi"] = Phi_src
-        constants["L_source"] = L_src
         fac = complex(np.linalg.det(Phi_src))
         formula = fac if cls.kind == "second" else constants["a11"] * fac
         # normalize with the source-representation pairing: it evaluates the
@@ -559,7 +575,6 @@ def resonance_resolvent_expansion(disc: Discretization, lam0: float
     U = np.column_stack(vecs)
     Psi = U @ Q.T
     psi = [Psi[:, i] for i in range(Psi.shape[1])]
-    P_res = Psi @ (Psi * disc.w[:, None]).T
 
     # E_-+ leading block: A = -diag(1/c) Theta(M_1^+ u_j, u_i) = -diag(1/c) B (i / 8 pi sqrt(lam0))
     A = -np.diag([1.0 / c for c in basis.constants]) @ (B * (1j / (8.0 * np.pi * np.sqrt(lam0))))
@@ -568,6 +583,6 @@ def resonance_resolvent_expansion(disc: Discretization, lam0: float
     constants = {"c": list(basis.constants), "B": B, "A": A, "q": q}
     return ResonanceCoefficients(lam0=float(lam0), N0=basis.k, series=Rs,
                                  remainder_samples=samples,
-                                 R_m1=Rs.coeff(-1), psi=psi, P_res=P_res,
+                                 R_m1=Rs.coeff(-1), psi=psi,
                                  scaling=scal, constants=constants,
                                  basis=basis, detection=det)

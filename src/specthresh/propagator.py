@@ -23,8 +23,9 @@ import numpy as np
 from .birman_schwinger import Discretization, _contour_zeros
 from .symmetry import SectorLU
 from .kernels import BranchPoint
-from .model import weighted_operator_norm, weighted_sector_norm
+from .model import weighted_sector_norm
 from .grushin import ThresholdCoefficients
+from .series import series_solve
 
 __all__ = [
     "DecayReport", "generalized_integral", "free_propagator",
@@ -64,7 +65,7 @@ def resolvent_taylor(disc: Discretization, lam: float, order: int,
     exact for real distances and energies, and so are its blocks): R =
     M^{-1} B with B_p = G_p^+ / p! and M = Id + B V, so one checked LU of
     each block of M_0 (`SectorLU`) gives every T_p = M_0^{-1} (B_p -
-    sum_{r=1..p} B_r V T_{p-r}) block by block.  ValueError on a
+    sum_{r=1..p} B_r V T_{p-r}) block by block (`series_solve`).  ValueError on a
     non-finite block; LinAlgError when M_0 is singular or ill-conditioned
     (rcond below machine epsilon)."""
     group = disc.sectors
@@ -73,15 +74,10 @@ def resolvent_taylor(disc: Discretization, lam: float, order: int,
         Bp = group.blocks(disc.gj_plus(p, lam)) / math.factorial(p)
         B.append(Bp if side == "+" else np.conj(Bp))
     lu = SectorLU(group, disc.m_blocks(B[0]))
-    BV = [group.split(disc.times_v(Bp)) for Bp in B[1:]]
-    T: List[np.ndarray] = []
-    for p in range(order + 1):
-        rhs = group.split(B[p].copy())
-        for r in range(1, p + 1):
-            for R, A, X in zip(rhs, BV[r - 1], group.split(T[p - r])):
-                R -= A @ X
-        T.append(group.join(lu.solve(rhs)))
-    return T
+    BV = {r: group.split(disc.times_v(B[r])) for r in range(1, order + 1)}
+    T = series_solve(lu.solve, BV, {p: group.split(Bp)
+                                    for p, Bp in enumerate(B)}, order)
+    return [group.join(X) for X in T]
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +378,6 @@ def _loglog_fit(ts, ns) -> Tuple[float, float, float]:
     return float(slope), float(np.exp(b)), r2
 
 
-def _wnorm(grid, A: np.ndarray, s: float) -> float:
-    """Norm of <x>^{-s} A <x>^{-s} as an operator on L^2(grid), i.e. the
-    weighted operator norm of A from L^{2,s} to L^{2,-s}."""
-    return weighted_operator_norm(A, grid, s_in=s, s_out=-s)
-
-
 def verify_large_time(disc: Discretization,
                       coefficients: Optional[ThresholdCoefficients] = None,
                       s: float = 3.0,
@@ -398,9 +388,17 @@ def verify_large_time(disc: Discretization,
     first kind: slope -1/2 with coefficient (i pi)^{-1/2} <., J phi> phi;
     tuned second/third kind: the large-time limit is the threshold
     projection (constant term), the remainder decays with slope -1/2.
-    A non-zero potential without coefficients is a ValueError; so is a
-    `propagator` built on another discretization or other coefficients."""
-    grid = disc.grid
+    Every norm is the weighted operator norm from L^{2,s} to L^{2,-s} of
+    a G-invariant matrix (U(t), R_-2, P0, the first-kind target), taken on
+    its sector blocks (`weighted_sector_norm`).  A non-zero potential
+    without coefficients is a ValueError; so is a `propagator` built on
+    another discretization or other coefficients."""
+    grid, group = disc.grid, disc.sectors
+
+    def wnorm(A: np.ndarray) -> float:
+        return weighted_sector_norm(group, group.blocks(A), grid, s_in=s,
+                                    s_out=-s)
+
     ts = np.asarray(t_ladder if t_ladder is not None
                     else np.geomspace(10.0, 1000.0, 7), dtype=float)
     if propagator is not None and (propagator.disc is not disc or
@@ -422,7 +420,7 @@ def verify_large_time(disc: Discretization,
         Us = cp.propagate_many(ts)
     # second / third kind: constant term -R_{-2} plus a decaying remainder
     limit = -coefficients.R_m2 if kind in ("second", "third") else 0.0
-    norms = np.array([_wnorm(grid, Us[t] - limit, s) for t in ts])
+    norms = np.array([wnorm(Us[t] - limit) for t in ts])
     slope, amp, r2 = _loglog_fit(ts, norms)
     rep = DecayReport(kind=kind, times=ts, norms=norms,
                       predicted=amp * ts ** slope, slope_fit=slope,
@@ -434,12 +432,10 @@ def verify_large_time(disc: Discretization,
         phi = coefficients.phi
         target = (1j * np.pi) ** (-0.5) * np.outer(phi, grid.weights * phi)
         C = np.sqrt(tmax) * Us[tmax]
-        rep.coeff_rel_err = (_wnorm(grid, C - target, s)
-                             / _wnorm(grid, target, s))
+        rep.coeff_rel_err = wnorm(C - target) / wnorm(target)
     elif kind in ("second", "third"):
         P0 = coefficients.P0 if coefficients.P0 is not None else limit
-        rep.limit_rel_err = (_wnorm(grid, Us[tmax] - P0, s)
-                             / _wnorm(grid, P0, s))
+        rep.limit_rel_err = wnorm(Us[tmax] - P0) / wnorm(P0)
     if rep.r_squared < 0.9:
         rep.note = "decay window not reached"
     return rep

@@ -9,11 +9,11 @@ retained order so products stay exact up to the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-__all__ = ["ExpansionSeries"]
+__all__ = ["ExpansionSeries", "series_solve"]
 
 
 @dataclass
@@ -86,15 +86,6 @@ class ExpansionSeries:
                                {j: c for j, c in self.coeffs.items() if j <= cap},
                                cap)
 
-    # --- constructors -----------------------------------------------------
-    @staticmethod
-    def constant(mat: np.ndarray, variable: str, cap: int) -> "ExpansionSeries":
-        return ExpansionSeries(variable, {0: np.asarray(mat, dtype=complex)}, cap)
-
-    @staticmethod
-    def identity(n: int, variable: str, cap: int) -> "ExpansionSeries":
-        return ExpansionSeries.constant(np.eye(n), variable, cap)
-
     # --- structural operations -------------------------------------------
     def laurent_inverse(self, q: int) -> "ExpansionSeries":
         """Inverse series assuming lowest inverse order -q: solves the stacked
@@ -116,26 +107,6 @@ class ExpansionSeries:
         out = {b - q: sol[b * m:(b + 1) * m, :] for b in range(nb)}
         return ExpansionSeries(self.variable, out, L - q)
 
-    def inverse(self) -> "ExpansionSeries":
-        """Two-sided inverse of a regular series s through the cap, order by
-        order: D_0 = s_0^{-1}, D_j = -D_0 sum_{r=1..j} s_r D_{j-r}.  An order
-        r >= 1 may be stored as a leading k x k block of s_r, zero elsewhere:
-        the bordered (Grushin) series [[M_s(u), S_s], [T_s, 0]] of one
-        parity sector passes its n_s x n_s M_rs, and no zero-padded copy of
-        them is formed."""
-        if min(self.coeffs) < 0:
-            raise ValueError("inverse expects a regular input series")
-        D0 = np.linalg.inv(self.coeff(0))
-        D: Dict[int, np.ndarray] = {0: D0}
-        for j in range(1, self.cap + 1):
-            acc = np.zeros_like(D0)
-            for r in range(1, j + 1):
-                if r in self.coeffs:
-                    k = self.coeffs[r].shape[0]
-                    acc[:k] += self.coeffs[r] @ D[j - r][:k]
-            D[j] = -D0 @ acc
-        return ExpansionSeries(self.variable, D, self.cap)
-
     def det_series(self) -> Dict[int, complex]:
         """Determinant as a scalar series through the cap.  det s(u) is a
         polynomial of degree <= m cap, so its values at the N > m cap roots
@@ -150,3 +121,27 @@ class ExpansionSeries:
         dets = np.linalg.det(np.einsum("qj,jab->qab", powers, C))
         c = np.fft.fft(dets) / N
         return {int(j): complex(c[j]) for j in orders}
+
+
+def series_solve(solve: Callable[[List[np.ndarray]], List[np.ndarray]],
+                 M: Dict[int, Sequence[np.ndarray]],
+                 rhs: Dict[int, Sequence[np.ndarray]],
+                 order: int) -> List[List[np.ndarray]]:
+    """X_0, ..., X_order of P(u) X(u) = b(u) with P(u) = P_0 + sum_{r>=1}
+    M_r u^r, each X_p a list of blocks (one per sector), from solve(B) =
+    P_0^{-1} B on such a list: X_p = solve(b_p - sum_{r=1..p} M_r X_{p-r}).
+    `rhs` maps orders to the blocks of b_p (an order it lacks is zero; it
+    holds order 0) and `M` maps r >= 1 to those of M_r.  A block of M_r may
+    be the leading k x k block of P_r, zero elsewhere: the bordered Grushin
+    operator [[M_s(u), S_s], [T_s, 0]] passes its n_s x n_s M_rs, and no
+    zero-padded copy of them is formed."""
+    X: List[List[np.ndarray]] = []
+    for p in range(order + 1):
+        acc = ([np.array(B, dtype=complex) for B in rhs[p]] if p in rhs
+               else [np.zeros_like(Y) for Y in X[0]])
+        for r in range(1, p + 1):
+            for A, Mr, Y in zip(acc, M.get(r, ()), X[p - r]):
+                k = len(Mr)
+                A[:k] -= Mr @ Y[:k]
+        X.append(solve(acc))
+    return X

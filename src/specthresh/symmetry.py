@@ -25,12 +25,12 @@ identity basis.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
-__all__ = ["ReflectionGroup", "SectorLU", "reflection_axes"]
+__all__ = ["ReflectionGroup", "BlockLU", "SectorLU", "reflection_axes"]
 
 
 def reflection_axes(g: int) -> List[int]:
@@ -237,13 +237,47 @@ class _SectorTables(NamedTuple):
 # ---------------------------------------------------------------------------
 # checked block factorization
 
-class SectorLU:
-    """LAPACK getrf of every sector block of Id + R0 V, in place in the flat
-    block buffer, with the checks of `scipy.linalg.solve`.  ValueError on a
-    non-finite entry; LinAlgError on a zero pivot in any block, or when the
-    1-norm reciprocal condition number 1 / (max_s ||M_s||_1
-    max_s ||M_s^{-1}||_1), each inverse norm from the block's gecon, is
-    below machine epsilon."""
+class BlockLU:
+    """LAPACK getrf of each of a list of square blocks (in place where a
+    block is already complex and Fortran-ordered), with the checks of
+    `scipy.linalg.solve`.  ValueError on a non-finite entry; LinAlgError on
+    a zero pivot in any block, or when the 1-norm reciprocal condition
+    number 1 / (max_s ||B_s||_1 max_s ||B_s^{-1}||_1), each inverse norm
+    from the block's gecon, is below machine epsilon.  `name` names the
+    operator in the errors; `anorm` gives the ||B_s||_1 when the caller has
+    them (and has checked the blocks finite)."""
+
+    def __init__(self, blocks: Sequence[np.ndarray], name: str,
+                 anorm: Optional[np.ndarray] = None):
+        if anorm is None:
+            blocks = [np.asfortranarray(B, dtype=complex) for B in blocks]
+            if not all(np.isfinite(B).all() for B in blocks):
+                raise ValueError("array must not contain infs or NaNs")
+            anorm = np.array([np.abs(B).sum(axis=0).max() for B in blocks])
+        self._factors, inorm = [], 0.0
+        for B, a in zip(blocks, anorm):
+            lu, piv, info = zgetrf(B, overwrite_a=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(
+                    f"{name} is singular (zero pivot U[{info - 1}, "
+                    f"{info - 1}] of a {len(B)} x {len(B)} sector block)")
+            rc, _ = zgecon(lu, a, norm="1")
+            inorm = max(inorm, np.inf if rc == 0.0 else 1.0 / (rc * a))
+            self._factors.append((lu, piv))
+        rcond = 1.0 / (anorm.max() * inorm)
+        if not rcond >= np.finfo(float).eps:
+            raise np.linalg.LinAlgError(f"{name} is ill-conditioned "
+                                        f"(rcond {rcond:.3e})")
+
+    def solve(self, rhs: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """B_s^{-1} C_s for each block C_s of the right-hand side."""
+        return [zgetrs(lu, piv, C)[0] for (lu, piv), C in
+                zip(self._factors, rhs)]
+
+
+class SectorLU(BlockLU):
+    """`BlockLU` of every sector block of Id + R0 V, in place in the flat
+    block buffer, all block norms from one pass over it."""
 
     def __init__(self, group: ReflectionGroup, flat: np.ndarray):
         # contiguous complex: getrf overwrites the blocks' views in place,
@@ -256,25 +290,7 @@ class SectorLU:
         anorm = np.maximum.reduceat(np.add.reduceat(np.abs(flat), t.colstart),
                                     t.first)
         self._flat, self._diag, self._unpivoted = flat, t.diag, t.unpivoted
-        self._factors, inorm = [], 0.0
-        for B, a in zip(group.split(flat), anorm):
-            lu, piv, info = zgetrf(B, overwrite_a=1)
-            if info > 0:
-                raise np.linalg.LinAlgError(
-                    f"Id + R0 V is singular (zero pivot U[{info - 1}, "
-                    f"{info - 1}] of a {len(B)} x {len(B)} sector block)")
-            rc, _ = zgecon(lu, a, norm="1")
-            inorm = max(inorm, np.inf if rc == 0.0 else 1.0 / (rc * a))
-            self._factors.append((lu, piv))
-        rcond = 1.0 / (anorm.max() * inorm)
-        if not rcond >= np.finfo(float).eps:
-            raise np.linalg.LinAlgError(f"Id + R0 V is ill-conditioned "
-                                        f"(rcond {rcond:.3e})")
-
-    def solve(self, rhs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """M_s^{-1} B_s for each sector block B_s."""
-        return [zgetrs(lu, piv, B)[0] for (lu, piv), B in
-                zip(self._factors, rhs)]
+        super().__init__(group.split(flat), "Id + R0 V", anorm)
 
     def arg_det(self) -> float:
         """arg det M (mod 2 pi) = sum_s arg det M_s, since det Q = +-1."""

@@ -114,6 +114,24 @@ def boundary_pairing_double_sum(grid, V, lam: float, u, v) -> complex:
     return complex(acc)
 
 
+def outgoing_phase(grid, lam: float) -> np.ndarray:
+    """e^{i sqrt(lam) |x_i - x_j|}: one exponential per distinct distance,
+    gathered, with e^0 = 1 on the diagonal."""
+    values, index = grid.distance_classes
+    E = np.exp(1j * np.sqrt(lam) * values).take(index)
+    np.fill_diagonal(E, 1.0)
+    return E
+
+
+def b_form(disc, lam: float, u, v) -> complex:
+    """B_lambda(u, v) = double integral of e^{i sqrt(lam)|x-y|} u V (x)
+    v V (y) over the support, by the double quadrature sum through
+    `outgoing_phase`."""
+    fu = disc.w * disc.V * u
+    fv = disc.w * disc.V * v
+    return complex(fu @ outgoing_phase(disc.grid, lam) @ fv)
+
+
 def central_derivative(f, x0: float, h: float = 1e-5, order: int = 1):
     """Richardson-improved central finite differences for real-parameter
     derivatives of matrix/scalar functions."""
@@ -543,7 +561,7 @@ def dense_grushin_expansion(disc, point, tol: float, prefer=None) -> dict:
     (`dense_riesz_projection`) are n x n; the Jordan chains come from the
     n x n range basis of P (the library's staircase with the one-block
     group of the identity); the bordered series [[M(u), S], [T, 0]] is
-    inverted at size (n + m) by `ExpansionSeries.inverse`; q is the
+    inverted at size (n + m) by the plain inverse recursion; q is the
     smallest order whose Laurent inverse of E_-+ matches dense solves of
     the bordered matrix at -q_test, -q_test / 4 and i q_test to 1e-5; and
     R = (E - E_+ F E_-) R0 through the anchor's truncation order.  Returns
@@ -578,13 +596,19 @@ def dense_grushin_expansion(disc, point, tol: float, prefer=None) -> dict:
         B[:n, :n], B[:n, n:], B[n:, :n] = M, S, T
         return B
 
-    coeffs = {j: c * disc.V[None, :] for j, c in r0.items()}
-    coeffs[0] = bordered(coeffs[0] + np.eye(n))
-    D = ExpansionSeries(var, coeffs, cap).inverse()
+    # the inverse series D of the bordered P(u), order by order at full
+    # size: D_0 = P_0^{-1}, D_j = -D_0 sum_{r=1..j} [[M_r, 0], [0, 0]] D_{j-r}
+    D0 = np.linalg.inv(bordered(r0[0] * disc.V[None, :] + np.eye(n)))
+    D = {0: D0}
+    for j in range(1, cap + 1):
+        acc = np.zeros_like(D0)
+        for r in range(1, j + 1):
+            acc[:n] += (r0[r] * disc.V[None, :]) @ D[j - r][:n]
+        D[j] = -D0 @ acc
 
     def part(rows, cols):
-        return ExpansionSeries(var, {j: c[rows, cols] for j, c
-                                     in D.coeffs.items()}, cap)
+        return ExpansionSeries(var, {j: c[rows, cols] for j, c in D.items()},
+                               cap)
 
     top, bottom = slice(None, n), slice(n, None)
     Emp = part(bottom, bottom)

@@ -15,9 +15,9 @@ from specthresh.birman_schwinger import Discretization, \
 from specthresh.grushin import GrushinReduction, verify_grushin_identity
 from specthresh.jordan import projector_from_chains, verify_jordan_form
 from specthresh.kernels import BranchPoint, verify_threshold_expansion
-from specthresh.model import build_grid
+from specthresh.model import build_grid, weighted_operator_norm
 from specthresh.models import free_model
-from specthresh.propagator import _residue, _wnorm, check_high_energy, \
+from specthresh.propagator import _residue, check_high_energy, \
     generalized_integral, verify_large_time
 
 
@@ -227,8 +227,9 @@ def test_criterion_07_contour_representation(capsys, cut_first6, cut_second6,
                          np.linalg.norm(residues(left_out, t)) / norm)
     Us = cut_second6.propagate_many(ts)
     grid = cut_second6.disc.grid
-    walk = max(_wnorm(grid, Us[t] - walk_second6[t], 3.0)
-               / _wnorm(grid, walk_second6[t], 3.0) for t in ts)
+    walk = max(weighted_operator_norm(Us[t] - walk_second6[t], grid, 3.0, -3.0)
+               / weighted_operator_norm(walk_second6[t], grid, 3.0, -3.0)
+               for t in ts)
     ok = steep <= 1e-6 and shallow <= 1e-6 and walk <= 5e-4
     _report(capsys, 7, ok, f"CutPropagator over t in {{10,100,1000}}: first6 "
                    f"vs pi/4 line {_against(steep, 1e-6)}, vs pi/6 line plus "

@@ -6,10 +6,9 @@ import scipy.linalg as sla
 
 import oracles
 from specthresh import birman_schwinger
-from specthresh.birman_schwinger import (Discretization, _contour_zeros,
-                                         _outgoing_phase,
+from specthresh.birman_schwinger import (HYPOTHESIS_DET_TOL, Discretization,
+                                         _contour_zeros,
                                          _spectral_projector,
-                                         b_form,
                                          check_hypotheses, classify_zero,
                                          detect_minus_one, riesz_projection,
                                          scan_positive_resonances,
@@ -384,7 +383,7 @@ def test_b_form_matches_double_sum(disc_resonance):
     n = disc_resonance.grid.n
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = b_form(disc_resonance, 1.0, u, v)
+    got = oracles.b_form(disc_resonance, 1.0, u, v)
     want = oracles.boundary_pairing_double_sum(
         disc_resonance.grid, disc_resonance.V, 1.0, u, v)
     assert abs(got - want) < 1e-9 * abs(want)
@@ -393,11 +392,11 @@ def test_b_form_matches_double_sum(disc_resonance):
 @pytest.mark.parametrize("extent", [3.0, 2.93, 3.07])
 @pytest.mark.parametrize("lam", [0.04, 1.0, 1.1])
 def test_outgoing_phase_gather_is_bitwise(extent, lam):
-    # b_form's e^{i sqrt(lam)|x-y|}, gathered from the distance classes,
-    # against the exponential of the whole distance matrix
+    # the b_form oracle's e^{i sqrt(lam)|x-y|}, gathered from the distance
+    # classes, against the exponential of the whole distance matrix
     grid = build_grid(extent, 6)
     want = np.exp(1j * np.sqrt(lam) * grid.distance_matrix())
-    assert np.array_equal(_outgoing_phase(grid, lam), want)
+    assert np.array_equal(oracles.outgoing_phase(grid, lam), want)
 
 
 def test_scan_finds_tuned_resonance(disc_resonance):
@@ -486,7 +485,21 @@ def test_hypotheses_hold_on_tuned_models(cls_first, disc_first,
     assert h3["H1"] and h3["H2"]
 
 
-def test_hypothesis_h3_at_resonance(disc_resonance):
-    cls = classify_zero(disc_resonance)
-    rep = check_hypotheses(disc_resonance, cls, resonances=[(1.0, 1)])
-    assert rep["H3"]
+def test_hypothesis_h3_at_resonance(disc_resonance, res_coeffs):
+    # H3, det B != 0, on the B matrix the resonance expansion builds from
+    # the derivative kernel G_1^+, against the double-sum B_lambda of the
+    # b_form oracle on the -1 null vectors of K+(1) and on the same chain
+    # vectors (the two differ in the diagonal self-cell rule)
+    B = res_coeffs.constants["B"]
+    d = complex(np.linalg.det(B))
+    assert abs(d) > HYPOTHESIS_DET_TOL
+
+    def b_det(vecs):
+        return complex(np.linalg.det([[oracles.b_form(disc_resonance, 1.0,
+                                                      u, v) for v in vecs]
+                                      for u in vecs]))
+
+    null = res_coeffs.detection.eigenvectors
+    assert abs(b_det(list(null.T))) > HYPOTHESIS_DET_TOL
+    chains = [c[0] for c in res_coeffs.basis.chains]
+    assert abs(b_det(chains) - d) < 5e-2 * abs(d)

@@ -241,19 +241,37 @@ def test_propagate_stage_needs_threshold_coefficients(tmp_path, monkeypatch):
     assert not rep.all_passed
 
 
-def test_unchecked_h3_is_reported_as_null(tmp_path):
-    # the classify stage gives check_hypotheses no resonance list, so H3 is
-    # not evaluated and the report must not claim it holds
+def test_h3_is_recorded_per_resonance_expansion(tmp_path, monkeypatch):
+    # H3 is checked at each expanded resonance, on the B matrix of its
+    # expansion, and is a claim of the resonance_expand stage; classify
+    # records H1 and H2 only, not an unchecked H3
     path = _write(tmp_path, "cfg.json", {
-        "model": {"factory": "first_kind", "resolution": 4},
-        "stages": ["classify"]})
-    res = CliRunner().invoke(main, ["classify", "--config", path,
+        "model": {"factory": "resonance", "extent": 3.0, "resolution": 4},
+        "stages": ["classify", "resonance_scan", "resonance_expand"]})
+    res = CliRunner().invoke(main, ["report", "--config", path,
                                     "--out", str(tmp_path / "out")])
     assert res.exit_code == 0, res.output
-    text = (tmp_path / "out" / "report.json").read_text()
-    hyp = json.loads(text)["stages"]["classify"]["hypotheses"]
-    assert hyp["H3"] is None and '"H3": null' in text
-    assert hyp["H1"] is True and hyp["H2"] is True
+    stages = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "stages"]
+    assert stages["classify"]["hypotheses"] == {"H1": True, "H2": True}
+    (rec,) = stages["resonance_expand"]["expansions"]
+    det_b = complex(rec["det_B"]["re"], rec["det_B"]["im"])
+    assert rec["H3"] is True and abs(det_b) > cli.HYPOTHESIS_DET_TOL
+    assert stages["resonance_expand"]["claims"] == [
+        {"name": "hypothesis_H3", "tolerance": cli.HYPOTHESIS_DET_TOL,
+         "pass": True}]
+    # a singular B fails the claim and the run
+    real = cli.resonance_resolvent_expansion
+
+    def singular_b(disc, lam0):
+        rc = real(disc, lam0)
+        rc.constants["B"] = np.zeros_like(rc.constants["B"])
+        return rc
+
+    monkeypatch.setattr(cli, "resonance_resolvent_expansion", singular_b)
+    rep = run_pipeline(load_config(path))
+    (rec,) = rep.stages["resonance_expand"]["expansions"]
+    assert rec["H3"] is False and not rep.all_passed
 
 
 def test_emit_plot_data_contour(tmp_path, first4_report):

@@ -1,9 +1,11 @@
 """Every exported name resolves: each module's __all__ names only objects
 that exist, and every public name of the package is listed in the __all__ of
-a module that defines it; no module imports a name it never reads, and none
-imports scipy beyond scipy.linalg."""
+a module that defines it; no module imports a name it never reads, none
+imports scipy beyond scipy.linalg, and every entry point the benchmark's
+tracer wraps exists."""
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,26 @@ def test_heavy_scipy_guard_sees_every_import_form(tmp_path):
 def test_module_imports_no_scipy_beyond_linalg(path):
     # the pipeline's import floor is numpy, scipy.linalg and click
     assert not _heavy_scipy_imports(path)
+
+
+def _tracing():
+    """bench/tracing.py, loaded from its file (it imports no third-party
+    module and installs nothing on import)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_entry_points_resolve():
+    # a traced run (`bench/run.py --trace 1`) wraps each of these by
+    # getattr: a deletion in the package must not break it
+    tracing = _tracing()
+    missing = [f"{m}.{f}" for m, f, *_ in tracing.FUNCTIONS
+               if not callable(getattr(importlib.import_module(
+                   f"specthresh.{m}"), f, None))]
+    missing += [f"{m}.{c}.{f}" for m, c, f, *_ in tracing.METHODS
+                if not callable(getattr(getattr(importlib.import_module(
+                    f"specthresh.{m}"), c, None), f, None))]
+    assert not missing

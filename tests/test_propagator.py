@@ -10,12 +10,12 @@ import oracles
 from specthresh import propagator
 from specthresh.birman_schwinger import Discretization
 from specthresh.kernels import BranchPoint
-from specthresh.model import build_grid
+from specthresh.model import build_grid, weighted_operator_norm
 from specthresh.grushin import threshold_resolvent_expansion
 from specthresh.models import (first_kind_model, free_model, regular_model,
                                resonance_model, third_kind_model)
 from specthresh.propagator import (_WEIGHT_CUT, CutPropagator, _residue,
-                                   _wnorm, check_high_energy, free_propagator,
+                                   check_high_energy, free_propagator,
                                    generalized_integral, resolvent_taylor,
                                    verify_large_time)
 
@@ -102,7 +102,8 @@ def cut_first4():
 def test_cut_propagator_frozen_norms(cut_first4):
     model, cp, Us = cut_first4
     assert cp.jump == {}
-    norms = [_wnorm(model.grid, Us[t], 3.0) for t in LADDER]
+    norms = [weighted_operator_norm(Us[t], model.grid, 3.0, -3.0)
+             for t in LADDER]
     np.testing.assert_allclose(norms, FROZEN_NORMS_FIRST4, rtol=1e-10)
     np.testing.assert_allclose(WALK_NORMS_FIRST4, FROZEN_NORMS_FIRST4,
                                rtol=5e-4)
@@ -155,12 +156,13 @@ def test_line_plus_residues_match_branch_cut_walk_second6(cut_second6,
     assert sorted(walk) == list(LADDER)
     grid = cp.disc.grid
     for t in LADDER:
-        err = _wnorm(grid, Us[t] - walk[t], 3.0) / _wnorm(grid, walk[t], 3.0)
+        err = (weighted_operator_norm(Us[t] - walk[t], grid, 3.0, -3.0)
+               / weighted_operator_norm(walk[t], grid, 3.0, -3.0))
         assert err <= 5e-4, t
     t = LADDER[0]
     bare = Us[t] + sum(_residue(*c, t) for c in cp._crossed)
-    assert _wnorm(grid, bare - walk[t], 3.0) \
-        > 1e-2 * _wnorm(grid, walk[t], 3.0)
+    assert weighted_operator_norm(bare - walk[t], grid, 3.0, -3.0) \
+        > 1e-2 * weighted_operator_norm(walk[t], grid, 3.0, -3.0)
 
 
 def test_census_winding_must_match_structural_order(cut_first4):

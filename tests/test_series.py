@@ -1,12 +1,12 @@
-"""Truncated matrix Laurent series: arithmetic, evaluation, inversion and
-determinant coefficients."""
+"""Truncated matrix Laurent series: arithmetic, evaluation, Laurent
+inversion, the series solve and determinant coefficients."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from specthresh.series import ExpansionSeries
+from specthresh.series import ExpansionSeries, series_solve
 
 
 def _random_series(rng, n=3, cap=4, lowest=0):
@@ -57,13 +57,6 @@ def test_truncated_drops_high_orders():
     t = a.truncated(2)
     assert t.cap == 2
     assert max(t.coeffs) <= 2
-
-
-def test_identity_and_constant():
-    I = ExpansionSeries.identity(3, "u", 2)
-    C = ExpansionSeries.constant(2.0 * np.eye(3), "u", 2)
-    assert np.allclose((I @ C).coeff(0), 2.0 * np.eye(3))
-    assert np.allclose((I @ C).coeff(1), 0.0)
 
 
 def test_laurent_inverse_regular():
@@ -120,38 +113,47 @@ def test_det_series_rejects_negative_orders():
         s.det_series()
 
 
-def test_inverse_is_two_sided_through_cap():
+def _lu_solve(P0s):
+    """solve(B) = P_0^{-1} B, block by block."""
+    return lambda rhs: [np.linalg.solve(P0, B) for P0, B in zip(P0s, rhs)]
+
+
+def test_series_solve_solves_through_cap():
+    # two blocks of different sizes; b(u) lacks orders 1 and 3 (zero there)
     rng = np.random.default_rng(12)
-    a = _random_series(rng, n=4, cap=5)
-    a.coeffs[0] += 4.0 * np.eye(4)     # regular: invertible order-0 term
-    inv = a.inverse()
-    for prod in (a @ inv, inv @ a):
-        assert np.allclose(prod.coeff(0), np.eye(4), atol=1e-12)
-        for j in range(1, a.cap + 1):
-            assert np.allclose(prod.coeff(j), 0.0, atol=1e-10)
-    with pytest.raises(ValueError):
-        ExpansionSeries("u", {-1: np.eye(2), 0: np.eye(2)}, 2).inverse()
+    P = [_random_series(rng, n=n, cap=5) for n in (4, 2)]
+    for a in P:
+        a.coeffs[0] += 4.0 * np.eye(len(a.coeffs[0]))   # invertible P_0
+    b = [{j: rng.standard_normal((len(a.coeffs[0]), 3)) for j in (0, 2, 4, 5)}
+         for a in P]
+    X = series_solve(_lu_solve([a.coeff(0) for a in P]),
+                     {r: [a.coeff(r) for a in P] for r in range(1, 6)},
+                     {j: [bs[j] for bs in b] for j in (0, 2, 4, 5)}, 5)
+    assert len(X) == 6
+    for s, (a, bs) in enumerate(zip(P, b)):
+        prod = a @ ExpansionSeries("u", {j: Xj[s] for j, Xj in enumerate(X)},
+                                   5)
+        for j in range(6):
+            assert np.allclose(prod.coeff(j), bs.get(j, 0.0), atol=1e-10), j
 
 
-def test_inverse_of_bordered_series_from_leading_blocks():
-    # orders >= 1 given as their leading 3 x 3 block invert like the same
-    # series with those blocks zero-padded to 5 x 5
+def test_series_solve_takes_leading_blocks():
+    # orders >= 1 given as their leading 3 x 3 block of the bordered 5 x 5
+    # series solve like the same series with those blocks zero-padded
     rng = np.random.default_rng(13)
     a = _random_series(rng, n=3, cap=4)
     S = rng.standard_normal((3, 2))
     T = rng.standard_normal((2, 3))
     P0 = np.block([[a.coeff(0) + 4.0 * np.eye(3), S], [T, np.zeros((2, 2))]])
-    padded = {j: np.pad(c, ((0, 2), (0, 2))) for j, c in a.coeffs.items()}
-    padded[0] = P0
-    blocks = {**a.coeffs, 0: P0}
-    got = ExpansionSeries("u", blocks, a.cap).inverse()
-    want = ExpansionSeries("u", padded, a.cap)
+    rhs = {j: [rng.standard_normal((5, 4))] for j in range(a.cap + 1)}
+    solve = _lu_solve([P0])
+    got = series_solve(solve, {r: [a.coeff(r)] for r in range(1, a.cap + 1)},
+                       rhs, a.cap)
+    padded = series_solve(solve, {r: [np.pad(a.coeff(r), ((0, 2), (0, 2)))]
+                                  for r in range(1, a.cap + 1)}, rhs, a.cap)
     for j in range(a.cap + 1):
-        assert got.coeff(j).shape == (5, 5)
-    prod = want @ got
-    assert np.allclose(prod.coeff(0), np.eye(5), atol=1e-12)
-    for j in range(1, a.cap + 1):
-        assert np.allclose(prod.coeff(j), 0.0, atol=1e-10)
+        assert got[j][0].shape == (5, 4)
+        assert np.allclose(got[j][0], padded[j][0], rtol=1e-13, atol=1e-13)
 
 
 @settings(max_examples=20, deadline=None)

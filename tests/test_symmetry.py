@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from specthresh import symmetry
+from specthresh import grushin, symmetry
 from specthresh.birman_schwinger import (Discretization, _contour_zeros,
                                          detect_minus_one,
                                          invariant_subgroup, riesz_projection,
@@ -170,6 +170,26 @@ def test_node_permutation_permutes_resolvent_and_keeps_census():
         assert len(c[key]) == len(pc[key]), key
         for a, b in zip(c[key], pc[key]):
             assert abs(a["k"] - b["k"]) <= 1e-9 * abs(a["k"]), key
+
+
+def test_block_lu_solves_and_checks_blocks_of_any_size():
+    # the factorization of the bordered Grushin blocks: blocks of unequal
+    # sizes, solved as scipy.linalg.solve would, with its three checks
+    rng = np.random.default_rng(4)
+    blocks = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+              for k in (3, 5)]
+    rhs = [rng.standard_normal((k, 2)) for k in (3, 5)]
+    got = symmetry.BlockLU([B.copy() for B in blocks], "P").solve(rhs)
+    for X, B, C in zip(got, blocks, rhs):
+        assert np.allclose(X, scipy.linalg.solve(B, C), rtol=1e-12,
+                           atol=1e-12)
+    singular = [np.eye(3), np.diag([1.0, 0.0])]
+    with pytest.raises(np.linalg.LinAlgError, match="P is singular"):
+        symmetry.BlockLU(singular, "P")
+    with pytest.raises(np.linalg.LinAlgError, match="P is ill-conditioned"):
+        symmetry.BlockLU([np.eye(3), np.diag([1.0, 1e-17])], "P")
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        symmetry.BlockLU([np.eye(3), np.diag([1.0, np.nan])], "P")
 
 
 def test_resolvent_raises_at_the_embedded_resonance(resonance8):
@@ -468,25 +488,25 @@ _EXPANSION_OPS = _DECOMPOSITIONS + (
 
 
 def _record_expansion_shapes(monkeypatch):
-    """(shapes, inverses): the matrix shape of every decomposition, solve,
+    """(shapes, bordered): the matrix shape of every decomposition, solve,
     inverse, least-squares solve and determinant (the last two axes), the
     sector layer's getrf and both operands of every series product; and
-    the coefficient shape of every series inversion."""
+    the block shapes of every factorization of the bordered P(0)."""
     shapes = _record_shapes(monkeypatch, _EXPANSION_OPS)
-    inverses = []
-    inverse, matmul = ExpansionSeries.inverse, ExpansionSeries.__matmul__
+    bordered = []
+    block_lu, matmul = grushin.BlockLU, ExpansionSeries.__matmul__
 
-    def recording_inverse(self):
-        inverses.append(self.shape)
-        return inverse(self)
+    def recording_lu(blocks, *args, **kwargs):
+        bordered.append([np.shape(B) for B in blocks])
+        return block_lu(blocks, *args, **kwargs)
 
     def recording_matmul(self, other):
         shapes.extend((self.shape, other.shape))
         return matmul(self, other)
 
-    monkeypatch.setattr(ExpansionSeries, "inverse", recording_inverse)
+    monkeypatch.setattr(grushin, "BlockLU", recording_lu)
     monkeypatch.setattr(ExpansionSeries, "__matmul__", recording_matmul)
-    return shapes, inverses
+    return shapes, bordered
 
 
 @pytest.mark.parametrize("name, chain_sectors", [("third8", [0, 1]),
@@ -494,30 +514,34 @@ def _record_expansion_shapes(monkeypatch):
 def test_expansions_decompose_only_sector_blocks(name, chain_sectors,
                                                  request, monkeypatch):
     # a silent fallback to an n x n Jordan range basis or an (n + m) x
-    # (n + m) bordered series or solve fails this count
+    # (n + m) bordered factorization, series or solve fails this bound
     model = request.getfixturevalue(name)
     disc = Discretization(model)
-    shapes, inverses = _record_expansion_shapes(monkeypatch)
+    shapes, bordered = _record_expansion_shapes(monkeypatch)
     if name == "third8":
         coeffs = threshold_resolvent_expansion(disc)
     else:
         coeffs = resonance_resolvent_expansion(disc, 1.0)
     bound = model.grid.n // 8 + coeffs.basis.m
     assert max(max(s[-2:]) for s in shapes) <= bound, bound
-    assert len(shapes) >= 100
     assert coeffs.basis.sectors == chain_sectors
     sizes = disc.symmetry["sector_sizes"]
     m_s = [chain_sectors.count(s) for s in range(len(sizes))]
-    # one bordered series per sector, of size n_s + m_s
-    assert inverses == [(k + m, k + m) for k, m in zip(sizes, m_s)]
+    # one factorization of the bordered P_s(0) per sector, of size n_s + m_s;
+    # the shape recorder sees each of them (its getrf) and the sector
+    # blocks of the Jordan chain search (a Schur form per block)
+    want = [(k + m, k + m) for k, m in zip(sizes, m_s)]
+    assert bordered == [want]
+    assert all(s in shapes for s in want)
+    assert shapes.count((sizes[0], sizes[0])) >= len(sizes)
 
 
 def test_asymmetric_expansion_takes_one_bordered_block(monkeypatch):
     model = _tuned_asymmetric()
     disc = Discretization(model)
-    shapes, inverses = _record_expansion_shapes(monkeypatch)
+    shapes, bordered = _record_expansion_shapes(monkeypatch)
     coeffs = threshold_resolvent_expansion(disc)
     n, m = model.grid.n, coeffs.basis.m
     assert coeffs.basis.sectors == [0]
-    assert inverses == [(n + m, n + m)]
+    assert bordered == [[(n + m, n + m)]]
     assert max(max(s[-2:]) for s in shapes) == n + m
