@@ -45,14 +45,18 @@ _V_SYMMETRY_TOL = 1e-13
 _CACHED_GJ = (0, 2)
 
 
+def _v_deviation(V: np.ndarray, m: np.ndarray) -> float:
+    """|V o m - V| / max |V| for the node map m (0 when V vanishes)."""
+    vmax = float(np.max(np.abs(V)))
+    return float(np.max(np.abs(V[m] - V))) / vmax if vmax else 0.0
+
+
 def invariant_subgroup(grid_group: ReflectionGroup, V: np.ndarray
                        ) -> Tuple[ReflectionGroup, List[float]]:
     """The subgroup of the grid reflections g with |V o g - V| <=
     _V_SYMMETRY_TOL max |V|, and |V o g - V| / max |V| for every element of
     `grid_group` (0 when V vanishes)."""
-    vmax = float(np.max(np.abs(V)))
-    dev = [float(np.max(np.abs(V[m] - V))) / vmax if vmax else 0.0
-           for m in grid_group.maps]
+    dev = [_v_deviation(V, m) for m in grid_group.maps]
     return grid_group.subgroup([int(g) for g, d in
                                 zip(grid_group.elements, dev)
                                 if d <= _V_SYMMETRY_TOL]), dev
@@ -68,7 +72,11 @@ class Discretization:
     weights, `QuadratureGrid.reflections`) and V onto themselves, found on
     first use.  M(k) is one block per character of that group, eight
     blocks of about n / 8 on the reference models; a model without
-    symmetry is one n x n block.  The analysis of K0 and K+(lam)
+    symmetry is one n x n block.  An axis permutation that maps the grid,
+    V and the group onto themselves makes blocks equivalent, and each
+    class of equivalent blocks is factored once (`SectorLU`): 4 of the 8
+    blocks on the first-kind, regular and resonance models, 6 on the
+    second and third kind.  The analysis of K0 and K+(lam)
     (`detect_minus_one`, `riesz_projection`) and the resolvent Taylor
     coefficients (`propagator.resolvent_taylor`) run on the same blocks.
     `symmetry` records the group."""
@@ -85,20 +93,33 @@ class Discretization:
     @cached_property
     def sectors(self) -> ReflectionGroup:
         """The grid reflections that leave V invariant
-        (`invariant_subgroup`), with their sector basis; sets `symmetry`:
-        the group order, the sector sizes, the largest |V o g - V| / max |V|
-        among the kept reflections and the grid reflections V breaks (the
-        axes each flips)."""
+        (`invariant_subgroup`), with their sector basis, and the axis
+        permutations that map the grid (`QuadratureGrid.axis_permutations`),
+        V (to _V_SYMMETRY_TOL max |V|) and that group onto themselves, which
+        sort the sectors into classes of equivalent blocks; sets
+        `symmetry`: the group order, the sector sizes, the largest
+        |V o g - V| / max |V| among the kept reflections, the grid
+        reflections V breaks (the axes each flips), the kept permutations
+        (the image of the axes 1, 2, 3) with their |V o pi - V| / max |V|,
+        and the representative sector of each sector's class."""
         grid_group = self.grid.reflections
         group, dev = invariant_subgroup(grid_group, self.V)
         keep = set(int(g) for g in group.elements)
+        perms = [(perm, m, _v_deviation(self.V, m)) for perm, m in
+                 self.grid.axis_permutations.items()]
+        perms = [(perm, m, d) for perm, m, d in perms
+                 if d <= _V_SYMMETRY_TOL and group.conjugation(m) is not None]
+        group = group.with_permutations([m for _, m, _ in perms])
         self.symmetry = {
             "order": group.order, "grid_order": grid_group.order,
             "sector_sizes": [len(c) for c in group.sector_orbits],
             "max_v_deviation": max(d for g, d in zip(grid_group.elements, dev)
                                    if int(g) in keep),
             "broken_by_v": [reflection_axes(int(g)) for g in
-                            grid_group.elements if int(g) not in keep]}
+                            grid_group.elements if int(g) not in keep],
+            "permutations": [{"axes": [a + 1 for a in perm],
+                              "v_deviation": d} for perm, _, d in perms],
+            "sector_classes": group.sector_classes}
         return group
 
     # --- free kernels -----------------------------------------------------
@@ -165,22 +186,33 @@ class Discretization:
         return self.V[self.sectors.reps][self.sectors.flat_columns]
 
     def R(self, bp: BranchPoint) -> np.ndarray:
-        """Full resolvent of the model, (Id + R0 V)^{-1} R0, sector by
-        sector."""
+        """Full resolvent of the model, (Id + R0 V)^{-1} R0, n x n, sector
+        by sector."""
         return self._resolve(self.r0(bp))
 
+    def R_sectors(self, bp: BranchPoint) -> np.ndarray:
+        """The flat sector blocks of the resolvent (`r0_sectors`,
+        `_resolve_blocks`): no n x n matrix is formed."""
+        return self._resolve_blocks(self.r0_sectors(bp))
+
     def _resolve(self, r0: np.ndarray) -> np.ndarray:
-        """(Id + R0 V)^{-1} R0 for an assembled R0: its sector blocks
-        R0_s, one checked getrf (`SectorLU`) and getrs per block, expanded
-        to n x n.  ValueError on a non-finite input; LinAlgError on a zero
-        pivot in a block, or when the 1-norm reciprocal condition number
-        over the blocks is below machine epsilon."""
+        """(Id + R0 V)^{-1} R0 for an assembled R0, from its sector blocks
+        (`_resolve_blocks`), expanded to n x n.  ValueError on a non-finite
+        input."""
         if not np.isfinite(r0).all():
             raise ValueError("array must not contain infs or NaNs")
         group = self.sectors
-        R0s = group.blocks(r0)
-        lu = SectorLU(group, self.m_blocks(R0s))
-        return group.expand(lu.solve(group.split(R0s)))
+        return group.expand(group.split(self._resolve_blocks(
+            group.blocks(r0))))
+
+    def _resolve_blocks(self, R0s: np.ndarray) -> np.ndarray:
+        """The flat blocks of (Id + R0 V)^{-1} R0 from those of R0: one
+        checked getrf (`SectorLU`) and getrs per class of equivalent
+        blocks, the other blocks gathered (`SectorLU.solve_flat`).
+        LinAlgError on a zero pivot in a block, or when the 1-norm
+        reciprocal condition number over the blocks is below machine
+        epsilon."""
+        return SectorLU(self.sectors, self.m_blocks(R0s)).solve_flat(R0s)
 
     # --- pairings ---------------------------------------------------------
     def pair(self, u: np.ndarray, v: np.ndarray) -> complex:
@@ -484,8 +516,8 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
                    ) -> Tuple[List[Tuple[complex, np.ndarray]], int]:
     """Zeros of the entire M(k) = Id + R0(k^2) V, k on both sheets, inside
     the ellipse center + ax cos th + i ay sin th (Beyn's method): one
-    checked LU of each sector block of M per trapezoidal node
-    (`SectorLU`) gives the moments A_p = (1/2 pi i) oint
+    checked LU per class of equivalent sector blocks of M per trapezoidal
+    node (`SectorLU`) gives the moments A_p = (1/2 pi i) oint
     (k - center)^p M^{-1} P dk (p = 0, 1) of a fixed probe block P, held in
     sector coordinates Q^T A_p (Q orthogonal: same singular values and
     pencil), and arg det M = sum of the blocks' arg det.  Accepted only if
@@ -493,27 +525,39 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
     each pencil eigenvalue lies inside and sigma_min of M, from its sector
     blocks, is negligible there; else ValueError.  Returns the distinct
     zeros with the singular values of M at each (descending), and the count
-    (`count_only`: the count alone)."""
-    n = disc.grid.n
+    (`count_only`: the count alone, from the factorizations alone: no probe
+    solve and no moments)."""
+    n, group = disc.grid.n, disc.sectors
     rng = np.random.default_rng(0)
     P = rng.standard_normal((n, _PROBES)) + 1j * rng.standard_normal((n, _PROBES))
-    Ps = disc.sectors.to_sectors(P)
+    # the probe blocks stacked per class of equivalent blocks: X and the
+    # moments stay in that layout, a fixed signed permutation of the
+    # sector coordinates, until the moments are unstacked
+    Pc = group.stack_classes(group.to_sectors(P))
+    shapes = [C.shape for C in Pc]
     th = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
     dk = ax * np.cos(th) + 1j * ay * np.sin(th)
     wq = (-ax * np.sin(th) + 1j * ay * np.cos(th)) / (1j * n_nodes)
-    A0, A1 = np.zeros((2, n, _PROBES), dtype=complex)
+    A = np.zeros((2, n * _PROBES), dtype=complex)
     scale, arg_det = 0.0, np.empty(n_nodes)
     for q, blocks in _contour_matrices(disc, center, dk):
-        lu = SectorLU(disc.sectors, blocks)
-        X = np.concatenate(lu.solve(Ps))
-        A0 += wq[q] * X
-        A1 += (wq[q] * dk[q]) * X
-        scale += abs(wq[q]) * np.linalg.norm(X)
+        lu = SectorLU(group, blocks)
         arg_det[q] = lu.arg_det()
+        if count_only:
+            continue
+        X = np.concatenate([Z.ravel(order="F")
+                            for Z in lu.solve_classes(Pc)])
+        A[0] += wq[q] * X
+        A[1] += (wq[q] * dk[q]) * X
+        scale += abs(wq[q]) * np.linalg.norm(X)
     steps = np.angle(np.exp(1j * np.diff(arg_det, append=arg_det[0])))
     count = int(round(steps.sum() / (2.0 * np.pi)))
     if count_only:
         return [], count
+    cut = np.cumsum([0] + [a * b for a, b in shapes])
+    A0, A1 = (np.concatenate(group.unstack_classes(
+        [Ap[i:j].reshape(shape, order="F")
+         for i, j, shape in zip(cut[:-1], cut[1:], shapes)])) for Ap in A)
     U, s, Wh = sla.svd(A0, full_matrices=False)
     rank = int((s > _RANK_TOL * scale).sum())
     if rank != count or count >= _PROBES:

@@ -9,9 +9,10 @@ a QuadratureGrid; weighted L^2 norms are realized as diagonal scalings by
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -120,6 +121,18 @@ class QuadratureGrid:
             if m is not None:
                 maps[g] = m
         return ReflectionGroup(maps)
+
+    @cached_property
+    def axis_permutations(self) -> Dict[Tuple[int, ...], np.ndarray]:
+        """{perm: node map} of the axis permutations x -> x[perm] other than
+        the identity that take the grid onto itself (`node_map`).  Computed
+        once per grid, on first use."""
+        maps = {}
+        for perm in itertools.permutations(range(3)):
+            m = self.node_map(perm, [1.0, 1.0, 1.0])
+            if perm != (0, 1, 2) and m is not None:
+                maps[perm] = m
+        return maps
 
     def cell_radii(self) -> np.ndarray:
         """Radius of the equal-volume ball of each quadrature cell."""

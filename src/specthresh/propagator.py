@@ -63,11 +63,11 @@ def resolvent_taylor(disc: Discretization, lam: float, order: int,
     `expand(split(T_p))` gives the n x n matrix), built from the analytic
     derivative kernels (the -i0 side uses the entrywise conjugate kernels,
     exact for real distances and energies, and so are its blocks): R =
-    M^{-1} B with B_p = G_p^+ / p! and M = Id + B V, so one checked LU of
-    each block of M_0 (`SectorLU`) gives every T_p = M_0^{-1} (B_p -
-    sum_{r=1..p} B_r V T_{p-r}) block by block (`series_solve`).  ValueError on a
-    non-finite block; LinAlgError when M_0 is singular or ill-conditioned
-    (rcond below machine epsilon)."""
+    M^{-1} B with B_p = G_p^+ / p! and M = Id + B V, so one checked LU per
+    class of equivalent blocks of M_0 (`SectorLU`) gives every
+    T_p = M_0^{-1} (B_p - sum_{r=1..p} B_r V T_{p-r}) block by block
+    (`series_solve`, `SectorLU.solve_flat`).  ValueError on a non-finite block; LinAlgError when
+    M_0 is singular or ill-conditioned (rcond below machine epsilon)."""
     group = disc.sectors
     B = []
     for p in range(order + 1):
@@ -75,8 +75,11 @@ def resolvent_taylor(disc: Discretization, lam: float, order: int,
         B.append(Bp if side == "+" else np.conj(Bp))
     lu = SectorLU(group, disc.m_blocks(B[0]))
     BV = {r: group.split(disc.times_v(B[r])) for r in range(1, order + 1)}
-    T = series_solve(lu.solve, BV, {p: group.split(Bp)
-                                    for p, Bp in enumerate(B)}, order)
+    # every B_p, and so every right-hand side of the recursion, commutes
+    # with the permutations too: only the representatives' blocks are solved
+    T = series_solve(lambda C: group.split(lu.solve_flat(group.join(C))),
+                     BV, {p: group.split(Bp) for p, Bp in enumerate(B)},
+                     order)
     return [group.join(X) for X in T]
 
 
@@ -126,7 +129,10 @@ class CutPropagator:
     The line is Gauss-Hermite in s sqrt(t) on symmetric nodes (the principal
     value at k = 0), each R(k) streamed into U(t).  Every M(k) the
     propagator factors (line, rings, census, band and pole contours) is
-    factored block by block in the parity sectors of `disc`."""
+    factored once per class of equivalent parity-sector blocks of `disc`
+    (`SectorLU`); the line, the ring moments, the residues and U(t) stay in
+    flat sector blocks (`propagate_blocks`), and `propagate_many` expands
+    each U(t) to n x n once."""
 
     def __init__(self, disc: Discretization, coeffs: ThresholdCoefficients):
         self.disc = disc
@@ -198,44 +204,56 @@ class CutPropagator:
                        "crossed": crossed, "left_out": left_out}
 
     def _ring_moments(self, k: complex, zeros: Sequence[complex]):
-        """A_{-p} = (1/2 pi i) oint (k' - k)^{p-1} R dk', p = 1, 2, on a ring
-        around the zero k, at most _RING_MAX and a third of the way to 0 and
-        to the other `zeros`, each node's R streamed into them.  ValueError
-        if A_{-3} shows a pole of order 3 or more."""
+        """A_{-p} = (1/2 pi i) oint (k' - k)^{p-1} R dk', p = 1, 2, as flat
+        sector blocks, on a ring around the zero k, at most _RING_MAX and a
+        third of the way to 0 and to the other `zeros`, each node's R
+        (`Discretization.R_sectors`) streamed into them.  ValueError if
+        A_{-3} shows a pole of order 3 or more."""
         rho = min([_RING_MAX, abs(k) / 3.0]
                   + [abs(k - k2) / 3.0 for k2 in zeros if k2 != k])
-        A = np.zeros((3, self.disc.grid.n, self.disc.grid.n), dtype=complex)
+        A = 0.0
         for q in range(_RING_NODES):
             u = rho * np.exp(2j * np.pi * (q + 0.5) / _RING_NODES)
-            Rq = self.disc.R(BranchPoint(z=(k + u) ** 2, sqrt_z=k + u))
-            for p in range(3):
-                A[p] += (u ** (p + 1) / _RING_NODES) * Rq
-        norms = np.linalg.norm(A, axis=(1, 2))
+            Rq = self.disc.R_sectors(BranchPoint(z=(k + u) ** 2, sqrt_z=k + u))
+            A = A + np.multiply.outer(u ** np.arange(1, 4) / _RING_NODES, Rq)
+        # Frobenius norms: the same on the blocks as on the n x n matrices
+        norms = np.linalg.norm(A.reshape(3, -1), axis=1)
         if norms[2] > _ORDER3_TOL * (rho ** 2 * norms[0] + rho * norms[1]):
             raise ValueError(f"zero of M(k) at z = {k * k:.6g} is a pole of R "
                              f"of order 3 or more (||A_-3|| = {norms[2]:.3e})")
         return A[0], A[1]
 
-    def propagate_many(self, ts: Sequence[float]) -> Dict[float, np.ndarray]:
-        """{t: U(t)}: per t the line -(1/(pi t)) sum_m w_m x_m R(k_m) with
-        k_m = x_m e^{-i pi/4} / sqrt t, and the residues of one census."""
+    def propagate_blocks(self, ts: Sequence[float]
+                         ) -> Dict[float, np.ndarray]:
+        """{t: flat sector blocks of U(t)}: per t the line -(1/(pi t))
+        sum_m w_m x_m R(k_m) with k_m = x_m e^{-i pi/4} / sqrt t, each R(k_m)
+        from `Discretization.R_sectors`, and the residues of one census."""
         ts = np.asarray(ts, dtype=float).ravel()
         if not np.all(ts > 0):
             raise ValueError("t must be positive")
-        n = self.disc.grid.n
-        out = {float(t): np.zeros((n, n), dtype=complex) for t in ts}
         if self.census is None or ts.min() < self.census["t_min"]:
             self._take_census(float(ts.min()))
-        for t, U in out.items():
+        R_m2 = self.disc.sectors.blocks(self.coeffs.R_m2)
+        out = {}
+        for t in map(float, ts):
+            U = np.zeros(len(R_m2), dtype=complex)
             for x, w in zip(_LINE_X, _LINE_W):
                 k = x * np.exp(-0.25j * np.pi) / math.sqrt(t)
-                U += (w * x) * self.disc.R(BranchPoint(z=k * k, sqrt_z=k))
+                U += (w * x) * self.disc.R_sectors(
+                    BranchPoint(z=k * k, sqrt_z=k))
             U *= -1.0 / (np.pi * t)
-            U -= self.coeffs.R_m2
+            U -= R_m2
             for k, A1, A2 in self.poles + self._crossed:
                 if not 0 < k.imag < -k.real:    # 3 pi/4 < arg k < pi cancels
                     U -= _residue(k, A1, A2, t)
+            out[t] = U
         return out
+
+    def propagate_many(self, ts: Sequence[float]) -> Dict[float, np.ndarray]:
+        """{t: U(t)}, n x n: `propagate_blocks`, each U(t) expanded once."""
+        group = self.disc.sectors
+        return {t: group.expand(group.split(U))
+                for t, U in self.propagate_blocks(ts).items()}
 
     def propagate(self, t: float) -> np.ndarray:
         """U(t) at a single time."""
@@ -390,14 +408,14 @@ def verify_large_time(disc: Discretization,
     projection (constant term), the remainder decays with slope -1/2.
     Every norm is the weighted operator norm from L^{2,s} to L^{2,-s} of
     a G-invariant matrix (U(t), R_-2, P0, the first-kind target), taken on
-    its sector blocks (`weighted_sector_norm`).  A non-zero potential
-    without coefficients is a ValueError; so is a `propagator` built on
-    another discretization or other coefficients."""
+    its sector blocks (`weighted_sector_norm`); U(t) comes as blocks
+    (`CutPropagator.propagate_blocks`) and is never expanded.  A non-zero
+    potential without coefficients is a ValueError; so is a `propagator`
+    built on another discretization or other coefficients."""
     grid, group = disc.grid, disc.sectors
 
-    def wnorm(A: np.ndarray) -> float:
-        return weighted_sector_norm(group, group.blocks(A), grid, s_in=s,
-                                    s_out=-s)
+    def wnorm(flat: np.ndarray) -> float:
+        return weighted_sector_norm(group, flat, grid, s_in=s, s_out=-s)
 
     ts = np.asarray(t_ladder if t_ladder is not None
                     else np.geomspace(10.0, 1000.0, 7), dtype=float)
@@ -414,12 +432,13 @@ def verify_large_time(disc: Discretization,
         kind = coefficients.kind
 
     if kind == "free":
-        Us = {t: free_propagator(grid, t) for t in ts}
+        Us = {t: group.blocks(free_propagator(grid, t)) for t in ts}
     else:
         cp = propagator or CutPropagator(disc, coefficients)
-        Us = cp.propagate_many(ts)
+        Us = cp.propagate_blocks(ts)
     # second / third kind: constant term -R_{-2} plus a decaying remainder
-    limit = -coefficients.R_m2 if kind in ("second", "third") else 0.0
+    limit = (-group.blocks(coefficients.R_m2) if kind in ("second", "third")
+             else 0.0)
     norms = np.array([wnorm(Us[t] - limit) for t in ts])
     slope, amp, r2 = _loglog_fit(ts, norms)
     rep = DecayReport(kind=kind, times=ts, norms=norms,
@@ -430,11 +449,13 @@ def verify_large_time(disc: Discretization,
     tmax = float(ts[-1])
     if kind == "first":
         phi = coefficients.phi
-        target = (1j * np.pi) ** (-0.5) * np.outer(phi, grid.weights * phi)
+        target = group.blocks((1j * np.pi) ** (-0.5)
+                              * np.outer(phi, grid.weights * phi))
         C = np.sqrt(tmax) * Us[tmax]
         rep.coeff_rel_err = wnorm(C - target) / wnorm(target)
     elif kind in ("second", "third"):
-        P0 = coefficients.P0 if coefficients.P0 is not None else limit
+        P0 = (group.blocks(coefficients.P0) if coefficients.P0 is not None
+              else limit)
         rep.limit_rel_err = wnorm(Us[tmax] - P0) / wnorm(P0)
     if rep.r_squared < 0.9:
         rep.note = "decay window not reached"

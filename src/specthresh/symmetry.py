@@ -21,6 +21,25 @@ A block needs only the rows of A at the representatives and a |G|-point
 (`to_sectors`, Q_s^T X) and back (`from_sectors`, sum_s Q_s Y_s), and
 blocks back to an n x n matrix (`expand`).  G = {e} is one sector with the
 identity basis.
+
+An axis permutation pi (x -> x[perm]) with node map p is a symmetry when it
+maps the grid, V and G onto themselves (pi g pi^{-1} in G, `conjugation`).
+It maps sector sigma to sigma' = sigma o pi^{-1}, chi_sigma'(pi g pi^{-1})
+= chi_sigma(g).  Writing p[r_a] = h_a r_a' (h_a in G), p takes the node
+g r_a to (pi g pi^{-1}) h_a r_a', so it maps q_{sigma,a} onto
+d_a q_{sigma',a'} with d_a = chi_sigma'(h_a), and
+
+    A_sigma[a, b] = d_a d_b A_sigma'[a', b']
+
+for every A that also commutes with p.  The blocks of a class of sectors
+joined by these relations are one matrix up to a signed permutation; the
+class's smallest sector represents it (`sector_classes`).  `SectorLU`
+factors the representatives alone and solves the other blocks' right-hand
+sides on them (`stack_classes`, `unstack_classes`); a matrix that commutes
+with p too, R0 and M^{-1} R0 for example, needs only its representatives'
+blocks (`from_representatives`).  The reference models' 8 sectors form the
+classes {0}, {1, 2, 4}, {3, 5, 6}, {7} under all five permutations, and
+{0}, {1}, {2, 4}, {3, 5}, {6}, {7} under x_2 <-> x_3 alone.
 """
 from __future__ import annotations
 
@@ -70,6 +89,8 @@ class ReflectionGroup:
         # products as element indices: elements[prod[e, f]] = e XOR f
         self._prod = np.array([[index[int(g ^ h)] for h in self.elements]
                                for g in self.elements], dtype=np.intp)
+        # node maps of symmetry axis permutations (`with_permutations`)
+        self.permutations: List[np.ndarray] = []
 
     @property
     def order(self) -> int:
@@ -81,6 +102,29 @@ class ReflectionGroup:
         return ReflectionGroup({int(g): m for g, m in
                                 zip(self.elements, self.maps)
                                 if int(g) in keep})
+
+    def with_permutations(self, permutations: Sequence[np.ndarray]
+                          ) -> "ReflectionGroup":
+        """This group with the node maps of axis permutations that the
+        caller has found to be symmetries of the grid and the operators:
+        they sort the sectors into classes of equivalent blocks
+        (`sector_classes`).  ValueError unless each maps the group onto
+        itself (`conjugation`)."""
+        out = self.subgroup(self.elements.tolist())
+        out.permutations = [np.asarray(p) for p in permutations]
+        if any(out.conjugation(p) is None for p in out.permutations):
+            raise ValueError("a permutation does not map the reflection "
+                             "group onto itself")
+        return out
+
+    def conjugation(self, p: np.ndarray) -> Optional[np.ndarray]:
+        """For the node map p of an axis permutation pi, the element index
+        of pi g pi^{-1} (node map p o maps[g] o p^{-1}) for each element g,
+        or None when one of them is not in the group."""
+        pinv = np.argsort(p)
+        index = {m.tobytes(): e for e, m in enumerate(self.maps)}
+        out = [index.get(p[m[pinv]].tobytes()) for m in self.maps]
+        return None if None in out else np.array(out, dtype=np.intp)
 
     # --- the parity-sector basis ------------------------------------------
     @cached_property
@@ -110,8 +154,89 @@ class ReflectionGroup:
         return _SectorTables(
             chars, cols, np.concatenate(pick), np.concatenate(scale),
             np.concatenate(diag), np.concatenate(colstart),
-            np.concatenate([[0], np.cumsum(sizes)[:-1]]),
-            np.concatenate([np.arange(k) for k in sizes]))
+            np.concatenate([[0], np.cumsum(sizes)[:-1]]))
+
+    @cached_property
+    def _classes(self) -> "_SectorClasses":
+        """Sector s and s' = s o pi^{-1} have equivalent blocks under each
+        permutation pi: pi maps the basis vector q_{s,a} onto
+        d_a q_{s',a'}, with p[r_a] = h_a r_{a'} and d_a = chi_{s'}(h_a), so
+        A_s[a, b] = d_a d_b A_{s'}[a', b'] for every matrix A that commutes
+        with the node maps of G and of pi.  Every sector is related to the
+        smallest sector reachable from it (its representative) by composing
+        these relations."""
+        t, S = self._sectors, len(self._sectors.cols)
+        # edges[s]: (s', positions of the a' in cols[s'], signs d_a)
+        edges: List[List[Tuple[int, np.ndarray, np.ndarray]]] = [
+            [] for _ in range(S)]
+        for p in self.permutations:
+            conj = self.conjugation(p)
+            image = p[self.reps]
+            orbit, h = self.orbit[image], self.elem[image]
+            for s, c in enumerate(t.cols):
+                chi = np.empty(self.order)
+                chi[conj] = t.chars[s]          # chi_{s'}(pi g pi^-1)
+                s2 = int(np.flatnonzero((t.chars == chi).all(axis=1))[0])
+                pos = np.searchsorted(t.cols[s2], orbit[c])
+                edges[s].append((s2, pos, t.chars[s2][h[c]]))
+        rel = [(s, np.arange(len(c)), np.ones(len(c)))
+               for s, c in enumerate(t.cols)]
+        changed = True
+        while changed:
+            changed = False
+            for s in range(S):
+                for s2, pos, d in edges[s]:
+                    r, pos2, d2 = rel[s2]
+                    if r < rel[s][0]:
+                        rel[s] = (r, pos2[pos], d * d2[pos])
+                        changed = True
+        return _SectorClasses.build(t, rel)
+
+    @property
+    def sector_classes(self) -> List[int]:
+        """The representative (smallest) sector of each sector's class."""
+        return [int(r) for r in self._classes.rep]
+
+    def stack_classes(self, blocks: Sequence[np.ndarray]
+                      ) -> List[np.ndarray]:
+        """Per class, the right-hand sides C_s of its sectors (blocks with
+        the same column count) side by side in the coordinates of its
+        representative r, [C_r, D_s C_s permuted, ...]: A_s X_s = C_s is
+        A_r Z = (D_s C_s)[inv_s] with X_s = D_s Z[pos_s]
+        (`unstack_classes`).  Fortran-ordered, as getrs reads them."""
+        c = self._classes
+        return [np.asfortranarray(np.hstack(
+            [blocks[r]] + [dinv[:, None] * blocks[s][inv]
+                           for s, _, _, inv, dinv in members]))
+            for r, members in zip(c.reps, c.members)]
+
+    def unstack_classes(self, stacked: Sequence[np.ndarray]
+                        ) -> List[np.ndarray]:
+        """The blocks per sector of class-stacked blocks, the inverse of
+        `stack_classes`."""
+        c = self._classes
+        out: List[Optional[np.ndarray]] = [None] * len(c.rep)
+        for Z, r, members in zip(stacked, c.reps, c.members):
+            p = Z.shape[1] // (1 + len(members))
+            out[r] = Z[:, :p]
+            for j, (s, pos, d, _, _) in enumerate(members, 1):
+                out[s] = d[:, None] * Z[pos, j * p:(j + 1) * p]
+        return out
+
+    def from_representatives(self, flat: np.ndarray) -> np.ndarray:
+        """The flat block buffer with every block set from its class
+        representative's block (`sector_classes`), signed and permuted."""
+        out = np.array(flat, dtype=complex)
+        self._fill_members(out)
+        return out
+
+    def _fill_members(self, flat: np.ndarray) -> None:
+        """Set every block of the flat buffer that is not a class
+        representative from its representative's block, in place."""
+        c = self._classes
+        values = np.take(flat, c.src)
+        values *= c.sign
+        flat[c.dst] = values
 
     @property
     def sector_orbits(self) -> List[np.ndarray]:
@@ -231,7 +356,60 @@ class _SectorTables(NamedTuple):
     diag: np.ndarray        # positions of the block diagonals
     colstart: np.ndarray    # start of every block column
     first: np.ndarray       # index of each block's first column in colstart
-    unpivoted: np.ndarray   # 0-based pivots of every block without swaps
+
+
+class _SectorClasses(NamedTuple):
+    """The classes of equivalent sector blocks of a `ReflectionGroup`:
+    entry (i, j) of block s is d_i d_j B_r[pos_i, pos_j], B_r the block of
+    the class representative r."""
+    rep: np.ndarray         # the representative of each sector
+    reps: List[int]         # the representatives, ascending
+    # per representative, its other members (s, pos, d, inv, d[inv]), with
+    # inv the inverse permutation of pos
+    members: List[List[Tuple[int, np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray]]]
+    # the flat entries of the blocks that are not representatives, the
+    # entry of the representative's block each is taken from, and its sign
+    dst: np.ndarray
+    src: np.ndarray
+    sign: np.ndarray
+    diag: np.ndarray        # positions of the representatives' diagonals
+    unpivoted: np.ndarray   # 0-based pivots of the representatives, no swaps
+    weight: np.ndarray      # the class size at each diagonal entry (pivot)
+
+    @classmethod
+    def build(cls, t: _SectorTables,
+              rel: Sequence[Tuple[int, np.ndarray, np.ndarray]]
+              ) -> "_SectorClasses":
+        """The tables from (r, pos, d) per sector."""
+        sizes = [len(c) for c in t.cols]
+        start = t.colstart[t.first]
+        rep = np.array([r for r, _, _ in rel])
+        reps = [int(r) for r in np.unique(rep)]
+        members = [[(s, pos, d, np.argsort(pos), d[np.argsort(pos)])
+                    for s, (r0, pos, d) in enumerate(rel)
+                    if r0 == r and s != r] for r in reps]
+        moved = [(s, r, pos, d) for s, (r, pos, d) in enumerate(rel)
+                 if r != s]
+        dst = [start[s] + np.arange(sizes[s] ** 2) for s, _, _, _ in moved]
+        src = [(start[r] + pos[:, None] + sizes[r] * pos[None, :]).ravel(
+            order="F") for _, r, pos, _ in moved]
+        sign = [np.outer(d, d).ravel(order="F") for _, _, _, d in moved]
+        k = [sizes[r] for r in reps]
+        # the smallest types that hold them: the tables live as long as
+        # the group
+        index = np.min_scalar_type(sum(n * n for n in sizes) - 1)
+
+        def table(parts, dtype):
+            return (np.concatenate(parts) if parts else np.zeros(0)).astype(
+                dtype)
+
+        return cls(rep, reps, members, table(dst, index), table(src, index),
+                   table(sign, np.int8),
+                   np.concatenate([start[r] + np.arange(sizes[r])
+                                   * (sizes[r] + 1) for r in reps]),
+                   np.concatenate([np.arange(m) for m in k]),
+                   np.repeat([1 + len(m) for m in members], k))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +420,10 @@ class BlockLU:
     block is already complex and Fortran-ordered), with the checks of
     `scipy.linalg.solve`.  ValueError on a non-finite entry; LinAlgError on
     a zero pivot in any block, or when the 1-norm reciprocal condition
-    number 1 / (max_s ||B_s||_1 max_s ||B_s^{-1}||_1), each inverse norm
-    from the block's gecon, is below machine epsilon.  `name` names the
-    operator in the errors; `anorm` gives the ||B_s||_1 when the caller has
-    them (and has checked the blocks finite)."""
+    number 1 / (max_s ||B_s||_1 max_s ||B_s^{-1}||_1) (`rcond`), each
+    inverse norm from the block's gecon, is below machine epsilon.  `name`
+    names the operator in the errors; `anorm` gives the ||B_s||_1 when the
+    caller has them (and has checked the blocks finite)."""
 
     def __init__(self, blocks: Sequence[np.ndarray], name: str,
                  anorm: Optional[np.ndarray] = None):
@@ -264,7 +442,7 @@ class BlockLU:
             rc, _ = zgecon(lu, a, norm="1")
             inorm = max(inorm, np.inf if rc == 0.0 else 1.0 / (rc * a))
             self._factors.append((lu, piv))
-        rcond = 1.0 / (anorm.max() * inorm)
+        rcond = self.rcond = 1.0 / (anorm.max() * inorm)
         if not rcond >= np.finfo(float).eps:
             raise np.linalg.LinAlgError(f"{name} is ill-conditioned "
                                         f"(rcond {rcond:.3e})")
@@ -276,8 +454,13 @@ class BlockLU:
 
 
 class SectorLU(BlockLU):
-    """`BlockLU` of every sector block of Id + R0 V, in place in the flat
-    block buffer, all block norms from one pass over it."""
+    """`BlockLU` of the sector blocks of Id + R0 V, one getrf and gecon per
+    class of equivalent blocks (`ReflectionGroup.sector_classes`), in place
+    in the flat block buffer, all block norms from one pass over it.  Every
+    block of a class has the representative's 1-norm, inverse 1-norm and
+    determinant, so the rcond over the blocks and arg det need only the
+    representatives; a member's right-hand side is solved on the
+    representative's LU, its rows signed and permuted."""
 
     def __init__(self, group: ReflectionGroup, flat: np.ndarray):
         # contiguous complex: getrf overwrites the blocks' views in place,
@@ -285,16 +468,47 @@ class SectorLU(BlockLU):
         flat = np.ascontiguousarray(flat, dtype=complex)
         if not np.isfinite(flat).all():
             raise ValueError("array must not contain infs or NaNs")
-        t = group._sectors
+        t, c = group._sectors, group._classes
         # ||M_s||_1: the largest column sum of |M_s|, for all blocks at once
         anorm = np.maximum.reduceat(np.add.reduceat(np.abs(flat), t.colstart),
                                     t.first)
-        self._flat, self._diag, self._unpivoted = flat, t.diag, t.unpivoted
-        super().__init__(group.split(flat), "Id + R0 V", anorm)
+        blocks = group.split(flat)
+        self._flat, self._group, self._classes = flat, group, c
+        super().__init__([blocks[r] for r in c.reps], "Id + R0 V",
+                         anorm[c.reps])
 
     def arg_det(self) -> float:
-        """arg det M (mod 2 pi) = sum_s arg det M_s, since det Q = +-1."""
+        """arg det M (mod 2 pi) = sum_s arg det M_s, since det Q = +-1: each
+        class's size times its representative's arg det."""
+        c = self._classes
         piv = np.concatenate([piv for _, piv in self._factors])
-        swaps = np.count_nonzero(piv != self._unpivoted)
-        return float(np.sum(np.angle(self._flat[self._diag]))
+        swaps = np.dot(c.weight, piv != c.unpivoted)
+        return float(np.dot(c.weight, np.angle(self._flat[c.diag]))
                      + np.pi * swaps)
+
+    def solve(self, rhs: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """M_s^{-1} C_s for each sector's block C_s of the right-hand side
+        (the blocks of a class with the same column count)."""
+        group = self._group
+        return group.unstack_classes(self.solve_classes(
+            group.stack_classes(rhs)))
+
+    def solve_classes(self, stacked: Sequence[np.ndarray]
+                      ) -> List[np.ndarray]:
+        """One getrs per class on its stacked right-hand sides
+        (`ReflectionGroup.stack_classes`), in the same layout."""
+        return [zgetrs(lu, piv, C)[0] for (lu, piv), C in
+                zip(self._factors, stacked)]
+
+    def solve_flat(self, flat: np.ndarray) -> np.ndarray:
+        """The flat blocks of M^{-1} B for the flat blocks of a B that
+        commutes with the group and the permutations, as R0 does: getrs on
+        the representatives' blocks alone, the other blocks set from them
+        (`ReflectionGroup.from_representatives`)."""
+        group = self._group
+        B, out = group.split(flat), np.empty(len(flat), dtype=complex)
+        X = group.split(out)
+        for (lu, piv), r in zip(self._factors, self._classes.reps):
+            X[r][...] = zgetrs(lu, piv, B[r])[0]
+        group._fill_members(out)
+        return out

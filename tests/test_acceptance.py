@@ -208,9 +208,13 @@ def test_criterion_07_contour_representation(capsys, cut_first6, cut_second6,
     between = [k for k in zeros if -np.pi / 4 < np.angle(k) < -np.pi / 6]
     left_out = [k for k in between if k not in crossed]
     rings = {k: (k,) + cp._ring_moments(k, zeros) for k in zeros}
+    group = disc.sectors
 
     def residues(ks, t):
-        return sum((_residue(*rings[k], t) for k in ks), np.zeros_like(R_m2))
+        # the ring moments are flat sector blocks: expand the sum
+        return group.expand(group.split(sum(
+            (_residue(*rings[k], t) for k in ks),
+            np.zeros_like(group.blocks(R_m2)))))
 
     steep = shallow = truncation = 0.0
     for t in ts:

@@ -184,10 +184,14 @@ def test_propagate_stage_records_census(first4_report):
     assert census["winding"] == census["structural_order"] == 1
     assert census["t_min"] == 10.0 and census["tiles"] >= 8
     assert census["band_tiles"] >= 8
-    # M(k) factored in the eight parity sectors of the 64-node grid
-    assert report["symmetry"] == {"order": 8, "grid_order": 8,
-                                  "sector_sizes": [8] * 8,
-                                  "max_v_deviation": 0.0, "broken_by_v": []}
+    # M(k) factored in the eight parity sectors of the 64-node grid, in
+    # four classes of equivalent blocks under the five axis permutations
+    perms = [[1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1]]
+    assert report["symmetry"] == {
+        "order": 8, "grid_order": 8, "sector_sizes": [8] * 8,
+        "max_v_deviation": 0.0, "broken_by_v": [],
+        "permutations": [{"axes": p, "v_deviation": 0.0} for p in perms],
+        "sector_classes": [0, 1, 1, 3, 1, 3, 3, 7]}
     # the -1 cluster of K0 lies in the trivial character
     assert report["stages"]["classify"]["sector_counts"] == [1] + [0] * 7
     assert report["stages"]["threshold_expand"]["chain_sectors"] == [0]

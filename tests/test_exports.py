@@ -122,3 +122,24 @@ def test_traced_entry_points_resolve():
                 if not callable(getattr(getattr(importlib.import_module(
                     f"specthresh.{m}"), c, None), f, None))]
     assert not missing
+
+
+def test_traced_hooks_read_live_attributes():
+    # the span hooks read attributes of the objects they trace: the
+    # `jump` and `poles` of a built CutPropagator (`_jump_bytes`,
+    # `_n_poles`) and the node count of a grid (`_grid_n`)
+    from specthresh.birman_schwinger import Discretization
+    from specthresh.grushin import threshold_resolvent_expansion
+    from specthresh.model import build_grid
+    from specthresh.models import first_kind_model
+    from specthresh.propagator import CutPropagator
+
+    tracing = _tracing()
+    hooked = {(c, f) for _, c, f, _, after in tracing.METHODS if after}
+    assert {("CutPropagator", "__init__"),
+            ("CutPropagator", "_scan_poles")} <= hooked
+    disc = Discretization(first_kind_model(build_grid(3.0, 4)))
+    cp = CutPropagator(disc, threshold_resolvent_expansion(disc))
+    assert tracing._jump_bytes((cp,), {}, None) == 0
+    assert tracing._n_poles((cp,), {}, None) == len(cp.poles)
+    assert tracing._grid_n((disc.grid,), {}, None) == disc.grid.n

@@ -12,6 +12,7 @@ from specthresh.birman_schwinger import Discretization
 from specthresh.kernels import BranchPoint
 from specthresh.model import build_grid, weighted_operator_norm
 from specthresh.grushin import threshold_resolvent_expansion
+from specthresh.symmetry import ReflectionGroup
 from specthresh.models import (first_kind_model, free_model, regular_model,
                                resonance_model, third_kind_model)
 from specthresh.propagator import (_WEIGHT_CUT, CutPropagator, _residue,
@@ -122,7 +123,7 @@ def test_rotation_angle_invariance_first4(cut_first4):
     # at pi/4 against half-ray Gauss-Laguerre (alpha = -1/2) lines at pi/4
     # and pi/6.  first4 has one crossed zero, between the two angles.
     model, cp, Us = cut_first4
-    disc, R_m2 = cp.disc, cp.coeffs.R_m2
+    disc, R_m2, group = cp.disc, cp.coeffs.R_m2, cp.disc.sectors
     assert cp.poles == []
     (zero,) = cp._crossed
     assert -np.pi / 4 < np.angle(zero[0]) < -np.pi / 6
@@ -131,9 +132,12 @@ def test_rotation_angle_invariance_first4(cut_first4):
         shallow = oracles.rotated_line(disc, t, np.pi / 6) - R_m2
         steep = oracles.rotated_line(disc, t, np.pi / 4) - R_m2
         assert np.linalg.norm(shallow - U) <= 1e-6 * np.linalg.norm(U), t
-        err = np.linalg.norm(steep - _residue(*zero, t) - U)
+        # the ring moments are flat sector blocks
+        residue = group.expand(group.split(_residue(*zero, t)))
+        err = np.linalg.norm(steep - residue - U)
         assert err <= 1e-6 * np.linalg.norm(U), t
-    # at t = 10 the crossed residue is well above that tolerance
+    # at t = 10 the crossed residue (the same Frobenius norm on the blocks)
+    # is well above that tolerance
     assert np.linalg.norm(_residue(*zero, LADDER[0])) \
         > 1e-5 * np.linalg.norm(Us[LADDER[0]])
 
@@ -160,7 +164,9 @@ def test_line_plus_residues_match_branch_cut_walk_second6(cut_second6,
                / weighted_operator_norm(walk[t], grid, 3.0, -3.0))
         assert err <= 5e-4, t
     t = LADDER[0]
-    bare = Us[t] + sum(_residue(*c, t) for c in cp._crossed)
+    group = cp.disc.sectors
+    bare = Us[t] + group.expand(group.split(
+        sum(_residue(*c, t) for c in cp._crossed)))
     assert weighted_operator_norm(bare - walk[t], grid, 3.0, -3.0) \
         > 1e-2 * weighted_operator_norm(walk[t], grid, 3.0, -3.0)
 
@@ -186,10 +192,15 @@ def test_real_zero_on_path_raises():
         CutPropagator(disc, coeffs).propagate_many(LADDER)
 
 
+# a 2 x 2 operator without symmetry: one sector block, held column-major
+_ONE_BLOCK = ReflectionGroup({0: np.arange(2)})
+
+
 def _ring_stub(R):
     cp = CutPropagator.__new__(CutPropagator)
-    cp.disc = SimpleNamespace(R=lambda bp: R(bp.sqrt_z),
-                              grid=SimpleNamespace(n=2))
+    cp.disc = SimpleNamespace(
+        R_sectors=lambda bp: _ONE_BLOCK.blocks(R(bp.sqrt_z)),
+        sectors=_ONE_BLOCK, grid=SimpleNamespace(n=2))
     return cp
 
 
@@ -203,7 +214,8 @@ def test_ring_moments_and_residue_of_a_double_pole():
     k0 = 0.6 - 0.2j
     cp = _ring_stub(lambda k: C2 / (k - k0) ** 2 + C1 / (k - k0)
                     + C0 * np.exp(k))
-    A1, A2 = cp._ring_moments(k0, [k0 + 0.15])
+    A1, A2 = (_ONE_BLOCK.expand([A.reshape(2, 2, order="F")])
+              for A in cp._ring_moments(k0, [k0 + 0.15]))
     assert np.linalg.norm(A1 - C1) <= 1e-12 * np.linalg.norm(C1)
     assert np.linalg.norm(A2 - C2) <= 1e-12 * np.linalg.norm(C2)
     th = 2.0 * np.pi * np.arange(512) / 512
@@ -228,9 +240,11 @@ def test_eigenvalue_crossed_by_the_other_half_line_cancels():
     rng = np.random.default_rng(6)
     A = rng.standard_normal((4, 2, 2)) + 0j
     swept, kept = -0.9 + 0.3j, -0.02 + 0.98j
+    A = [_ONE_BLOCK.blocks(a) for a in A]      # moments as flat blocks
     cp.poles, cp._crossed = [(swept, A[0], A[1]), (kept, A[2], A[3])], []
     U = cp.propagate(2.0)
-    assert np.array_equal(U, -_residue(kept, A[2], A[3], 2.0))
+    assert np.array_equal(U.ravel(order="F"),
+                          -_residue(kept, A[2], A[3], 2.0))
 
 
 def test_ring_moments_reject_a_triple_pole():

@@ -24,8 +24,10 @@ from specthresh.kernels import BranchPoint
 from specthresh.model import (Model, QuadratureGrid, build_grid,
                               sample_potential, weighted_operator_norm,
                               weighted_sector_norm)
-from specthresh.models import (first_kind_model, gaussian_template,
-                               regular_model)
+from specthresh.models import (first_kind_model, free_model,
+                               gaussian_template, regular_model,
+                               resonance_model, second_kind_model,
+                               third_kind_model)
 from specthresh.propagator import (CutPropagator, check_high_energy,
                                    resolvent_taylor)
 from specthresh.series import ExpansionSeries
@@ -233,7 +235,8 @@ def test_propagate_factors_only_sector_blocks(first6, coeffs_first6,
     cp = CutPropagator(Discretization(first6), coeffs)
     cp.propagate_many(np.geomspace(10.0, 1000.0, 7))
     n = first6.grid.n
-    assert len(shapes) >= 8 * 1000
+    # one getrf per class of equivalent blocks: 4 per M(k) on first6
+    assert len(shapes) >= 4 * 1000
     assert all(s == (n // 8, n // 8) for s in shapes), set(shapes)
 
 
@@ -385,9 +388,9 @@ def test_analysis_decomposes_only_sector_blocks(first6, monkeypatch):
     riesz_projection(K0, disc.sectors, min(det.gap / 2.5, 0.5),
                      detection=det)
     block = first6.grid.n // 8
-    # 9 energies: one getrf and two norms per block; then eigvals, svd and
-    # schur per block
-    assert len(shapes) == 9 * 3 * 8 + 3 * 8
+    # 9 energies: one getrf per class of equivalent blocks (4 classes) and
+    # two norms per block; then eigvals, svd and schur per block
+    assert len(shapes) == 9 * (4 + 2 * 8) + 3 * 8
     assert all(s == (block, block) for s in shapes), set(shapes)
 
 
@@ -545,3 +548,168 @@ def test_asymmetric_expansion_takes_one_bordered_block(monkeypatch):
     assert coeffs.basis.sectors == [0]
     assert bordered == [[(n + m, n + m)]]
     assert max(max(s[-2:]) for s in shapes) == n + m
+
+
+# --------------------------------------------------------------------------
+# classes of equivalent sector blocks under the axis permutations
+
+_FACTORIES = {"free": free_model, "regular": regular_model,
+              "first": first_kind_model, "second": second_kind_model,
+              "third": third_kind_model, "resonance": resonance_model}
+# the representative sector of each sector: all five axis permutations
+# (first, regular, resonance, free), or x_2 <-> x_3 alone (second, third)
+_ALL_AXES = [0, 1, 1, 3, 1, 3, 3, 7]
+_X23 = [0, 1, 2, 3, 2, 3, 6, 7]
+_EQUIVALENCE_KS = [0.7 - 0.3j, -0.4 + 0.9j, 2.0 + 0.01j]
+
+
+def _node_permuted(model, seed):
+    """The model on its grid with the nodes in a random order: an orbit's
+    representative (its smallest node index) is then any of its nodes, and
+    an axis permutation maps it to another orbit's representative times a
+    reflection h_a other than the identity, whose sign d_a the class
+    relations carry.  On the grids in grid order every representative is
+    the node with all coordinates negative, and every h_a the identity."""
+    grid = model.grid
+    perm = np.random.default_rng(seed).permutation(grid.n)
+    pgrid = QuadratureGrid(nodes=grid.nodes[perm], weights=grid.weights[perm],
+                           extent=grid.extent, scheme=grid.scheme,
+                           spacing=grid.spacing)
+    return Model(grid=pgrid, potential=sample_potential(pgrid,
+                                                        model.V[perm]))
+
+
+@pytest.mark.parametrize("factory, resolution, shuffled", [
+    (f, r, False) for f in _FACTORIES for r in (5, 6)]
+    + [("first", 8, False), ("third", 8, False), ("first", 5, True),
+       ("third", 6, True)])
+def test_equivalent_sector_blocks_are_signed_permutations(factory,
+                                                          resolution,
+                                                          shuffled):
+    # res 5 puts nodes on the mirror planes (sectors of 26, 17, 11 and 7)
+    model = _FACTORIES[factory](build_grid(3.0, resolution))
+    disc = Discretization(_node_permuted(model, 8) if shuffled else model)
+    group = disc.sectors
+    want = _X23 if factory in ("second", "third") else _ALL_AXES
+    assert disc.symmetry["sector_classes"] == want
+    assert len(disc.symmetry["permutations"]) == (1 if want == _X23 else 5)
+    assert all(p["v_deviation"] <= 1e-13
+               for p in disc.symmetry["permutations"])
+    for k in _EQUIVALENCE_KS:
+        flat = disc.M_sectors(BranchPoint(z=k * k, sqrt_z=k))
+        gathered = group.from_representatives(flat)
+        for s, (B, G) in enumerate(zip(group.split(flat),
+                                       group.split(gathered))):
+            assert np.linalg.norm(B - G) <= 1e-13 * np.linalg.norm(B), (k, s)
+
+
+def test_grids_and_potentials_without_permutations_keep_every_class():
+    # gauss_radial nodes are not mapped by any axis permutation
+    disc = Discretization(first_kind_model(build_grid(2.0, 6,
+                                                      scheme="gauss_radial")))
+    assert disc.sectors.order == disc.symmetry["order"] == 8
+    assert disc.symmetry["permutations"] == []
+    assert disc.symmetry["sector_classes"] == list(range(8))
+    grid = build_grid(3.0, 6)
+    V = first_kind_model(grid).V
+    # a node whose coordinates have three distinct moduli: no permutation
+    # maps it into its own reflection orbit
+    i = next(i for i, x in enumerate(np.abs(grid.nodes))
+             if len(set(np.round(x, 9))) == 3 and V[i] != 0)
+    delta = 1e-9 * np.max(np.abs(V))
+    for nodes, order in (([i], 1), (grid.reflections.maps[:, i], 8)):
+        W = V.copy()
+        W[nodes] += delta
+        disc = Discretization(Model(grid=grid,
+                                    potential=sample_potential(grid, W)))
+        assert disc.sectors.order == order
+        assert disc.symmetry["permutations"] == []
+        assert disc.symmetry["sector_classes"] == list(range(order))
+
+
+def _block_arg_det(ref):
+    """sum over the blocks of a BlockLU of arg det (diagonal angles and pi
+    per row swap)."""
+    return sum(np.angle(np.diag(lu)).sum()
+               + np.pi * np.count_nonzero(piv != np.arange(len(piv)))
+               for lu, piv in ref._factors)
+
+
+@pytest.mark.parametrize("name", ["first5", "first6", "second6",
+                                  "shuffled_first5"])
+def test_sector_lu_matches_block_lu_on_every_block(name, request):
+    disc = Discretization(
+        _node_permuted(request.getfixturevalue("first5"), 9)
+        if name == "shuffled_first5" else request.getfixturevalue(name))
+    group = disc.sectors
+    rng = np.random.default_rng(7)
+    n = disc.grid.n
+    Ps = group.to_sectors(rng.standard_normal((n, 5))
+                          + 1j * rng.standard_normal((n, 5)))
+    for k in KS:
+        bp = BranchPoint(z=k * k, sqrt_z=k)
+        R0s = disc.r0_sectors(bp)
+        flat = disc.m_blocks(R0s)
+        ref = symmetry.BlockLU([B.copy() for B in group.split(flat)], "M")
+        lu = symmetry.SectorLU(group, flat.copy())
+        for X, W in zip(lu.solve(Ps), ref.solve(Ps)):
+            assert np.linalg.norm(X - W) <= 1e-12 * np.linalg.norm(W), k
+        want = group.join(ref.solve(group.split(R0s)))
+        got = lu.solve_flat(R0s)
+        for X, W in zip(group.split(got), group.split(want)):
+            assert np.linalg.norm(X - W) <= 1e-12 * np.linalg.norm(W), k
+        step = np.angle(np.exp(1j * (lu.arg_det() - _block_arg_det(ref))))
+        assert abs(step) <= 1e-12, k
+        assert abs(lu.rcond - ref.rcond) <= 1e-12 * ref.rcond, k
+
+
+def test_sector_lu_checks_every_block(first6):
+    disc = Discretization(first6)
+    group = disc.sectors
+    k = 0.7 - 0.3j
+    flat = disc.M_sectors(BranchPoint(z=k * k, sqrt_z=k))
+    # a zero column in the representative of the class {1, 2, 4}
+    singular = flat.copy()
+    group.split(singular)[1][:, 0] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        symmetry.SectorLU(group, singular)
+    # a non-finite entry in a block that is not factored
+    bad = flat.copy()
+    group.split(bad)[2][3, 4] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        symmetry.SectorLU(group, bad)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(symmetry, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("factory, contour, classes", [
+    ("first", (0.0, 0.3, 0.3), 4),
+    # a tile with no zero of M(k), which verifies on third6
+    ("third", (1.0 + 0.5j, 0.1, 0.1), 6)])
+def test_contour_factors_one_block_per_class(factory, contour, classes,
+                                             monkeypatch):
+    disc = Discretization(_FACTORIES[factory](build_grid(3.0, 6)))
+    getrf = _count_calls(monkeypatch, "zgetrf")
+    _contour_zeros(disc, *contour, 64)
+    assert len(getrf) == 64 * classes
+
+
+def test_count_only_contour_solves_nothing(first6, monkeypatch):
+    # the winding count needs only the factorizations (arg det)
+    disc = Discretization(first6)
+    _, count = _contour_zeros(disc, 0.0, 0.3, 0.3, 64)
+    getrs = _count_calls(monkeypatch, "zgetrs")
+    getrf = _count_calls(monkeypatch, "zgetrf")
+    assert _contour_zeros(disc, 0.0, 0.3, 0.3, 64, count_only=True) \
+        == ([], count)
+    assert count == 1 and getrs == [] and len(getrf) == 64 * 4
