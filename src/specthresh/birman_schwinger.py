@@ -186,32 +186,21 @@ class Discretization:
         return self.V[self.sectors.reps][self.sectors.flat_columns]
 
     def R(self, bp: BranchPoint) -> np.ndarray:
-        """Full resolvent of the model, (Id + R0 V)^{-1} R0, n x n, sector
-        by sector."""
-        return self._resolve(self.r0(bp))
+        """Full resolvent of the model, (Id + R0 V)^{-1} R0, n x n: the
+        blocks of `R_sectors` expanded (`ReflectionGroup.expand`); no n x n
+        R0 is assembled."""
+        group = self.sectors
+        return group.expand(group.split(self.R_sectors(bp)))
 
     def R_sectors(self, bp: BranchPoint) -> np.ndarray:
-        """The flat sector blocks of the resolvent (`r0_sectors`,
-        `_resolve_blocks`): no n x n matrix is formed."""
-        return self._resolve_blocks(self.r0_sectors(bp))
-
-    def _resolve(self, r0: np.ndarray) -> np.ndarray:
-        """(Id + R0 V)^{-1} R0 for an assembled R0, from its sector blocks
-        (`_resolve_blocks`), expanded to n x n.  ValueError on a non-finite
-        input."""
-        if not np.isfinite(r0).all():
-            raise ValueError("array must not contain infs or NaNs")
-        group = self.sectors
-        return group.expand(group.split(self._resolve_blocks(
-            group.blocks(r0))))
-
-    def _resolve_blocks(self, R0s: np.ndarray) -> np.ndarray:
-        """The flat blocks of (Id + R0 V)^{-1} R0 from those of R0: one
-        checked getrf (`SectorLU`) and getrs per class of equivalent
-        blocks, the other blocks gathered (`SectorLU.solve_flat`).
+        """The flat sector blocks of the resolvent from those of R0
+        (`r0_sectors`): one checked getrf (`SectorLU`) and getrs per class
+        of equivalent blocks, the other blocks gathered
+        (`SectorLU.solve_flat`).  ValueError on a non-finite block entry;
         LinAlgError on a zero pivot in a block, or when the 1-norm
         reciprocal condition number over the blocks is below machine
         epsilon."""
+        R0s = self.r0_sectors(bp)
         return SectorLU(self.sectors, self.m_blocks(R0s)).solve_flat(R0s)
 
     # --- pairings ---------------------------------------------------------
@@ -515,56 +504,56 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
                    ay: float, n_nodes: int, count_only: bool = False
                    ) -> Tuple[List[Tuple[complex, np.ndarray]], int]:
     """Zeros of the entire M(k) = Id + R0(k^2) V, k on both sheets, inside
-    the ellipse center + ax cos th + i ay sin th (Beyn's method): one
-    checked LU per class of equivalent sector blocks of M per trapezoidal
+    the ellipse center + ax cos th + i ay sin th (Beyn's method) on the
+    class representatives of the sector blocks of M alone: the other blocks
+    of a class are the representative's up to a signed permutation, with
+    the same zeros.  One checked LU per representative per trapezoidal
     node (`SectorLU`) gives the moments A_p = (1/2 pi i) oint
-    (k - center)^p M^{-1} P dk (p = 0, 1) of a fixed probe block P, held in
-    sector coordinates Q^T A_p (Q orthogonal: same singular values and
-    pencil), and arg det M = sum of the blocks' arg det.  Accepted only if
-    the rank of A0 (against sum |w_q| ||X_q||) equals the winding count,
-    each pencil eigenvalue lies inside and sigma_min of M, from its sector
-    blocks, is negligible there; else ValueError.  Returns the distinct
-    zeros with the singular values of M at each (descending), and the count
-    (`count_only`: the count alone, from the factorizations alone: no probe
-    solve and no moments)."""
+    (k - center)^p M_r^{-1} P_r dk (p = 0, 1) of the representative's rows
+    P_r of a fixed probe block in sector coordinates, stacked over the
+    representatives, and each class's winding count from the
+    representative's arg det.  Accepted only if the rank of the stacked A0
+    (against sum |w_q| ||X_q||) equals the sum of the per-class windings,
+    which must be below the probe width, each pencil eigenvalue lies inside
+    and sigma_min of M, from all its sector blocks, is negligible there;
+    else ValueError.  Returns the distinct zeros with the singular values
+    of M at each (descending), and the count: the sum over the classes of
+    the class size times the winding (`count_only`: the count alone, from
+    the factorizations alone: no probe solve and no moments)."""
     n, group = disc.grid.n, disc.sectors
+    reps, sizes = np.unique(group.sector_classes, return_counts=True)
     rng = np.random.default_rng(0)
     P = rng.standard_normal((n, _PROBES)) + 1j * rng.standard_normal((n, _PROBES))
-    # the probe blocks stacked per class of equivalent blocks: X and the
-    # moments stay in that layout, a fixed signed permutation of the
-    # sector coordinates, until the moments are unstacked
-    Pc = group.stack_classes(group.to_sectors(P))
-    shapes = [C.shape for C in Pc]
+    Ps = group.to_sectors(P)
+    probes = [Ps[r] for r in reps]
     th = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
     dk = ax * np.cos(th) + 1j * ay * np.sin(th)
     wq = (-ax * np.sin(th) + 1j * ay * np.cos(th)) / (1j * n_nodes)
-    A = np.zeros((2, n * _PROBES), dtype=complex)
-    scale, arg_det = 0.0, np.empty(n_nodes)
+    A = np.zeros((2, sum(len(C) for C in probes), _PROBES), dtype=complex)
+    scale, arg_det = 0.0, np.empty((n_nodes, len(reps)))
     for q, blocks in _contour_matrices(disc, center, dk):
         lu = SectorLU(group, blocks)
         arg_det[q] = lu.arg_det()
         if count_only:
             continue
-        X = np.concatenate([Z.ravel(order="F")
-                            for Z in lu.solve_classes(Pc)])
+        X = np.concatenate(lu.solve(probes))
         A[0] += wq[q] * X
         A[1] += (wq[q] * dk[q]) * X
         scale += abs(wq[q]) * np.linalg.norm(X)
-    steps = np.angle(np.exp(1j * np.diff(arg_det, append=arg_det[0])))
-    count = int(round(steps.sum() / (2.0 * np.pi)))
+    steps = np.angle(np.exp(1j * np.diff(arg_det, axis=0,
+                                         append=arg_det[:1])))
+    winding = np.rint(steps.sum(axis=0) / (2.0 * np.pi)).astype(int)
+    count = int(np.dot(sizes, winding))
     if count_only:
         return [], count
-    cut = np.cumsum([0] + [a * b for a, b in shapes])
-    A0, A1 = (np.concatenate(group.unstack_classes(
-        [Ap[i:j].reshape(shape, order="F")
-         for i, j, shape in zip(cut[:-1], cut[1:], shapes)])) for Ap in A)
-    U, s, Wh = sla.svd(A0, full_matrices=False)
-    rank = int((s > _RANK_TOL * scale).sum())
-    if rank != count or count >= _PROBES:
+    U, s, Wh = sla.svd(A[0], full_matrices=False)
+    rank, total = int((s > _RANK_TOL * scale).sum()), int(winding.sum())
+    if rank != total or total >= _PROBES:
         raise ValueError(f"winding count {count} but moment rank {rank} "
-                         f"(probe width {_PROBES})")
+                         f"(per-class windings {winding.tolist()}, total "
+                         f"{total}; probe width {_PROBES})")
     zeros: List[Tuple[complex, np.ndarray]] = []
-    B = (U[:, :rank].conj().T @ A1 @ Wh[:rank].conj().T) / s[:rank]
+    B = (U[:, :rank].conj().T @ A[1] @ Wh[:rank].conj().T) / s[:rank]
     for e in np.linalg.eigvals(B):
         k = complex(center + e)
         if (e.real / ax) ** 2 + (e.imag / ay) ** 2 >= 1.0:

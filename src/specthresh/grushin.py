@@ -101,6 +101,9 @@ class ResonanceCoefficients:
 # ---------------------------------------------------------------------------
 # reduction
 
+# the operator the checked LUs of the direct evaluations name in their errors
+_BORDERED_AT = "the bordered Grushin operator P(z)"
+
 class GrushinReduction:
     """Series and direct evaluations of the Grushin data of M(z), as blocks
     of the inverse of the bordered operator P(z) = [[M(z), S], [T, 0]], with
@@ -287,21 +290,25 @@ class GrushinReduction:
 
     def E_at(self, bp: BranchPoint) -> List[np.ndarray]:
         """The sector blocks of E(z) (`ReflectionGroup.expand` gives the
-        n x n matrix): one solve of each bordered block against the first
-        n_s columns of the identity."""
-        return [sla.solve(P, np.eye(len(P))[:, :len(S)])[:len(S)]
-                for P, S in zip(self._bordered_at(bp), self._S)]
+        n x n matrix): one checked LU of the bordered blocks (`BlockLU`),
+        each solved against the first n_s columns of the identity."""
+        P = self._bordered_at(bp)
+        rhs = [np.eye(len(B))[:, :len(S)] for B, S in zip(P, self._S)]
+        return [X[:len(S)] for X, S in
+                zip(BlockLU(P, _BORDERED_AT).solve(rhs), self._S)]
 
     def Emp_at(self, bp: BranchPoint) -> np.ndarray:
-        """E_-+(z), m x m in the flat chain order: one solve of the bordered
-        block of each sector that holds chains against the last m_s columns
-        of the identity."""
+        """E_-+(z), m x m in the flat chain order: one checked LU
+        (`BlockLU`) of the bordered blocks of the sectors that hold chains,
+        each solved against the last m_s columns of the identity."""
         m = self.S.shape[1]
         out = np.zeros((m, m), dtype=complex)
-        for P, S, c in zip(self._bordered_at(bp), self._S, self.columns):
-            if len(c):
-                k = len(S)
-                out[np.ix_(c, c)] = sla.solve(P, np.eye(len(P))[:, k:])[k:]
+        held = [(B, len(S), c) for B, S, c in
+                zip(self._bordered_at(bp), self._S, self.columns) if len(c)]
+        X = BlockLU([B for B, _, _ in held], _BORDERED_AT).solve(
+            [np.eye(len(B))[:, k:] for B, k, _ in held])
+        for Xs, (_, k, c) in zip(X, held):
+            out[np.ix_(c, c)] = Xs[k:]
         return out
 
 
@@ -333,17 +340,16 @@ def invert_E_minus_plus(red: GrushinReduction
     """Laurent inverse of E_-+ with lowest order -q, the smallest q whose
     inverse matches a direct one to 1e-5 relative at the anchor's -q_test,
     -q_test / 4 and, off the negative axis, i q_test."""
-    def err(F: ExpansionSeries, z: complex) -> float:
-        bp = red.bp_of(z)
-        direct = np.linalg.inv(red.Emp_at(bp))
-        return (np.linalg.norm(F.eval(red.var_of(bp)) - direct)
-                / np.linalg.norm(direct))
+    zt = red.q_test
+    bps = [red.bp_of(z) for z in (-zt, -zt / 4.0, 1j * zt)]
+    # the direct inverses, once for every order tried
+    direct = [(red.var_of(bp), np.linalg.inv(red.Emp_at(bp))) for bp in bps]
 
     emp = red.Emp_series
-    zt = red.q_test
     for q in range(0, min(red.cap, 5)):
         F = emp.laurent_inverse(q)
-        if all(err(F, z) <= 1e-5 for z in (-zt, -zt / 4.0, 1j * zt)):
+        if all(np.linalg.norm(F.eval(u) - D) / np.linalg.norm(D) <= 1e-5
+               for u, D in direct):
             return F, q
     raise ValueError("no Laurent order reproduces the inverse of E_-+")
 

@@ -322,8 +322,13 @@ def weighted_sector_norm(group: ReflectionGroup, flat: np.ndarray,
     alone: the weight sqrt(w) <x>^s is constant on node orbits, so it
     commutes with the sector basis and the norm is the largest of the
     blocks' weighted norms, each with the weight at the representatives of
-    the block's orbits."""
+    the block's orbits.  The matrix must also commute with the group's
+    axis permutations, as R0, the resolvent and its coefficients do: the
+    weight is invariant under them too, so the blocks of a class have one
+    weighted norm, and only each class representative's is taken
+    (`ReflectionGroup.sector_classes`)."""
     d_out = weight_diag(grid, s_out)[group.reps]
     d_in = weight_diag(grid, s_in)[group.reps]
-    return max(_scaled_2norm(B, d_out[c], d_in[c]) for B, c in
-               zip(group.split(flat), group.sector_orbits))
+    blocks, orbits = group.split(flat), group.sector_orbits
+    return max(_scaled_2norm(blocks[r], d_out[orbits[r]], d_in[orbits[r]])
+               for r in set(group.sector_classes))

@@ -407,8 +407,9 @@ def verify_large_time(disc: Discretization,
     tuned second/third kind: the large-time limit is the threshold
     projection (constant term), the remainder decays with slope -1/2.
     Every norm is the weighted operator norm from L^{2,s} to L^{2,-s} of
-    a G-invariant matrix (U(t), R_-2, P0, the first-kind target), taken on
-    its sector blocks (`weighted_sector_norm`); U(t) comes as blocks
+    a matrix that commutes with the group and its axis permutations (U(t),
+    R_-2, P0, the first-kind target), taken on the class representatives'
+    sector blocks (`weighted_sector_norm`); U(t) comes as blocks
     (`CutPropagator.propagate_blocks`) and is never expanded.  A non-zero
     potential without coefficients is a ValueError; so is a `propagator`
     built on another discretization or other coefficients."""

@@ -34,10 +34,10 @@ d_a q_{sigma',a'} with d_a = chi_sigma'(h_a), and
 for every A that also commutes with p.  The blocks of a class of sectors
 joined by these relations are one matrix up to a signed permutation; the
 class's smallest sector represents it (`sector_classes`).  `SectorLU`
-factors the representatives alone and solves the other blocks' right-hand
-sides on them (`stack_classes`, `unstack_classes`); a matrix that commutes
-with p too, R0 and M^{-1} R0 for example, needs only its representatives'
-blocks (`from_representatives`).  The reference models' 8 sectors form the
+factors the representatives alone and solves right-hand sides given for
+them; a matrix that commutes with p too, R0 and M^{-1} R0 for example,
+needs only its representatives' blocks, the others gathered from them
+(`SectorLU.solve_flat`).  The reference models' 8 sectors form the
 classes {0}, {1, 2, 4}, {3, 5, 6}, {7} under all five permutations, and
 {0}, {1}, {2, 4}, {3, 5}, {6}, {7} under x_2 <-> x_3 alone.
 """
@@ -197,39 +197,6 @@ class ReflectionGroup:
         """The representative (smallest) sector of each sector's class."""
         return [int(r) for r in self._classes.rep]
 
-    def stack_classes(self, blocks: Sequence[np.ndarray]
-                      ) -> List[np.ndarray]:
-        """Per class, the right-hand sides C_s of its sectors (blocks with
-        the same column count) side by side in the coordinates of its
-        representative r, [C_r, D_s C_s permuted, ...]: A_s X_s = C_s is
-        A_r Z = (D_s C_s)[inv_s] with X_s = D_s Z[pos_s]
-        (`unstack_classes`).  Fortran-ordered, as getrs reads them."""
-        c = self._classes
-        return [np.asfortranarray(np.hstack(
-            [blocks[r]] + [dinv[:, None] * blocks[s][inv]
-                           for s, _, _, inv, dinv in members]))
-            for r, members in zip(c.reps, c.members)]
-
-    def unstack_classes(self, stacked: Sequence[np.ndarray]
-                        ) -> List[np.ndarray]:
-        """The blocks per sector of class-stacked blocks, the inverse of
-        `stack_classes`."""
-        c = self._classes
-        out: List[Optional[np.ndarray]] = [None] * len(c.rep)
-        for Z, r, members in zip(stacked, c.reps, c.members):
-            p = Z.shape[1] // (1 + len(members))
-            out[r] = Z[:, :p]
-            for j, (s, pos, d, _, _) in enumerate(members, 1):
-                out[s] = d[:, None] * Z[pos, j * p:(j + 1) * p]
-        return out
-
-    def from_representatives(self, flat: np.ndarray) -> np.ndarray:
-        """The flat block buffer with every block set from its class
-        representative's block (`sector_classes`), signed and permuted."""
-        out = np.array(flat, dtype=complex)
-        self._fill_members(out)
-        return out
-
     def _fill_members(self, flat: np.ndarray) -> None:
         """Set every block of the flat buffer that is not a class
         representative from its representative's block, in place."""
@@ -364,10 +331,6 @@ class _SectorClasses(NamedTuple):
     the class representative r."""
     rep: np.ndarray         # the representative of each sector
     reps: List[int]         # the representatives, ascending
-    # per representative, its other members (s, pos, d, inv, d[inv]), with
-    # inv the inverse permutation of pos
-    members: List[List[Tuple[int, np.ndarray, np.ndarray, np.ndarray,
-                             np.ndarray]]]
     # the flat entries of the blocks that are not representatives, the
     # entry of the representative's block each is taken from, and its sign
     dst: np.ndarray
@@ -375,7 +338,7 @@ class _SectorClasses(NamedTuple):
     sign: np.ndarray
     diag: np.ndarray        # positions of the representatives' diagonals
     unpivoted: np.ndarray   # 0-based pivots of the representatives, no swaps
-    weight: np.ndarray      # the class size at each diagonal entry (pivot)
+    first: np.ndarray       # index of each representative's first pivot
 
     @classmethod
     def build(cls, t: _SectorTables,
@@ -386,9 +349,6 @@ class _SectorClasses(NamedTuple):
         start = t.colstart[t.first]
         rep = np.array([r for r, _, _ in rel])
         reps = [int(r) for r in np.unique(rep)]
-        members = [[(s, pos, d, np.argsort(pos), d[np.argsort(pos)])
-                    for s, (r0, pos, d) in enumerate(rel)
-                    if r0 == r and s != r] for r in reps]
         moved = [(s, r, pos, d) for s, (r, pos, d) in enumerate(rel)
                  if r != s]
         dst = [start[s] + np.arange(sizes[s] ** 2) for s, _, _, _ in moved]
@@ -404,12 +364,12 @@ class _SectorClasses(NamedTuple):
             return (np.concatenate(parts) if parts else np.zeros(0)).astype(
                 dtype)
 
-        return cls(rep, reps, members, table(dst, index), table(src, index),
+        return cls(rep, reps, table(dst, index), table(src, index),
                    table(sign, np.int8),
                    np.concatenate([start[r] + np.arange(sizes[r])
                                    * (sizes[r] + 1) for r in reps]),
                    np.concatenate([np.arange(m) for m in k]),
-                   np.repeat([1 + len(m) for m in members], k))
+                   np.concatenate([[0], np.cumsum(k)[:-1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +416,13 @@ class BlockLU:
 class SectorLU(BlockLU):
     """`BlockLU` of the sector blocks of Id + R0 V, one getrf and gecon per
     class of equivalent blocks (`ReflectionGroup.sector_classes`), in place
-    in the flat block buffer, all block norms from one pass over it.  Every
-    block of a class has the representative's 1-norm, inverse 1-norm and
-    determinant, so the rcond over the blocks and arg det need only the
-    representatives; a member's right-hand side is solved on the
-    representative's LU, its rows signed and permuted."""
+    in the flat block buffer, all block norms from one pass over it; every
+    entry of the buffer is checked finite.  Every block of a class has the
+    representative's 1-norm, inverse 1-norm and determinant, so the rcond
+    over the blocks and arg det need only the representatives.  `solve`
+    takes one right-hand side per representative, in ascending order;
+    `solve_flat` gives all blocks of M^{-1} B for a B that commutes with the
+    permutations."""
 
     def __init__(self, group: ReflectionGroup, flat: np.ndarray):
         # contiguous complex: getrf overwrites the blocks' views in place,
@@ -477,34 +439,21 @@ class SectorLU(BlockLU):
         super().__init__([blocks[r] for r in c.reps], "Id + R0 V",
                          anorm[c.reps])
 
-    def arg_det(self) -> float:
-        """arg det M (mod 2 pi) = sum_s arg det M_s, since det Q = +-1: each
-        class's size times its representative's arg det."""
+    def arg_det(self) -> np.ndarray:
+        """arg det M_r (mod 2 pi) of each class representative r, ascending:
+        the angles of its LU's diagonal and pi per row swap.  A member's
+        block has the same determinant, and det Q = +-1, so arg det M is
+        the sum over the classes of the class size times these."""
         c = self._classes
         piv = np.concatenate([piv for _, piv in self._factors])
-        swaps = np.dot(c.weight, piv != c.unpivoted)
-        return float(np.dot(c.weight, np.angle(self._flat[c.diag]))
-                     + np.pi * swaps)
-
-    def solve(self, rhs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """M_s^{-1} C_s for each sector's block C_s of the right-hand side
-        (the blocks of a class with the same column count)."""
-        group = self._group
-        return group.unstack_classes(self.solve_classes(
-            group.stack_classes(rhs)))
-
-    def solve_classes(self, stacked: Sequence[np.ndarray]
-                      ) -> List[np.ndarray]:
-        """One getrs per class on its stacked right-hand sides
-        (`ReflectionGroup.stack_classes`), in the same layout."""
-        return [zgetrs(lu, piv, C)[0] for (lu, piv), C in
-                zip(self._factors, stacked)]
+        return np.add.reduceat(np.angle(self._flat[c.diag])
+                               + np.pi * (piv != c.unpivoted), c.first)
 
     def solve_flat(self, flat: np.ndarray) -> np.ndarray:
         """The flat blocks of M^{-1} B for the flat blocks of a B that
         commutes with the group and the permutations, as R0 does: getrs on
         the representatives' blocks alone, the other blocks set from them
-        (`ReflectionGroup.from_representatives`)."""
+        (`ReflectionGroup._fill_members`)."""
         group = self._group
         B, out = group.split(flat), np.empty(len(flat), dtype=complex)
         X = group.split(out)

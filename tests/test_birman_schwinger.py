@@ -59,25 +59,39 @@ def test_jump_matches_two_sided_resolvents():
 
 @pytest.mark.parametrize("lam", [0.04, 1.0, 39.0])
 def test_jump_matches_sla_solve(first6, lam):
-    # the sector-block path of Discretization._resolve against
-    # scipy.linalg.solve on the dense n x n matrix, on both boundary sides
+    # the sector-block path of Discretization.R against scipy.linalg.solve
+    # on the dense n x n matrix, on both boundary sides
     disc = Discretization(first6)
-    r0 = disc.r0(BranchPoint.boundary(lam, "+"))
-    got = disc._resolve(r0) - disc._resolve(np.conj(r0))
+    got = (disc.R(BranchPoint.boundary(lam, "+"))
+           - disc.R(BranchPoint.boundary(lam, "-")))
     want = oracles.sla_solve_jump(disc, lam)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_resolvent_assembles_no_dense_r0(first6, monkeypatch):
+    # R reads the representative rows of R0 alone (`r0_sectors`)
+    calls = []
+    monkeypatch.setattr(birman_schwinger, "assemble_r0",
+                        lambda *args: calls.append(args))
+    Discretization(first6).R(BranchPoint.from_z(-1.0 + 0.5j))
+    assert calls == []
+
+
 def _disc_with_r0(monkeypatch):
-    """Discretization whose R0 assembly returns one zero matrix that the
-    test then fills in, with the constant potential 0.5 + 0.5i (exact
-    products with R0) and a node i where V is not cut off."""
+    """Discretization whose R0 is one zero matrix that the test then fills
+    in, read through its sector blocks (`r0_sectors`), with the constant
+    potential 0.5 + 0.5i (exact products with R0) and a node i where V is
+    not cut off: the first such node, so the representative of its
+    orbit."""
     grid = build_grid(2.0, 4)
     disc = Discretization(Model(grid=grid,
                                 potential=sample_potential(grid, 0.5 + 0.5j)))
     r0 = np.zeros((grid.n, grid.n), dtype=complex)
-    monkeypatch.setattr(Discretization, "r0", lambda self, bp: r0)
-    return disc, r0, int(np.flatnonzero(disc.V)[0])
+    monkeypatch.setattr(Discretization, "r0_sectors",
+                        lambda self, bp: self.sectors.blocks(r0))
+    i = int(np.flatnonzero(disc.V)[0])
+    assert i in disc.sectors.reps
+    return disc, r0, i
 
 
 def test_resolve_raises_on_singular_matrix(monkeypatch):
@@ -103,7 +117,11 @@ def test_resolve_raises_where_solve_warns_ill_conditioned(monkeypatch):
 
 def test_resolve_rejects_non_finite_input(monkeypatch):
     disc, r0, _ = _disc_with_r0(monkeypatch)
-    r0[3, 5] = np.nan
+    # the NaN in the gathered blocks of R0, in a block of the class
+    # {1, 2, 4} that is not factored
+    flat = disc.sectors.blocks(r0)
+    disc.sectors.split(flat)[2][3, 5] = np.nan
+    monkeypatch.setattr(Discretization, "r0_sectors", lambda self, bp: flat)
     with pytest.raises(ValueError, match="infs or NaNs"):
         disc.R(BranchPoint.from_z(-1.0))
 
@@ -457,9 +475,11 @@ def disc_third6():
 def test_pole_contour_raises_when_count_is_not_verified(disc_third6):
     # the third-kind model at resolution 6 has zeros of M(k) next to the
     # pole contour (k = 0.3104 + 0.1346i lies just below Im k = 0.15); the
-    # quadrature error it causes gives the moments a rank other than the
-    # ten zeros the winding counts
-    with pytest.raises(ValueError, match="winding count 10"):
+    # quadrature error it causes gives the representatives' moments a rank
+    # other than the seven zeros their windings count
+    with pytest.raises(ValueError, match=r"winding count 9 but moment rank "
+                       r"9 \(per-class windings \[2, 1, 1, 1, 1, 1\], "
+                       r"total 7; probe width 16\)"):
         _contour_zeros(disc_third6, *_POLE_ELLIPSE, 512)
 
 

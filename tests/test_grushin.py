@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import oracles
 import specthresh.grushin as grushin
@@ -153,6 +154,49 @@ def test_laurent_order_is_checked_off_the_negative_axis(
     monkeypatch.setattr(GrushinReduction, "Emp_at", skewed)
     with pytest.raises(ValueError, match="no Laurent order"):
         invert_E_minus_plus(red)
+
+
+def test_laurent_order_forms_each_direct_inverse_once(
+        monkeypatch, disc_third, coeffs_third):
+    # third8 tries the orders q = 0, 1, 2 against the same three points
+    red = GrushinReduction(disc_third, coeffs_third.basis)
+    calls = []
+    exact = GrushinReduction.Emp_at
+
+    def counting(self, bp):
+        calls.append(bp.z)
+        return exact(self, bp)
+
+    monkeypatch.setattr(GrushinReduction, "Emp_at", counting)
+    _, q = invert_E_minus_plus(red)
+    assert q == coeffs_third.constants["q"] == 2
+    assert len(calls) == len(set(calls)) == 3
+
+
+@pytest.mark.parametrize("method", ["E_at", "Emp_at"])
+def test_direct_evaluations_raise_on_ill_conditioned_bordered_block(
+        monkeypatch, disc_first, coeffs_first, method):
+    # the bordered block of sector 0, which holds the chain, replaced by
+    # the identity with 2^-53 at (0, 0): rcond 2^-53 < eps, which
+    # scipy.linalg.solve only warns about
+    red = _reduction(disc_first, coeffs_first)
+    assert coeffs_first.basis.sectors == [0]
+    exact = GrushinReduction._bordered_at
+
+    def skewed(self, bp):
+        P = exact(self, bp)
+        P[0] = np.eye(len(P[0]), dtype=complex)
+        P[0][0, 0] = 2.0 ** -53
+        return P
+
+    monkeypatch.setattr(GrushinReduction, "_bordered_at", skewed)
+    bp = red.bp_of(-1e-3)
+    P0 = red._bordered_at(bp)[0]
+    with pytest.warns(sla.LinAlgWarning):
+        sla.solve(P0, np.eye(len(P0)))
+    with pytest.raises(np.linalg.LinAlgError, match="P\\(z\\) is "
+                       "ill-conditioned"):
+        getattr(red, method)(bp)
 
 
 def test_laurent_inverse_agrees_pointwise(disc_first, coeffs_first):

@@ -388,9 +388,9 @@ def test_analysis_decomposes_only_sector_blocks(first6, monkeypatch):
     riesz_projection(K0, disc.sectors, min(det.gap / 2.5, 0.5),
                      detection=det)
     block = first6.grid.n // 8
-    # 9 energies: one getrf per class of equivalent blocks (4 classes) and
-    # two norms per block; then eigvals, svd and schur per block
-    assert len(shapes) == 9 * (4 + 2 * 8) + 3 * 8
+    # 9 energies: one getrf and two norms per class of equivalent blocks
+    # (4 classes); then eigvals, svd and schur per block
+    assert len(shapes) == 9 * (4 + 2 * 4) + 3 * 8
     assert all(s == (block, block) for s in shapes), set(shapes)
 
 
@@ -499,9 +499,11 @@ def _record_expansion_shapes(monkeypatch):
     bordered = []
     block_lu, matmul = grushin.BlockLU, ExpansionSeries.__matmul__
 
-    def recording_lu(blocks, *args, **kwargs):
-        bordered.append([np.shape(B) for B in blocks])
-        return block_lu(blocks, *args, **kwargs)
+    def recording_lu(blocks, name, *args, **kwargs):
+        # the direct evaluations E(z), E_-+(z) factor P(z) at sample points
+        if name.endswith("P(0)"):
+            bordered.append([np.shape(B) for B in blocks])
+        return block_lu(blocks, name, *args, **kwargs)
 
     def recording_matmul(self, other):
         shapes.extend((self.shape, other.shape))
@@ -597,7 +599,8 @@ def test_equivalent_sector_blocks_are_signed_permutations(factory,
                for p in disc.symmetry["permutations"])
     for k in _EQUIVALENCE_KS:
         flat = disc.M_sectors(BranchPoint(z=k * k, sqrt_z=k))
-        gathered = group.from_representatives(flat)
+        gathered = flat.copy()
+        group._fill_members(gathered)
         for s, (B, G) in enumerate(zip(group.split(flat),
                                        group.split(gathered))):
             assert np.linalg.norm(B - G) <= 1e-13 * np.linalg.norm(B), (k, s)
@@ -642,6 +645,7 @@ def test_sector_lu_matches_block_lu_on_every_block(name, request):
         _node_permuted(request.getfixturevalue("first5"), 9)
         if name == "shuffled_first5" else request.getfixturevalue(name))
     group = disc.sectors
+    reps, sizes = np.unique(group.sector_classes, return_counts=True)
     rng = np.random.default_rng(7)
     n = disc.grid.n
     Ps = group.to_sectors(rng.standard_normal((n, 5))
@@ -652,13 +656,16 @@ def test_sector_lu_matches_block_lu_on_every_block(name, request):
         flat = disc.m_blocks(R0s)
         ref = symmetry.BlockLU([B.copy() for B in group.split(flat)], "M")
         lu = symmetry.SectorLU(group, flat.copy())
-        for X, W in zip(lu.solve(Ps), ref.solve(Ps)):
-            assert np.linalg.norm(X - W) <= 1e-12 * np.linalg.norm(W), k
+        want = ref.solve(Ps)
+        for X, r in zip(lu.solve([Ps[r] for r in reps]), reps):
+            assert np.linalg.norm(X - want[r]) \
+                <= 1e-12 * np.linalg.norm(want[r]), k
         want = group.join(ref.solve(group.split(R0s)))
         got = lu.solve_flat(R0s)
         for X, W in zip(group.split(got), group.split(want)):
             assert np.linalg.norm(X - W) <= 1e-12 * np.linalg.norm(W), k
-        step = np.angle(np.exp(1j * (lu.arg_det() - _block_arg_det(ref))))
+        step = np.angle(np.exp(1j * (np.dot(sizes, lu.arg_det())
+                                     - _block_arg_det(ref))))
         assert abs(step) <= 1e-12, k
         assert abs(lu.rcond - ref.rcond) <= 1e-12 * ref.rcond, k
 
@@ -700,8 +707,18 @@ def test_contour_factors_one_block_per_class(factory, contour, classes,
                                              monkeypatch):
     disc = Discretization(_FACTORIES[factory](build_grid(3.0, 6)))
     getrf = _count_calls(monkeypatch, "zgetrf")
+    columns = []
+    getrs = symmetry.zgetrs
+
+    def counting(lu, piv, b, *args, **kwargs):
+        columns.append(b.shape[1])
+        return getrs(lu, piv, b, *args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "zgetrs", counting)
     _contour_zeros(disc, *contour, 64)
     assert len(getrf) == 64 * classes
+    # each representative's rows of the 16-column probe block, per node
+    assert sum(columns) == 64 * 16 * classes
 
 
 def test_count_only_contour_solves_nothing(first6, monkeypatch):
