@@ -23,8 +23,9 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import ztrsen, ztrsyl
 
-from .kernels import (BranchPoint, assemble_gj, assemble_gj_plus,
-                      assemble_r0, assemble_r0_entries, r0_entry_plan)
+from .kernels import (BranchPoint, assemble_entries, assemble_gj,
+                      assemble_gj_plus, assemble_r0, entry_plan, gj_plus_rule,
+                      gj_rule, r0_rule)
 from .model import Model, QuadratureGrid
 from .symmetry import ReflectionGroup, SectorLU, reflection_axes
 
@@ -41,8 +42,6 @@ __all__ = [
 
 # a grid reflection g is a symmetry of V when |V o g - V| <= this * max |V|
 _V_SYMMETRY_TOL = 1e-13
-# the G_j a Discretization keeps once assembled
-_CACHED_GJ = (0, 2)
 
 
 def _v_deviation(V: np.ndarray, m: np.ndarray) -> float:
@@ -63,30 +62,31 @@ def invariant_subgroup(grid_group: ReflectionGroup, V: np.ndarray
 
 
 class Discretization:
-    """Caches the threshold kernels G_0 and G_2 of a model, and provides the
-    operators every other module consumes (the kernels gather from the
-    grid's own distance-class table).
+    """The operators every other module consumes, each G-invariant one as
+    the flat sector blocks of `sectors` (`ReflectionGroup.transform`): R0,
+    G_j, G_j^+, K = R0 V, K0 = G0 V, M = Id + R0 V and the resolvent, each
+    gathered from its kernel's entries at the representative rows alone
+    (`kernels.assemble_entries`, n^2 / |G| entries).  This is the one place
+    that makes blocks; the stages pass them on as they come.  The blocks of
+    G_2, which every `l2_pair_source` reads, are cached.  `r0`, `gj`,
+    `gj_plus`, `K`, `K0`, `M` and `R` give n x n matrices, as references.
 
-    Every factorization of M(k) = Id + R0(k) V runs in the parity sectors
-    of `sectors`: the reflections x_i -> +-x_i that map the grid (nodes and
-    weights, `QuadratureGrid.reflections`) and V onto themselves, found on
-    first use.  M(k) is one block per character of that group, eight
-    blocks of about n / 8 on the reference models; a model without
-    symmetry is one n x n block.  An axis permutation that maps the grid,
-    V and the group onto themselves makes blocks equivalent, and each
-    class of equivalent blocks is factored once (`SectorLU`): 4 of the 8
-    blocks on the first-kind, regular and resonance models, 6 on the
-    second and third kind.  The analysis of K0 and K+(lam)
-    (`detect_minus_one`, `riesz_projection`) and the resolvent Taylor
-    coefficients (`propagator.resolvent_taylor`) run on the same blocks.
-    `symmetry` records the group."""
+    Every factorization of M(k) runs in the parity sectors of `sectors`:
+    the reflections x_i -> +-x_i that map the grid (nodes and weights,
+    `QuadratureGrid.reflections`) and V onto themselves, found on first
+    use.  M(k) is one block per character of that group, eight blocks of
+    about n / 8 on the reference models; a model without symmetry is one
+    n x n block.  An axis permutation that maps the grid, V and the group
+    onto themselves makes blocks equivalent, and each class of equivalent
+    blocks is factored once (`SectorLU`): 4 of the 8 blocks on the
+    first-kind, regular and resonance models, 6 on the second and third
+    kind.  `symmetry` records the group."""
 
     def __init__(self, model: Model):
         self.model = model
         self.grid = model.grid
         self.V = model.V
         self.w = model.grid.weights
-        self._gj = {}
         # the sector group's record, set with `sectors`
         self.symmetry: Optional[dict] = None
 
@@ -122,55 +122,53 @@ class Discretization:
             "sector_classes": group.sector_classes}
         return group
 
-    # --- free kernels -----------------------------------------------------
-    def r0(self, bp: BranchPoint) -> np.ndarray:
-        return assemble_r0(self.grid, bp)
-
-    def gj(self, j: int) -> np.ndarray:
-        """G_j, assembled per call except G_0 (`K0`) and G_2
-        (`l2_pair_source`), which are read again after the Grushin
-        reduction has taken its sector blocks and are cached."""
-        if j not in _CACHED_GJ:
-            return assemble_gj(self.grid, j)
-        if j not in self._gj:
-            self._gj[j] = assemble_gj(self.grid, j)
-        return self._gj[j]
-
-    def gj_plus(self, j: int, lam0: float) -> np.ndarray:
-        return assemble_gj_plus(self.grid, j, lam0)
-
-    # --- Birman-Schwinger operators --------------------------------------
-    def K(self, bp: BranchPoint) -> np.ndarray:
-        return self.r0(bp) * self.V[None, :]
-
-    @property
-    def K0(self) -> np.ndarray:
-        return self.gj(0) * self.V[None, :]
-
-    def M(self, bp: BranchPoint) -> np.ndarray:
-        """Id + R0 V, dense (the sector path factors its blocks)."""
-        A = self.r0(bp) * self.V[None, :]
-        A[np.diag_indices(self.grid.n)] += 1.0
-        return A
-
-    def r0_sectors(self, bp: BranchPoint) -> np.ndarray:
-        """The flat sector blocks of R0 (`ReflectionGroup.transform`) from
-        its entries at the representative rows alone, n^2 / |G| kernel
-        gathers."""
-        return self.sectors.transform(assemble_r0_entries(self.grid, bp,
-                                                          self._r0_plan))
+    # --- free kernels, as flat sector blocks -----------------------------
+    @cached_property
+    def _plan(self):
+        return entry_plan(self.grid, *self.sectors.rep_pairs)
 
     @cached_property
-    def _r0_plan(self):
-        return r0_entry_plan(self.grid, *self.sectors.rep_pairs)
+    def _v_cols(self) -> np.ndarray:
+        """V at the column of each entry of the plan."""
+        return self.V[self.sectors.rep_pairs[1]]
+
+    def _gather(self, rule, times_v: bool = False) -> np.ndarray:
+        """The blocks of the kernel `rule` (times V on the right when
+        `times_v`, entry by entry as K = R0 V is formed)."""
+        T = assemble_entries(self.grid, rule, self._plan)
+        if times_v:
+            T *= self._v_cols
+        return self.sectors.transform(T)
+
+    def r0_sectors(self, bp: BranchPoint) -> np.ndarray:
+        return self._gather(r0_rule(bp))
+
+    def gj_sectors(self, j: int) -> np.ndarray:
+        return self._gather(gj_rule(j))
+
+    @cached_property
+    def _g2_sectors(self) -> np.ndarray:
+        """The blocks of G_2, read-only."""
+        G2 = self.gj_sectors(2)
+        G2.flags.writeable = False
+        return G2
+
+    def gj_plus_sectors(self, j: int, lam0: float) -> np.ndarray:
+        return self._gather(gj_plus_rule(j, lam0))
+
+    # --- Birman-Schwinger operators, as flat sector blocks ---------------
+    def K_sectors(self, bp: BranchPoint) -> np.ndarray:
+        return self._gather(r0_rule(bp), times_v=True)
+
+    @property
+    def K0_sectors(self) -> np.ndarray:
+        return self._gather(gj_rule(0), times_v=True)
 
     def M_sectors(self, bp: BranchPoint) -> np.ndarray:
-        """The flat sector blocks of M = Id + R0 V."""
         return self.m_blocks(self.r0_sectors(bp))
 
     def m_blocks(self, r0_blocks: np.ndarray) -> np.ndarray:
-        """The flat sector blocks Id + R0_s V_s of M from those of R0
-        (`ReflectionGroup.transform`)."""
+        """The flat sector blocks Id + R0_s V_s of M from those of R0."""
         A = self.times_v(r0_blocks)
         A[self.sectors.flat_diagonal] += 1.0
         return A
@@ -185,23 +183,43 @@ class Discretization:
         """V at the column orbit of each flat block entry."""
         return self.V[self.sectors.reps][self.sectors.flat_columns]
 
-    def R(self, bp: BranchPoint) -> np.ndarray:
-        """Full resolvent of the model, (Id + R0 V)^{-1} R0, n x n: the
-        blocks of `R_sectors` expanded (`ReflectionGroup.expand`); no n x n
-        R0 is assembled."""
-        group = self.sectors
-        return group.expand(group.split(self.R_sectors(bp)))
-
     def R_sectors(self, bp: BranchPoint) -> np.ndarray:
-        """The flat sector blocks of the resolvent from those of R0
-        (`r0_sectors`): one checked getrf (`SectorLU`) and getrs per class
-        of equivalent blocks, the other blocks gathered
+        """The flat sector blocks of the resolvent (Id + R0 V)^{-1} R0 from
+        those of R0 (`r0_sectors`): one checked getrf (`SectorLU`) and getrs
+        per class of equivalent blocks, the other blocks gathered
         (`SectorLU.solve_flat`).  ValueError on a non-finite block entry;
         LinAlgError on a zero pivot in a block, or when the 1-norm
         reciprocal condition number over the blocks is below machine
         epsilon."""
         R0s = self.r0_sectors(bp)
         return SectorLU(self.sectors, self.m_blocks(R0s)).solve_flat(R0s)
+
+    # --- n x n references -------------------------------------------------
+    def r0(self, bp: BranchPoint) -> np.ndarray:
+        return assemble_r0(self.grid, bp)
+
+    def gj(self, j: int) -> np.ndarray:
+        return assemble_gj(self.grid, j)
+
+    def gj_plus(self, j: int, lam0: float) -> np.ndarray:
+        return assemble_gj_plus(self.grid, j, lam0)
+
+    def K(self, bp: BranchPoint) -> np.ndarray:
+        return self.r0(bp) * self.V[None, :]
+
+    @property
+    def K0(self) -> np.ndarray:
+        return self.gj(0) * self.V[None, :]
+
+    def M(self, bp: BranchPoint) -> np.ndarray:
+        A = self.K(bp)
+        A[np.diag_indices(self.grid.n)] += 1.0
+        return A
+
+    def R(self, bp: BranchPoint) -> np.ndarray:
+        """The resolvent, n x n: the blocks of `R_sectors` expanded
+        (`ReflectionGroup.expand`)."""
+        return self.sectors.expand(self.R_sectors(bp))
 
     # --- pairings ---------------------------------------------------------
     def pair(self, u: np.ndarray, v: np.ndarray) -> complex:
@@ -219,12 +237,12 @@ class Discretization:
     def l2_pair_source(self, u: np.ndarray, v: np.ndarray) -> complex:
         """<u, Jv> over all of R^3 for threshold states u = -G0(Vu),
         v = -G0(Vv) with vanishing markers, evaluated through the source
-        representation: int u v = -<G2 (Vu), J(Vv)>. This removes the
+        representation: int u v = -<G2 (Vu), J(Vv)>, paired on the sector
+        blocks of G2 (`ReflectionGroup.bilinear`).  This removes the
         ball-truncation error of the plain grid pairing."""
-        fu = self.w * self.V * u
-        fv = self.V * v
-        G2 = self.gj(2)
-        return complex(-(fu @ G2 @ (fv)))
+        fu, fv = self.w * self.V * u, self.V * v
+        return complex(-self.sectors.bilinear(
+            self._g2_sectors, fu[:, None], fv[:, None])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +284,7 @@ class ZeroClassification:
 @dataclass(frozen=True)
 class RieszProjection:
     group: ReflectionGroup
-    blocks: List[np.ndarray]        # the projector's sector blocks
+    blocks: np.ndarray              # the projector's flat sector blocks
     sector_ranks: Tuple[int, ...]   # cluster eigenvalues in each block
     rank: int
     contour_radius: float
@@ -284,15 +302,16 @@ class RieszProjection:
 def detect_minus_one(K: np.ndarray, group: ReflectionGroup,
                      tol: float = 1e-6) -> Optional[EigenNearMinusOne]:
     """The eigenvalue cluster of K near -1, or None when no eigenvalue lies
-    within tol of it, from the sector blocks K_s of the G-invariant K
-    (`ReflectionGroup.blocks`; the one-block group of the identity for a
-    matrix without symmetry): the eigenvalues of every block, the cluster
-    gap over all of them, and the null space of Id + K from the SVD of each
-    Id + K_s against one tolerance from the largest singular value over
-    the blocks, lifted to the nodes (`ReflectionGroup.from_sectors`).
+    within tol of it, from the flat sector blocks K of a G-invariant
+    operator (`Discretization.K0_sectors`, `K_sectors`; the one-block group
+    of the identity for a matrix without symmetry): the eigenvalues of
+    every block, the cluster gap over all of them, and the null space of
+    Id + K from the SVD of each Id + K_s against one tolerance from the
+    largest singular value over the blocks, lifted to the nodes
+    (`ReflectionGroup.from_sectors`).
     ValueError when the cluster is not separated from the rest, or when it
     is not empty but no singular value falls under the tolerance."""
-    blocks = group.split(group.blocks(np.asarray(K)))
+    blocks = group.split(K)
     evals = [sla.eigvals(B) for B in blocks]
     d = [np.abs(e + 1.0) for e in evals]
     counts = tuple(int((ds <= tol).sum()) for ds in d)
@@ -341,20 +360,24 @@ def tune_coupling(grid: QuadratureGrid, template: np.ndarray, target: str,
     eigenvalue of largest modulus of the untuned operator, gamma* = -1/mu.
     The eigenvalues come from the sector blocks of the grid reflections
     that leave W invariant (`invariant_subgroup`, the rule of
-    `Discretization.sectors`), one eigvals per block."""
+    `Discretization.sectors`), gathered from the kernel's entries at the
+    representative rows (`kernels.assemble_entries`), one eigvals per
+    block."""
     W = np.asarray(template, dtype=complex)
     if np.max(np.abs(W)) == 0:
         raise ValueError("template too weak")
     if target == "threshold_zero":
-        kernel = assemble_gj(grid, 0)
+        rule = gj_rule(0)
     elif target == "positive":
         if lam0 is None or lam0 <= 0:
             raise ValueError("positive target needs lam0 > 0")
-        kernel = assemble_r0(grid, BranchPoint.boundary(lam0, "+"))
+        rule = r0_rule(BranchPoint.boundary(lam0, "+"))
     else:
         raise ValueError("unknown tuning target")
     group, _ = invariant_subgroup(grid.reflections, W)
-    flat = group.blocks(kernel) * W[group.reps][group.flat_columns]
+    flat = group.transform(assemble_entries(
+        grid, rule, entry_plan(grid, *group.rep_pairs)))
+    flat *= W[group.reps][group.flat_columns]
     mu = np.concatenate([sla.eigvals(B) for B in group.split(flat)])
     mu = mu[np.abs(mu) > 1e-12]
     if mu.size == 0:
@@ -391,21 +414,21 @@ def _spectral_projector(T: np.ndarray, Q: np.ndarray,
 def riesz_projection(K: np.ndarray, group: ReflectionGroup, eps: float,
                      detection: Optional[EigenNearMinusOne] = None
                      ) -> RieszProjection:
-    """Spectral projector onto the -1 cluster of the G-invariant K, the
-    eigenvalues inside the circle |w + 1| = eps, exactly from one complex
-    Schur form K_s = Q T Q^H of each sector block (`ReflectionGroup.blocks`).
-    It is kept as those blocks, with the number of selected eigenvalues in
-    each (`sector_ranks`); the rank is their sum.  A block with none is
-    exactly zero."""
+    """Spectral projector onto the -1 cluster of the G-invariant operator
+    with the flat sector blocks K, the eigenvalues inside the circle
+    |w + 1| = eps, exactly from one complex Schur form K_s = Q T Q^H of
+    each block.  It is kept as flat blocks, with the number of selected
+    eigenvalues in each (`sector_ranks`); the rank is their sum.  A block
+    with none is exactly zero."""
     if detection is not None and eps > detection.gap / 2.0:
         raise ValueError("contour captures foreign spectrum")
     projs, ranks = [], []
-    for B in group.split(group.blocks(np.asarray(K))):
+    for B in group.split(K):
         T, Q = sla.schur(B, output="complex")
         select = np.abs(np.diag(T) + 1.0) < eps
         projs.append(_spectral_projector(T, Q, select))
         ranks.append(int(select.sum()))
-    return RieszProjection(group=group, blocks=projs,
+    return RieszProjection(group=group, blocks=group.join(projs),
                            sector_ranks=tuple(ranks), rank=sum(ranks),
                            contour_radius=eps)
 
@@ -429,7 +452,7 @@ def classify_zero(disc: Discretization,
     w V is invariant under the symmetry group of the model, so a kernel
     vector outside the trivial character has marker zero: ValueError when
     one has a marker above the tolerance."""
-    det = detect_minus_one(disc.K0, disc.sectors, tol=tol)
+    det = detect_minus_one(disc.K0_sectors, disc.sectors, tol=tol)
     if det is None:
         return ZeroClassification(kind="regular", k=0, resonance_state=None,
                                   eigenvectors=[], integral_marker=0.0,
@@ -549,9 +572,9 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
     U, s, Wh = sla.svd(A[0], full_matrices=False)
     rank, total = int((s > _RANK_TOL * scale).sum()), int(winding.sum())
     if rank != total or total >= _PROBES:
-        raise ValueError(f"winding count {count} but moment rank {rank} "
-                         f"(per-class windings {winding.tolist()}, total "
-                         f"{total}; probe width {_PROBES})")
+        raise ValueError(f"moment rank {rank} but per-class winding total "
+                         f"{total} (per-class windings {winding.tolist()}; "
+                         f"weighted count {count}; probe width {_PROBES})")
     zeros: List[Tuple[complex, np.ndarray]] = []
     B = (U[:, :rank].conj().T @ A[1] @ Wh[:rank].conj().T) / s[:rank]
     for e in np.linalg.eigvals(B):

@@ -69,6 +69,10 @@ class LidskiiScaling:
     samples: List[Tuple[complex, complex]] = field(default_factory=list)
 
 
+# The resolvent series and the operator coefficients below are flat sector
+# blocks of `Discretization.sectors` (`ReflectionGroup.transform`);
+# `ReflectionGroup.expand` gives the n x n matrix of one.
+
 @dataclass
 class ThresholdCoefficients:
     kind: str
@@ -125,8 +129,8 @@ class GrushinReduction:
     the resolvent needs.  `columns` gives each sector's chain columns in
     the flat chain order of `basis`.  E_-+ is assembled m x m in that
     order, block diagonal by sector, and M^{-1} R0 = E R0 - E_+ E_-+^{-1}
-    (E_- R0) is formed block by block and expanded to n x n once per
-    coefficient (`resolvent_series`).  S (n x m) and T (m x n) stay on the
+    (E_- R0) is formed block by block, each coefficient one flat block
+    buffer (`resolvent_series`).  S (n x m) and T (m x n) stay on the
     nodes for `verify_grushin_identity`.
 
     Every other per-anchor constant is fixed here (points near lam0 are
@@ -145,14 +149,14 @@ class GrushinReduction:
         group = self.group = disc.sectors
         if point == "threshold":
             self.var, self.cap = "sqrt_z", 8 if cap is None else cap
-            self._r0 = {j: (1j ** j) * group.blocks(disc.gj(j))
+            self._r0 = {j: (1j ** j) * disc.gj_sectors(j)
                         for j in range(self.cap + 1)}
             self.q_test, self.truncation = 1e-3, 3
             self.remainder_points = (-1e-2, -1e-3, 1e-3 + 1e-3j)
             self.lidskii_z0, self.rung_ratio, self.z_power = -4e-2, 2.0, 0.5
         else:
             self.var, self.cap = "z_minus_lambda0", 6 if cap is None else cap
-            self._r0 = {j: group.blocks(disc.gj_plus(j, point))
+            self._r0 = {j: disc.gj_plus_sectors(j, point)
                         / math.factorial(j) for j in range(self.cap + 1)}
             self.q_test, self.truncation = 1e-4, 2
             self.remainder_points = (-1e-3, -1e-4, 1e-4 + 1e-4j)
@@ -177,10 +181,6 @@ class GrushinReduction:
         self._T = [X[:, c].T for X, c in zip(Ts, self.columns)]
 
     # --- series building --------------------------------------------------
-    def r0_coeff(self, j: int) -> np.ndarray:
-        """R0_j as an n x n matrix, expanded from its blocks."""
-        return self.group.expand(self.group.split(self._r0[j]))
-
     @staticmethod
     def _bordered(M: np.ndarray, S: np.ndarray, T: np.ndarray) -> np.ndarray:
         """[[M, S], [T, 0]]."""
@@ -244,7 +244,8 @@ class GrushinReduction:
         """M^{-1} R0 through order L, with M^{-1} = E - E_+ F E_- for F the
         Laurent inverse of E_-+ (lowest order -q; None when m = 0): on each
         sector's blocks, E R0 - E_+ F (E_- R0) from one `r0_blocks` solve
-        through order L + q, expanded to n x n per coefficient."""
+        through order L + q, each coefficient the flat buffer of its
+        blocks."""
         X = self.r0_blocks(L + q)
 
         def part(s, rows, coeffs, cap):
@@ -263,7 +264,7 @@ class GrushinReduction:
                             @ Fs.truncated(L)) @ part(s, bottom, X, L + q))
             blocks.append(Rs)
         return ExpansionSeries(self.var, {
-            j: self.group.expand([B.coeff(j) for B in blocks])
+            j: self.group.join([B.coeff(j) for B in blocks])
             for j in range(-q, L + 1)}, L)
 
     # --- direct evaluation ------------------------------------------------
@@ -288,14 +289,15 @@ class GrushinReduction:
                 zip(self.group.split(self.disc.M_sectors(bp)), self._S,
                     self._T)]
 
-    def E_at(self, bp: BranchPoint) -> List[np.ndarray]:
-        """The sector blocks of E(z) (`ReflectionGroup.expand` gives the
-        n x n matrix): one checked LU of the bordered blocks (`BlockLU`),
-        each solved against the first n_s columns of the identity."""
+    def E_at(self, bp: BranchPoint) -> np.ndarray:
+        """The flat sector blocks of E(z): one checked LU of the bordered
+        blocks (`BlockLU`), each solved against the first n_s columns of
+        the identity."""
         P = self._bordered_at(bp)
         rhs = [np.eye(len(B))[:, :len(S)] for B, S in zip(P, self._S)]
-        return [X[:len(S)] for X, S in
-                zip(BlockLU(P, _BORDERED_AT).solve(rhs), self._S)]
+        return self.group.join([X[:len(S)] for X, S in
+                                zip(BlockLU(P, _BORDERED_AT).solve(rhs),
+                                    self._S)])
 
     def Emp_at(self, bp: BranchPoint) -> np.ndarray:
         """E_-+(z), m x m in the flat chain order: one checked LU
@@ -435,14 +437,15 @@ def _eigen_phi_matrix(disc: Discretization, basis: JordanBasis,
 
 def _b_matrix_discrete(disc: Discretization, G1: np.ndarray, lam0: float,
                        vecs: List[np.ndarray]) -> np.ndarray:
-    """B_{lam0}(u_i, u_j) realized through the assembled derivative kernel
-    G1 = G_1^+ at lam0: B = (8 pi sqrt(lam0) / i) Theta(G_1^+ V u_j, u_i);
-    exactly the pairing entering the machinery's first-order coefficient."""
-    M1 = G1 * disc.V[None, :]
+    """B_{lam0}(u_i, u_j) realized through the flat sector blocks G1 of the
+    derivative kernel G_1^+ at lam0: B = (8 pi sqrt(lam0) / i)
+    Theta(G_1^+ V u_j, u_i), the pairing (w V U)^T G_1^+ (V U) on the
+    blocks (`ReflectionGroup.bilinear`); exactly the pairing entering the
+    machinery's first-order coefficient."""
+    U = np.column_stack(vecs)
     fac = 8.0 * np.pi * np.sqrt(lam0) / 1j
-    k = len(vecs)
-    return np.array([[fac * disc.theta(M1 @ vecs[j], vecs[i])
-                      for j in range(k)] for i in range(k)])
+    return fac * disc.sectors.bilinear(G1, (disc.w * disc.V)[:, None] * U,
+                                       disc.V[:, None] * U)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +454,15 @@ def _b_matrix_discrete(disc: Discretization, G1: np.ndarray, lam0: float,
 def _sample_remainders(red: GrushinReduction, Rs: ExpansionSeries,
                        upto: int) -> List[Tuple[complex, float]]:
     """Relative error of Rs truncated at order `upto` against R(z) at the
-    anchor's remainder points."""
+    anchor's remainder points, in the Frobenius norm, which is the same on
+    the flat sector blocks (`Discretization.R_sectors`) as on the n x n
+    matrices."""
     out = []
     part = Rs.truncated(upto)
     for z in red.remainder_points:
         bp = red.bp_of(z)
         u = red.var_of(bp)
-        direct = red.disc.R(bp)
+        direct = red.disc.R_sectors(bp)
         err = np.linalg.norm(part.eval(u) - direct) / max(np.linalg.norm(direct), 1e-300)
         out.append((complex(z), float(err)))
     return out
@@ -465,12 +470,13 @@ def _sample_remainders(red: GrushinReduction, Rs: ExpansionSeries,
 
 def _singular_expansion(disc: Discretization, K: np.ndarray,
                         det: EigenNearMinusOne, point, prefer=None) -> tuple:
-    """The construction behind both expansions at an anchor where K has the
-    -1 cluster `det`: Riesz projector onto the cluster (its rank checked
-    against the algebraic multiplicity the detection counted), Jordan chains
-    on its range, the Grushin reduction, the Laurent inverse F of E_-+ with
-    pole order q, M^{-1} = E - E_+ F E_- and the resolvent series
-    M^{-1} R0.  Returns (reduction, q, series, remainder samples)."""
+    """The construction behind both expansions at an anchor where K (flat
+    sector blocks) has the -1 cluster `det`: Riesz projector onto the
+    cluster (its rank checked against the algebraic multiplicity the
+    detection counted), Jordan chains on its range, the Grushin reduction,
+    the Laurent inverse F of E_-+ with pole order q, M^{-1} = E - E_+ F E_-
+    and the resolvent series M^{-1} R0.  Returns (reduction, q, series,
+    remainder samples)."""
     P1 = riesz_projection(K, disc.sectors, min(det.gap / 2.5, 0.5),
                           detection=det)
     if P1.rank != det.algebraic_multiplicity:
@@ -478,7 +484,6 @@ def _singular_expansion(disc: Discretization, K: np.ndarray,
                          f"multiplicity {det.algebraic_multiplicity}")
     basis = build_jordan_chains(P1.blocks, K, disc.w * disc.V, disc.sectors,
                                 prefer=prefer)
-    del P1, K     # arrays that the series work below does not need
     red = GrushinReduction(disc, basis, point)
     F, q = invert_E_minus_plus(red)
     Rs = red.resolvent_series(red.truncation, F, q)
@@ -501,16 +506,16 @@ def threshold_resolvent_expansion(disc: Discretization,
         scal = LidskiiScaling(kind="regular", order_structural=0.0,
                               order_fit=0.0, constant_machinery=0.0,
                               constant_fit=0.0, constant_formula=None)
-        zero = np.zeros((disc.grid.n, disc.grid.n), dtype=complex)
         return ThresholdCoefficients(
             kind="regular", series=Rs,
-            remainder_samples=_sample_remainders(red, Rs, 2), R_m2=zero,
-            R_m1=zero, phi=None, Z=[], P0=None, scaling=scal, constants={},
-            basis=None)
+            remainder_samples=_sample_remainders(red, Rs, 2),
+            R_m2=Rs.coeff(-2), R_m1=Rs.coeff(-1), phi=None, Z=[], P0=None,
+            scaling=scal, constants={}, basis=None)
 
     prefer = (lambda u: abs(disc.marker(u))) if cls.kind == "third" else None
-    red, q, Rs, samples = _singular_expansion(disc, disc.K0, cls.detection,
-                                              "threshold", prefer=prefer)
+    red, q, Rs, samples = _singular_expansion(disc, disc.K0_sectors,
+                                              cls.detection, "threshold",
+                                              prefer=prefer)
     basis = red.basis
 
     constants: Dict[str, object] = {
@@ -546,7 +551,7 @@ def threshold_resolvent_expansion(disc: Discretization,
         U = np.column_stack([basis.chains[b][0] for b in blocks])
         Zmat = U @ Q.T
         Z = [Zmat[:, i] for i in range(Zmat.shape[1])]
-        P0 = Zmat @ (Zmat * disc.w[:, None]).T
+        P0 = disc.sectors.outer(Zmat, Zmat * disc.w[:, None])
         kz = Zmat.shape[1]
         constants["Z_gram"] = np.array(
             [[disc.l2_pair_source(Zmat[:, i], Zmat[:, j])
@@ -564,18 +569,15 @@ def resonance_resolvent_expansion(disc: Discretization, lam0: float
                                   ) -> ResonanceCoefficients:
     """Laurent expansion of (Id + K(z))^{-1} R0(z) around an outgoing
     resonance energy lam0 > 0 (boundary value from the upper side)."""
-    bp = BranchPoint.boundary(lam0, "+")
-    det = detect_minus_one(disc.K(bp), disc.sectors, tol=1e-4)
+    K = disc.K_sectors(BranchPoint.boundary(lam0, "+"))
+    det = detect_minus_one(K, disc.sectors, tol=1e-4)
     if det is None:
         raise ValueError("no eigenvalue -1 at the requested energy")
-    # K+ assembled afresh (one R0 gather), so that no reference here keeps
-    # it alive through the series work, as for the threshold's K0
-    red, q, Rs, samples = _singular_expansion(disc, disc.K(bp), det,
-                                              float(lam0))
+    red, q, Rs, samples = _singular_expansion(disc, K, det, float(lam0))
     basis = red.basis
 
     vecs = [basis.chains[b][0] for b in range(basis.k)]
-    B = _b_matrix_discrete(disc, red.r0_coeff(1), lam0, vecs)
+    B = _b_matrix_discrete(disc, red._r0[1], lam0, vecs)
     fac = 1j * 8.0 * np.pi * np.sqrt(lam0)
     Q = complex_symmetric_cholesky(B / fac)
     U = np.column_stack(vecs)

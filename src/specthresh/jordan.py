@@ -12,7 +12,7 @@ sector of the model's reflection group (`build_jordan_chains`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -114,15 +114,16 @@ def _staircase(A: np.ndarray, Th: np.ndarray, th_scale: float,
     return blocks
 
 
-def build_jordan_chains(P_blocks: Sequence[np.ndarray], K: np.ndarray,
+def build_jordan_chains(P: np.ndarray, K: np.ndarray,
                         tau: np.ndarray, group: ReflectionGroup,
                         prefer: Optional[Callable[[np.ndarray], float]] = None
                         ) -> JordanBasis:
     """Constructive Jordan decomposition of (Id + K) restricted to Ran P
     with Theta-orthogonal blocks, one character of `group` at a time.
 
-    K and tau = w V are invariant under the group, so P (given by its sector
-    blocks, `RieszProjection.blocks`), K and the chains split by sector.  In
+    K and tau = w V are invariant under the group, so P, K (each given by
+    its flat sector blocks: `RieszProjection.blocks`,
+    `Discretization.K0_sectors`) and the chains split by sector.  In
     sector coordinates Theta is diagonal: tau_s = tau at the representative
     of each of the sector's orbits (the sector basis is real and each of its
     vectors lives on one orbit, where tau is constant), and chains of
@@ -139,13 +140,13 @@ def build_jordan_chains(P_blocks: Sequence[np.ndarray], K: np.ndarray,
     first for mixed thresholds). Default order: decreasing block size.
     """
     rng = np.random.default_rng(7)
-    K_blocks = group.split(group.blocks(np.asarray(K)))
+    K_blocks = group.split(K)
     tau_reps = np.asarray(tau)[group.reps]
     sectors = []                       # (s, B, A, Th, tau_s)
-    for s, P in enumerate(P_blocks):
-        if not P.any():
+    for s, Ps in enumerate(group.split(P)):
+        if not Ps.any():
             continue
-        B = _range_basis(P)            # (n_s, m_s), orthonormal columns
+        B = _range_basis(Ps)           # (n_s, m_s), orthonormal columns
         tau_s = tau_reps[group.sector_orbits[s]]
         Th = (B * tau_s[:, None]).T @ B  # coords of Theta (complex symmetric)
         sectors.append((s, B, B.conj().T @ (B + K_blocks[s] @ B),

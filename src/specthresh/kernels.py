@@ -17,7 +17,12 @@ so every kernel here is plain numpy.
 
 Nystrom matrices carry the quadrature weight on columns; the diagonal
 self-interaction entry is replaced by the integral of the kernel over the
-equal-volume ball of the node's cell.
+equal-volume ball of the node's cell.  A kernel with that self-cell rule is
+a rule (`r0_rule`, `gj_rule`, `gj_plus_rule`): `assemble_entries` gathers
+its entries at given pairs of nodes, the representative rows that the
+pipeline's sector blocks need (`birman_schwinger.Discretization`), and
+`assemble_r0`, `assemble_gj` and `assemble_gj_plus` give the n x n matrix,
+for references.
 """
 from __future__ import annotations
 
@@ -32,8 +37,9 @@ from .model import QuadratureGrid, weighted_operator_norm
 __all__ = [
     "BranchPoint", "L_MAX",
     "r0_kernel", "gj_kernel", "gj_plus_kernel",
-    "assemble_r0", "r0_entry_plan", "assemble_r0_entries", "assemble_gj",
-    "assemble_gj_plus",
+    "r0_rule", "gj_rule", "gj_plus_rule",
+    "assemble_r0", "assemble_gj", "assemble_gj_plus",
+    "entry_plan", "assemble_entries",
     "verify_threshold_expansion",
 ]
 
@@ -183,14 +189,41 @@ def _diag_gj_plus(j: int, lam0: float, rc: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# kernels with their self-cell rules
+
+# a kernel as (function of the distance r, integral over a cell of radius rc)
+Rule = Tuple[Callable[[np.ndarray], np.ndarray],
+             Callable[[np.ndarray], np.ndarray]]
+
+
+def r0_rule(z: BranchPoint) -> Rule:
+    return (lambda r: r0_kernel(z, r), lambda rc: _diag_r0(z.sqrt_z, rc))
+
+
+def gj_rule(j: int) -> Rule:
+    _check_order(j)
+    return lambda r: gj_kernel(j, r), lambda rc: _diag_gj(j, rc)
+
+
+def gj_plus_rule(j: int, lam0: float) -> Rule:
+    """G_j^+ at lam0; order 0 is the boundary R0(lam0 + i0)."""
+    _check_anchor(j, lam0)
+    if j == 0:
+        return r0_rule(BranchPoint.boundary(lam0, "+"))
+    return (lambda r: gj_plus_kernel(j, lam0, r),
+            lambda rc: _diag_gj_plus(j, lam0, rc))
+
+
+# ---------------------------------------------------------------------------
 # Nystrom assembly
 
-def _nystrom(grid: QuadratureGrid, kernel: Callable,
-             diag: np.ndarray) -> np.ndarray:
-    """K[i,j] = kernel(|x_i - x_j|) w_j off the diagonal, `diag` on it.  The
-    kernel runs once per distinct distance (`grid.distance_classes`, unit
-    distance for the diagonal) and the table is gathered into K: the same
-    float64 values through the same ufuncs as a run on the whole matrix."""
+def _nystrom(grid: QuadratureGrid, rule: Rule) -> np.ndarray:
+    """K[i,j] = kernel(|x_i - x_j|) w_j off the diagonal, the self-cell rule
+    on it.  The kernel runs once per distinct distance
+    (`grid.distance_classes`, unit distance for the diagonal) and the table
+    is gathered into K: the same float64 values through the same ufuncs as
+    a run on the whole matrix."""
+    kernel, diag = rule
     values, index = grid.distance_classes
     K = np.empty((grid.n, grid.n), dtype=complex)
     # "clip" never clips (index < len(values)) but, unlike "raise", writes
@@ -198,59 +231,55 @@ def _nystrom(grid: QuadratureGrid, kernel: Callable,
     np.take(np.asarray(kernel(values), dtype=complex), index, out=K,
             mode="clip")
     K *= grid.weights[None, :]
-    np.fill_diagonal(K, diag)
+    np.fill_diagonal(K, diag(grid.cell_radii()))
     return K
 
 
 def assemble_r0(grid: QuadratureGrid, z: BranchPoint) -> np.ndarray:
-    return _nystrom(grid, lambda r: r0_kernel(z, r),
-                    _diag_r0(z.sqrt_z, grid.cell_radii()))
-
-
-def r0_entry_plan(grid: QuadratureGrid, rows: np.ndarray,
-                  cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
-    """The gather behind `assemble_r0_entries` for the pairs (rows, cols)
-    (index arrays of one shape): each pair's distance class, with the
-    self-cell pairs numbered after the classes (one number per distinct
-    row), the column weight (1 on a self-cell pair) and the radii of the
-    self-cell rows' cells."""
-    values, index = grid.distance_classes
-    cls = index[rows, cols].astype(np.intp)
-    w = np.array(grid.weights[cols], dtype=float)
-    on = rows == cols
-    cells, slot = np.unique(rows[on], return_inverse=True)
-    cls[on] = len(values) + slot
-    w[on] = 1.0
-    return cls, w, grid.cell_radii()[cells]
-
-
-def assemble_r0_entries(grid: QuadratureGrid, z: BranchPoint,
-                        plan: Tuple[np.ndarray, np.ndarray, np.ndarray]
-                        ) -> np.ndarray:
-    """The entries R0[rows, cols] of `assemble_r0` without the n x n
-    matrix, for the pairs of `r0_entry_plan`: the same kernel table, and
-    the self-cell rule, gathered at the pairs alone."""
-    cls, w, rc = plan
-    table = np.concatenate([r0_kernel(z, grid.distance_classes[0]),
-                            _diag_r0(z.sqrt_z, rc)])
-    return np.take(table, cls) * w
+    return _nystrom(grid, r0_rule(z))
 
 
 def assemble_gj(grid: QuadratureGrid, j: int) -> np.ndarray:
-    _check_order(j)
-    return _nystrom(grid, lambda r: gj_kernel(j, r),
-                    _diag_gj(j, grid.cell_radii()))
+    return _nystrom(grid, gj_rule(j))
 
 
 def assemble_gj_plus(grid: QuadratureGrid, j: int,
                      lam0: float) -> np.ndarray:
-    """G_j^+ at lam0; order 0 is the boundary R0(lam0 + i0) assembly."""
-    _check_anchor(j, lam0)
-    rc = grid.cell_radii()
-    diag = (_diag_r0(BranchPoint.boundary(lam0, "+").sqrt_z, rc) if j == 0
-            else _diag_gj_plus(j, lam0, rc))
-    return _nystrom(grid, lambda r: gj_plus_kernel(j, lam0, r), diag)
+    return _nystrom(grid, gj_plus_rule(j, lam0))
+
+
+def entry_plan(grid: QuadratureGrid, rows: np.ndarray,
+               cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+    """The gather behind `assemble_entries` for the pairs (rows, cols)
+    (index arrays of one shape): each pair's distance class, with the
+    self-cell pairs numbered after the classes (one number per distinct
+    cell radius), the column weight (1 on a self-cell pair) and the
+    distinct radii of the self-cell rows' cells."""
+    values, index = grid.distance_classes
+    cls = index[rows, cols].astype(np.intp)
+    w = np.array(grid.weights[cols], dtype=float)
+    on = rows == cols
+    radii, slot = np.unique(grid.cell_radii()[rows[on]], return_inverse=True)
+    cls[on] = len(values) + slot
+    w[on] = 1.0
+    return cls, w, radii
+
+
+def assemble_entries(grid: QuadratureGrid, rule: Rule,
+                     plan: Tuple[np.ndarray, np.ndarray, np.ndarray]
+                     ) -> np.ndarray:
+    """The entries K[rows, cols] of the Nystrom matrix of `rule` without
+    the n x n matrix, for the pairs of `entry_plan`: the kernel on the
+    grid's distance classes and the self-cell rule on the distinct radii,
+    as complex in one table, gathered at the pairs alone; equal to the
+    entries of `_nystrom` bit for bit."""
+    kernel, diag = rule
+    cls, w, rc = plan
+    table = np.concatenate([np.asarray(kernel(grid.distance_classes[0]),
+                                       dtype=complex),
+                            np.asarray(diag(rc), dtype=complex)])
+    return np.take(table, cls) * w
 
 
 # ---------------------------------------------------------------------------

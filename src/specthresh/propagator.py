@@ -60,9 +60,10 @@ def resolvent_taylor(disc: Discretization, lam: float, order: int,
                      side: str = "+") -> List[np.ndarray]:
     """Taylor coefficients T_p of mu -> R(lam + mu, side) about mu = 0, as
     flat sector blocks of `disc.sectors` (`ReflectionGroup.transform`;
-    `expand(split(T_p))` gives the n x n matrix), built from the analytic
-    derivative kernels (the -i0 side uses the entrywise conjugate kernels,
-    exact for real distances and energies, and so are its blocks): R =
+    `expand(T_p)` gives the n x n matrix), built from the blocks of the
+    analytic derivative kernels (`Discretization.gj_plus_sectors`; the -i0
+    side uses the entrywise conjugate kernels, exact for real distances and
+    energies, and so are its blocks): R =
     M^{-1} B with B_p = G_p^+ / p! and M = Id + B V, so one checked LU per
     class of equivalent blocks of M_0 (`SectorLU`) gives every
     T_p = M_0^{-1} (B_p - sum_{r=1..p} B_r V T_{p-r}) block by block
@@ -71,7 +72,7 @@ def resolvent_taylor(disc: Discretization, lam: float, order: int,
     group = disc.sectors
     B = []
     for p in range(order + 1):
-        Bp = group.blocks(disc.gj_plus(p, lam)) / math.factorial(p)
+        Bp = disc.gj_plus_sectors(p, lam) / math.factorial(p)
         B.append(Bp if side == "+" else np.conj(Bp))
     lu = SectorLU(group, disc.m_blocks(B[0]))
     BV = {r: group.split(disc.times_v(B[r])) for r in range(1, order + 1)}
@@ -233,7 +234,7 @@ class CutPropagator:
             raise ValueError("t must be positive")
         if self.census is None or ts.min() < self.census["t_min"]:
             self._take_census(float(ts.min()))
-        R_m2 = self.disc.sectors.blocks(self.coeffs.R_m2)
+        R_m2 = self.coeffs.R_m2
         out = {}
         for t in map(float, ts):
             U = np.zeros(len(R_m2), dtype=complex)
@@ -252,7 +253,7 @@ class CutPropagator:
     def propagate_many(self, ts: Sequence[float]) -> Dict[float, np.ndarray]:
         """{t: U(t)}, n x n: `propagate_blocks`, each U(t) expanded once."""
         group = self.disc.sectors
-        return {t: group.expand(group.split(U))
+        return {t: group.expand(U)
                 for t, U in self.propagate_blocks(ts).items()}
 
     def propagate(self, t: float) -> np.ndarray:
@@ -409,8 +410,10 @@ def verify_large_time(disc: Discretization,
     Every norm is the weighted operator norm from L^{2,s} to L^{2,-s} of
     a matrix that commutes with the group and its axis permutations (U(t),
     R_-2, P0, the first-kind target), taken on the class representatives'
-    sector blocks (`weighted_sector_norm`); U(t) comes as blocks
-    (`CutPropagator.propagate_blocks`) and is never expanded.  A non-zero
+    sector blocks (`weighted_sector_norm`).  U(t)
+    (`CutPropagator.propagate_blocks`), R_-2 and P0 come as flat blocks,
+    the target is built as blocks from phi (`ReflectionGroup.outer`), and
+    none is expanded; only the free kernel is n x n.  A non-zero
     potential without coefficients is a ValueError; so is a `propagator`
     built on another discretization or other coefficients."""
     grid, group = disc.grid, disc.sectors
@@ -438,8 +441,7 @@ def verify_large_time(disc: Discretization,
         cp = propagator or CutPropagator(disc, coefficients)
         Us = cp.propagate_blocks(ts)
     # second / third kind: constant term -R_{-2} plus a decaying remainder
-    limit = (-group.blocks(coefficients.R_m2) if kind in ("second", "third")
-             else 0.0)
+    limit = -coefficients.R_m2 if kind in ("second", "third") else 0.0
     norms = np.array([wnorm(Us[t] - limit) for t in ts])
     slope, amp, r2 = _loglog_fit(ts, norms)
     rep = DecayReport(kind=kind, times=ts, norms=norms,
@@ -449,14 +451,13 @@ def verify_large_time(disc: Discretization,
                       census=None if kind == "free" else cp.census)
     tmax = float(ts[-1])
     if kind == "first":
-        phi = coefficients.phi
-        target = group.blocks((1j * np.pi) ** (-0.5)
-                              * np.outer(phi, grid.weights * phi))
+        phi = coefficients.phi[:, None]
+        target = (1j * np.pi) ** (-0.5) * group.outer(
+            phi, grid.weights[:, None] * phi)
         C = np.sqrt(tmax) * Us[tmax]
         rep.coeff_rel_err = wnorm(C - target) / wnorm(target)
     elif kind in ("second", "third"):
-        P0 = (group.blocks(coefficients.P0) if coefficients.P0 is not None
-              else limit)
+        P0 = coefficients.P0 if coefficients.P0 is not None else limit
         rep.limit_rel_err = wnorm(Us[tmax] - P0) / wnorm(P0)
     if rep.r_squared < 0.9:
         rep.note = "decay window not reached"

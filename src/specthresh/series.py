@@ -3,7 +3,10 @@ Laurent/Puiseux matrix series with half-power bookkeeping.
 
 Orders are integers counting powers of the series variable: sqrt(z) for
 threshold expansions (so order 2 means z^1) or (z - lambda0) for expansions
-at a positive energy.  Coefficients are dense matrices; a cap bounds the
+at a positive energy.  Coefficients are arrays of one shape: square
+matrices (E_-+, whose inverse and determinant series are taken here), or
+the flat sector blocks of an operator (the resolvent series of `grushin`;
+`ReflectionGroup.expand` gives the n x n matrix of one).  A cap bounds the
 retained order so products stay exact up to the cap.
 """
 from __future__ import annotations

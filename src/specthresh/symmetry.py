@@ -17,10 +17,14 @@ orthonormal parity-sector basis, one block per character sigma of G
     A_sigma[a, b] = (sqrt(|O_a| |O_b|) / |G|) sum_g chi_sigma(g) A[r_a, g r_b].
 
 A block needs only the rows of A at the representatives and a |G|-point
-+-1 transform; the sector sizes add up to n.  Vectors go into the sectors
-(`to_sectors`, Q_s^T X) and back (`from_sectors`, sum_s Q_s Y_s), and
-blocks back to an n x n matrix (`expand`).  G = {e} is one sector with the
-identity basis.
++-1 transform; the sector sizes add up to n.  Every G-invariant operator
+of the pipeline is kept as one flat buffer of its blocks (`transform`),
+made by `birman_schwinger.Discretization` from the kernels' entries at the
+representative rows.  Vectors go into the sectors (`to_sectors`, Q_s^T X)
+and back (`from_sectors`, sum_s Q_s Y_s); outer products X Y^T (`outer`)
+and pairings X^T A Y (`bilinear`) run on them.  The n x n matrix of a
+buffer (`expand`) and the buffer of an n x n matrix (`blocks`) are for
+references.  G = {e} is one sector with the identity basis.
 
 An axis permutation pi (x -> x[perm]) with node map p is a symmetry when it
 maps the grid, V and G onto themselves (pi g pi^{-1} in G, `conjugation`).
@@ -301,14 +305,28 @@ class ReflectionGroup:
         out.flags.writeable = False
         return out
 
-    def expand(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """sum_s Q_s B_s Q_s^T as an n x n matrix: one +-1 transform over
-        the sectors and one gather through `_expand_index`."""
+    def expand(self, flat: np.ndarray) -> np.ndarray:
+        """sum_s Q_s B_s Q_s^T as an n x n matrix from the flat blocks B_s:
+        one +-1 transform over the sectors and one gather through
+        `_expand_index`."""
         t, K = self._sectors, len(self.reps)
         Bh = np.zeros(len(t.cols) * K * K, dtype=complex)
-        Bh[t.pick] = self.join(blocks) / (t.scale * self.order)
+        Bh[t.pick] = flat / (t.scale * self.order)
         Bt = t.chars.T @ Bh.reshape(len(t.cols), K * K)
         return np.take(Bt, self._expand_index)
+
+    def outer(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """The flat sector blocks (Q_s^T X)(Q_s^T Y)^T of X Y^T (X, Y n x p)
+        when X Y^T is G-invariant, from `to_sectors` alone."""
+        return self.join([A @ B.T for A, B in zip(self.to_sectors(X),
+                                                  self.to_sectors(Y))])
+
+    def bilinear(self, flat: np.ndarray, X: np.ndarray,
+                 Y: np.ndarray) -> np.ndarray:
+        """X^T A Y (X n x p, Y n x q) for the G-invariant A with the flat
+        sector blocks `flat`: sum_s (Q_s^T X)^T A_s (Q_s^T Y)."""
+        return sum(A.T @ B @ C for A, B, C in zip(
+            self.to_sectors(X), self.split(flat), self.to_sectors(Y)))
 
 
 class _SectorTables(NamedTuple):

@@ -391,10 +391,11 @@ def branch_cut_walk(disc, coeffs, eigenvalues, ts, delta0: float = 0.04,
 
     bands = filon_panel_walk(edges, jump, ts)
     memo.clear()
-    Tp, Tm = ([disc.sectors.expand(disc.sectors.split(T)) for T in
+    Tp, Tm = ([disc.sectors.expand(T) for T in
                resolvent_taylor(disc, lam_max, tail_terms, side=side)]
               for side in "+-")
-    series = coeffs.series.coeffs
+    series = {j: disc.sectors.expand(c)
+              for j, c in coeffs.series.coeffs.items()}
     rings = []
     for zs in eigenvalues:
         rad = max(abs(zs.imag) / 3.0, 1e-3)
@@ -585,7 +586,8 @@ def dense_grushin_expansion(disc, point, tol: float, prefer=None) -> dict:
     P, rank = dense_riesz_projection(K, min(gap / 2.5, 0.5))
     assert rank == len(cluster)
     tau = disc.w * disc.V
-    basis = build_jordan_chains([P], K, tau, ReflectionGroup({0: np.arange(n)}),
+    one = ReflectionGroup({0: np.arange(n)})
+    basis = build_jordan_chains(one.blocks(P), one.blocks(K), tau, one,
                                 prefer=prefer)
     S = basis.flat_chain()
     T = (basis.flat_dual() * tau[:, None]).T

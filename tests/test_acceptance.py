@@ -120,7 +120,8 @@ def test_criterion_04_threshold_limits(capsys, disc_first, coeffs_first,
 
     # second kind: z R(z) -> -P0; the error mixes O(sqrt z) and O(z) terms,
     # so one Richardson stage per ratio
-    P0 = coeffs_second.P0
+    # the coefficients are flat sector blocks: expand them
+    P0 = disc_second.sectors.expand(coeffs_second.P0)
     vals = []
     for z in (-4e-4, -1e-4, -2.5e-5, -6.25e-6):
         bp = BranchPoint.from_z(z)
@@ -130,7 +131,8 @@ def test_criterion_04_threshold_limits(capsys, disc_first, coeffs_first,
 
     G = coeffs_second.constants["Z_gram"]
     idem = np.linalg.norm(G - np.eye(G.shape[0]))
-    recon = np.linalg.norm(P0 + coeffs_second.R_m2) / np.linalg.norm(P0)
+    recon = (np.linalg.norm(P0 + disc_second.sectors.expand(coeffs_second.R_m2))
+             / np.linalg.norm(P0))
     norm_res = abs(disc_first.marker(phi) - 2.0 * np.sqrt(np.pi))
     ok = (rel1 < 1e-2 and rel2 < 1e-2 and idem < 1e-8 and recon < 1e-8
           and norm_res < 1e-8)
@@ -150,7 +152,8 @@ def test_criterion_05_resonance_expansion(capsys, disc_resonance, res_coeffs):
         bp = BranchPoint.from_z(lam0 + xi)
         vals.append(xi * disc_resonance.R(bp))
     ex = oracles.richardson(oracles.richardson(vals, 2.0), 2.0)[-1]
-    rel = np.linalg.norm(ex - res_coeffs.R_m1) / np.linalg.norm(res_coeffs.R_m1)
+    R_m1 = disc_resonance.sectors.expand(res_coeffs.R_m1)
+    rel = np.linalg.norm(ex - R_m1) / np.linalg.norm(R_m1)
 
     # Gram of the normalized states under the boundary bilinear form,
     # evaluated directly through the derivative kernel on the states
@@ -199,7 +202,8 @@ def test_criterion_07_contour_representation(capsys, cut_first6, cut_second6,
     # branch-cut walk, which never leaves the real axis
     ts = sorted(walk_second6)[::3]                    # 10, 100, 1000
     cp = cut_first6
-    disc, R_m2 = cp.disc, cp.coeffs.R_m2
+    disc, group = cp.disc, cp.disc.sectors
+    R_m2 = group.expand(cp.coeffs.R_m2)
     assert cp.poles == []
     Us = cp.propagate_many(ts)
     census = cp.census
@@ -208,13 +212,11 @@ def test_criterion_07_contour_representation(capsys, cut_first6, cut_second6,
     between = [k for k in zeros if -np.pi / 4 < np.angle(k) < -np.pi / 6]
     left_out = [k for k in between if k not in crossed]
     rings = {k: (k,) + cp._ring_moments(k, zeros) for k in zeros}
-    group = disc.sectors
 
     def residues(ks, t):
         # the ring moments are flat sector blocks: expand the sum
-        return group.expand(group.split(sum(
-            (_residue(*rings[k], t) for k in ks),
-            np.zeros_like(group.blocks(R_m2)))))
+        return group.expand(sum((_residue(*rings[k], t) for k in ks),
+                                np.zeros_like(cp.coeffs.R_m2)))
 
     steep = shallow = truncation = 0.0
     for t in ts:

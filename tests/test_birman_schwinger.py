@@ -163,9 +163,11 @@ def test_contour_walk_shares_r0_across_mirrored_nodes(monkeypatch):
     assert calls == {"r0_sectors": 32, "M_sectors": 32}
 
 
-def _one_block(n):
-    """The group of the identity alone: one n x n sector block."""
-    return ReflectionGroup({0: np.arange(n)})
+def _one_block(K):
+    """The flat blocks of a matrix K without symmetry, and the group of the
+    identity alone that holds it as one n x n sector block."""
+    group = ReflectionGroup({0: np.arange(len(K))})
+    return group.blocks(K), group
 
 
 def test_detect_minus_one_on_synthetic_matrix():
@@ -175,7 +177,7 @@ def test_detect_minus_one_on_synthetic_matrix():
     lams = np.linspace(0.2, 2.0, n).astype(complex)
     lams[7] = -1.0 + 1e-9
     K = Q @ np.diag(lams) @ np.linalg.inv(Q)
-    det = detect_minus_one(K, _one_block(n))
+    det = detect_minus_one(*_one_block(K))
     assert det is not None
     assert abs(det.eigenvalue + 1.0) < 1e-8
     assert det.geometric_multiplicity == 1
@@ -186,7 +188,7 @@ def test_detect_minus_one_on_synthetic_matrix():
 
 def test_detect_minus_one_absent():
     K = np.diag(np.linspace(0.1, 0.9, 10)).astype(complex)
-    assert detect_minus_one(K, _one_block(10)) is None
+    assert detect_minus_one(*_one_block(K)) is None
 
 
 def test_detect_minus_one_raises_on_empty_null_space(monkeypatch):
@@ -201,13 +203,13 @@ def test_detect_minus_one_raises_on_empty_null_space(monkeypatch):
 
     monkeypatch.setattr(birman_schwinger.sla, "svd", svd_without_null)
     with pytest.raises(ValueError, match="null tolerance"):
-        detect_minus_one(np.diag(lams), _one_block(3), tol=1e-6)
+        detect_minus_one(*_one_block(np.diag(lams)), tol=1e-6)
 
 
 def test_detect_minus_one_rejects_unresolved_cluster():
     lams = np.array([-1.0 + 5e-7, -1.0 + 1.5e-6, 0.5], dtype=complex)
     with pytest.raises(ValueError, match="ill-separated"):
-        detect_minus_one(np.diag(lams), _one_block(3), tol=1e-6)
+        detect_minus_one(*_one_block(np.diag(lams)), tol=1e-6)
 
 
 def test_tune_coupling_places_eigenvalue_at_minus_one():
@@ -220,11 +222,20 @@ def test_tune_coupling_places_eigenvalue_at_minus_one():
     assert np.min(np.abs(ev + 1.0)) < 1e-10
 
 
-def test_discretization_keeps_only_g0_and_g2(disc_third, coeffs_third):
-    # after the threshold expansion (G_0 ... G_8 taken into sector blocks)
-    # the discretization holds the two kernels it reads again
-    assert sorted(disc_third._gj) == [0, 2]
-    assert disc_third.gj(0) is disc_third.gj(0)
+def test_discretization_keeps_only_the_g2_blocks(disc_third, coeffs_third):
+    # after the threshold expansion (the blocks of G_0 ... G_8 gathered) the
+    # discretization holds, of the kernels, only the blocks of G_2, which
+    # the source pairing reads again, read-only, and no n x n array
+    n = disc_third.grid.n
+    assert [name for name in vars(disc_third)
+            if name.endswith("_sectors")] == ["_g2_sectors"]
+    assert not any(isinstance(value, np.ndarray) and value.size >= n * n
+                   for value in vars(disc_third).values())
+    G2 = disc_third._g2_sectors
+    assert not G2.flags.writeable
+    assert np.array_equal(G2, disc_third.gj_sectors(2))
+    sizes = disc_third.symmetry["sector_sizes"]
+    assert G2.shape == (sum(k * k for k in sizes),)
 
 
 def test_riesz_projection_matches_dense_eig():
@@ -235,8 +246,8 @@ def test_riesz_projection_matches_dense_eig():
     lams[3] = -1.0
     lams[11] = -1.0 + 1e-11          # same cluster
     K = Q @ np.diag(lams) @ np.linalg.inv(Q)
-    det = detect_minus_one(K, _one_block(n))
-    P = riesz_projection(K, _one_block(n), eps=det.gap / 3.0,
+    det = detect_minus_one(*_one_block(K))
+    P = riesz_projection(*_one_block(K), eps=det.gap / 3.0,
                          detection=det).entries
     want = oracles.spectral_projector(K, lambda l: abs(l + 1.0) < 1e-6)
     assert np.linalg.norm(P - want) < 1e-8
@@ -259,26 +270,27 @@ def _dense_contour_projection(K, eps, n_quad=64):
 
 def _first4_K0():
     disc = Discretization(first_kind_model(build_grid(3.0, 4)))
-    return disc.K0, disc.sectors, 1e-6
+    return disc.K0, disc.K0_sectors, disc.sectors, 1e-6
 
 
 def _third5_K0():
     disc = Discretization(third_kind_model(build_grid(3.0, 5)))
-    return disc.K0, disc.sectors, 1e-6
+    return disc.K0, disc.K0_sectors, disc.sectors, 1e-6
 
 
 def _resonance4_Kplus():
     disc = Discretization(resonance_model(build_grid(3.0, 4), lam0=1.0))
-    return disc.K(BranchPoint.boundary(1.0, "+")), disc.sectors, 1e-4
+    bp = BranchPoint.boundary(1.0, "+")
+    return disc.K(bp), disc.K_sectors(bp), disc.sectors, 1e-4
 
 
 @pytest.mark.parametrize("make", [_first4_K0, _third5_K0, _resonance4_Kplus],
                          ids=["first4", "third5", "resonance4"])
 def test_riesz_projection_matches_dense_solve_contour(make):
-    K, group, tol = make()
-    det = detect_minus_one(K, group, tol=tol)
+    K, flat, group, tol = make()
+    det = detect_minus_one(flat, group, tol=tol)
     eps = min(det.gap / 2.5, 0.5)
-    proj = riesz_projection(K, group, eps, detection=det)
+    proj = riesz_projection(flat, group, eps, detection=det)
     want = _dense_contour_projection(K, eps)
     assert np.linalg.norm(proj.entries - want) <= 1e-12 * np.linalg.norm(want)
     assert proj.rank == det.algebraic_multiplicity
@@ -294,7 +306,7 @@ def test_riesz_projection_defective_cluster():
     J[:2, :2] = [[-1.0, 1.0], [0.0, -1.0]]
     S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     K = S @ J @ np.linalg.inv(S)
-    proj = riesz_projection(K, _one_block(n), eps=0.4)
+    proj = riesz_projection(*_one_block(K), eps=0.4)
     P = proj.entries
     assert proj.rank == 2
     assert np.linalg.norm(P @ P - P) <= 1e-10 * np.linalg.norm(P)
@@ -438,7 +450,8 @@ def test_scan_returns_exactly_the_tuned_resonance(disc_resonance, window):
 def test_scan_raises_on_resonance_at_window_edge(disc_resonance, window):
     # a zero on or just inside the contour breaks the winding count, so the
     # count and the moment rank disagree instead of a resonance being dropped
-    with pytest.raises(ValueError, match="winding count 0 but moment rank 1"):
+    with pytest.raises(ValueError,
+                       match="moment rank 1 but per-class winding total 0"):
         scan_positive_resonances(disc_resonance, window)
 
 
@@ -477,9 +490,10 @@ def test_pole_contour_raises_when_count_is_not_verified(disc_third6):
     # pole contour (k = 0.3104 + 0.1346i lies just below Im k = 0.15); the
     # quadrature error it causes gives the representatives' moments a rank
     # other than the seven zeros their windings count
-    with pytest.raises(ValueError, match=r"winding count 9 but moment rank "
-                       r"9 \(per-class windings \[2, 1, 1, 1, 1, 1\], "
-                       r"total 7; probe width 16\)"):
+    with pytest.raises(ValueError, match=r"moment rank 9 but per-class "
+                       r"winding total 7 \(per-class windings "
+                       r"\[2, 1, 1, 1, 1, 1\]; weighted count 9; probe width "
+                       r"16\)"):
         _contour_zeros(disc_third6, *_POLE_ELLIPSE, 512)
 
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from specthresh import cli
+from specthresh import cli, kernels
 from specthresh.cli import (RunConfig, emit_plot_data, load_config, main,
                             run_pipeline)
+from specthresh.symmetry import ReflectionGroup
 
 
 def _write(tmp_path, name, payload):
@@ -172,6 +173,39 @@ def test_pipeline_builds_one_discretization(monkeypatch):
         stages=["classify", "threshold_expand", "propagate"]))
     assert rep.errors == []
     assert len(builds) == 1
+
+
+_PROPAGATE = ["classify", "threshold_expand", "propagate"]
+
+
+@pytest.mark.parametrize("factory, resolution, stages", [
+    # resolution 5 puts nodes on the mirror planes, 6 does not
+    ("first_kind", 6, _PROPAGATE), ("second_kind", 5, _PROPAGATE),
+    ("regular", 6, _PROPAGATE),
+    ("third_kind", 6, ["classify", "threshold_expand"]),
+    ("resonance", 5, ["resonance_scan", "resonance_expand", "high_energy"])])
+def test_pipeline_stages_form_no_dense_operator(factory, resolution, stages,
+                                                monkeypatch):
+    # the stages keep every operator as flat sector blocks: with the n x n
+    # kernel assembly and both conversions between n x n matrices and
+    # blocks made to raise, every stage runs and passes its claims (the
+    # model is built first: the second- and third-kind factories assemble
+    # an n x n G_0)
+    spec = {"factory": factory, "extent": 3.0, "resolution": resolution}
+    model = cli._build_model(spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an n x n operator in a pipeline stage")
+
+    monkeypatch.setattr(kernels, "_nystrom", forbidden)
+    monkeypatch.setattr(ReflectionGroup, "blocks", forbidden)
+    monkeypatch.setattr(ReflectionGroup, "expand", forbidden)
+    monkeypatch.setattr(cli, "_build_model", lambda spec: model)
+    with pytest.raises(AssertionError, match="n x n operator"):
+        cli.Discretization(model).K0
+    rep = run_pipeline(RunConfig(model=spec, stages=stages))
+    assert rep.errors == []
+    assert list(rep.stages) == stages and rep.all_passed
 
 
 def test_propagate_stage_records_census(first4_report):

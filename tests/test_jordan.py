@@ -15,8 +15,8 @@ from specthresh.symmetry import ReflectionGroup
 def _chains(P1, K0, tau):
     """The chains of a matrix without symmetry: one block, the identity's
     group."""
-    return build_jordan_chains([P1], K0, tau,
-                               ReflectionGroup({0: np.arange(len(K0))}))
+    one = ReflectionGroup({0: np.arange(len(K0))})
+    return build_jordan_chains(one.blocks(P1), one.blocks(K0), tau, one)
 
 
 def _theta_symmetric_case(sizes, n=12, seed=11, shift=3.0):

@@ -123,7 +123,8 @@ def test_rotation_angle_invariance_first4(cut_first4):
     # at pi/4 against half-ray Gauss-Laguerre (alpha = -1/2) lines at pi/4
     # and pi/6.  first4 has one crossed zero, between the two angles.
     model, cp, Us = cut_first4
-    disc, R_m2, group = cp.disc, cp.coeffs.R_m2, cp.disc.sectors
+    disc, group = cp.disc, cp.disc.sectors
+    R_m2 = group.expand(cp.coeffs.R_m2)
     assert cp.poles == []
     (zero,) = cp._crossed
     assert -np.pi / 4 < np.angle(zero[0]) < -np.pi / 6
@@ -133,7 +134,7 @@ def test_rotation_angle_invariance_first4(cut_first4):
         steep = oracles.rotated_line(disc, t, np.pi / 4) - R_m2
         assert np.linalg.norm(shallow - U) <= 1e-6 * np.linalg.norm(U), t
         # the ring moments are flat sector blocks
-        residue = group.expand(group.split(_residue(*zero, t)))
+        residue = group.expand(_residue(*zero, t))
         err = np.linalg.norm(steep - residue - U)
         assert err <= 1e-6 * np.linalg.norm(U), t
     # at t = 10 the crossed residue (the same Frobenius norm on the blocks)
@@ -165,8 +166,7 @@ def test_line_plus_residues_match_branch_cut_walk_second6(cut_second6,
         assert err <= 5e-4, t
     t = LADDER[0]
     group = cp.disc.sectors
-    bare = Us[t] + group.expand(group.split(
-        sum(_residue(*c, t) for c in cp._crossed)))
+    bare = Us[t] + group.expand(sum(_residue(*c, t) for c in cp._crossed))
     assert weighted_operator_norm(bare - walk[t], grid, 3.0, -3.0) \
         > 1e-2 * weighted_operator_norm(walk[t], grid, 3.0, -3.0)
 
@@ -214,7 +214,7 @@ def test_ring_moments_and_residue_of_a_double_pole():
     k0 = 0.6 - 0.2j
     cp = _ring_stub(lambda k: C2 / (k - k0) ** 2 + C1 / (k - k0)
                     + C0 * np.exp(k))
-    A1, A2 = (_ONE_BLOCK.expand([A.reshape(2, 2, order="F")])
+    A1, A2 = (_ONE_BLOCK.expand(A)
               for A in cp._ring_moments(k0, [k0 + 0.15]))
     assert np.linalg.norm(A1 - C1) <= 1e-12 * np.linalg.norm(C1)
     assert np.linalg.norm(A2 - C2) <= 1e-12 * np.linalg.norm(C2)
@@ -235,7 +235,7 @@ def test_eigenvalue_crossed_by_the_other_half_line_cancels():
     # the rotation of the negative half-line: its pole term and its crossing
     # term cancel, so only the eigenvalue at k = -0.02 + 0.98i contributes
     cp = _ring_stub(lambda k: np.zeros((2, 2)))
-    cp.coeffs = SimpleNamespace(R_m2=np.zeros((2, 2)))
+    cp.coeffs = SimpleNamespace(R_m2=np.zeros(4))     # flat blocks
     cp.census = {"t_min": 1.0}
     rng = np.random.default_rng(6)
     A = rng.standard_normal((4, 2, 2)) + 0j
@@ -368,7 +368,7 @@ def test_resolvent_taylor_matches_finite_difference():
     disc = Discretization(model)
     lam = 2.0
     T1 = resolvent_taylor(disc, lam, 1, side="+")[1]
-    T1 = disc.sectors.expand(disc.sectors.split(T1))
+    T1 = disc.sectors.expand(T1)
     want = oracles.central_derivative(
         lambda l: disc.R(BranchPoint.boundary(l, "+")), lam, h=1e-4)
     assert np.linalg.norm(T1 - want) < 1e-6 * np.linalg.norm(want)
@@ -392,8 +392,9 @@ def test_resolvent_taylor_minus_side_is_conjugate_for_real_V():
     V = 0.5 * np.exp(-grid.radii() ** 2)
     model = Model(grid=grid, potential=sample_potential(grid, V.astype(complex)))
     disc = Discretization(model)
-    Tp, Tm = (disc.sectors.expand(disc.sectors.split(
-        resolvent_taylor(disc, 1.5, 0, side=side)[0])) for side in "+-")
+    Tp, Tm = (disc.sectors.expand(resolvent_taylor(disc, 1.5, 0,
+                                                   side=side)[0])
+              for side in "+-")
     assert np.allclose(Tm, np.conj(Tp))
 
 

@@ -20,7 +20,8 @@ from specthresh.birman_schwinger import (Discretization, _contour_zeros,
 from specthresh.grushin import (GrushinReduction, _structural_order,
                                 resonance_resolvent_expansion,
                                 threshold_resolvent_expansion)
-from specthresh.kernels import BranchPoint
+from specthresh.kernels import (BranchPoint, assemble_gj, assemble_gj_plus,
+                                assemble_r0)
 from specthresh.model import (Model, QuadratureGrid, build_grid,
                               sample_potential, weighted_operator_norm,
                               weighted_sector_norm)
@@ -92,6 +93,32 @@ def test_sector_resolvent_and_contours_match_dense_oracles(name, request):
                                                                     abs(kd))
 
 
+@pytest.mark.parametrize("name, radii", [("first6", 6),
+                                         ("first_gauss_radial6", 12)])
+def test_gathered_blocks_equal_blocks_of_assembled_kernels(name, radii,
+                                                           request):
+    # every kernel's blocks come from its entries at the representative
+    # rows (`kernels.assemble_entries`), with the self-cell rule run once
+    # per distinct cell radius: bit for bit the blocks of the n x n
+    # assembly, on both branches of the R0 self-cell rule
+    model = request.getfixturevalue(name)
+    grid, disc = model.grid, Discretization(model)
+    group = disc.sectors
+    assert len(disc._plan[2]) == radii
+    for k in (0.05, 0.7 - 0.3j):
+        bp = BranchPoint(z=k * k, sqrt_z=k)
+        assert np.array_equal(disc.r0_sectors(bp),
+                              group.blocks(assemble_r0(grid, bp))), k
+        assert np.array_equal(disc.K_sectors(bp), group.blocks(disc.K(bp)))
+    assert np.array_equal(disc.K0_sectors, group.blocks(disc.K0))
+    for j in range(9):
+        assert np.array_equal(disc.gj_sectors(j),
+                              group.blocks(assemble_gj(grid, j))), j
+    for j in range(7):
+        assert np.array_equal(disc.gj_plus_sectors(j, 1.3), group.blocks(
+            assemble_gj_plus(grid, j, 1.3))), j
+
+
 def test_grid_reflections_and_sector_sizes():
     grid = build_grid(3.0, 5)
     group = grid.reflections
@@ -108,8 +135,17 @@ def test_grid_reflections_and_sector_sizes():
     A = rng.standard_normal((grid.n, grid.n)) + 0j
     A = sum(A[np.ix_(m, m)] for m in group.maps)     # invariant
     flat = group.blocks(A)
-    assert np.allclose(group.expand(group.split(flat)), A, rtol=0.0,
+    assert np.allclose(group.expand(flat), A, rtol=0.0,
                        atol=1e-12 * np.abs(A).max())
+    # outer products and pairings on the blocks, against n x n
+    X, Y = rng.standard_normal((2, grid.n, 3))
+    B = sum(np.outer(X[m, 0], Y[m, 0]) for m in group.maps)  # invariant
+    assert np.allclose(group.expand(group.outer(
+        np.column_stack([X[m, 0] for m in group.maps]),
+        np.column_stack([Y[m, 0] for m in group.maps]))), B, rtol=0.0,
+        atol=1e-12 * np.abs(B).max())
+    assert np.allclose(group.bilinear(flat, X, Y), X.T @ A @ Y, rtol=0.0,
+                       atol=1e-12 * np.abs(X.T @ A @ Y).max())
     X = rng.standard_normal((grid.n, 3))
     Y = group.to_sectors(X)
     assert sum(len(y) for y in Y) == grid.n
@@ -278,19 +314,21 @@ def _check_taylor_against_dense(disc, lams):
             want = oracles.dense_resolvent_taylor(disc, lam, 2, side=side)
             assert len(T) == 3
             for p, (Tp, Wp) in enumerate(zip(T, want)):
-                assert _relerr(group.expand(group.split(Tp)), Wp) <= 1e-12, \
+                assert _relerr(group.expand(Tp), Wp) <= 1e-12, \
                     (lam, side, p)
                 got = weighted_sector_norm(group, Tp, disc.grid, 3.0, -3.0)
                 ref = oracles.dense_weighted_norm(Wp, disc.grid, 3.0, -3.0)
                 assert abs(got - ref) <= 1e-12 * ref, (lam, side, p)
                 # the dense norm of the expanded blocks is the same number
-                assert abs(weighted_operator_norm(group.expand(group.split(
-                    Tp)), disc.grid, 3.0, -3.0) - ref) <= 1e-12 * ref
+                assert abs(weighted_operator_norm(group.expand(Tp), disc.grid,
+                                                  3.0, -3.0) - ref) \
+                    <= 1e-12 * ref
 
 
-def _check_detection_against_dense(disc, K, tol, counts):
+def _check_detection_against_dense(disc, K, flat, tol, counts):
+    """The analysis of the blocks `flat` of K against dense oracles on K."""
     group = disc.sectors
-    det = detect_minus_one(K, group, tol=tol)
+    det = detect_minus_one(flat, group, tol=tol)
     cluster, gap, k, null = oracles.dense_detect_minus_one(K, tol)
     assert list(det.sector_counts) == counts
     assert det.algebraic_multiplicity == len(cluster) == sum(counts)
@@ -302,7 +340,7 @@ def _check_detection_against_dense(disc, K, tol, counts):
     assert np.allclose(E.conj().T @ E, np.eye(k), rtol=0.0, atol=1e-12)
     assert np.linalg.norm(null - E @ (E.conj().T @ null)) <= 1e-12 * k
     eps = min(det.gap / 2.5, 0.5)
-    proj = riesz_projection(K, group, eps, detection=det)
+    proj = riesz_projection(flat, group, eps, detection=det)
     P, rank = oracles.dense_riesz_projection(K, eps)
     assert proj.rank == rank == det.algebraic_multiplicity
     assert _relerr(proj.entries, P) <= 1e-12
@@ -334,10 +372,11 @@ def test_minus_one_detection_matches_dense_oracle(name, counts, request):
     model = request.getfixturevalue(name)
     disc = Discretization(model)
     if name == "resonance8":
-        K, tol = disc.K(BranchPoint.boundary(1.0, "+")), 1e-4
+        bp = BranchPoint.boundary(1.0, "+")
+        K, flat, tol = disc.K(bp), disc.K_sectors(bp), 1e-4
     else:
-        K, tol = disc.K0, 1e-6
-    _check_detection_against_dense(disc, K, tol, counts)
+        K, flat, tol = disc.K0, disc.K0_sectors, 1e-6
+    _check_detection_against_dense(disc, K, flat, tol, counts)
 
 
 @pytest.mark.parametrize("name, counts", [
@@ -352,7 +391,8 @@ def test_analysis_matches_dense_oracles_off_the_reference_grids(
              else request.getfixturevalue(name))
     disc = Discretization(model)
     _check_taylor_against_dense(disc, (4.0,))
-    _check_detection_against_dense(disc, disc.K0, 1e-6, counts)
+    _check_detection_against_dense(disc, disc.K0, disc.K0_sectors, 1e-6,
+                                   counts)
     assert disc.symmetry["order"] == (1 if name == "asymmetric4" else 8)
 
 
@@ -381,7 +421,7 @@ def _record_decomposition_shapes(monkeypatch):
 def test_analysis_decomposes_only_sector_blocks(first6, monkeypatch):
     # a silent fallback to n x n decompositions fails this count
     disc = Discretization(first6)
-    K0 = disc.K0
+    K0 = disc.K0_sectors
     shapes = _record_decomposition_shapes(monkeypatch)
     check_high_energy(disc, orders=(0, 1))
     det = detect_minus_one(K0, disc.sectors, tol=1e-6)
@@ -397,7 +437,7 @@ def test_analysis_decomposes_only_sector_blocks(first6, monkeypatch):
 def test_asymmetric_analysis_takes_one_full_block(monkeypatch):
     model = _tuned_asymmetric()
     disc = Discretization(model)
-    K0 = disc.K0
+    K0 = disc.K0_sectors
     shapes = _record_decomposition_shapes(monkeypatch)
     check_high_energy(disc, orders=(0, 1))
     det = detect_minus_one(K0, disc.sectors, tol=1e-6)
@@ -469,7 +509,8 @@ def test_expansion_matches_dense_grushin_oracle(name, request):
     assert coeffs.constants["q"] == want["q"]
     assert basis.sizes == want["basis"].sizes
     for j, R in want["R"].items():
-        assert _relerr(coeffs.series.coeff(j), R) <= 1e-11, j
+        assert _relerr(disc.sectors.expand(coeffs.series.coeff(j)), R) \
+            <= 1e-11, j
     kind = "resonance" if point != "threshold" else coeffs.kind
     order_p = _structural_order(kind, basis.k)[1]
     red = GrushinReduction(disc, basis, point)
