@@ -26,7 +26,7 @@ from scipy.linalg.lapack import ztrsen, ztrsyl
 from .kernels import (BranchPoint, assemble_entries, assemble_gj,
                       assemble_gj_plus, assemble_r0, entry_plan, gj_plus_rule,
                       gj_rule, r0_rule)
-from .model import Model, QuadratureGrid
+from .model import Model, QuadratureGrid, sample_potential
 from .symmetry import ReflectionGroup, SectorLU, reflection_axes
 
 __all__ = [
@@ -132,19 +132,21 @@ class Discretization:
         """V at the column of each entry of the plan."""
         return self.V[self.sectors.rep_pairs[1]]
 
-    def _gather(self, rule, times_v: bool = False) -> np.ndarray:
-        """The blocks of the kernel `rule` (times V on the right when
-        `times_v`, entry by entry as K = R0 V is formed)."""
+    def gather(self, rule, times_v: bool = False) -> np.ndarray:
+        """The flat sector blocks of the Nystrom matrix of a kernel rule
+        (`kernels.r0_rule` and its kin: a kernel of |x - y| with its
+        self-cell value), times V on the right when `times_v`, entry by
+        entry as K = R0 V is formed."""
         T = assemble_entries(self.grid, rule, self._plan)
         if times_v:
             T *= self._v_cols
         return self.sectors.transform(T)
 
     def r0_sectors(self, bp: BranchPoint) -> np.ndarray:
-        return self._gather(r0_rule(bp))
+        return self.gather(r0_rule(bp))
 
     def gj_sectors(self, j: int) -> np.ndarray:
-        return self._gather(gj_rule(j))
+        return self.gather(gj_rule(j))
 
     @cached_property
     def _g2_sectors(self) -> np.ndarray:
@@ -154,15 +156,15 @@ class Discretization:
         return G2
 
     def gj_plus_sectors(self, j: int, lam0: float) -> np.ndarray:
-        return self._gather(gj_plus_rule(j, lam0))
+        return self.gather(gj_plus_rule(j, lam0))
 
     # --- Birman-Schwinger operators, as flat sector blocks ---------------
     def K_sectors(self, bp: BranchPoint) -> np.ndarray:
-        return self._gather(r0_rule(bp), times_v=True)
+        return self.gather(r0_rule(bp), times_v=True)
 
     @property
     def K0_sectors(self) -> np.ndarray:
-        return self._gather(gj_rule(0), times_v=True)
+        return self.gather(gj_rule(0), times_v=True)
 
     def M_sectors(self, bp: BranchPoint) -> np.ndarray:
         return self.m_blocks(self.r0_sectors(bp))
@@ -358,27 +360,25 @@ def tune_coupling(grid: QuadratureGrid, template: np.ndarray, target: str,
     """Coupling gamma* such that -1 is an eigenvalue of G0 diag(gamma* W)
     (threshold) or of R0+(lam0) diag(gamma* W) (positive energy): with mu the
     eigenvalue of largest modulus of the untuned operator, gamma* = -1/mu.
-    The eigenvalues come from the sector blocks of the grid reflections
-    that leave W invariant (`invariant_subgroup`, the rule of
-    `Discretization.sectors`), gathered from the kernel's entries at the
-    representative rows (`kernels.assemble_entries`), one eigvals per
-    block."""
+    The eigenvalues come from the sector blocks of K0 or K(lam0 + i0) of a
+    `Discretization` of the template (W at every node), one eigvals per
+    class representative: every other block of a class is its
+    representative's up to a signed permutation, with the same
+    eigenvalues."""
     W = np.asarray(template, dtype=complex)
     if np.max(np.abs(W)) == 0:
         raise ValueError("template too weak")
-    if target == "threshold_zero":
-        rule = gj_rule(0)
-    elif target == "positive":
-        if lam0 is None or lam0 <= 0:
-            raise ValueError("positive target needs lam0 > 0")
-        rule = r0_rule(BranchPoint.boundary(lam0, "+"))
-    else:
+    if target == "positive" and (lam0 is None or lam0 <= 0):
+        raise ValueError("positive target needs lam0 > 0")
+    if target not in ("threshold_zero", "positive"):
         raise ValueError("unknown tuning target")
-    group, _ = invariant_subgroup(grid.reflections, W)
-    flat = group.transform(assemble_entries(
-        grid, rule, entry_plan(grid, *group.rep_pairs)))
-    flat *= W[group.reps][group.flat_columns]
-    mu = np.concatenate([sla.eigvals(B) for B in group.split(flat)])
+    disc = Discretization(Model(grid=grid, potential=sample_potential(
+        grid, W, support_radius=float(grid.radii().max())), name="template"))
+    flat = (disc.K0_sectors if target == "threshold_zero" else
+            disc.K_sectors(BranchPoint.boundary(lam0, "+")))
+    blocks = disc.sectors.split(flat)
+    mu = np.concatenate([sla.eigvals(blocks[r])
+                         for r in sorted(set(disc.sectors.sector_classes))])
     mu = mu[np.abs(mu) > 1e-12]
     if mu.size == 0:
         raise ValueError("template too weak")

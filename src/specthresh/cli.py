@@ -128,6 +128,23 @@ def _tolerance(key: str, value) -> float:
     return val
 
 
+def _t_ladder(value) -> Optional[List[float]]:
+    """The propagate stage's times, None or at least two strictly
+    increasing, finite, positive times: the decay fit needs two, and the
+    last is the t_max the coefficient is checked at."""
+    if value is None:
+        return None
+    try:
+        ts = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        ts = np.zeros(0)
+    if not (ts.ndim == 1 and len(ts) >= 2 and np.all(np.isfinite(ts))
+            and ts[0] > 0 and np.all(np.diff(ts) > 0)):
+        raise ValueError("t_ladder must be at least two strictly increasing, "
+                         f"finite, positive times: {value!r}")
+    return ts.tolist()
+
+
 def load_config(path) -> RunConfig:
     with open(path) as fh:
         raw = json.load(fh)
@@ -161,7 +178,7 @@ def load_config(path) -> RunConfig:
                      out=raw.get("out"), seed=int(raw.get("seed", 0)),
                      scan_window=list(raw.get("scan_window", [0.3, 3.0])),
                      weight_s=float(raw.get("weight_s", 3.0)),
-                     t_ladder=raw.get("t_ladder"))
+                     t_ladder=_t_ladder(raw.get("t_ladder")))
 
 
 def _build_model(spec: Dict) -> Model:

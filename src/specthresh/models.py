@@ -3,21 +3,22 @@ Reference model factories: complex potentials tuned so that the discrete
 Birman-Schwinger operator has an exact eigenvalue -1 at the zero threshold
 (resonance and/or eigenvalue type) or at a chosen positive energy.
 
-All constructions work at the level of the assembled Nystrom matrices, so the
-tuned spectral structure holds to machine precision on the grid itself rather
+All constructions work on the sector blocks of a Discretization's Nystrom
+operators (of the template, or of the free model for G0), so the tuned
+spectral structure holds to machine precision on the grid itself rather
 than only in the continuum limit.
 """
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
 
-from .birman_schwinger import tune_coupling
+from .birman_schwinger import Discretization, tune_coupling
 from .kernels import assemble_gj
 from .model import Model, QuadratureGrid, build_grid, sample_potential
+from .symmetry import ReflectionGroup
 
 __all__ = [
     "default_grid", "gaussian_template", "free_model", "regular_model",
@@ -70,7 +71,18 @@ def first_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     return Model(grid=grid, potential=pot, name="first_kind")
 
 
-def _dipole_source_potential(grid: QuadratureGrid, G0: np.ndarray,
+# G0 as the grid's reflection group and its flat sector blocks
+_G0 = Tuple[ReflectionGroup, np.ndarray]
+
+
+def _g0_sectors(grid: QuadratureGrid) -> _G0:
+    """G0 under every grid reflection, from a `Discretization` of the free
+    model (V = 0 keeps them all)."""
+    free = Discretization(free_model(grid))
+    return free.sectors, free.gj_sectors(0)
+
+
+def _dipole_source_potential(grid: QuadratureGrid, G0: _G0,
                              tilt: float, alpha: complex,
                              _width: float = 1.0) -> np.ndarray:
     """Exact threshold eigenvalue by the source method in the odd (dipole)
@@ -78,7 +90,7 @@ def _dipole_source_potential(grid: QuadratureGrid, G0: np.ndarray,
     psi = -G0 g, V = g / psi pointwise.  Then G0 V psi = -psi on the grid
     exactly, and the integral marker of psi (= sum w g) vanishes exactly by
     parity, so psi is an eigen direction rather than a resonance.  alpha
-    deforms the shape h; G0 is the threshold kernel assembled on grid.  With
+    deforms the shape h; G0 is the threshold kernel (`_g0_sectors`).  With
     c = 1 the continuum V is radial and x_2, x_3 partners of psi put extra
     zeros of M(k) near k = 0.
 
@@ -92,7 +104,9 @@ def _dipole_source_potential(grid: QuadratureGrid, G0: np.ndarray,
     q = grid.radii() ** 2 + x1 ** 2 * (_width ** -2 - 1.0)
     g = (np.exp(-q) * (1.0 + tilt * 1j * np.exp(-0.5 * q))
          + alpha * q * np.exp(-1.3 * q)) * x1 * mask
-    psi = -G0 @ g
+    group, flat = G0
+    psi = -group.from_sectors([B @ y for B, y in zip(
+        group.split(flat), group.to_sectors(g[:, None]))])[:, 0]
     V = np.divide(g, psi, out=np.zeros_like(g), where=g != 0)
     # an interior zero of psi where g is supported would blow V up
     scale = np.abs(V[np.argmax(np.abs(g))])
@@ -105,97 +119,50 @@ def second_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     """Pure threshold eigenvalue (zero integral marker), kernel dimension 1;
     c = 1.5 keeps det M(k) of order 2 at k = 0 out to |k| = 0.5."""
     grid = grid or default_grid()
-    V = _dipole_source_potential(grid, assemble_gj(grid, 0), tilt=0.25,
+    V = _dipole_source_potential(grid, _g0_sectors(grid), tilt=0.25,
                                  alpha=0.0, _width=1.5)
     pot = sample_potential(grid, V)
     return Model(grid=grid, potential=pot, name="second_kind")
 
 
-def _x1_mirror(grid: QuadratureGrid) -> np.ndarray:
-    """Node map m of the reflection x_1 -> -x_1: nodes[m[i]] is the mirror
-    image of nodes[i].  Raises ValueError unless the grid, weights included,
-    is mirror-symmetric in x_1."""
-    m = grid.node_map([0, 1, 2], [-1.0, 1.0, 1.0])
-    if m is None:
-        raise ValueError("grid is not mirror-symmetric in x_1 (nodes or "
-                         "weights), so the dipole source has no exact "
-                         "parity zero on it")
-    return m
-
-
-def _x1_axis_symmetries(grid: QuadratureGrid) -> List[np.ndarray]:
-    """Node maps of the grid symmetries that fix the x_1 axis: of the 16
-    signed permutations x_1 -> +-x_1, x_2 -> +-x_2, x_3 -> +-x_3, x_2 <-> x_3,
-    each one that takes the grid onto itself (`QuadratureGrid.node_map`,
-    identity first).  The x_1 mirror must be among them (ValueError
-    otherwise)."""
-    _x1_mirror(grid)
-    maps = []
-    for perm in ([0, 1, 2], [0, 2, 1]):
-        for signs in itertools.product([1.0, -1.0], repeat=3):
-            m = grid.node_map(perm, signs)
-            if m is not None:
-                maps.append(m)
-    return maps
-
-
-def _symmetric_sector_basis(grid: QuadratureGrid,
-                            maps: List[np.ndarray]) -> np.ndarray:
-    """Orthonormal basis U (n x K) of the vectors that every node map in
-    `maps` leaves fixed: one column per orbit of nodes, the orbit's
-    indicator divided by sqrt(|orbit|), columns ordered by the orbit's
-    smallest node index."""
-    label = np.arange(grid.n)
-    while True:
-        # each map is a permutation, so min-propagation along i -> m[i]
-        # settles on the smallest index of i's orbit
-        new = np.minimum.reduce([label[m] for m in maps] + [label])
-        if np.array_equal(new, label):
-            break
-        label = new
-    _, col, size = np.unique(label, return_inverse=True, return_counts=True)
-    U = np.zeros((grid.n, len(size)))
-    U[np.arange(grid.n), col] = 1.0 / np.sqrt(size[col])
-    return U
-
-
-def _third_kind_potential(grid: QuadratureGrid, G0: np.ndarray,
+def _third_kind_potential(grid: QuadratureGrid, G0: _G0,
                           alpha: complex) -> np.ndarray:
     return _dipole_source_potential(grid, G0, tilt=0.2, alpha=alpha)
 
 
-def _symmetric_sector_marked_eigenpair(grid: QuadratureGrid, G0: np.ndarray):
+def _symmetric_sector_marked_eigenpair(grid: QuadratureGrid, G0: _G0):
     """alpha -> (mu, x): the marked eigenvalue mu of G0 V(alpha) nearest -1
     and its unit eigenvector x on all n nodes, where V(alpha) is the
     third-kind dipole source potential and an eigenvector counts as marked
-    when its integral marker exceeds 5% of the largest.
+    when its integral marker exceeds 5% of the largest.  ValueError unless
+    the grid reflections hold the mirror x_1 -> -x_1.
 
-    V, the weights and G0 are invariant under every grid symmetry that
-    fixes the x_1 axis (`_x1_axis_symmetries`), and so is the marker
-    functional w V.  An eigenvector outside the fully symmetric sector of
-    that group therefore has marker zero, and the marked eigenvalues are
-    exactly those of the sector block B = U^T (G0 diag V) U, U from
-    `_symmetric_sector_basis`: on the uniform grid K = 31 columns for
-    n = 408, about n / 13.  V is constant on each orbit, so
-    B = (U^T G0 U) diag(v) with v the orbit means of V."""
-    w = grid.weights
-    maps = _x1_axis_symmetries(grid)
-    U = _symmetric_sector_basis(grid, maps)
-    G_sector = U.T @ G0 @ U
-    orbit_size = (U > 0).sum(axis=0)
+    V, the weights and G0 are invariant under every grid reflection, and so
+    is the marker functional w V.  An eigenvector outside the sector of the
+    trivial character therefore has marker zero, and the marked eigenvalues
+    are exactly those of that sector's block Q_0^T (G0 diag V) Q_0, the
+    first G0 block times V at the orbit representatives: one unknown per
+    node orbit, 51 for n = 408 on the uniform grid (x = Q_0 y, Q_0 the
+    orbit indicators over sqrt|O_a|)."""
+    group, flat = G0
+    if 1 not in group.elements:     # 1: the bit mask of x_1 -> -x_1
+        raise ValueError("grid is not mirror-symmetric in x_1 (nodes or "
+                         "weights), so the dipole source has no exact "
+                         "parity zero on it")
+    w, G_sector = grid.weights, group.split(flat)[0]
+    root = np.sqrt(group.sizes)
 
     def marked_eigenpair(alpha: complex):
         V = _third_kind_potential(grid, G0, alpha)
-        if max(np.linalg.norm(V - V[m]) for m in maps) \
+        if max(np.linalg.norm(V - V[m]) for m in group.maps) \
                 > 1e-10 * np.linalg.norm(V):
             raise ValueError("dipole source potential is not invariant under "
-                             "the grid symmetries that fix the x_1 axis")
-        v = (U.T @ V) / np.sqrt(orbit_size)
-        ev, y = sla.eig(G_sector * v[None, :])
-        mk = np.abs((U.T @ (w * V)) @ y)     # marker of x = U y, unit norm
+                             "the grid reflections")
+        ev, y = sla.eig(G_sector * V[group.reps][None, :])
+        mk = np.abs(group.to_sectors((w * V)[:, None])[0][:, 0] @ y)
         marked = np.flatnonzero(mk > 0.05 * mk.max())
         i = marked[np.argmin(np.abs(ev[marked] + 1.0))]
-        return complex(ev[i]), U @ y[:, i]
+        return complex(ev[i]), y[group.orbit, i] / root[group.orbit]
 
     return marked_eigenpair
 
@@ -203,8 +170,8 @@ def _symmetric_sector_marked_eigenpair(grid: QuadratureGrid, G0: np.ndarray):
 def _check_full_space(grid: QuadratureGrid, G0: np.ndarray, V: np.ndarray,
                       x: np.ndarray) -> None:
     """Second check of a sector eigenvector lifted to all n nodes, with the
-    full G0: ||(I + G0 V) x|| <= 1e-9 ||x|| and an integral marker above
-    1e-8 ||w V|| ||x|| (ValueError otherwise)."""
+    full n x n G0: ||(I + G0 V) x|| <= 1e-9 ||x|| and an integral marker
+    above 1e-8 ||w V|| ||x|| (ValueError otherwise)."""
     residual = np.linalg.norm(x + G0 @ (V * x)) / np.linalg.norm(x)
     marker = abs((grid.weights * V) @ x) / (
         np.linalg.norm(grid.weights * V) * np.linalg.norm(x))
@@ -215,19 +182,20 @@ def _check_full_space(grid: QuadratureGrid, G0: np.ndarray, V: np.ndarray,
             f"relative marker {marker:.3e} (gate 1e-08)")
 
 
-def _tune_third_kind_alpha(grid: QuadratureGrid, G0: np.ndarray) -> complex:
+def _tune_third_kind_alpha(grid: QuadratureGrid, G0: _G0) -> complex:
     """Shape parameter alpha of the third-kind dipole source that puts the
-    marked eigenvalue at -1, all in the fully symmetric sector: a coarse
-    9 x 4 scan picks the start, then a damped Newton drives f = mu + 1 to
-    |f| <= 1e-13.  mu(alpha) is holomorphic where it is simple (V(alpha) is
-    a ratio of two affine functions of alpha), so its derivative is the
-    forward difference along the real increment h = 1e-7 max(1, |alpha|).
-    The Newton step is halved while |f| does not fall; a trial alpha whose
-    source has a near-vanishing state (ValueError) or whose mu is not finite
-    does not fall either.  ValueError unless |f| <= 1e-9 when Newton stops
-    (zero or non-finite difference quotient, no step that moves alpha and
-    lowers |f|, or 40 steps); the tuned eigenvector then passes
-    `_check_full_space` on all n nodes."""
+    marked eigenvalue at -1, all in the trivial sector of the grid
+    reflections: a coarse 9 x 4 scan picks the start, then a damped
+    Newton drives f = mu + 1 to |f| <= 1e-13.  mu(alpha) is holomorphic
+    where it is simple (V(alpha) is a ratio of two affine functions of
+    alpha), so its derivative is the forward difference along the real
+    increment h = 1e-7 max(1, |alpha|).  The Newton step is halved while
+    |f| does not fall; a trial alpha whose source has a near-vanishing
+    state (ValueError) or whose mu is not finite does not fall either.
+    ValueError unless |f| <= 1e-9 when Newton stops (zero or non-finite
+    difference quotient, no step that moves alpha and lowers |f|, or 40
+    steps); the tuned eigenvector then passes `_check_full_space` on an
+    n x n G0 of its own."""
     marked_eigenpair = _symmetric_sector_marked_eigenpair(grid, G0)
 
     def offset(alpha: complex):
@@ -266,7 +234,8 @@ def _tune_third_kind_alpha(grid: QuadratureGrid, G0: np.ndarray) -> complex:
         raise ValueError(
             "two-eigenvalue tuning did not converge: |mu + 1| = "
             f"{abs(f):.3e} at alpha = {alpha:.6g}")
-    _check_full_space(grid, G0, _third_kind_potential(grid, G0, alpha), x)
+    _check_full_space(grid, assemble_gj(grid, 0),
+                      _third_kind_potential(grid, G0, alpha), x)
     return alpha
 
 
@@ -279,17 +248,17 @@ def third_kind_model(grid: Optional[QuadratureGrid] = None) -> Model:
     a damped complex Newton on the eigenvalue tracked through its nonzero
     integral marker, numpy only) so a second, marker-carrying eigenvalue of
     G0 V also sits at -1.
-    Every tuning step solves only the fully symmetric sector of the grid
-    symmetries that fix the x_1 axis (all marked eigenvalues live there): a
-    block of one row per node orbit, 31 for n = 408 on the uniform grid.
-    The final V is built with the full G0, and the tuned eigenvector is
-    checked on all n nodes.
+    G0 acts as its sector blocks under the grid reflections, and every
+    tuning step solves only the trivial character's block (all marked
+    eigenvalues live there): one row per node orbit, 51 for n = 408 on the
+    uniform grid.  The tuned eigenvector is checked on all n nodes against
+    an n x n G0 assembled for that check alone.
 
     The grid must be mirror-symmetric in x_1, nodes and weights (ValueError
     otherwise, e.g. `gauss_radial` with an odd azimuth count): without that
     the dipole source has no exact parity zero."""
     grid = grid or default_grid()
-    G0 = assemble_gj(grid, 0)
+    G0 = _g0_sectors(grid)
     V = _third_kind_potential(grid, G0, _tune_third_kind_alpha(grid, G0))
     pot = sample_potential(grid, V)
     return Model(grid=grid, potential=pot, name="third_kind")

@@ -29,8 +29,8 @@ from .series import series_solve
 
 __all__ = [
     "DecayReport", "generalized_integral", "free_propagator",
-    "CutPropagator", "census_geometry", "verify_large_time",
-    "check_high_energy", "resolvent_taylor",
+    "free_propagator_rule", "CutPropagator", "census_geometry",
+    "verify_large_time", "check_high_energy", "resolvent_taylor",
 ]
 
 
@@ -359,11 +359,21 @@ def census_geometry(r0: float, t_min: float) -> List[Tuple[str, np.ndarray]]:
 
 def free_propagator(grid, t: float) -> np.ndarray:
     """Exact kernel of e^{it Laplacian} on the grid:
-    (4 pi i t)^{-3/2} e^{i|x-y|^2 / 4t} w_y."""
+    (4 pi i t)^{-3/2} e^{i|x-y|^2 / 4t} w_y, n x n, as a reference
+    (`free_propagator_rule` gives its sector blocks)."""
     d = grid.nodes[:, None, :] - grid.nodes[None, :, :]
     r2 = (d * d).sum(axis=2)
     amp = (4.0 * np.pi * t) ** (-1.5) * np.exp(-0.75j * np.pi)
     return amp * np.exp(1j * r2 / (4.0 * t)) * grid.weights[None, :]
+
+
+def free_propagator_rule(t: float):
+    """The kernel of e^{it Laplacian}, (4 pi i t)^{-3/2} e^{i r^2 / 4t}, as
+    a kernel rule for `Discretization.gather`: the kernel is bounded, so
+    the self-cell value is its value at r = 0 times the cell volume."""
+    amp = (4.0 * np.pi * t) ** (-1.5) * np.exp(-0.75j * np.pi)
+    return (lambda r: amp * np.exp(1j * r * r / (4.0 * t)),
+            lambda rc: amp * (4.0 * np.pi / 3.0) * rc ** 3)
 
 
 @dataclass
@@ -411,11 +421,12 @@ def verify_large_time(disc: Discretization,
     a matrix that commutes with the group and its axis permutations (U(t),
     R_-2, P0, the first-kind target), taken on the class representatives'
     sector blocks (`weighted_sector_norm`).  U(t)
-    (`CutPropagator.propagate_blocks`), R_-2 and P0 come as flat blocks,
-    the target is built as blocks from phi (`ReflectionGroup.outer`), and
-    none is expanded; only the free kernel is n x n.  A non-zero
-    potential without coefficients is a ValueError; so is a `propagator`
-    built on another discretization or other coefficients."""
+    (`CutPropagator.propagate_blocks`, or for the free model the kernel
+    gathered as blocks, `free_propagator_rule`), R_-2 and P0 come as flat
+    blocks, the target is built as blocks from phi
+    (`ReflectionGroup.outer`), and none is expanded.  A non-zero potential
+    without coefficients is a ValueError; so is a `propagator` built on
+    another discretization or other coefficients."""
     grid, group = disc.grid, disc.sectors
 
     def wnorm(flat: np.ndarray) -> float:
@@ -436,7 +447,7 @@ def verify_large_time(disc: Discretization,
         kind = coefficients.kind
 
     if kind == "free":
-        Us = {t: group.blocks(free_propagator(grid, t)) for t in ts}
+        Us = {t: disc.gather(free_propagator_rule(t)) for t in ts}
     else:
         cp = propagator or CutPropagator(disc, coefficients)
         Us = cp.propagate_blocks(ts)

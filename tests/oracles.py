@@ -195,6 +195,21 @@ def leibniz_det_series(coeffs: dict, cap: int) -> dict:
     return out
 
 
+def dense_third_kind_potential(grid, G0, alpha) -> np.ndarray:
+    """The third-kind dipole source potential on the n x n G0: g = x_1 (e^-q
+    (1 + 0.2 i e^{-q/2}) + alpha q e^{-1.3 q}), q = |x|^2, on the ball,
+    psi = -G0 g and V = g / psi where g != 0 (x_1 within 1e-12 extent of 0
+    counts as 0)."""
+    x1 = grid.nodes[:, 0]
+    x1 = np.where(np.abs(x1) <= 1e-12 * grid.extent, 0.0, x1)
+    q = grid.radii() ** 2
+    g = ((np.exp(-q) * (1.0 + 0.2j * np.exp(-0.5 * q))
+          + alpha * q * np.exp(-1.3 * q)) * x1
+         * (grid.radii() <= grid.extent + 1e-12))
+    psi = -G0 @ g
+    return np.divide(g, psi, out=np.zeros_like(g), where=g != 0)
+
+
 def full_eig_marked_eigenvalue(grid, G0, V) -> complex:
     """Marked eigenvalue of G0 V nearest -1 from one dense eigendecomposition
     of the whole n x n matrix: the eigenvectors whose integral marker

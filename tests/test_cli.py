@@ -160,19 +160,27 @@ def first4_report(tmp_path_factory):
 
 
 def test_pipeline_builds_one_discretization(monkeypatch):
-    builds = []
-    init = cli.Discretization.__init__
+    # one Discretization of the run's model; the factory's of its template
+    # (`tune_coupling`) is not the run's
+    builds, built = [], []
+    init, build_model = cli.Discretization.__init__, cli._build_model
 
     def counted(self, model):
         builds.append(model)
         init(self, model)
 
+    def recorded(spec):
+        built.append(build_model(spec))
+        return built[-1]
+
     monkeypatch.setattr(cli.Discretization, "__init__", counted)
+    monkeypatch.setattr(cli, "_build_model", recorded)
     rep = run_pipeline(RunConfig(
         model={"factory": "first_kind", "extent": 3.0, "resolution": 4},
         stages=["classify", "threshold_expand", "propagate"]))
     assert rep.errors == []
-    assert len(builds) == 1
+    (model,) = built
+    assert [m for m in builds if m is model] == [model]
 
 
 _PROPAGATE = ["classify", "threshold_expand", "propagate"]
@@ -183,16 +191,26 @@ _PROPAGATE = ["classify", "threshold_expand", "propagate"]
     ("first_kind", 6, _PROPAGATE), ("second_kind", 5, _PROPAGATE),
     ("regular", 6, _PROPAGATE),
     ("third_kind", 6, ["classify", "threshold_expand"]),
-    ("resonance", 5, ["resonance_scan", "resonance_expand", "high_energy"])])
+    ("resonance", 5, ["resonance_scan", "resonance_expand", "high_energy"]),
+    ("free", 5, _PROPAGATE)])
 def test_pipeline_stages_form_no_dense_operator(factory, resolution, stages,
                                                 monkeypatch):
-    # the stages keep every operator as flat sector blocks: with the n x n
-    # kernel assembly and both conversions between n x n matrices and
-    # blocks made to raise, every stage runs and passes its claims (the
-    # model is built first: the second- and third-kind factories assemble
-    # an n x n G_0)
+    # the factories assemble no n x n kernel but the third kind's one G_0
+    # of its full-space check; the stages keep every operator as flat
+    # sector blocks: with the n x n kernel assembly and both conversions
+    # between n x n matrices and blocks made to raise, every stage runs and
+    # passes its claims
     spec = {"factory": factory, "extent": 3.0, "resolution": resolution}
+    assemblies = []
+    nystrom = kernels._nystrom
+
+    def counted(grid, rule):
+        assemblies.append(grid.n)
+        return nystrom(grid, rule)
+
+    monkeypatch.setattr(kernels, "_nystrom", counted)
     model = cli._build_model(spec)
+    assert assemblies == ([model.grid.n] if factory == "third_kind" else [])
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an n x n operator in a pipeline stage")
@@ -384,6 +402,35 @@ def test_cli_config_error_exit_two(tmp_path):
     res = runner.invoke(main, ["classify", "--config", bad])
     assert res.exit_code == 2
     assert "config error" in res.output
+
+
+@pytest.mark.parametrize("ladder", [
+    [10.0], [10.0, 10.0], [100.0, 10.0, 1000.0], [10.0, float("inf")],
+    [10.0, float("nan")], [0.0, 10.0], [-10.0, 10.0], "10, 100",
+    [[10.0, 100.0]]],
+    ids=["one_time", "repeated", "unsorted", "infinite", "nan", "zero",
+         "negative", "string", "nested"])
+def test_cli_rejects_a_degenerate_t_ladder(tmp_path, ladder):
+    # the decay fit needs two times, and the last one is the t_max the
+    # coefficient is checked at
+    path = _write(tmp_path, "cfg.json", {
+        "model": {"factory": "first_kind", "resolution": 4},
+        "stages": ["classify", "threshold_expand", "propagate"],
+        "t_ladder": ladder})
+    with pytest.raises(ValueError, match="t_ladder"):
+        load_config(path)
+    res = CliRunner().invoke(main, ["propagate", "--config", path,
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_keeps_an_increasing_t_ladder(tmp_path):
+    path = _write(tmp_path, "cfg.json", {
+        "model": {"factory": "first_kind", "resolution": 4},
+        "stages": ["classify"], "t_ladder": [10, 31.6, 100.0]})
+    assert load_config(path).t_ladder == [10.0, 31.6, 100.0]
 
 
 def test_cli_bad_tol_usage(tmp_path, regular_config):

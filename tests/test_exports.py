@@ -1,8 +1,8 @@
 """Every exported name resolves: each module's __all__ names only objects
 that exist, and every public name of the package is listed in the __all__ of
 a module that defines it; no module imports a name it never reads, none
-imports scipy beyond scipy.linalg, and every entry point the benchmark's
-tracer wraps exists."""
+imports scipy beyond scipy.linalg, only `model` searches the grid for node
+maps, and every entry point the benchmark's tracer wraps exists."""
 import ast
 import importlib
 import importlib.util
@@ -99,6 +99,23 @@ def test_heavy_scipy_guard_sees_every_import_form(tmp_path):
 def test_module_imports_no_scipy_beyond_linalg(path):
     # the pipeline's import floor is numpy, scipy.linalg and click
     assert not _heavy_scipy_imports(path)
+
+
+def _method_calls(path, name):
+    """Line of each call `<expression>.name(...)` anywhere in `path`."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name]
+
+
+def test_node_maps_are_searched_only_in_model():
+    # one symmetry search: the grid finds its reflections and axis
+    # permutations (`QuadratureGrid.node_map`), and every other module
+    # takes them from the grid or from `Discretization.sectors`
+    calls = {p.stem: _method_calls(p, "node_map")
+             for p in Path(specthresh.__file__).parent.glob("*.py")}
+    assert {stem for stem, lines in calls.items() if lines} == {"model"}
 
 
 def _tracing():

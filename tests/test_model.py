@@ -100,14 +100,14 @@ def test_node_map_rejects_a_map_that_moves_a_perturbed_weight():
 
 
 def test_third_kind_build_searches_sixteen_node_maps():
-    # the third-kind tuning asks for the 16 maps that fix the x_1 axis, and
-    # the sector group for the 8 reflections among them and the 5 axis
-    # permutations, 4 of which move x_1: one search each
+    # the grid is searched once for its 8 reflections and 5 axis
+    # permutations, and the factory and the model's sector group share
+    # them: 13 searches in all
     from specthresh.birman_schwinger import Discretization
     from specthresh.models import third_kind_model
     model = third_kind_model(build_grid(3.0, 5))
     assert Discretization(model).sectors.order == 8
-    assert len(model.grid._node_maps) == 16 + 4
+    assert len(model.grid._node_maps) == 8 + 5
     # the memoized maps are shared, so they are read-only
     assert not any(m.flags.writeable for m in model.grid._node_maps.values())
 

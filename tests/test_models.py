@@ -1,6 +1,5 @@
 """Reference model factories: tuned spectral structure and guard rails."""
 import gc
-import itertools
 import weakref
 
 import numpy as np
@@ -72,49 +71,31 @@ SECTOR_GRIDS = [
 
 @pytest.mark.parametrize("grid_args", SECTOR_GRIDS)
 def test_third_kind_even_sector_matches_full_eig(grid_args):
+    # the library's trivial-sector block against one dense eigendecomposition
+    # of the oracle's own potential, built on the n x n G0
     grid = build_grid(*grid_args)
     G0 = assemble_gj(grid, 0)
-    marked = models._symmetric_sector_marked_eigenpair(grid, G0)
+    G0_sectors = models._g0_sectors(grid)
+    marked = models._symmetric_sector_marked_eigenpair(grid, G0_sectors)
     for alpha in (0.3 + 0.2j, -1.0 + 0.5j, 2.0 - 1.5j, -3.5 - 0.5j):
-        V = models._third_kind_potential(grid, G0, alpha)
-        want = oracles.full_eig_marked_eigenvalue(grid, G0, V)
+        want = oracles.full_eig_marked_eigenvalue(
+            grid, G0, oracles.dense_third_kind_potential(grid, G0, alpha))
+        V = models._third_kind_potential(grid, G0_sectors, alpha)
         mu, x = marked(alpha)
         assert abs(mu - want) <= 1e-12 * abs(want)
         assert np.linalg.norm(G0 @ (V * x) - mu * x) <= 1e-12
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-13
 
 
-@pytest.mark.parametrize("grid_args, order, K", [
-    pytest.param((3.0, 8, "uniform"), 16, 31, id="uniform-3.0-8"),
-    pytest.param((3.0, 10, "uniform"), 16, 52, id="uniform-3.0-10"),
-    # nodes 4e-16 off the plane x_1 = 0
-    pytest.param((2.93, 5, "uniform"), 16, 17, id="uniform-2.93-5"),
-    # no x_2 <-> x_3 swap: x_3 carries the Gauss-Legendre polar nodes
-    pytest.param((2.0, 6, "gauss_radial"), 8, 24, id="gauss_radial-2.0-6"),
-    pytest.param((2.0, 8, "gauss_radial"), 8, 32, id="gauss_radial-2.0-8"),
-])
-def test_x1_axis_symmetry_group_and_sector_basis(grid_args, order, K):
+@pytest.mark.parametrize("grid_args", SECTOR_GRIDS)
+def test_dipole_sources_match_the_dense_construction(grid_args):
+    # G0 applied as sector blocks gives the potential of the n x n G0
     grid = build_grid(*grid_args)
-    maps = models._x1_axis_symmetries(grid)
-    assert len(maps) == order
-    assert np.array_equal(maps[0], np.arange(grid.n))
-    tol = 1e-12 * grid.extent
-    images = []
-    for m in maps:
-        assert np.array_equal(np.sort(m), np.arange(grid.n))
-        assert np.allclose(grid.weights[m], grid.weights, rtol=1e-14, atol=0)
-        # the map is one of the 16 signed permutations fixing the x_1 axis
-        assert any(np.allclose(grid.nodes[m], grid.nodes[:, perm] * signs,
-                               rtol=0.0, atol=tol)
-                   for perm in ([0, 1, 2], [0, 2, 1])
-                   for signs in itertools.product([1.0, -1.0], repeat=3))
-        images.append(m.tobytes())
-    assert len(set(images)) == order
-    U = models._symmetric_sector_basis(grid, maps)
-    assert U.shape == (grid.n, K)
-    assert np.allclose(U.T @ U, np.eye(K), rtol=0.0, atol=1e-15)
-    for m in maps:
-        assert np.array_equal(U[m], U)
+    G0, G0_sectors = assemble_gj(grid, 0), models._g0_sectors(grid)
+    for alpha in (0.3 + 0.2j, -3.5 - 0.5j):
+        want = oracles.dense_third_kind_potential(grid, G0, alpha)
+        got = models._third_kind_potential(grid, G0_sectors, alpha)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("grid_args", [
@@ -127,11 +108,13 @@ def test_third_kind_tunes_with_nodes_on_the_mirror_plane(grid_args):
     grid = build_grid(*grid_args)
     on_plane = np.abs(grid.nodes[:, 0]) <= 1e-12 * grid.extent
     assert on_plane.any() and np.any(grid.nodes[on_plane, 0] != 0.0)
-    G0 = assemble_gj(grid, 0)
-    alpha = models._tune_third_kind_alpha(grid, G0)
-    V = models._third_kind_potential(grid, G0, alpha)
+    G0_sectors = models._g0_sectors(grid)
+    alpha = models._tune_third_kind_alpha(grid, G0_sectors)
+    V = models._third_kind_potential(grid, G0_sectors, alpha)
     assert np.all(V[on_plane] == 0)
-    mu, x = models._symmetric_sector_marked_eigenpair(grid, G0)(alpha)
+    mu, x = models._symmetric_sector_marked_eigenpair(grid, G0_sectors)(
+        alpha)
+    G0 = assemble_gj(grid, 0)
     assert abs(mu + 1.0) <= 1e-9
     assert np.linalg.norm(x + G0 @ (V * x)) <= 1e-9 * np.linalg.norm(x)
     assert abs((grid.weights * V) @ x) > 1e-8 * np.linalg.norm(x) \
@@ -142,15 +125,15 @@ def test_third_kind_tunes_with_nodes_on_the_mirror_plane(grid_args):
 
 def test_full_space_check_rejects_a_wrong_or_unmarked_vector():
     grid = build_grid(3.0, 6)
-    G0 = assemble_gj(grid, 0)
-    alpha = models._tune_third_kind_alpha(grid, G0)
-    V = models._third_kind_potential(grid, G0, alpha)
-    _, x = models._symmetric_sector_marked_eigenpair(grid, G0)(alpha)
+    G0, G0_sectors = assemble_gj(grid, 0), models._g0_sectors(grid)
+    alpha = models._tune_third_kind_alpha(grid, G0_sectors)
+    V = models._third_kind_potential(grid, G0_sectors, alpha)
+    _, x = models._symmetric_sector_marked_eigenpair(grid, G0_sectors)(alpha)
     with pytest.raises(ValueError, match="full-space check"):
         models._check_full_space(grid, G0, V, x + 1e-6)
     # off the tuned alpha, -1 is simple: the dipole state psi = -G0 g, whose
     # marker vanishes by parity
-    V = models._third_kind_potential(grid, G0, 0.3 + 0.2j)
+    V = models._third_kind_potential(grid, G0_sectors, 0.3 + 0.2j)
     ev, vec = np.linalg.eig(G0 * V[None, :])
     with pytest.raises(ValueError, match="relative marker"):
         models._check_full_space(grid, G0, V,
@@ -160,8 +143,8 @@ def test_full_space_check_rejects_a_wrong_or_unmarked_vector():
 def test_sector_eigenpair_rejects_a_potential_off_the_symmetric_sector(
         monkeypatch):
     grid = build_grid(3.0, 6)
-    G0 = assemble_gj(grid, 0)
-    marked = models._symmetric_sector_marked_eigenpair(grid, G0)
+    marked = models._symmetric_sector_marked_eigenpair(
+        grid, models._g0_sectors(grid))
     monkeypatch.setattr(models, "_third_kind_potential",
                         lambda grid, G0, alpha: gaussian_template(grid)
                         * (1.0 + 0.5 * grid.nodes[:, 2]))
@@ -171,7 +154,7 @@ def test_sector_eigenpair_rejects_a_potential_off_the_symmetric_sector(
 
 def test_third_kind_tuning_eig_calls_stay_in_the_symmetric_sector(monkeypatch):
     grid = build_grid(3.0, 8)
-    G0 = assemble_gj(grid, 0)
+    G0 = models._g0_sectors(grid)
     shapes = []
     eig = models.sla.eig
 
@@ -182,24 +165,27 @@ def test_third_kind_tuning_eig_calls_stay_in_the_symmetric_sector(monkeypatch):
     monkeypatch.setattr(models.sla, "eig", recording_eig)
     models._tune_third_kind_alpha(grid, G0)
     assert len(shapes) >= 36
-    assert all(r == c and r <= grid.n // 8 for r, c in shapes)
+    # the trivial sector of the eight reflections: one row per node orbit
+    assert all(r == c == grid.n // 8 for r, c in shapes)
 
 
 @pytest.mark.parametrize("extent", [2.9, 3.0, 3.1])
 def test_third_kind_alpha_matches_full_eig_tuning(extent):
     # the oracle tunes with root(hybr) on full n x n eigen-solves; the
     # library's Newton must land on the same root over the benchmark's
-    # extent range
+    # extent range, from its own dense potential
     grid = build_grid(extent, 6)
     G0 = assemble_gj(grid, 0)
     want = oracles.full_eig_third_kind_alpha(
-        grid, G0, lambda a: models._third_kind_potential(grid, G0, a))
-    assert abs(models._tune_third_kind_alpha(grid, G0) - want) <= 1e-13
+        grid, G0, lambda a: oracles.dense_third_kind_potential(grid, G0, a))
+    got = models._tune_third_kind_alpha(grid, models._g0_sectors(grid))
+    assert abs(got - want) <= 1e-13
 
 
 def test_third_kind_model_frees_its_G0_on_return(monkeypatch):
-    # with the cyclic collector off, G0 must die with the last reference
-    # the factory holds: no reference cycle may keep it alive
+    # the one n x n G0 is the full-space check's: with the cyclic collector
+    # off, it must die with the last reference the factory holds, no
+    # reference cycle may keep it alive
     refs = []
 
     def recording(grid, j):
@@ -215,14 +201,6 @@ def test_third_kind_model_frees_its_G0_on_return(monkeypatch):
     finally:
         gc.enable()
     assert alive == [False]
-
-
-def test_x1_mirror_is_an_involution():
-    for grid in (build_grid(3.0, 5), build_grid(2.0, 6, scheme="gauss_radial")):
-        m = models._x1_mirror(grid)
-        assert np.array_equal(m[m], np.arange(grid.n))
-        assert np.allclose(grid.nodes[m], grid.nodes * [-1.0, 1.0, 1.0],
-                           rtol=0.0, atol=1e-12 * grid.extent)
 
 
 def test_third_kind_rejects_grid_without_mirror_symmetry():
@@ -291,7 +269,7 @@ def test_third_kind_tuning_halves_a_step_onto_a_near_vanishing_state(
     # quotient) raises as a near-vanishing source would; the tuning halves
     # that step and still reaches the root it reaches without the fault
     grid = build_grid(3.0, 5)
-    G0 = assemble_gj(grid, 0)
+    G0 = models._g0_sectors(grid)
     want = models._tune_third_kind_alpha(grid, G0)
     potential = models._third_kind_potential
     alphas = []

@@ -17,6 +17,7 @@ from specthresh.models import (first_kind_model, free_model, regular_model,
                                resonance_model, third_kind_model)
 from specthresh.propagator import (_WEIGHT_CUT, CutPropagator, _residue,
                                    check_high_energy, free_propagator,
+                                   free_propagator_rule,
                                    generalized_integral, resolvent_taylor,
                                    verify_large_time)
 
@@ -65,6 +66,16 @@ def test_free_propagator_is_unitary_group_kernel():
     U = free_propagator(grid, t)
     amp = np.abs(U[0, 1] / grid.weights[1])
     assert np.isclose(amp, (4.0 * np.pi * t) ** -1.5, rtol=1e-12)
+
+
+def test_free_propagator_blocks_match_the_kernel():
+    # resolution 5 has nodes on the mirror planes, so orbits of every size
+    grid = build_grid(3.0, 5)
+    disc = Discretization(free_model(grid))
+    for t in (10.0, 1000.0):
+        U = free_propagator(grid, t)
+        got = disc.sectors.expand(disc.gather(free_propagator_rule(t)))
+        assert np.linalg.norm(got - U) <= 1e-14 * np.linalg.norm(U)
 
 
 def test_free_decay_slope():
