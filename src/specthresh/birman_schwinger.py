@@ -1,11 +1,11 @@
 """
 Birman-Schwinger machinery: K(z) = R0(z) V, boundary operators K+(lambda),
-threshold operator K0 = G0 V, detection of the eigenvalue -1 and exact Riesz
-projections from a reordered Schur form, both on the parity-sector blocks
-of K, classification of the zero
-threshold, the contour eigensolver for the zeros of M(k) = Id + R0(k^2) V
-(outgoing resonances here, poles off the cut in `propagator`), and the
-checkable Gram-determinant hypotheses.
+threshold operator K0 = G0 V, detection of the eigenvalue -1 and the
+invariant subspace of its cluster (the range of the Riesz projection) from
+a reordered Schur form, both on the parity-sector blocks of K,
+classification of the zero threshold, the contour eigensolver for the zeros
+of M(k) = Id + R0(k^2) V (outgoing resonances here, poles off the cut in
+`propagator`), and the checkable Gram-determinant hypotheses.
 
 Conventions used throughout the package:
   - <u, Jv> denotes the *bilinear* pairing sum_i w_i u_i v_i (J = conjugation
@@ -21,7 +21,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import ztrsen, ztrsyl
+from scipy.linalg.lapack import ztrsen
 
 from .kernels import (BranchPoint, assemble_entries, assemble_gj,
                       assemble_gj_plus, assemble_r0, entry_plan, gj_plus_rule,
@@ -285,17 +285,12 @@ class ZeroClassification:
 
 @dataclass(frozen=True)
 class RieszProjection:
-    group: ReflectionGroup
-    blocks: np.ndarray              # the projector's flat sector blocks
-    sector_ranks: Tuple[int, ...]   # cluster eigenvalues in each block
-    rank: int
-    contour_radius: float
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The projector as an n x n matrix (the pipeline keeps the
-        blocks)."""
-        return self.group.expand(self.blocks)
+    # per sector of the operator's group: (Q1, A) with Q1 an orthonormal
+    # basis of the cluster's invariant subspace in the sector and A =
+    # Id + T11 the matrix of Id + K_s on it (K_s Q1 = Q1 T11), or None for a
+    # sector without cluster eigenvalues
+    bases: List[Optional[Tuple[np.ndarray, np.ndarray]]]
+    rank: int                       # cluster eigenvalues over the sectors
 
 
 # ---------------------------------------------------------------------------
@@ -385,52 +380,33 @@ def tune_coupling(grid: QuadratureGrid, template: np.ndarray, target: str,
     return complex(-1.0 / mu[np.argmax(np.abs(mu))])
 
 
-def _spectral_projector(T: np.ndarray, Q: np.ndarray,
-                        select: np.ndarray) -> np.ndarray:
-    """Spectral projector of A = Q T Q^H (complex Schur pair) onto the
-    eigenvalues T[i, i] with select[i], in closed form (Bartels & Stewart
-    1972; Bai & Demmel 1993): ztrsen moves them into the leading block of
-    T = [[T11, T12], [0, T22]], ztrsyl solves T11 Y - Y T22 = -T12, and
-    P = Q1 (Q1^H - Y Q2^H).  ValueError if either routine fails or the
-    selection is not separated from the rest of the spectrum (scale < 1)."""
-    n = T.shape[0]
-    select = np.asarray(select, dtype=bool)
-    if not select.any():
-        return np.zeros((n, n), dtype=complex)
-    if select.all():
-        return np.eye(n, dtype=complex)
-    Ts, Qs, _, m, _, _, info = ztrsen(select, T, Q, job="N")
-    if info != 0:
-        raise ValueError(f"ztrsen failed to reorder (info {info})")
-    Y, scale, info = ztrsyl(Ts[:m, :m], Ts[m:, m:], -Ts[:m, m:], isgn=-1)
-    if info != 0 or scale < 1.0:
-        raise ValueError("selected eigenvalues are not separated from the "
-                         f"rest of the spectrum (ztrsyl info {info}, "
-                         f"scale {scale:.3e})")
-    Q1 = Qs[:, :m]
-    return Q1 @ (Q1.conj().T - Y @ Qs[:, m:].conj().T)
-
-
 def riesz_projection(K: np.ndarray, group: ReflectionGroup, eps: float,
                      detection: Optional[EigenNearMinusOne] = None
                      ) -> RieszProjection:
-    """Spectral projector onto the -1 cluster of the G-invariant operator
-    with the flat sector blocks K, the eigenvalues inside the circle
-    |w + 1| = eps, exactly from one complex Schur form K_s = Q T Q^H of
-    each block.  It is kept as flat blocks, with the number of selected
-    eigenvalues in each (`sector_ranks`); the rank is their sum.  A block
-    with none is exactly zero."""
+    """The range of the spectral projector onto the -1 cluster of the
+    G-invariant operator with the flat sector blocks K, the eigenvalues
+    inside the circle |w + 1| = eps, from one complex Schur form
+    K_s = Q T Q^H of each block: ztrsen moves the selected eigenvalues into
+    the leading block of T = [[T11, T12], [0, T22]] (Bai & Demmel 1993), so
+    the leading columns Q1 of the reordered Q are an orthonormal basis of
+    the range and T11 is K_s on it.  ValueError when the contour captures
+    foreign spectrum or the reordering fails."""
     if detection is not None and eps > detection.gap / 2.0:
         raise ValueError("contour captures foreign spectrum")
-    projs, ranks = [], []
+    bases: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
+    rank = 0
     for B in group.split(K):
         T, Q = sla.schur(B, output="complex")
         select = np.abs(np.diag(T) + 1.0) < eps
-        projs.append(_spectral_projector(T, Q, select))
-        ranks.append(int(select.sum()))
-    return RieszProjection(group=group, blocks=group.join(projs),
-                           sector_ranks=tuple(ranks), rank=sum(ranks),
-                           contour_radius=eps)
+        if not select.any():
+            bases.append(None)
+            continue
+        Ts, Qs, _, m, _, _, info = ztrsen(select, T, Q, job="N")
+        if info != 0:
+            raise ValueError(f"ztrsen failed to reorder (info {info})")
+        bases.append((Qs[:, :m], np.eye(m) + Ts[:m, :m]))
+        rank += m
+    return RieszProjection(bases=bases, rank=rank)
 
 
 def marker_tolerance(disc: Discretization, psi: np.ndarray) -> float:

@@ -118,30 +118,36 @@ def _jsonable(x):
     return x
 
 
+def _positive(key: str, value) -> float:
+    """value as a finite positive float."""
+    try:
+        val = float(value)
+    except (TypeError, ValueError):
+        val = np.nan
+    if not (np.isfinite(val) and val > 0):
+        raise ValueError(f"{key} must be finite and positive: {value!r}")
+    return val
+
+
 def _tolerance(key: str, value) -> float:
     """cluster_tol, the only run tolerance, as a finite positive float."""
     if key != "cluster_tol":
         raise ValueError(f"unknown tolerance {key!r} (only cluster_tol)")
-    val = float(value)
-    if not (np.isfinite(val) and val > 0):
-        raise ValueError(f"cluster_tol must be finite and positive: {value!r}")
-    return val
+    return _positive(key, value)
 
 
-def _t_ladder(value) -> Optional[List[float]]:
-    """The propagate stage's times, None or at least two strictly
-    increasing, finite, positive times: the decay fit needs two, and the
-    last is the t_max the coefficient is checked at."""
-    if value is None:
-        return None
+def _increasing(key: str, value, count: Optional[int] = None) -> List[float]:
+    """value as strictly increasing, finite, positive floats: exactly
+    `count` of them, or at least two."""
     try:
         ts = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         ts = np.zeros(0)
-    if not (ts.ndim == 1 and len(ts) >= 2 and np.all(np.isfinite(ts))
-            and ts[0] > 0 and np.all(np.diff(ts) > 0)):
-        raise ValueError("t_ladder must be at least two strictly increasing, "
-                         f"finite, positive times: {value!r}")
+    if not (ts.ndim == 1 and (len(ts) == count if count else len(ts) >= 2)
+            and np.all(np.isfinite(ts)) and ts[0] > 0
+            and np.all(np.diff(ts) > 0)):
+        raise ValueError(f"{key} must be {count or 'at least two'} strictly "
+                         f"increasing, finite, positive numbers: {value!r}")
     return ts.tolist()
 
 
@@ -176,9 +182,13 @@ def load_config(path) -> RunConfig:
             for key, val in dict(raw.get("tolerances", {})).items()}
     return RunConfig(model=model, stages=stages, tolerances=tols,
                      out=raw.get("out"), seed=int(raw.get("seed", 0)),
-                     scan_window=list(raw.get("scan_window", [0.3, 3.0])),
-                     weight_s=float(raw.get("weight_s", 3.0)),
-                     t_ladder=_t_ladder(raw.get("t_ladder")))
+                     scan_window=_increasing(
+                         "scan_window", raw.get("scan_window", [0.3, 3.0]), 2),
+                     weight_s=_positive("weight_s", raw.get("weight_s", 3.0)),
+                     # the decay fit needs two times, and the last is the
+                     # t_max the coefficient is checked at
+                     t_ladder=(None if raw.get("t_ladder") is None else
+                               _increasing("t_ladder", raw["t_ladder"])))
 
 
 def _build_model(spec: Dict) -> Model:
@@ -380,8 +390,7 @@ def _load(config_path, seed, tol) -> RunConfig:
 
 def _run(config_path, out, seed, tol, stages: List[str]):
     config = _load(config_path, seed, tol)
-    if stages:
-        config.stages = [s for s in stages if s in STAGES] or config.stages
+    config.stages = stages
     report = run_pipeline(config)
     _finish(report, _out_dir(out, config))
 

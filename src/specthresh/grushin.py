@@ -4,9 +4,10 @@ operator E_-+(z), Lidskii scaling of det E_-+, and the resulting resolvent
 expansions at the zero threshold and at embedded outgoing resonances.
 
 The reduction uses the Jordan chains U = (u_r^(i)) and duals W = (w_r^(j)) of
-(Id + K0) on Ran Pi_1: S maps coordinates to chain vectors and T is the
-Theta-pairing against the duals, so T S = Id.  The bordered operator and its
-inverse hold all four Grushin operators (Sjostrand & Zworski 2007):
+(Id + K0) on Ran Pi_1 (from its Schur basis in each sector): S maps
+coordinates to chain vectors and T is the Theta-pairing against the duals,
+so T S = Id.  The bordered operator and its inverse hold all four Grushin
+operators (Sjostrand & Zworski 2007):
 
     P(z) = [[M(z), S], [T, 0]],    P(z)^{-1} = [[E, E_+], [E_-, E_-+]],
     M(z)^{-1} = E - E_+ E_-+^{-1} E_-.
@@ -469,21 +470,21 @@ def _sample_remainders(red: GrushinReduction, Rs: ExpansionSeries,
 
 
 def _singular_expansion(disc: Discretization, K: np.ndarray,
-                        det: EigenNearMinusOne, point, prefer=None) -> tuple:
+                        det: EigenNearMinusOne, point, marked=False) -> tuple:
     """The construction behind both expansions at an anchor where K (flat
-    sector blocks) has the -1 cluster `det`: Riesz projector onto the
-    cluster (its rank checked against the algebraic multiplicity the
-    detection counted), Jordan chains on its range, the Grushin reduction,
-    the Laurent inverse F of E_-+ with pole order q, M^{-1} = E - E_+ F E_-
-    and the resolvent series M^{-1} R0.  Returns (reduction, q, series,
-    remainder samples)."""
+    sector blocks) has the -1 cluster `det`: the cluster's invariant
+    subspace (its dimension checked against the algebraic multiplicity the
+    detection counted), Jordan chains on it (`build_jordan_chains`), the
+    Grushin reduction, the Laurent inverse F of E_-+ with pole order q,
+    M^{-1} = E - E_+ F E_- and the resolvent series M^{-1} R0.  Returns
+    (reduction, q, series, remainder samples)."""
     P1 = riesz_projection(K, disc.sectors, min(det.gap / 2.5, 0.5),
                           detection=det)
     if P1.rank != det.algebraic_multiplicity:
         raise ValueError(f"Riesz projector rank {P1.rank} != algebraic "
                          f"multiplicity {det.algebraic_multiplicity}")
-    basis = build_jordan_chains(P1.blocks, K, disc.w * disc.V, disc.sectors,
-                                prefer=prefer)
+    basis = build_jordan_chains(P1.bases, disc.w * disc.V, disc.sectors,
+                                marked=marked)
     red = GrushinReduction(disc, basis, point)
     F, q = invert_E_minus_plus(red)
     Rs = red.resolvent_series(red.truncation, F, q)
@@ -495,9 +496,9 @@ def threshold_resolvent_expansion(disc: Discretization,
                                   ) -> ThresholdCoefficients:
     """Laurent expansion of (Id + K(z))^{-1} R0(z) V-free form around z = 0:
     R(z) = R_-2 / z + R_-1 / sqrt(z) + R_0 + ... with the singular parts
-    expressed through normalized threshold states.  The Riesz projector is
-    taken onto the -1 cluster the classification detected (by default
-    `classify_zero(disc)`)."""
+    expressed through normalized threshold states.  The chains are built on
+    the -1 cluster the classification detected (by default
+    `classify_zero(disc)`), marked for the third kind."""
     cls = classification or classify_zero(disc)
 
     if cls.kind == "regular":
@@ -512,10 +513,9 @@ def threshold_resolvent_expansion(disc: Discretization,
             R_m2=Rs.coeff(-2), R_m1=Rs.coeff(-1), phi=None, Z=[], P0=None,
             scaling=scal, constants={}, basis=None)
 
-    prefer = (lambda u: abs(disc.marker(u))) if cls.kind == "third" else None
     red, q, Rs, samples = _singular_expansion(disc, disc.K0_sectors,
                                               cls.detection, "threshold",
-                                              prefer=prefer)
+                                              marked=cls.kind == "third")
     basis = red.basis
 
     constants: Dict[str, object] = {

@@ -1,5 +1,6 @@
 """
-Theta-bilinear Jordan-chain machinery on the range of the Riesz projection.
+Theta-bilinear Jordan-chain machinery on the range of the Riesz projection,
+given by its orthonormal Schur basis in each parity sector.
 
 Theta(u, v) = sum_i tau_i u_i v_i with tau = w * V is a symmetric bilinear
 (not sesquilinear) form; on E = Ran Pi_1 it is non-degenerate and
@@ -12,7 +13,7 @@ sector of the model's reflection group (`build_jordan_chains`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -57,12 +58,6 @@ class JordanBasis:
 # ---------------------------------------------------------------------------
 # construction
 
-def _range_basis(P1: np.ndarray, rank_tol: float = 1e-8) -> np.ndarray:
-    U, s, _ = sla.svd(P1)
-    m = int((s > rank_tol * max(1.0, s[0])).sum())
-    return U[:, :m]
-
-
 def _nilpotency_index(Ac: np.ndarray, tol: float = 1e-8) -> int:
     d = Ac.shape[0]
     X = np.eye(d)
@@ -79,10 +74,13 @@ _DEGENERACY_TOL = 1e-10
 
 
 def _staircase(A: np.ndarray, Th: np.ndarray, th_scale: float,
-               rng: np.random.Generator) -> List[np.ndarray]:
+               rng: np.random.Generator,
+               marker: Optional[np.ndarray] = None) -> List[np.ndarray]:
     """Theta-orthogonal Jordan blocks of the nilpotent A (coordinates of
     (Id + K)|_E) under the complex-symmetric form Th: each an (m, m_i)
-    matrix of chain coordinates, r = 1..m_i."""
+    matrix of chain coordinates, r = 1..m_i.  Given the marker functional's
+    coordinates, the chain tops come from its kernel while more than one
+    direction is left, so the marked direction is split off last."""
     blocks: List[np.ndarray] = []
     C = np.eye(A.shape[0])             # current subspace basis (coords)
     while C.shape[1] > 0:
@@ -90,11 +88,15 @@ def _staircase(A: np.ndarray, Th: np.ndarray, th_scale: float,
         Ac = np.linalg.pinv(C) @ A @ C
         p = _nilpotency_index(Ac)
         Q = np.linalg.matrix_power(A, p - 1)
-        # candidate chain tops: current basis + random combinations
-        cands = [C[:, i] for i in range(d)]
+        tops = C
+        if marker is not None and d > 1:
+            tops = C @ sla.null_space((marker @ C)[None, :])
+        # candidate chain tops: the top basis + random combinations
+        cands = list(tops.T)
         for _ in range(2 * d):
-            coeff = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            cands.append(C @ coeff)
+            coeff = (rng.standard_normal(tops.shape[1])
+                     + 1j * rng.standard_normal(tops.shape[1]))
+            cands.append(tops @ coeff)
         best, best_val = None, -1.0
         for u in cands:
             u = u / np.linalg.norm(u)
@@ -114,50 +116,56 @@ def _staircase(A: np.ndarray, Th: np.ndarray, th_scale: float,
     return blocks
 
 
-def build_jordan_chains(P: np.ndarray, K: np.ndarray,
+def build_jordan_chains(bases: Sequence[Optional[Tuple[np.ndarray,
+                                                       np.ndarray]]],
                         tau: np.ndarray, group: ReflectionGroup,
-                        prefer: Optional[Callable[[np.ndarray], float]] = None
-                        ) -> JordanBasis:
-    """Constructive Jordan decomposition of (Id + K) restricted to Ran P
-    with Theta-orthogonal blocks, one character of `group` at a time.
+                        marked: bool = False) -> JordanBasis:
+    """Constructive Jordan decomposition of (Id + K) restricted to the
+    invariant subspace E of its -1 cluster, with Theta-orthogonal blocks,
+    one character of `group` at a time.
 
-    K and tau = w V are invariant under the group, so P, K (each given by
-    its flat sector blocks: `RieszProjection.blocks`,
-    `Discretization.K0_sectors`) and the chains split by sector.  In
-    sector coordinates Theta is diagonal: tau_s = tau at the representative
-    of each of the sector's orbits (the sector basis is real and each of its
-    vectors lives on one orbit, where tau is constant), and chains of
-    different sectors are Theta-orthogonal.  The staircase runs on each
-    sector whose projector block is not zero, on the range basis from the
-    SVD of that block and on the block K_s; chains and duals are lifted to
-    the nodes (`ReflectionGroup.from_sectors`) and `JordanBasis.sectors`
-    records the sector of each chain.  The one-block group of the identity
-    takes a matrix without symmetry.  The random candidate chain tops come
-    from one fixed seed, so the basis is reproducible.
+    K and tau = w V are invariant under the group, so E and the chains
+    split by sector: `bases` holds, per sector, None or (B, A) with B an
+    orthonormal basis of E in the sector and K_s B = B (A - Id)
+    (`RieszProjection.bases`).  In sector coordinates Theta is diagonal:
+    tau_s = tau at the representative of each of the sector's orbits (the
+    sector basis is real and each of its vectors lives on one orbit, where
+    tau is constant), and chains of different sectors are
+    Theta-orthogonal.  The staircase runs on A in each sector; chains and
+    duals are lifted to the nodes
+    (`ReflectionGroup.from_sectors`) and `JordanBasis.sectors` records the
+    sector of each chain.  The one-block group of the identity takes a
+    matrix without symmetry.  The random candidate chain tops come from one
+    fixed seed, so the basis is reproducible.
 
-    `prefer` optionally scores the bottom vector u_1 of each block; blocks are
-    emitted in decreasing score order (used to put the resonance direction
-    first for mixed thresholds). Default order: decreasing block size.
+    `marked`: one direction of E carries the integral marker tau^T u (the
+    resonance of a third-kind threshold).  The chain tops are then drawn
+    from the marker's kernel while more than one direction is left, so the
+    eigen chains are marker-free in any basis B, and the chains come in
+    decreasing |tau^T u_1|, resonance first.  Default order: decreasing
+    block size.
     """
     rng = np.random.default_rng(7)
-    K_blocks = group.split(K)
     tau_reps = np.asarray(tau)[group.reps]
     sectors = []                       # (s, B, A, Th, tau_s)
-    for s, Ps in enumerate(group.split(P)):
-        if not Ps.any():
+    for s, basis in enumerate(bases):
+        if basis is None:
             continue
-        B = _range_basis(Ps)           # (n_s, m_s), orthonormal columns
+        B, A = basis
         tau_s = tau_reps[group.sector_orbits[s]]
         Th = (B * tau_s[:, None]).T @ B  # coords of Theta (complex symmetric)
-        sectors.append((s, B, B.conj().T @ (B + K_blocks[s] @ B),
-                        (Th + Th.T) / 2.0, tau_s))
+        sectors.append((s, B, A, (Th + Th.T) / 2.0, tau_s))
     # Theta is block diagonal by sector: its norm is the largest block's
     th_scale = max([np.linalg.norm(Th, 2) for *_, Th, _ in sectors]
                    + [1e-300])
 
     found = []                         # (sector, chain coords, c)
     for s, B, A, Th, tau_s in sectors:
-        for blk in _staircase(A, Th, th_scale, rng):
+        # tau^T x of the lifted x: sum_a sqrt|O_a| tau_s[a] x[a] in the
+        # trivial sector (the first); other characters sum to 0 on an orbit
+        marker = ((np.sqrt(group.sizes[group.sector_orbits[s]]) * tau_s) @ B
+                  if marked and s == 0 else None)
+        for blk in _staircase(A, Th, th_scale, rng, marker):
             U = np.column_stack([B @ blk[:, r] for r in range(blk.shape[1])])
             c = theta(tau_s, U[:, 0], U[:, -1])
             if abs(c) <= _DEGENERACY_TOL * th_scale:
@@ -171,8 +179,9 @@ def build_jordan_chains(P: np.ndarray, K: np.ndarray,
         return list(group.from_sectors(Y).T)
 
     chains = [lift(s, U) for s, U, _ in found]
-    if prefer is not None:
-        order = sorted(range(len(found)), key=lambda i: -prefer(chains[i][0]))
+    if marked:
+        order = sorted(range(len(found)),
+                       key=lambda i: -abs(np.sum(tau * chains[i][0])))
     else:
         order = sorted(range(len(found)), key=lambda i: -len(chains[i]))
     found = [found[i] for i in order]

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import scipy.integrate
 import scipy.linalg as sla
+from scipy.linalg.lapack import ztrsen, ztrsyl
 from scipy.optimize import root
 from scipy.special import roots_genlaguerre
 
@@ -547,14 +548,46 @@ def dense_detect_minus_one(K, tol: float):
     return cluster, gap, k, Vh[len(s) - k:].conj().T
 
 
+def schur_spectral_projector(T: np.ndarray, Q: np.ndarray,
+                             select) -> np.ndarray:
+    """Spectral projector of A = Q T Q^H (complex Schur pair) onto the
+    eigenvalues T[i, i] with select[i], in closed form (Bartels & Stewart
+    1972; Bai & Demmel 1993): ztrsen moves them into the leading block of
+    T = [[T11, T12], [0, T22]], ztrsyl solves T11 Y - Y T22 = -T12, and
+    P = Q1 (Q1^H - Y Q2^H).  ValueError if either routine fails or the
+    selection is not separated from the rest of the spectrum (scale < 1)."""
+    n = T.shape[0]
+    select = np.asarray(select, dtype=bool)
+    if not select.any():
+        return np.zeros((n, n), dtype=complex)
+    if select.all():
+        return np.eye(n, dtype=complex)
+    Ts, Qs, _, m, _, _, info = ztrsen(select, T, Q, job="N")
+    if info != 0:
+        raise ValueError(f"ztrsen failed to reorder (info {info})")
+    Y, scale, info = ztrsyl(Ts[:m, :m], Ts[m:, m:], -Ts[:m, m:], isgn=-1)
+    if info != 0 or scale < 1.0:
+        raise ValueError("selected eigenvalues are not separated from the "
+                         f"rest of the spectrum (ztrsyl info {info}, "
+                         f"scale {scale:.3e})")
+    Q1 = Qs[:, :m]
+    return Q1 @ (Q1.conj().T - Y @ Qs[:, m:].conj().T)
+
+
 def dense_riesz_projection(K, eps: float):
     """(projector, rank) onto the eigenvalues of the dense n x n K inside
-    |w + 1| = eps, from one complex Schur form of all of K reordered by the
-    library's `_spectral_projector` (ztrsen + ztrsyl)."""
-    from specthresh.birman_schwinger import _spectral_projector
+    |w + 1| = eps, from one complex Schur form of all of K
+    (`schur_spectral_projector`)."""
     T, Q = sla.schur(K, output="complex")
     select = np.abs(np.diag(T) + 1.0) < eps
-    return _spectral_projector(T, Q, select), int(select.sum())
+    return schur_spectral_projector(T, Q, select), int(select.sum())
+
+
+def projector_range(P, rank_tol: float = 1e-8) -> np.ndarray:
+    """An orthonormal basis of the range of P: its left singular vectors
+    with singular value above rank_tol max(1, sigma_max)."""
+    U, s, _ = sla.svd(P)
+    return U[:, :int((s > rank_tol * max(1.0, s[0])).sum())]
 
 
 def _anchor_point(point, z):
@@ -570,17 +603,20 @@ def _anchor_point(point, z):
     return BranchPoint.from_z(zz)
 
 
-def dense_grushin_expansion(disc, point, tol: float, prefer=None) -> dict:
+def dense_grushin_expansion(disc, point, tol: float,
+                            marked: bool = False) -> dict:
     """The resolvent expansion at an anchor by the full-size route, with no
     use of the grid's symmetry.  K (K0, or K+(lam0) for point = lam0), the
     -1 detection (`dense_detect_minus_one`) and the Riesz projector
     (`dense_riesz_projection`) are n x n; the Jordan chains come from the
-    n x n range basis of P (the library's staircase with the one-block
-    group of the identity); the bordered series [[M(u), S], [T, 0]] is
-    inverted at size (n + m) by the plain inverse recursion; q is the
-    smallest order whose Laurent inverse of E_-+ matches dense solves of
-    the bordered matrix at -q_test, -q_test / 4 and i q_test to 1e-5; and
-    R = (E - E_+ F E_-) R0 through the anchor's truncation order.  Returns
+    SVD range basis B of P and the matrix B^H (B + K B) of Id + K on it
+    (the library's staircase with the one-block group of the identity;
+    `marked` as for `build_jordan_chains`); the bordered series
+    [[M(u), S], [T, 0]] is inverted at size (n + m) by the plain inverse
+    recursion; q is the smallest order whose Laurent inverse of E_-+
+    matches dense solves of the bordered matrix at -q_test, -q_test / 4 and
+    i q_test to 1e-5; and R = (E - E_+ F E_-) R0 through the anchor's
+    truncation order.  Returns
     q, the coefficients "R" {order: n x n}, the series "Emp" of E_-+, the
     chain basis, and "E_at" / "Emp_at": z -> the dense blocks of the
     bordered inverse."""
@@ -602,8 +638,9 @@ def dense_grushin_expansion(disc, point, tol: float, prefer=None) -> dict:
     assert rank == len(cluster)
     tau = disc.w * disc.V
     one = ReflectionGroup({0: np.arange(n)})
-    basis = build_jordan_chains(one.blocks(P), one.blocks(K), tau, one,
-                                prefer=prefer)
+    B = projector_range(P)
+    basis = build_jordan_chains([(B, B.conj().T @ (B + K @ B))], tau, one,
+                                marked=marked)
     S = basis.flat_chain()
     T = (basis.flat_dual() * tau[:, None]).T
     m = S.shape[1]

@@ -8,7 +8,6 @@ import oracles
 from specthresh import birman_schwinger
 from specthresh.birman_schwinger import (HYPOTHESIS_DET_TOL, Discretization,
                                          _contour_zeros,
-                                         _spectral_projector,
                                          check_hypotheses, classify_zero,
                                          detect_minus_one, riesz_projection,
                                          scan_positive_resonances,
@@ -238,6 +237,31 @@ def test_discretization_keeps_only_the_g2_blocks(disc_third, coeffs_third):
     assert G2.shape == (sum(k * k for k in sizes),)
 
 
+def check_invariant_subspace(proj, group, K, P_ref, gate):
+    """The -1 cluster's subspace from `riesz_projection`, its sector bases
+    lifted to the nodes (Q) with the block-diagonal matrix A of Id + K on
+    them, against the n x n K and a reference projector P_ref onto the same
+    cluster: orthonormal columns, as many as the rank, that P_ref leaves
+    fixed (to `gate` relative to |P_ref|), and K Q = Q (A - Id) to
+    1e-12 |K|."""
+    Q, A = [], []
+    for s, basis in enumerate(proj.bases):
+        if basis is None:
+            continue
+        Y = [np.zeros((len(c), basis[0].shape[1]), dtype=complex)
+             for c in group.sector_orbits]
+        Y[s] = basis[0]
+        Q.append(group.from_sectors(Y))
+        A.append(basis[1])
+    Q, A = np.hstack(Q), sla.block_diag(*A)
+    k = proj.rank
+    assert Q.shape[1] == k
+    assert np.allclose(Q.conj().T @ Q, np.eye(k), rtol=0.0, atol=1e-12)
+    assert np.linalg.norm(P_ref @ Q - Q) <= gate * np.linalg.norm(P_ref)
+    assert np.linalg.norm(K @ Q - Q @ (A - np.eye(k))) \
+        <= 1e-12 * np.linalg.norm(K)
+
+
 def test_riesz_projection_matches_dense_eig():
     rng = np.random.default_rng(7)
     n = 24
@@ -246,12 +270,12 @@ def test_riesz_projection_matches_dense_eig():
     lams[3] = -1.0
     lams[11] = -1.0 + 1e-11          # same cluster
     K = Q @ np.diag(lams) @ np.linalg.inv(Q)
-    det = detect_minus_one(*_one_block(K))
-    P = riesz_projection(*_one_block(K), eps=det.gap / 3.0,
-                         detection=det).entries
+    flat, one = _one_block(K)
+    det = detect_minus_one(flat, one)
+    proj = riesz_projection(flat, one, eps=det.gap / 3.0, detection=det)
     want = oracles.spectral_projector(K, lambda l: abs(l + 1.0) < 1e-6)
-    assert np.linalg.norm(P - want) < 1e-8
-    assert np.linalg.norm(P @ P - P) < 1e-8
+    assert proj.rank == 2
+    check_invariant_subspace(proj, one, K, want, 1e-8)
 
 
 def _dense_contour_projection(K, eps, n_quad=64):
@@ -292,13 +316,15 @@ def test_riesz_projection_matches_dense_solve_contour(make):
     eps = min(det.gap / 2.5, 0.5)
     proj = riesz_projection(flat, group, eps, detection=det)
     want = _dense_contour_projection(K, eps)
-    assert np.linalg.norm(proj.entries - want) <= 1e-12 * np.linalg.norm(want)
-    assert proj.rank == det.algebraic_multiplicity
+    # the trace of a projector is its rank
+    assert proj.rank == det.algebraic_multiplicity \
+        == round(np.trace(want).real)
+    check_invariant_subspace(proj, group, K, want, 1e-12)
 
 
 def test_riesz_projection_defective_cluster():
     # a 2x2 Jordan block at -1 next to well-separated spectrum, hidden by a
-    # random similarity: the projector has rank 2 although the geometric
+    # random similarity: the subspace has dimension 2 although the geometric
     # multiplicity is 1
     rng = np.random.default_rng(11)
     n = 20
@@ -306,32 +332,13 @@ def test_riesz_projection_defective_cluster():
     J[:2, :2] = [[-1.0, 1.0], [0.0, -1.0]]
     S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     K = S @ J @ np.linalg.inv(S)
-    proj = riesz_projection(*_one_block(K), eps=0.4)
-    P = proj.entries
+    flat, one = _one_block(K)
+    proj = riesz_projection(flat, one, eps=0.4)
     assert proj.rank == 2
-    assert np.linalg.norm(P @ P - P) <= 1e-10 * np.linalg.norm(P)
     E = np.zeros(n)
     E[:2] = 1.0
     want = S @ np.diag(E) @ np.linalg.inv(S)
-    assert np.linalg.norm(P - want) <= 1e-10 * np.linalg.norm(want)
-
-
-def test_spectral_projector_rejects_unseparated_selection():
-    # one copy of a defective double eigenvalue selected without the other:
-    # T11 and T22 share the eigenvalue, so the Sylvester equation is singular
-    T = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex)
-    with pytest.raises(ValueError, match="not separated"):
-        _spectral_projector(T, np.eye(2, dtype=complex), [True, False])
-
-
-def test_spectral_projector_empty_and_full_selection():
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    T, Q = sla.schur(A, output="complex")
-    assert np.array_equal(_spectral_projector(T, Q, np.zeros(6, bool)),
-                          np.zeros((6, 6)))
-    assert np.array_equal(_spectral_projector(T, Q, np.ones(6, bool)),
-                          np.eye(6))
+    check_invariant_subspace(proj, one, K, want, 1e-10)
 
 
 def test_classify_free_model_regular():

@@ -265,12 +265,12 @@ def test_propagate_stage_names_embedded_resonance(tmp_path):
                     r"lambda0 = 1$", rep.errors[0])
 
 
-def test_run_pipeline_records_stage_errors(tmp_path):
-    path = _write(tmp_path, "cfg.json", {
-        "model": {"factory": "free", "resolution": 4},
-        "stages": ["resonance_scan"],
-        "scan_window": [-1.0, 2.0]})
-    rep = run_pipeline(load_config(path))
+def test_run_pipeline_records_stage_errors():
+    # the config loader rejects this window; the scan's own check is the
+    # stage error recorded here
+    rep = run_pipeline(RunConfig(model={"factory": "free", "resolution": 4},
+                                 stages=["resonance_scan"],
+                                 scan_window=[-1.0, 2.0]))
     assert len(rep.errors) == 1
     # stage, exception type and the innermost frame's file:line
     assert re.match(r"resonance_scan: ValueError at .*birman_schwinger\.py:\d+: "
@@ -420,6 +420,28 @@ def test_cli_rejects_a_degenerate_t_ladder(tmp_path, ladder):
     with pytest.raises(ValueError, match="t_ladder"):
         load_config(path)
     res = CliRunner().invoke(main, ["propagate", "--config", path,
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("weight_s", float("nan")), ("weight_s", float("inf")), ("weight_s", 0.0),
+    ("weight_s", -3.0), ("weight_s", "three"),
+    ("scan_window", [3.0, 0.3, 5]), ("scan_window", [3.0, 0.3]),
+    ("scan_window", [0.0, 3.0]), ("scan_window", [0.3, float("inf")]),
+    ("scan_window", [0.3, float("nan")]), ("scan_window", "0.3, 3")],
+    ids=["weight_nan", "weight_inf", "weight_zero", "weight_negative",
+         "weight_string", "window_three", "window_reversed", "window_zero",
+         "window_infinite", "window_nan", "window_string"])
+def test_cli_rejects_a_bad_weight_or_scan_window(tmp_path, key, value):
+    path = _write(tmp_path, "cfg.json", {
+        "model": {"factory": "free", "resolution": 4},
+        "stages": ["resonance_scan"], key: value})
+    with pytest.raises(ValueError, match=key):
+        load_config(path)
+    res = CliRunner().invoke(main, ["scan", "--config", path,
                                     "--out", str(tmp_path / "out")])
     assert res.exit_code == 2, res.output
     assert "config error" in res.output

@@ -8,7 +8,6 @@ import scipy.linalg as sla
 
 import oracles
 import specthresh.grushin as grushin
-import specthresh.jordan as jordan
 from specthresh.birman_schwinger import Discretization, classify_zero
 from specthresh.grushin import (GrushinReduction, invert_E_minus_plus,
                                 lidskii_determinant,
@@ -407,27 +406,41 @@ def test_threshold_expansion_reuses_the_classification_cluster(
     assert coeffs.basis.k == cls.detection.geometric_multiplicity
 
 
-def test_threshold_expansion_rejects_marked_eigen_block(monkeypatch):
-    # without symmetry the chain search relies on a range basis that does
-    # not mix the resonance into the eigen block; a rotated basis does, and
-    # the source pairing of the eigen block would then be wrong.  In the
-    # parity sectors each state has a range of its own, which no rotation
-    # mixes.
-    real = jordan._range_basis
+def test_threshold_expansion_does_not_depend_on_the_subspace_basis(
+        monkeypatch):
+    # without symmetry the resonance and the eigenstate of the third kind
+    # share one invariant subspace; the chains must not depend on its basis
+    # (a basis that mixes the resonance into the eigen chain would make the
+    # latter's source pairing wrong).  In the parity sectors each state has
+    # a sector of its own.
+    third = third_kind_model(build_grid(3.0, 5))
+    sym_disc = Discretization(third)
+    sym = threshold_resolvent_expansion(sym_disc)
+    assert sym.basis.sectors == [0, 1]
+    real = grushin.riesz_projection
     rng = np.random.default_rng(3)
 
-    def rotated(P1):
-        B = real(P1)
-        m = B.shape[1]
-        U, _ = np.linalg.qr(rng.standard_normal((m, m))
-                            + 1j * rng.standard_normal((m, m)))
-        return B @ U
+    def rotated(*args, **kwargs):
+        P = real(*args, **kwargs)
+        bases = []
+        for Q, A in P.bases:
+            m = Q.shape[1]
+            U, _ = np.linalg.qr(rng.standard_normal((m, m))
+                                + 1j * rng.standard_normal((m, m)))
+            bases.append((Q @ U, U.conj().T @ A @ U))
+        return dataclasses.replace(P, bases=bases)
 
-    monkeypatch.setattr(jordan, "_range_basis", rotated)
-    third = third_kind_model(build_grid(3.0, 5))
+    monkeypatch.setattr(grushin, "riesz_projection", rotated)
     disc = Discretization(third)
     disc.sectors = ReflectionGroup({0: np.arange(third.grid.n)})
-    with pytest.raises(ValueError, match="integral marker"):
-        threshold_resolvent_expansion(disc)
-    coeffs = threshold_resolvent_expansion(Discretization(third))
-    assert coeffs.basis.sectors == [0, 1]
+    for _ in range(3):
+        one = threshold_resolvent_expansion(disc)
+        assert one.constants["q"] == sym.constants["q"]
+        for j in (-2, -1, 0):
+            want = sym_disc.sectors.expand(sym.series.coeff(j))
+            got = disc.sectors.expand(one.series.coeff(j))
+            assert np.linalg.norm(got - want) \
+                <= 1e-10 * np.linalg.norm(want), j
+        want = sym.scaling.constant_machinery
+        assert abs(one.scaling.constant_machinery - want) \
+            <= 1e-12 * abs(want)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from specthresh.jordan import (build_jordan_chains,
                                complex_symmetric_cholesky, dual_basis,
                                projector_from_chains, theta,
@@ -14,9 +15,11 @@ from specthresh.symmetry import ReflectionGroup
 
 def _chains(P1, K0, tau):
     """The chains of a matrix without symmetry: one block, the identity's
-    group."""
+    group, on the SVD range basis B of P1 with the matrix B^H (B + K0 B)
+    of Id + K0 on it."""
     one = ReflectionGroup({0: np.arange(len(K0))})
-    return build_jordan_chains(one.blocks(P1), one.blocks(K0), tau, one)
+    B = oracles.projector_range(P1)
+    return build_jordan_chains([(B, B.conj().T @ (B + K0 @ B))], tau, one)
 
 
 def _theta_symmetric_case(sizes, n=12, seed=11, shift=3.0):

@@ -1,17 +1,19 @@
 """The parity-sector layer: the reflection groups of grids and potentials,
 the sector blocks of M(k) that every factorization runs on, the analysis
 routines that run on the blocks (resolvent Taylor coefficients, weighted
-norms, the -1 detection, the Riesz projector, the Jordan chains and the
-Grushin series), and their agreement with dense n x n references
-(`oracles.dense_resolvent`, `oracles.dense_contour_zeros`,
+norms, the -1 detection, the invariant subspace of the -1 cluster, the
+Jordan chains and the Grushin series), and their agreement with dense
+n x n references (`oracles.dense_resolvent`, `oracles.dense_contour_zeros`,
 `oracles.dense_resolvent_taylor`, `oracles.dense_weighted_norm`,
 `oracles.dense_detect_minus_one`, `oracles.dense_riesz_projection`,
-`oracles.dense_grushin_expansion`, `oracles.dense_tune_coupling`)."""
+`oracles.dense_grushin_expansion`, `oracles.dense_tune_coupling`), with
+checks of the oracles' own Schur spectral projector."""
 import numpy as np
 import pytest
 import scipy.linalg
 
 import oracles
+from test_birman_schwinger import check_invariant_subspace
 from specthresh import grushin, symmetry
 from specthresh.birman_schwinger import (Discretization, _contour_zeros,
                                          detect_minus_one,
@@ -238,20 +240,21 @@ def test_resolvent_raises_at_the_embedded_resonance(resonance8):
         disc.R(BranchPoint.boundary(1.0, "+"))
 
 
+def _counted(fn, calls):
+    """fn, appending the shape of its matrix argument to `calls`."""
+    def wrapped(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return fn(a, *args, **kwargs)
+    return wrapped
+
+
 def _record_shapes(monkeypatch, targets):
     """Shapes of the matrix argument of every call of the sector layer's
     getrf and of the scipy/numpy functions (module, name) in `targets`."""
     shapes = []
-
-    def recording(fn):
-        def wrapped(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return fn(a, *args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(symmetry, "zgetrf", recording(symmetry.zgetrf))
+    monkeypatch.setattr(symmetry, "zgetrf", _counted(symmetry.zgetrf, shapes))
     for mod, name in targets:
-        monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
+        monkeypatch.setattr(mod, name, _counted(getattr(mod, name), shapes))
     return shapes
 
 
@@ -289,7 +292,7 @@ def test_asymmetric_model_factors_one_full_block(monkeypatch):
 
 # --------------------------------------------------------------------------
 # the analysis half on the sector blocks: resolvent Taylor coefficients, the
-# weighted norm, the -1 detection and the Riesz projector
+# weighted norm, the -1 detection and the cluster's invariant subspace
 
 def _tuned_asymmetric():
     # G = {e}: the first-kind potential times a shape no reflection keeps,
@@ -343,7 +346,27 @@ def _check_detection_against_dense(disc, K, flat, tol, counts):
     proj = riesz_projection(flat, group, eps, detection=det)
     P, rank = oracles.dense_riesz_projection(K, eps)
     assert proj.rank == rank == det.algebraic_multiplicity
-    assert _relerr(proj.entries, P) <= 1e-12
+    check_invariant_subspace(proj, group, K, P, 1e-12)
+
+
+def test_spectral_projector_rejects_unseparated_selection():
+    # one copy of a defective double eigenvalue selected without the other:
+    # T11 and T22 share the eigenvalue, so the Sylvester equation is singular
+    T = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="not separated"):
+        oracles.schur_spectral_projector(T, np.eye(2, dtype=complex),
+                                         [True, False])
+
+
+def test_spectral_projector_empty_and_full_selection():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    T, Q = scipy.linalg.schur(A, output="complex")
+    assert np.array_equal(
+        oracles.schur_spectral_projector(T, Q, np.zeros(6, bool)),
+        np.zeros((6, 6)))
+    assert np.array_equal(
+        oracles.schur_spectral_projector(T, Q, np.ones(6, bool)), np.eye(6))
 
 
 @pytest.mark.parametrize("name", ["resonance8", "first6"])
@@ -482,22 +505,23 @@ def test_tune_coupling_keeps_the_reflections_of_the_template():
 # the Jordan chains and the Grushin series on the sector blocks
 
 def _expansion(name, request):
-    """(disc, expansion, point, detection tol, chain order) of a case."""
+    """(disc, expansion, point, detection tol, marked cluster) of a
+    case."""
     if name == "first6":
         coeffs, disc = request.getfixturevalue("coeffs_first6")
-        return disc, coeffs, "threshold", 1e-6, None
+        return disc, coeffs, "threshold", 1e-6, False
     if name == "third8":
         disc = request.getfixturevalue("disc_third")
         return (disc, request.getfixturevalue("coeffs_third"), "threshold",
-                1e-6, lambda u: abs(disc.marker(u)))
+                1e-6, True)
     if name == "resonance8":
         return (request.getfixturevalue("disc_resonance"),
-                request.getfixturevalue("res_coeffs"), 1.0, 1e-4, None)
+                request.getfixturevalue("res_coeffs"), 1.0, 1e-4, False)
     model = (_tuned_asymmetric() if name == "asymmetric4"
              else request.getfixturevalue(name))
     disc = Discretization(model)
     return (disc, threshold_resolvent_expansion(disc),
-            "threshold", 1e-6, None)
+            "threshold", 1e-6, False)
 
 
 @pytest.mark.parametrize("name", ["first6", "third8", "resonance8", "first5",
@@ -505,8 +529,8 @@ def _expansion(name, request):
 def test_expansion_matches_dense_grushin_oracle(name, request):
     # the chain bases differ (S -> S A, T -> A^{-1} T), which leaves the
     # resolvent coefficients, q, E, det E_-+ and its series untouched
-    disc, coeffs, point, tol, prefer = _expansion(name, request)
-    want = oracles.dense_grushin_expansion(disc, point, tol, prefer=prefer)
+    disc, coeffs, point, tol, marked = _expansion(name, request)
+    want = oracles.dense_grushin_expansion(disc, point, tol, marked=marked)
     basis = coeffs.basis
     assert coeffs.constants["q"] == want["q"]
     assert basis.sizes == want["basis"].sizes
@@ -561,11 +585,13 @@ def _record_expansion_shapes(monkeypatch):
                                                  ("resonance8", [0])])
 def test_expansions_decompose_only_sector_blocks(name, chain_sectors,
                                                  request, monkeypatch):
-    # a silent fallback to an n x n Jordan range basis or an (n + m) x
-    # (n + m) bordered factorization, series or solve fails this bound
+    # a silent fallback to an n x n decomposition or an (n + m) x (n + m)
+    # bordered factorization, series or solve fails this bound
     model = request.getfixturevalue(name)
     disc = Discretization(model)
     shapes, bordered = _record_expansion_shapes(monkeypatch)
+    svds = []
+    monkeypatch.setattr(scipy.linalg, "svd", _counted(scipy.linalg.svd, svds))
     if name == "third8":
         coeffs = threshold_resolvent_expansion(disc)
     else:
@@ -582,6 +608,9 @@ def test_expansions_decompose_only_sector_blocks(name, chain_sectors,
     assert bordered == [want]
     assert all(s in shapes for s in want)
     assert shapes.count((sizes[0], sizes[0])) >= len(sizes)
+    # one SVD per block, the null space of Id + K_s in the -1 detection: the
+    # chains take the cluster's Schur basis as it is
+    assert svds == [(k, k) for k in sizes]
 
 
 def test_asymmetric_expansion_takes_one_bordered_block(monkeypatch):
