@@ -42,6 +42,11 @@ __all__ = [
 
 # a grid reflection g is a symmetry of V when |V o g - V| <= this * max |V|
 _V_SYMMETRY_TOL = 1e-13
+# bytes that the gather of one batch of nodes holds at once: the kernel
+# entries (n^2 / |G| complex per node) and the two arrays of half that size
+# that the transform makes of them (`Discretization.r0_reps`); 5 nodes at
+# n = 184, 1 at n = 408 under 8 reflections
+_BATCH_BYTES = 3 << 18
 
 
 def _v_deviation(V: np.ndarray, m: np.ndarray) -> float:
@@ -80,7 +85,16 @@ class Discretization:
     onto themselves makes blocks equivalent, and each class of equivalent
     blocks is factored once (`SectorLU`): 4 of the 8 blocks on the
     first-kind, regular and resonance models, 6 on the second and third
-    kind.  `symmetry` records the group."""
+    kind.  `symmetry` records the group.
+
+    Contour, line and ring nodes come in batches of `batch_nodes`: R0 at a
+    batch is one kernel table (nodes x distance classes and cell radii),
+    gathered at the plan's pairs and transformed for the class
+    representatives alone (`r0_reps`, `M_reps`; one row per node), within
+    _BATCH_BYTES (0.75 MB) for the gather's arrays.  `R_sums` sums R over
+    the nodes of a line or ring on the representatives' blocks and sets
+    the other blocks once; `r0_sectors`, `M_sectors` and `R_sectors` are
+    the single-node entry points."""
 
     def __init__(self, model: Model):
         self.model = model
@@ -186,15 +200,65 @@ class Discretization:
         return self.V[self.sectors.reps][self.sectors.flat_columns]
 
     def R_sectors(self, bp: BranchPoint) -> np.ndarray:
-        """The flat sector blocks of the resolvent (Id + R0 V)^{-1} R0 from
-        those of R0 (`r0_sectors`): one checked getrf (`SectorLU`) and getrs
-        per class of equivalent blocks, the other blocks gathered
-        (`SectorLU.solve_flat`).  ValueError on a non-finite block entry;
-        LinAlgError on a zero pivot in a block, or when the 1-norm
-        reciprocal condition number over the blocks is below machine
-        epsilon."""
-        R0s = self.r0_sectors(bp)
-        return SectorLU(self.sectors, self.m_blocks(R0s)).solve_flat(R0s)
+        """The flat sector blocks of the resolvent (Id + R0 V)^{-1} R0: the
+        one-node case of `R_sums`."""
+        return self.R_sums(np.array([bp.sqrt_z]), np.ones((1, 1)))[0]
+
+    # --- batches of nodes: the class representatives' blocks alone -------
+    @cached_property
+    def batch_nodes(self) -> int:
+        """Nodes per batch: as many as keep the arrays of a batch's gather
+        (`r0_reps`: twice its complex kernel entries) within _BATCH_BYTES,
+        at least one."""
+        return max(1, _BATCH_BYTES // (2 * 16 * self._plan[0].size))
+
+    def r0_reps(self, ks: np.ndarray) -> np.ndarray:
+        """The class representatives' blocks of R0(k^2) for each k of `ks`
+        (any sheet), one row per k in the layout of
+        `ReflectionGroup.to_reps`: one kernel table for the batch
+        (`kernels.kernel_table`, R0 on the distance classes and the
+        self-cell rule on the distinct cell radii), gathered at the plan's
+        pairs and transformed for the representatives alone
+        (`ReflectionGroup.rep_transform`)."""
+        return self.sectors.rep_transform(
+            assemble_entries(self.grid, r0_rule(ks), self._plan))
+
+    def m_reps(self, r0: np.ndarray) -> np.ndarray:
+        """The representatives' blocks of Id + R0 V from those of R0 (rows
+        of `r0_reps`), in place."""
+        r0 *= self.V[self.sectors.reps][self.sectors.rep_columns]
+        r0[:, self.sectors.rep_diagonal] += 1.0
+        return r0
+
+    def M_reps(self, ks: np.ndarray) -> np.ndarray:
+        """The representatives' blocks of M(k^2) for each k of `ks`, one
+        row per k (`r0_reps`, `m_reps`)."""
+        return self.m_reps(self.r0_reps(ks))
+
+    def R_sums(self, ks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_m weights[p, m] R(k_m^2) over the nodes k_m of `ks` (any
+        sheet), for each row p of `weights`, as flat sector blocks (one row
+        per p), R = (Id + R0 V)^{-1} R0.  Per batch of `batch_nodes` nodes:
+        the representatives' blocks of R0 (`r0_reps`), one checked getrf
+        and getrs per representative per node (`SectorLU`), and the
+        weighted sum of the solutions; the other blocks are set once, from
+        the sums (`ReflectionGroup.from_reps`, an exact +-1 copy).
+        ValueError on a non-finite block entry; LinAlgError on a zero pivot
+        in a block, or when the 1-norm reciprocal condition number of an
+        M(k) over its blocks is below machine epsilon (`R_reps`)."""
+        b, acc = self.batch_nodes, 0.0
+        for s in range(0, len(ks), b):
+            acc = acc + weights[:, s:s + b] @ self.R_reps(ks[s:s + b])
+        return self.sectors.from_reps(acc)
+
+    def R_reps(self, ks: np.ndarray) -> np.ndarray:
+        """The representatives' blocks of R(k^2) for each k of `ks` (any
+        sheet), one row per k: the representatives' blocks of R0
+        (`r0_reps`), one checked getrf per representative per node
+        (`SectorLU`) and getrs against the same blocks of R0 (R0 commutes
+        with the permutations), in place."""
+        R0 = self.r0_reps(ks)
+        return SectorLU(self.sectors, self.m_reps(R0.copy())).solve_blocks(R0)
 
     # --- n x n references -------------------------------------------------
     def r0(self, bp: BranchPoint) -> np.ndarray:
@@ -474,29 +538,82 @@ _PROBES, _RANK_TOL, _ZERO_TOL = 16, 1e-4, 1e-6
 
 
 def _contour_matrices(disc: Discretization, center: complex,
-                      dk: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """(q, flat sector blocks of M(center + dk[q])) over the trapezoidal
-    nodes of `_contour_zeros`.  On an ellipse centred on the imaginary axis
-    with an even node count N, node N/2 - 1 - q (mod N) is -conj(k_q),
-    where R0 is the entrywise conjugate of R0(k_q) (self-cell rule
-    included), and so are its sector blocks (the sector basis is real):
-    each mirrored pair is walked back to back from one `disc.r0_sectors`.
-    Other ellipses call `disc.M_sectors` per node."""
-    N = len(dk)
+                      dk: np.ndarray) -> Iterator[Tuple[np.ndarray,
+                                                        np.ndarray]]:
+    """(nodes, representatives' blocks of M(center + dk[q]) for q in nodes,
+    one row per node: `Discretization.M_reps`) over the trapezoidal nodes
+    of `_contour_zeros`, in batches of `Discretization.batch_nodes` kernel
+    table rows.  On an ellipse centred on the imaginary axis with an even
+    node count N, node N/2 - 1 - q (mod N) is -conj(k_q), where R0 is the
+    entrywise conjugate of R0(k_q) (self-cell rule included), and so are
+    its blocks (the sector basis is real): one row of R0 serves each
+    mirrored pair (`Discretization.r0_reps`, `m_reps`).  Other ellipses
+    gather a row per node."""
+    N, b = len(dk), disc.batch_nodes
+    ks = center + dk
+    q = np.arange(N)
     if complex(center).real != 0.0 or N % 2:
-        for q in range(N):
-            k = center + dk[q]
-            yield q, disc.M_sectors(BranchPoint(z=k * k, sqrt_z=k))
+        for s in range(0, N, b):
+            yield q[s:s + b], disc.M_reps(ks[s:s + b])
         return
-    for q in range(N):
-        p = (N // 2 - 1 - q) % N
-        if p < q:
-            continue                    # walked with its partner
-        k = center + dk[q]
-        R0s = disc.r0_sectors(BranchPoint(z=k * k, sqrt_z=k))
-        yield q, disc.m_blocks(R0s)
-        if p != q:
-            yield p, disc.m_blocks(np.conj(R0s))
+    mirror = (N // 2 - 1 - q) % N
+    rows = q[mirror >= q]               # each walked with its partner
+    for s in range(0, len(rows), b):
+        r = rows[s:s + b]
+        R0 = disc.r0_reps(ks[r])
+        paired = mirror[r] != r
+        partners = np.conj(R0[paired])
+        yield r, disc.m_reps(R0)
+        del R0
+        yield mirror[r[paired]], disc.m_reps(partners)
+        del partners
+
+
+def _contour_moments(disc: Discretization, center: complex, ax: float,
+                     ay: float, n_nodes: int, count_only: bool = False
+                     ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(per-class windings, moments A, scale) of Beyn's method on the
+    ellipse center + ax cos th + i ay sin th (`_contour_zeros`): per batch
+    of nodes (`_contour_matrices`) one checked LU per representative per
+    node (`SectorLU`), and per node the solve of the representative's rows
+    P_r of the fixed probe block; the arg dets, the moments A_p =
+    (1/2 pi i) oint (k - center)^p M_r^{-1} P_r dk (p = 0, 1), stacked over
+    the representatives, and their size sum |w_q| ||X_q|| are taken for the
+    whole batch at once.  `count_only`: no probe solve, A = None."""
+    n, group = disc.grid.n, disc.sectors
+    reps = np.unique(group.sector_classes)
+    rng = np.random.default_rng(0)
+    P = rng.standard_normal((n, _PROBES)) + 1j * rng.standard_normal((n, _PROBES))
+    Ps = group.to_sectors(P)
+    probes = [Ps[r] for r in reps]
+    rows = np.cumsum([0] + [len(C) for C in probes])
+    th = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+    dk = ax * np.cos(th) + 1j * ay * np.sin(th)
+    wq = (-ax * np.sin(th) + 1j * ay * np.cos(th)) / (1j * n_nodes)
+    A = None if count_only else np.zeros((2, rows[-1] * _PROBES),
+                                         dtype=complex)
+    scale, arg_det = 0.0, np.empty((n_nodes, len(reps)))
+    for nodes, M in _contour_matrices(disc, center, dk):
+        lu = SectorLU(group, M)
+        arg_det[nodes] = lu.arg_det()
+        if not count_only:
+            X = np.empty((len(nodes), rows[-1], _PROBES), dtype=complex)
+            for i in range(len(nodes)):
+                for x, a, b in zip(lu.solve(i, probes), rows, rows[1:]):
+                    X[i, a:b] = x
+            X = X.reshape(len(nodes), -1)
+            A += np.array([wq[nodes], wq[nodes] * dk[nodes]]) @ X
+            # ||X_q||, Frobenius, from the real and imaginary parts
+            X = X.view(float)
+            scale += float(np.abs(wq[nodes])
+                           @ np.sqrt(np.einsum("ij,ij->i", X, X)))
+            del X
+        # free the batch before the next one is gathered
+        del M, lu
+    steps = np.angle(np.exp(1j * np.diff(arg_det, axis=0,
+                                         append=arg_det[:1])))
+    winding = np.rint(steps.sum(axis=0) / (2.0 * np.pi)).astype(int)
+    return winding, None if count_only else A.reshape(2, -1, _PROBES), scale
 
 
 def _contour_zeros(disc: Discretization, center: complex, ax: float,
@@ -506,42 +623,25 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
     the ellipse center + ax cos th + i ay sin th (Beyn's method) on the
     class representatives of the sector blocks of M alone: the other blocks
     of a class are the representative's up to a signed permutation, with
-    the same zeros.  One checked LU per representative per trapezoidal
-    node (`SectorLU`) gives the moments A_p = (1/2 pi i) oint
-    (k - center)^p M_r^{-1} P_r dk (p = 0, 1) of the representative's rows
-    P_r of a fixed probe block in sector coordinates, stacked over the
-    representatives, and each class's winding count from the
-    representative's arg det.  Accepted only if the rank of the stacked A0
-    (against sum |w_q| ||X_q||) equals the sum of the per-class windings,
-    which must be below the probe width, each pencil eigenvalue lies inside
-    and sigma_min of M, from all its sector blocks, is negligible there;
-    else ValueError.  Returns the distinct zeros with the singular values
-    of M at each (descending), and the count: the sum over the classes of
-    the class size times the winding (`count_only`: the count alone, from
-    the factorizations alone: no probe solve and no moments)."""
-    n, group = disc.grid.n, disc.sectors
-    reps, sizes = np.unique(group.sector_classes, return_counts=True)
-    rng = np.random.default_rng(0)
-    P = rng.standard_normal((n, _PROBES)) + 1j * rng.standard_normal((n, _PROBES))
-    Ps = group.to_sectors(P)
-    probes = [Ps[r] for r in reps]
-    th = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    dk = ax * np.cos(th) + 1j * ay * np.sin(th)
-    wq = (-ax * np.sin(th) + 1j * ay * np.cos(th)) / (1j * n_nodes)
-    A = np.zeros((2, sum(len(C) for C in probes), _PROBES), dtype=complex)
-    scale, arg_det = 0.0, np.empty((n_nodes, len(reps)))
-    for q, blocks in _contour_matrices(disc, center, dk):
-        lu = SectorLU(group, blocks)
-        arg_det[q] = lu.arg_det()
-        if count_only:
-            continue
-        X = np.concatenate(lu.solve(probes))
-        A[0] += wq[q] * X
-        A[1] += (wq[q] * dk[q]) * X
-        scale += abs(wq[q]) * np.linalg.norm(X)
-    steps = np.angle(np.exp(1j * np.diff(arg_det, axis=0,
-                                         append=arg_det[:1])))
-    winding = np.rint(steps.sum(axis=0) / (2.0 * np.pi)).astype(int)
+    the same zeros, and no node forms them.  The nodes run in batches
+    (`_contour_moments`): one kernel table per batch, the representatives'
+    blocks of the batch gathered and transformed at once
+    (`Discretization.r0_reps`) within _BATCH_BYTES, and then only getrf,
+    gecon and getrs per node and representative.
+    The moments A_p of the representatives' rows of a fixed probe block
+    are stacked over the representatives, and each class's winding count
+    comes from the representative's arg det.  Accepted only if the rank of
+    the stacked A0 (against sum |w_q| ||X_q||) equals the sum of the
+    per-class windings, which must be below the probe width, each pencil
+    eigenvalue lies inside and sigma_min of M, from all its sector blocks,
+    is negligible there; else ValueError.  Returns the distinct zeros with
+    the singular values of M at each (descending), and the count: the sum
+    over the classes of the class size times the winding (`count_only`:
+    the count alone, from the factorizations alone: no probe solve and no
+    moments)."""
+    _, sizes = np.unique(disc.sectors.sector_classes, return_counts=True)
+    winding, A, scale = _contour_moments(disc, center, ax, ay, n_nodes,
+                                         count_only)
     count = int(np.dot(sizes, winding))
     if count_only:
         return [], count

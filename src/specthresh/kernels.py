@@ -39,7 +39,7 @@ __all__ = [
     "r0_kernel", "gj_kernel", "gj_plus_kernel",
     "r0_rule", "gj_rule", "gj_plus_rule",
     "assemble_r0", "assemble_gj", "assemble_gj_plus",
-    "entry_plan", "assemble_entries",
+    "entry_plan", "kernel_table", "assemble_entries",
     "verify_threshold_expansion",
 ]
 
@@ -100,7 +100,11 @@ def r0_kernel(bp: BranchPoint, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if np.any(r == 0):
         raise ValueError("diagonal singularity")
-    return np.exp(1j * bp.sqrt_z * r) / (4.0 * np.pi * r)
+    return _r0_values(bp.sqrt_z, r)
+
+
+def _r0_values(sqrt_z, r: np.ndarray) -> np.ndarray:
+    return np.exp(1j * sqrt_z * r) / (4.0 * np.pi * r)
 
 
 def gj_kernel(j: int, r) -> np.ndarray:
@@ -150,25 +154,33 @@ _DIAG_R0_HORNER = [1.0 / (math.factorial(n) * (n + 2))
                    for n in range(11, -1, -1)]
 
 
-def _diag_r0(sqrt_z: complex, rc: np.ndarray) -> np.ndarray:
+def _diag_r0(sqrt_z, rc: np.ndarray) -> np.ndarray:
     """Integral of the R0 kernel over the ball |u| <= rc:
     int_0^rc rho e^{i a rho} d rho = rc^2 sum_n x^n / (n! (n + 2)) with
     x = i a rc, summed by Horner for |x| <= 0.1 and otherwise taken in
-    closed form (e^x (x - 1) + 1) / (i a)^2."""
+    closed form (e^x (x - 1) + 1) / (i a)^2.  `sqrt_z` (the a) broadcasts
+    against rc: a column of values gives one row per value."""
     rc = np.asarray(rc, dtype=float)
     ia = 1j * sqrt_z
     x = ia * rc
-    small = np.abs(x) <= _DIAG_R0_TAYLOR
-    out = np.empty(x.shape, dtype=complex)
-    if small.any():
-        xs, acc = x[small], 0.0
+
+    def taylor():
+        acc = 0.0
         for c in _DIAG_R0_HORNER:
-            acc = acc * xs + c
-        out[small] = rc[small] ** 2 * acc
-    if not small.all():
-        xb = x[~small]
-        out[~small] = (np.exp(xb) * (xb - 1.0) + 1.0) / ia ** 2
-    return out
+            acc = acc * x + c
+        return rc ** 2 * acc
+
+    def closed():
+        return (np.exp(x) * (x - 1.0) + 1.0) / ia ** 2
+
+    small = np.abs(x) <= _DIAG_R0_TAYLOR
+    if small.all():
+        return taylor()
+    if not small.any():
+        return closed()
+    # both branches entrywise: the closed form is 0 / 0 where a = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(small, taylor(), closed())
 
 
 def _diag_gj(j: int, rc: np.ndarray) -> np.ndarray:
@@ -196,8 +208,14 @@ Rule = Tuple[Callable[[np.ndarray], np.ndarray],
              Callable[[np.ndarray], np.ndarray]]
 
 
-def r0_rule(z: BranchPoint) -> Rule:
-    return (lambda r: r0_kernel(z, r), lambda rc: _diag_r0(z.sqrt_z, rc))
+def r0_rule(z) -> Rule:
+    """R0 at the BranchPoint z, or at a batch of points given by their
+    square roots (an array, any sheet): the kernel and the self-cell rule
+    then give one row per point."""
+    if isinstance(z, BranchPoint):
+        return (lambda r: r0_kernel(z, r), lambda rc: _diag_r0(z.sqrt_z, rc))
+    k = np.asarray(z, dtype=complex).reshape(-1, 1)
+    return lambda r: _r0_values(k, r), lambda rc: _diag_r0(k, rc)
 
 
 def gj_rule(j: int) -> Rule:
@@ -266,20 +284,29 @@ def entry_plan(grid: QuadratureGrid, rows: np.ndarray,
     return cls, w, radii
 
 
+def kernel_table(grid: QuadratureGrid, rule: Rule,
+                 radii: np.ndarray) -> np.ndarray:
+    """The kernel of `rule` on the grid's distance classes followed by its
+    self-cell rule on the cell radii `radii`, as complex in one table; a
+    rule for a batch of points (`r0_rule`) gives one row per point."""
+    kernel, diag = rule
+    return np.concatenate([np.asarray(kernel(grid.distance_classes[0]),
+                                      dtype=complex),
+                           np.asarray(diag(radii), dtype=complex)], axis=-1)
+
+
 def assemble_entries(grid: QuadratureGrid, rule: Rule,
                      plan: Tuple[np.ndarray, np.ndarray, np.ndarray]
                      ) -> np.ndarray:
     """The entries K[rows, cols] of the Nystrom matrix of `rule` without
-    the n x n matrix, for the pairs of `entry_plan`: the kernel on the
-    grid's distance classes and the self-cell rule on the distinct radii,
-    as complex in one table, gathered at the pairs alone; equal to the
-    entries of `_nystrom` bit for bit."""
-    kernel, diag = rule
+    the n x n matrix, for the pairs of `entry_plan`: the `kernel_table` on
+    the plan's distinct radii gathered at the pairs alone, one gather per
+    table row for a batch rule (leading axis); equal to the entries of
+    `_nystrom` bit for bit."""
     cls, w, rc = plan
-    table = np.concatenate([np.asarray(kernel(grid.distance_classes[0]),
-                                       dtype=complex),
-                            np.asarray(diag(rc), dtype=complex)])
-    return np.take(table, cls) * w
+    T = np.take(kernel_table(grid, rule, rc), cls, axis=-1)
+    T *= w
+    return T
 
 
 # ---------------------------------------------------------------------------

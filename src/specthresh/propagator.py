@@ -22,7 +22,6 @@ import numpy as np
 
 from .birman_schwinger import Discretization, _contour_zeros
 from .symmetry import SectorLU
-from .kernels import BranchPoint
 from .model import weighted_sector_norm
 from .grushin import ThresholdCoefficients
 from .series import series_solve
@@ -74,7 +73,7 @@ def resolvent_taylor(disc: Discretization, lam: float, order: int,
     for p in range(order + 1):
         Bp = disc.gj_plus_sectors(p, lam) / math.factorial(p)
         B.append(Bp if side == "+" else np.conj(Bp))
-    lu = SectorLU(group, disc.m_blocks(B[0]))
+    lu = SectorLU.of_blocks(group, disc.m_blocks(B[0]))
     BV = {r: group.split(disc.times_v(B[r])) for r in range(1, order + 1)}
     # every B_p, and so every right-hand side of the recursion, commutes
     # with the permutations too: only the representatives' blocks are solved
@@ -128,12 +127,17 @@ class CutPropagator:
     smallest time is at least _WEIGHT_CUT.  An eigenvalue in
     3 pi/4 < arg k < pi is crossed by the other half-line: the terms cancel.
     The line is Gauss-Hermite in s sqrt(t) on symmetric nodes (the principal
-    value at k = 0), each R(k) streamed into U(t).  Every M(k) the
+    value at k = 0), one weighted sum of R(k) over them.  Every M(k) the
     propagator factors (line, rings, census, band and pole contours) is
     factored once per class of equivalent parity-sector blocks of `disc`
-    (`SectorLU`); the line, the ring moments, the residues and U(t) stay in
-    flat sector blocks (`propagate_blocks`), and `propagate_many` expands
-    each U(t) to n x n once."""
+    (`SectorLU`), in batches of nodes whose R0 is one kernel table gathered
+    and transformed for the class representatives alone, within about
+    0.75 MB of batch arrays (`Discretization.r0_reps`); per node only the
+    getrf, gecon and getrs of the representatives run.  The line and the
+    ring moments sum the representatives' blocks and set the others once
+    (`Discretization.R_sums`); the residues and U(t) stay in flat sector
+    blocks (`propagate_blocks`), and `propagate_many` expands each U(t) to
+    n x n once."""
 
     def __init__(self, disc: Discretization, coeffs: ThresholdCoefficients):
         self.disc = disc
@@ -207,16 +211,16 @@ class CutPropagator:
     def _ring_moments(self, k: complex, zeros: Sequence[complex]):
         """A_{-p} = (1/2 pi i) oint (k' - k)^{p-1} R dk', p = 1, 2, as flat
         sector blocks, on a ring around the zero k, at most _RING_MAX and a
-        third of the way to 0 and to the other `zeros`, each node's R
-        (`Discretization.R_sectors`) streamed into them.  ValueError if
-        A_{-3} shows a pole of order 3 or more."""
+        third of the way to 0 and to the other `zeros`: three weighted sums
+        of the nodes' R (`Discretization.R_sums`), the representatives'
+        blocks summed in batches of nodes and the other blocks set once.
+        ValueError if A_{-3} shows a pole of order 3 or more."""
         rho = min([_RING_MAX, abs(k) / 3.0]
                   + [abs(k - k2) / 3.0 for k2 in zeros if k2 != k])
-        A = 0.0
-        for q in range(_RING_NODES):
-            u = rho * np.exp(2j * np.pi * (q + 0.5) / _RING_NODES)
-            Rq = self.disc.R_sectors(BranchPoint(z=(k + u) ** 2, sqrt_z=k + u))
-            A = A + np.multiply.outer(u ** np.arange(1, 4) / _RING_NODES, Rq)
+        u = rho * np.exp(2j * np.pi * (np.arange(_RING_NODES) + 0.5)
+                         / _RING_NODES)
+        A = self.disc.R_sums(k + u, u ** np.arange(1, 4)[:, None]
+                             / _RING_NODES)
         # Frobenius norms: the same on the blocks as on the n x n matrices
         norms = np.linalg.norm(A.reshape(3, -1), axis=1)
         if norms[2] > _ORDER3_TOL * (rho ** 2 * norms[0] + rho * norms[1]):
@@ -227,8 +231,10 @@ class CutPropagator:
     def propagate_blocks(self, ts: Sequence[float]
                          ) -> Dict[float, np.ndarray]:
         """{t: flat sector blocks of U(t)}: per t the line -(1/(pi t))
-        sum_m w_m x_m R(k_m) with k_m = x_m e^{-i pi/4} / sqrt t, each R(k_m)
-        from `Discretization.R_sectors`, and the residues of one census."""
+        sum_m w_m x_m R(k_m) with k_m = x_m e^{-i pi/4} / sqrt t, one
+        weighted sum of the nodes' R (`Discretization.R_sums`: the
+        representatives' blocks summed in batches of nodes, the other blocks
+        set once), and the residues of one census."""
         ts = np.asarray(ts, dtype=float).ravel()
         if not np.all(ts > 0):
             raise ValueError("t must be positive")
@@ -237,11 +243,8 @@ class CutPropagator:
         R_m2 = self.coeffs.R_m2
         out = {}
         for t in map(float, ts):
-            U = np.zeros(len(R_m2), dtype=complex)
-            for x, w in zip(_LINE_X, _LINE_W):
-                k = x * np.exp(-0.25j * np.pi) / math.sqrt(t)
-                U += (w * x) * self.disc.R_sectors(
-                    BranchPoint(z=k * k, sqrt_z=k))
+            k = _LINE_X * np.exp(-0.25j * np.pi) / math.sqrt(t)
+            U = self.disc.R_sums(k, (_LINE_W * _LINE_X)[None])[0]
             U *= -1.0 / (np.pi * t)
             U -= R_m2
             for k, A1, A2 in self.poles + self._crossed:

@@ -37,11 +37,14 @@ d_a q_{sigma',a'} with d_a = chi_sigma'(h_a), and
 
 for every A that also commutes with p.  The blocks of a class of sectors
 joined by these relations are one matrix up to a signed permutation; the
-class's smallest sector represents it (`sector_classes`).  `SectorLU`
-factors the representatives alone and solves right-hand sides given for
-them; a matrix that commutes with p too, R0 and M^{-1} R0 for example,
-needs only its representatives' blocks, the others gathered from them
-(`SectorLU.solve_flat`).  The reference models' 8 sectors form the
+class's smallest sector represents it (`sector_classes`).  The
+representatives' blocks alone, without the others, come from the entries
+by a transform for their characters alone (`rep_transform`, one row per
+matrix of a batch) or from a full buffer (`to_reps`); `SectorLU` factors
+them for a batch of matrices and solves right-hand sides given for them.
+A matrix that commutes with p too, R0 and M^{-1} R0 for example, needs
+only its representatives' blocks, the others set from them (`from_reps`,
+an exact +-1 copy).  The reference models' 8 sectors form the
 classes {0}, {1, 2, 4}, {3, 5, 6}, {7} under all five permutations, and
 {0}, {1}, {2, 4}, {3, 5}, {6}, {7} under x_2 <-> x_3 alone.
 """
@@ -53,7 +56,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
-__all__ = ["ReflectionGroup", "BlockLU", "SectorLU", "reflection_axes"]
+__all__ = ["ReflectionGroup", "BatchLU", "BlockLU", "SectorLU",
+           "reflection_axes"]
 
 
 def reflection_axes(g: int) -> List[int]:
@@ -143,22 +147,16 @@ class ReflectionGroup:
         member = np.all((chars[:, None, :] == 1.0) | ~stab[None], axis=2)
         chars = chars[member.any(axis=1)]
         cols = [np.flatnonzero(row) for row in member if row.any()]
-        pick, scale, diag, colstart, start = [], [], [], [], 0
+        pick, scale = [], []
         for s, c in enumerate(cols):
-            k = len(c)
             a, b = np.meshgrid(c, c, indexing="ij")
             pick.append(((s * K + a) * K + b).ravel(order="F"))
             # sqrt of the product: exactly 1 on free orbits
             scale.append(np.sqrt(self.sizes[a] * self.sizes[b]).ravel(
                 order="F") / m)
-            diag.append(start + np.arange(k) * (k + 1))
-            colstart.append(start + np.arange(k) * k)
-            start += k * k
-        sizes = np.array([len(c) for c in cols])
-        return _SectorTables(
-            chars, cols, np.concatenate(pick), np.concatenate(scale),
-            np.concatenate(diag), np.concatenate(colstart),
-            np.concatenate([[0], np.cumsum(sizes)[:-1]]))
+        return _SectorTables(chars, cols, np.concatenate(pick),
+                             np.concatenate(scale),
+                             _Layout.of([len(c) for c in cols]))
 
     @cached_property
     def _classes(self) -> "_SectorClasses":
@@ -174,15 +172,8 @@ class ReflectionGroup:
         edges: List[List[Tuple[int, np.ndarray, np.ndarray]]] = [
             [] for _ in range(S)]
         for p in self.permutations:
-            conj = self.conjugation(p)
-            image = p[self.reps]
-            orbit, h = self.orbit[image], self.elem[image]
-            for s, c in enumerate(t.cols):
-                chi = np.empty(self.order)
-                chi[conj] = t.chars[s]          # chi_{s'}(pi g pi^-1)
-                s2 = int(np.flatnonzero((t.chars == chi).all(axis=1))[0])
-                pos = np.searchsorted(t.cols[s2], orbit[c])
-                edges[s].append((s2, pos, t.chars[s2][h[c]]))
+            for s, edge in enumerate(self.sector_map(p)):
+                edges[s].append(edge)
         rel = [(s, np.arange(len(c)), np.ones(len(c)))
                for s, c in enumerate(t.cols)]
         changed = True
@@ -196,18 +187,80 @@ class ReflectionGroup:
                         changed = True
         return _SectorClasses.build(t, rel)
 
+    def sector_map(self, p: np.ndarray
+                   ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+        """For the node map p of an axis permutation pi that maps the group
+        onto itself (`conjugation`), per sector s: (s', pos, d) with
+        s' = s o pi^{-1}, pos the position of each a' among the orbits of
+        s' and d the signs d_a, so that A_s[a, b] = d_a d_b A_s'[a', b']
+        for every matrix A that commutes with the node maps of G and p."""
+        t, conj = self._sectors, self.conjugation(p)
+        image = p[self.reps]
+        orbit, h = self.orbit[image], self.elem[image]
+        out = []
+        for s, c in enumerate(t.cols):
+            chi = np.empty(self.order)
+            chi[conj] = t.chars[s]          # chi_{s'}(pi g pi^-1)
+            s2 = int(np.flatnonzero((t.chars == chi).all(axis=1))[0])
+            out.append((s2, np.searchsorted(t.cols[s2], orbit[c]),
+                        t.chars[s2][h[c]]))
+        return out
+
     @property
     def sector_classes(self) -> List[int]:
         """The representative (smallest) sector of each sector's class."""
         return [int(r) for r in self._classes.rep]
 
     def _fill_members(self, flat: np.ndarray) -> None:
-        """Set every block of the flat buffer that is not a class
-        representative from its representative's block, in place."""
+        """Set every block of the flat buffer (the last axis) that is not a
+        class representative from its representative's block, in place."""
         c = self._classes
-        values = np.take(flat, c.src)
+        values = np.take(flat, c.src, axis=-1)
         values *= c.sign
-        flat[c.dst] = values
+        flat[..., c.dst] = values
+
+    def to_reps(self, flat: np.ndarray) -> np.ndarray:
+        """The class representatives' blocks of a flat block buffer (the
+        last axis), ascending, one after the other: the layout of
+        `rep_transform` and `SectorLU`."""
+        return flat[..., self._classes.entries]
+
+    def from_reps(self, reps: np.ndarray) -> np.ndarray:
+        """The flat blocks of every sector from the representatives' blocks
+        (the last axis, as `to_reps` lays them out), the other blocks set
+        from them (`_fill_members`)."""
+        out = np.empty(reps.shape[:-1] + self._sectors.pick.shape,
+                       dtype=complex)
+        out[..., self._classes.entries] = reps
+        self._fill_members(out)
+        return out
+
+    @property
+    def rep_columns(self) -> np.ndarray:
+        """The orbit (index into `reps`) of each representative block
+        entry's column, in the layout of `to_reps`."""
+        return self._rep_tables.columns
+
+    @cached_property
+    def _rep_tables(self) -> "_RepTables":
+        """The tables of `rep_transform`, built on first use."""
+        t, c, K = self._sectors, self._classes, len(self.reps)
+        # entry (r K + a) K + b of the full transform is entry
+        # (i K + a) K + b of the representatives' one
+        pick = t.pick[c.entries] - np.repeat(
+            (np.array(c.reps) - np.arange(len(c.reps))) * K * K,
+            [len(t.cols[r]) ** 2 for r in c.reps])
+        return _RepTables(
+            t.chars[c.reps],
+            pick.astype(np.min_scalar_type(len(c.reps) * K * K - 1)),
+            t.scale[c.entries],
+            (pick % K).astype(np.min_scalar_type(K - 1)))
+
+    @property
+    def rep_diagonal(self) -> np.ndarray:
+        """The positions of the representatives' block diagonals in the
+        layout of `to_reps`."""
+        return self._classes.layout.diag
 
     @property
     def sector_orbits(self) -> List[np.ndarray]:
@@ -222,7 +275,7 @@ class ReflectionGroup:
     @property
     def flat_diagonal(self) -> np.ndarray:
         """The positions of the blocks' diagonals in a flat block buffer."""
-        return self._sectors.diag
+        return self._sectors.layout.diag
 
     def split(self, flat: np.ndarray) -> List[np.ndarray]:
         """The blocks of a flat block buffer (`transform`), as
@@ -252,6 +305,25 @@ class ReflectionGroup:
         the blocks)."""
         t = self._sectors
         return np.take(t.chars @ T.reshape(self.order, -1), t.pick) * t.scale
+
+    def rep_transform(self, T: np.ndarray) -> np.ndarray:
+        """The class representatives' blocks (`sector_classes`) of the
+        G-invariant matrices with the entries T = A[rep_pairs] on the last
+        three axes (the leading axes a batch), without the other blocks:
+        the +-1 transform for the representatives' characters alone, run on
+        the real and imaginary parts at once (the characters are real), and
+        their entries picked through one table (`_RepTables.pick`).
+        One row per matrix in the layout of `to_reps`."""
+        c = self._rep_tables
+        lead = T.shape[:-3]
+        T = np.ascontiguousarray(T, dtype=complex).reshape(
+            lead + (self.order, -1))
+        X = np.matmul(c.chars, T.view(float)).view(complex)
+        out = np.take(X.reshape(lead + (-1,)), c.pick, axis=-1)
+        # scaled on the real view: no complex copy of the factors
+        parts = out.view(float).reshape(out.shape + (2,))
+        parts *= c.scale[:, None]
+        return out
 
     def blocks(self, A: np.ndarray) -> np.ndarray:
         """The flat sector blocks of a G-invariant n x n matrix A, from its
@@ -329,6 +401,30 @@ class ReflectionGroup:
             self.to_sectors(X), self.split(flat), self.to_sectors(Y)))
 
 
+class _Layout(NamedTuple):
+    """Where square blocks sit in a flat buffer that holds them
+    column-major, one after the other."""
+    blocks: List[Tuple[int, int, int]]  # (first entry, size, first column)
+    colstart: np.ndarray    # the first entry of every block column
+    first: np.ndarray       # the index of each block's first column
+    diag: np.ndarray        # the positions of the block diagonals
+    unpivoted: np.ndarray   # 0-based pivots of the blocks, no swaps
+
+    @classmethod
+    def of(cls, sizes: Sequence[int]) -> "_Layout":
+        sizes = [int(k) for k in sizes]
+        start = np.cumsum([0] + [k * k for k in sizes[:-1]])
+        first = np.cumsum([0] + sizes[:-1])
+        return cls([(int(s), k, int(f)) for s, k, f in
+                    zip(start, sizes, first)],
+                   np.concatenate([s + np.arange(k) * k
+                                   for s, k in zip(start, sizes)]),
+                   first,
+                   np.concatenate([s + np.arange(k) * (k + 1)
+                                   for s, k in zip(start, sizes)]),
+                   np.concatenate([np.arange(k) for k in sizes]))
+
+
 class _SectorTables(NamedTuple):
     """The parity-sector basis of a `ReflectionGroup` (K orbits), for flat
     block buffers: every block column-major, one after the other."""
@@ -338,9 +434,7 @@ class _SectorTables(NamedTuple):
     cols: List[np.ndarray]  # each sector's orbits
     pick: np.ndarray        # entry (a, b) of sector s: (s K + a) K + b
     scale: np.ndarray       # its factor sqrt(|O_a| |O_b|) / |G|
-    diag: np.ndarray        # positions of the block diagonals
-    colstart: np.ndarray    # start of every block column
-    first: np.ndarray       # index of each block's first column in colstart
+    layout: _Layout         # where the blocks sit
 
 
 class _SectorClasses(NamedTuple):
@@ -354,9 +448,10 @@ class _SectorClasses(NamedTuple):
     dst: np.ndarray
     src: np.ndarray
     sign: np.ndarray
-    diag: np.ndarray        # positions of the representatives' diagonals
-    unpivoted: np.ndarray   # 0-based pivots of the representatives, no swaps
-    first: np.ndarray       # index of each representative's first pivot
+    # the representatives' entries in the flat buffer, and where their
+    # blocks sit when they are held alone (`ReflectionGroup.to_reps`)
+    entries: np.ndarray
+    layout: _Layout
 
     @classmethod
     def build(cls, t: _SectorTables,
@@ -364,7 +459,7 @@ class _SectorClasses(NamedTuple):
               ) -> "_SectorClasses":
         """The tables from (r, pos, d) per sector."""
         sizes = [len(c) for c in t.cols]
-        start = t.colstart[t.first]
+        start = [s for s, _, _ in t.layout.blocks]
         rep = np.array([r for r, _, _ in rel])
         reps = [int(r) for r in np.unique(rep)]
         moved = [(s, r, pos, d) for s, (r, pos, d) in enumerate(rel)
@@ -373,7 +468,7 @@ class _SectorClasses(NamedTuple):
         src = [(start[r] + pos[:, None] + sizes[r] * pos[None, :]).ravel(
             order="F") for _, r, pos, _ in moved]
         sign = [np.outer(d, d).ravel(order="F") for _, _, _, d in moved]
-        k = [sizes[r] for r in reps]
+        entries = [start[r] + np.arange(sizes[r] ** 2) for r in reps]
         # the smallest types that hold them: the tables live as long as
         # the group
         index = np.min_scalar_type(sum(n * n for n in sizes) - 1)
@@ -383,99 +478,149 @@ class _SectorClasses(NamedTuple):
                 dtype)
 
         return cls(rep, reps, table(dst, index), table(src, index),
-                   table(sign, np.int8),
-                   np.concatenate([start[r] + np.arange(sizes[r])
-                                   * (sizes[r] + 1) for r in reps]),
-                   np.concatenate([np.arange(m) for m in k]),
-                   np.concatenate([[0], np.cumsum(k)[:-1]]))
+                   table(sign, np.int8), table(entries, index),
+                   _Layout.of([sizes[r] for r in reps]))
+
+
+class _RepTables(NamedTuple):
+    """The representatives-only transform of a `ReflectionGroup` (K orbits):
+    for each entry of the representatives' blocks, in the layout of
+    `_SectorClasses.entries`, entry (a, b) of the i-th representative is
+    (i K + a) K + b of the transform for their characters alone."""
+    chars: np.ndarray       # the representatives' characters (reps, |G|)
+    pick: np.ndarray        # (i K + a) K + b, in the smallest type
+    scale: np.ndarray       # sqrt(|O_a| |O_b|) / |G|
+    columns: np.ndarray     # b, the orbit of the entry's column
 
 
 # ---------------------------------------------------------------------------
 # checked block factorization
 
-class BlockLU:
-    """LAPACK getrf of each of a list of square blocks (in place where a
-    block is already complex and Fortran-ordered), with the checks of
-    `scipy.linalg.solve`.  ValueError on a non-finite entry; LinAlgError on
-    a zero pivot in any block, or when the 1-norm reciprocal condition
-    number 1 / (max_s ||B_s||_1 max_s ||B_s^{-1}||_1) (`rcond`), each
-    inverse norm from the block's gecon, is below machine epsilon.  `name`
-    names the operator in the errors; `anorm` gives the ||B_s||_1 when the
-    caller has them (and has checked the blocks finite)."""
+class BatchLU:
+    """Checked LAPACK getrf of a batch of block-diagonal matrices, factored
+    in place: row i of `flat` holds the square blocks of matrix i,
+    column-major, one after the other, where `layout` places them.  The
+    checks are those of `scipy.linalg.solve`: ValueError on a non-finite
+    entry; LinAlgError on a zero pivot in any block, or when the 1-norm
+    reciprocal condition number of a matrix, 1 / (max_s ||B_s||_1 max_s
+    ||B_s^{-1}||_1) (`rcond`, each inverse norm from the block's gecon), is
+    below machine epsilon.  The finiteness check, the block norms, the
+    rcond test and arg det run on the whole batch at once; getrf and gecon
+    are the only work per block, and getrs the only work per solve.
+    `name` names the operator in the errors."""
 
-    def __init__(self, blocks: Sequence[np.ndarray], name: str,
-                 anorm: Optional[np.ndarray] = None):
-        if anorm is None:
-            blocks = [np.asfortranarray(B, dtype=complex) for B in blocks]
-            if not all(np.isfinite(B).all() for B in blocks):
-                raise ValueError("array must not contain infs or NaNs")
-            anorm = np.array([np.abs(B).sum(axis=0).max() for B in blocks])
-        self._factors, inorm = [], 0.0
-        for B, a in zip(blocks, anorm):
-            lu, piv, info = zgetrf(B, overwrite_a=1)
-            if info > 0:
-                raise np.linalg.LinAlgError(
-                    f"{name} is singular (zero pivot U[{info - 1}, "
-                    f"{info - 1}] of a {len(B)} x {len(B)} sector block)")
-            rc, _ = zgecon(lu, a, norm="1")
-            inorm = max(inorm, np.inf if rc == 0.0 else 1.0 / (rc * a))
-            self._factors.append((lu, piv))
-        rcond = self.rcond = 1.0 / (anorm.max() * inorm)
-        if not rcond >= np.finfo(float).eps:
+    def __init__(self, flat: np.ndarray, layout: "_Layout", name: str):
+        # contiguous complex: getrf overwrites the blocks' views in place,
+        # which `arg_det` reads
+        flat = self._flat = np.ascontiguousarray(flat, dtype=complex)
+        if not np.isfinite(flat).all():
+            raise ValueError("array must not contain infs or NaNs")
+        self._layout = L = layout
+        # ||B_s||_1: the largest column sum of |B_s|, for all blocks at once
+        anorm = np.maximum.reduceat(np.add.reduceat(np.abs(flat), L.colstart,
+                                                    axis=1), L.first, axis=1)
+        inorm = np.empty_like(anorm)
+        self._piv = np.empty((len(flat), len(L.unpivoted)), dtype=np.int32)
+        # (lu, piv) of each block of each matrix
+        self._factors: List[List[Tuple[np.ndarray, np.ndarray]]] = []
+        for i, row in enumerate(flat):
+            factors = []
+            for j, (s, k, f) in enumerate(L.blocks):
+                lu, piv, info = zgetrf(row[s:s + k * k].reshape(k, k,
+                                                                order="F"),
+                                       overwrite_a=1)
+                if info > 0:
+                    raise np.linalg.LinAlgError(
+                        f"{name} is singular (zero pivot U[{info - 1}, "
+                        f"{info - 1}] of a {k} x {k} sector block)")
+                a = anorm[i, j]
+                rc, _ = zgecon(lu, a, norm="1")
+                inorm[i, j] = np.inf if rc == 0.0 else 1.0 / (rc * a)
+                self._piv[i, f:f + k] = piv
+                factors.append((lu, piv))
+            self._factors.append(factors)
+        rcond = self.rcond = 1.0 / (anorm.max(axis=1) * inorm.max(axis=1))
+        bad = np.flatnonzero(~(rcond >= np.finfo(float).eps))
+        if bad.size:
             raise np.linalg.LinAlgError(f"{name} is ill-conditioned "
-                                        f"(rcond {rcond:.3e})")
+                                        f"(rcond {rcond[bad[0]]:.3e})")
+
+    def arg_det(self) -> np.ndarray:
+        """arg det B_s (mod 2 pi), (matrices, blocks): the angles of each
+        block's LU diagonal and pi per row swap."""
+        L = self._layout
+        return np.add.reduceat(np.angle(self._flat[:, L.diag])
+                               + np.pi * (self._piv != L.unpivoted),
+                               L.first, axis=1)
+
+    def solve(self, i: int, rhs: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """B_s^{-1} C_s of matrix i for each block C_s of the right-hand
+        side."""
+        return [zgetrs(lu, piv, C)[0] for (lu, piv), C in
+                zip(self._factors[i], rhs)]
+
+    def solve_blocks(self, flat: np.ndarray) -> np.ndarray:
+        """B_s^{-1} C_s for every block of every matrix, in place in `flat`
+        (complex, C-contiguous, laid out as the factored buffer)."""
+        for row, factors in zip(flat, self._factors):
+            for (lu, piv), (s, k, _) in zip(factors, self._layout.blocks):
+                C = row[s:s + k * k].reshape(k, k, order="F")
+                X = zgetrs(lu, piv, C, overwrite_b=1)[0]
+                if X is not C:          # not solved in place
+                    C[...] = X
+        return flat
+
+
+class BlockLU:
+    """The `BatchLU` of one matrix given as the list of its square blocks,
+    of any sizes (the bordered Grushin blocks), copied into one buffer:
+    `rcond` is its reciprocal condition number, `solve` takes one
+    right-hand side per block."""
+
+    def __init__(self, blocks: Sequence[np.ndarray], name: str):
+        blocks = [np.asarray(B) for B in blocks]
+        lu = BatchLU(ReflectionGroup.join(blocks)[None],
+                     _Layout.of([len(B) for B in blocks]), name)
+        self._lu, self._factors = lu, lu._factors[0]
+        self.rcond = float(lu.rcond[0])
 
     def solve(self, rhs: Sequence[np.ndarray]) -> List[np.ndarray]:
         """B_s^{-1} C_s for each block C_s of the right-hand side."""
-        return [zgetrs(lu, piv, C)[0] for (lu, piv), C in
-                zip(self._factors, rhs)]
+        return self._lu.solve(0, rhs)
 
 
-class SectorLU(BlockLU):
-    """`BlockLU` of the sector blocks of Id + R0 V, one getrf and gecon per
-    class of equivalent blocks (`ReflectionGroup.sector_classes`), in place
-    in the flat block buffer, all block norms from one pass over it; every
-    entry of the buffer is checked finite.  Every block of a class has the
-    representative's 1-norm, inverse 1-norm and determinant, so the rcond
-    over the blocks and arg det need only the representatives.  `solve`
-    takes one right-hand side per representative, in ascending order;
-    `solve_flat` gives all blocks of M^{-1} B for a B that commutes with the
-    permutations."""
+class SectorLU(BatchLU):
+    """`BatchLU` of the sector blocks of Id + R0 V at a batch of nodes, one
+    getrf and gecon per class of equivalent blocks
+    (`ReflectionGroup.sector_classes`): row i of `flat` holds the class
+    representatives' blocks of the i-th matrix, ascending
+    (`ReflectionGroup.rep_transform`, `to_reps`).  Every block of a class
+    has the representative's 1-norm, inverse 1-norm and determinant, so
+    the rcond over the blocks and arg det need only the representatives.
+    `solve` takes one right-hand side per representative; `solve_blocks`
+    gives the representatives' blocks of M^{-1} B for a B that commutes
+    with the permutations, as R0 does.  `of_blocks` is the one-node batch
+    of the blocks of every sector, and `solve_flat` its M^{-1} B in all
+    blocks."""
 
     def __init__(self, group: ReflectionGroup, flat: np.ndarray):
-        # contiguous complex: getrf overwrites the blocks' views in place,
-        # which `arg_det` reads
-        flat = np.ascontiguousarray(flat, dtype=complex)
+        super().__init__(flat, group._classes.layout, "Id + R0 V")
+        self._group = group
+
+    @classmethod
+    def of_blocks(cls, group: ReflectionGroup, flat: np.ndarray
+                  ) -> "SectorLU":
+        """The one-node batch of the flat blocks of every sector
+        (`ReflectionGroup.transform`); every entry, the other blocks' too,
+        is checked finite."""
         if not np.isfinite(flat).all():
             raise ValueError("array must not contain infs or NaNs")
-        t, c = group._sectors, group._classes
-        # ||M_s||_1: the largest column sum of |M_s|, for all blocks at once
-        anorm = np.maximum.reduceat(np.add.reduceat(np.abs(flat), t.colstart),
-                                    t.first)
-        blocks = group.split(flat)
-        self._flat, self._group, self._classes = flat, group, c
-        super().__init__([blocks[r] for r in c.reps], "Id + R0 V",
-                         anorm[c.reps])
-
-    def arg_det(self) -> np.ndarray:
-        """arg det M_r (mod 2 pi) of each class representative r, ascending:
-        the angles of its LU's diagonal and pi per row swap.  A member's
-        block has the same determinant, and det Q = +-1, so arg det M is
-        the sum over the classes of the class size times these."""
-        c = self._classes
-        piv = np.concatenate([piv for _, piv in self._factors])
-        return np.add.reduceat(np.angle(self._flat[c.diag])
-                               + np.pi * (piv != c.unpivoted), c.first)
+        return cls(group, group.to_reps(flat)[None])
 
     def solve_flat(self, flat: np.ndarray) -> np.ndarray:
-        """The flat blocks of M^{-1} B for the flat blocks of a B that
-        commutes with the group and the permutations, as R0 does: getrs on
-        the representatives' blocks alone, the other blocks set from them
-        (`ReflectionGroup._fill_members`)."""
+        """The flat blocks of M^{-1} B, every sector, for the flat blocks of
+        a B that commutes with the group and the permutations (a one-node
+        batch): getrs on the representatives' blocks alone, the other
+        blocks set from them (`ReflectionGroup.from_reps`)."""
         group = self._group
-        B, out = group.split(flat), np.empty(len(flat), dtype=complex)
-        X = group.split(out)
-        for (lu, piv), r in zip(self._factors, self._classes.reps):
-            X[r][...] = zgetrs(lu, piv, B[r])[0]
-        group._fill_members(out)
-        return out
+        return group.from_reps(self.solve_blocks(group.to_reps(flat)[None])[0])

@@ -504,6 +504,57 @@ def dense_contour_zeros(disc, center: complex, ax: float, ay: float,
                                                                k.imag)), count
 
 
+def sector_contour_reference(disc, center: complex, ax: float, ay: float,
+                             n_nodes: int, count_only: bool = False,
+                             probes: int = 16):
+    """(zeros, count, per-class windings) of Beyn's method on the class
+    representatives' sector blocks of M(k) = Id + R0(k^2) V inside the
+    ellipse center + ax cos th + i ay sin th, one node at a time: the blocks
+    of the n x n M (`group.blocks(disc.M(bp))`), `numpy.linalg.slogdet`
+    and `numpy.linalg.solve` on each representative's block, the moments
+    summed node by node.  The probe block (the library's generator), the
+    trapezoidal nodes and the weighted count are the library contour's;
+    the pencil is truncated at the winding total.  Nothing of the
+    library's batched gather or its checked LU loop runs here.  No
+    acceptance test."""
+    n, group = disc.grid.n, disc.sectors
+    reps, sizes = np.unique(group.sector_classes, return_counts=True)
+    rng = np.random.default_rng(0)
+    P = (rng.standard_normal((n, probes))
+         + 1j * rng.standard_normal((n, probes)))
+    Ps = group.to_sectors(P)
+    th = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+    dk = ax * np.cos(th) + 1j * ay * np.sin(th)
+    wq = (-ax * np.sin(th) + 1j * ay * np.cos(th)) / (1j * n_nodes)
+    rows = sum(len(Ps[r]) for r in reps)
+    A0 = np.zeros((rows, probes), dtype=complex)
+    A1 = np.zeros((rows, probes), dtype=complex)
+    phase = np.empty((n_nodes, len(reps)))
+    for q in range(n_nodes):
+        k = center + dk[q]
+        blocks = group.split(group.blocks(disc.M(BranchPoint(z=k * k,
+                                                             sqrt_z=k))))
+        X = []
+        for j, r in enumerate(reps):
+            phase[q, j] = np.angle(np.linalg.slogdet(blocks[r])[0])
+            if not count_only:
+                X.append(np.linalg.solve(blocks[r], Ps[r]))
+        if not count_only:
+            X = np.concatenate(X)
+            A0 += wq[q] * X
+            A1 += wq[q] * dk[q] * X
+    steps = np.angle(np.exp(1j * np.diff(phase, axis=0, append=phase[:1])))
+    winding = np.rint(steps.sum(axis=0) / (2.0 * np.pi)).astype(int)
+    count = int(np.dot(sizes, winding))
+    total = int(winding.sum())
+    if count_only or total == 0:
+        return [], count, winding
+    U, s, Wh = np.linalg.svd(A0, full_matrices=False)
+    B = (U[:, :total].conj().T @ A1 @ Wh[:total].conj().T) / s[:total]
+    return sorted(center + np.linalg.eigvals(B),
+                  key=lambda k: (k.real, k.imag)), count, winding
+
+
 def dense_resolvent_taylor(disc, lam: float, order: int, side: str = "+"):
     """Taylor coefficients T_p of mu -> R(lam + mu, side) as n x n matrices,
     by the recursion T_p = M_0^{-1} (B_p - sum_{r=1..p} B_r V T_{p-r}) with

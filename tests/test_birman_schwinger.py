@@ -1,11 +1,13 @@
 """Birman-Schwinger assembly, eigenvalue detection, coupling tuning,
 threshold classification and resonance scanning."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import oracles
-from specthresh import birman_schwinger
+from specthresh import birman_schwinger, kernels
 from specthresh.birman_schwinger import (HYPOTHESIS_DET_TOL, Discretization,
                                          _contour_zeros,
                                          check_hypotheses, classify_zero,
@@ -13,7 +15,7 @@ from specthresh.birman_schwinger import (HYPOTHESIS_DET_TOL, Discretization,
                                          scan_positive_resonances,
                                          tune_coupling)
 from specthresh.kernels import BranchPoint
-from specthresh.propagator import _POLE_ELLIPSE
+from specthresh.propagator import _POLE_ELLIPSE, CutPropagator
 from specthresh.model import build_grid, sample_potential
 from specthresh.models import (first_kind_model, free_model,
                                gaussian_template, resonance_model,
@@ -76,53 +78,102 @@ def test_resolvent_assembles_no_dense_r0(first6, monkeypatch):
     assert calls == []
 
 
-def _disc_with_r0(monkeypatch):
-    """Discretization whose R0 is one zero matrix that the test then fills
-    in, read through its sector blocks (`r0_sectors`), with the constant
-    potential 0.5 + 0.5i (exact products with R0) and a node i where V is
-    not cut off: the first such node, so the representative of its
-    orbit."""
+def _disc_constant_v():
+    """Discretization with the constant potential 0.5 + 0.5i (exact products
+    with R0) on a grid of 64 nodes, whose contours, line and rings run in
+    one batch of nodes."""
     grid = build_grid(2.0, 4)
     disc = Discretization(Model(grid=grid,
                                 potential=sample_potential(grid, 0.5 + 0.5j)))
-    r0 = np.zeros((grid.n, grid.n), dtype=complex)
-    monkeypatch.setattr(Discretization, "r0_sectors",
-                        lambda self, bp: self.sectors.blocks(r0))
+    assert disc.batch_nodes >= 32
+    return disc
+
+
+def _disc_with_r0(monkeypatch):
+    """`_disc_constant_v` whose batched gather of R0 (`r0_reps`) gives the
+    zero matrix at every node but the second of each batch (the only node
+    of a batch of one), which gets the representatives' blocks of one R0
+    that the test then fills in, and a node i where V is not cut off: the
+    first such node, so the representative of its orbit."""
+    disc = _disc_constant_v()
+    group = disc.sectors
+    r0 = np.zeros((disc.grid.n, disc.grid.n), dtype=complex)
+
+    def r0_reps(self, ks):
+        out = np.zeros((len(ks), len(group.rep_columns)), dtype=complex)
+        out[min(1, len(ks) - 1)] = group.to_reps(group.blocks(r0))
+        return out
+
+    monkeypatch.setattr(Discretization, "r0_reps", r0_reps)
     i = int(np.flatnonzero(disc.V)[0])
     assert i in disc.sectors.reps
     return disc, r0, i
 
 
+def _batched_paths(disc):
+    """The batched evaluations of M(k) = Id + R0 V, each as a thunk: a
+    contour centred on the imaginary axis (mirrored pairs), one centred on
+    the real axis, the line of `propagate_blocks` at t = 10, a ring of
+    `_ring_moments`, and `R` (a batch of one)."""
+    cp = CutPropagator.__new__(CutPropagator)
+    cp.disc, cp.poles, cp._crossed = disc, [], []
+    cp.coeffs = SimpleNamespace(
+        R_m2=np.zeros(len(disc.sectors.flat_columns), dtype=complex))
+    cp.census = {"t_min": 1.0}
+    return {"mirrored contour": lambda: _contour_zeros(disc, 0.0, 0.3, 0.3,
+                                                       16),
+            "contour": lambda: _contour_zeros(disc, 1.0, 0.3, 0.3, 16),
+            "line": lambda: cp.propagate_blocks([10.0]),
+            "ring": lambda: cp._ring_moments(0.5 - 0.5j, []),
+            "R": lambda: disc.R(BranchPoint.from_z(-1.0))}
+
+
 def test_resolve_raises_on_singular_matrix(monkeypatch):
-    # (-1 + i)(0.5 + 0.5i) = -1 exactly, so Id + R0 V has a zero pivot
+    # (-1 + i)(0.5 + 0.5i) = -1 exactly, so Id + R0 V has a zero pivot at
+    # the second node of the batch
     disc, r0, i = _disc_with_r0(monkeypatch)
     r0[i, i] = -1.0 + 1.0j
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        disc.R(BranchPoint.from_z(-1.0))
+    for name, run in _batched_paths(disc).items():
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            run()
 
 
 def test_resolve_raises_where_solve_warns_ill_conditioned(monkeypatch):
-    # Id + R0 V = Id with 2^-53 at (i, i): rcond 2^-53 < eps, which
-    # scipy.linalg.solve only warns about
+    # Id + R0 V = Id with 2^-53 at (i, i) at the second node of the batch:
+    # rcond 2^-53 < eps, which scipy.linalg.solve only warns about
     disc, r0, i = _disc_with_r0(monkeypatch)
     r0[i, i] = (-1.0 + 2.0 ** -53) * (1.0 - 1.0j)
     A = np.eye(disc.grid.n) + r0 * disc.V[None, :]
     assert A[i, i] == 2.0 ** -53
     with pytest.warns(sla.LinAlgWarning):
         sla.solve(A, r0)
-    with pytest.raises(np.linalg.LinAlgError, match="rcond 1.110e-16"):
-        disc.R(BranchPoint.from_z(-1.0))
+    for name, run in _batched_paths(disc).items():
+        with pytest.raises(np.linalg.LinAlgError, match="rcond 1.110e-16"):
+            run()
 
 
 def test_resolve_rejects_non_finite_input(monkeypatch):
-    disc, r0, _ = _disc_with_r0(monkeypatch)
-    # the NaN in the gathered blocks of R0, in a block of the class
-    # {1, 2, 4} that is not factored
-    flat = disc.sectors.blocks(r0)
-    disc.sectors.split(flat)[2][3, 5] = np.nan
-    monkeypatch.setattr(Discretization, "r0_sectors", lambda self, bp: flat)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        disc.R(BranchPoint.from_z(-1.0))
+    # a NaN in the kernel table at the second node of each batch, in the
+    # distance class of entry (3, 5) of sector 2's block: that block, of
+    # the class {1, 2, 4}, is not formed, but the class feeds the
+    # representatives' blocks too
+    disc = _disc_constant_v()
+    group = disc.sectors
+    assert group.sector_classes[2] == 1
+    a, b = (group.sector_orbits[2][j] for j in (3, 5))
+    c = disc._plan[0][0, a, b]
+    table = kernels.kernel_table
+
+    def poisoned(*args):
+        T = table(*args)
+        if T.ndim == 2:
+            T[min(1, len(T) - 1), c] = np.nan
+        return T
+
+    monkeypatch.setattr(kernels, "kernel_table", poisoned)
+    for name, run in _batched_paths(disc).items():
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            run()
 
 
 @pytest.mark.parametrize("k", [0.3 + 1.2j, -2.5 + 0.15j, 4.0 - 0.6j])
@@ -139,27 +190,41 @@ def test_r0_at_mirrored_k_is_conjugate(k):
 
 
 def test_contour_walk_shares_r0_across_mirrored_nodes(monkeypatch):
+    # contour nodes gather the representatives' blocks alone, in batches:
+    # no single-node gather, no member block and no n x n matrix
     disc = Discretization(free_model(build_grid(3.0, 4)))
-    calls = {"r0_sectors": 0, "M_sectors": 0}
+    calls = {"rows": 0, "r0_sectors": 0, "M_sectors": 0, "_fill_members": 0,
+             "expand": 0}
+    table = kernels.kernel_table
 
-    def counting(name):
-        method = getattr(Discretization, name)
+    def rows(*args):
+        T = table(*args)
+        calls["rows"] += len(T) if T.ndim == 2 else 1
+        return T
 
-        def wrapped(self, bp):
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def wrapped(*args):
             calls[name] += 1
-            return method(self, bp)
+            return method(*args)
         return wrapped
 
-    monkeypatch.setattr(Discretization, "r0_sectors",
-                        counting("r0_sectors"))
-    monkeypatch.setattr(Discretization, "M_sectors", counting("M_sectors"))
-    # imaginary-axis centre: one R0 per mirrored pair, no M(k) assembly
+    monkeypatch.setattr(kernels, "kernel_table", rows)
+    for cls, name in ((Discretization, "r0_sectors"),
+                      (Discretization, "M_sectors"),
+                      (ReflectionGroup, "_fill_members"),
+                      (ReflectionGroup, "expand")):
+        monkeypatch.setattr(cls, name, counting(cls, name))
+    # imaginary-axis centre: one kernel-table row per mirrored pair
     assert _contour_zeros(disc, *_POLE_ELLIPSE, 512) == ([], 0)
-    assert calls == {"r0_sectors": 256, "M_sectors": 0}
-    # real centre (the resonance scan's ellipse): M(k) at every node
-    calls.update(r0_sectors=0, M_sectors=0)
+    assert calls == {"rows": 256, "r0_sectors": 0, "M_sectors": 0,
+                     "_fill_members": 0, "expand": 0}
+    # real centre (the resonance scan's ellipse): a row per node
+    calls.update(rows=0)
     assert _contour_zeros(disc, 1.5, 0.5, 0.5 / 6.0, 32) == ([], 0)
-    assert calls == {"r0_sectors": 32, "M_sectors": 32}
+    assert calls == {"rows": 32, "r0_sectors": 0, "M_sectors": 0,
+                     "_fill_members": 0, "expand": 0}
 
 
 def _one_block(K):
@@ -480,6 +545,11 @@ def test_scan_raises_when_refined_minimum_is_not_singular(monkeypatch):
     monkeypatch.setattr(birman_schwinger.Discretization, "M", fake_M)
     monkeypatch.setattr(birman_schwinger.Discretization, "M_sectors",
                         lambda self, bp: self.sectors.blocks(self.M(bp)))
+    # the contour's batched gather of the representatives' blocks
+    monkeypatch.setattr(birman_schwinger.Discretization, "M_reps",
+                        lambda self, ks: self.sectors.to_reps(np.array([
+                            self.M_sectors(BranchPoint(z=k * k, sqrt_z=k))
+                            for k in ks])))
     monkeypatch.setattr(birman_schwinger.sla, "svdvals",
                         lambda A: np.array([1.0, 0.5]))
     disc = Discretization(free_model(build_grid(2.0, 4)))

@@ -152,6 +152,19 @@ def test_sector_eigenpair_rejects_a_potential_off_the_symmetric_sector(
         marked(0.3 + 0.2j)
 
 
+def test_sector_eigenpair_rejects_a_potential_off_the_swap(monkeypatch):
+    # even under every reflection but not under x_2 <-> x_3: the even
+    # vectors of the swap would not hold the marked eigenvector
+    grid = build_grid(3.0, 6)
+    marked = models._symmetric_sector_marked_eigenpair(
+        grid, models._g0_sectors(grid))
+    monkeypatch.setattr(models, "_third_kind_potential",
+                        lambda grid, G0, alpha: gaussian_template(grid)
+                        * (1.0 + 0.5 * grid.nodes[:, 1] ** 2))
+    with pytest.raises(ValueError, match="x_2 <-> x_3 swap"):
+        marked(0.3 + 0.2j)
+
+
 def test_third_kind_tuning_eig_calls_stay_in_the_symmetric_sector(monkeypatch):
     grid = build_grid(3.0, 8)
     G0 = models._g0_sectors(grid)
@@ -165,8 +178,13 @@ def test_third_kind_tuning_eig_calls_stay_in_the_symmetric_sector(monkeypatch):
     monkeypatch.setattr(models.sla, "eig", recording_eig)
     models._tune_third_kind_alpha(grid, G0)
     assert len(shapes) >= 36
-    # the trivial sector of the eight reflections: one row per node orbit
-    assert all(r == c == grid.n // 8 for r, c in shapes)
+    # the trivial sector of the eight reflections (one row per node orbit,
+    # n / 8 = 51) restricted to the vectors even under x_2 <-> x_3: one row
+    # per class of node orbits that the swap joins, 31
+    a = np.round(np.abs(grid.nodes), 9)
+    rows = len({(x1, *sorted((x2, x3))) for x1, x2, x3 in a})
+    assert rows == 31
+    assert all(r == c == rows for r, c in shapes)
 
 
 @pytest.mark.parametrize("extent", [2.9, 3.0, 3.1])

@@ -210,7 +210,8 @@ _ONE_BLOCK = ReflectionGroup({0: np.arange(2)})
 def _ring_stub(R):
     cp = CutPropagator.__new__(CutPropagator)
     cp.disc = SimpleNamespace(
-        R_sectors=lambda bp: _ONE_BLOCK.blocks(R(bp.sqrt_z)),
+        R_sums=lambda ks, weights: weights @ np.array(
+            [_ONE_BLOCK.blocks(R(k)) for k in ks], dtype=complex),
         sectors=_ONE_BLOCK, grid=SimpleNamespace(n=2))
     return cp
 

@@ -15,7 +15,8 @@ import scipy.linalg
 import oracles
 from test_birman_schwinger import check_invariant_subspace
 from specthresh import grushin, symmetry
-from specthresh.birman_schwinger import (Discretization, _contour_zeros,
+from specthresh.birman_schwinger import (Discretization, _contour_moments,
+                                         _contour_zeros,
                                          detect_minus_one,
                                          invariant_subgroup, riesz_projection,
                                          tune_coupling)
@@ -31,8 +32,9 @@ from specthresh.models import (first_kind_model, free_model,
                                gaussian_template, regular_model,
                                resonance_model, second_kind_model,
                                third_kind_model)
-from specthresh.propagator import (CutPropagator, check_high_energy,
-                                   resolvent_taylor)
+from specthresh.propagator import (_POLE_ELLIPSE, CutPropagator,
+                                   _census_rects, _tile_ellipse,
+                                   check_high_energy, resolvent_taylor)
 from specthresh.series import ExpansionSeries
 
 # points of the k-plane on both sheets, near the threshold and on the axis
@@ -727,19 +729,19 @@ def test_sector_lu_matches_block_lu_on_every_block(name, request):
         R0s = disc.r0_sectors(bp)
         flat = disc.m_blocks(R0s)
         ref = symmetry.BlockLU([B.copy() for B in group.split(flat)], "M")
-        lu = symmetry.SectorLU(group, flat.copy())
+        lu = symmetry.SectorLU.of_blocks(group, flat.copy())
         want = ref.solve(Ps)
-        for X, r in zip(lu.solve([Ps[r] for r in reps]), reps):
+        for X, r in zip(lu.solve(0, [Ps[r] for r in reps]), reps):
             assert np.linalg.norm(X - want[r]) \
                 <= 1e-12 * np.linalg.norm(want[r]), k
         want = group.join(ref.solve(group.split(R0s)))
         got = lu.solve_flat(R0s)
         for X, W in zip(group.split(got), group.split(want)):
             assert np.linalg.norm(X - W) <= 1e-12 * np.linalg.norm(W), k
-        step = np.angle(np.exp(1j * (np.dot(sizes, lu.arg_det())
+        step = np.angle(np.exp(1j * (np.dot(sizes, lu.arg_det()[0])
                                      - _block_arg_det(ref))))
         assert abs(step) <= 1e-12, k
-        assert abs(lu.rcond - ref.rcond) <= 1e-12 * ref.rcond, k
+        assert abs(lu.rcond[0] - ref.rcond) <= 1e-12 * ref.rcond, k
 
 
 def test_sector_lu_checks_every_block(first6):
@@ -751,12 +753,12 @@ def test_sector_lu_checks_every_block(first6):
     singular = flat.copy()
     group.split(singular)[1][:, 0] = 0.0
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        symmetry.SectorLU(group, singular)
+        symmetry.SectorLU.of_blocks(group, singular)
     # a non-finite entry in a block that is not factored
     bad = flat.copy()
     group.split(bad)[2][3, 4] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        symmetry.SectorLU(group, bad)
+        symmetry.SectorLU.of_blocks(group, bad)
 
 
 def _count_calls(monkeypatch, name):
@@ -791,6 +793,57 @@ def test_contour_factors_one_block_per_class(factory, contour, classes,
     assert len(getrf) == 64 * classes
     # each representative's rows of the 16-column probe block, per node
     assert sum(columns) == 64 * 16 * classes
+
+
+# the first6 census tile (t_min = 10) that holds the left-out zero
+# k = 0.98738 - 0.92874i; on third6 and on the one-block model it holds
+# zeros too
+_TILE3 = _tile_ellipse(*_census_rects(10.0)[3])
+
+
+@pytest.fixture(scope="module")
+def third6():
+    return third_kind_model(build_grid(3.0, 6))
+
+
+@pytest.fixture(scope="module")
+def one_block5():
+    """first5's potential times a shape that no grid reflection or axis
+    permutation leaves invariant: one 117 x 117 sector block."""
+    grid = build_grid(3.0, 5)
+    x = grid.nodes
+    V = first_kind_model(grid).V * (1.0 + 0.3 * x[:, 0] + 0.1 * x[:, 2]
+                                    + 0.2 * x[:, 1] * x[:, 2])
+    return Model(grid=grid, potential=sample_potential(grid, V))
+
+
+@pytest.mark.parametrize("name, contour, nodes, count_only, count", [
+    ("first6", _POLE_ELLIPSE, 512, False, 0),
+    ("first6", _TILE3, 64, False, 3),
+    ("first6", (0.0, 0.3, 0.3), 64, True, 1),
+    ("third6", _TILE3, 64, False, 3),
+    ("one_block5", _TILE3, 64, False, 3)])
+def test_batched_contour_matches_per_node_reference(name, contour, nodes,
+                                                    count_only, count,
+                                                    request):
+    # the batched gather and checked LU loop against a node-by-node
+    # reference on the blocks of the n x n M(k)
+    disc = Discretization(request.getfixturevalue(name))
+    want, want_count, want_winding = oracles.sector_contour_reference(
+        disc, *contour, nodes, count_only)
+    winding, _, _ = _contour_moments(disc, *contour, nodes, count_only)
+    zeros, got_count = _contour_zeros(disc, *contour, nodes, count_only)
+    assert got_count == want_count == count
+    assert winding.tolist() == want_winding.tolist()
+    if name == "one_block5":
+        assert disc.sectors.order == 1 and len(winding) == 1
+    if name == "third6":
+        assert len(winding) == 6
+    assert len(zeros) == len(want) == (0 if count_only else sum(winding))
+    for k, _ in zeros:
+        assert min(abs(k - kd) for kd in want) <= 1e-12 * abs(k), k
+    for kd in want:
+        assert min(abs(k - kd) for k, _ in zeros) <= 1e-12 * abs(kd), kd
 
 
 def test_count_only_contour_solves_nothing(first6, monkeypatch):
