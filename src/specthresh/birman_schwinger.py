@@ -569,6 +569,19 @@ def _contour_matrices(disc: Discretization, center: complex,
         del partners
 
 
+def _probe_block(grid) -> np.ndarray:
+    """The n x _PROBES random probe block of the contour moments, drawn in
+    the lexicographic order of the node coordinates: a function of the
+    node positions, so that a permutation of the nodes permutes its rows
+    and leaves every rank decision of a contour as it is."""
+    rng = np.random.default_rng(0)
+    P = np.empty((grid.n, _PROBES), dtype=complex)
+    P[np.lexsort(grid.nodes.T[::-1])] = (
+        rng.standard_normal((grid.n, _PROBES))
+        + 1j * rng.standard_normal((grid.n, _PROBES)))
+    return P
+
+
 def _contour_moments(disc: Discretization, center: complex, ax: float,
                      ay: float, n_nodes: int, count_only: bool = False
                      ) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -582,8 +595,7 @@ def _contour_moments(disc: Discretization, center: complex, ax: float,
     whole batch at once.  `count_only`: no probe solve, A = None."""
     n, group = disc.grid.n, disc.sectors
     reps = np.unique(group.sector_classes)
-    rng = np.random.default_rng(0)
-    P = rng.standard_normal((n, _PROBES)) + 1j * rng.standard_normal((n, _PROBES))
+    P = _probe_block(disc.grid)
     Ps = group.to_sectors(P)
     probes = [Ps[r] for r in reps]
     rows = np.cumsum([0] + [len(C) for C in probes])

@@ -91,11 +91,11 @@ def resolvent_taylor(disc: Discretization, lam: float, order: int,
 _LINE_X, _LINE_W = np.polynomial.hermite.hermgauss(32)
 _R0 = 0.3
 # census: residues where the weight e^{2 t_min Re k Im k} >= _WEIGHT_CUT, out
-# to Re k = sqrt(40); _TILES columns of _TILE_NODES-node ellipses; rings of
-# _RING_NODES nodes, radius <= _RING_MAX,
-# ||A_{-3}|| <= _ORDER3_TOL (rho^2 ||A_{-1}|| + rho ||A_{-2}||)
-_WEIGHT_CUT, _K_MAX, _TILES, _TILE_NODES, _TILE_SPLITS = \
-    1e-7, math.sqrt(40.0), 8, 64, 4
+# to Re k = sqrt(40); _TILES columns of _TILE_NODES-node ellipses, split at
+# Im k = _SEAM when they fail; rings of _RING_NODES nodes, radius <=
+# _RING_MAX, ||A_{-3}|| <= _ORDER3_TOL (rho^2 ||A_{-1}|| + rho ||A_{-2}||)
+_WEIGHT_CUT, _K_MAX, _TILES, _TILE_NODES, _TILE_SPLITS, _SEAM = \
+    1e-7, math.sqrt(40.0), 8, 64, 4, 0.05
 _RING_NODES, _RING_MAX, _ORDER3_TOL = 32, 0.05, 1e-6
 # the pole scan's ellipse (centre, semi-axes): |Re k| <= 6, 0.15 <= Im k <= 1.8
 _POLE_ELLIPSE = (0.975j, 6.0, 0.825)
@@ -124,11 +124,14 @@ class CutPropagator:
 
     over the eigenvalues off the cut (Im k_j > 0) and the zeros k_j the
     rotation crosses: those in -pi/4 < arg k < 0 whose weight at the
-    smallest time is at least _WEIGHT_CUT.  An eigenvalue in
+    smallest time is at least _WEIGHT_CUT, found by one verified contour
+    tile per column of Re k, from the weight cut up to the pole scan's
+    ellipse (`_census_rects`; a failing tile is first split at
+    Im k = _SEAM, `_tile_zeros`).  An eigenvalue in
     3 pi/4 < arg k < pi is crossed by the other half-line: the terms cancel.
     The line is Gauss-Hermite in s sqrt(t) on symmetric nodes (the principal
     value at k = 0), one weighted sum of R(k) over them.  Every M(k) the
-    propagator factors (line, rings, census, band and pole contours) is
+    propagator factors (line, rings, census and pole contours) is
     factored once per class of equivalent parity-sector blocks of `disc`
     (`SectorLU`), in batches of nodes whose R0 is one kernel table gathered
     and transformed for the class representatives alone, within about
@@ -154,9 +157,9 @@ class CutPropagator:
         """Eigenvalues z = k^2 off the cut: the zeros of M(k) inside
         `_POLE_ELLIPSE` (512 nodes).  Not searched here: z near 0, and a
         band along the cut that widens with Re z (|Im z| < 0.3 at Re z = 1,
-        1.7 at 10, 3.8 at 20); the census's band tiles search its Re k > 0
-        half.  ValueError for a zero with Re k > 0: an eigenvalue with
-        Im z = 2 Re k Im k > 0, whose e^{-itz} grows."""
+        1.7 at 10, 3.8 at 20); the census tiles search its Re k > 0 half
+        up to the ellipse.  ValueError for a zero with Re k > 0: an
+        eigenvalue with Im z = 2 Re k Im k > 0, whose e^{-itz} grows."""
         zeros, _ = _contour_zeros(self.disc, *_POLE_ELLIPSE, 512)
         ks = [k for k, _ in zeros]
         for k in ks:
@@ -167,12 +170,14 @@ class CutPropagator:
 
     def _take_census(self, t_min: float):
         """The zeros the rotation crosses for times >= t_min, into `census`:
-        the r0 winding count, the tile counts of the census and of the band
-        (`_band_rects`: growing modes between the census strip and the pole
-        ellipse), each crossed zero (k, z, weight, Frobenius norm of its
-        residue at t_min) and the zeros left out.  ValueError if the count is
-        not the structural order, or for a zero on the real axis (an
-        embedded resonance) or above it (an eigenvalue with Im z > 0)."""
+        the r0 winding count, the verified tiles, contour nodes and failed
+        tiles of the census (`_census_rects`: one tile per column, from the
+        weight cut up to the pole ellipse, so growing modes below the
+        ellipse are found too), the region no tile covers (`_unsearched`),
+        each crossed zero (k, z, weight, Frobenius norm of its residue at
+        t_min) and the zeros left out.  ValueError if the count is not the
+        structural order, or for a zero on the real axis (an embedded
+        resonance) or above it (an eigenvalue with Im z > 0)."""
         # det E_-+ ~ z^{order_structural}, so det M(k) ~ k^{2 order_structural}
         d, order = self.disc, round(2 * self.coeffs.scaling.order_structural)
         winding = _contour_zeros(d, 0.0, _R0, _R0, 64, count_only=True)[1]
@@ -180,10 +185,7 @@ class CutPropagator:
             raise ValueError(f"winding count {winding} of det M on |k| = "
                              f"{_R0} but the {self.coeffs.kind} threshold "
                              f"has structural order {order}")
-        zeros, tiles = _tile_zeros(d, _census_rects(t_min))
-        band, band_tiles = _tile_zeros(d, _band_rects())
-        zeros += [k for k in band
-                  if all(abs(k - k0) > 1e-4 * abs(k) for k0 in zeros)]
+        zeros, stats = _tile_zeros(d, _census_rects(t_min))
         terms, crossed, left_out = [], [], []
         for k in zeros:
             z = k * k
@@ -204,8 +206,8 @@ class CutPropagator:
         self._crossed = terms
         self.census = {"r0": _R0, "winding": winding,
                        "structural_order": order, "t_min": t_min,
-                       "weight_cut": _WEIGHT_CUT, "tiles": tiles,
-                       "band_tiles": band_tiles,
+                       "weight_cut": _WEIGHT_CUT, **stats,
+                       "unsearched": _unsearched(),
                        "crossed": crossed, "left_out": left_out}
 
     def _ring_moments(self, k: complex, zeros: Sequence[complex]):
@@ -265,31 +267,37 @@ class CutPropagator:
 
 
 def _columns() -> List[Tuple[float, float]]:
-    """The _TILES geometric columns of Re k from inside |k| = r0 out to
-    _K_MAX that the census and the band share."""
+    """The _TILES geometric columns of Re k of the census, from inside
+    |k| = r0 out to _K_MAX."""
     edges = np.geomspace(0.9 * _R0 / math.sqrt(2.0), _K_MAX, _TILES + 1)
     return list(zip(edges[:-1], edges[1:]))
 
 
 def _census_rects(t_min: float) -> List[Tuple[float, float, float, float]]:
-    """(Re k, Im k) rectangles of the census: the part of -pi/4 < arg k < 0
-    with weight at least _WEIGHT_CUT at t_min, and a strip 0 <= Im k <=
-    0.05 above it."""
+    """(Re k, Im k) rectangles of the census, one per column: from the part
+    of -pi/4 < arg k < 0 with weight at least _WEIGHT_CUT at t_min, across
+    the seam Im k = _SEAM, up to the lower edge of the pole scan's ellipse
+    (`_POLE_ELLIPSE`) at the column's right end (the height of its centre
+    beyond its right end).  With |k| < r0 and the ellipse they leave no
+    part of Re k > 0, 0 <= Im k <= the centre's height unsearched but
+    `_unsearched()`."""
     c = -math.log(_WEIGHT_CUT) / (2.0 * t_min)     # Re k |Im k| <= c
-    return [(x0, x1, -1.05 * min(x1, c / x0, math.sqrt(c)), 0.05)
+    center, ax, ay = _POLE_ELLIPSE
+
+    def floor(x):
+        return center.imag - ay * math.sqrt(max(0.0, 1.0 - (x / ax) ** 2))
+    return [(x0, x1, -1.05 * min(x1, c / x0, math.sqrt(c)), floor(x1))
             for x0, x1 in _columns()]
 
 
-def _band_rects() -> List[Tuple[float, float, float, float]]:
-    """(Re k, Im k) rectangles from the census strip (Im k = 0.05) up to
-    the lower edge of the pole scan's ellipse (`_POLE_ELLIPSE`) at each
-    column's right end (the height of its centre beyond its right end).
-    With |k| < r0 and the ellipse they leave no part of Re k > 0, Im k >= 0
-    unsearched below the centre's height out to _K_MAX."""
-    def floor(x):
-        center, ax, ay = _POLE_ELLIPSE
-        return center.imag - ay * math.sqrt(max(0.0, 1.0 - (x / ax) ** 2))
-    return [(x0, x1, 0.05, floor(x1)) for x0, x1 in _columns()]
+def _unsearched() -> List[Dict[str, List[Optional[float]]]]:
+    """The part of Re k > 0, Im k >= 0 below the pole scan's ellipse centre
+    that neither the census nor the ellipse covers, as (Re k, Im k) ranges
+    (None: unbounded): Im k above the centre for the Re k between the
+    ellipse's end and _K_MAX, and every Im k beyond _K_MAX."""
+    center, ax, _ = _POLE_ELLIPSE
+    return [{"re_k": [ax, _K_MAX], "im_k": [center.imag, None]},
+            {"re_k": [_K_MAX, None], "im_k": [None, None]}]
 
 
 def _tile_ellipse(x0: float, x1: float, y0: float, y1: float):
@@ -301,22 +309,29 @@ def _tile_ellipse(x0: float, x1: float, y0: float, y1: float):
 
 def _tile_zeros(disc: Discretization,
                 rects: Sequence[Tuple[float, float, float, float]]
-                ) -> Tuple[List[complex], int]:
-    """Distinct zeros of M(k), and the tile count, in verified tiles (the
-    `_tile_ellipse` of each rectangle (x0, x1, y0, y1) of `rects`).  A
-    failing tile is retried with 2 and 4 times the nodes (a zero near its
-    boundary), then split in two overlapping parts across its longer side,
-    at most _TILE_SPLITS times; then ValueError."""
+                ) -> Tuple[List[complex], Dict[str, int]]:
+    """Distinct zeros of M(k) in verified tiles (the `_tile_ellipse` of
+    each rectangle (x0, x1, y0, y1) of `rects`), and the counts of the
+    verified tiles, of the contour nodes factored and of the failed tiles.
+    A failing tile that spans the seam Im k = _SEAM is split there in two
+    tiles; any other failing tile is retried with 2 and 4 times the nodes
+    (a zero near its boundary), then split in two overlapping parts across
+    its longer side, at most _TILE_SPLITS times; then ValueError."""
     stack = [(rect, 0, _TILE_NODES) for rect in rects]
     zeros: List[complex] = []
-    tiles = 0
+    stats = {"tiles": 0, "nodes": 0, "failed_tiles": 0}
     while stack:
         (x0, x1, y0, y1), splits, nodes = stack.pop()
+        stats["nodes"] += nodes
         try:
             found, _ = _contour_zeros(
                 disc, *_tile_ellipse(x0, x1, y0, y1), nodes)
         except ValueError as exc:
-            if nodes < 4 * _TILE_NODES:
+            stats["failed_tiles"] += 1
+            if y0 < _SEAM < y1:
+                stack += [((x0, x1, y0, _SEAM), splits, _TILE_NODES),
+                          ((x0, x1, _SEAM, y1), splits, _TILE_NODES)]
+            elif nodes < 4 * _TILE_NODES:
                 stack.append(((x0, x1, y0, y1), splits, 2 * nodes))
             elif splits == _TILE_SPLITS:
                 raise ValueError(f"census tile Re k in [{x0:.3g}, {x1:.3g}], "
@@ -329,18 +344,18 @@ def _tile_zeros(disc: Discretization,
                     half = (lo, hi, y0, y1) if wide else (x0, x1, lo, hi)
                     stack.append((half, splits + 1, _TILE_NODES))
             continue
-        tiles += 1
+        stats["tiles"] += 1
         zeros += [k for k, _ in found
                   if all(abs(k - k0) > 1e-4 * abs(k) for k0 in zeros)]
-    return zeros, tiles
+    return zeros, stats
 
 
 def census_geometry(r0: float, t_min: float) -> List[Tuple[str, np.ndarray]]:
     """(label, k points) of the curves a census at t_min works on: the
     |k| = r0 winding circle, the pole scan's ellipse (`_scan_poles`), the
-    ellipse of each census and band tile (the retries and splits of a
-    failing tile are not drawn), 65 points around each closed curve, and
-    the line nodes at t_min."""
+    ellipse of each column's census tile (the seam halves, retries and
+    splits of a failing tile are not drawn), 65 points around each closed
+    curve, and the line nodes at t_min."""
     ring = np.exp(2j * np.pi * np.arange(65) / 64)
 
     def ellipse(center, ax, ay):
@@ -348,10 +363,8 @@ def census_geometry(r0: float, t_min: float) -> List[Tuple[str, np.ndarray]]:
 
     curves = [("winding_circle", r0 * ring),
               ("pole_ellipse", ellipse(*_POLE_ELLIPSE))]
-    for name, rects in (("census_tile", _census_rects(t_min)),
-                        ("band_tile", _band_rects())):
-        curves += [(f"{name}_{j}", ellipse(*_tile_ellipse(*rect)))
-                   for j, rect in enumerate(rects)]
+    curves += [(f"census_tile_{j}", ellipse(*_tile_ellipse(*rect)))
+               for j, rect in enumerate(_census_rects(t_min))]
     curves.append(("line_nodes",
                    _LINE_X * np.exp(-0.25j * np.pi) / math.sqrt(t_min)))
     return curves

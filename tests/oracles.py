@@ -512,16 +512,19 @@ def sector_contour_reference(disc, center: complex, ax: float, ay: float,
     ellipse center + ax cos th + i ay sin th, one node at a time: the blocks
     of the n x n M (`group.blocks(disc.M(bp))`), `numpy.linalg.slogdet`
     and `numpy.linalg.solve` on each representative's block, the moments
-    summed node by node.  The probe block (the library's generator), the
-    trapezoidal nodes and the weighted count are the library contour's;
-    the pencil is truncated at the winding total.  Nothing of the
+    summed node by node.  The probe block (the library's generator, drawn
+    in the lexicographic order of the node coordinates), the trapezoidal
+    nodes and the weighted count are the library contour's; the pencil is
+    truncated at the winding total.  Nothing of the
     library's batched gather or its checked LU loop runs here.  No
     acceptance test."""
     n, group = disc.grid.n, disc.sectors
     reps, sizes = np.unique(group.sector_classes, return_counts=True)
     rng = np.random.default_rng(0)
-    P = (rng.standard_normal((n, probes))
-         + 1j * rng.standard_normal((n, probes)))
+    P = np.empty((n, probes), dtype=complex)
+    P[np.lexsort(disc.grid.nodes.T[::-1])] = (
+        rng.standard_normal((n, probes))
+        + 1j * rng.standard_normal((n, probes)))
     Ps = group.to_sectors(P)
     th = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
     dk = ax * np.cos(th) + 1j * ay * np.sin(th)
@@ -743,3 +746,48 @@ def dense_grushin_expansion(disc, point, tol: float,
     return {"q": q, "R": {j: R.coeff(j) for j in range(-q, L + 1)},
             "Emp": Emp, "basis": basis,
             "E_at": lambda z: at(z, top), "Emp_at": lambda z: at(z, bottom)}
+
+
+def two_row_census(cp, t_min: float):
+    """The census of the propagator `cp` at t_min tiled in two rows per
+    column, each row verified on its own: the census row from the weight cut
+    up to Im k = 0.05 and the band row from there up to the pole ellipse,
+    every failing tile retried with 2 and 4 times the nodes and then split
+    across its longer side, with no seam rule.  Returns the crossed zeros
+    as (k, Frobenius norm of the residue at t_min), the left-out zeros and
+    the contour nodes factored."""
+    from specthresh import propagator as prop
+    rows = []
+    for x0, x1, y0, y1 in prop._census_rects(t_min):
+        rows += [(x0, x1, y0, 0.05), (x0, x1, 0.05, y1)]
+    stack = [(rect, 0, 64) for rect in rows]
+    zeros, nodes = [], 0
+    while stack:
+        (x0, x1, y0, y1), splits, n = stack.pop()
+        nodes += n
+        try:
+            found, _ = prop._contour_zeros(
+                cp.disc, complex(x0 + x1, y0 + y1) / 2.0,
+                (x1 - x0) / math.sqrt(2.0), (y1 - y0) / math.sqrt(2.0), n)
+        except ValueError:
+            if n < 256:
+                stack.append(((x0, x1, y0, y1), splits, 2 * n))
+                continue
+            assert splits < 4, "two-row tile failed after 4 splits"
+            wide = x1 - x0 >= y1 - y0
+            a, b = (x0, x1) if wide else (y0, y1)
+            for lo, hi in ((a, a + 0.6 * (b - a)), (b - 0.6 * (b - a), b)):
+                part = (lo, hi, y0, y1) if wide else (x0, x1, lo, hi)
+                stack.append((part, splits + 1, 64))
+            continue
+        zeros += [k for k, _ in found
+                  if all(abs(k - k0) > 1e-4 * abs(k) for k0 in zeros)]
+    crossed, left_out = [], []
+    for k in zeros:
+        if -k.imag >= k.real or math.exp(t_min * (k * k).imag) < 1e-7:
+            left_out.append(k)
+            continue
+        A1, A2 = cp._ring_moments(k, zeros)
+        crossed.append((k, float(np.linalg.norm(
+            prop._residue(k, A1, A2, t_min)))))
+    return crossed, left_out, nodes

@@ -1,6 +1,7 @@
 """Config parsing, pipeline reports, plot dumps, CLI exit codes and the
 modules a pipeline loads."""
 import json
+import math
 import os
 import re
 import subprocess
@@ -235,7 +236,12 @@ def test_propagate_stage_records_census(first4_report):
     census = report["stages"]["propagate"]["census"]
     assert census["winding"] == census["structural_order"] == 1
     assert census["t_min"] == 10.0 and census["tiles"] >= 8
-    assert census["band_tiles"] >= 8
+    assert census["nodes"] >= 64 * (census["tiles"] + census["failed_tiles"])
+    # beyond the pole ellipse's end (Re k = 6) only Im k <= 0.975 is
+    # searched, and nothing beyond Re k = sqrt(40)
+    assert census["unsearched"] == [
+        {"re_k": [6.0, math.sqrt(40.0)], "im_k": [0.975, None]},
+        {"re_k": [math.sqrt(40.0), None], "im_k": [None, None]}]
     # M(k) factored in the eight parity sectors of the 64-node grid, in
     # four classes of equivalent blocks under the five axis permutations
     perms = [[1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1]]
@@ -332,14 +338,14 @@ def test_h3_is_recorded_per_resonance_expansion(tmp_path, monkeypatch):
 
 def test_emit_plot_data_contour(tmp_path, first4_report):
     # the k-plane geometry of the run's census: the winding circle, the pole
-    # ellipse, the census and band tiles and the line nodes at t_min = 10,
+    # ellipse, the census tiles and the line nodes at t_min = 10,
     # and the crossed and left-out zeros
     path = emit_plot_data(first4_report, "contour", tmp_path / "plots")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "re,im,segment"
     rows = [line.split(",") for line in lines[1:]]
     labels = {seg for _, _, seg in rows}
-    assert {"winding_circle", "pole_ellipse", "census_tile_0", "band_tile_7",
+    assert {"winding_circle", "pole_ellipse", "census_tile_0", "census_tile_7",
             "line_nodes", "crossed_zero", "left_out_zero"} <= labels
     census = first4_report.stages["propagate"]["census"]
     (crossed,) = census["crossed"]

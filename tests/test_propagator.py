@@ -1,5 +1,6 @@
 """Generalized oscillatory integrals, the propagator on the steepest-descent
 k-line and decay / high-energy fits."""
+import copy
 import dataclasses
 from types import SimpleNamespace
 
@@ -287,30 +288,93 @@ def test_pole_scan_rejects_a_growing_mode(cut_first4, monkeypatch):
 
 
 def test_band_search_finds_third6_growing_mode():
-    # third6's zero k = 0.3104 + 0.1346i (Im z > 0) lies above the census
-    # strip and below the pole ellipse: the band tiles cover it
+    # third6's zero k = 0.3104 + 0.1346i (Im z > 0) lies above the seam
+    # Im k = 0.05 and below the pole ellipse: the census tile of its column
+    # covers it
     disc = Discretization(third_kind_model(build_grid(3.0, 6)))
-    zeros, tiles = propagator._tile_zeros(disc, propagator._band_rects())
-    assert tiles >= len(propagator._band_rects())
+    (rect,) = [r for r in propagator._census_rects(10.0)
+               if r[0] <= 0.3104 < r[1]]
+    assert rect[2] < propagator._SEAM < 0.1346 < rect[3]
+    zeros, stats = propagator._tile_zeros(disc, [rect])
+    assert stats["tiles"] >= 1
     assert min(abs(k - (0.3104 + 0.1346j)) for k in zeros) < 1e-4
 
 
 def test_census_raises_on_a_growing_mode_in_the_band(cut_first4,
                                                     monkeypatch):
     _, cp, _ = cut_first4
-    assert cp.census["band_tiles"] >= len(propagator._band_rects())
+    assert cp.census["tiles"] >= propagator._TILES
     tile_zeros = propagator._tile_zeros
 
     def with_band_zero(disc, rects):
-        zeros, tiles = tile_zeros(disc, rects)
-        if rects == propagator._band_rects():
-            zeros = zeros + [0.3104 + 0.1346j]
-        return zeros, tiles
+        zeros, stats = tile_zeros(disc, rects)
+        return zeros + [0.3104 + 0.1346j], stats
 
     monkeypatch.setattr(propagator, "_tile_zeros", with_band_zero)
     with pytest.raises(ValueError, match=r"eigenvalue with Im z > 0 \(a "
                                          r"growing mode\)"):
         CutPropagator(cp.disc, cp.coeffs).propagate(10.0)
+
+
+@pytest.mark.parametrize("name", ["first6", "second6"])
+def test_merged_census_matches_two_row_tiling(name, request):
+    # one tile per column from the weight cut up to the pole ellipse finds
+    # the zeros and residues of the census and band rows verified apart
+    cp = copy.copy(request.getfixturevalue(f"cut_{name}"))
+    cp._take_census(10.0)
+    census = cp.census
+    want, left_out, nodes = oracles.two_row_census(cp, 10.0)
+    assert len(census["crossed"]) == len(want)
+    assert len(census["left_out"]) == len(left_out)
+    for k, norm in want:
+        (got,) = [c for c in census["crossed"]
+                  if abs(c["k"] - k) <= 1e-8 * abs(k)]
+        assert abs(got["residue_norm"] - norm) <= 1e-6 * norm
+    for k in left_out:
+        assert min(abs(c["k"] - k) for c in census["left_out"]) \
+            <= 1e-8 * abs(k)
+    assert census["nodes"] <= nodes
+    if name == "first6":
+        assert census["nodes"] == 512 and census["failed_tiles"] == 0
+        assert census["tiles"] == propagator._TILES and nodes == 1024
+
+
+def test_census_splits_a_failing_tile_at_the_seam(cut_first6, monkeypatch):
+    # a tile across Im k = 0.05 that fails is split there before any retry
+    # with more nodes: on first6, two verified 64-node tiles per column (the
+    # two-row tiling, which needs no retry there) find the merged census's
+    # zeros
+    cp = cut_first6
+    rects = propagator._census_rects(10.0)
+    want, _ = propagator._tile_zeros(cp.disc, rects)
+    contour_zeros = propagator._contour_zeros
+    calls = []
+
+    def failing_across_the_seam(disc, center, ax, ay, n_nodes,
+                                count_only=False):
+        half = ay / np.sqrt(2.0)
+        y0, y1 = center.imag - half, center.imag + half
+        spans = y0 < propagator._SEAM - 1e-12 and y1 > propagator._SEAM + 1e-12
+        calls.append((center.real, y0, y1, n_nodes, spans))
+        if spans:
+            raise ValueError("moment rank 2 but per-class winding total 1")
+        return contour_zeros(disc, center, ax, ay, n_nodes, count_only)
+
+    monkeypatch.setattr(propagator, "_contour_zeros", failing_across_the_seam)
+    zeros, stats = propagator._tile_zeros(cp.disc, rects)
+    assert stats == {"tiles": 2 * len(rects), "failed_tiles": len(rects),
+                     "nodes": 3 * propagator._TILE_NODES * len(rects)}
+    assert all(n == propagator._TILE_NODES for _, _, _, n, _ in calls)
+    for x0, x1, y0, y1 in rects:
+        mine = [c for c in calls if abs(c[0] - (x0 + x1) / 2.0) <= 1e-12]
+        # the merged tile first, then its two halves, below and above
+        assert [c[4] for c in mine] == [True, False, False]
+        assert sorted((round(a, 12), round(b, 12)) for _, a, b, _, _
+                      in mine[1:]) == [(round(y0, 12), propagator._SEAM),
+                                       (propagator._SEAM, round(y1, 12))]
+    assert len(zeros) == len(want)
+    for k in want:
+        assert min(abs(k - k2) for k2 in zeros) <= 1e-8 * abs(k)
 
 
 def test_census_geometry_draws_the_searched_ellipses(cut_first4,
@@ -332,14 +396,19 @@ def test_census_geometry_draws_the_searched_ellipses(cut_first4,
     curves = propagator.census_geometry(census["r0"], census["t_min"])
     closed = [(label, ks) for label, ks in curves if label != "line_nodes"]
     labels = [label for label, _ in closed]
-    assert labels[:2] == ["winding_circle", "pole_ellipse"]
-    assert len(labels) == 2 + 2 * propagator._TILES
+    assert labels == ["winding_circle", "pole_ellipse"] + [
+        f"census_tile_{j}" for j in range(propagator._TILES)]
     for label, ks in closed:
         # nodes 0, 16, 32, 48 of the 64 lie on the axes of the ellipse
         center = (ks[0] + ks[32]) / 2.0
         ax, ay = (ks[0] - ks[32]).real / 2.0, (ks[16] - ks[48]).imag / 2.0
         assert any(abs(center - c) <= 1e-12 and abs(ax - a) <= 1e-12 * a
                    and abs(ay - b) <= 1e-12 * b for c, a, b in searched), label
+    # each drawn census tile reaches from the weight cut to the ellipse
+    for (x0, x1, y0, y1), (label, ks) in zip(
+            propagator._census_rects(census["t_min"]), closed[2:]):
+        assert y0 < propagator._SEAM < y1
+        assert abs((ks[16] + ks[48]).imag / 2.0 - (y0 + y1) / 2.0) <= 1e-12
 
 
 def test_verify_large_time_rejects_a_propagator_of_another_run(cut_first4):

@@ -16,7 +16,7 @@ import oracles
 from test_birman_schwinger import check_invariant_subspace
 from specthresh import grushin, symmetry
 from specthresh.birman_schwinger import (Discretization, _contour_moments,
-                                         _contour_zeros,
+                                         _contour_zeros, _probe_block,
                                          detect_minus_one,
                                          invariant_subgroup, riesz_projection,
                                          tune_coupling)
@@ -32,7 +32,7 @@ from specthresh.models import (first_kind_model, free_model,
                                gaussian_template, regular_model,
                                resonance_model, second_kind_model,
                                third_kind_model)
-from specthresh.propagator import (_POLE_ELLIPSE, CutPropagator,
+from specthresh.propagator import (_POLE_ELLIPSE, _SEAM, CutPropagator,
                                    _census_rects, _tile_ellipse,
                                    check_high_energy, resolvent_taylor)
 from specthresh.series import ExpansionSeries
@@ -185,6 +185,16 @@ def test_potential_breaks_reflections(shape, order, broken):
         == oracles.dense_contour_zeros(disc, 0.0, 0.3, 0.3, 64)[1]
 
 
+def test_contour_probe_follows_the_node_positions():
+    # a node permutation permutes the rows of the contour probe block
+    grid = build_grid(3.0, 4)
+    perm = np.random.default_rng(3).permutation(grid.n)
+    pgrid = QuadratureGrid(nodes=grid.nodes[perm], weights=grid.weights[perm],
+                           extent=grid.extent, scheme=grid.scheme,
+                           spacing=grid.spacing)
+    assert np.array_equal(_probe_block(pgrid), _probe_block(grid)[perm])
+
+
 def test_node_permutation_permutes_resolvent_and_keeps_census():
     grid = build_grid(3.0, 4)
     model = first_kind_model(grid)
@@ -206,7 +216,8 @@ def test_node_permutation_permutes_resolvent_and_keeps_census():
     pR = pdisc.R(BranchPoint(z=k * k, sqrt_z=k))
     assert np.linalg.norm(pR - R[np.ix_(perm, perm)]) \
         <= 1e-12 * np.linalg.norm(R)
-    for key in ("winding", "structural_order", "tiles", "band_tiles"):
+    for key in ("winding", "structural_order", "tiles", "nodes",
+                "failed_tiles"):
         assert c[key] == pc[key], key
     for key in ("crossed", "left_out"):
         assert len(c[key]) == len(pc[key]), key
@@ -795,10 +806,10 @@ def test_contour_factors_one_block_per_class(factory, contour, classes,
     assert sum(columns) == 64 * 16 * classes
 
 
-# the first6 census tile (t_min = 10) that holds the left-out zero
-# k = 0.98738 - 0.92874i; on third6 and on the one-block model it holds
-# zeros too
-_TILE3 = _tile_ellipse(*_census_rects(10.0)[3])
+# the part below the seam Im k = 0.05 of the first6 census tile (t_min =
+# 10) that holds the left-out zero k = 0.98738 - 0.92874i; on third6 and on
+# the one-block model it holds zeros too
+_TILE3 = _tile_ellipse(*_census_rects(10.0)[3][:3], _SEAM)
 
 
 @pytest.fixture(scope="module")
