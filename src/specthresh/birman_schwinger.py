@@ -47,6 +47,9 @@ _V_SYMMETRY_TOL = 1e-13
 # that the transform makes of them (`Discretization.r0_reps`); 5 nodes at
 # n = 184, 1 at n = 408 under 8 reflections
 _BATCH_BYTES = 3 << 18
+# `Discretization.zero_free_height`: the absolute tolerance of its
+# bisection, and the height past which it certifies nothing
+_ZERO_FREE_TOL, _ZERO_FREE_TOP = 1e-3, 1024.0
 
 
 def _v_deviation(V: np.ndarray, m: np.ndarray) -> float:
@@ -94,7 +97,11 @@ class Discretization:
     _BATCH_BYTES (0.75 MB) for the gather's arrays.  `R_sums` sums R over
     the nodes of a line or ring on the representatives' blocks and sets
     the other blocks once; `r0_sectors`, `M_sectors` and `R_sectors` are
-    the single-node entry points."""
+    the single-node entry points.
+
+    `perron_bound` and `zero_free_height` certify where M(k) has no zero
+    without factoring it: one gather of R0 at sqrt z = iy with |V| for V,
+    and the Perron root of its trivial-character block."""
 
     def __init__(self, model: Model):
         self.model = model
@@ -259,6 +266,56 @@ class Discretization:
         with the permutations), in place."""
         R0 = self.r0_reps(ks)
         return SectorLU(self.sectors, self.m_reps(R0.copy())).solve_blocks(R0)
+
+    # --- where M(k) has no zero: a Perron bound on |K| --------------------
+    def _perron_block(self, y: float) -> np.ndarray:
+        """The trivial-character block of F(y) = |R0(iy)| |V|, real: R0 at
+        sqrt z = iy (e^{-y r} / (4 pi r) w_j off the diagonal, the self-cell
+        rule (1 - e^{-y rc} (1 + y rc)) / y^2 on it) with |V| for V.  Entry
+        by entry F(y) bounds |K(k)| for every k with Im k >= y, the
+        self-cell entry too (|int_0^rc rho e^{ik rho} d rho| is at most its
+        value at k = iy)."""
+        T = assemble_entries(self.grid, r0_rule(BranchPoint(
+            z=-y * y, sqrt_z=1j * y)), self._plan).real * np.abs(self._v_cols)
+        return self.sectors.split(self.sectors.transform(T))[0]
+
+    def perron_bound(self, y: float) -> float:
+        """An upper bound on the spectral radius of K(k) = R0(k^2) V for
+        every k with Im k >= y: rho(|K(k)|) <= rho(F(y)) for the entrywise
+        bound F(y) (`_perron_block`; Horn & Johnson, Matrix Analysis,
+        ch. 8), so a bound below 1 means M(k) has no zero with Im k >= y,
+        for every Re k.  F commutes with the group: the average of a
+        nonnegative Perron vector over the group is one too, and lies in the
+        trivial sector, so rho(F) is the Perron root of the trivial block B.
+        Returns the Collatz-Wielandt quotient max_a (B x)_a / x_a, at least
+        rho(B) for every positive x, at B's computed Perron vector clipped
+        below at 1e-12 of its largest entry (F is reducible when V vanishes
+        on some nodes, and 0 when V does)."""
+        B = self._perron_block(y)
+        lam, X = np.linalg.eig(B)
+        x = np.abs(X[:, np.argmax(lam.real)])
+        x = np.maximum(x, 1e-12 * x.max())
+        return float(np.max(B @ x / x))
+
+    def zero_free_height(self) -> Optional[float]:
+        """y*: a height above which M(k) has no zero, the least with
+        `perron_bound` below 1 to _ZERO_FREE_TOL (0 when the bound at 0 is
+        below 1), by bisection, the top of the bracket doubled from 1; None
+        when the bound is not below 1 at _ZERO_FREE_TOP."""
+        if self.perron_bound(0.0) < 1.0:
+            return 0.0
+        lo, hi = 0.0, 1.0
+        while not self.perron_bound(hi) < 1.0:
+            if hi >= _ZERO_FREE_TOP:
+                return None
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > _ZERO_FREE_TOL:
+            mid = 0.5 * (lo + hi)
+            if self.perron_bound(mid) < 1.0:
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
     # --- n x n references -------------------------------------------------
     def r0(self, bp: BranchPoint) -> np.ndarray:

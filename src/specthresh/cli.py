@@ -340,7 +340,7 @@ def emit_plot_data(report: RunReport, kind: str, outdir) -> Path:
         else:       # the k-plane geometry of the run's census
             census = rec["census"]
             wcsv.writerow(["re", "im", "segment"])
-            for label, ks in census_geometry(census["r0"], census["t_min"]):
+            for label, ks in census_geometry(census):
                 wcsv.writerows([k.real, k.imag, label] for k in ks)
             for label in ("crossed", "left_out"):
                 wcsv.writerows([z["k"]["re"], z["k"]["im"], f"{label}_zero"]

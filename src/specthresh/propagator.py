@@ -9,7 +9,8 @@ the real k-axis.  `CutPropagator` rotates it onto the steepest-descent line
 k = s e^{-i pi/4}, where e^{-itk^2} = e^{-ts^2} (Gauss-Hermite), and adds
 -R_{-2} for the indentation at k = 0 and the residues of the zeros of M(k)
 the rotation crosses, found by a census of verified contour tiles;
-eigenvalues off the cut come from the contour eigensolver, as residue rings.
+eigenvalues off the cut come from the contour eigensolver, as residue rings,
+where a Perron bound on |R0 V| does not certify that there are none.
 `census_geometry` gives the k-plane curves one census searches.
 """
 from __future__ import annotations
@@ -98,7 +99,9 @@ _WEIGHT_CUT, _K_MAX, _TILES, _TILE_NODES, _TILE_SPLITS, _SEAM = \
     1e-7, math.sqrt(40.0), 8, 64, 4, 0.05
 _RING_NODES, _RING_MAX, _ORDER3_TOL = 32, 0.05, 1e-6
 # the pole scan's ellipse (centre, semi-axes): |Re k| <= 6, 0.15 <= Im k <= 1.8
-_POLE_ELLIPSE = (0.975j, 6.0, 0.825)
+# (0.975 - 0.825 rounds 2e-17 above 0.15); its nodes; and the height of its
+# lowest point, where the Perron bound decides whether it runs
+_POLE_ELLIPSE, _POLE_NODES, _POLE_FLOOR = (0.975j, 6.0, 0.825), 512, 0.15
 
 
 def _residue(k: complex, A1: np.ndarray, A2: np.ndarray,
@@ -122,8 +125,10 @@ class CutPropagator:
              - R_{-2}                          (the indentation at k = 0)
              - sum_j Res_{k_j} [2k e^{-itk^2} R(k)]
 
-    over the eigenvalues off the cut (Im k_j > 0) and the zeros k_j the
-    rotation crosses: those in -pi/4 < arg k < 0 whose weight at the
+    over the eigenvalues off the cut (Im k_j > 0), searched in the pole
+    scan's ellipse unless a Perron bound certifies that it holds none
+    (`_scan_poles`), and the zeros k_j the rotation crosses: those in
+    -pi/4 < arg k < 0 whose weight at the
     smallest time is at least _WEIGHT_CUT, found by one verified contour
     tile per column of Re k, from the weight cut up to the pole scan's
     ellipse (`_census_rects`; a failing tile is first split at
@@ -148,6 +153,8 @@ class CutPropagator:
         # node jumps held by the object: none (bench/tracing.py reads this)
         self.jump: Dict[float, np.ndarray] = {}
         self.census: Optional[dict] = None
+        # the Perron certificate of the pole scan (`_scan_poles`)
+        self.zero_free: dict = {}
         # (k, A_{-1}, A_{-2}) of the crossed zeros and of the eigenvalues
         self._crossed: List[Tuple[complex, np.ndarray, np.ndarray]] = []
         self.poles: List[Tuple[complex, np.ndarray, np.ndarray]] = []
@@ -155,13 +162,27 @@ class CutPropagator:
 
     def _scan_poles(self):
         """Eigenvalues z = k^2 off the cut: the zeros of M(k) inside
-        `_POLE_ELLIPSE` (512 nodes).  Not searched here: z near 0, and a
-        band along the cut that widens with Re z (|Im z| < 0.3 at Re z = 1,
-        1.7 at 10, 3.8 at 20); the census tiles search its Re k > 0 half
-        up to the ellipse.  ValueError for a zero with Re k > 0: an
-        eigenvalue with Im z = 2 Re k Im k > 0, whose e^{-itz} grows."""
-        zeros, _ = _contour_zeros(self.disc, *_POLE_ELLIPSE, 512)
-        ks = [k for k, _ in zeros]
+        `_POLE_ELLIPSE` (_POLE_NODES nodes), searched only when the Perron
+        bound at its lowest point, Im k = _POLE_FLOOR
+        (`Discretization.perron_bound`), is not below 1: below 1 it
+        certifies that M(k) has no zero with Im k >= _POLE_FLOOR, so none in
+        the ellipse.  Records in `zero_free` the floor, the bound, its
+        margin 1 - bound, y* (`Discretization.zero_free_height`) and the
+        nodes factored.  Not searched here: z near 0, and a band along the
+        cut that widens with Re z (|Im z| < 0.3 at Re z = 1, 1.7 at 10, 3.8
+        at 20); the census tiles search its Re k > 0 half up to the
+        ellipse.  ValueError for a zero with Re k > 0: an eigenvalue with
+        Im z = 2 Re k Im k > 0, whose e^{-itz} grows."""
+        rho = self.disc.perron_bound(_POLE_FLOOR)
+        searched = not rho < 1.0
+        self.zero_free = {"y_floor": _POLE_FLOOR, "rho_bound": rho,
+                          "margin": 1.0 - rho,
+                          "y_star": self.disc.zero_free_height(),
+                          "pole_nodes": _POLE_NODES if searched else 0}
+        ks = []
+        if searched:
+            zeros, _ = _contour_zeros(self.disc, *_POLE_ELLIPSE, _POLE_NODES)
+            ks = [k for k, _ in zeros]
         for k in ks:
             if k.real > 0:
                 raise ValueError(f"zero of M(k) at z = {k * k:.6g} is an "
@@ -173,7 +194,9 @@ class CutPropagator:
         the r0 winding count, the verified tiles, contour nodes and failed
         tiles of the census (`_census_rects`: one tile per column, from the
         weight cut up to the pole ellipse, so growing modes below the
-        ellipse are found too), the region no tile covers (`_unsearched`),
+        ellipse are found too), the pole scan's certificate (`zero_free`),
+        the region that neither a tile, the pole scan nor the certificate
+        covers (`_unsearched`),
         each crossed zero (k, z, weight, Frobenius norm of its residue at
         t_min) and the zeros left out.  ValueError if the count is not the
         structural order, or for a zero on the real axis (an embedded
@@ -207,7 +230,8 @@ class CutPropagator:
         self.census = {"r0": _R0, "winding": winding,
                        "structural_order": order, "t_min": t_min,
                        "weight_cut": _WEIGHT_CUT, **stats,
-                       "unsearched": _unsearched(),
+                       "zero_free": dict(self.zero_free),
+                       "unsearched": _unsearched(self.zero_free),
                        "crossed": crossed, "left_out": left_out}
 
     def _ring_moments(self, k: complex, zeros: Sequence[complex]):
@@ -278,9 +302,8 @@ def _census_rects(t_min: float) -> List[Tuple[float, float, float, float]]:
     of -pi/4 < arg k < 0 with weight at least _WEIGHT_CUT at t_min, across
     the seam Im k = _SEAM, up to the lower edge of the pole scan's ellipse
     (`_POLE_ELLIPSE`) at the column's right end (the height of its centre
-    beyond its right end).  With |k| < r0 and the ellipse they leave no
-    part of Re k > 0, 0 <= Im k <= the centre's height unsearched but
-    `_unsearched()`."""
+    beyond its right end).  With |k| < r0 they reach at least
+    _POLE_FLOOR for Re k <= _K_MAX; what they leave is in `_unsearched`."""
     c = -math.log(_WEIGHT_CUT) / (2.0 * t_min)     # Re k |Im k| <= c
     center, ax, ay = _POLE_ELLIPSE
 
@@ -290,14 +313,33 @@ def _census_rects(t_min: float) -> List[Tuple[float, float, float, float]]:
             for x0, x1 in _columns()]
 
 
-def _unsearched() -> List[Dict[str, List[Optional[float]]]]:
-    """The part of Re k > 0, Im k >= 0 below the pole scan's ellipse centre
-    that neither the census nor the ellipse covers, as (Re k, Im k) ranges
-    (None: unbounded): Im k above the centre for the Re k between the
-    ellipse's end and _K_MAX, and every Im k beyond _K_MAX."""
-    center, ax, _ = _POLE_ELLIPSE
-    return [{"re_k": [ax, _K_MAX], "im_k": [center.imag, None]},
-            {"re_k": [_K_MAX, None], "im_k": [None, None]}]
+def _unsearched(zero_free: dict) -> List[Dict[str, object]]:
+    """The part of Re k > 0 that neither the census tiles, the pole scan's
+    ellipse (when it was searched) nor the Perron certificate covers, as
+    (Re k, Im k) ranges (None: unbounded).  The certificate
+    (`CutPropagator.zero_free`) covers Im k >= y* (None: no height), and
+    Im k >= _POLE_FLOOR when the pole scan skipped the ellipse on it.
+    Below the certified height y, the tiles (with |k| < r0) reach
+    _POLE_FLOOR or more for every Re k <= _K_MAX, and the ellipse's centre
+    beyond its end; the ellipse, when searched, reaches its upper edge.
+    What is left: Re k > _K_MAX below y and, when y lies above the centre,
+    the strip from the centre to y between the ellipse's end and _K_MAX,
+    and the part of the Re k range up to the end that lies above the upper
+    edge (`"above": "pole_ellipse"`)."""
+    center, ax, ay = _POLE_ELLIPSE
+    y = zero_free["y_star"]
+    if not zero_free["pole_nodes"]:
+        y = min(y, _POLE_FLOOR)
+    out = []
+    if zero_free["pole_nodes"] and (y is None or y > center.imag):
+        # the upper edge center + ay sqrt(1 - (x / ax)^2) lies below y for
+        # x beyond x_lo
+        rise = 1.0 if y is None else min(1.0, (y - center.imag) / ay)
+        out += [{"re_k": [ax * math.sqrt(1.0 - rise ** 2), ax],
+                 "im_k": [center.imag, y], "above": "pole_ellipse"},
+                {"re_k": [ax, _K_MAX], "im_k": [center.imag, y]}]
+    out.append({"re_k": [_K_MAX, None], "im_k": [None, y]})
+    return out
 
 
 def _tile_ellipse(x0: float, x1: float, y0: float, y1: float):
@@ -350,21 +392,29 @@ def _tile_zeros(disc: Discretization,
     return zeros, stats
 
 
-def census_geometry(r0: float, t_min: float) -> List[Tuple[str, np.ndarray]]:
-    """(label, k points) of the curves a census at t_min works on: the
-    |k| = r0 winding circle, the pole scan's ellipse (`_scan_poles`), the
+def census_geometry(census: dict) -> List[Tuple[str, np.ndarray]]:
+    """(label, k points) of the curves a census (`CutPropagator.census`,
+    or its record in `report.json`) works on: the |k| = r0 winding circle,
+    the pole scan's ellipse when it was searched (`_scan_poles`), the
     ellipse of each column's census tile (the seam halves, retries and
     splits of a failing tile are not drawn), 65 points around each closed
-    curve, and the line nodes at t_min."""
+    curve; the open line Im k = y* above which the Perron bound certifies
+    that M(k) has no zero, over |Re k| <= _K_MAX, in 65 points (none when
+    y* is None); and the line nodes at t_min."""
     ring = np.exp(2j * np.pi * np.arange(65) / 64)
 
     def ellipse(center, ax, ay):
         return center + ax * ring.real + 1j * ay * ring.imag
 
-    curves = [("winding_circle", r0 * ring),
-              ("pole_ellipse", ellipse(*_POLE_ELLIPSE))]
+    t_min, zero_free = census["t_min"], census["zero_free"]
+    curves = [("winding_circle", census["r0"] * ring)]
+    if zero_free["pole_nodes"]:
+        curves.append(("pole_ellipse", ellipse(*_POLE_ELLIPSE)))
     curves += [(f"census_tile_{j}", ellipse(*_tile_ellipse(*rect)))
                for j, rect in enumerate(_census_rects(t_min))]
+    if zero_free["y_star"] is not None:
+        curves.append(("zero_free_height", np.linspace(-_K_MAX, _K_MAX, 65)
+                       + 1j * zero_free["y_star"]))
     curves.append(("line_nodes",
                    _LINE_X * np.exp(-0.25j * np.pi) / math.sqrt(t_min)))
     return curves

@@ -470,6 +470,21 @@ def dense_resolvent(disc, bp) -> np.ndarray:
     return sla.solve(np.eye(disc.grid.n) + r0 * disc.V[None, :], r0)
 
 
+def dense_perron_matrix(disc, y: float) -> np.ndarray:
+    """F(y) = |R0(iy)| |V| as the n x n Nystrom matrix (`_nystrom`, with
+    no use of the grid's symmetry), the entrywise moduli taken after the
+    assembly."""
+    from specthresh.kernels import _nystrom, r0_rule
+    R0 = _nystrom(disc.grid, r0_rule(BranchPoint(z=-y * y, sqrt_z=1j * y)))
+    return np.abs(R0) * np.abs(disc.V)[None, :]
+
+
+def dense_perron_radius(disc, y: float) -> float:
+    """rho(F(y)) from all n eigenvalues of the dense `dense_perron_matrix`."""
+    return float(np.max(np.abs(np.linalg.eigvals(dense_perron_matrix(
+        disc, y)))))
+
+
 def dense_contour_zeros(disc, center: complex, ax: float, ay: float,
                         n_nodes: int, probes: int = 16):
     """(zeros, count) of M(k) = Id + R0(k^2) V inside the ellipse

@@ -583,6 +583,92 @@ def test_small_contour_finds_third6_eigenvalue(disc_third6):
     assert s[-1] < 1e-12 * s[0]
 
 
+# --------------------------------------------------------------------------
+# the Perron bound on |K(k)| and the zero-free height y*
+
+def _disc_named(request, name):
+    """The Discretization of a fixture model: first6 / second6 from their
+    coefficient fixtures, second8 / third8 from the res-8 ones."""
+    if name.endswith("6"):
+        return request.getfixturevalue(f"coeffs_{name}")[1]
+    return request.getfixturevalue(f"disc_{name[:-1]}")
+
+
+@pytest.mark.parametrize("y", [0.15, 1.0, 2.0])
+@pytest.mark.parametrize("name", ["first6", "second8", "third8"])
+def test_perron_block_holds_the_dense_perron_root(name, y, request):
+    # F(y) commutes with the group: its trivial-character block has the
+    # Perron root of the n x n matrix
+    disc = _disc_named(request, name)
+    rho = np.max(np.abs(np.linalg.eigvals(disc._perron_block(y))))
+    want = oracles.dense_perron_radius(disc, y)
+    assert abs(rho - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("name", ["first6", "second6"])
+def test_perron_matrix_bounds_k_on_the_pole_ellipse(name, request):
+    # |K(k)| <= F(0.15) entry by entry, self-cell entries included, at the
+    # 512 pole-scan nodes (all with Im k > 0.15)
+    disc = _disc_named(request, name)
+    F = oracles.dense_perron_matrix(disc, 0.15)
+    center, ax, ay = _POLE_ELLIPSE
+    th = 2.0 * np.pi * (np.arange(512) + 0.5) / 512
+    for k in center + ax * np.cos(th) + 1j * ay * np.sin(th):
+        K = np.abs(disc.K(BranchPoint(z=k * k, sqrt_z=k)))
+        assert np.all(K <= F), k
+        # the self-cell entries compared are not all zero
+        assert np.all(np.diag(K)[disc.V != 0] > 0)
+
+
+@pytest.mark.parametrize("name", ["first6", "second6"])
+def test_collatz_wielandt_bound_is_above_the_perron_root(name, request):
+    # an upper bound on rho (up to the roundoff of the computed root); on
+    # first6 as tight as the computed Perron vector.  second6's potential
+    # vanishes on a plane of nodes: F has zero columns and is reducible
+    disc = _disc_named(request, name)
+    rho = oracles.dense_perron_radius(disc, 0.15)
+    bound = disc.perron_bound(0.15)
+    assert np.isfinite(bound) and bound >= rho * (1.0 - 1e-14)
+    if name == "first6":
+        assert bound - rho <= 1e-8
+    else:
+        assert np.any(disc.V == 0)
+
+
+def test_free_model_has_a_zero_perron_bound(grid6):
+    disc = Discretization(free_model(grid6))
+    assert disc.perron_bound(0.15) == 0.0 and disc.perron_bound(0.0) == 0.0
+    assert disc.zero_free_height() == 0.0
+
+
+def test_zero_free_height_is_the_bisected_crossing(coeffs_second6):
+    # y* to _ZERO_FREE_TOL: the bound is below 1 at y*, not below it
+    # _ZERO_FREE_TOL lower
+    disc = coeffs_second6[1]
+    y = disc.zero_free_height()
+    assert disc.perron_bound(y) < 1.0
+    assert disc.perron_bound(y - birman_schwinger._ZERO_FREE_TOL) >= 1.0
+    assert abs(y - 0.9814) < 2e-3
+
+
+def test_zero_free_height_gives_up_without_a_certificate(coeffs_first6,
+                                                         monkeypatch):
+    disc = coeffs_first6[1]
+    monkeypatch.setattr(Discretization, "perron_bound",
+                        lambda self, y: np.inf)
+    assert disc.zero_free_height() is None
+
+
+def test_third6_zeros_lie_below_the_zero_free_height(disc_third6):
+    # the census zeros at t_min = 10 and the eigenvalue off the cut
+    from specthresh import propagator
+    zeros, _ = propagator._tile_zeros(disc_third6,
+                                      propagator._census_rects(10.0))
+    y = disc_third6.zero_free_height()
+    assert len(zeros) > 0 and abs(y - 1.7734) < 2e-3
+    assert max(k.imag for k in zeros + [1.3637 + 0.1819j]) < y
+
+
 def test_scan_rejects_bad_interval(disc_resonance):
     with pytest.raises(ValueError):
         scan_positive_resonances(disc_resonance, (-1.0, 2.0))

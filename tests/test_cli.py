@@ -237,11 +237,15 @@ def test_propagate_stage_records_census(first4_report):
     assert census["winding"] == census["structural_order"] == 1
     assert census["t_min"] == 10.0 and census["tiles"] >= 8
     assert census["nodes"] >= 64 * (census["tiles"] + census["failed_tiles"])
-    # beyond the pole ellipse's end (Re k = 6) only Im k <= 0.975 is
-    # searched, and nothing beyond Re k = sqrt(40)
+    # the Perron bound certifies that M(k) has no zero with Im k >= y*, and
+    # none in the pole ellipse, which is not searched: beyond Re k =
+    # sqrt(40) the part below y* is left
+    zero_free = census["zero_free"]
+    assert zero_free["pole_nodes"] == 0 and zero_free["y_floor"] == 0.15
+    assert 0.0 < zero_free["margin"] == 1.0 - zero_free["rho_bound"]
+    assert 0.0 < zero_free["y_star"] < 0.15
     assert census["unsearched"] == [
-        {"re_k": [6.0, math.sqrt(40.0)], "im_k": [0.975, None]},
-        {"re_k": [math.sqrt(40.0), None], "im_k": [None, None]}]
+        {"re_k": [math.sqrt(40.0), None], "im_k": [None, zero_free["y_star"]]}]
     # M(k) factored in the eight parity sectors of the 64-node grid, in
     # four classes of equivalent blocks under the five axis permutations
     perms = [[1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1]]
@@ -337,16 +341,20 @@ def test_h3_is_recorded_per_resonance_expansion(tmp_path, monkeypatch):
 
 
 def test_emit_plot_data_contour(tmp_path, first4_report):
-    # the k-plane geometry of the run's census: the winding circle, the pole
-    # ellipse, the census tiles and the line nodes at t_min = 10,
-    # and the crossed and left-out zeros
+    # the k-plane geometry of the run's census: the winding circle, the
+    # census tiles, the zero-free height (the certificate skips the pole
+    # ellipse) and the line nodes at t_min = 10, and the crossed and
+    # left-out zeros
     path = emit_plot_data(first4_report, "contour", tmp_path / "plots")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "re,im,segment"
     rows = [line.split(",") for line in lines[1:]]
     labels = {seg for _, _, seg in rows}
-    assert {"winding_circle", "pole_ellipse", "census_tile_0", "census_tile_7",
-            "line_nodes", "crossed_zero", "left_out_zero"} <= labels
+    assert labels == {"winding_circle", "census_tile_0", "census_tile_1",
+                      "census_tile_2", "census_tile_3", "census_tile_4",
+                      "census_tile_5", "census_tile_6", "census_tile_7",
+                      "zero_free_height", "line_nodes", "crossed_zero",
+                      "left_out_zero"}
     census = first4_report.stages["propagate"]["census"]
     (crossed,) = census["crossed"]
     (row,) = [r for r in rows if r[2] == "crossed_zero"]

@@ -267,24 +267,78 @@ def test_ring_moments_reject_a_triple_pole():
 
 
 def test_pole_scan_finds_second6_eigenvalue(cut_second6):
-    # the one eigenvalue of H off the cut, left of the positive axis
+    # the one eigenvalue of H off the cut, left of the positive axis, below
+    # the zero-free height
     assert len(cut_second6.poles) == 1
     k, A1, A2 = cut_second6.poles[0]
     assert abs(k * k - (-0.960231 - 0.048039j)) < 1e-5
+    zero_free = cut_second6.zero_free
+    assert zero_free["pole_nodes"] == 512 and zero_free["rho_bound"] >= 1.0
+    assert 0.15 < k.imag < zero_free["y_star"]
     # a simple pole of R: no A_{-2}
     assert np.linalg.norm(A2) <= 1e-8 * np.linalg.norm(A1)
 
 
 def test_pole_scan_rejects_a_growing_mode(cut_first4, monkeypatch):
     # third6's eigenvalue k = 1.36 + 0.18i has Im z = 2 Re k Im k > 0:
-    # e^{-itz} grows, so no residue of it may enter U(t)
+    # e^{-itz} grows, so no residue of it may enter U(t); a bound of at
+    # least 1 makes the ellipse run
     _, cp, _ = cut_first4
     k = 1.36 + 0.18j
+    monkeypatch.setattr(Discretization, "perron_bound",
+                        lambda self, y: 1.0)
     monkeypatch.setattr(propagator, "_contour_zeros",
                         lambda *a, **kw: ([(k, np.array([1.0, 0.0]))], 1))
     with pytest.raises(ValueError, match=r"eigenvalue with Im z > 0 \(a "
                                          r"growing mode\)"):
         CutPropagator(cp.disc, cp.coeffs)
+
+
+def _record_contours(monkeypatch):
+    """The (centre, semi-axes) of every ellipse handed to _contour_zeros
+    from now on, in a list that fills as they come."""
+    searched = []
+    contour_zeros = propagator._contour_zeros
+
+    def recording(disc, center, ax, ay, n_nodes, count_only=False):
+        searched.append((complex(center), ax, ay))
+        return contour_zeros(disc, center, ax, ay, n_nodes, count_only)
+
+    monkeypatch.setattr(propagator, "_contour_zeros", recording)
+    return searched
+
+
+def test_certified_pole_scan_skips_the_ellipse(cut_first4, monkeypatch):
+    # the Perron bound at Im k = 0.15 is below 1 on first4: the ellipse
+    # holds no zero and no contour is run on it
+    _, cp, _ = cut_first4
+    searched = _record_contours(monkeypatch)
+    fresh = CutPropagator(cp.disc, cp.coeffs)
+    fresh.propagate(LADDER[0])
+    assert searched and propagator._POLE_ELLIPSE not in searched
+    assert fresh.poles == []
+    zero_free = fresh.census["zero_free"]
+    assert zero_free == fresh.zero_free
+    assert zero_free["pole_nodes"] == 0 and zero_free["y_floor"] == 0.15
+    assert zero_free["rho_bound"] < 1.0
+    assert zero_free["margin"] == 1.0 - zero_free["rho_bound"]
+    assert 0.0 < zero_free["y_star"] < 0.15
+
+
+def test_forced_pole_scan_leaves_first6_unchanged(cut_first6, monkeypatch):
+    # U(t) on the ladder, bit for bit, whether the certificate skips the
+    # ellipse or an infinite bound forces its 512 nodes
+    certified = copy.copy(cut_first6)
+    want = certified.propagate_blocks(LADDER)
+    monkeypatch.setattr(Discretization, "perron_bound",
+                        lambda self, y: np.inf)
+    forced = CutPropagator(cut_first6.disc, cut_first6.coeffs)
+    got = forced.propagate_blocks(LADDER)
+    assert certified.zero_free["pole_nodes"] == 0
+    assert forced.zero_free["pole_nodes"] == 512
+    assert forced.zero_free["y_star"] is None and forced.poles == []
+    for t in LADDER:
+        assert np.array_equal(got[t], want[t])
 
 
 def test_band_search_finds_third6_growing_mode():
@@ -380,24 +434,24 @@ def test_census_splits_a_failing_tile_at_the_seam(cut_first6, monkeypatch):
 def test_census_geometry_draws_the_searched_ellipses(cut_first4,
                                                     monkeypatch):
     # every closed curve of the contour plot is an ellipse (centre,
-    # semi-axes) that the pole scan or the census handed to _contour_zeros
+    # semi-axes) that the pole scan or the census handed to _contour_zeros;
+    # first4's certificate skips the pole ellipse: it is not drawn, but the
+    # open line Im k = y* is
     _, cp, _ = cut_first4
-    searched = []
-    contour_zeros = propagator._contour_zeros
-
-    def recording(disc, center, ax, ay, n_nodes, count_only=False):
-        searched.append((complex(center), ax, ay))
-        return contour_zeros(disc, center, ax, ay, n_nodes, count_only)
-
-    monkeypatch.setattr(propagator, "_contour_zeros", recording)
+    searched = _record_contours(monkeypatch)
     scanned = CutPropagator(cp.disc, cp.coeffs)
     scanned.propagate(LADDER[0])
     census = scanned.census
-    curves = propagator.census_geometry(census["r0"], census["t_min"])
-    closed = [(label, ks) for label, ks in curves if label != "line_nodes"]
+    curves = propagator.census_geometry(census)
+    closed = [(label, ks) for label, ks in curves
+              if label not in ("line_nodes", "zero_free_height")]
     labels = [label for label, _ in closed]
-    assert labels == ["winding_circle", "pole_ellipse"] + [
+    assert census["zero_free"]["pole_nodes"] == 0
+    assert labels == ["winding_circle"] + [
         f"census_tile_{j}" for j in range(propagator._TILES)]
+    (line,) = [ks for label, ks in curves if label == "zero_free_height"]
+    assert np.all(line.imag == census["zero_free"]["y_star"])
+    assert line[0].real < 0.0 < line[-1].real
     for label, ks in closed:
         # nodes 0, 16, 32, 48 of the 64 lie on the axes of the ellipse
         center = (ks[0] + ks[32]) / 2.0
@@ -406,9 +460,16 @@ def test_census_geometry_draws_the_searched_ellipses(cut_first4,
                    and abs(ay - b) <= 1e-12 * b for c, a, b in searched), label
     # each drawn census tile reaches from the weight cut to the ellipse
     for (x0, x1, y0, y1), (label, ks) in zip(
-            propagator._census_rects(census["t_min"]), closed[2:]):
+            propagator._census_rects(census["t_min"]), closed[1:]):
         assert y0 < propagator._SEAM < y1
         assert abs((ks[16] + ks[48]).imag / 2.0 - (y0 + y1) / 2.0) <= 1e-12
+    # a searched ellipse is drawn, and no y* draws no line
+    record = dict(census, zero_free=dict(census["zero_free"],
+                                         pole_nodes=512, y_star=None))
+    labels = [label for label, _ in propagator.census_geometry(record)]
+    assert labels == ["winding_circle", "pole_ellipse"] + [
+        f"census_tile_{j}" for j in range(propagator._TILES)] + [
+        "line_nodes"]
 
 
 def test_verify_large_time_rejects_a_propagator_of_another_run(cut_first4):

@@ -287,8 +287,10 @@ def test_propagate_factors_only_sector_blocks(first6, coeffs_first6,
     cp = CutPropagator(Discretization(first6), coeffs)
     cp.propagate_many(np.geomspace(10.0, 1000.0, 7))
     n = first6.grid.n
-    # one getrf per class of equivalent blocks: 4 per M(k) on first6
-    assert len(shapes) >= 4 * 1000
+    # one getrf per class of equivalent blocks: 4 per M(k) on first6, at
+    # the winding circle's 64 nodes, the census's 512 and 32 line nodes per
+    # time; the Perron bound skips the pole ellipse, and no zero is crossed
+    assert len(shapes) == 4 * (64 + 512 + 7 * 32)
     assert all(s == (n // 8, n // 8) for s in shapes), set(shapes)
 
 
