@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -595,21 +595,22 @@ _PROBES, _RANK_TOL, _ZERO_TOL = 16, 1e-4, 1e-6
 
 
 def _contour_matrices(disc: Discretization, center: complex,
-                      dk: np.ndarray) -> Iterator[Tuple[np.ndarray,
-                                                        np.ndarray]]:
+                      dk: np.ndarray, phase: float = 0.5
+                      ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """(nodes, representatives' blocks of M(center + dk[q]) for q in nodes,
     one row per node: `Discretization.M_reps`) over the trapezoidal nodes
-    of `_contour_zeros`, in batches of `Discretization.batch_nodes` kernel
-    table rows.  On an ellipse centred on the imaginary axis with an even
-    node count N, node N/2 - 1 - q (mod N) is -conj(k_q), where R0 is the
-    entrywise conjugate of R0(k_q) (self-cell rule included), and so are
-    its blocks (the sector basis is real): one row of R0 serves each
-    mirrored pair (`Discretization.r0_reps`, `m_reps`).  Other ellipses
-    gather a row per node."""
+    of `_contour_moments`, in batches of `Discretization.batch_nodes`
+    kernel table rows.  On an ellipse centred on the imaginary axis with an
+    even node count N and node phase 1/2, node N/2 - 1 - q (mod N) is
+    -conj(k_q), where R0 is the entrywise conjugate of R0(k_q) (self-cell
+    rule included), and so are its blocks (the sector basis is real): one
+    row of R0 serves each mirrored pair (`Discretization.r0_reps`,
+    `m_reps`).  Other ellipses, and other phases (whose mirror images are
+    no nodes), gather a row per node."""
     N, b = len(dk), disc.batch_nodes
     ks = center + dk
     q = np.arange(N)
-    if complex(center).real != 0.0 or N % 2:
+    if complex(center).real != 0.0 or N % 2 or phase != 0.5:
         for s in range(0, N, b):
             yield q[s:s + b], disc.M_reps(ks[s:s + b])
         return
@@ -639,30 +640,60 @@ def _probe_block(grid) -> np.ndarray:
     return P
 
 
+class _ContourMoments(NamedTuple):
+    """What the nodes of one trapezoidal rule give Beyn's method
+    (`_contour_moments`): arg det of each class representative's block at
+    each node, in node order, (nodes, representatives); the moments A_p,
+    (2, rows, _PROBES), None for a count alone; and their size
+    sum |w_q| ||X_q||."""
+    arg_det: np.ndarray
+    A: Optional[np.ndarray]
+    scale: float
+
+    @property
+    def winding(self) -> np.ndarray:
+        """Per-class winding numbers of det M around the rule's nodes."""
+        steps = np.angle(np.exp(1j * np.diff(self.arg_det, axis=0,
+                                             append=self.arg_det[:1])))
+        return np.rint(steps.sum(axis=0) / (2.0 * np.pi)).astype(int)
+
+    def merge(self, odd: "_ContourMoments") -> "_ContourMoments":
+        """The moments of the 2N-node rule of phase 1/2 from its even
+        nodes, this N-node rule of phase 1/4, and its odd nodes, `odd`, of
+        phase 3/4: each weight halves, and the nodes interleave."""
+        arg_det = np.stack([self.arg_det, odd.arg_det], axis=1).reshape(
+            -1, self.arg_det.shape[1])
+        A = None if self.A is None else 0.5 * (self.A + odd.A)
+        return _ContourMoments(arg_det, A, 0.5 * (self.scale + odd.scale))
+
+
 def _contour_moments(disc: Discretization, center: complex, ax: float,
-                     ay: float, n_nodes: int, count_only: bool = False
-                     ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """(per-class windings, moments A, scale) of Beyn's method on the
-    ellipse center + ax cos th + i ay sin th (`_contour_zeros`): per batch
-    of nodes (`_contour_matrices`) one checked LU per representative per
-    node (`SectorLU`), and per node the solve of the representative's rows
-    P_r of the fixed probe block; the arg dets, the moments A_p =
-    (1/2 pi i) oint (k - center)^p M_r^{-1} P_r dk (p = 0, 1), stacked over
-    the representatives, and their size sum |w_q| ||X_q|| are taken for the
-    whole batch at once.  `count_only`: no probe solve, A = None."""
+                     ay: float, n_nodes: int, count_only: bool = False,
+                     phase: float = 0.5) -> _ContourMoments:
+    """`_ContourMoments` of Beyn's method on the ellipse center + ax cos th
+    + i ay sin th at the n_nodes trapezoidal nodes
+    th_q = 2 pi (q + phase) / n_nodes (phases 1/4 and 3/4 give the even and
+    the odd nodes of the 2 n_nodes-node rule of phase 1/2,
+    `_ContourMoments.merge`): per batch of nodes (`_contour_matrices`) one
+    checked LU per representative per node (`SectorLU`), and per node the
+    solve of the representative's rows P_r of the fixed probe block; the
+    arg dets, the moments A_p = (1/2 pi i) oint (k - center)^p M_r^{-1} P_r
+    dk (p = 0, 1), stacked over the representatives, and their size
+    sum |w_q| ||X_q|| are taken for the whole batch at once.  `count_only`:
+    no probe solve, A = None."""
     n, group = disc.grid.n, disc.sectors
     reps = np.unique(group.sector_classes)
     P = _probe_block(disc.grid)
     Ps = group.to_sectors(P)
     probes = [Ps[r] for r in reps]
     rows = np.cumsum([0] + [len(C) for C in probes])
-    th = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+    th = 2.0 * np.pi * (np.arange(n_nodes) + phase) / n_nodes
     dk = ax * np.cos(th) + 1j * ay * np.sin(th)
     wq = (-ax * np.sin(th) + 1j * ay * np.cos(th)) / (1j * n_nodes)
     A = None if count_only else np.zeros((2, rows[-1] * _PROBES),
                                          dtype=complex)
     scale, arg_det = 0.0, np.empty((n_nodes, len(reps)))
-    for nodes, M in _contour_matrices(disc, center, dk):
+    for nodes, M in _contour_matrices(disc, center, dk, phase):
         lu = SectorLU(group, M)
         arg_det[nodes] = lu.arg_det()
         if not count_only:
@@ -679,52 +710,48 @@ def _contour_moments(disc: Discretization, center: complex, ax: float,
             del X
         # free the batch before the next one is gathered
         del M, lu
-    steps = np.angle(np.exp(1j * np.diff(arg_det, axis=0,
-                                         append=arg_det[:1])))
-    winding = np.rint(steps.sum(axis=0) / (2.0 * np.pi)).astype(int)
-    return winding, None if count_only else A.reshape(2, -1, _PROBES), scale
+    return _ContourMoments(arg_det, None if count_only
+                          else A.reshape(2, -1, _PROBES), scale)
 
 
-def _contour_zeros(disc: Discretization, center: complex, ax: float,
-                   ay: float, n_nodes: int, count_only: bool = False
-                   ) -> Tuple[List[Tuple[complex, np.ndarray]], int]:
-    """Zeros of the entire M(k) = Id + R0(k^2) V, k on both sheets, inside
-    the ellipse center + ax cos th + i ay sin th (Beyn's method) on the
-    class representatives of the sector blocks of M alone: the other blocks
-    of a class are the representative's up to a signed permutation, with
-    the same zeros, and no node forms them.  The nodes run in batches
-    (`_contour_moments`): one kernel table per batch, the representatives'
-    blocks of the batch gathered and transformed at once
-    (`Discretization.r0_reps`) within _BATCH_BYTES, and then only getrf,
-    gecon and getrs per node and representative.
-    The moments A_p of the representatives' rows of a fixed probe block
-    are stacked over the representatives, and each class's winding count
-    comes from the representative's arg det.  Accepted only if the rank of
-    the stacked A0 (against sum |w_q| ||X_q||) equals the sum of the
-    per-class windings, which must be below the probe width, each pencil
-    eigenvalue lies inside and sigma_min of M, from all its sector blocks,
-    is negligible there; else ValueError.  Returns the distinct zeros with
-    the singular values of M at each (descending), and the count: the sum
-    over the classes of the class size times the winding (`count_only`:
-    the count alone, from the factorizations alone: no probe solve and no
-    moments)."""
+def _contour_verdict(disc: Discretization, center: complex, ax: float,
+                     ay: float, moments: _ContourMoments
+                     ) -> Tuple[List[Tuple[complex, np.ndarray]], int,
+                                Dict[str, float]]:
+    """Beyn's verdict on the `moments` of the ellipse center + ax cos th
+    + i ay sin th (`_contour_zeros`): the distinct zeros with the singular
+    values of M at each (descending), the count (the sum over the classes
+    of the class size times the winding) and the margins, each a measured
+    quantity over its gate, which the verdict passes below 1: "rank", the
+    larger of gate / sigma_r and sigma_{r+1} / gate for the moment rank r
+    against the gate _RANK_TOL sum |w_q| ||X_q||; "radius", the largest
+    scaled radius ((Re e / ax)^2 + (Im e / ay)^2)^(1/2) of a pencil
+    eigenvalue e = k - center; "zero", the largest sigma_min / (_ZERO_TOL
+    sigma_max) of M at a zero (0 for none).  ValueError where a check of
+    `_contour_zeros` fails.  A count alone (A = None) has no zeros and no
+    margins."""
     _, sizes = np.unique(disc.sectors.sector_classes, return_counts=True)
-    winding, A, scale = _contour_moments(disc, center, ax, ay, n_nodes,
-                                         count_only)
+    winding = moments.winding
     count = int(np.dot(sizes, winding))
-    if count_only:
-        return [], count
+    if moments.A is None:
+        return [], count, {}
+    A, gate = moments.A, _RANK_TOL * moments.scale
     U, s, Wh = sla.svd(A[0], full_matrices=False)
-    rank, total = int((s > _RANK_TOL * scale).sum()), int(winding.sum())
+    rank, total = int((s > gate).sum()), int(winding.sum())
     if rank != total or total >= _PROBES:
         raise ValueError(f"moment rank {rank} but per-class winding total "
                          f"{total} (per-class windings {winding.tolist()}; "
                          f"weighted count {count}; probe width {_PROBES})")
+    margins = {"rank": max(gate / s[rank - 1] if rank else 0.0,
+                           s[rank] / gate if rank < len(s) else 0.0),
+               "radius": 0.0, "zero": 0.0}
     zeros: List[Tuple[complex, np.ndarray]] = []
     B = (U[:, :rank].conj().T @ A[1] @ Wh[:rank].conj().T) / s[:rank]
     for e in np.linalg.eigvals(B):
         k = complex(center + e)
-        if (e.real / ax) ** 2 + (e.imag / ay) ** 2 >= 1.0:
+        r2 = (e.real / ax) ** 2 + (e.imag / ay) ** 2
+        margins["radius"] = max(margins["radius"], r2 ** 0.5)
+        if r2 >= 1.0:
             raise ValueError(f"pencil eigenvalue k = {k:.6g} lies outside "
                              f"the contour (winding count {count})")
         if any(abs(k - k0) < _ZERO_TOL * max(1.0, abs(k)) for k0, _ in zeros):
@@ -739,8 +766,37 @@ def _contour_zeros(disc: Discretization, center: complex, ax: float,
             raise ValueError(f"contour zero at lambda* = {z.real:.6g} "
                              f"{z.imag:+.3e}i has sigma_min = {sv[-1]:.3e} "
                              f"(winding count {count})")
+        margins["zero"] = max(margins["zero"], sv[-1] / (_ZERO_TOL * sv[0]))
         zeros.append((k, sv))
-    return zeros, count
+    return zeros, count, margins
+
+
+def _contour_zeros(disc: Discretization, center: complex, ax: float,
+                   ay: float, n_nodes: int, count_only: bool = False
+                   ) -> Tuple[List[Tuple[complex, np.ndarray]], int]:
+    """Zeros of the entire M(k) = Id + R0(k^2) V, k on both sheets, inside
+    the ellipse center + ax cos th + i ay sin th (Beyn's method) on the
+    class representatives of the sector blocks of M alone: the other blocks
+    of a class are the representative's up to a signed permutation, with
+    the same zeros, and no node forms them.  The n_nodes nodes of phase
+    1/2 run in batches (`_contour_moments`): one kernel table per batch,
+    the representatives' blocks of the batch gathered and transformed at
+    once (`Discretization.r0_reps`) within _BATCH_BYTES, and then only
+    getrf, gecon and getrs per node and representative.
+    The moments A_p of the representatives' rows of a fixed probe block
+    are stacked over the representatives, and each class's winding count
+    comes from the representative's arg det.  Accepted only if the rank of
+    the stacked A0 (against sum |w_q| ||X_q||) equals the sum of the
+    per-class windings, which must be below the probe width, each pencil
+    eigenvalue lies inside and sigma_min of M, from all its sector blocks,
+    is negligible there; else ValueError (`_contour_verdict`, which also
+    gives how far each check is from its gate).  Returns the distinct
+    zeros with the singular values of M at each (descending), and the
+    count: the sum over the classes of the class size times the winding
+    (`count_only`: the count alone, from the factorizations alone: no probe
+    solve and no moments)."""
+    moments = _contour_moments(disc, center, ax, ay, n_nodes, count_only)
+    return _contour_verdict(disc, center, ax, ay, moments)[:2]
 
 
 def scan_positive_resonances(disc: Discretization,

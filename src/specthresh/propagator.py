@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .birman_schwinger import Discretization, _contour_zeros
+from .birman_schwinger import (Discretization, _contour_moments,
+                               _contour_verdict, _contour_zeros)
 from .symmetry import SectorLU
 from .model import weighted_sector_norm
 from .grushin import ThresholdCoefficients
@@ -98,6 +99,11 @@ _R0 = 0.3
 _WEIGHT_CUT, _K_MAX, _TILES, _TILE_NODES, _TILE_SPLITS, _SEAM = \
     1e-7, math.sqrt(40.0), 8, 64, 4, 0.05
 _RING_NODES, _RING_MAX, _ORDER3_TOL = 32, 0.05, 1e-6
+# a census tile's verdict on the even half of its nodes stands when it is
+# clear of each gate by the factor _CLEAR, its pencil eigenvalues within
+# _CLEAR_RADIUS of the scaled radius; a closer call is decided again on
+# twice the nodes (`_tile_attempt`)
+_CLEAR, _CLEAR_RADIUS = 10.0, 0.9
 # the pole scan's ellipse (centre, semi-axes): |Re k| <= 6, 0.15 <= Im k <= 1.8
 # (0.975 - 0.825 rounds 2e-17 above 0.15); its nodes; and the height of its
 # lowest point, where the Perron bound decides whether it runs
@@ -131,7 +137,9 @@ class CutPropagator:
     -pi/4 < arg k < 0 whose weight at the
     smallest time is at least _WEIGHT_CUT, found by one verified contour
     tile per column of Re k, from the weight cut up to the pole scan's
-    ellipse (`_census_rects`; a failing tile is first split at
+    ellipse (`_census_rects`; each tile decided on the even half of its
+    nodes when that verdict is clear of its gates, on all of them
+    otherwise, `_tile_attempt`; a failing tile is first split at
     Im k = _SEAM, `_tile_zeros`).  An eigenvalue in
     3 pi/4 < arg k < pi is crossed by the other half-line: the terms cancel.
     The line is Gauss-Hermite in s sqrt(t) on symmetric nodes (the principal
@@ -191,10 +199,12 @@ class CutPropagator:
 
     def _take_census(self, t_min: float):
         """The zeros the rotation crosses for times >= t_min, into `census`:
-        the r0 winding count, the verified tiles, contour nodes and failed
-        tiles of the census (`_census_rects`: one tile per column, from the
-        weight cut up to the pole ellipse, so growing modes below the
-        ellipse are found too), the pole scan's certificate (`zero_free`),
+        the r0 winding count, the verified tiles, contour nodes, failed
+        tiles, tiles verified on half their nodes and attempts escalated to
+        all of them (`_tile_zeros`) of the census (`_census_rects`: one
+        tile per column, from the weight cut up to the pole ellipse, so
+        growing modes below the ellipse are found too), the pole scan's
+        certificate (`zero_free`),
         the region that neither a tile, the pole scan nor the certificate
         covers (`_unsearched`),
         each crossed zero (k, z, weight, Frobenius norm of its residue at
@@ -349,25 +359,63 @@ def _tile_ellipse(x0: float, x1: float, y0: float, y1: float):
             (y1 - y0) / math.sqrt(2.0))
 
 
+def _tile_attempt(disc: Discretization, ellipse, nodes: int,
+                  stats: Dict[str, int]) -> List[Tuple[complex, np.ndarray]]:
+    """The zeros of one verified contour on `ellipse` (centre, semi-axes),
+    `_contour_zeros` on `nodes` nodes, with its count of nodes into
+    `stats`.  A _TILE_NODES attempt first factors its even nodes alone, a
+    trapezoidal rule of phase 1/4: a verdict on them that is clear of
+    every gate stands ("half_verified"): the moment rank and sigma_min at
+    each zero by the factor _CLEAR, every pencil eigenvalue within
+    _CLEAR_RADIUS of the scaled radius (the `_contour_verdict` margins).
+    Otherwise, a raise included, the odd nodes (phase 3/4) are factored
+    and the tile is decided on both halves ("escalated"), which is the
+    full rule of phase 1/2.  ValueError where the full rule fails, and
+    where the checked LU rejects an even node, which the full rule holds
+    too."""
+    if nodes != _TILE_NODES:
+        stats["nodes"] += nodes
+        return _contour_zeros(disc, *ellipse, nodes)[0]
+    half = nodes // 2
+    stats["nodes"] += half
+    even = _contour_moments(disc, *ellipse, half, phase=0.25)
+    try:
+        found, _, margins = _contour_verdict(disc, *ellipse, even)
+    except ValueError:
+        pass
+    else:
+        if (max(margins["rank"], margins["zero"]) * _CLEAR <= 1.0
+                and margins["radius"] <= _CLEAR_RADIUS):
+            stats["half_verified"] += 1
+            return found
+    stats["nodes"] += half
+    stats["escalated"] += 1
+    odd = _contour_moments(disc, *ellipse, half, phase=0.75)
+    return _contour_verdict(disc, *ellipse, even.merge(odd))[0]
+
+
 def _tile_zeros(disc: Discretization,
                 rects: Sequence[Tuple[float, float, float, float]]
                 ) -> Tuple[List[complex], Dict[str, int]]:
     """Distinct zeros of M(k) in verified tiles (the `_tile_ellipse` of
     each rectangle (x0, x1, y0, y1) of `rects`), and the counts of the
-    verified tiles, of the contour nodes factored and of the failed tiles.
+    verified tiles, of the contour nodes factored, of the failed tiles
+    (attempts of _TILE_NODES nodes or more that failed), of the tiles
+    verified on the even half of their _TILE_NODES nodes and of the
+    attempts decided on all of them (`_tile_attempt`).
     A failing tile that spans the seam Im k = _SEAM is split there in two
     tiles; any other failing tile is retried with 2 and 4 times the nodes
     (a zero near its boundary), then split in two overlapping parts across
     its longer side, at most _TILE_SPLITS times; then ValueError."""
     stack = [(rect, 0, _TILE_NODES) for rect in rects]
     zeros: List[complex] = []
-    stats = {"tiles": 0, "nodes": 0, "failed_tiles": 0}
+    stats = {"tiles": 0, "nodes": 0, "failed_tiles": 0, "half_verified": 0,
+             "escalated": 0}
     while stack:
         (x0, x1, y0, y1), splits, nodes = stack.pop()
-        stats["nodes"] += nodes
         try:
-            found, _ = _contour_zeros(
-                disc, *_tile_ellipse(x0, x1, y0, y1), nodes)
+            found = _tile_attempt(disc, _tile_ellipse(x0, x1, y0, y1), nodes,
+                                  stats)
         except ValueError as exc:
             stats["failed_tiles"] += 1
             if y0 < _SEAM < y1:

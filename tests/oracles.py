@@ -765,38 +765,73 @@ def dense_grushin_expansion(disc, point, tol: float,
 
 def two_row_census(cp, t_min: float):
     """The census of the propagator `cp` at t_min tiled in two rows per
-    column, each row verified on its own: the census row from the weight cut
-    up to Im k = 0.05 and the band row from there up to the pole ellipse,
-    every failing tile retried with 2 and 4 times the nodes and then split
-    across its longer side, with no seam rule.  Returns the crossed zeros
-    as (k, Frobenius norm of the residue at t_min), the left-out zeros and
-    the contour nodes factored."""
+    column, each row verified on its own (`_full_rule_tiles`, whose seam
+    rule no row meets): the census row from the weight cut up to
+    Im k = 0.05 and the band row from there up to the pole ellipse.
+    Returns the crossed zeros as (k, Frobenius norm of the residue at
+    t_min), the left-out zeros and the contour nodes factored."""
     from specthresh import propagator as prop
     rows = []
     for x0, x1, y0, y1 in prop._census_rects(t_min):
         rows += [(x0, x1, y0, 0.05), (x0, x1, 0.05, y1)]
-    stack = [(rect, 0, 64) for rect in rows]
-    zeros, nodes = [], 0
+    zeros, stats = _full_rule_tiles(cp.disc, rows)
+    return _crossings(cp, zeros, t_min) + (stats["nodes"],)
+
+
+def full_rule_census(cp, t_min: float):
+    """The census of the propagator `cp` at t_min with every tile decided on
+    all its nodes (`_full_rule_tiles` on one tile per column).  Returns the
+    crossed zeros as (k, Frobenius norm of the residue at t_min), the
+    left-out zeros and the counts of verified tiles, contour nodes and
+    failed tiles."""
+    from specthresh import propagator as prop
+    zeros, stats = _full_rule_tiles(cp.disc, prop._census_rects(t_min))
+    return _crossings(cp, zeros, t_min) + (stats,)
+
+
+def _full_rule_tiles(disc, rects):
+    """Distinct zeros of M(k) in the tiles over `rects`, and the counts of
+    verified tiles, contour nodes and failed tiles: each tile one 64-node
+    `_contour_zeros`; a failing tile that spans Im k = 0.05 split there,
+    any other retried with 128 and 256 nodes and then split across its
+    longer side, at most 4 times."""
+    from specthresh import propagator as prop
+    stack = [(rect, 0, 64) for rect in rects]
+    zeros, stats = [], {"tiles": 0, "nodes": 0, "failed_tiles": 0}
     while stack:
         (x0, x1, y0, y1), splits, n = stack.pop()
-        nodes += n
+        stats["nodes"] += n
         try:
             found, _ = prop._contour_zeros(
-                cp.disc, complex(x0 + x1, y0 + y1) / 2.0,
+                disc, complex(x0 + x1, y0 + y1) / 2.0,
                 (x1 - x0) / math.sqrt(2.0), (y1 - y0) / math.sqrt(2.0), n)
         except ValueError:
+            stats["failed_tiles"] += 1
+            if y0 < 0.05 < y1:
+                stack += [((x0, x1, y0, 0.05), splits, 64),
+                          ((x0, x1, 0.05, y1), splits, 64)]
+                continue
             if n < 256:
                 stack.append(((x0, x1, y0, y1), splits, 2 * n))
                 continue
-            assert splits < 4, "two-row tile failed after 4 splits"
+            assert splits < 4, "tile failed after 4 splits"
             wide = x1 - x0 >= y1 - y0
             a, b = (x0, x1) if wide else (y0, y1)
             for lo, hi in ((a, a + 0.6 * (b - a)), (b - 0.6 * (b - a), b)):
                 part = (lo, hi, y0, y1) if wide else (x0, x1, lo, hi)
                 stack.append((part, splits + 1, 64))
             continue
+        stats["tiles"] += 1
         zeros += [k for k, _ in found
                   if all(abs(k - k0) > 1e-4 * abs(k) for k0 in zeros)]
+    return zeros, stats
+
+
+def _crossings(cp, zeros, t_min: float):
+    """(crossed zeros as (k, Frobenius norm of the residue at t_min),
+    left-out zeros) of a census of `zeros`: a zero is crossed when it lies
+    in -pi/4 < arg k < 0 with weight e^{t_min Im k^2} at least 1e-7."""
+    from specthresh import propagator as prop
     crossed, left_out = [], []
     for k in zeros:
         if -k.imag >= k.real or math.exp(t_min * (k * k).imag) < 1e-7:
@@ -805,4 +840,4 @@ def two_row_census(cp, t_min: float):
         A1, A2 = cp._ring_moments(k, zeros)
         crossed.append((k, float(np.linalg.norm(
             prop._residue(k, A1, A2, t_min)))))
-    return crossed, left_out, nodes
+    return crossed, left_out

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 import oracles
 from specthresh import birman_schwinger, kernels
 from specthresh.birman_schwinger import (HYPOTHESIS_DET_TOL, Discretization,
-                                         _contour_zeros,
+                                         _contour_moments, _contour_zeros,
                                          check_hypotheses, classify_zero,
                                          detect_minus_one, riesz_projection,
                                          scan_positive_resonances,
@@ -225,6 +225,37 @@ def test_contour_walk_shares_r0_across_mirrored_nodes(monkeypatch):
     assert _contour_zeros(disc, 1.5, 0.5, 0.5 / 6.0, 32) == ([], 0)
     assert calls == {"rows": 32, "r0_sectors": 0, "M_sectors": 0,
                      "_fill_members": 0, "expand": 0}
+
+
+def test_half_rules_never_walk_mirrored_pairs(first6, monkeypatch):
+    # the even and odd nodes of the 64-node rule (phases 1/4 and 3/4) have
+    # no mirror image -conj(k) among their own nodes: on an ellipse centred
+    # on the imaginary axis each half gathers a kernel-table row per node,
+    # where the full rule walks its mirrored pairs; merged, the halves give
+    # the full rule's windings and moments
+    disc = Discretization(first6)
+    rows = []
+    table = kernels.kernel_table
+
+    def counting(*args):
+        T = table(*args)
+        rows.append(len(T) if T.ndim == 2 else 1)
+        return T
+
+    monkeypatch.setattr(kernels, "kernel_table", counting)
+    full = _contour_moments(disc, 0.0, 0.3, 0.3, 64)
+    assert sum(rows) == 32
+    halves = []
+    for phase in (0.25, 0.75):
+        rows.clear()
+        halves.append(_contour_moments(disc, 0.0, 0.3, 0.3, 32, phase=phase))
+        assert sum(rows) == 32
+    merged = halves[0].merge(halves[1])
+    assert merged.winding.tolist() == full.winding.tolist()
+    assert full.winding.sum() == 1
+    assert np.linalg.norm(merged.A - full.A) \
+        <= 1e-13 * np.linalg.norm(full.A)
+    assert abs(merged.scale - full.scale) <= 1e-13 * full.scale
 
 
 def _one_block(K):

@@ -295,16 +295,20 @@ def test_pole_scan_rejects_a_growing_mode(cut_first4, monkeypatch):
 
 
 def _record_contours(monkeypatch):
-    """The (centre, semi-axes) of every ellipse handed to _contour_zeros
-    from now on, in a list that fills as they come."""
+    """The (centre, semi-axes) of every ellipse handed to _contour_zeros or
+    (a census tile's half rules) to _contour_moments from now on, in a list
+    that fills as they come."""
     searched = []
-    contour_zeros = propagator._contour_zeros
 
-    def recording(disc, center, ax, ay, n_nodes, count_only=False):
-        searched.append((complex(center), ax, ay))
-        return contour_zeros(disc, center, ax, ay, n_nodes, count_only)
+    def recording(contour):
+        def wrapped(disc, center, ax, ay, *args, **kwargs):
+            searched.append((complex(center), ax, ay))
+            return contour(disc, center, ax, ay, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(propagator, "_contour_zeros", recording)
+    for name in ("_contour_zeros", "_contour_moments"):
+        monkeypatch.setattr(propagator, name,
+                            recording(getattr(propagator, name)))
     return searched
 
 
@@ -370,6 +374,21 @@ def test_census_raises_on_a_growing_mode_in_the_band(cut_first4,
         CutPropagator(cp.disc, cp.coeffs).propagate(10.0)
 
 
+def _assert_same_zeros(census, crossed, left_out):
+    """The census's crossed zeros are `crossed` ((k, residue norm) pairs),
+    each within 1e-8 |k| and its residue norm within 1e-6, and its left-out
+    zeros are `left_out`, each within 1e-8 |k|."""
+    assert len(census["crossed"]) == len(crossed)
+    assert len(census["left_out"]) == len(left_out)
+    for k, norm in crossed:
+        (got,) = [c for c in census["crossed"]
+                  if abs(c["k"] - k) <= 1e-8 * abs(k)]
+        assert abs(got["residue_norm"] - norm) <= 1e-6 * norm
+    for k in left_out:
+        assert min(abs(c["k"] - k) for c in census["left_out"]) \
+            <= 1e-8 * abs(k)
+
+
 @pytest.mark.parametrize("name", ["first6", "second6"])
 def test_merged_census_matches_two_row_tiling(name, request):
     # one tile per column from the weight cut up to the pole ellipse finds
@@ -378,18 +397,10 @@ def test_merged_census_matches_two_row_tiling(name, request):
     cp._take_census(10.0)
     census = cp.census
     want, left_out, nodes = oracles.two_row_census(cp, 10.0)
-    assert len(census["crossed"]) == len(want)
-    assert len(census["left_out"]) == len(left_out)
-    for k, norm in want:
-        (got,) = [c for c in census["crossed"]
-                  if abs(c["k"] - k) <= 1e-8 * abs(k)]
-        assert abs(got["residue_norm"] - norm) <= 1e-6 * norm
-    for k in left_out:
-        assert min(abs(c["k"] - k) for c in census["left_out"]) \
-            <= 1e-8 * abs(k)
+    _assert_same_zeros(census, want, left_out)
     assert census["nodes"] <= nodes
     if name == "first6":
-        assert census["nodes"] == 512 and census["failed_tiles"] == 0
+        assert census["nodes"] == 288 and census["failed_tiles"] == 0
         assert census["tiles"] == propagator._TILES and nodes == 1024
 
 
@@ -397,38 +408,109 @@ def test_census_splits_a_failing_tile_at_the_seam(cut_first6, monkeypatch):
     # a tile across Im k = 0.05 that fails is split there before any retry
     # with more nodes: on first6, two verified 64-node tiles per column (the
     # two-row tiling, which needs no retry there) find the merged census's
-    # zeros
+    # zeros.  Each merged tile fails on its even 32 nodes and then on all
+    # 64; each seam half stands on its even 32 nodes, but the one below the
+    # seam in column [1.10, 1.70], which is decided on all 64
     cp = cut_first6
     rects = propagator._census_rects(10.0)
     want, _ = propagator._tile_zeros(cp.disc, rects)
-    contour_zeros = propagator._contour_zeros
+    contour_verdict = propagator._contour_verdict
     calls = []
 
-    def failing_across_the_seam(disc, center, ax, ay, n_nodes,
-                                count_only=False):
+    def failing_across_the_seam(disc, center, ax, ay, moments):
         half = ay / np.sqrt(2.0)
         y0, y1 = center.imag - half, center.imag + half
         spans = y0 < propagator._SEAM - 1e-12 and y1 > propagator._SEAM + 1e-12
-        calls.append((center.real, y0, y1, n_nodes, spans))
+        calls.append((center.real, y0, y1, len(moments.arg_det), spans))
         if spans:
             raise ValueError("moment rank 2 but per-class winding total 1")
-        return contour_zeros(disc, center, ax, ay, n_nodes, count_only)
+        return contour_verdict(disc, center, ax, ay, moments)
 
-    monkeypatch.setattr(propagator, "_contour_zeros", failing_across_the_seam)
+    monkeypatch.setattr(propagator, "_contour_verdict",
+                        failing_across_the_seam)
     zeros, stats = propagator._tile_zeros(cp.disc, rects)
     assert stats == {"tiles": 2 * len(rects), "failed_tiles": len(rects),
-                     "nodes": 3 * propagator._TILE_NODES * len(rects)}
-    assert all(n == propagator._TILE_NODES for _, _, _, n, _ in calls)
+                     "half_verified": 2 * len(rects) - 1,
+                     "escalated": len(rects) + 1,
+                     "nodes": 64 * len(rects) + 32 * (2 * len(rects) - 1)
+                     + 64}
     for x0, x1, y0, y1 in rects:
         mine = [c for c in calls if abs(c[0] - (x0 + x1) / 2.0) <= 1e-12]
-        # the merged tile first, then its two halves, below and above
-        assert [c[4] for c in mine] == [True, False, False]
-        assert sorted((round(a, 12), round(b, 12)) for _, a, b, _, _
-                      in mine[1:]) == [(round(y0, 12), propagator._SEAM),
-                                       (propagator._SEAM, round(y1, 12))]
+        # the merged tile on its even half and on all its nodes, then its
+        # two halves, above and below the seam
+        below = [(64, False)] if (x0, x1) == rects[4][:2] else []
+        assert [c[3:] for c in mine] == [(32, True), (64, True), (32, False),
+                                          (32, False)] + below
+        assert sorted({(round(a, 12), round(b, 12)) for _, a, b, _, _
+                       in mine[2:]}) == [(round(y0, 12), propagator._SEAM),
+                                         (propagator._SEAM, round(y1, 12))]
     assert len(zeros) == len(want)
     for k in want:
         assert min(abs(k - k2) for k2 in zeros) <= 1e-8 * abs(k)
+
+
+@pytest.mark.parametrize("name, column, winding", [("first6", 3, 1),
+                                                   ("second6", 5, 2)])
+def test_half_rules_merge_into_the_tile_rule(name, column, winding,
+                                             request):
+    # the even nodes (phase 1/4) and the odd nodes (phase 3/4) of a census
+    # tile's 64-node rule, merged, are that rule: first6's column
+    # [0.71, 1.10] holds the left-out zero, second6's [1.70, 2.64] two
+    disc = request.getfixturevalue(f"cut_{name}").disc
+    ellipse = propagator._tile_ellipse(*propagator._census_rects(10.0)[column])
+    full = propagator._contour_moments(disc, *ellipse, 64)
+    even, odd = (propagator._contour_moments(disc, *ellipse, 32, phase=p)
+                 for p in (0.25, 0.75))
+    merged = even.merge(odd)
+    assert merged.winding.tolist() == full.winding.tolist()
+    assert full.winding.sum() == winding
+    assert np.linalg.norm(merged.A - full.A) \
+        <= 1e-13 * np.linalg.norm(full.A)
+    assert abs(merged.scale - full.scale) <= 1e-13 * full.scale
+
+
+def test_close_half_verdict_is_decided_on_all_nodes(cut_first6):
+    # first6's column [1.10, 1.70]: on its even 32 nodes sigma_1 of the
+    # moments reads 0.6 of the rank gate, a pass but not by the factor
+    # _CLEAR, so the tile is decided on all 64; the other seven stand on 32
+    disc, rects = cut_first6.disc, propagator._census_rects(10.0)
+    even = propagator._contour_moments(
+        disc, *propagator._tile_ellipse(*rects[4]), 32, phase=0.25)
+    found, _, margins = propagator._contour_verdict(
+        disc, *propagator._tile_ellipse(*rects[4]), even)
+    assert found == [] and 1.0 / propagator._CLEAR < margins["rank"] < 1.0
+    for j, rect in enumerate(rects):
+        _, stats = propagator._tile_zeros(disc, [rect])
+        want = (0, 1, 64) if j == 4 else (1, 0, 32)
+        assert (stats["half_verified"], stats["escalated"],
+                stats["nodes"]) == want, j
+        assert stats["tiles"] == 1 and stats["failed_tiles"] == 0
+
+
+@pytest.fixture(scope="module")
+def cut_regular6(grid6):
+    disc = Discretization(regular_model(grid6))
+    return CutPropagator(disc, threshold_resolvent_expansion(disc))
+
+
+@pytest.fixture(scope="module")
+def cut_first8(coeffs_first, disc_first):
+    return CutPropagator(disc_first, coeffs_first)
+
+
+@pytest.mark.parametrize("name", ["first6", "first8", "regular6", "second6"])
+def test_half_rule_census_matches_the_full_rule(name, request):
+    # the census with its half rules against every tile decided on all its
+    # nodes (`oracles.full_rule_census`): the same tiles, failed tiles and
+    # zeros, and no more nodes
+    cp = copy.copy(request.getfixturevalue(f"cut_{name}"))
+    cp._take_census(10.0)
+    census = cp.census
+    crossed, left_out, stats = oracles.full_rule_census(cp, 10.0)
+    for key in ("tiles", "failed_tiles"):
+        assert census[key] == stats[key], key
+    assert census["nodes"] <= stats["nodes"]
+    _assert_same_zeros(census, crossed, left_out)
 
 
 def test_census_geometry_draws_the_searched_ellipses(cut_first4,

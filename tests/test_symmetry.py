@@ -288,9 +288,10 @@ def test_propagate_factors_only_sector_blocks(first6, coeffs_first6,
     cp.propagate_many(np.geomspace(10.0, 1000.0, 7))
     n = first6.grid.n
     # one getrf per class of equivalent blocks: 4 per M(k) on first6, at
-    # the winding circle's 64 nodes, the census's 512 and 32 line nodes per
-    # time; the Perron bound skips the pole ellipse, and no zero is crossed
-    assert len(shapes) == 4 * (64 + 512 + 7 * 32)
+    # the winding circle's 64 nodes, the census's 288 (seven tiles decided
+    # on their even 32 nodes, one on all 64) and 32 line nodes per time;
+    # the Perron bound skips the pole ellipse, and no zero is crossed
+    assert len(shapes) == 4 * (64 + 288 + 7 * 32)
     assert all(s == (n // 8, n // 8) for s in shapes), set(shapes)
 
 
@@ -844,7 +845,7 @@ def test_batched_contour_matches_per_node_reference(name, contour, nodes,
     disc = Discretization(request.getfixturevalue(name))
     want, want_count, want_winding = oracles.sector_contour_reference(
         disc, *contour, nodes, count_only)
-    winding, _, _ = _contour_moments(disc, *contour, nodes, count_only)
+    winding = _contour_moments(disc, *contour, nodes, count_only).winding
     zeros, got_count = _contour_zeros(disc, *contour, nodes, count_only)
     assert got_count == want_count == count
     assert winding.tolist() == want_winding.tolist()
